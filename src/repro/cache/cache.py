@@ -75,11 +75,12 @@ class SetAssociativeCache:
         self._indexer: Indexer = (
             indexer if indexer is not None else StandardIndexer(self.num_sets)
         )
-        self._sets = [
-            _Set(lines=[None] * self.ways, policy=make_policy(policy,
-                                                              self.ways))
-            for _ in range(self.num_sets)
-        ]
+        # Sets are created on first fill: a socket has ~50k of them and
+        # an experiment touches a few hundred.  An untouched set behaves
+        # exactly like a fresh one, so deferring its policy is exact.
+        make_policy(policy, self.ways)  # reject an unknown name now
+        self._policy_kind = policy
+        self._sets: dict[int, _Set] = {}
         self.stats = CacheStats()
         self._eviction_listeners: list[Callable[[int], None]] = []
 
@@ -106,8 +107,8 @@ class SetAssociativeCache:
 
     def lookup(self, line: int) -> bool:
         """Probe for ``line``; updates replacement state on a hit."""
-        cache_set = self._sets[self._indexer.index(line)]
-        way = cache_set.way_of.get(line)
+        cache_set = self._sets.get(self._indexer.index(line))
+        way = None if cache_set is None else cache_set.way_of.get(line)
         if way is None:
             self.stats.misses += 1
             return False
@@ -117,13 +118,19 @@ class SetAssociativeCache:
 
     def contains(self, line: int) -> bool:
         """Probe without side effects (no replacement-state update)."""
-        cache_set = self._sets[self._indexer.index(line)]
-        return line in cache_set.way_of
+        cache_set = self._sets.get(self._indexer.index(line))
+        return cache_set is not None and line in cache_set.way_of
 
     def insert(self, line: int) -> int | None:
         """Fill ``line``; returns the evicted line number, if any."""
-        cache_set = self._sets[self._indexer.index(line)]
-        if line in cache_set.way_of:
+        index = self._indexer.index(line)
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = _Set(
+                lines=[None] * self.ways,
+                policy=make_policy(self._policy_kind, self.ways),
+            )
+        elif line in cache_set.way_of:
             cache_set.policy.touch(cache_set.way_of[line])
             return None
         occupied = [slot is not None for slot in cache_set.lines]
@@ -141,8 +148,8 @@ class SetAssociativeCache:
 
     def invalidate(self, line: int) -> bool:
         """Remove ``line`` if present (clflush path; not an eviction)."""
-        cache_set = self._sets[self._indexer.index(line)]
-        way = cache_set.way_of.pop(line, None)
+        cache_set = self._sets.get(self._indexer.index(line))
+        way = None if cache_set is None else cache_set.way_of.pop(line, None)
         if way is None:
             return False
         cache_set.lines[way] = None
@@ -154,14 +161,23 @@ class SetAssociativeCache:
 
     def lines_in_set(self, index: int) -> list[int]:
         """Line numbers currently resident in set ``index``."""
-        return [line for line in self._sets[index].lines if line is not None]
+        if not 0 <= index < self.num_sets:
+            raise IndexError(f"set index {index} out of range")
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            return []
+        return [line for line in cache_set.lines if line is not None]
 
     def occupancy(self) -> int:
         """Total number of valid lines in the cache."""
-        return sum(len(s.way_of) for s in self._sets)
+        return sum(len(s.way_of) for s in self._sets.values())
 
     def flush_all(self) -> None:
-        """Invalidate every line (used between experiment repetitions)."""
-        for cache_set in self._sets:
+        """Invalidate every line (used between experiment repetitions).
+
+        Replacement state survives, as in hardware: PLRU bits and the
+        random policy's RNG stream carry over into the next repetition.
+        """
+        for cache_set in self._sets.values():
             cache_set.lines = [None] * self.ways
             cache_set.way_of.clear()

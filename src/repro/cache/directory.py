@@ -44,10 +44,9 @@ class CoherenceDirectory:
         self.ways = ways
         self._index_fn = index_fn
         # Per set: line -> set of holder core ids, in LRU order
-        # (first entry = least recently recorded).
-        self._sets: list[OrderedDict[int, set[int]]] = [
-            OrderedDict() for _ in range(num_sets)
-        ]
+        # (first entry = least recently recorded).  A set is created on
+        # its first fill; queries on an untouched set create nothing.
+        self._sets: dict[int, OrderedDict[int, set[int]]] = {}
         self._back_invalidate: Callable[[int], None] | None = None
         self.snoop_hits = 0
         self.snoop_misses = 0
@@ -69,8 +68,11 @@ class CoherenceDirectory:
         May evict another entry from the directory set, back-invalidating
         its line from every private cache.
         """
-        entries = self._sets[self._index(line)]
-        if line in entries:
+        index = self._index(line)
+        entries = self._sets.get(index)
+        if entries is None:
+            entries = self._sets[index] = OrderedDict()
+        elif line in entries:
             entries[line].add(core_id)
             entries.move_to_end(line)
             return
@@ -83,8 +85,8 @@ class CoherenceDirectory:
 
     def record_eviction(self, line: int, core_id: int) -> None:
         """A core's private cache lost its copy of ``line``."""
-        entries = self._sets[self._index(line)]
-        holders = entries.get(line)
+        entries = self._sets.get(self._index(line))
+        holders = None if entries is None else entries.get(line)
         if holders is None:
             return
         holders.discard(core_id)
@@ -93,11 +95,15 @@ class CoherenceDirectory:
 
     def record_invalidation(self, line: int) -> None:
         """``line`` was flushed system-wide (clflush semantics)."""
-        self._sets[self._index(line)].pop(line, None)
+        entries = self._sets.get(self._index(line))
+        if entries is not None:
+            entries.pop(line, None)
 
     def holders(self, line: int) -> frozenset[int]:
         """Core ids whose private caches hold ``line``."""
-        entries = self._sets[self._index(line)]
+        entries = self._sets.get(self._index(line))
+        if entries is None:
+            return frozenset()
         return frozenset(entries.get(line, frozenset()))
 
     def remote_holder(self, line: int, requesting_core: int) -> int | None:
@@ -115,4 +121,4 @@ class CoherenceDirectory:
 
     def tracked_lines(self) -> int:
         """Number of lines with at least one private-cache holder."""
-        return sum(len(entries) for entries in self._sets)
+        return sum(len(entries) for entries in self._sets.values())

@@ -84,20 +84,17 @@ class EvictionListBuilder:
             )
         allocation = self.space.allocate(chunk_bytes)
         self._searched_bytes += chunk_bytes
-        lines_per_page = page // 64
-        virtual_pages = range(allocation.virtual_base,
-                              allocation.virtual_end, page)
-        virt_chunks: list[np.ndarray] = []
-        line_chunks: list[np.ndarray] = []
-        offsets = np.arange(lines_per_page, dtype=np.int64)
-        for virtual_base in virtual_pages:
-            physical_base = self.space.translate(virtual_base)
-            virt_chunks.append(virtual_base + offsets * 64)
-            line_chunks.append(
-                ((physical_base >> 6) + offsets).astype(np.uint64)
-            )
-        new_virtual = np.concatenate(virt_chunks)
-        new_lines = np.concatenate(line_chunks)
+        # One translation per page, then a (page x line offset) broadcast;
+        # rows are pages in address order, so the flattened arrays list
+        # lines in the same order a per-page walk would.
+        bases = range(allocation.virtual_base, allocation.virtual_end, page)
+        virtual_pages = np.array(bases, dtype=np.int64)
+        physical_pages = np.fromiter(map(self.space.translate, bases),
+                                     dtype=np.int64, count=len(bases))
+        offsets = np.arange(page // 64, dtype=np.int64)
+        new_virtual = (virtual_pages[:, None] + offsets * 64).ravel()
+        new_lines = ((physical_pages >> 6)[:, None]
+                     + offsets).astype(np.uint64).ravel()
         new_slices = self.slice_hash.slice_of_array(new_lines)
         self._virtual = np.concatenate([self._virtual, new_virtual])
         self._lines = np.concatenate([self._lines, new_lines])

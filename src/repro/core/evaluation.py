@@ -8,8 +8,7 @@ capacity.  Run in both the cross-core and cross-processor deployments.
 from __future__ import annotations
 
 import json
-import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -82,8 +81,7 @@ class SweepResult:
 
     Iterates and indexes like the plain list older code handled —
     ``for p in sweep``, ``sweep[0]``, ``len(sweep)`` all work — while
-    carrying the summary methods that used to float free as
-    ``peak_capacity`` / ``summarize_sweep``.
+    carrying the summary methods.
     """
 
     points: tuple[CapacityPoint, ...]
@@ -309,26 +307,6 @@ def capacity_sweep(
             + ", ".join(f.label or str(f.index) for f in failed)
         )
     return SweepResult(points=tuple(points))
-
-
-def peak_capacity(points: Iterable[CapacityPoint]) -> CapacityPoint:
-    """Deprecated: use :meth:`SweepResult.peak` instead."""
-    warnings.warn(
-        "peak_capacity() is deprecated; use SweepResult.peak()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return SweepResult(points=tuple(points)).peak()
-
-
-def summarize_sweep(points: Iterable[CapacityPoint]) -> dict[str, float]:
-    """Deprecated: use :meth:`SweepResult.summarize` instead."""
-    warnings.warn(
-        "summarize_sweep() is deprecated; use SweepResult.summarize()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return SweepResult(points=tuple(points)).summarize()
 
 
 def mean_error_over_seeds(interval_ms: float, *, bits: int = 80,

@@ -10,7 +10,6 @@ top, for experiments made of independent seeded runs.
 from .parallel import (
     Trial,
     TrialFailure,
-    map_trials,
     resolve_workers,
     run_trials,
     trial_seeds,
@@ -24,7 +23,6 @@ __all__ = [
     "PeriodicTask",
     "Trial",
     "TrialFailure",
-    "map_trials",
     "resolve_workers",
     "run_trials",
     "trial_seeds",

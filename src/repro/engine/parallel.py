@@ -28,7 +28,6 @@ results as they land so an interrupted sweep resumes where it stopped.
 from __future__ import annotations
 
 import os
-import warnings
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -46,7 +45,6 @@ __all__ = [
     "TrialFailure",
     "run_trials",
     "run_batches",
-    "map_trials",
     "trial_seeds",
     "trial_rngs",
     "resolve_workers",
@@ -551,19 +549,3 @@ def run_batches(requests: Sequence[Any],
         if checkpoint is not None:
             checkpoint.flush()
     return results
-
-
-def map_trials(func: Callable[..., Any],
-               kwargs_list: Iterable[dict[str, Any]], *,
-               workers: int | None = 1) -> list[Any]:
-    """Deprecated: build :class:`Trial` records and use
-    :func:`run_trials` (or :func:`run_batches` for a vectorized
-    backend) instead."""
-    warnings.warn(
-        "map_trials() is deprecated; use run_trials() with explicit "
-        "Trial records (or run_batches() for vectorized backends)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_trials([Trial(func, kwargs) for kwargs in kwargs_list],
-                      workers=workers)

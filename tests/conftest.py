@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import default_platform_config, single_socket_config
 from repro.platform import System
+from repro.validate.differential import run_differential_suite
 
 
 @pytest.fixture
@@ -24,3 +25,12 @@ def solo_system() -> System:
 def platform_config():
     """The default Table 1 configuration."""
     return default_platform_config()
+
+
+@pytest.fixture(scope="session")
+def differential_reports(tmp_path_factory):
+    """One full run of the differential suite (eleven end-to-end
+    checks), shared by every test that only inspects its reports."""
+    return run_differential_suite(
+        tmp_path_factory.mktemp("differential"), seed=0
+    )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache import RandomizedIndexer, SetAssociativeCache
+from repro.cache.replacement import make_policy
 from repro.config import CacheConfig
 
 
@@ -157,3 +158,66 @@ class TestRandomizedIndexing:
     def test_same_line_same_set(self):
         indexer = RandomizedIndexer(64, key=3)
         assert indexer.index(12345) == indexer.index(12345)
+
+
+class TestLazySets:
+    """Sets are built on first fill; nothing else may observe that."""
+
+    def test_unknown_policy_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown replacement policy"):
+            tiny_cache(policy="fifo")
+
+    def test_probes_of_untouched_sets_leave_cache_empty(self):
+        cache = tiny_cache()
+        assert not cache.lookup(7)
+        assert not cache.contains(7)
+        assert not cache.invalidate(7)
+        assert cache.lines_in_set(3) == []
+        assert cache.occupancy() == 0
+        assert cache.stats.misses == 1
+        assert cache.stats.invalidations == 0
+
+    def test_lines_in_set_rejects_out_of_range_index(self):
+        cache = tiny_cache(sets=4)
+        with pytest.raises(IndexError):
+            cache.lines_in_set(4)
+        with pytest.raises(IndexError):
+            cache.lines_in_set(-5)
+
+    @pytest.mark.parametrize("policy", ["plru", "random"])
+    def test_flush_all_keeps_replacement_state(self, policy):
+        """Victims after a flush match one policy instance that lived
+        through the whole history, flush included."""
+        ways = 4
+        cache = tiny_cache(sets=1, ways=ways, policy=policy)
+        reference = make_policy(policy, ways)
+        lines: list[int | None] = [None] * ways
+
+        def ref_insert(line):
+            if line in lines:
+                reference.touch(lines.index(line))
+                return None
+            way = reference.victim([slot is not None for slot in lines])
+            victim, lines[way] = lines[way], line
+            reference.fill(way)
+            return victim
+
+        def ref_lookup(line):
+            if line in lines:
+                reference.touch(lines.index(line))
+
+        history = [("insert", n) for n in range(9)]
+        history += [("lookup", 6), ("lookup", 8), ("insert", 20)]
+        history += [("flush", None)]
+        history += [("insert", n) for n in range(100, 112)]
+        history += [("lookup", 104), ("insert", 3), ("insert", 4)]
+        for op, line in history:
+            if op == "flush":
+                cache.flush_all()
+                lines[:] = [None] * ways
+            elif op == "lookup":
+                cache.lookup(line)
+                ref_lookup(line)
+            else:
+                assert cache.insert(line) == ref_insert(line), (op, line)
+        assert cache.lines_in_set(0) == [l for l in lines if l is not None]

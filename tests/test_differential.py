@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.validate import equal_results
+from repro.validate import differential, equal_results
 from repro.validate.differential import (
     check_batch_frequency_grid,
     check_cold_vs_warm_channel_trace,
@@ -141,14 +141,38 @@ class TestBackendEquivalence:
         assert report.matched, report.detail
 
 
+#: The suite's checks in the order ``run_differential_suite`` runs them
+#: with no backend narrowing.
+SUITE_ORDER = (
+    "check_serial_vs_parallel_capacity",
+    "check_serial_vs_parallel_defenses",
+    "check_serial_vs_parallel_channel_matrix",
+    "check_cold_vs_warm_store",
+    "check_cold_vs_warm_channel_trace",
+    "check_live_vs_replay",
+    "check_des_vs_batch_capacity",
+    "check_des_vs_batch_defenses",
+    "check_des_vs_batch_fuzz_platforms",
+    "check_batch_frequency_grid",
+    "check_des_vs_analytical_capacity",
+)
+
+
 class TestSuite:
-    def test_suite_is_all_green(self, tmp_path):
-        reports = run_differential_suite(tmp_path, seed=0)
+    def test_suite_is_all_green(self, differential_reports):
+        reports = differential_reports
         assert len(reports) == 11
         bad = [r for r in reports if not r.matched]
         assert not bad, bad
 
-    def test_backend_narrows_the_suite(self, tmp_path):
+    def test_backend_narrows_the_suite(self, tmp_path, monkeypatch,
+                                       differential_reports):
+        # Each check replays its report from the shared full run, so
+        # this exercises only the narrowing.
+        for name, report in zip(SUITE_ORDER, differential_reports,
+                                strict=True):
+            monkeypatch.setattr(differential, name,
+                                lambda *a, _report=report, **k: _report)
         names = [
             r.name
             for r in run_differential_suite(

@@ -111,3 +111,15 @@ class TestCapacity:
         directory.record_fill(1, 0)
         directory.record_fill(9, 0)  # everything maps to set 0
         assert kicked == [1]
+
+
+class TestLazySets:
+    def test_queries_on_untouched_sets_track_nothing(self):
+        directory = make_directory()
+        assert directory.holders(42) == frozenset()
+        assert directory.remote_holder(42, requesting_core=0) is None
+        directory.record_eviction(42, 0)
+        directory.record_invalidation(42)
+        assert directory.tracked_lines() == 0
+        assert directory.back_invalidations == 0
+        assert directory.snoop_misses == 1

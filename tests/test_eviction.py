@@ -1,5 +1,6 @@
 """Eviction-list construction (Section 3.1's EV lists)."""
 
+import numpy as np
 import pytest
 
 from repro.cache import CacheHierarchy, EvictionListBuilder, Level
@@ -140,3 +141,30 @@ class TestPartitionAndBudget:
         # than 16 MB of candidates for 5000 matches).
         with pytest.raises(MemoryError_):
             builder.build_l2_list(slice_id=0, l2_set=0, count=5000)
+
+
+class TestCandidateGrowth:
+    def test_grow_matches_per_page_walk(self, setup):
+        """The vectorised chunk equals the per-page reference walk:
+        same values, same order, same dtypes, across two chunks."""
+        _, builder, space = setup
+        builder._grow()
+        builder._grow()
+        offsets = np.arange(space.page_bytes // 64, dtype=np.int64)
+        virt, lines = [], []
+        for allocation in space.allocations[-2:]:
+            for base in range(allocation.virtual_base,
+                              allocation.virtual_end, space.page_bytes):
+                virt.append(base + offsets * 64)
+                lines.append(((space.translate(base) >> 6)
+                              + offsets).astype(np.uint64))
+        expected_virtual = np.concatenate(virt)
+        expected_lines = np.concatenate(lines)
+        assert builder._virtual.dtype == np.int64
+        assert builder._lines.dtype == np.uint64
+        np.testing.assert_array_equal(builder._virtual, expected_virtual)
+        np.testing.assert_array_equal(builder._lines, expected_lines)
+        np.testing.assert_array_equal(
+            builder._slices,
+            builder.slice_hash.slice_of_array(expected_lines),
+        )

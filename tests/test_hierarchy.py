@@ -1,5 +1,7 @@
 """Cache hierarchy semantics: victim LLC, directory, clflush, TSX."""
 
+import tracemalloc
+
 import pytest
 
 from repro.cache import CacheHierarchy, Level
@@ -162,3 +164,26 @@ class TestFlushAll:
         hierarchy.flush_all()
         assert hierarchy.load(0, 0x1000).level is Level.DRAM
         assert hierarchy.directory_back_invalidations == 0
+
+
+class TestLazyConstruction:
+    def test_building_a_socket_allocates_almost_nothing(self):
+        """Caches and directories allocate state on first fill: a full
+        Table 1 socket used to cost ~33 MB before its first access."""
+        config = SocketConfig(socket_id=0, core_tiles=SOCKET0_ACTIVE_TILES)
+        tracemalloc.start()
+        try:
+            hierarchy = CacheHierarchy(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert hierarchy.load(0, 0x1000).level is Level.DRAM
+
+    def test_clflush_of_uncached_line_leaves_caches_empty(self, hierarchy):
+        assert not hierarchy.clflush(0x1000)
+        caches = [hierarchy.llc_slice(s) for s in range(hierarchy.num_slices)]
+        for core in range(hierarchy.num_cores):
+            caches += [hierarchy.l1(core), hierarchy.l2(core)]
+        assert all(cache.occupancy() == 0 for cache in caches)
+        assert hierarchy.directory_of(0x1000 >> 6).tracked_lines() == 0

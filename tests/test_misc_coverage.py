@@ -9,10 +9,9 @@ from repro.channels.base import (
     ChannelOutcome,
 )
 from repro.core.evaluation import (
-    peak_capacity,
     random_bits,
-    summarize_sweep,
     CapacityPoint,
+    SweepResult,
 )
 from repro.errors import (
     ChannelError,
@@ -87,22 +86,16 @@ class TestEvaluationHelpers:
     def test_random_bits_are_binary(self):
         assert set(random_bits(200, 1)) == {0, 1}
 
-    # The deprecated shims stay importable and correct until their
-    # removal release; the suite runs with DeprecationWarning-as-error,
-    # so exercising them requires acknowledging the warning.
-
     def test_peak_capacity(self):
-        with pytest.warns(DeprecationWarning):
-            best = peak_capacity(self._points())
+        best = SweepResult(points=tuple(self._points())).peak()
         assert best.interval_ms == 21.0
 
     def test_peak_of_empty_sweep_rejected(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            peak_capacity([])
+        with pytest.raises(ValueError):
+            SweepResult(points=()).peak()
 
     def test_summarize_sweep(self):
-        with pytest.warns(DeprecationWarning):
-            summary = summarize_sweep(self._points())
+        summary = SweepResult(points=tuple(self._points())).summarize()
         assert summary["peak_capacity_bps"] == 40.9
         assert summary["peak_interval_ms"] == 21.0
 

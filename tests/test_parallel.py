@@ -10,7 +10,6 @@ import pytest
 from repro.config import RunnerConfig
 from repro.engine.parallel import (
     Trial,
-    map_trials,
     resolve_workers,
     run_trials,
     trial_seeds,
@@ -52,12 +51,6 @@ class TestRunTrials:
         # inline even when workers > 1.
         trials = [Trial(lambda: "inline")]
         assert run_trials(trials, workers=4) == ["inline"]
-
-    def test_map_trials_shorthand_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="map_trials"):
-            results = map_trials(_square, [dict(value=2), dict(value=5)],
-                                 workers=1)
-        assert results == [4, 25]
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,8 +10,6 @@ from repro.core.evaluation import (
     SweepResult,
     capacity_sweep,
     measure_capacity,
-    peak_capacity,
-    summarize_sweep,
 )
 from repro.engine import Engine
 from repro.errors import ConfigError
@@ -301,12 +299,11 @@ class TestSweepResult:
         assert len(data["points"]) == 3
         assert data["summary"]["peak_capacity_bps"] == 40.9
 
-    def test_deprecated_shims_delegate_and_warn(self):
+    def test_built_from_a_plain_point_list(self):
         points = list(self._sweep().points)
-        with pytest.warns(DeprecationWarning):
-            assert peak_capacity(points).capacity_bps == 40.9
-        with pytest.warns(DeprecationWarning):
-            assert summarize_sweep(points)["peak_interval_ms"] == 21.0
+        sweep = SweepResult(points=tuple(points))
+        assert sweep.peak().capacity_bps == 40.9
+        assert sweep.summarize()["peak_interval_ms"] == 21.0
 
 
 class TestExperimentContext:

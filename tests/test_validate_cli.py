@@ -109,7 +109,14 @@ class TestPlantedFaultCanary:
 
 
 class TestDifferential:
-    def test_differential_suite_is_green(self, capsys):
+    def test_differential_suite_is_green(self, capsys, monkeypatch,
+                                         differential_reports):
+        # The shared run supplies the reports; this checks the table
+        # and the exit code.  The --json test below runs the real suite.
+        monkeypatch.setattr(
+            "repro.validate.run_differential_suite",
+            lambda *a, **k: differential_reports,
+        )
         assert main(["validate", "--differential"]) == 0
         out = capsys.readouterr().out
         assert "serial-vs-parallel:capacity" in out
