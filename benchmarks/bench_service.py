@@ -18,15 +18,6 @@ is compared against the direct in-process
 one divergent bit fails the bench before any latency number is
 printed.
 
-Remote mode (``--store-backend remote``) runs the same storm against
-a daemon whose sharded store lives on the replicated remote blob
-backend (quorum reads, write-through cache), and additionally runs the
-**degraded-mode probe**: a storage-layer measurement of fetch latency
-when every replica endpoint is timing out, so the per-shard breaker
-opens and reads fall back to the local cache.  Every probed fetch is
-compared bit-for-bit against the corpus that was stored — degradation
-may cost latency, never bytes.
-
 Every client the bench constructs uses ``max_backoffs=0``: a 429 must
 surface as a 429, not be quietly absorbed by the client's retry loop,
 or the storm stops measuring the daemon's real backpressure.
@@ -34,16 +25,14 @@ or the storm stops measuring the daemon's real backpressure.
 Standalone (writes ``BENCH_service.json`` at the repo root)::
 
     python benchmarks/bench_service.py [--requests 1000]
-        [--unique 20] [--clients 64] [--store-backend local|remote]
-        [--output BENCH_service.json]
+        [--unique 20] [--clients 64] [--output BENCH_service.json]
 
 Under pytest-benchmark (small smoke shape)::
 
     python -m pytest benchmarks/bench_service.py --benchmark-only
 
 ``check_regression.py --skip-service`` skips the CI gates built on
-:func:`run_load_test`; ``--skip-service-remote`` skips the remote and
-degraded-mode gates built on :func:`run_degraded_probe`.
+:func:`run_load_test`.
 """
 
 from __future__ import annotations
@@ -84,27 +73,10 @@ LOAD_SHAPE = dict(
     backend="batch",
     shards=8,
     tenants=4,
-    store_backend="local",  # or "remote": replicated blob shards
-    replication=2,
 )
 
 #: The CI smoke shape: same path, small enough for a gate.
 SMOKE_SHAPE = dict(LOAD_SHAPE, requests=200, clients=16)
-
-#: The remote-backend smoke shape: the same storm served through
-#: replicated remote shards with quorum reads.
-REMOTE_SMOKE_SHAPE = dict(SMOKE_SHAPE, store_backend="remote")
-
-#: The degraded-mode probe shape: how many corpora to store healthy
-#: and then fetch while every replica endpoint is timing out.
-DEGRADED_SHAPE = dict(
-    corpora=8,          # distinct stored trace corpora
-    fetches=64,         # fetch attempts against the dead remote
-    shards=4,
-    replication=3,
-    records=4,          # records per corpus
-    samples=256,        # samples per record
-)
 
 
 def _specs(shape: dict) -> list[JobSpec]:
@@ -194,8 +166,6 @@ def run_load_test(shape: dict | None = None, *,
             pools=2,
             workers_per_pool=4,
             queue_depth=max(64, shape["requests"] + shape["unique"]),
-            backend=shape["store_backend"],
-            replication=shape["replication"],
         )
         with ServiceThread(config, registry=registry) as svc:
             client = ServiceClient(svc.port, max_backoffs=0)
@@ -250,93 +220,6 @@ def run_load_test(shape: dict | None = None, *,
     }
 
 
-def run_degraded_probe(shape: dict | None = None) -> dict:
-    """Fetch latency with every replica endpoint dead; the report dict.
-
-    Stores ``corpora`` trace corpora through a healthy replicated
-    backend, then reopens the same root with a transport that times out
-    on every operation.  The first few fetches pay the retry storm,
-    the per-shard breaker opens, and the rest are served from the
-    local write-through cache.  Every fetch — storm-priced or
-    degraded — must return bytes bit-identical to what was stored.
-    """
-    import numpy as np
-
-    from repro.service.remote import RemoteBlobBackend
-    from repro.service.store import shard_index
-    from repro.service.transport import FaultSpec
-    from repro.sidechannel.tracer import TraceRecord
-    from repro.trace.store import TraceStore
-
-    shape = dict(DEGRADED_SHAPE, **(shape or {}))
-    registry = MetricsRegistry()
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp) / "store"
-        healthy = RemoteBlobBackend(
-            root, shard_count=shape["shards"],
-            replication=shape["replication"],
-        )
-        pairs = []
-        for slot in range(shape["corpora"]):
-            key = TraceStore.key("bench-degraded",
-                                 params={"slot": slot}, seed=slot)
-            records = [TraceRecord(
-                label=slot,
-                times_ms=np.arange(shape["samples"],
-                                   dtype=np.float64) * 3.0,
-                freqs_mhz=np.full(shape["samples"], 900.0 + slot,
-                                  dtype=np.float64),
-            ) for _ in range(shape["records"])]
-            shard = shard_index(key, shape["shards"])
-            healthy.open_shard(shard).put(key, records)
-            pairs.append((key, shard, records))
-
-        dead = RemoteBlobBackend(
-            root, shard_count=shape["shards"],
-            replication=shape["replication"],
-            faults=FaultSpec(timeout_rate=0.999),
-            registry=registry,
-        )
-        latencies = []
-        for index in range(shape["fetches"]):
-            key, shard, records = pairs[index % len(pairs)]
-            start = time.perf_counter()
-            fetched = dead.open_shard(shard).fetch(key)
-            latencies.append(time.perf_counter() - start)
-            if fetched is None:
-                raise SystemExit(
-                    f"degraded fetch {index} lost {key}: the "
-                    f"write-through cache must keep serving"
-                )
-            _meta, got = fetched
-            for a, b in zip(got, records):
-                if (a.label != b.label
-                        or list(a.times_ms) != list(b.times_ms)
-                        or list(a.freqs_mhz) != list(b.freqs_mhz)):
-                    raise SystemExit(
-                        f"degraded fetch {index} diverged for {key} — "
-                        f"degradation cost bytes, not just latency"
-                    )
-
-    latencies.sort()
-    counters = registry.snapshot()["counters"]
-    return {
-        "shape": shape,
-        "fetches": shape["fetches"],
-        "latency_ms": {
-            "p50": _percentile(latencies, 0.50) * 1e3,
-            "p99": _percentile(latencies, 0.99) * 1e3,
-            "max": latencies[-1] * 1e3,
-            "mean": statistics.fmean(latencies) * 1e3,
-        },
-        "counters": {name: value for name, value in sorted(
-            counters.items()) if name.startswith("service.remote.")},
-        "degraded_reads": counters.get("service.remote.degraded_reads",
-                                       0),
-        "bit_identical": True,  # a divergence dies before reporting
-    }
-
-
 def test_perf_service_load(benchmark):
     """pytest-benchmark smoke: the storm at the small CI shape."""
     from _harness import report, run_once
@@ -353,21 +236,6 @@ def test_perf_service_load(benchmark):
     assert result["bit_identical"]
 
 
-def test_perf_service_degraded(benchmark):
-    """pytest-benchmark smoke: fetches with every replica dead."""
-    from _harness import report, run_once
-
-    result = run_once(benchmark, lambda: run_degraded_probe())
-    report(
-        "service_degraded",
-        json.dumps(result["latency_ms"] | {
-            "degraded_reads": result["degraded_reads"],
-        }, indent=2),
-    )
-    assert result["degraded_reads"] >= 1
-    assert result["bit_identical"]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Load-test the experiment service")
@@ -377,13 +245,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=LOAD_SHAPE["unique"])
     parser.add_argument("--clients", type=int,
                         default=LOAD_SHAPE["clients"])
-    parser.add_argument("--store-backend",
-                        choices=("local", "remote"), default="local",
-                        help="host the sharded store locally or on "
-                             "replicated remote blob shards (remote "
-                             "also runs the degraded-mode probe)")
-    parser.add_argument("--replication", type=int,
-                        default=LOAD_SHAPE["replication"])
     parser.add_argument("--output",
                         default=str(REPO_ROOT / "BENCH_service.json"))
     args = parser.parse_args(argv)
@@ -392,11 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         "requests": args.requests,
         "unique": args.unique,
         "clients": args.clients,
-        "store_backend": args.store_backend,
-        "replication": args.replication,
     })
-    if args.store_backend == "remote":
-        result["degraded"] = run_degraded_probe()
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
     lat = result["latency_ms"]
     print(f"requests:    {result['requests']} "
@@ -409,13 +266,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"cache:       {result['cache']['hits']} hits / "
           f"{result['cache']['misses']} misses "
           f"(ratio {result['cache']['hit_ratio']:.3f})")
-    if "degraded" in result:
-        deg = result["degraded"]["latency_ms"]
-        print(f"degraded:    p50 {deg['p50']:.1f} ms   "
-              f"p99 {deg['p99']:.1f} ms over "
-              f"{result['degraded']['fetches']} fetches "
-              f"({result['degraded']['degraded_reads']} served "
-              f"cache-only)")
     print(f"report:      {args.output}")
     return 0
 

@@ -35,14 +35,6 @@ Two paired measurements, each with a budget; exit 1 when either fails:
   ``--service-p99-ms`` (default 500) and the cache-hit ratio at or
   above ``--service-hit-ratio`` (default 0.9).  ``--skip-service``
   omits the gate.
-* **Service degraded mode** — the ``bench_service.py`` degraded-mode
-  probe: fetches through the replicated remote backend while every
-  replica endpoint is timing out, so the per-shard breaker opens and
-  reads fall back to the write-through cache.  Every fetch must stay
-  bit-identical (enforced inside the probe) and degraded p99 must
-  stay under ``--service-degraded-p99-ms`` (default 250) — an outage
-  may cost latency, never bytes, and not *that* much latency.
-  ``--skip-service-remote`` omits the gate.
 
 Usage::
 
@@ -52,7 +44,6 @@ Usage::
         [--skip-resilience] [--fastpath-speedup 10]
         [--skip-fastpath] [--service-p99-ms 500]
         [--service-hit-ratio 0.9] [--skip-service]
-        [--service-degraded-p99-ms 250] [--skip-service-remote]
 """
 
 from __future__ import annotations
@@ -253,20 +244,6 @@ def measure_service() -> dict:
     return run_load_test(SMOKE_SHAPE)
 
 
-def measure_service_degraded() -> dict:
-    """Run the degraded-mode probe; its report.
-
-    Bit-identity is enforced inside
-    :func:`~bench_service.run_degraded_probe` — a degraded fetch that
-    loses or corrupts a corpus dies there, before any latency budget
-    is weighed.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from bench_service import run_degraded_probe  # noqa: E402
-
-    return run_degraded_probe()
-
-
 def baseline_median(path: Path) -> float:
     data = json.loads(path.read_text())
     for bench in data["benchmarks"]:
@@ -308,13 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--skip-service", action="store_true",
                         help="skip the service warm-path latency and "
                              "cache-hit gate")
-    parser.add_argument("--service-degraded-p99-ms", type=float,
-                        default=250.0,
-                        help="maximum p99 fetch latency while every "
-                             "remote replica is down (default 250 ms)")
-    parser.add_argument("--skip-service-remote", action="store_true",
-                        help="skip the remote-backend degraded-mode "
-                             "latency gate")
     args = parser.parse_args(argv)
 
     medians = run_benchmarks()
@@ -398,22 +368,6 @@ def main(argv: list[str] | None = None) -> int:
         if hit_ratio < args.service_hit_ratio:
             print("FAIL: service cache-hit ratio is under budget — "
                   "the sharded store is not serving the warm storm")
-            failed = True
-
-    if not args.skip_service_remote:
-        degraded = measure_service_degraded()
-        deg_p99 = degraded["latency_ms"]["p99"]
-        print(f"degraded fetches:  {degraded['fetches']:8d} "
-              f"({degraded['degraded_reads']} served cache-only)")
-        print(f"degraded p99:      {deg_p99:8.1f} ms "
-              f"(budget <= {args.service_degraded_p99_ms:.0f} ms)")
-        if degraded["degraded_reads"] < 1:
-            print("FAIL: the breaker never opened — the probe is not "
-                  "measuring degraded mode")
-            failed = True
-        if deg_p99 > args.service_degraded_p99_ms:
-            print("FAIL: degraded-mode fetch p99 exceeds the latency "
-                  "budget")
             failed = True
 
     if not failed:

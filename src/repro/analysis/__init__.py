@@ -15,7 +15,6 @@ from .export import (
 )
 from .stats import (
     bit_error_rate,
-    confusion_matrix,
     median_mhz,
     quantile_summary,
     top_k_accuracy,
@@ -31,7 +30,6 @@ __all__ = [
     "channel_capacity_bps",
     "comparison_to_csv",
     "corpus_to_csv",
-    "confusion_matrix",
     "format_table",
     "frequency_sparkline",
     "labelled_trace",

@@ -52,16 +52,6 @@ def quantile_summary(samples) -> QuantileSummary:
     )
 
 
-def confusion_matrix(true_labels, predicted_labels,
-                     num_classes: int) -> np.ndarray:
-    """``num_classes x num_classes`` count matrix (rows = truth)."""
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for truth, predicted in zip(true_labels, predicted_labels,
-                                strict=True):
-        matrix[truth, predicted] += 1
-    return matrix
-
-
 def top_k_accuracy(scores: np.ndarray, labels, k: int) -> float:
     """Fraction of rows whose true label is among the top-k scores.
 

@@ -29,7 +29,7 @@ from .uncore_idle import UncoreIdleChannel
 from .turbo_boost import TurboBoostChannel
 from .current_throttle import CurrentThrottleChannel
 from .duty_cycle import DutyCycleChannel
-from .scenarios import Scenario, build_scenario_system, SCENARIOS
+from .scenarios import Scenario, SCENARIOS
 from .comparison import (
     ALL_CHANNELS,
     CHANNELS_BY_NAME,
@@ -68,7 +68,6 @@ __all__ = [
     "SppChannel",
     "TurboBoostChannel",
     "UncoreIdleChannel",
-    "build_scenario_system",
     "capture_channel_trace",
     "comparison_matrix",
     "evaluate_channel",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..config import PlatformConfig, default_platform_config
-from ..platform.system import SecurityConfig, System
+from ..platform.system import SecurityConfig
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,3 @@ def scenario_by_key(key: str) -> Scenario:
         if scenario.key == key:
             return scenario
     raise KeyError(f"no scenario {key!r}")
-
-
-def build_scenario_system(scenario: Scenario, seed: int = 0) -> System:
-    """Construct the platform for one scenario (stress not yet running)."""
-    return System(scenario.platform(), security=scenario.security,
-                  seed=seed)

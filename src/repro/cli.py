@@ -19,13 +19,9 @@
     python -m repro capacity --resume ckpt/ --retries 2
     python -m repro chaos --workers 2
     python -m repro serve --store cache/ --port 8631
-    python -m repro serve --store cache/ --backend remote --replication 3
     python -m repro submit capacity_sweep --params '{"bits": 64}' --wait
     python -m repro status job-000001
     python -m repro result job-000001
-    python -m repro shards status --store cache/
-    python -m repro shards rebalance --store cache/ --to 12 --resume ckpt/
-    python -m repro shards heal --store cache/
 
 Every subcommand accepts ``--seed`` for reproducibility and prints the
 same row format the benchmark harness uses.  ``--workers N`` (or
@@ -736,9 +732,6 @@ def _cmd_serve(args: argparse.Namespace) -> dict:
         queue_depth=args.queue_depth,
         max_per_tenant=args.max_per_tenant,
         checkpoint_root=args.resume,
-        backend=args.store_backend,
-        replication=args.replication,
-        read_quorum=args.read_quorum,
         drain_timeout_s=args.drain_timeout,
     )
 
@@ -748,7 +741,7 @@ def _cmd_serve(args: argparse.Namespace) -> dict:
         print(f"repro service listening on "
               f"http://{config.host}:{service.port}  "
               f"(store={args.store or 'off'}, "
-              f"backend={config.backend}, pools={config.pools}x"
+              f"pools={config.pools}x"
               f"{config.workers_per_pool})", flush=True)
         await service.serve_until_shutdown()
 
@@ -810,162 +803,6 @@ def _cmd_result(args: argparse.Namespace) -> dict:
     )
     _print_record(record)
     return {"experiment": "result", "results": record}
-
-
-def _open_shard_backend(args: argparse.Namespace, *,
-                        shards: int | None = None):
-    """The backend a ``repro shards`` subcommand operates on.
-
-    ``--backend auto`` (the default) trusts :func:`discover_layout`;
-    explicit ``--shards`` / ``--replication`` override discovery,
-    which matters on remote roots whose top shards are still empty
-    (shards materialise lazily, so discovery can undershoot).
-    """
-    from .service.remote import open_backend
-
-    return open_backend(
-        args.store,
-        backend=args.store_backend,
-        shards=shards if shards is not None else args.shards,
-        replication=args.replication,
-        seed=args.seed,
-    )
-
-
-def _cmd_shards_status(args: argparse.Namespace) -> dict:
-    from .service.remote import RemoteBlobBackend, discover_layout
-
-    layout = discover_layout(args.store)
-    backend = _open_shard_backend(args)
-    remote = isinstance(backend, RemoteBlobBackend)
-    shards = []
-    if remote:
-        headers = ["shard", "breaker", "objects", "replicas", "behind"]
-        for index in range(backend.shard_count):
-            health = backend.open_shard(index).status()
-            reachable = sum(
-                1 for r in health["replicas"] if r["reachable"]
-            )
-            shards.append({
-                "shard": index,
-                "breaker": health["breaker"],
-                "objects": health["objects"],
-                "replicas": f"{reachable}/{len(health['replicas'])}",
-                "behind": sum(r["missing"]
-                              for r in health["replicas"]),
-            })
-    else:
-        headers = ["shard", "entries", "bytes"]
-        for index in range(backend.shard_count):
-            store = backend.open_shard(index)
-            shards.append({
-                "shard": index,
-                "entries": len(store.entries()),
-                "bytes": store.total_bytes(),
-            })
-    if not args.json:
-        rows = [[row[h] for h in headers] for row in shards]
-        kind = "remote" if remote else "local"
-        print(format_table(
-            headers, rows,
-            title=f"{kind} store at {args.store}: "
-                  f"{backend.shard_count} shards"
-                  + (f", replication {backend.replication}"
-                     if remote else ""),
-        ))
-    return {
-        "experiment": "shards-status",
-        "results": {"layout": layout, "shards": shards},
-    }
-
-
-def _cmd_shards_rebalance(args: argparse.Namespace) -> dict:
-    import shutil
-
-    from .errors import ServiceError
-    from .service.remote import (
-        RemoteBlobBackend,
-        discover_layout,
-        execute_rebalance,
-        plan_rebalance,
-        shard_io_for,
-        verify_rebalance,
-    )
-
-    layout = discover_layout(args.store)
-    old = args.shards if args.shards is not None \
-        else layout["shard_count"]
-    backend = _open_shard_backend(args, shards=old)
-    remote = isinstance(backend, RemoteBlobBackend)
-    healed = 0
-    if remote:
-        # Push any degraded-mode backlog up before planning: the plan
-        # only sees what the replicas hold, so a cache-only write
-        # would be stranded under the old routing.
-        for index in range(backend.shard_count):
-            healed += backend.open_shard(index).heal()["pushed"]
-    io = shard_io_for(backend)
-    plan = plan_rebalance(io, old, args.to)
-    report = execute_rebalance(io, plan, checkpoint_dir=args.resume)
-    check = verify_rebalance(io, plan)
-    if remote and check["clean"]:
-        # The write-through cache is derived data keyed by the old
-        # shard routing; drop it so nothing stale shadows the moved
-        # objects.  Cold reads repopulate it from the replicas.
-        shutil.rmtree(backend.cache_root, ignore_errors=True)
-    results = {
-        "old_shards": old,
-        "new_shards": args.to,
-        "plan_key": plan.plan_key,
-        "healed": healed,
-        **report,
-        "verified": check["ok"],
-        "clean": check["clean"],
-    }
-    if not args.json:
-        print(f"rebalance {old} -> {args.to} shards: "
-              f"{report['moved']} moved, {report['skipped']} resumed "
-              f"from checkpoint, {check['ok']}/{check['objects']} "
-              f"objects verified bit-identical")
-    if not check["clean"]:
-        damaged = check["missing"] + check["mismatched"]
-        raise ServiceError(
-            f"rebalance verification failed for {len(damaged)} "
-            f"objects: {damaged[:5]}"
-        )
-    return {"experiment": "shards-rebalance", "results": results}
-
-
-def _cmd_shards_heal(args: argparse.Namespace) -> dict:
-    from .errors import ServiceError
-    from .service.remote import RemoteBlobBackend
-
-    backend = _open_shard_backend(args)
-    if not isinstance(backend, RemoteBlobBackend):
-        raise ServiceError(
-            "heal converges replicas and the write-through cache; "
-            "it only applies to a remote backend (--backend remote)"
-        )
-    rows = []
-    totals = {"pushed": 0, "pulled": 0, "objects": 0}
-    for index in range(backend.shard_count):
-        report = backend.open_shard(index).heal()
-        rows.append({"shard": index, **report})
-        for field in totals:
-            totals[field] += report[field]
-    if not args.json:
-        print(format_table(
-            ["shard", "objects", "pushed", "pulled"],
-            [[r["shard"], r["objects"], r["pushed"], r["pulled"]]
-             for r in rows],
-            title=f"heal: {totals['objects']} objects converged, "
-                  f"{totals['pushed']} pushed up, "
-                  f"{totals['pulled']} pulled down",
-        ))
-    return {
-        "experiment": "shards-heal",
-        "results": {"shards": rows, **totals},
-    }
 
 
 def _add_backend_flag(subparser: argparse.ArgumentParser) -> None:
@@ -1325,18 +1162,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-per-tenant", type=int, default=None,
                        help="per-tenant queued-job cap (default: "
                             "no per-tenant cap)")
-    serve.add_argument("--backend", dest="store_backend",
-                       choices=("local", "remote"), default="local",
-                       help="result-store backend: local shard "
-                            "directories, or remote replicated blob "
-                            "shards with quorum reads and a "
-                            "write-through cache (default local)")
-    serve.add_argument("--replication", type=int, default=3,
-                       help="replicas per remote shard (default 3; "
-                            "remote backend only)")
-    serve.add_argument("--read-quorum", type=int, default=None,
-                       help="replicas that must agree on a read "
-                            "(default: majority; remote backend only)")
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        help="seconds to let in-flight jobs finish on "
                             "shutdown before cancelling the rest "
@@ -1387,73 +1212,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 600)")
     _add_service_conn_flags(result)
     result.set_defaults(handler=_cmd_result)
-
-    shards = commands.add_parser(
-        "shards",
-        help="shard topology: status, rebalance, heal",
-        description="Inspect and reshape a sharded result store.  "
-                    "`status` reports per-shard health (replica "
-                    "reachability and breaker state on a remote "
-                    "backend), `rebalance` migrates the keyspace to a "
-                    "new shard count with a checkpointed, resumable "
-                    "plan and proves every object bit-identical "
-                    "afterwards, `heal` converges remote replicas "
-                    "with the degraded-mode write-through cache.",
-    )
-    shards_commands = shards.add_subparsers(dest="shards_command",
-                                            required=True)
-
-    def _add_shards_store_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--store", metavar="DIR", required=True,
-                         help="result-store root (the daemon's "
-                              "--store)")
-        sub.add_argument("--backend", dest="store_backend",
-                         choices=("auto", "local", "remote"),
-                         default="auto",
-                         help="backend kind (default: discover from "
-                              "the on-disk layout)")
-        sub.add_argument("--shards", type=int, default=None,
-                         help="shard count (default: discovered; pass "
-                              "explicitly when the top shards are "
-                              "still empty)")
-        sub.add_argument("--replication", type=int, default=None,
-                         help="replicas per remote shard (default: "
-                              "discovered)")
-
-    shards_status = shards_commands.add_parser(
-        "status", help="per-shard health and replica reachability"
-    )
-    _add_shards_store_flags(shards_status)
-    _add_json_flag(shards_status)
-    shards_status.set_defaults(handler=_cmd_shards_status)
-
-    shards_rebalance = shards_commands.add_parser(
-        "rebalance",
-        help="migrate the keyspace to a new shard count "
-             "(checkpointed, resumable, verified bit-identical)",
-    )
-    _add_shards_store_flags(shards_rebalance)
-    shards_rebalance.add_argument(
-        "--to", type=int, required=True, metavar="N",
-        help="target shard count",
-    )
-    shards_rebalance.add_argument(
-        "--resume", metavar="DIR", default=None,
-        help="checkpoint each completed move in DIR; re-running after "
-             "a crash skips the recorded moves (the checkpoint is "
-             "keyed by the plan digest, so a changed plan never "
-             "replays a stale checkpoint)",
-    )
-    _add_json_flag(shards_rebalance)
-    shards_rebalance.set_defaults(handler=_cmd_shards_rebalance)
-
-    shards_heal = shards_commands.add_parser(
-        "heal",
-        help="converge remote replicas and the write-through cache",
-    )
-    _add_shards_store_flags(shards_heal)
-    _add_json_flag(shards_heal)
-    shards_heal.set_defaults(handler=_cmd_shards_heal)
 
     return parser
 

@@ -12,7 +12,6 @@ from .parallel import (
     TrialFailure,
     resolve_workers,
     run_trials,
-    trial_seeds,
 )
 from .periodic import PeriodicTask
 from .simulator import Engine, Event
@@ -25,5 +24,4 @@ __all__ = [
     "TrialFailure",
     "resolve_workers",
     "run_trials",
-    "trial_seeds",
 ]

@@ -36,7 +36,6 @@ from typing import Any
 
 from ..errors import ConfigError
 from ..resilience.retry import RetryPolicy
-from ..rng import child_rng, derive_seed
 from ..telemetry.context import active_registry, using
 from ..telemetry.registry import MetricsRegistry
 
@@ -45,8 +44,6 @@ __all__ = [
     "TrialFailure",
     "run_trials",
     "run_batches",
-    "trial_seeds",
-    "trial_rngs",
     "resolve_workers",
 ]
 
@@ -69,21 +66,6 @@ class Trial:
 
     def __call__(self) -> Any:
         return self.func(**self.kwargs)
-
-
-def trial_seeds(seed: int, labels: Iterable[str]) -> tuple[int, ...]:
-    """Derive one child seed per label from an experiment seed.
-
-    Uses the same name-keyed derivation as :func:`~repro.rng.child_rng`,
-    so the seed handed to a trial depends only on ``(seed, label)`` —
-    never on how many trials run or across how many workers.
-    """
-    return tuple(derive_seed(seed, label) for label in labels)
-
-
-def trial_rngs(seed: int, labels: Iterable[str]):
-    """Named child generators for in-process trial fan-out."""
-    return tuple(child_rng(seed, label) for label in labels)
 
 
 @dataclass(frozen=True)

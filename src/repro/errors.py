@@ -53,10 +53,6 @@ class DefenseError(ReproError):
     """A defense mechanism was configured inconsistently."""
 
 
-class CalibrationError(ReproError):
-    """A model calibration constant fell outside its valid range."""
-
-
 class TraceError(ReproError):
     """A frequency-trace artefact (record, corpus or store) is unusable."""
 
@@ -138,44 +134,4 @@ class ServiceUnavailableError(ServiceError):
     requested; the HTTP front end maps it to ``503 Service
     Unavailable``.  In-flight jobs keep running to completion — only
     *new* work is refused.
-    """
-
-
-class TransportError(ServiceError):
-    """A remote blob transport was misused (not a remote fault).
-
-    Injected remote faults raise the stdlib transient vocabulary
-    (``TimeoutError``, ``ConnectionResetError``) so the retry policy
-    classifies them correctly; this class is for *permanent* transport
-    problems — malformed object names, invalid fault configuration —
-    that retrying can never fix.
-    """
-
-
-class RemoteStoreError(ServiceError):
-    """The replicated remote shard store is inconsistent.
-
-    Raised when an object survives on no replica in a readable form,
-    or a replica set is configured below its read quorum.  The store
-    stays usable for other keys after the error.
-    """
-
-
-class RebalanceError(RemoteStoreError):
-    """A shard rebalance could not complete or verify.
-
-    Raised when a migration step finds its object readable at neither
-    the source nor the destination shard, or when the post-migration
-    verification finds a payload that is not bit-identical to the
-    pre-migration manifest.
-    """
-
-
-class RebalanceInterrupted(RebalanceError):
-    """A rebalance was deliberately killed mid-migration.
-
-    Raised by the ``crash_after`` test hook (and catchable around an
-    operator abort); the checkpoint written so far makes the next
-    :func:`~repro.service.remote.execute_rebalance` call resume
-    instead of restart.
     """

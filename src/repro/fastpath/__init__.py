@@ -12,8 +12,6 @@ from .backend import (
     DEFAULT_BACKEND,
     CapacityRequest,
     DefenseRequest,
-    SimBackend,
-    get_backend,
     resolve_backend,
 )
 
@@ -24,7 +22,5 @@ __all__ = [
     "DEFAULT_BACKEND",
     "CapacityRequest",
     "DefenseRequest",
-    "SimBackend",
-    "get_backend",
     "resolve_backend",
 ]

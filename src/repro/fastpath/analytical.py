@@ -60,7 +60,6 @@ from .batch import (
 from ..core.protocol import calibrate_endpoints
 
 __all__ = [
-    "AnalyticalBackend",
     "AnalyticalEstimate",
     "analytical_capacity_points",
     "analytical_defense_reports",
@@ -255,15 +254,3 @@ def analytical_defense_reports(
         )
         for request, estimate in zip(requests, estimates)
     ]
-
-
-class AnalyticalBackend:
-    """:class:`~repro.fastpath.backend.SimBackend` in closed form."""
-
-    name = "analytical"
-
-    def capacity_points(self, requests):
-        return analytical_capacity_points(requests)
-
-    def defense_reports(self, requests):
-        return analytical_defense_reports(requests)

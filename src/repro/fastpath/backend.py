@@ -25,15 +25,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from ..config import PlatformConfig
 from ..core.sender import SenderMode
 from ..errors import ConfigError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.evaluation import CapacityPoint
-    from ..defenses.evaluation import DefenseReport
 
 __all__ = [
     "BACKENDS",
@@ -42,8 +37,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "CapacityRequest",
     "DefenseRequest",
-    "SimBackend",
-    "get_backend",
     "resolve_backend",
 ]
 
@@ -101,69 +94,6 @@ class DefenseRequest:
     platform: PlatformConfig | None = None
 
 
-@runtime_checkable
-class SimBackend(Protocol):
-    """What a simulation backend must provide.
-
-    A backend turns request records into the same result dataclasses
-    the DES runners produce, so callers never branch on the backend
-    beyond choosing one.  Equivalence contract: ``batch`` results are
-    bit-identical to ``des`` on the supported shapes (enforced by
-    :func:`repro.validate.differential.run_differential_suite`);
-    ``analytical`` results agree within its documented statistical
-    tolerance.
-    """
-
-    name: str
-
-    def capacity_points(
-        self, requests: Sequence[CapacityRequest]
-    ) -> "list[CapacityPoint]":
-        """One Figure 9/10 capacity point per request."""
-        ...
-
-    def defense_reports(
-        self, requests: Sequence[DefenseRequest]
-    ) -> "list[DefenseReport]":
-        """One Table 3 defense report per request."""
-        ...
-
-
-class DesBackend:
-    """The reference backend: one full DES run per request."""
-
-    name = "des"
-
-    def capacity_points(self, requests):
-        from ..core.evaluation import measure_capacity
-
-        return [
-            measure_capacity(
-                interval_ms=r.interval_ms,
-                bits=r.bits,
-                cross_processor=r.cross_processor,
-                seed=r.seed,
-                platform=r.platform,
-                sender_mode=r.sender_mode,
-            )
-            for r in requests
-        ]
-
-    def defense_reports(self, requests):
-        from ..defenses.evaluation import channel_under_defense
-
-        return [
-            channel_under_defense(
-                r.defense,
-                bits=r.bits,
-                interval_ms=r.interval_ms,
-                seed=r.seed,
-                platform=r.platform,
-            )
-            for r in requests
-        ]
-
-
 def resolve_backend(backend: str | None = None, *,
                     experiment: str | None = None) -> str:
     """Normalise a backend request to a concrete backend name.
@@ -188,17 +118,3 @@ def resolve_backend(backend: str | None = None, *,
             "batch" if experiment in BATCHABLE_EXPERIMENTS else "des"
         )
     return backend
-
-
-def get_backend(name: str, *, experiment: str | None = None) -> SimBackend:
-    """Instantiate the backend for a (possibly symbolic) name."""
-    resolved = resolve_backend(name, experiment=experiment)
-    if resolved == "des":
-        return DesBackend()
-    if resolved == "batch":
-        from .batch import BatchBackend
-
-        return BatchBackend()
-    from .analytical import AnalyticalBackend
-
-    return AnalyticalBackend()

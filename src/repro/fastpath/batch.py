@@ -68,7 +68,6 @@ from ..workloads.loops import stalling_profile, traffic_profile
 from .backend import CapacityRequest, DefenseRequest
 
 __all__ = [
-    "BatchBackend",
     "batch_capacity_points",
     "batch_defense_reports",
     "batch_frequency_lattices",
@@ -622,15 +621,3 @@ def batch_frequency_lattices(
         [tuple(socket_points) for socket_points in lattice]
         for lattice in lattices
     ]
-
-
-class BatchBackend:
-    """:class:`~repro.fastpath.backend.SimBackend` over the lattice."""
-
-    name = "batch"
-
-    def capacity_points(self, requests):
-        return batch_capacity_points(requests)
-
-    def defense_reports(self, requests):
-        return batch_defense_reports(requests)

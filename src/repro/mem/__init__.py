@@ -6,15 +6,6 @@ huge pages (which some prior channels require and our threat model does
 not, Section 4.1).
 """
 
-from .address import (
-    AddressFields,
-    cache_line_index,
-    line_address,
-    offset_bits,
-    page_number,
-    set_index,
-    tag_bits,
-)
 from .allocator import (
     AddressSpace,
     Allocation,
@@ -23,15 +14,8 @@ from .allocator import (
 )
 
 __all__ = [
-    "AddressFields",
     "AddressSpace",
     "Allocation",
     "PhysicalMemory",
     "SharedSegment",
-    "cache_line_index",
-    "line_address",
-    "offset_bits",
-    "page_number",
-    "set_index",
-    "tag_bits",
 ]

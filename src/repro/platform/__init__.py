@@ -11,7 +11,7 @@ from .latency import LatencyModel
 from .processor import Socket
 from .actor import Actor, TimedLoad
 from .system import SecurityConfig, System
-from .tracing import frequency_trace, trace_to_ghz
+from .tracing import frequency_trace
 
 __all__ = [
     "Actor",
@@ -21,5 +21,4 @@ __all__ = [
     "System",
     "TimedLoad",
     "frequency_trace",
-    "trace_to_ghz",
 ]

@@ -27,11 +27,6 @@ def frequency_trace(timeline: FrequencyTimeline, t0_ns: int, t1_ns: int,
     return times, freqs
 
 
-def trace_to_ghz(freqs_mhz: np.ndarray) -> np.ndarray:
-    """Convert an MHz trace to GHz for display."""
-    return np.asarray(freqs_mhz, dtype=np.float64) / 1_000.0
-
-
 def step_times_ms(times_ms: np.ndarray,
                   freqs_mhz: np.ndarray) -> list[tuple[float, int, int]]:
     """(time_ms, from_mhz, to_mhz) for each frequency change in a trace.

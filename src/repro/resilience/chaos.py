@@ -15,10 +15,6 @@ torn-index             trace-store index healing
 half-written-temp      atomic publish (temp + ``os.replace``)
 breaker-storm          corruption circuit breaker, full state cycle
 arq-stress             adaptive interval escalation under stress
-remote-timeout-storm   remote breaker + write-through cache degradation
-replica-loss           quorum reads + read repair after losing a replica
-torn-remote-put        digest rejection of torn replica objects + repair
-rebalance-crash-resume checkpointed shard migration, kill and resume
 ====================== ==============================================
 
 A check returns a :class:`ChaosOutcome`; ``contained=False`` means the
@@ -52,10 +48,6 @@ CHAOS_FAULTS: tuple[str, ...] = (
     "half-written-temp",
     "breaker-storm",
     "arq-stress",
-    "remote-timeout-storm",
-    "replica-loss",
-    "torn-remote-put",
-    "rebalance-crash-resume",
 )
 
 
@@ -349,240 +341,6 @@ def _check_arq_stress(workdir: Path, *, seed: int,
     )
 
 
-def _remote_corpus(seed: int, count: int = 4):
-    """(key, records) pairs for the remote checks, seed-derived."""
-    from ..trace.store import TraceStore
-
-    return [
-        (TraceStore.key("chaos-remote", params={"slot": slot}, seed=seed),
-         _records(seed + slot))
-        for slot in range(count)
-    ]
-
-
-def _served_identical(store, pairs) -> bool:
-    """Every key fetches, and every payload is bit-identical."""
-    for key, reference in pairs:
-        fetched = store.fetch(key)
-        if fetched is None:
-            return False
-        _meta, records = fetched
-        if len(records) != len(reference):
-            return False
-        for got, want in zip(records, reference):
-            if (got.label != want.label
-                    or list(got.times_ms) != list(want.times_ms)
-                    or list(got.freqs_mhz) != list(want.freqs_mhz)):
-                return False
-    return True
-
-
-def _check_remote_timeout_storm(workdir: Path, *, seed: int,
-                                workers: int) -> ChaosOutcome:
-    from ..service.remote import RemoteBlobBackend
-    from ..service.store import ShardedTraceStore
-    from ..service.transport import FaultSpec
-
-    del workers
-    backend = RemoteBlobBackend(
-        workdir / "store", shard_count=2, replication=2, seed=seed,
-        faults=FaultSpec(timeout_rate=0.95),
-    )
-    store = ShardedTraceStore(backend=backend, shards=2)
-    pairs = _remote_corpus(seed)
-    registry = MetricsRegistry()
-    with using(registry):
-        for key, records in pairs:
-            store.put(key, records, experiment="chaos-remote")
-        identical = _served_identical(store, pairs)
-    counters = _counters(registry)
-    timeouts = counters.get("service.transport.timeouts", 0)
-    absorbed = (counters.get("service.remote.retries", 0)
-                + counters.get("service.remote.degraded_reads", 0)
-                + counters.get("service.remote.degraded_writes", 0)
-                + counters.get("service.remote.puts_below_quorum", 0))
-    contained = identical and timeouts >= 1 and absorbed >= 1
-    return ChaosOutcome(
-        fault="remote-timeout-storm",
-        mechanism="remote breaker + write-through cache",
-        contained=contained,
-        detail=(f"{timeouts} injected timeouts absorbed "
-                f"({counters.get('service.remote.retries', 0)} retries, "
-                f"{counters.get('service.remote.degraded_reads', 0)} "
-                f"degraded reads), every serve bit-identical"
-                if contained else f"identical={identical} "
-                f"timeouts={timeouts} absorbed={absorbed}"),
-    )
-
-
-def _check_replica_loss(workdir: Path, *, seed: int,
-                        workers: int) -> ChaosOutcome:
-    import shutil
-
-    from ..service.remote import RemoteBlobBackend
-    from ..service.store import ShardedTraceStore
-
-    del workers
-    root = workdir / "store"
-    writer = ShardedTraceStore(
-        backend=RemoteBlobBackend(root, shard_count=2, replication=3,
-                                  seed=seed),
-        shards=2,
-    )
-    pairs = _remote_corpus(seed)
-    for key, records in pairs:
-        writer.put(key, records, experiment="chaos-remote")
-    # Lose one replica node entirely, and every local cache with it.
-    for shard_dir in (root / "remote").glob("shard-*"):
-        shutil.rmtree(shard_dir / "replica-1", ignore_errors=True)
-    shutil.rmtree(root / "cache", ignore_errors=True)
-    reader = ShardedTraceStore(
-        backend=RemoteBlobBackend(root, shard_count=2, replication=3,
-                                  seed=seed),
-        shards=2,
-    )
-    registry = MetricsRegistry()
-    with using(registry):
-        identical = _served_identical(reader, pairs)
-    repairs = _counters(registry).get("service.remote.read_repairs", 0)
-    restored = sum(
-        len(list((shard_dir / "replica-1" / "blobs").glob("*.uftc")))
-        for shard_dir in (root / "remote").glob("shard-*")
-        if (shard_dir / "replica-1" / "blobs").is_dir()
-    )
-    contained = identical and repairs >= 1 and restored >= len(pairs)
-    return ChaosOutcome(
-        fault="replica-loss",
-        mechanism="quorum reads + read repair",
-        contained=contained,
-        detail=(f"served from surviving replicas, {repairs} read "
-                f"repairs restored {restored} blobs on the lost node"
-                if contained else f"identical={identical} "
-                f"repairs={repairs} restored={restored}"),
-    )
-
-
-def _check_torn_remote_put(workdir: Path, *, seed: int,
-                           workers: int) -> ChaosOutcome:
-    import shutil
-
-    from ..service.remote import RemoteBlobBackend
-    from ..service.store import ShardedTraceStore
-
-    del workers
-    root = workdir / "store"
-    writer = ShardedTraceStore(
-        backend=RemoteBlobBackend(root, shard_count=2, replication=3,
-                                  seed=seed),
-        shards=2,
-    )
-    pairs = _remote_corpus(seed)
-    for key, records in pairs:
-        writer.put(key, records, experiment="chaos-remote")
-    # Tear replica-0's copy of every blob: publish only a prefix, the
-    # way a remote multipart upload dies between parts.
-    torn = 0
-    for shard_dir in (root / "remote").glob("shard-*"):
-        blob_dir = shard_dir / "replica-0" / "blobs"
-        for blob in sorted(blob_dir.glob("*.uftc")):
-            data = blob.read_bytes()
-            blob.write_bytes(data[: max(1, len(data) // 3)])
-            torn += 1
-    shutil.rmtree(root / "cache", ignore_errors=True)
-    reader = ShardedTraceStore(
-        backend=RemoteBlobBackend(root, shard_count=2, replication=3,
-                                  seed=seed),
-        shards=2,
-    )
-    registry = MetricsRegistry()
-    with using(registry):
-        identical = _served_identical(reader, pairs)
-    counters = _counters(registry)
-    rejected = counters.get("service.remote.torn_rejected", 0)
-    repairs = counters.get("service.remote.read_repairs", 0)
-    # Read repair must have rewritten full, digest-valid objects over
-    # every torn copy.
-    healed = all(
-        reader.shard_for(key) is not None  # routing sanity
-        and reader.fetch(key) is not None
-        for key, _records_ in pairs
-    )
-    contained = (identical and healed and torn >= 1
-                 and rejected >= torn and repairs >= torn)
-    return ChaosOutcome(
-        fault="torn-remote-put",
-        mechanism="digest rejection + read repair",
-        contained=contained,
-        detail=(f"{torn} torn replica objects rejected by digest "
-                f"({rejected} rejections), {repairs} read repairs, "
-                f"never a torn byte served"
-                if contained else f"identical={identical} torn={torn} "
-                f"rejected={rejected} repairs={repairs}"),
-    )
-
-
-def _check_rebalance_crash_resume(workdir: Path, *, seed: int,
-                                  workers: int) -> ChaosOutcome:
-    import shutil
-
-    from ..errors import RebalanceInterrupted
-    from ..service.remote import (
-        RemoteBlobBackend,
-        execute_rebalance,
-        plan_rebalance,
-        shard_io_for,
-        verify_rebalance,
-    )
-    from ..service.store import ShardedTraceStore
-
-    del workers
-    root = workdir / "store"
-    writer = ShardedTraceStore(
-        backend=RemoteBlobBackend(root, shard_count=8, replication=2,
-                                  seed=seed),
-        shards=8,
-    )
-    pairs = _remote_corpus(seed, count=8)
-    for key, records in pairs:
-        writer.put(key, records, experiment="chaos-remote")
-    io = shard_io_for(RemoteBlobBackend(root, shard_count=8,
-                                        replication=2, seed=seed))
-    plan = plan_rebalance(io, 8, 12)
-    crashed = False
-    if len(plan.steps) >= 2:
-        try:
-            execute_rebalance(io, plan,
-                              checkpoint_dir=workdir / "ckpt",
-                              crash_after=len(plan.steps) // 2)
-        except RebalanceInterrupted:
-            crashed = True
-    report = execute_rebalance(io, plan,
-                               checkpoint_dir=workdir / "ckpt")
-    resumed = report["skipped"] >= 1 if crashed else True
-    verdict = verify_rebalance(io, plan)
-    shutil.rmtree(root / "cache", ignore_errors=True)
-    reader = ShardedTraceStore(
-        backend=RemoteBlobBackend(root, shard_count=12, replication=2,
-                                  seed=seed),
-        shards=12,
-    )
-    identical = _served_identical(reader, pairs)
-    contained = (crashed or len(plan.steps) < 2) and resumed \
-        and verdict["clean"] and identical
-    return ChaosOutcome(
-        fault="rebalance-crash-resume",
-        mechanism="checkpointed migration plan",
-        contained=contained,
-        detail=(f"killed after {len(plan.steps) // 2}/"
-                f"{len(plan.steps)} steps, resume skipped "
-                f"{report['skipped']} from checkpoint, "
-                f"{verdict['ok']}/{verdict['objects']} objects "
-                f"bit-identical at 12 shards"
-                if contained else f"crashed={crashed} resumed={resumed} "
-                f"clean={verdict['clean']} identical={identical}"),
-    )
-
-
 _CHECKS = {
     "crashing-trial": _check_crashing_trial,
     "worker-death": _check_worker_death,
@@ -592,10 +350,6 @@ _CHECKS = {
     "half-written-temp": _check_half_written_temp,
     "breaker-storm": _check_breaker_storm,
     "arq-stress": _check_arq_stress,
-    "remote-timeout-storm": _check_remote_timeout_storm,
-    "replica-loss": _check_replica_loss,
-    "torn-remote-put": _check_torn_remote_put,
-    "rebalance-crash-resume": _check_rebalance_crash_resume,
 }
 
 

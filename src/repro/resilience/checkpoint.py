@@ -22,6 +22,7 @@ trial is re-run, never resumed wrong.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import pickle
@@ -31,9 +32,28 @@ from typing import Any
 from ..errors import ConfigError
 from ..telemetry.context import active_registry
 
-__all__ = ["Checkpoint", "checkpoint_key", "CHECKPOINT_VERSION"]
+__all__ = ["Checkpoint", "checkpoint_key", "CHECKPOINT_VERSION",
+           "unique_temp"]
 
 CHECKPOINT_VERSION = 1
+
+_TEMP_SEQ = itertools.count()
+
+
+def unique_temp(path: Path) -> Path:
+    """A collision-free temp name next to ``path``.
+
+    Temp names must be unique *per writer*, not per key: two writers
+    publishing the same path through a shared name can interleave their
+    writes into one file (a torn file published as good data), and one
+    writer's ``os.replace`` can consume the other's temp so the second
+    rename fails.  pid + per-process counter makes every write its own
+    file — across processes and across threads of one process; the
+    ``.tmp`` suffix keeps stranded ones visible to cleanup sweeps.
+    """
+    return path.with_name(
+        f"{path.name}.{os.getpid()}-{next(_TEMP_SEQ)}.tmp"
+    )
 
 
 def _count(name: str, amount: int | float = 1) -> None:
@@ -156,9 +176,12 @@ class Checkpoint:
             sort_keys=True,
         )
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        temp = self.path.with_suffix(self.path.suffix + ".tmp")
-        temp.write_text(payload, encoding="utf-8")
-        os.replace(temp, self.path)
+        temp = unique_temp(self.path)
+        try:
+            temp.write_text(payload, encoding="utf-8")
+            os.replace(temp, self.path)
+        finally:
+            temp.unlink(missing_ok=True)
         self._dirty = 0
         _count("flushes")
 

@@ -19,15 +19,6 @@ import numpy as np
 DEFAULT_SEED = 0x5EED
 
 
-def make_rng(seed: int | None = None) -> np.random.Generator:
-    """Create a root generator from an integer seed.
-
-    ``None`` maps to :data:`DEFAULT_SEED` — experiments are reproducible
-    by default and only become nondeterministic when explicitly asked.
-    """
-    return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-
-
 def derive_seed(seed: int, name: str) -> int:
     """Derive a stable 64-bit child seed from a parent seed and a label."""
     digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()

@@ -12,21 +12,15 @@ into a long-running, network-facing service:
 * :mod:`repro.service.queue` — the bounded multi-tenant priority queue
   with weighted-fair dequeue and backpressure;
 * :mod:`repro.service.store` — :class:`ShardedTraceStore` (the trace
-  store's keyspace split over N shard directories behind a pluggable
-  shard backend) and the sharded :class:`ResultCache` served sweeps
-  are answered from;
+  store's keyspace split over N local shard directories) and the
+  sharded :class:`ResultCache` served sweeps are answered from;
 * :mod:`repro.service.scheduler` — worker pools with work stealing,
   wired into the resilience layer (retry classification, per-experiment
   circuit breaker, checkpointed sweeps);
 * :mod:`repro.service.daemon` — the asyncio HTTP/JSON front end
   (``repro serve``);
 * :mod:`repro.service.client` — :class:`ServiceClient` (sync) and
-  :class:`AsyncServiceClient` for driving a daemon;
-* :mod:`repro.service.transport` — the narrow get/put/list/delete
-  blob transport plus deterministic fault injection;
-* :mod:`repro.service.remote` — the replicated remote shard backend
-  (quorum reads, read repair, degraded-mode write-through cache) and
-  the checkpointed shard rebalancer behind ``repro shards``.
+  :class:`AsyncServiceClient` for driving a daemon.
 
 The service inherits the library's determinism contract: a served
 result is bit-identical to the direct in-process call with the same
@@ -38,17 +32,6 @@ from .daemon import ExperimentService, ServiceConfig, ServiceThread
 from .jobs import EXPERIMENTS, run_job, sweep_from_payload
 from .protocol import JobRecord, JobSpec, JobState
 from .queue import JobQueue
-from .remote import (
-    RebalancePlan,
-    RemoteBlobBackend,
-    RemoteShardStore,
-    discover_layout,
-    execute_rebalance,
-    open_backend,
-    plan_rebalance,
-    shard_io_for,
-    verify_rebalance,
-)
 from .scheduler import Scheduler
 from .store import (
     LocalDirBackend,
@@ -56,44 +39,23 @@ from .store import (
     ShardedTraceStore,
     shard_index,
 )
-from .transport import (
-    BlobTransport,
-    DirTransport,
-    FaultSpec,
-    FaultyTransport,
-    MemoryTransport,
-)
 
 __all__ = [
     "AsyncServiceClient",
-    "BlobTransport",
-    "DirTransport",
     "EXPERIMENTS",
     "ExperimentService",
-    "FaultSpec",
-    "FaultyTransport",
     "JobQueue",
     "JobRecord",
     "JobSpec",
     "JobState",
     "LocalDirBackend",
-    "MemoryTransport",
-    "RebalancePlan",
-    "RemoteBlobBackend",
-    "RemoteShardStore",
     "ResultCache",
     "Scheduler",
     "ServiceClient",
     "ServiceConfig",
     "ServiceThread",
     "ShardedTraceStore",
-    "discover_layout",
-    "execute_rebalance",
-    "open_backend",
-    "plan_rebalance",
     "run_job",
     "shard_index",
-    "shard_io_for",
     "sweep_from_payload",
-    "verify_rebalance",
 ]

@@ -83,13 +83,8 @@ class ServiceConfig:
     ``ExperimentService.port`` / ``ServiceThread.port``).
     ``store_root=None`` disables the sharded result cache — every
     submission computes; point it at a directory to serve repeats from
-    disk.  ``checkpoint_root=None`` disables sweep checkpointing.
-
-    ``backend`` picks where the shards live: ``local`` (one directory
-    per shard under ``store_root``) or ``remote`` (the replicated
-    :class:`~repro.service.remote.RemoteBlobBackend`, with
-    ``replication``-way copies, quorum reads and a local write-through
-    cache under the same root).  ``drain_timeout_s`` bounds how long a
+    disk (one directory per shard).  ``checkpoint_root=None`` disables
+    sweep checkpointing.  ``drain_timeout_s`` bounds how long a
     graceful shutdown waits for admitted jobs before cancelling the
     stragglers.
     """
@@ -98,9 +93,6 @@ class ServiceConfig:
     port: int = 0
     store_root: str | Path | None = None
     shards: int = 8
-    backend: str = "local"
-    replication: int = 3
-    read_quorum: int | None = None
     pools: int = 2
     workers_per_pool: int = 2
     queue_depth: int = 1024
@@ -121,27 +113,13 @@ class ExperimentService:
                  registry: MetricsRegistry | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
-        if self.config.backend not in ("local", "remote"):
-            raise ConfigError(
-                f"backend must be local|remote, "
-                f"got {self.config.backend!r}"
-            )
         cache = None
         if self.config.store_root is not None:
-            if self.config.backend == "remote":
-                from .remote import RemoteBlobBackend
-
-                backend = RemoteBlobBackend(
-                    self.config.store_root,
-                    shard_count=self.config.shards,
-                    replication=self.config.replication,
-                    read_quorum=self.config.read_quorum,
-                    registry=self.registry,
-                )
-            else:
-                backend = LocalDirBackend(self.config.store_root,
-                                          shard_count=self.config.shards)
-            cache = ResultCache(backend, registry=self.registry)
+            cache = ResultCache(
+                LocalDirBackend(self.config.store_root,
+                                shard_count=self.config.shards),
+                registry=self.registry,
+            )
         self.cache = cache
         self.scheduler = Scheduler(
             registry=self.registry,

@@ -28,7 +28,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentRunner",
     "comparison_cells_from_payload",
-    "defense_reports_from_payload",
     "execute_instrumented",
     "register_experiment",
     "run_job",
@@ -314,19 +313,4 @@ def comparison_cells_from_payload(payload: dict):
             note=cell["note"],
         )
         for cell in payload["cells"]
-    ]
-
-
-def defense_reports_from_payload(payload: dict):
-    """Decode a served ``evaluate_defenses`` payload back to
-    :class:`~repro.defenses.evaluation.DefenseReport` records."""
-    from ..defenses.evaluation import DefenseReport
-
-    return [
-        DefenseReport(
-            defense=report["defense"],
-            error_rate=report["error_rate"],
-            capacity_bps=report["capacity_bps"],
-        )
-        for report in payload["reports"]
     ]

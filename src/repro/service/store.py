@@ -13,12 +13,8 @@ sha256 prefixes (uniform by construction), so shards fill evenly, and
 the route depends only on the key — every process, worker and future
 session agrees where a corpus lives without coordination.
 
-The shard *backend* is pluggable: anything satisfying
-:class:`ShardBackend` (how many shards, open shard *i*) can host the
-shards.  :class:`LocalDirBackend` — ``<root>/shard-00 .. shard-NN``
-on the local filesystem — is the simple one;
-:class:`~repro.service.remote.RemoteBlobBackend` hosts each shard on
-N replicated blob endpoints behind the same two methods.
+:class:`LocalDirBackend` is the one place that knows the on-disk
+layout: shard *i* lives under ``<root>/shard-NN``.
 
 :class:`ResultCache` applies the same sharding to *job results*: small
 records (pickle + sha256, atomically published) keyed by a job spec's
@@ -34,16 +30,15 @@ import hashlib
 import os
 import pickle
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 from ..errors import ConfigError, TraceStoreError
+from ..resilience.checkpoint import unique_temp
 from ..telemetry.registry import MetricsRegistry
 from ..trace.store import StoreEntry, TraceStore, VerifyReport
 
 __all__ = [
     "LocalDirBackend",
     "ResultCache",
-    "ShardBackend",
     "ShardedTraceStore",
     "shard_index",
 ]
@@ -56,9 +51,8 @@ def shard_index(key: str, shard_count: int) -> int:
     mints) route by ``int(key[:8], 16) % N``; anything else — hand
     written test keys, future key schemes — routes through a sha256
     digest of the key so the mapping stays deterministic and uniform.
-    Every router (trace shards, result cache, rebalance planner) calls
-    this one function, so they can never disagree about where a key
-    lives.
+    Every router (trace shards, result cache) calls this one function,
+    so they can never disagree about where a key lives.
     """
     try:
         prefix = int(key[:8], 16)
@@ -66,31 +60,6 @@ def shard_index(key: str, shard_count: int) -> int:
         digest = hashlib.sha256(str(key).encode("utf-8")).hexdigest()
         prefix = int(digest[:8], 16)
     return prefix % shard_count
-
-
-@runtime_checkable
-class ShardBackend(Protocol):
-    """What can host the shards of a sharded store.
-
-    A backend answers two questions: how many shards exist, and where
-    shard *i* lives (as an object with the :class:`TraceStore`
-    surface).  :class:`LocalDirBackend` answers with a plain local
-    store; :class:`~repro.service.remote.RemoteBlobBackend` answers
-    with a replicated remote shard that happens to speak the same
-    surface — the routing and the service never know the difference.
-    A backend may additionally expose ``result_store(index)`` to host
-    :class:`ResultCache` records remotely.
-    """
-
-    shard_count: int
-
-    def open_shard(self, index: int) -> TraceStore:
-        """A ``TraceStore`` over shard ``index`` (0-based)."""
-        ...
-
-    def shard_root(self, index: int) -> Path:
-        """The directory shard ``index`` keeps its files under."""
-        ...
 
 
 class LocalDirBackend:
@@ -135,20 +104,12 @@ class ShardedTraceStore:
     #: around on disk, it never changes what a key means.
     key = staticmethod(TraceStore.key)
 
-    def __init__(self, root=None, *, shards: int = 8,
-                 backend: ShardBackend | None = None,
+    def __init__(self, root, *, shards: int = 8,
                  max_bytes: int | None = None) -> None:
-        if backend is None:
-            if root is None:
-                raise ConfigError(
-                    "ShardedTraceStore needs a root directory or an "
-                    "explicit shard backend"
-                )
-            per_shard = (max_bytes // shards) if max_bytes else None
-            backend = LocalDirBackend(root, shard_count=shards,
-                                      max_bytes_per_shard=per_shard)
-        self.backend = backend
-        self.shard_count = backend.shard_count
+        per_shard = (max_bytes // shards) if max_bytes else None
+        self.backend = LocalDirBackend(root, shard_count=shards,
+                                       max_bytes_per_shard=per_shard)
+        self.shard_count = shards
         self._shards: dict[int, TraceStore] = {}
 
     # -- routing ------------------------------------------------------
@@ -256,14 +217,8 @@ class ResultCache:
     with the temp + ``os.replace`` sequence so readers never observe a
     torn record.  A record that fails its digest or unpickle is treated
     as a miss and moved aside — worst case the job re-runs, never a
-    wrong result served.
-
-    When the backend exposes ``result_store(index)`` (the remote blob
-    backend does), records are read and written through that object's
-    ``get_result`` / ``put_result`` / ``contains_result`` /
-    ``drop_result`` surface instead of the local filesystem — the
-    digest-and-unpickle validation stays here, so a torn or damaged
-    remote record is still a miss, never a wrong payload.
+    wrong result served.  Records live in each shard's ``results/``
+    directory under the backend root.
 
     Counters land in the *explicit* registry handed in (the service
     deliberately avoids the ambient telemetry global, which is not
@@ -272,7 +227,7 @@ class ResultCache:
     ``corrupt_records``.
     """
 
-    def __init__(self, backend: ShardBackend, *,
+    def __init__(self, backend: LocalDirBackend, *,
                  registry: MetricsRegistry | None = None) -> None:
         self.backend = backend
         self.shard_count = backend.shard_count
@@ -282,20 +237,13 @@ class ResultCache:
         if self.registry is not None:
             self.registry.inc(f"service.cache.{name}", amount)
 
-    def _remote(self, key: str):
-        """The backend's result store for this key's shard, if any."""
-        opener = getattr(self.backend, "result_store", None)
-        if opener is None:
-            return None
-        return opener(shard_index(key, self.shard_count))
-
     def _path(self, key: str) -> Path:
         root = self.backend.shard_root(shard_index(key, self.shard_count))
         return root / "results" / f"{key}.res"
 
     def _decode(self, blob: bytes):
         """Validate and unpickle one record blob; ``None`` on damage."""
-        if blob is None or len(blob) < 32:
+        if len(blob) < 32:
             return None
         digest, body = blob[:32], blob[32:]
         if hashlib.sha256(body).digest() != digest:
@@ -307,26 +255,9 @@ class ResultCache:
 
     def get(self, key: str):
         """The cached payload for ``key``, or ``None`` on (any) miss."""
-        remote = self._remote(key)
-        if remote is not None:
-            blob = remote.get_result(key)
-            if blob is None:
-                self._count("misses")
-                return None
-            payload = self._decode(blob)
-            if payload is None:
-                remote.drop_result(key)
-                self._count("corrupt_records")
-                self._count("misses")
-                return None
-            self._count("hits")
-            return payload
         path = self._path(key)
         try:
             blob = path.read_bytes()
-        except FileNotFoundError:
-            self._count("misses")
-            return None
         except OSError:
             self._count("misses")
             return None
@@ -341,27 +272,18 @@ class ResultCache:
         """Atomically publish ``payload`` under ``key``."""
         body = pickle.dumps(payload, protocol=4)
         blob = hashlib.sha256(body).digest() + body
-        remote = self._remote(key)
-        if remote is not None:
-            path = remote.put_result(key, blob)
-            self._count("writes")
-            return path
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        temp = unique_temp(path)
         try:
             temp.write_bytes(blob)
             os.replace(temp, path)
         finally:
-            if temp.exists():
-                temp.unlink()
+            temp.unlink(missing_ok=True)
         self._count("writes")
         return path
 
     def contains(self, key: str) -> bool:
-        remote = self._remote(key)
-        if remote is not None:
-            return remote.contains_result(key)
         return self._path(key).exists()
 
     def _quarantine(self, path: Path) -> None:

@@ -80,24 +80,3 @@ def active_duration_ms(trace: TraceRecord,
     below = trace.freqs_mhz < threshold_mhz
     step = float(np.median(np.diff(trace.times_ms)))
     return float(below.sum()) * step
-
-
-def excursion_duration_ms(trace: TraceRecord,
-                          below_mhz: float = 2330.0) -> float:
-    """Length of the trace's departure from ``freq_max``.
-
-    From the first sample below ``below_mhz`` to the last: this spans
-    the victim's busy period *plus* the UFS down- and up-ramps, whose
-    total length is a platform constant the attacker subtracts (see
-    :class:`~repro.sidechannel.filesize.FileSizeProfiler`).  Unlike
-    time-below-a-low-threshold, it stays accurate for jobs too short
-    for the frequency to reach the bottom of its range.
-    """
-    if len(trace.times_ms) < 2:
-        return 0.0
-    indices = np.flatnonzero(trace.freqs_mhz < below_mhz)
-    if indices.size == 0:
-        return 0.0
-    return float(
-        trace.times_ms[indices[-1]] - trace.times_ms[indices[0]]
-    )

@@ -37,7 +37,6 @@ from .manifest import (
     RunManifest,
     build_manifest,
     config_digest,
-    registry_digest,
 )
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 
@@ -57,6 +56,5 @@ __all__ = [
     "harvest_engine",
     "harvest_socket",
     "harvest_system",
-    "registry_digest",
     "using",
 ]

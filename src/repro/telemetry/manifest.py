@@ -20,7 +20,6 @@ __all__ = [
     "RunManifest",
     "build_manifest",
     "config_digest",
-    "registry_digest",
 ]
 
 
@@ -45,22 +44,6 @@ def config_digest(config, *, backend: str | None = None) -> str | None:
     else:
         material = f"{backend}:{repr(config) if config is not None else ''}"
     return hashlib.sha256(material.encode()).hexdigest()[:16]
-
-
-def registry_digest(registry: MetricsRegistry) -> str:
-    """A short digest of a registry's deterministic snapshot.
-
-    Two registries share a digest exactly when they collected identical
-    metrics.  The validation harness compares this across telemetry-on
-    re-runs and across worker counts: telemetry is contractually
-    observational, so the digest must not vary with either.
-    """
-    material = json.dumps(
-        registry.deterministic_snapshot(),
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

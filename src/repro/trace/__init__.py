@@ -33,7 +33,6 @@ from .reader import TraceReader, read_corpus
 from .store import StoreEntry, TraceStore, VerifyReport
 from .replay import (
     GoldenDiff,
-    compare_corpora,
     filesize_study_from_store,
     fingerprint_dataset_from_store,
     golden_compare,
@@ -52,7 +51,6 @@ __all__ = [
     "TraceWriter",
     "VERSION",
     "VerifyReport",
-    "compare_corpora",
     "decode_record",
     "encode_record",
     "filesize_study_from_store",

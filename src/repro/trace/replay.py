@@ -31,7 +31,6 @@ from .store import TraceStore
 __all__ = [
     "GoldenDiff",
     "golden_compare",
-    "compare_corpora",
     "fingerprint_dataset_from_store",
     "filesize_study_from_store",
     "replay_fingerprint",
@@ -84,24 +83,6 @@ def golden_compare(actual: TraceRecord, expected: TraceRecord, *,
                                  f"{freq_err:g} MHz)",
                           time_err, freq_err)
     return GoldenDiff(True, None, time_err, freq_err)
-
-
-def compare_corpora(actual, expected, *, rtol: float = 0.0,
-                    atol: float = 0.0) -> list[GoldenDiff]:
-    """Pairwise :func:`golden_compare` over two record sequences.
-
-    A length mismatch yields a single failing diff so callers can
-    always report ``[d for d in diffs if not d.ok]``.
-    """
-    actual = list(actual)
-    expected = list(expected)
-    if len(actual) != len(expected):
-        return [GoldenDiff(False, f"corpus holds {len(actual)} traces, "
-                                  f"golden has {len(expected)}")]
-    return [
-        golden_compare(a, e, rtol=rtol, atol=atol)
-        for a, e in zip(actual, expected)
-    ]
 
 
 def _effective_platform(platform):

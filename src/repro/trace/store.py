@@ -52,7 +52,6 @@ telemetry.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -60,6 +59,7 @@ from pathlib import Path
 
 from ..errors import TraceError, TraceStoreError
 from ..resilience.breaker import CircuitBreaker
+from ..resilience.checkpoint import unique_temp
 from ..sidechannel.tracer import TraceRecord
 from ..telemetry.context import active_registry
 from ..telemetry.manifest import config_digest
@@ -73,24 +73,6 @@ def _count(name: str, amount: int | float = 1) -> None:
     registry = active_registry()
     if registry is not None:
         registry.inc(f"trace.store.{name}", amount)
-
-
-_TEMP_SEQ = itertools.count()
-
-
-def _unique_temp(path: Path) -> Path:
-    """A collision-free temp name next to ``path``.
-
-    Temp names must be unique *per writer*, not per key: two processes
-    publishing the same key through a shared name can interleave their
-    writes into one file (a torn blob published as good data) and each
-    ``unlink`` the other's in-flight temp.  pid + per-process counter
-    makes every write its own file; the ``.tmp`` suffix keeps stranded
-    ones visible to cleanup sweeps.
-    """
-    return path.with_name(
-        f"{path.name}.{os.getpid()}-{next(_TEMP_SEQ)}.tmp"
-    )
 
 
 @dataclass(frozen=True)
@@ -205,7 +187,7 @@ class TraceStore:
 
     def _write_entry(self, entry: StoreEntry) -> None:
         path = self._entry_path(entry.key)
-        temp = _unique_temp(path)
+        temp = unique_temp(path)
         try:
             temp.write_text(
                 json.dumps(
@@ -275,7 +257,7 @@ class TraceStore:
         if not self.breaker.allow_write():
             _count("breaker_dropped_writes")
             return blob
-        temp = _unique_temp(blob)
+        temp = unique_temp(blob)
         try:
             with TraceWriter(temp, meta=meta) as writer:
                 for record in records:

@@ -7,7 +7,6 @@ from repro.analysis import (
     binary_entropy,
     bit_error_rate,
     channel_capacity_bps,
-    confusion_matrix,
     format_table,
     median_mhz,
     quantile_summary,
@@ -83,12 +82,6 @@ class TestStats:
     def test_quantile_summary_empty_rejected(self):
         with pytest.raises(ValueError):
             quantile_summary([])
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix([0, 1, 1], [0, 1, 0], num_classes=2)
-        assert matrix[0, 0] == 1
-        assert matrix[1, 1] == 1
-        assert matrix[1, 0] == 1
 
     def test_top_k_accuracy(self):
         scores = np.array([

@@ -23,6 +23,13 @@ from repro.channels import (
 from repro.channels.base import Prerequisites
 from repro.channels.scenarios import scenario_by_key
 from repro.core.evaluation import random_bits
+from repro.platform import System
+
+
+def baseline_system(seed):
+    scenario = scenario_by_key("baseline")
+    return System(scenario.platform(), security=scenario.security,
+                  seed=seed)
 
 
 def run_baseline(channel_cls, bits=14, seed=2):
@@ -122,10 +129,7 @@ class TestDefenses:
 
 class TestChannelMechanics:
     def test_flush_reload_decodes_alternating(self):
-        from repro.channels.scenarios import build_scenario_system
-
-        system = build_scenario_system(scenario_by_key("baseline"),
-                                       seed=3)
+        system = baseline_system(seed=3)
         channel = FlushReloadChannel(system)
         bits = [1, 0, 1, 1, 0, 0, 1, 0]
         outcome = channel.transmit(bits)
@@ -134,10 +138,7 @@ class TestChannelMechanics:
         system.stop()
 
     def test_prime_probe_misses_reflect_sender(self):
-        from repro.channels.scenarios import build_scenario_system
-
-        system = build_scenario_system(scenario_by_key("baseline"),
-                                       seed=3)
+        system = baseline_system(seed=3)
         channel = PrimeProbeChannel(system)
         assert channel.send_and_receive(1) == 1
         assert channel.send_and_receive(0) == 0
@@ -145,10 +146,7 @@ class TestChannelMechanics:
         system.stop()
 
     def test_uncore_idle_latency_separation(self):
-        from repro.channels.scenarios import build_scenario_system
-
-        system = build_scenario_system(scenario_by_key("baseline"),
-                                       seed=3)
+        system = baseline_system(seed=3)
         channel = UncoreIdleChannel(system)
         low = channel._observe_state(1)
         high = channel._observe_state(0)
@@ -157,10 +155,7 @@ class TestChannelMechanics:
         system.stop()
 
     def test_outcome_metrics(self):
-        from repro.channels.scenarios import build_scenario_system
-
-        system = build_scenario_system(scenario_by_key("baseline"),
-                                       seed=3)
+        system = baseline_system(seed=3)
         channel = FlushFlushChannel(system)
         outcome = channel.transmit(random_bits(10, 3))
         assert outcome.raw_rate_bps > 1000  # microsecond-scale bits

@@ -88,14 +88,25 @@ class TestChaosRuns:
         assert main(["chaos", "--faults", "crashing-trial"]) == 2
         assert "escaped containment" in capsys.readouterr().err
 
-    def test_fault_names_stay_in_sync_with_help(self):
+    def test_fault_names_stay_in_sync_with_help(self, monkeypatch):
         # The CLI validates against the module's canonical tuple, so a
         # new fault only needs registering in one place.
-        assert len(CHAOS_FAULTS) == 12
-        assert len(set(CHAOS_FAULTS)) == 12
-        for fault in ("remote-timeout-storm", "replica-loss",
-                      "torn-remote-put", "rebalance-crash-resume"):
-            assert fault in CHAOS_FAULTS
+        from repro.resilience import chaos as chaos_mod
+
+        assert len(CHAOS_FAULTS) == 8
+        assert len(set(CHAOS_FAULTS)) == len(CHAOS_FAULTS)
+        assert set(chaos_mod._CHECKS) == set(CHAOS_FAULTS)
+        requested = []
+
+        def record(workdir, *, seed=0, workers=1, faults=None):
+            requested.extend(faults)
+            return [chaos_mod.ChaosOutcome(
+                fault=name, mechanism="stub", contained=True, detail="",
+            ) for name in faults]
+
+        monkeypatch.setattr(chaos_mod, "run_chaos", record)
+        assert main(["chaos", "--faults", *CHAOS_FAULTS]) == 0
+        assert requested == list(CHAOS_FAULTS)
 
 
 class TestInterruptionPaths:

@@ -15,8 +15,6 @@ from repro.fastpath.backend import (
     BACKENDS,
     BATCHABLE_EXPERIMENTS,
     CapacityRequest,
-    SimBackend,
-    get_backend,
     resolve_backend,
 )
 from repro.resilience.checkpoint import Checkpoint, checkpoint_key
@@ -65,19 +63,6 @@ class TestResolveBackend:
         for name in BACKENDS:
             assert resolve_backend(name, experiment="capacity_sweep") != \
                 "auto"
-
-
-class TestGetBackend:
-    def test_instances_carry_their_names(self):
-        for name in ("des", "batch", "analytical"):
-            backend = get_backend(name)
-            assert backend.name == name
-            assert isinstance(backend, SimBackend)
-
-    def test_auto_resolves_before_instantiation(self):
-        assert get_backend("auto").name == "des"
-        assert get_backend("auto",
-                           experiment="capacity_sweep").name == "batch"
 
 
 class TestDigestSalting:

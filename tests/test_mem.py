@@ -3,43 +3,7 @@
 import pytest
 
 from repro.errors import MemoryError_
-from repro.mem import (
-    AddressFields,
-    AddressSpace,
-    PhysicalMemory,
-    line_address,
-    offset_bits,
-    page_number,
-    set_index,
-    tag_bits,
-)
-
-
-class TestAddressArithmetic:
-    def test_offset_within_line(self):
-        assert offset_bits(0x1234) == 0x34
-
-    def test_line_address_masks_offset(self):
-        assert line_address(0x1234) == 0x1200
-
-    def test_set_index_wraps(self):
-        assert set_index(64 * 1024, 1024) == 0
-        assert set_index(64 * 5, 1024) == 5
-
-    def test_tag_above_index(self):
-        address = (7 << 16) | (5 << 6)
-        assert tag_bits(address, 1024) == 7
-        assert set_index(address, 1024) == 5
-
-    def test_decode_round_trip(self):
-        fields = AddressFields.decode(0xDEADBEEF, 2048)
-        reconstructed = (
-            fields.tag * 2048 * 64 + fields.set * 64 + fields.offset
-        )
-        assert reconstructed == 0xDEADBEEF
-
-    def test_page_number(self):
-        assert page_number(8192 + 17, 4096) == 2
+from repro.mem import AddressSpace, PhysicalMemory
 
 
 class TestPhysicalMemory:

@@ -12,7 +12,6 @@ from repro.engine.parallel import (
     Trial,
     resolve_workers,
     run_trials,
-    trial_seeds,
 )
 from repro.errors import ConfigError
 from repro.rng import child_rng, derive_seed
@@ -60,19 +59,17 @@ class TestRunTrials:
 class TestSeedSplitting:
     def test_seeds_are_a_function_of_seed_and_label_only(self):
         labels = [f"trial-{i}" for i in range(6)]
-        assert trial_seeds(7, labels) == trial_seeds(7, labels)
+        seeds = [derive_seed(7, label) for label in labels]
+        assert seeds == [derive_seed(7, label) for label in labels]
         # Dropping trials does not perturb the survivors' seeds.
-        assert trial_seeds(7, labels[:3]) == trial_seeds(7, labels)[:3]
-        assert trial_seeds(7, labels) == tuple(
-            derive_seed(7, label) for label in labels
-        )
+        assert [derive_seed(7, label) for label in labels[:3]] == seeds[:3]
 
     def test_distinct_labels_distinct_streams(self):
-        a, b = trial_seeds(7, ["x", "y"])
+        a, b = derive_seed(7, "x"), derive_seed(7, "y")
         assert a != b
 
     def test_seeded_draws_identical_across_worker_counts(self):
-        seeds = trial_seeds(11, [f"t{i}" for i in range(5)])
+        seeds = [derive_seed(11, f"t{i}") for i in range(5)]
         trials = [Trial(_draw, dict(seed=seed)) for seed in seeds]
         assert run_trials(trials, workers=2) == run_trials(trials,
                                                            workers=1)

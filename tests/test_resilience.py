@@ -6,6 +6,9 @@ the contract throughout is that fault handling never changes *results*
 would, or fails loudly.
 """
 
+import os
+import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -286,6 +289,61 @@ class TestCheckpoint:
         assert path.exists()
         assert not path.with_suffix(".json.tmp").exists()
         assert len(Checkpoint(path, key="k").load()) == 2
+
+    def test_same_path_flushes_do_not_collide(self, tmp_path, monkeypatch):
+        # Two identical checkpointable jobs served at once flush to the
+        # same path from two threads of one process.  Force the bad
+        # interleaving: a whole second flush lands between the first
+        # flush's temp write and its rename.
+        from repro.resilience import checkpoint as checkpoint_mod
+
+        path = tmp_path / "c.ckpt.json"
+        first = Checkpoint(path, key="k")
+        second = Checkpoint(path, key="k")
+        real_replace = os.replace
+        renamed = []
+
+        def interleaved(src, dst):
+            renamed.append(Path(src))
+            if len(renamed) == 1:
+                second.record("b", 2)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(checkpoint_mod.os, "replace", interleaved)
+        first.record("a", 1)
+        monkeypatch.undo()
+        assert len(renamed) == 2 and renamed[0] != renamed[1]
+        # last rename wins; either writer's state is a valid checkpoint
+        assert Checkpoint(path, key="k").load() == {"a": 1}
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_threaded_same_path_flushes_stress(self, tmp_path):
+        path = tmp_path / "c.ckpt.json"
+        errors = []
+
+        def writer(tag):
+            ckpt = Checkpoint(path, key="k")
+            try:
+                for index in range(40):
+                    ckpt.record(f"{tag}{index}", index)
+            except Exception as exc:  # noqa: BLE001 - collected below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(tag,))
+                   for tag in "abcd"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(Checkpoint(path, key="k").load()) == 40
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_discard_forgets_everything(self, tmp_path):
         path = tmp_path / "c.ckpt.json"

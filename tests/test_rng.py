@@ -7,20 +7,7 @@ from repro.rng import (
     SeedSequenceNamer,
     child_rng,
     derive_seed,
-    make_rng,
 )
-
-
-def test_make_rng_default_seed_is_stable():
-    a = make_rng().integers(0, 1 << 30, 5)
-    b = make_rng(DEFAULT_SEED).integers(0, 1 << 30, 5)
-    assert np.array_equal(a, b)
-
-
-def test_make_rng_none_uses_default():
-    a = make_rng(None).random(3)
-    b = make_rng(DEFAULT_SEED).random(3)
-    assert np.array_equal(a, b)
 
 
 def test_derive_seed_is_deterministic():

@@ -275,12 +275,6 @@ class TestShardedTraceStore:
         with pytest.raises(ConfigError):
             ShardedTraceStore(tmp_path, shards=0)
 
-    def test_root_or_backend_required(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            ShardedTraceStore()
-
 
 class TestResultCache:
     def _cache(self, tmp_path, registry=None):
@@ -615,37 +609,6 @@ class TestDaemonEndToEnd:
             results = asyncio.run(drive(svc.port))
         assert len(results) == 12
         assert all(r["slept"] == 0.05 for r in results)
-
-    def test_remote_backend_serves_bit_identical(self, tmp_path):
-        direct = capacity_sweep(intervals_ms=(30.0, 40.0), bits=12,
-                                seed=5, backend="batch")
-        config = ServiceConfig(store_root=tmp_path / "store", shards=4,
-                               backend="remote", replication=2)
-        with ServiceThread(config) as svc:
-            with ServiceClient(svc.port) as client:
-                cold = client.capacity_sweep(
-                    intervals_ms=[30.0, 40.0], bits=12, seed=5,
-                    backend="batch")
-                warm = client.capacity_sweep(
-                    intervals_ms=[30.0, 40.0], bits=12, seed=5,
-                    backend="batch")
-                metrics = client.metrics()
-        assert cold == direct
-        assert warm == direct
-        assert metrics["counters"]["service.cache.hits"] == 1
-        # the result record really is replicated, not just cached
-        replicated = list(
-            (tmp_path / "store" / "remote").rglob("results/*.res")
-        )
-        assert len(replicated) == 2
-
-    def test_bad_backend_rejected(self, tmp_path):
-        from repro.errors import ConfigError
-        from repro.service.daemon import ExperimentService
-
-        with pytest.raises(ConfigError, match="backend"):
-            ExperimentService(ServiceConfig(
-                store_root=tmp_path, backend="s3"))
 
 
 class TestShardIndexFallback:

@@ -21,11 +21,7 @@ from repro.sidechannel.features import (
     trace_features,
 )
 from repro.sidechannel.fingerprint import activity_separability
-from repro.sidechannel.tracer import (
-    TraceRecord,
-    active_duration_ms,
-    excursion_duration_ms,
-)
+from repro.sidechannel.tracer import TraceRecord, active_duration_ms
 from repro.workloads import CompressionVictim
 
 
@@ -73,14 +69,8 @@ class TestTracer:
         trace = self._trace([2400, 2400, 1500, 1500, 1600, 2400])
         assert active_duration_ms(trace, 2000) == pytest.approx(9.0)
 
-    def test_excursion_spans_first_to_last_low(self):
-        trace = self._trace([2400, 2300, 1900, 1700, 2300, 2400])
-        # Samples 1..4 (2300, 1900, 1700, 2300) sit below 2330.
-        assert excursion_duration_ms(trace, 2330) == pytest.approx(9.0)
-
     def test_flat_trace_has_no_excursion(self):
         trace = self._trace([2400] * 10)
-        assert excursion_duration_ms(trace) == 0.0
         assert active_duration_ms(trace) == 0.0
 
 

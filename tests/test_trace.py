@@ -14,7 +14,6 @@ from repro.trace import (
     TraceReader,
     TraceStore,
     TraceWriter,
-    compare_corpora,
     decode_record,
     encode_record,
     golden_compare,
@@ -376,11 +375,6 @@ class TestGoldenCompare:
                         freqs_mhz=freqs)
         assert not golden_compare(a, b).ok
         assert golden_compare(a, b, atol=1e-6).ok
-
-    def test_corpus_length_mismatch_is_one_failing_diff(self):
-        records = [collector_style_trace(label=i) for i in range(3)]
-        diffs = compare_corpora(records, records[:2])
-        assert len(diffs) == 1 and not diffs[0].ok
 
 
 class TestReplay(StoreFixture):
