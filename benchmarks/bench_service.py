@@ -1,6 +1,6 @@
 """Load test for the experiment service (``repro serve``).
 
-Drives a real daemon — socket, HTTP parsing, queue, scheduler, sharded
+Drives a real daemon — socket, HTTP parsing, queue, scheduler, on-disk
 result cache — with a storm of concurrent capacity-sweep requests and
 reports what a capacity-planning reader wants to know:
 
@@ -63,7 +63,7 @@ from repro.service.protocol import JobSpec  # noqa: E402
 from repro.telemetry import MetricsRegistry  # noqa: E402
 
 #: The full load-test shape: what "sustains 1000 concurrent sweep
-#: requests against a warm sharded store" means, concretely.
+#: requests against a warm result store" means, concretely.
 LOAD_SHAPE = dict(
     requests=1000,      # concurrent in-flight sweep requests
     unique=20,          # distinct specs behind those requests
@@ -71,7 +71,6 @@ LOAD_SHAPE = dict(
     bits=12,
     intervals_ms=(30.0, 40.0),
     backend="batch",
-    shards=8,
     tenants=4,
 )
 
@@ -142,7 +141,7 @@ def run_load_test(shape: dict | None = None, *,
     """Run warm-up plus storm against a fresh daemon; the report dict.
 
     ``store_root=None`` uses a throwaway directory.  The warm-up phase
-    computes each unique spec once (misses that fill the sharded
+    computes each unique spec once (misses that fill the result
     store); the storm phase then drives ``requests`` concurrent
     submissions that must all be served from the cache.
     """
@@ -162,7 +161,6 @@ def run_load_test(shape: dict | None = None, *,
     with tempfile.TemporaryDirectory() as tmp:
         config = ServiceConfig(
             store_root=store_root or Path(tmp) / "store",
-            shards=shape["shards"],
             pools=2,
             workers_per_pool=4,
             queue_depth=max(64, shape["requests"] + shape["unique"]),

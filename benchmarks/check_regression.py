@@ -29,7 +29,7 @@ Two paired measurements, each with a budget; exit 1 when either fails:
   (``fastpath.batch.trials`` / ``fastpath.analytical.evals``).
   ``--skip-fastpath`` omits the gate.
 * **Service warm path** — the ``bench_service.py`` load test at its
-  CI smoke shape: a real daemon, a warm sharded store, and a storm of
+  CI smoke shape: a real daemon, a warm result store, and a storm of
   concurrent sweep requests that must all be bit-identical to the
   direct in-process runs.  Warm p99 must stay under
   ``--service-p99-ms`` (default 500) and the cache-hit ratio at or
@@ -367,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
             failed = True
         if hit_ratio < args.service_hit_ratio:
             print("FAIL: service cache-hit ratio is under budget — "
-                  "the sharded store is not serving the warm storm")
+                  "the result store is not serving the warm storm")
             failed = True
 
     if not failed:

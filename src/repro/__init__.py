@@ -41,8 +41,8 @@ Layer map (bottom up):
   fault matrix;
 * :mod:`repro.service` — the experiment daemon (``repro serve``):
   async HTTP/JSON job API, fair multi-tenant queue, work-stealing
-  worker pools, the sharded trace store and result cache, and the
-  sync/async clients.
+  worker pools, the on-disk result cache, and the sync/async
+  clients.
 
 Import surface: this top-level package re-exports the working set —
 the system (:class:`System`, :class:`PlatformConfig`,

@@ -726,7 +726,6 @@ def _cmd_serve(args: argparse.Namespace) -> dict:
         host=args.host,
         port=args.port,
         store_root=args.store,
-        shards=args.shards,
         pools=args.pools,
         workers_per_pool=args.pool_workers,
         queue_depth=args.queue_depth,
@@ -1134,7 +1133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the experiment daemon (async HTTP/JSON job API)",
         description="Start the experiment service: a multi-tenant job "
-                    "queue, work-stealing worker pools and a sharded "
+                    "queue, work-stealing worker pools and an on-disk "
                     "result cache behind an HTTP/JSON API.  Submit "
                     "work with `repro submit`, poll it with `repro "
                     "status` / `repro result`, stop the daemon with "
@@ -1146,12 +1145,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"bind port (default {DEFAULT_SERVICE_PORT}; "
                             f"0 = ephemeral)")
     serve.add_argument("--store", metavar="DIR", default=None,
-                       help="sharded result-store root; repeated "
-                            "submissions are served from it without "
-                            "recomputing (default: no cache)")
-    serve.add_argument("--shards", type=int, default=8,
-                       help="shard count for the result store "
-                            "(default 8)")
+                       help="result-cache root (records under "
+                            "DIR/results/); repeated submissions, also "
+                            "after a daemon restart, are served from it "
+                            "without recomputing (default: no cache)")
     serve.add_argument("--pools", type=int, default=2,
                        help="worker pools (default 2)")
     serve.add_argument("--pool-workers", type=int, default=2,

@@ -1,10 +1,9 @@
-"""Atomic checkpoint files for resumable long-running experiments.
+"""Atomic checkpoint files, and the record discipline every store shares.
 
 A :class:`Checkpoint` records each completed trial's result under its
-trial *label* as it lands, flushing to disk with the same temp-file +
-``os.replace`` discipline the trace store uses — an interrupted flush
-can never tear the file, only strand a temp that the next flush
-replaces.
+trial *label* as it lands, flushing to disk through :func:`publish` —
+an interrupted flush can never tear the file, only strand a temp that
+the next flush replaces.
 
 The file is keyed by :func:`checkpoint_key`, which is literally
 :meth:`repro.trace.store.TraceStore.key` — a digest of (effective
@@ -13,10 +12,20 @@ run therefore only reuses results when it would have produced the exact
 same ones, and a checkpoint written under a different shape (other
 intervals, other bits, other platform) is ignored rather than merged.
 
-Results are pickled and wrapped with a sha256 digest per record, so
+Each result is a :func:`seal`-ed record (sha256 digest + pickle), so
 resumed values round-trip bit-identically (pickle preserves float64
 payloads exactly) and a damaged record is skipped — worst case the
 trial is re-run, never resumed wrong.
+
+The on-disk discipline lives here once, for the trace store, the
+service's result cache and checkpoints alike:
+
+* :func:`publish` — write a writer-unique temp, rename it over the
+  target; readers never observe a torn file;
+* :func:`quarantine_file` — move a damaged file aside as evidence,
+  never delete it, and tolerate a racing reader that moved it first;
+* :func:`seal` / :func:`unseal` — a digest-checked pickle record that
+  reads back as ``None`` on any damage.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ import itertools
 import json
 import os
 import pickle
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
@@ -33,11 +44,16 @@ from ..errors import ConfigError
 from ..telemetry.context import active_registry
 
 __all__ = ["Checkpoint", "checkpoint_key", "CHECKPOINT_VERSION",
-           "unique_temp"]
+           "publish", "quarantine_file", "seal", "unique_temp", "unseal"]
 
-CHECKPOINT_VERSION = 1
+#: Version 2 stores each record as one hex :func:`seal` blob; a
+#: version-1 file (separate ``sha256`` / ``data`` fields) is ignored,
+#: so its trials re-run once.
+CHECKPOINT_VERSION = 2
 
 _TEMP_SEQ = itertools.count()
+
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 def unique_temp(path: Path) -> Path:
@@ -54,6 +70,68 @@ def unique_temp(path: Path) -> Path:
     return path.with_name(
         f"{path.name}.{os.getpid()}-{next(_TEMP_SEQ)}.tmp"
     )
+
+
+@contextmanager
+def publish(path: Path) -> Iterator[Path]:
+    """Yield a writer-unique temp path; rename it onto ``path`` on success.
+
+    The caller writes the whole file to the yielded temp.  If the body
+    returns, the temp is ``os.replace``-d onto ``path`` (same directory,
+    so the rename is atomic): readers see the old file or the new one,
+    never a torn one.  If it raises, ``path`` is untouched.  Either way
+    the temp is gone afterwards.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = unique_temp(path)
+    try:
+        yield temp
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
+def quarantine_file(path: Path, directory: Path) -> Path:
+    """Move ``path`` into ``directory`` (evidence, never deletion).
+
+    Creates ``directory`` first.  A source that is already gone —
+    another reader found the same damage and moved it first — counts
+    as quarantined, so concurrent readers of one damaged file never
+    crash each other.  Returns the quarantined path.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    target = directory / path.name
+    try:
+        os.replace(path, target)
+    except FileNotFoundError:
+        pass
+    return target
+
+
+def seal(obj: Any) -> bytes:
+    """``obj`` as one record: sha256 digest of its pickle, then the pickle."""
+    body = pickle.dumps(obj, protocol=4)
+    return hashlib.sha256(body).digest() + body
+
+
+def unseal(blob: bytes) -> Any:
+    """The object a :func:`seal` record holds, or ``None`` on any damage.
+
+    Truncation, a flipped bit and an unpicklable body all read as
+    ``None``, so a caller recomputes rather than trusting bad bytes.
+    (A sealed ``None`` also reads back as ``None``: it costs a
+    recompute, never a wrong value.)  Only records this program wrote
+    are unsealed — the digest is a damage check, not authentication.
+    """
+    if len(blob) < _DIGEST_BYTES:
+        return None
+    digest, body = blob[:_DIGEST_BYTES], blob[_DIGEST_BYTES:]
+    if hashlib.sha256(body).digest() != digest:
+        return None
+    try:
+        return pickle.loads(body)
+    except Exception:  # noqa: BLE001 - any damage means recompute
+        return None
 
 
 def _count(name: str, amount: int | float = 1) -> None:
@@ -133,22 +211,14 @@ class Checkpoint:
             _count("invalid")
             return dict(self._completed)
         for label, record in payload.get("completed", {}).items():
-            if not isinstance(record, dict):
-                _count("corrupt_records")
-                continue
             try:
-                blob = bytes.fromhex(record.get("data", ""))
-            except ValueError:
+                result = unseal(bytes.fromhex(record["data"]))
+            except (KeyError, TypeError, ValueError):
+                result = None
+            if result is None:
                 _count("corrupt_records")
                 continue
-            if hashlib.sha256(blob).hexdigest() != record.get("sha256"):
-                _count("corrupt_records")
-                continue
-            try:
-                self._completed[label] = pickle.loads(blob)
-            except Exception:  # noqa: BLE001 - any damage means re-run
-                _count("corrupt_records")
-                continue
+            self._completed[label] = result
         return dict(self._completed)
 
     def record(self, label: str, result: Any) -> None:
@@ -160,28 +230,20 @@ class Checkpoint:
             self.flush()
 
     def flush(self) -> None:
-        """Publish the current state atomically (temp + ``os.replace``)."""
+        """Publish the current state atomically (see :func:`publish`)."""
         if not self._dirty:
             return
-        completed = {}
-        for label in sorted(self._completed):
-            blob = pickle.dumps(self._completed[label], protocol=4)
-            completed[label] = {
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "data": blob.hex(),
-            }
+        completed = {
+            label: {"data": seal(self._completed[label]).hex()}
+            for label in sorted(self._completed)
+        }
         payload = json.dumps(
             {"version": CHECKPOINT_VERSION, "key": self.key,
              "completed": completed},
             sort_keys=True,
         )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        temp = unique_temp(self.path)
-        try:
+        with publish(self.path) as temp:
             temp.write_text(payload, encoding="utf-8")
-            os.replace(temp, self.path)
-        finally:
-            temp.unlink(missing_ok=True)
         self._dirty = 0
         _count("flushes")
 

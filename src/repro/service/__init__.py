@@ -11,9 +11,9 @@ into a long-running, network-facing service:
   exact dataclasses a direct in-process call returns);
 * :mod:`repro.service.queue` — the bounded multi-tenant priority queue
   with weighted-fair dequeue and backpressure;
-* :mod:`repro.service.store` — :class:`ShardedTraceStore` (the trace
-  store's keyspace split over N local shard directories) and the
-  sharded :class:`ResultCache` served sweeps are answered from;
+* :mod:`repro.service.store` — the :class:`ResultCache` repeated
+  submissions are answered from (``<store>/results/``, sealed records
+  shared with checkpoints);
 * :mod:`repro.service.scheduler` — worker pools with work stealing,
   wired into the resilience layer (retry classification, per-experiment
   circuit breaker, checkpointed sweeps);
@@ -33,12 +33,7 @@ from .jobs import EXPERIMENTS, run_job, sweep_from_payload
 from .protocol import JobRecord, JobSpec, JobState
 from .queue import JobQueue
 from .scheduler import Scheduler
-from .store import (
-    LocalDirBackend,
-    ResultCache,
-    ShardedTraceStore,
-    shard_index,
-)
+from .store import ResultCache
 
 __all__ = [
     "AsyncServiceClient",
@@ -48,14 +43,11 @@ __all__ = [
     "JobRecord",
     "JobSpec",
     "JobState",
-    "LocalDirBackend",
     "ResultCache",
     "Scheduler",
     "ServiceClient",
     "ServiceConfig",
     "ServiceThread",
-    "ShardedTraceStore",
     "run_job",
-    "shard_index",
     "sweep_from_payload",
 ]

@@ -48,7 +48,7 @@ from ..telemetry.registry import MetricsRegistry
 from .protocol import JobState, record_to_wire, spec_from_wire
 from .queue import JobQueue
 from .scheduler import Scheduler
-from .store import LocalDirBackend, ResultCache
+from .store import ResultCache
 
 __all__ = ["ExperimentService", "ServiceConfig", "ServiceThread"]
 
@@ -81,18 +81,17 @@ class ServiceConfig:
 
     ``port=0`` binds an ephemeral port (read it back from
     ``ExperimentService.port`` / ``ServiceThread.port``).
-    ``store_root=None`` disables the sharded result cache — every
-    submission computes; point it at a directory to serve repeats from
-    disk (one directory per shard).  ``checkpoint_root=None`` disables
-    sweep checkpointing.  ``drain_timeout_s`` bounds how long a
-    graceful shutdown waits for admitted jobs before cancelling the
-    stragglers.
+    ``store_root=None`` disables the result cache — every submission
+    computes; point it at a directory to serve repeats from disk
+    (``<store_root>/results/``), across daemon restarts too.
+    ``checkpoint_root=None`` disables sweep checkpointing.
+    ``drain_timeout_s`` bounds how long a graceful shutdown waits for
+    admitted jobs before cancelling the stragglers.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     store_root: str | Path | None = None
-    shards: int = 8
     pools: int = 2
     workers_per_pool: int = 2
     queue_depth: int = 1024
@@ -102,7 +101,7 @@ class ServiceConfig:
 
 
 class ExperimentService:
-    """The daemon: HTTP front end + scheduler + sharded result cache.
+    """The daemon: HTTP front end + scheduler + on-disk result cache.
 
     Owns an explicit :class:`MetricsRegistry` (never the ambient
     telemetry global) that aggregates service counters, the latency
@@ -115,11 +114,8 @@ class ExperimentService:
         self.registry = registry if registry is not None else MetricsRegistry()
         cache = None
         if self.config.store_root is not None:
-            cache = ResultCache(
-                LocalDirBackend(self.config.store_root,
-                                shard_count=self.config.shards),
-                registry=self.registry,
-            )
+            cache = ResultCache(self.config.store_root,
+                                registry=self.registry)
         self.cache = cache
         self.scheduler = Scheduler(
             registry=self.registry,

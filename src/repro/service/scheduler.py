@@ -3,7 +3,7 @@
 The scheduler owns the full job lifecycle between "a spec arrived" and
 "a terminal record exists":
 
-* **Submission** validates the spec, consults the sharded
+* **Submission** validates the spec, consults the on-disk
   :class:`~repro.service.store.ResultCache` (a hit is answered
   immediately — ``DONE``, ``cache_hit=True`` — without queueing
   anything), then enqueues into the fair :class:`JobQueue`.

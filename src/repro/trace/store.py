@@ -15,11 +15,12 @@ the simulation can be skipped outright.
 
 Index entries are *per-key files*, not one shared manifest: parallel
 shards (``workers > 1``) write their own corpora concurrently, and
-per-entry files make every write a two-step temp-file + ``os.replace``
-sequence with no cross-process read-modify-write window.  The entry
-records byte/record counts for ``ls`` and an access ``tick`` — a
-store-wide logical counter bumped on every read — that orders entries
-for the size-capped LRU :meth:`TraceStore.gc`.
+per-entry files make every write an atomic
+:func:`~repro.resilience.checkpoint.publish` with no cross-process
+read-modify-write window.  The entry records byte/record counts for
+``ls`` and an access ``tick`` — a store-wide logical counter bumped on
+every read — that orders entries for the size-capped LRU
+:meth:`TraceStore.gc`.
 
 Failure handling is conservative: a blob that fails to parse is moved
 to ``quarantine/`` (never deleted) and its entry dropped before the
@@ -53,13 +54,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import TraceError, TraceStoreError
 from ..resilience.breaker import CircuitBreaker
-from ..resilience.checkpoint import unique_temp
+from ..resilience.checkpoint import publish, quarantine_file
 from ..sidechannel.tracer import TraceRecord
 from ..telemetry.context import active_registry
 from ..telemetry.manifest import config_digest
@@ -186,9 +186,7 @@ class TraceStore:
         )
 
     def _write_entry(self, entry: StoreEntry) -> None:
-        path = self._entry_path(entry.key)
-        temp = unique_temp(path)
-        try:
+        with publish(self._entry_path(entry.key)) as temp:
             temp.write_text(
                 json.dumps(
                     {
@@ -203,9 +201,6 @@ class TraceStore:
                 ),
                 encoding="utf-8",
             )
-            os.replace(temp, path)
-        finally:
-            temp.unlink(missing_ok=True)
 
     def _next_tick(self) -> int:
         ticks = [entry.tick for entry in self.entries()]
@@ -239,8 +234,8 @@ class TraceStore:
         """Atomically write a corpus under ``key`` and index it.
 
         The corpus is streamed to a *writer-unique* temp file in the
-        blob directory (same filesystem) and published with
-        ``os.replace``, so readers never observe a half-written blob
+        blob directory (same filesystem) and published with an atomic
+        rename, so readers never observe a half-written blob
         and concurrent writers never share a temp file — same-key
         writers are writing identical content by construction, each
         publishes its own complete copy, and the last rename wins
@@ -257,15 +252,11 @@ class TraceStore:
         if not self.breaker.allow_write():
             _count("breaker_dropped_writes")
             return blob
-        temp = unique_temp(blob)
-        try:
+        with publish(blob) as temp:
             with TraceWriter(temp, meta=meta) as writer:
                 for record in records:
                     writer.write(record)
                 count = writer.count
-            os.replace(temp, blob)
-        finally:
-            temp.unlink(missing_ok=True)
         # An interrupted put (from before temp names were per-writer)
         # strands the deterministic name; fresh data is now published,
         # so the half-written leftover can go.
@@ -419,18 +410,16 @@ class TraceStore:
 
     def _quarantine_entry(self, key: str) -> None:
         """Move an index-entry file aside (evidence, never deletion)."""
-        path = self._entry_path(key)
-        if path.exists():
-            self._quarantine.mkdir(parents=True, exist_ok=True)
-            os.replace(path, self._quarantine / path.name)
+        quarantine_file(self._entry_path(key), self._quarantine)
 
     def quarantine(self, key: str) -> Path:
-        """Move a blob out of the blob dir; move its entry aside too."""
-        self._quarantine.mkdir(parents=True, exist_ok=True)
-        blob = self.blob_path(key)
-        target = self._quarantine / blob.name
-        if blob.exists():
-            os.replace(blob, target)
+        """Move a blob out of the blob dir; move its entry aside too.
+
+        A blob or entry another reader already moved counts as
+        quarantined, so racing readers of one corrupt corpus all see a
+        typed error or a miss, never a crash.
+        """
+        target = quarantine_file(self.blob_path(key), self._quarantine)
         self._quarantine_entry(key)
         _count("quarantined")
         return target

@@ -396,6 +396,33 @@ class TestRunnerCheckpointing:
         assert resumed == clean
         assert _counters(registry)["runner.checkpoint.skipped"] == 2
 
+    def test_version_1_checkpoint_is_a_fresh_start(self, tmp_path):
+        # The pre-seal format kept a hex sha256 beside the hex pickle.
+        import hashlib
+        import json
+        import pickle
+
+        path = tmp_path / "c.ckpt.json"
+        trials = [Trial(_draw, dict(seed=s), label=f"d{s}")
+                  for s in range(3)]
+        clean = run_trials(trials)
+        completed = {}
+        for label, value in (("d0", clean[0]), ("d1", clean[1])):
+            blob = pickle.dumps(value, protocol=4)
+            completed[label] = {"sha256": hashlib.sha256(blob).hexdigest(),
+                                "data": blob.hex()}
+        path.write_text(json.dumps({"version": 1, "key": "k",
+                                    "completed": completed}),
+                        encoding="utf-8")
+        registry = MetricsRegistry()
+        with using(registry):
+            resumed = run_trials(trials,
+                                 checkpoint=Checkpoint(path, key="k"))
+        assert resumed == clean
+        counters = _counters(registry)
+        assert counters["runner.checkpoint.invalid"] == 1
+        assert "runner.checkpoint.skipped" not in counters
+
 
 def _stub_channel_factory(good_from_ms: float):
     """Channels that corrupt every bit below ``good_from_ms``."""

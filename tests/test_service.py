@@ -2,12 +2,12 @@
 
 The load-bearing contract is served-equals-direct: a capacity sweep
 submitted over the wire — computed by a worker pool or answered from
-the sharded result cache — decodes to a ``SweepResult`` bit-identical
-to calling :func:`repro.core.evaluation.capacity_sweep` in process.
-Around that, the queue's fairness/backpressure arithmetic, the shard
-routing, the cache's corruption handling and the scheduler's
-resilience wiring (retry, breaker, cancel) are each pinned down in
-isolation.
+the on-disk result cache, also after a daemon restart — decodes to a
+``SweepResult`` bit-identical to calling
+:func:`repro.core.evaluation.capacity_sweep` in process.  Around that,
+the queue's fairness/backpressure arithmetic, the cache's corruption
+handling and the scheduler's resilience wiring (retry, breaker,
+cancel) are each pinned down in isolation.
 """
 
 import asyncio
@@ -43,14 +43,8 @@ from repro.service.protocol import (
 )
 from repro.service.queue import JobQueue
 from repro.service.scheduler import Scheduler
-from repro.service.store import (
-    LocalDirBackend,
-    ResultCache,
-    ShardedTraceStore,
-    shard_index,
-)
+from repro.service.store import ResultCache
 from repro.telemetry import MetricsRegistry
-from repro.trace.store import TraceStore
 
 SWEEP_PARAMS = {"bits": 12, "intervals_ms": [30.0, 40.0]}
 
@@ -246,44 +240,14 @@ class TestJobQueue:
         assert counters["service.queue.dequeued"] == 1
 
 
-class TestShardedTraceStore:
-    def test_routing_is_pure_and_uniform(self, tmp_path):
-        store = ShardedTraceStore(tmp_path, shards=4)
-        keys = [TraceStore.key(f"exp-{i}", seed=i) for i in range(64)]
-        routes = [store.shard_for(key) for key in keys]
-        assert routes == [store.shard_for(key) for key in keys]
-        assert set(routes) == {0, 1, 2, 3}
-
-    def test_key_recipe_unchanged(self, tmp_path):
-        assert (ShardedTraceStore.key("exp", seed=1)
-                == TraceStore.key("exp", seed=1))
-
-    def test_non_hex_key_still_routes(self, tmp_path):
-        store = ShardedTraceStore(tmp_path, shards=4)
-        assert 0 <= store.shard_for("not-hex-at-all") < 4
-
-    def test_blob_lands_in_its_shard_dir(self, tmp_path):
-        store = ShardedTraceStore(tmp_path, shards=4)
-        key = TraceStore.key("routed", seed=0)
-        path = store.blob_path(key)
-        expected = tmp_path / f"shard-{store.shard_for(key):02d}"
-        assert expected in path.parents
-
-    def test_shard_count_validated(self, tmp_path):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            ShardedTraceStore(tmp_path, shards=0)
-
-
 class TestResultCache:
     def _cache(self, tmp_path, registry=None):
-        return ResultCache(LocalDirBackend(tmp_path, shard_count=4),
-                           registry=registry)
+        return ResultCache(tmp_path, registry=registry)
 
     def test_round_trip(self, tmp_path):
         cache = self._cache(tmp_path)
-        cache.put("a" * 32, {"points": [1.5, 2.5]})
+        path = cache.put("a" * 32, {"points": [1.5, 2.5]})
+        assert path == tmp_path / "results" / f"{'a' * 32}.res"
         assert cache.get("a" * 32) == {"points": [1.5, 2.5]}
 
     def test_miss_is_none(self, tmp_path):
@@ -400,8 +364,7 @@ class TestScheduler:
 
     def test_cache_hit_skips_the_queue(self, tmp_path):
         registry = MetricsRegistry()
-        cache = ResultCache(LocalDirBackend(tmp_path, shard_count=2),
-                            registry=registry)
+        cache = ResultCache(tmp_path, registry=registry)
 
         async def run():
             sched, _ = _scheduler(pools=1, workers_per_pool=1,
@@ -496,7 +459,7 @@ class TestDaemonEndToEnd:
         direct = capacity_sweep(intervals_ms=(30.0, 40.0), bits=12,
                                 seed=4, backend="batch")
         with ServiceThread(ServiceConfig(
-                store_root=tmp_path / "store", shards=4)) as svc:
+                store_root=tmp_path / "store")) as svc:
             with ServiceClient(svc.port) as client:
                 cold = client.capacity_sweep(
                     intervals_ms=[30.0, 40.0], bits=12, seed=4,
@@ -511,6 +474,25 @@ class TestDaemonEndToEnd:
         assert counters["service.cache.hits"] == 1
         assert counters["service.jobs.cache_hits"] == 1
 
+    def test_restarted_daemon_serves_the_first_daemons_result(
+            self, tmp_path):
+        direct = capacity_sweep(intervals_ms=(30.0, 40.0), bits=12,
+                                seed=5, backend="batch")
+        spec = JobSpec(experiment="capacity_sweep", params=SWEEP_PARAMS,
+                       seed=5, backend="batch")
+        config = ServiceConfig(store_root=tmp_path / "store")
+        with ServiceThread(config) as svc:
+            with ServiceClient(svc.port) as client:
+                cold = client.submit(spec)
+                client.result(cold["job_id"], timeout=60)
+        with ServiceThread(config) as svc:
+            with ServiceClient(svc.port) as client:
+                warm = client.submit(spec)
+                payload = client.result(warm["job_id"], timeout=60)["result"]
+        assert cold["cache_hit"] is False
+        assert warm["cache_hit"] is True
+        assert sweep_from_payload(payload) == direct
+
     def test_cli_submit_wait_prints_result_cold_and_warm(
             self, tmp_path, capsys):
         # A cache hit comes back from /v1/jobs already-done without the
@@ -522,7 +504,7 @@ class TestDaemonEndToEnd:
                 "--params", '{"bits": 12, "intervals_ms": [30.0]}',
                 "--wait"]
         with ServiceThread(ServiceConfig(
-                store_root=tmp_path / "store", shards=2)) as svc:
+                store_root=tmp_path / "store")) as svc:
             conn = ["--port", str(svc.port)]
             assert main(argv + conn) == 0
             cold = json.loads(capsys.readouterr().out)
@@ -609,86 +591,6 @@ class TestDaemonEndToEnd:
             results = asyncio.run(drive(svc.port))
         assert len(results) == 12
         assert all(r["slept"] == 0.05 for r in results)
-
-
-class TestShardIndexFallback:
-    def test_hex_prefix_recipe(self):
-        key = "deadbeef" + "0" * 24
-        assert shard_index(key, 8) == int("deadbeef", 16) % 8
-
-    def test_non_hex_routes_through_digest(self):
-        import hashlib
-
-        key = "not-hex-at-all"
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        expected = int(digest[:8], 16) % 8
-        assert shard_index(key, 8) == expected
-        assert shard_index(key, 8) == shard_index(key, 8)
-
-    def test_shard_for_agrees_with_module_function(self, tmp_path):
-        store = ShardedTraceStore(tmp_path, shards=4)
-        for key in ("not-hex-at-all", "zz" * 16,
-                    TraceStore.key("agrees", seed=0)):
-            assert store.shard_for(key) == shard_index(key, 4)
-
-    def test_non_hex_keys_spread(self):
-        routes = {shard_index(f"label-{i}", 4) for i in range(64)}
-        assert routes == {0, 1, 2, 3}
-
-
-class TestShardFanOut:
-    def _seed(self, tmp_path, shards=4, count=10):
-        from repro.sidechannel.tracer import TraceRecord
-        import numpy as np
-
-        store = ShardedTraceStore(tmp_path, shards=shards)
-        keys = []
-        for i in range(count):
-            key = TraceStore.key("fanout", params={"i": i}, seed=1)
-            store.put(key, [TraceRecord(
-                label=i,
-                times_ms=np.arange(4, dtype=np.float64),
-                freqs_mhz=np.full(4, 800.0 + i),
-            )])
-            keys.append(key)
-        assert len({store.shard_for(k) for k in keys}) > 1
-        return store, keys
-
-    def test_verify_merges_damage_across_shards(self, tmp_path):
-        store, keys = self._seed(tmp_path)
-        damaged = keys[0]
-        blob = store.blob_path(damaged)
-        raw = bytearray(blob.read_bytes())
-        raw[-1] ^= 0xFF
-        blob.write_bytes(bytes(raw))
-        report = store.verify()
-        assert damaged in report.corrupt
-        assert set(report.ok) == set(keys) - {damaged}
-        # damage stays contained: the other shards keep serving
-        for key in keys[1:]:
-            assert store.fetch(key) is not None
-
-    def test_rebuild_index_fans_out(self, tmp_path):
-        store, keys = self._seed(tmp_path)
-        hit_shards = sorted({store.shard_for(k) for k in keys})[:2]
-        for index in hit_shards:
-            for entry in (tmp_path / f"shard-{index:02d}"
-                          / "index").glob("*.json"):
-                entry.unlink()
-        rebuilt = store.rebuild_index()
-        lost = [k for k in keys if store.shard_for(k) in hit_shards]
-        assert sorted(rebuilt) == sorted(lost)
-        for key in keys:
-            assert store.fetch(key) is not None
-
-    def test_gc_divides_the_cap_across_shards(self, tmp_path):
-        store, keys = self._seed(tmp_path, count=16)
-        evicted = store.gc(store.total_bytes() // 2)
-        assert evicted
-        survivors = [k for k in keys if store.contains(k)]
-        assert survivors  # a global cap never empties every shard
-        assert {store.shard_for(k) for k in evicted} == \
-            {store.shard_for(k) for k in keys}
 
 
 class TestDeadlines:

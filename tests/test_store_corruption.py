@@ -153,6 +153,44 @@ class TestHalfWrittenTemp:
         assert not store.contains(key)
 
 
+class TestConcurrentQuarantine:
+    """Two readers of one damaged corpus quarantine it at the same time.
+
+    The second reader is run *inside* the first one's quarantine move,
+    so the first finds its source already gone.  Both must report a
+    miss: a file another reader moved first is already quarantined.
+    """
+
+    @pytest.mark.parametrize("moved", ["blobs", "index"])
+    def test_racing_readers_both_report_a_miss(self, store, monkeypatch,
+                                               moved):
+        import os
+
+        key = _put(store, "contested")
+        flip_crc_bit(store, key)
+        if moved == "index":
+            # A torn entry over a corrupt blob: the heal path moves the
+            # entry aside before the blob is quarantined.
+            truncate_index_entry(store, key)
+        real_replace = os.replace
+        raced = []
+
+        def racing_replace(src, dst):
+            if not raced and os.path.basename(
+                    os.path.dirname(src)) == moved:
+                raced.append(src)
+                assert TraceStore(store.root).fetch(key) is None
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        assert store.fetch(key) is None
+        monkeypatch.undo()
+        assert raced, "the racing reader never ran"
+        assert not store.blob_path(key).exists()
+        assert (store.root / "quarantine" / f"{key}.uftc").exists()
+        assert store.verify().clean
+
+
 class TestVerifyCli:
     def _damaged_store(self, tmp_path):
         store = TraceStore(tmp_path / "store")
@@ -316,19 +354,3 @@ class TestConcurrentWriters:
         quarantine = root / "quarantine"
         assert (not quarantine.exists()
                 or not list(quarantine.iterdir()))
-
-    def test_sharded_store_routes_concurrent_writers_apart(self, tmp_path):
-        from repro.service.store import ShardedTraceStore
-
-        sharded = ShardedTraceStore(tmp_path / "sharded", shards=4)
-        keys = [TraceStore.key(f"exp-{i}", seed=i) for i in range(16)]
-        for index, key in enumerate(keys):
-            sharded.put(key, _records(index), experiment=f"exp-{index}")
-        # Uniform routing: sha256-prefix keys spread over the shards.
-        used = {sharded.shard_for(key) for key in keys}
-        assert len(used) > 1
-        for key in keys:
-            assert sharded.contains(key)
-            assert sharded.fetch(key) is not None
-        assert sharded.verify().clean
-        assert len(sharded.entries()) == len(keys)
