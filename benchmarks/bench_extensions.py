@@ -12,6 +12,8 @@ Four studies the paper motivates but does not run:
   fingerprinting traces.
 """
 
+from dataclasses import replace
+
 from repro.analysis import format_table
 from repro.channels.comparison import (
     UFVariationAdapter,
@@ -23,7 +25,6 @@ from repro.core.framing import encode_frame, send_message_reliable
 from repro.platform import System
 from repro.sidechannel import collect_dataset
 from repro.sidechannel.features import normalize_traces
-from repro.sidechannel.gru import GruClassifier
 from repro.sidechannel.rnn import RnnClassifier, RnnConfig
 from repro.sidechannel.knn import KnnClassifier
 from repro.sidechannel.utilization import profile_victim
@@ -134,7 +135,7 @@ def test_ext_classifier_ablation(benchmark):
         results["Elman RNN"] = top_k_accuracy(
             rnn.predict_scores(test_x), test_y, 1
         )
-        gru = GruClassifier(config)
+        gru = RnnClassifier(replace(config, cell="gru"))
         gru.fit(train_x, train_y)
         results["GRU"] = top_k_accuracy(
             gru.predict_scores(test_x), test_y, 1

@@ -14,7 +14,9 @@ Two attacks are built on this observable:
   reveals the input size at 300 KB granularity (Figure 11);
 * **website fingerprinting** — an RNN classifier recognises which of
   100 sites a browser victim is loading from a 5 s trace (Figure 12;
-  82.18 % top-1 / 91.48 % top-5 in the paper).
+  82.18 % top-1 / 91.48 % top-5 in the paper).  ``RnnClassifier``
+  trains the paper's Elman cell or, with ``RnnConfig(cell="gru")``,
+  a GRU cell; ``KnnClassifier`` is the non-recurrent baseline.
 """
 
 from .methodology import AttackHelpers, UfsAttacker
@@ -27,7 +29,6 @@ from .filesize import (
 )
 from .features import bin_trace, normalize_traces
 from .rnn import RnnClassifier, RnnConfig
-from .gru import GruClassifier
 from .knn import KnnClassifier
 from .utilization import (
     MediaEncoderVictim,
@@ -60,7 +61,6 @@ __all__ = [
     "MediaEncoderVictim",
     "OpenWorldResult",
     "PhaseEstimate",
-    "GruClassifier",
     "RnnClassifier",
     "RnnConfig",
     "TraceRecord",

@@ -20,7 +20,7 @@ guarantee the rest of the subsystem is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -216,7 +216,7 @@ def replay_fingerprint(
 
     ``classifier`` picks the model: ``"rnn"`` (the paper's; also
     scores the kNN baseline via the standard study),
-    ``"knn"`` or ``"gru"``.  Returns a
+    ``"knn"`` or ``"gru"`` (the same RNN with ``cell="gru"``).  Returns a
     :class:`~repro.sidechannel.fingerprint.FingerprintResult`.
     """
     from ..analysis.stats import top_k_accuracy
@@ -225,7 +225,7 @@ def replay_fingerprint(
         FingerprintResult,
         run_fingerprinting_study,
     )
-    from ..sidechannel.rnn import RnnConfig
+    from ..sidechannel.rnn import RnnClassifier, RnnConfig
 
     dataset = fingerprint_dataset_from_store(
         store, num_sites=num_sites, train_visits=train_visits,
@@ -244,9 +244,7 @@ def replay_fingerprint(
 
         model = KnnClassifier(k=3, num_classes=num_sites)
     elif classifier == "gru":
-        from ..sidechannel.gru import GruClassifier
-
-        model = GruClassifier(config)
+        model = RnnClassifier(replace(config, cell="gru"))
     else:
         raise TraceStoreError(
             f"unknown replay classifier {classifier!r} "

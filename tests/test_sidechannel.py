@@ -24,6 +24,8 @@ from repro.sidechannel.fingerprint import activity_separability
 from repro.sidechannel.tracer import TraceRecord, active_duration_ms
 from repro.workloads import CompressionVictim
 
+CELLS = ("elman", "gru")
+
 
 class TestMethodology:
     def test_helpers_pin_frequency_at_max(self):
@@ -136,39 +138,100 @@ class TestClassifiers:
         with pytest.raises(RuntimeError):
             KnnClassifier().predict(np.zeros((1, 4)))
 
-    def test_rnn_learns_toy_problem(self):
+    @pytest.mark.parametrize("cell, hidden_dim",
+                             [("elman", 16), ("gru", 12)], ids=CELLS)
+    def test_rnn_learns_toy_problem(self, cell, hidden_dim):
         x, y = self._toy_problem()
         model = RnnClassifier(RnnConfig(
-            num_classes=4, hidden_dim=16, epochs=120, seed=0
+            num_classes=4, hidden_dim=hidden_dim, epochs=120, seed=0,
+            cell=cell,
         ))
         history = model.fit(x, y)
         assert history.accuracy[-1] > 0.9
         assert history.loss[-1] < history.loss[0]
 
-    def test_rnn_scores_are_probabilities(self):
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_rnn_scores_are_probabilities(self, cell):
         x, y = self._toy_problem()
         model = RnnClassifier(RnnConfig(
-            num_classes=4, hidden_dim=8, epochs=10, seed=0
+            num_classes=4, hidden_dim=8, epochs=10, seed=0, cell=cell
         ))
         model.fit(x, y)
         scores = model.predict_scores(x[:3])
         assert np.allclose(scores.sum(axis=1), 1.0)
         assert (scores >= 0).all()
 
-    def test_rnn_rejects_bad_labels(self):
-        model = RnnClassifier(RnnConfig(num_classes=2, epochs=1))
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_rnn_rejects_bad_labels(self, cell):
+        model = RnnClassifier(RnnConfig(num_classes=2, epochs=1,
+                                        cell=cell))
         with pytest.raises(ValueError):
             model.fit(np.zeros((2, 8)), np.array([0, 5]))
 
-    def test_rnn_rejects_wrong_input_dim(self):
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_rnn_rejects_label_count_mismatch(self, cell):
+        model = RnnClassifier(RnnConfig(num_classes=2, epochs=1,
+                                        cell=cell))
+        for labels in ([0, 1, 0, 1, 0, 1], [0, 1]):
+            with pytest.raises(ValueError, match="labels"):
+                model.fit(np.zeros((4, 8)), np.array(labels))
+        assert model.history.loss == []
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_rnn_rejects_wrong_input_dim(self, cell):
         model = RnnClassifier(RnnConfig(num_classes=2, input_dim=1,
-                                        epochs=1))
+                                        epochs=1, cell=cell))
         with pytest.raises(ValueError):
             model.predict(np.zeros((2, 8, 3)))
 
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_rnn_deterministic_training(self, cell):
+        x, y = self._toy_problem()
+        config = RnnConfig(num_classes=4, hidden_dim=8, epochs=10,
+                           seed=5, cell=cell)
+        a = RnnClassifier(config)
+        b = RnnClassifier(config)
+        assert a.fit(x, y) == b.fit(x, y)
+        assert np.array_equal(a.predict_scores(x), b.predict_scores(x))
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_rnn_bptt_matches_finite_differences(self, cell):
+        """Numeric check of the shared loss-and-gradients routine at
+        every element of every parameter tensor."""
+        model = RnnClassifier(RnnConfig(input_dim=1, hidden_dim=4,
+                                        num_classes=3, epochs=1, seed=0,
+                                        cell=cell))
+        rng = np.random.default_rng(1)
+        batch = model._as_batch(rng.random((3, 5, 1)))
+        y = np.array([0, 1, 2])
+
+        def loss():
+            return model._loss_and_grads(batch, y)[0] / len(y)
+
+        _, _, grads = model._loss_and_grads(batch, y)
+        assert grads.keys() == model.params.keys()
+        eps = 1e-6
+        for name, param in model.params.items():
+            for index in np.ndindex(param.shape):
+                original = param[index]
+                param[index] = original + eps
+                loss_plus = loss()
+                param[index] = original - eps
+                loss_minus = loss()
+                param[index] = original
+                numeric = (loss_plus - loss_minus) / (2 * eps)
+                analytic = grads[name][index]
+                denominator = abs(numeric) + abs(analytic) + 1e-12
+                assert abs(numeric - analytic) / denominator < 1e-5, (
+                    name, index
+                )
+
     def test_rnn_config_validation(self):
-        with pytest.raises(ValueError):
-            RnnConfig(hidden_dim=0).validate()
+        for bad in (dict(hidden_dim=0), dict(batch_size=0),
+                    dict(batch_size=-1), dict(grad_clip=0.0),
+                    dict(grad_clip=-1.0), dict(cell="lstm")):
+            with pytest.raises(ValueError):
+                RnnConfig(**bad).validate()
 
 
 class TestFileSizeAttack:

@@ -405,13 +405,15 @@ class TestReplay(StoreFixture):
                         replayed.train + replayed.test):
             assert_identical(a, b)
 
-    def test_replay_classifier_scores_from_store_alone(self, store):
+    @pytest.mark.parametrize("classifier", ["knn", "rnn", "gru"])
+    def test_replay_classifier_scores_from_store_alone(self, store,
+                                                       classifier):
         from repro.sidechannel import collect_dataset
         from repro.trace import replay_fingerprint
 
         collect_dataset(**self.SHAPE, cache_dir=store.root)
         result = replay_fingerprint(store, **self.SHAPE,
-                                    classifier="knn")
+                                    classifier=classifier, epochs=40)
         assert result.test_traces == 2
         assert 0.0 <= result.top1 <= 1.0
 
