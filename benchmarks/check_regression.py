@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Performance smoke gates for CI.
 
-Two paired measurements, each with a budget; exit 1 when either fails:
+Four paired measurements, each with a budget; exit 1 when any fails:
 
 * **Telemetry overhead** — the engine event-throughput micro-benchmark
   plain versus with the telemetry registry active.  The telemetry
@@ -28,13 +28,6 @@ Two paired measurements, each with a budget; exit 1 when either fails:
   the DES error rates; both must leave their telemetry fingerprints
   (``fastpath.batch.trials`` / ``fastpath.analytical.evals``).
   ``--skip-fastpath`` omits the gate.
-* **Service warm path** — the ``bench_service.py`` load test at its
-  CI smoke shape: a real daemon, a warm result store, and a storm of
-  concurrent sweep requests that must all be bit-identical to the
-  direct in-process runs.  Warm p99 must stay under
-  ``--service-p99-ms`` (default 500) and the cache-hit ratio at or
-  above ``--service-hit-ratio`` (default 0.9).  ``--skip-service``
-  omits the gate.
 
 Usage::
 
@@ -42,8 +35,7 @@ Usage::
         [--against-baseline] [--baseline BENCH_baseline.json]
         [--trace-speedup 10] [--skip-trace-cache]
         [--skip-resilience] [--fastpath-speedup 10]
-        [--skip-fastpath] [--service-p99-ms 500]
-        [--service-hit-ratio 0.9] [--skip-service]
+        [--skip-fastpath]
 """
 
 from __future__ import annotations
@@ -230,20 +222,6 @@ def measure_fastpath() -> tuple[float, float, float, float]:
     return des_s, min(batch_times), worst_delta, worst_tolerance
 
 
-def measure_service() -> dict:
-    """Run the service load test at the CI smoke shape; its report.
-
-    The shape comes from ``bench_service.SMOKE_SHAPE`` so the gate and
-    the tracked benchmark measure the same work.  Bit-identity is
-    enforced inside :func:`~bench_service.run_load_test` — a divergent
-    served payload dies there, before any latency budget is weighed.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from bench_service import SMOKE_SHAPE, run_load_test  # noqa: E402
-
-    return run_load_test(SMOKE_SHAPE)
-
-
 def baseline_median(path: Path) -> float:
     data = json.loads(path.read_text())
     for bench in data["benchmarks"]:
@@ -276,15 +254,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--skip-fastpath", action="store_true",
                         help="skip the vectorized backend speedup and "
                              "equivalence gate")
-    parser.add_argument("--service-p99-ms", type=float, default=500.0,
-                        help="maximum warm-path p99 latency for the "
-                             "service smoke storm (default 500 ms)")
-    parser.add_argument("--service-hit-ratio", type=float, default=0.9,
-                        help="minimum cache-hit ratio for the service "
-                             "smoke storm (default 0.9)")
-    parser.add_argument("--skip-service", action="store_true",
-                        help="skip the service warm-path latency and "
-                             "cache-hit gate")
     args = parser.parse_args(argv)
 
     medians = run_benchmarks()
@@ -349,25 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         if delta > tolerance:
             print("FAIL: analytical backend is outside its error "
                   "tolerance")
-            failed = True
-
-    if not args.skip_service:
-        report = measure_service()
-        p99_ms = report["latency_ms"]["p99"]
-        hit_ratio = report["cache"]["hit_ratio"]
-        print(f"service storm:     {report['requests']:8d} requests "
-              f"({report['throughput_rps']:.0f} req/s)")
-        print(f"service p99:       {p99_ms:8.1f} ms "
-              f"(budget <= {args.service_p99_ms:.0f} ms)")
-        print(f"service hit ratio: {hit_ratio:8.3f} "
-              f"(budget >= {args.service_hit_ratio:.2f})")
-        if p99_ms > args.service_p99_ms:
-            print("FAIL: service warm-path p99 exceeds the latency "
-                  "budget")
-            failed = True
-        if hit_ratio < args.service_hit_ratio:
-            print("FAIL: service cache-hit ratio is under budget — "
-                  "the result store is not serving the warm storm")
             failed = True
 
     if not failed:

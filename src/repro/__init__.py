@@ -38,11 +38,7 @@ Layer map (bottom up):
   differential checks behind ``repro validate``;
 * :mod:`repro.resilience` — retry policies, checkpoint/resume, the
   trace-store circuit breaker, adaptive ARQ and the ``repro chaos``
-  fault matrix;
-* :mod:`repro.service` — the experiment daemon (``repro serve``):
-  async HTTP/JSON job API, fair multi-tenant queue, work-stealing
-  worker pools, the on-disk result cache, and the sync/async
-  clients.
+  fault matrix.
 
 Import surface: this top-level package re-exports the working set —
 the system (:class:`System`, :class:`PlatformConfig`,

@@ -102,8 +102,8 @@ ALL_CHANNELS: tuple[type, ...] = (
     DutyCycleChannel,
 )
 
-#: Row label -> implementing class, for name-keyed callers (the
-#: service registry, trace capture, CLI filters).
+#: Row label -> implementing class, for name-keyed callers (trace
+#: capture, the defense evaluation).
 CHANNELS_BY_NAME: dict[str, type] = {
     channel_cls.name: channel_cls for channel_cls in ALL_CHANNELS
 }

@@ -18,10 +18,6 @@
     python -m repro validate --differential
     python -m repro capacity --resume ckpt/ --retries 2
     python -m repro chaos --workers 2
-    python -m repro serve --store cache/ --port 8631
-    python -m repro submit capacity_sweep --params '{"bits": 64}' --wait
-    python -m repro status job-000001
-    python -m repro result job-000001
 
 Every subcommand accepts ``--seed`` for reproducibility and prints the
 same row format the benchmark harness uses.  ``--workers N`` (or
@@ -717,93 +713,6 @@ def _cmd_chaos(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_serve(args: argparse.Namespace) -> dict:
-    import asyncio
-
-    from .service.daemon import ExperimentService, ServiceConfig
-
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        store_root=args.store,
-        pools=args.pools,
-        workers_per_pool=args.pool_workers,
-        queue_depth=args.queue_depth,
-        max_per_tenant=args.max_per_tenant,
-        checkpoint_root=args.resume,
-        drain_timeout_s=args.drain_timeout,
-    )
-
-    async def _serve() -> None:
-        service = ExperimentService(config)
-        await service.start()
-        print(f"repro service listening on "
-              f"http://{config.host}:{service.port}  "
-              f"(store={args.store or 'off'}, "
-              f"pools={config.pools}x"
-              f"{config.workers_per_pool})", flush=True)
-        await service.serve_until_shutdown()
-
-    asyncio.run(_serve())
-    return {"experiment": "serve", "results": None}
-
-
-def _service_client(args: argparse.Namespace):
-    from .service.client import ServiceClient
-
-    return ServiceClient(args.port, host=args.host)
-
-
-def _print_record(record: dict) -> None:
-    import json
-
-    print(json.dumps(record, indent=2, sort_keys=True))
-
-
-def _cmd_submit(args: argparse.Namespace) -> dict:
-    import json
-
-    from .errors import ServiceError
-    from .service.protocol import JobSpec
-
-    try:
-        params = json.loads(args.params) if args.params else {}
-    except json.JSONDecodeError as exc:
-        raise ServiceError(f"--params is not valid JSON: {exc}") from exc
-    spec = JobSpec(
-        experiment=args.experiment,
-        params=params,
-        seed=args.seed,
-        backend=args.backend,
-        tenant=args.tenant,
-        priority=args.priority,
-    )
-    client = _service_client(args)
-    record = client.submit(spec)
-    # A cache hit comes back already-done but the submit response never
-    # carries the payload; when waiting, always fetch through /result so
-    # cold and warm runs print the same record shape.
-    if args.wait and record.get("state") not in ("failed", "cancelled",
-                                                 "expired"):
-        record = client.result(record["job_id"], timeout=args.timeout)
-    _print_record(record)
-    return {"experiment": "submit", "results": record}
-
-
-def _cmd_status(args: argparse.Namespace) -> dict:
-    record = _service_client(args).status(args.job_id)
-    _print_record(record)
-    return {"experiment": "status", "results": record}
-
-
-def _cmd_result(args: argparse.Namespace) -> dict:
-    record = _service_client(args).result(
-        args.job_id, wait=args.wait, timeout=args.timeout
-    )
-    _print_record(record)
-    return {"experiment": "result", "results": record}
-
-
 def _add_backend_flag(subparser: argparse.ArgumentParser) -> None:
     from .fastpath.backend import BACKENDS
 
@@ -861,17 +770,6 @@ def _add_cache_flags(subparser: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true",
         help="always simulate, even when $REPRO_TRACE_CACHE is set",
     )
-
-
-#: The default TCP port of the experiment daemon (``repro serve``).
-DEFAULT_SERVICE_PORT = 8631
-
-
-def _add_service_conn_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--host", default="127.0.0.1",
-                     help="daemon address (default 127.0.0.1)")
-    sub.add_argument("--port", type=int, default=DEFAULT_SERVICE_PORT,
-                     help=f"daemon port (default {DEFAULT_SERVICE_PORT})")
 
 
 def _add_fingerprint_shape_flags(sub: argparse.ArgumentParser) -> None:
@@ -1128,87 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only these faults (default: all)")
     _add_json_flag(chaos)
     chaos.set_defaults(handler=_cmd_chaos)
-
-    serve = commands.add_parser(
-        "serve",
-        help="run the experiment daemon (async HTTP/JSON job API)",
-        description="Start the experiment service: a multi-tenant job "
-                    "queue, work-stealing worker pools and an on-disk "
-                    "result cache behind an HTTP/JSON API.  Submit "
-                    "work with `repro submit`, poll it with `repro "
-                    "status` / `repro result`, stop the daemon with "
-                    "POST /v1/shutdown.",
-    )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=DEFAULT_SERVICE_PORT,
-                       help=f"bind port (default {DEFAULT_SERVICE_PORT}; "
-                            f"0 = ephemeral)")
-    serve.add_argument("--store", metavar="DIR", default=None,
-                       help="result-cache root (records under "
-                            "DIR/results/); repeated submissions, also "
-                            "after a daemon restart, are served from it "
-                            "without recomputing (default: no cache)")
-    serve.add_argument("--pools", type=int, default=2,
-                       help="worker pools (default 2)")
-    serve.add_argument("--pool-workers", type=int, default=2,
-                       help="worker threads per pool (default 2)")
-    serve.add_argument("--queue-depth", type=int, default=1024,
-                       help="total queued-job cap before submissions "
-                            "get 429 (default 1024)")
-    serve.add_argument("--max-per-tenant", type=int, default=None,
-                       help="per-tenant queued-job cap (default: "
-                            "no per-tenant cap)")
-    serve.add_argument("--drain-timeout", type=float, default=30.0,
-                       help="seconds to let in-flight jobs finish on "
-                            "shutdown before cancelling the rest "
-                            "(default 30)")
-    _add_resume_flag(serve)
-    serve.set_defaults(handler=_cmd_serve)
-
-    submit = commands.add_parser(
-        "submit", help="submit a job to a running `repro serve` daemon"
-    )
-    submit.add_argument("experiment",
-                        help="servable experiment name (capacity_sweep, "
-                             "measure_capacity, mean_error_over_seeds, "
-                             "evaluate_defenses)")
-    submit.add_argument("--params", metavar="JSON", default=None,
-                        help="experiment parameters as a JSON object")
-    submit.add_argument("--tenant", default="default",
-                        help="tenant for fair queueing (default "
-                             "'default')")
-    submit.add_argument("--priority", type=int, default=0,
-                        help="within-tenant priority (higher first; "
-                             "default 0)")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job finishes and print "
-                             "the result record")
-    submit.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds to wait with --wait (default 600)")
-    _add_backend_flag(submit)
-    _add_service_conn_flags(submit)
-    submit.set_defaults(handler=_cmd_submit)
-
-    status = commands.add_parser(
-        "status", help="show a submitted job's state"
-    )
-    status.add_argument("job_id")
-    _add_service_conn_flags(status)
-    status.set_defaults(handler=_cmd_status)
-
-    result = commands.add_parser(
-        "result", help="fetch a submitted job's result"
-    )
-    result.add_argument("job_id")
-    result.add_argument("--no-wait", dest="wait", action="store_false",
-                        help="return the current record even if the "
-                             "job is still running")
-    result.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds to wait for completion "
-                             "(default 600)")
-    _add_service_conn_flags(result)
-    result.set_defaults(handler=_cmd_result)
 
     return parser
 

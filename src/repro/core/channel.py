@@ -121,6 +121,8 @@ class UFVariationChannel:
 
     def transmit(self, bits: list[int]) -> TransmissionResult:
         """Send ``bits`` through the channel and decode them."""
+        if not bits:
+            raise ChannelError("message is empty: nothing to transmit")
         if any(bit not in (0, 1) for bit in bits):
             raise ChannelError("message must be a list of 0/1 bits")
         self.sync()

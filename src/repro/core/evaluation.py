@@ -15,7 +15,7 @@ import numpy as np
 
 from ..config import PlatformConfig, default_platform_config
 from ..engine.parallel import Trial, TrialFailure, run_trials
-from ..errors import ResilienceError
+from ..errors import ConfigError, ResilienceError
 from ..platform.system import System
 from ..rng import child_rng
 from ..units import ms
@@ -50,8 +50,6 @@ class CapacityPoint:
         The validation oracles lean on this to catch decoder or
         bookkeeping regressions that would silently inflate results.
         """
-        from ..errors import ConfigError
-
         if self.interval_ms <= 0.0 or self.bits < 0:
             raise ConfigError(
                 f"capacity point has impossible shape: interval "
@@ -128,6 +126,12 @@ def random_bits(count: int, seed: int, label: str = "payload") -> list[int]:
     return [int(b) for b in rng.integers(0, 2, count)]
 
 
+def _check_bits(bits: int) -> None:
+    """A capacity point needs at least one measured bit, on any backend."""
+    if bits < 1:
+        raise ConfigError(f"need at least one bit per point, got {bits}")
+
+
 def _capacity_runner(resolved: str):
     """The module-level (hence picklable) batch runner for a backend."""
     if resolved == "batch":
@@ -159,6 +163,7 @@ def measure_capacity(
     system below; ``"batch"`` produces the bit-identical vectorized
     result; ``"analytical"`` returns the closed-form estimate.
     """
+    _check_bits(bits)
     ctx = ExperimentContext.coalesce(
         context, platform=platform, seed=seed, workers=workers,
         backend=backend,
@@ -240,6 +245,7 @@ def capacity_sweep(
     a sweep with holes.  ``retry`` applies to the per-point DES path;
     the vectorized backends run each chunk once.
     """
+    _check_bits(bits)
     ctx = ExperimentContext.coalesce(
         context, platform=platform, seed=seed, workers=workers,
         backend=backend,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from ..config import PlatformConfig
 from ..engine.parallel import Trial, run_trials
+from ..errors import ConfigError
 from ..platform.system import System
 from ..units import ms
 from ..workloads.stressor import launch_stressor_threads
@@ -105,6 +106,10 @@ def stress_table(
     independent trials: ``workers > 1`` fans them out across processes
     and returns the same list a serial run produces, in N order.
     """
+    if max_threads < 1:
+        raise ConfigError(
+            f"need at least one stress thread, got {max_threads}"
+        )
     ctx = ExperimentContext.coalesce(
         context, platform=platform, seed=seed, workers=workers
     )

@@ -133,7 +133,7 @@ def _invoke_instrumented(trial: Trial) -> tuple[Any, dict]:
     registry = MetricsRegistry()
     with using(registry):
         result = trial()
-    return result, registry.deterministic_snapshot()
+    return result, registry.snapshot()
 
 
 def _failure(index: int, trial, exc: Exception,
@@ -176,7 +176,7 @@ def _invoke_guarded_instrumented(
             result = trial()
     except Exception as exc:  # noqa: BLE001 - the point is containment
         return _failure(index, trial, exc), None
-    return result, registry.deterministic_snapshot()
+    return result, registry.snapshot()
 
 
 def _invoke_retrying(
@@ -208,7 +208,7 @@ def _invoke_retrying(
             policy.sleep(attempt, seed=_trial_seed(trial),
                          label=_trial_label(trial) or f"trial-{index}")
             continue
-        snapshot = (registry.deterministic_snapshot()
+        snapshot = (registry.snapshot()
                     if registry is not None else None)
         return result, snapshot, attempt
     return failure, None, policy.max_attempts

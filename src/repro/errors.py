@@ -103,35 +103,3 @@ class ValidationError(ReproError):
     failing scenario has been shrunk and written out as a repro file.
     """
 
-
-class ServiceError(ReproError):
-    """The experiment service refused or failed a request.
-
-    Raised by the daemon's request handlers (bad job specs, unknown
-    jobs) and by the clients when the server reports a failure.  The
-    service stays up after the error — one bad request never takes the
-    daemon down.
-    """
-
-
-class QueueFullError(ServiceError):
-    """The job queue refused a submission for backpressure.
-
-    The bounded multi-tenant queue rejects rather than buffers without
-    limit; the HTTP front-end maps this to ``429 Too Many Requests`` so
-    clients know to back off and retry.
-    """
-
-
-class JobNotFoundError(ServiceError):
-    """A job id names no job the service knows about."""
-
-
-class ServiceUnavailableError(ServiceError):
-    """The daemon is draining and refuses new work.
-
-    Raised for submissions that arrive after a graceful shutdown was
-    requested; the HTTP front end maps it to ``503 Service
-    Unavailable``.  In-flight jobs keep running to completion — only
-    *new* work is refused.
-    """

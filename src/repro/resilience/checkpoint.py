@@ -17,8 +17,8 @@ resumed values round-trip bit-identically (pickle preserves float64
 payloads exactly) and a damaged record is skipped — worst case the
 trial is re-run, never resumed wrong.
 
-The on-disk discipline lives here once, for the trace store, the
-service's result cache and checkpoints alike:
+The on-disk discipline lives here once, for the trace store and
+checkpoints alike:
 
 * :func:`publish` — write a writer-unique temp, rename it over the
   target; readers never observe a torn file;

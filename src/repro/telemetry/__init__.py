@@ -2,8 +2,8 @@
 
 A zero-dependency metrics layer threaded through the hot subsystems:
 
-* :mod:`repro.telemetry.registry` — counters, gauges, fixed-edge
-  histograms and wall-clock spans with deterministic snapshot/merge;
+* :mod:`repro.telemetry.registry` — counters and fixed-edge
+  histograms with deterministic snapshot/merge;
 * :mod:`repro.telemetry.context` — the ambient "active registry" that
   makes telemetry opt-in (no registry active, no collection);
 * :mod:`repro.telemetry.collect` — harvest functions that fold a
@@ -38,11 +38,10 @@ from .manifest import (
     build_manifest,
     config_digest,
 )
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import Counter, Histogram, MetricsRegistry
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "LATENCY_EDGES",
     "MetricsRegistry",

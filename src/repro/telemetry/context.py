@@ -8,10 +8,9 @@ handful of integer increments and harvest becomes a no-op.
 
 Activation is **per-thread**: each thread starts with no registry and
 activates its own.  Parallel runners already follow this discipline —
-their workers (processes or threads) activate a fresh registry, run,
-and hand a snapshot back to be merged — and per-thread storage makes it
-sound for in-process concurrency too: threads running concurrent jobs
-(the experiment service's worker pools) can neither harvest into each
+their workers activate a fresh registry, run, and hand a snapshot back
+to be merged — and per-thread storage keeps it sound for any
+in-process threads too: two threads can neither harvest into each
 other's registries nor clobber the restore of an overlapping
 ``using()`` block.
 

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms and spans.
+"""The metrics registry: counters and histograms.
 
 Zero-dependency observability primitives for the simulated platform.
 Three rules keep telemetry safe to thread through hot layers:
@@ -7,24 +7,20 @@ Three rules keep telemetry safe to thread through hot layers:
   schedule events and never advance time — with a registry active or
   not, every experiment result is bit-identical.
 * **Deterministic aggregation.**  Histograms use *fixed* bucket edges
-  declared at creation, counters and histograms merge by addition and
-  gauges by last-write-wins, so merging per-worker snapshots in
-  submission order reproduces the serial run exactly.
-* **Wall time is quarantined.**  Spans (phase timers) are the only
-  wall-clock-dependent metric and live in their own snapshot section;
-  :meth:`MetricsRegistry.deterministic_snapshot` drops them.
+  declared at creation and counters and histograms merge by addition,
+  so merging per-worker snapshots in submission order reproduces the
+  serial run exactly.
+* **No wall time.**  Every metric counts simulated events, so a
+  snapshot is a pure function of the run and safe to compare across
+  worker counts.
 """
 
 from __future__ import annotations
-
-import time
-from contextlib import contextmanager
 
 from ..errors import ConfigError
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
 ]
@@ -49,22 +45,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """A point-in-time value (final frequency, queue depth...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: int | float = 0
-
-    def set(self, value: int | float) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Gauge {self.name}={self.value}>"
 
 
 class Histogram:
@@ -119,34 +99,22 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count} mean={self.mean:.2f}>"
 
 
-class _SpanRecord:
-    __slots__ = ("count", "total_s")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total_s = 0.0
-
-
 class MetricsRegistry:
     """A namespace of metrics with deterministic snapshot/merge.
 
     Metric names are dotted strings (``engine.events_fired``,
-    ``ufs.freq_mhz``).  ``counter``/``gauge``/``histogram`` get-or-create
-    by name; registering one name under two different kinds is an error.
+    ``ufs.freq_mhz``).  ``counter``/``histogram`` get-or-create by
+    name; registering one name under both kinds is an error.
     """
 
-    def __init__(self, *, clock=time.perf_counter) -> None:
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._spans: dict[str, _SpanRecord] = {}
-        self._clock = clock
 
     # -- get-or-create --------------------------------------------------------
 
     def _check_free(self, name: str, kind: str) -> None:
         for label, table in (("counter", self._counters),
-                             ("gauge", self._gauges),
                              ("histogram", self._histograms)):
             if label != kind and name in table:
                 raise ConfigError(
@@ -160,15 +128,6 @@ class MetricsRegistry:
         self._check_free(name, "counter")
         created = Counter(name)
         self._counters[name] = created
-        return created
-
-    def gauge(self, name: str) -> Gauge:
-        existing = self._gauges.get(name)
-        if existing is not None:
-            return existing
-        self._check_free(name, "gauge")
-        created = Gauge(name)
-        self._gauges[name] = created
         return created
 
     def histogram(self, name: str,
@@ -189,24 +148,6 @@ class MetricsRegistry:
         """Shorthand for ``counter(name).inc(amount)``."""
         self.counter(name).inc(amount)
 
-    # -- spans ---------------------------------------------------------------
-
-    @contextmanager
-    def span(self, name: str):
-        """Time a phase in wall-clock seconds.
-
-        Spans are observability for the *runner* (how long did the sweep
-        take), not the simulation, and are excluded from determinism
-        guarantees — see :meth:`deterministic_snapshot`.
-        """
-        start = self._clock()
-        try:
-            yield
-        finally:
-            record = self._spans.setdefault(name, _SpanRecord())
-            record.count += 1
-            record.total_s += self._clock() - start
-
     # -- snapshot / merge ------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -215,10 +156,6 @@ class MetricsRegistry:
             "counters": {
                 name: self._counters[name].value
                 for name in sorted(self._counters)
-            },
-            "gauges": {
-                name: self._gauges[name].value
-                for name in sorted(self._gauges)
             },
             "histograms": {
                 name: {
@@ -229,44 +166,24 @@ class MetricsRegistry:
                 }
                 for name, hist in sorted(self._histograms.items())
             },
-            "spans": {
-                name: {"count": rec.count, "total_s": rec.total_s}
-                for name, rec in sorted(self._spans.items())
-            },
         }
-
-    def deterministic_snapshot(self) -> dict:
-        """The snapshot minus the wall-clock ``spans`` section."""
-        snap = self.snapshot()
-        del snap["spans"]
-        return snap
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold another registry's snapshot into this one.
 
-        Counters and histogram buckets add; gauges take the merged
-        snapshot's value (last write wins); spans add.  Merging worker
-        snapshots in submission order therefore reproduces the serial
-        aggregation exactly.
+        Counters and histogram buckets add, so merging worker snapshots
+        in submission order reproduces the serial aggregation exactly.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
         for name, data in snapshot.get("histograms", {}).items():
             hist = self.histogram(name, tuple(data["edges"]))
             for index, count in enumerate(data["counts"]):
                 hist.counts[index] += count
             hist.count += data["count"]
             hist.sum += data["sum"]
-        for name, data in snapshot.get("spans", {}).items():
-            record = self._spans.setdefault(name, _SpanRecord())
-            record.count += data["count"]
-            record.total_s += data["total_s"]
 
     def clear(self) -> None:
         """Drop every metric (between unrelated runs)."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
-        self._spans.clear()

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cpu.activity import ActivityProfile
+from ..errors import ConfigError
 from ..rng import child_rng
 from ..units import ms
 from .base import PhasedWorkload
@@ -57,7 +58,7 @@ class WebsiteLibrary:
     def __init__(self, num_sites: int = 100, *, seed: int = 0,
                  trace_ms: float = 5_000.0) -> None:
         if num_sites <= 0:
-            raise ValueError("need at least one site")
+            raise ConfigError(f"need at least one site, got {num_sites}")
         self.num_sites = num_sites
         self.seed = seed
         self.trace_ms = trace_ms

@@ -3,9 +3,8 @@
 Locks down the three channels built on :mod:`repro.power.modulation` —
 TurboCC, IChannels, ClockModCovert — exactly where the Table 3 harness
 exercises them: per-scenario functionality against the expected
-:data:`~repro.channels.comparison.EXTENDED_TABLE3` rows, specificity
-of the targeted countermeasures, and bit-identity of the served
-``comparison_matrix`` experiment against the direct in-process call.
+:data:`~repro.channels.comparison.EXTENDED_TABLE3` rows and specificity
+of the targeted countermeasures.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from repro.channels import (
     ALL_CHANNELS,
     CHANNELS_BY_NAME,
     EXTENDED_TABLE3,
-    comparison_matrix,
     evaluate_channel,
 )
 from repro.channels.scenarios import scenario_by_key
@@ -22,13 +20,6 @@ from repro.defenses.evaluation import (
     MODULATION_DEFENSE_KEYS,
     modulation_defense_matrix,
 )
-from repro.errors import ServiceError
-from repro.service.jobs import (
-    comparison_cells_from_payload,
-    run_job,
-)
-from repro.service.protocol import JobSpec
-from repro.validate import equal_results
 
 MODULATION_CHANNELS = tuple(EXTENDED_TABLE3)
 
@@ -102,36 +93,3 @@ class TestDefenseSpecificity:
         assert locked.error_rate is None
         assert "cannot deploy" in locked.note
 
-
-class TestServedMatrix:
-    def test_served_cells_bit_identical_to_direct(self):
-        spec = JobSpec(
-            experiment="comparison_matrix",
-            params={
-                "bits": 10,
-                "channels": list(MODULATION_CHANNELS),
-                "scenarios": ["baseline", "coarse_partition"],
-            },
-            seed=3,
-        )
-        served = comparison_cells_from_payload(run_job(spec))
-        direct = comparison_matrix(
-            bits=10,
-            seed=3,
-            channels=tuple(
-                CHANNELS_BY_NAME[name] for name in MODULATION_CHANNELS
-            ),
-            scenarios=(
-                scenario_by_key("baseline"),
-                scenario_by_key("coarse_partition"),
-            ),
-        )
-        assert equal_results(served, direct)
-
-    def test_unknown_channel_name_is_rejected(self):
-        spec = JobSpec(
-            experiment="comparison_matrix",
-            params={"bits": 4, "channels": ["TurboCC", "NoSuchChannel"]},
-        )
-        with pytest.raises(ServiceError, match="NoSuchChannel"):
-            run_job(spec)

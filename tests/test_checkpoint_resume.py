@@ -15,7 +15,7 @@ from repro.telemetry.context import using
 
 
 def _counters(registry: MetricsRegistry) -> dict:
-    return registry.deterministic_snapshot().get("counters", {})
+    return registry.snapshot().get("counters", {})
 
 
 SHAPE = dict(intervals_ms=(28.0, 24.0), bits=8, seed=0)

@@ -61,6 +61,28 @@ class TestExecution:
         assert "functional" in out
 
 
+class TestBadSizes:
+    """A size that leaves nothing to measure is one ``error:`` line and
+    exit 2, never a made-up result or a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--bits", "0", "--intervals", "20"],
+        ["capacity", "--bits", "-3", "--intervals", "20"],
+        ["capacity", "--bits", "0", "--backend", "batch"],
+        ["capacity", "--bits", "0", "--backend", "analytical"],
+        ["transmit", "--message", ""],
+        ["stress", "--threads", "0"],
+        ["stress", "--threads", "-1"],
+        ["fingerprint", "--sites", "0"],
+    ])
+    def test_rejected_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 CAPACITY_FAST = ["capacity", "--bits", "8", "--intervals", "28", "24"]
 
 

@@ -170,6 +170,24 @@ class TestRunBatches:
                                checkpoint=rerun) == [2, 999, 6]
 
 
+class TestCapacityShape:
+    """A capacity point needs a measured bit on every backend."""
+
+    @pytest.mark.parametrize("backend", ["des", "batch", "analytical"])
+    @pytest.mark.parametrize("bits", [0, -3])
+    def test_measure_capacity_rejects_no_bits(self, backend, bits):
+        with pytest.raises(ConfigError, match="at least one bit"):
+            measure_capacity(interval_ms=20.0, bits=bits,
+                             backend=backend)
+
+    @pytest.mark.parametrize("backend", ["des", "batch", "analytical"])
+    @pytest.mark.parametrize("bits", [0, -3])
+    def test_capacity_sweep_rejects_no_bits(self, backend, bits):
+        with pytest.raises(ConfigError, match="at least one bit"):
+            capacity_sweep(intervals_ms=(28.0, 20.0), bits=bits,
+                           backend=backend)
+
+
 class TestBatchBackend:
     def test_capacity_point_bit_identical_to_des(self):
         des = measure_capacity(interval_ms=21.0, bits=6, seed=5,

@@ -33,7 +33,7 @@ from repro.validate.faults import worker_killing_trial
 
 
 def _counters(registry: MetricsRegistry) -> dict:
-    return registry.deterministic_snapshot().get("counters", {})
+    return registry.snapshot().get("counters", {})
 
 
 def _draw(seed: int) -> float:
@@ -291,8 +291,8 @@ class TestCheckpoint:
         assert len(Checkpoint(path, key="k").load()) == 2
 
     def test_same_path_flushes_do_not_collide(self, tmp_path, monkeypatch):
-        # Two identical checkpointable jobs served at once flush to the
-        # same path from two threads of one process.  Force the bad
+        # Two writers of one checkpoint can flush to the same path
+        # from two threads of one process.  Force the bad
         # interleaving: a whole second flush lands between the first
         # flush's temp write and its rename.
         from repro.resilience import checkpoint as checkpoint_mod

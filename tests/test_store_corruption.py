@@ -264,7 +264,7 @@ class TestCrashContainment:
                 [counting_trial, crashing_trial, counting_trial],
                 workers=1, on_error="collect",
             )
-        snapshot = registry.deterministic_snapshot()
+        snapshot = registry.snapshot()
         assert snapshot["counters"]["trial.ok"] == 2
 
 

@@ -42,14 +42,6 @@ class TestCounter:
             registry.counter("hits").inc(-1)
 
 
-class TestGauge:
-    def test_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth").set(3)
-        registry.gauge("depth").set(7)
-        assert registry.gauge("depth").value == 7
-
-
 class TestHistogram:
     def test_bucket_boundaries_are_inclusive_upper(self):
         registry = MetricsRegistry()
@@ -88,33 +80,14 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(ConfigError):
-            registry.gauge("x")
-        with pytest.raises(ConfigError):
             registry.histogram("x", (1.0,))
-
-    def test_span_times_with_injected_clock(self):
-        ticks = iter([1.0, 3.5, 10.0, 11.0])
-        registry = MetricsRegistry(clock=lambda: next(ticks))
-        with registry.span("phase"):
-            pass
-        with registry.span("phase"):
-            pass
-        spans = registry.snapshot()["spans"]["phase"]
-        assert spans["count"] == 2
-        assert spans["total_s"] == pytest.approx(3.5)
-
-    def test_deterministic_snapshot_drops_spans(self):
-        registry = MetricsRegistry()
-        with registry.span("phase"):
-            registry.inc("c")
-        snap = registry.deterministic_snapshot()
-        assert "spans" not in snap
-        assert snap["counters"] == {"c": 1}
+        registry.histogram("y", (1.0,))
+        with pytest.raises(ConfigError):
+            registry.counter("y")
 
     def test_snapshot_is_json_serialisable(self):
         registry = MetricsRegistry()
         registry.inc("c", 2)
-        registry.gauge("g").set(1.5)
         registry.histogram("h", (10.0,)).observe(3.0)
         json.dumps(registry.snapshot())  # must not raise
 
@@ -122,16 +95,13 @@ class TestRegistry:
         left = MetricsRegistry()
         left.inc("c", 2)
         left.histogram("h", (10.0,)).observe(5.0)
-        left.gauge("g").set(1)
         right = MetricsRegistry()
         right.inc("c", 3)
         right.histogram("h", (10.0,)).observe(50.0)
-        right.gauge("g").set(9)
         left.merge_snapshot(right.snapshot())
         snap = left.snapshot()
         assert snap["counters"]["c"] == 5
         assert snap["histograms"]["h"]["counts"] == [1, 1]
-        assert snap["gauges"]["g"] == 9  # last write wins
 
     def test_merge_rejects_mismatched_histogram_edges(self):
         left = MetricsRegistry()
@@ -175,9 +145,9 @@ class TestAmbientContext:
         assert active_registry() is None
 
     def test_activation_is_per_thread(self):
-        # Concurrent jobs (the service's worker pools) each activate a
-        # fresh registry; overlapping using() blocks in different
-        # threads must neither see each other nor clobber the restore.
+        # Threads that each activate a fresh registry must neither see
+        # each other's registry nor clobber the restore of an
+        # overlapping using() block.
         import threading
 
         start = threading.Barrier(2)
@@ -264,8 +234,7 @@ class TestExperimentHarvest:
         with using(parallel):
             parallel_sweep = capacity_sweep(**kwargs, workers=2)
         assert parallel_sweep == serial_sweep
-        assert (parallel.deterministic_snapshot()
-                == serial.deterministic_snapshot())
+        assert parallel.snapshot() == serial.snapshot()
 
 
 class TestSweepResult:

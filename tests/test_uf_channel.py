@@ -199,6 +199,15 @@ class TestTransmission:
         channel.shutdown()
         system.stop()
 
+    def test_empty_payload_rejected(self):
+        # No bit was measured, so there is no BER or capacity to report.
+        system = System(seed=0)
+        channel = UFVariationChannel(system)
+        with pytest.raises(ChannelError, match="empty"):
+            channel.transmit([])
+        channel.shutdown()
+        system.stop()
+
     def test_sync_aligns_to_interval_grid(self):
         system = System(seed=0)
         channel = UFVariationChannel(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cpu.activity import ActivityProfile, IDLE
-from repro.errors import PlacementError
+from repro.errors import ConfigError, PlacementError
 from repro.units import ms
 from repro.workloads import (
     BrowserVictim,
@@ -227,6 +227,11 @@ class TestVictims:
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError):
             WebsiteLibrary(5).signature(5)
+
+    @pytest.mark.parametrize("num_sites", [0, -1])
+    def test_empty_library_rejected(self, num_sites):
+        with pytest.raises(ConfigError, match="at least one site"):
+            WebsiteLibrary(num_sites)
 
     def test_browser_victim_visits_vary(self, solo_system):
         library = WebsiteLibrary(5, seed=2)
