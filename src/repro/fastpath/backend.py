@@ -7,7 +7,7 @@ deployed a channel and ran the engine.  The fastpath package splits
 
 * ``"des"`` — the event-driven reference simulator (the default; every
   other backend is validated against it);
-* ``"batch"`` — the numpy-vectorized lattice simulator
+* ``"batch"`` — the batch lattice simulator
   (:mod:`repro.fastpath.batch`), bit-identical to DES on the supported
   experiment shapes at a fraction of the wall-clock;
 * ``"analytical"`` — the closed-form capacity/error estimator

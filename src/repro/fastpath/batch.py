@@ -1,4 +1,4 @@
-"""The numpy-vectorized batch backend.
+"""The batch backend: whole sweeps without building a System.
 
 The DES spends almost all of a capacity trial constructing and ticking
 a full :class:`~repro.platform.system.System` even though, for the
@@ -12,14 +12,14 @@ decouples a trial into two phases this module exploits:
 together through the merged event stream of per-socket PMU grids (10 ms
 period, 0.5 ms socket stagger) and randomized-defense repicks (100 ms,
 ordered before colocated ticks exactly as the event queue does).  Per
-tick, each trial's observation is folded by the *same*
-:func:`~repro.power.ufs.accumulate_observation` the PMU uses, over
-replica :class:`~repro.cpu.activity.ProfileTimeline` histories of the
-touched cores only (untouched cores contribute exact zeros), and one
-:func:`~repro.power.ufs.ufs_control_step` call advances every trial's
-socket state as arrays.  Element-wise IEEE identity of that shared
-control law is what makes the lattice bit-identical to the DES
-frequency timeline.
+tick, every trial whose horizon has not passed folds its observation
+with the *same* :func:`~repro.power.ufs.accumulate_observation` the PMU
+uses, over replica :class:`~repro.cpu.activity.ProfileTimeline`
+histories of the touched cores only (untouched cores contribute exact
+zeros), and steps its socket state through one scalar
+:func:`~repro.power.ufs.ufs_control_step` call — the same law, over the
+same Python ints and floats, the DES PMU evaluates.  That shared law is
+what makes the lattice bit-identical to the DES frequency timeline.
 
 **Phase B — the receiver replay.**  Per trial, a fresh
 :class:`~repro.platform.latency.LatencyModel` on the trial's
@@ -147,6 +147,7 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
     effective = base
     if defense == "restricted_1500_1700":
         effective = base.with_ufs(min_freq_mhz=1500, max_freq_mhz=1700)
+    effective.validate()  # what System's constructor checks on the DES
     config = ChannelConfig(interval_ns=ms(interval_ms))
     config.validate()
     ufs = effective.ufs
@@ -329,28 +330,16 @@ def _run_lattice(plans: list[_TrialPlan],
     coupled = rep.cross_socket_coupling and num_sockets > 1
     period = ufs.period_ns
     observation = ufs.observation_ns
-    count = len(plans)
     durations = [plan.duration_ns for plan in plans]
     horizon = max(durations)
 
-    freq = [
-        np.array([plan.init_freq[s] for plan in plans], dtype=np.int64)
-        for s in range(num_sockets)
-    ]
-    dither = [np.zeros(count, dtype=np.int64) for _ in range(num_sockets)]
-    countdown = [
-        np.zeros(count, dtype=np.int64) for _ in range(num_sockets)
-    ]
-    min_lim = [
-        np.array([plan.init_limits[s][0] for plan in plans],
-                 dtype=np.int64)
-        for s in range(num_sockets)
-    ]
-    max_lim = [
-        np.array([plan.init_limits[s][1] for plan in plans],
-                 dtype=np.int64)
-        for s in range(num_sockets)
-    ]
+    # Per socket, per trial: UFS state and the MSR window.
+    freq = [[plan.init_freq[s] for plan in plans]
+            for s in range(num_sockets)]
+    dither = [[0] * len(plans) for _ in range(num_sockets)]
+    countdown = [[0] * len(plans) for _ in range(num_sockets)]
+    limits = [[plan.init_limits[s] for plan in plans]
+              for s in range(num_sockets)]
     history = [
         [list(plan.init_history[s]) for s in range(num_sockets)]
         for plan in plans
@@ -380,31 +369,20 @@ def _run_lattice(plans: list[_TrialPlan],
                 points = plan.platform.ufs.frequency_points_mhz
                 pick = int(points[plan.repick_rng.integers(len(points))])
                 for s in range(num_sockets):
-                    min_lim[s][index] = pick
-                    max_lim[s][index] = pick
-                    if int(freq[s][index]) != pick:
+                    limits[s][index] = (pick, pick)
+                    if freq[s][index] != pick:
                         freq[s][index] = pick
                         history[index][s].append((time_ns, pick))
             continue
 
         window_start = time_ns - observation
-        active = np.zeros(count, dtype=np.int64)
-        stalled = np.zeros(count, dtype=np.int64)
-        llc_rate = np.zeros(count, dtype=np.float64)
-        noc_score = np.zeros(count, dtype=np.float64)
-        max_stall = np.zeros(count, dtype=np.float64)
-        turbo = np.zeros(count, dtype=bool)
-        mask = np.zeros(count, dtype=bool)
         for index, plan in enumerate(plans):
             if time_ns > durations[index]:
-                continue
-            mask[index] = True
+                continue  # past this trial's horizon
             touched = plan.cores[socket_id]
-            if not touched:
-                continue  # all-idle socket: the fold yields exact zeros
-            (active[index], stalled[index], llc_rate[index],
-             noc_score[index], max_stall[index], turbo[index]) = (
-                accumulate_observation(
+            observed = (0, 0, 0.0, 0.0, 0.0, False)  # the all-idle fold
+            if touched:
+                observed = accumulate_observation(
                     (
                         (entry.timeline.window_stats(window_start,
                                                      time_ns),
@@ -413,43 +391,36 @@ def _run_lattice(plans: list[_TrialPlan],
                     ),
                     ufs.stall_ratio_threshold,
                 )
+            (active, stalled, llc_rate, noc_score, max_stall,
+             turbo) = observed
+            remote = None
+            if coupled:
+                remote = max(freq[s][index] for s in range(num_sockets)
+                             if s != socket_id)
+            min_limit, max_limit = limits[socket_id][index]
+            result = ufs_control_step(
+                freq_mhz=freq[socket_id][index],
+                dither_phase=dither[socket_id][index],
+                slow_countdown=countdown[socket_id][index],
+                min_limit_mhz=min_limit,
+                max_limit_mhz=max_limit,
+                active=active,
+                stalled=stalled,
+                llc_rate=llc_rate,
+                noc_score=noc_score,
+                max_stall=max_stall,
+                turbo=turbo,
+                remote_mhz=remote,
+                ufs=ufs,
+                demand=demand,
+                coupling_lag_mhz=rep.coupling_lag_mhz,
             )
-        if not mask.any():
-            continue
-
-        remote = None
-        if coupled:
-            others = [freq[s] for s in range(num_sockets)
-                      if s != socket_id]
-            remote = (others[0] if len(others) == 1
-                      else np.maximum.reduce(others))
-        result = ufs_control_step(
-            freq_mhz=freq[socket_id],
-            dither_phase=dither[socket_id],
-            slow_countdown=countdown[socket_id],
-            min_limit_mhz=min_lim[socket_id],
-            max_limit_mhz=max_lim[socket_id],
-            active=active,
-            stalled=stalled,
-            llc_rate=llc_rate,
-            noc_score=noc_score,
-            max_stall=max_stall,
-            turbo=turbo,
-            remote_mhz=remote,
-            ufs=ufs,
-            demand=demand,
-            coupling_lag_mhz=rep.coupling_lag_mhz,
-        )
-        freq[socket_id] = np.where(mask, result.freq_mhz,
-                                   freq[socket_id])
-        dither[socket_id] = np.where(mask, result.dither_phase,
-                                     dither[socket_id])
-        countdown[socket_id] = np.where(mask, result.slow_countdown,
-                                        countdown[socket_id])
-        for index in np.flatnonzero(mask):
-            new_freq = int(freq[socket_id][index])
-            if history[index][socket_id][-1][1] != new_freq:
-                history[index][socket_id].append((time_ns, new_freq))
+            freq[socket_id][index] = result.freq_mhz
+            dither[socket_id][index] = result.dither_phase
+            countdown[socket_id][index] = result.slow_countdown
+            points = history[index][socket_id]
+            if points[-1][1] != result.freq_mhz:
+                points.append((time_ns, result.freq_mhz))
 
     return history
 
@@ -574,7 +545,7 @@ def _defense_plan(request: DefenseRequest) -> _TrialPlan:
 def batch_capacity_points(
     requests: Sequence[CapacityRequest],
 ) -> list[CapacityPoint]:
-    """Vectorized ``measure_capacity`` over many requests at once."""
+    """Batched ``measure_capacity`` over many requests at once."""
     plans = [_capacity_plan(request) for request in requests]
     results = _run_transmissions(plans)
     return [
@@ -592,7 +563,7 @@ def batch_capacity_points(
 def batch_defense_reports(
     requests: Sequence[DefenseRequest],
 ) -> list[DefenseReport]:
-    """Vectorized ``channel_under_defense`` over many requests."""
+    """Batched ``channel_under_defense`` over many requests."""
     plans = [_defense_plan(request) for request in requests]
     results = _run_transmissions(plans)
     return [

@@ -15,7 +15,7 @@ reconstructed in Section 3.5 of the paper:
 """
 
 from .timeline import FrequencyTimeline
-from .ufs import DemandModel, SocketSnapshot, UfsPmu
+from .ufs import SocketSnapshot, UfsPmu
 from .cstates import PackageCStateManager
 from .energy import EnergyMeter
 from .modulation import (
@@ -30,7 +30,6 @@ from .modulation import (
 
 __all__ = [
     "CurrentThrottleController",
-    "DemandModel",
     "DutyCycleModulator",
     "DutySnapshot",
     "EnergyMeter",

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from ..config import DemandModelConfig, UfsConfig
 from ..cpu.core import Core
@@ -53,52 +52,6 @@ class SocketSnapshot:
     target_mhz: int
     heavy: bool
     freq_mhz: int
-
-
-class DemandModel:
-    """Maps integrated socket activity to a target frequency (Fig. 3 fit).
-
-    Demand is normalised to units of one traffic-loop thread
-    (``traffic_loop_rate_per_us``).  The LLC component saturates at
-    2.3 GHz; the interconnect component — thresholded on the
-    hop-squared-weighted score — reaches the maximum.  See
-    :class:`repro.config.DemandModelConfig` for the calibration.
-    """
-
-    def __init__(self, config: DemandModelConfig) -> None:
-        config.validate()
-        self.config = config
-
-    def _band_target(self, bands: tuple[tuple[float, int], ...],
-                     units: float) -> int | None:
-        target: int | None = None
-        for threshold, freq in bands:
-            if units >= threshold:
-                target = freq
-        return target
-
-    def llc_target(self, llc_rate_per_us: float) -> int | None:
-        """Target from LLC access density alone (None = no demand)."""
-        units = llc_rate_per_us / self.config.traffic_loop_rate_per_us
-        return self._band_target(self.config.llc_bands, units)
-
-    def noc_target(self, noc_score: float) -> int | None:
-        """Target from interconnect traffic alone (None = no demand)."""
-        units = noc_score / self.config.traffic_loop_rate_per_us
-        return self._band_target(self.config.noc_bands, units)
-
-    def target(self, llc_rate_per_us: float,
-               noc_score: float) -> int | None:
-        """Combined demand target; None means idle dither."""
-        candidates = [
-            t
-            for t in (
-                self.llc_target(llc_rate_per_us),
-                self.noc_target(noc_score),
-            )
-            if t is not None
-        ]
-        return max(candidates) if candidates else None
 
 
 def accumulate_observation(
@@ -136,174 +89,146 @@ def accumulate_observation(
     return (active, stalled, llc_rate, noc_score, max_stall, turbo_active)
 
 
-#: Sentinel in target arrays for "no demand" (the scalar path's None).
-NO_TARGET = np.int64(-1)
+def demand_target(demand: DemandModelConfig, llc_rate: float,
+                  noc_score: float) -> int | None:
+    """Map integrated socket demand to a target frequency (Fig. 3 fit).
+
+    Demand is normalised to units of one traffic-loop thread
+    (``traffic_loop_rate_per_us``).  The LLC component saturates at
+    2.3 GHz; the interconnect component — thresholded on the
+    hop-squared-weighted score — reaches the maximum.  The target is the
+    higher of the two; ``None`` means no demand (idle dither).  See
+    :class:`repro.config.DemandModelConfig` for the calibration.
+    """
+    rate = demand.traffic_loop_rate_per_us
+    targets = []
+    for bands, value in ((demand.llc_bands, llc_rate),
+                         (demand.noc_bands, noc_score)):
+        units = value / rate
+        matched = [freq for threshold, freq in bands if units >= threshold]
+        if matched:
+            targets.append(matched[-1])  # the highest band reached
+    return max(targets) if targets else None
 
 
-@dataclass(frozen=True)
-class UfsStepResult:
-    """Next state plus per-trial decision flags of one control step.
+class UfsStepResult(NamedTuple):
+    """Next state plus the decision flags of one control step.
 
     ``freq_mhz`` / ``dither_phase`` / ``slow_countdown`` are the updated
-    state arrays; the remaining fields describe what each element
-    decided, in exactly the shape :meth:`UfsPmu._record` wants: the
-    recorded target, whether the stall rule fired, whether stepping was
-    heavy, and whether the turbo pin or the decrease veto applied.
+    socket state; the remaining fields describe what the step decided,
+    in exactly the shape :meth:`UfsPmu._record` wants: the recorded
+    target, whether the stall rule fired, whether stepping was heavy,
+    and whether the turbo pin or the decrease veto applied.
     """
 
-    freq_mhz: np.ndarray
-    dither_phase: np.ndarray
-    slow_countdown: np.ndarray
-    target_mhz: np.ndarray
-    stall_rule: np.ndarray
-    heavy: np.ndarray
-    turbo_pin: np.ndarray
-    veto: np.ndarray
-
-
-def _band_targets(bands: tuple[tuple[float, int], ...],
-                  units: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`DemandModel._band_target` (-1 = no demand)."""
-    target = np.full(units.shape, NO_TARGET, dtype=np.int64)
-    for threshold, freq in bands:
-        target = np.where(units >= threshold, np.int64(freq), target)
-    return target
+    freq_mhz: int
+    dither_phase: int
+    slow_countdown: int
+    target_mhz: int
+    stall_rule: bool
+    heavy: bool
+    turbo_pin: bool
+    veto: bool
 
 
 def ufs_control_step(
     *,
-    freq_mhz: np.ndarray,
-    dither_phase: np.ndarray,
-    slow_countdown: np.ndarray,
-    min_limit_mhz: np.ndarray,
-    max_limit_mhz: np.ndarray,
-    active: np.ndarray,
-    stalled: np.ndarray,
-    llc_rate: np.ndarray,
-    noc_score: np.ndarray,
-    max_stall: np.ndarray,
-    turbo: np.ndarray,
-    remote_mhz: np.ndarray | None = None,
-    ufs: UfsConfig,
-    demand: DemandModelConfig,
-    coupling_lag_mhz: int = 100,
+    freq_mhz: int, dither_phase: int, slow_countdown: int,
+    min_limit_mhz: int, max_limit_mhz: int,
+    active: int, stalled: int, llc_rate: float, noc_score: float,
+    max_stall: float, turbo: bool,
+    remote_mhz: int | None = None,
+    ufs: UfsConfig, demand: DemandModelConfig, coupling_lag_mhz: int = 100,
 ) -> UfsStepResult:
-    """One PMU evaluation for N sockets at once, as pure array math.
+    """One PMU evaluation of one socket: the control law of Section 3.5.
 
-    This is the control law of Section 3.5 with every trial-dependent
-    quantity lifted to an array: the event-driven :class:`UfsPmu` calls
-    it with shape-``(1,)`` arrays, the batch backend with one element
-    per trial.  All element-wise operations are IEEE-identical to the
-    scalar expressions they replace, so both paths take bit-identical
-    decisions.
+    The event-driven :class:`UfsPmu` calls it once per tick and the
+    batch backend once per trial and tick, so both backends take their
+    decisions from this one definition.
 
     ``remote_mhz`` is the fastest *other* socket's frequency (coupling),
-    or ``None`` on single-socket platforms.  Limits are per-element so
-    trials under different ``UNCORE_RATIO_LIMIT`` countermeasures can
-    share one lattice.
+    or ``None`` on single-socket platforms.  The limits are the socket's
+    current ``UNCORE_RATIO_LIMIT`` window.
     """
-    freq = np.asarray(freq_mhz, dtype=np.int64)
-    phase = np.asarray(dither_phase, dtype=np.int64)
-    countdown = np.asarray(slow_countdown, dtype=np.int64)
-    min_limit = np.asarray(min_limit_mhz, dtype=np.int64)
-    max_limit = np.asarray(max_limit_mhz, dtype=np.int64)
-    active = np.asarray(active, dtype=np.int64)
-    stalled = np.asarray(stalled, dtype=np.int64)
-    llc_rate = np.asarray(llc_rate, dtype=np.float64)
-    noc_score = np.asarray(noc_score, dtype=np.float64)
-    max_stall = np.asarray(max_stall, dtype=np.float64)
-    turbo = np.asarray(turbo, dtype=bool)
+    freq = freq_mhz
+    enabled = min_limit_mhz != max_limit_mhz
+    if turbo or not enabled:
+        # Turbo pins the uncore at the ceiling; a collapsed window
+        # (UFS disabled) holds it where it is.
+        turbo_pin = turbo and enabled
+        pinned = max_limit_mhz if turbo_pin else freq
+        return UfsStepResult(
+            freq_mhz=pinned,
+            dither_phase=dither_phase,
+            slow_countdown=0 if turbo_pin else slow_countdown,
+            target_mhz=pinned,
+            stall_rule=False,
+            heavy=turbo_pin,
+            turbo_pin=turbo_pin,
+            veto=False,
+        )
 
-    def clamp(values: np.ndarray) -> np.ndarray:
-        return np.maximum(min_limit, np.minimum(max_limit, values))
-
-    enabled = min_limit != max_limit
-    normal = enabled & ~turbo
+    def clamp(value: int) -> int:
+        return max(min_limit_mhz, min(max_limit_mhz, value))
 
     # -- target selection (stall rule, demand bands, coupling) ----------
-    rate = demand.traffic_loop_rate_per_us
-    demand_target = np.maximum(
-        _band_targets(demand.llc_bands, llc_rate / rate),
-        _band_targets(demand.noc_bands, noc_score / rate),
+    stall_rule = (
+        active > 0 and stalled > ufs.stalled_fraction_trigger * active
     )
-    stall_rule = (active > 0) & (
-        stalled > ufs.stalled_fraction_trigger * active
-    )
-    target = np.where(
-        stall_rule,
-        max_limit,
-        np.where(demand_target >= 0, clamp(demand_target), NO_TARGET),
-    )
+    if stall_rule:
+        target = max_limit_mhz
+    else:
+        target = demand_target(demand, llc_rate, noc_score)
+        if target is not None:
+            target = clamp(target)
 
-    coupled_binding = np.zeros(freq.shape, dtype=bool)
+    coupled_binding = False
     if remote_mhz is not None:
-        coupled = clamp(
-            np.asarray(remote_mhz, dtype=np.int64) - coupling_lag_mhz
+        coupled = clamp(remote_mhz - coupling_lag_mhz)
+        coupled_binding = (
+            (target is None or coupled > target)
+            and coupled > ufs.active_idle_high_mhz
         )
-        coupled_binding = ((target < 0) | (coupled > target)) & (
-            coupled > ufs.active_idle_high_mhz
-        )
-        target = np.where(coupled_binding, coupled, target)
+        if coupled_binding:
+            target = coupled
 
     # -- idle dither and the decrease-hysteresis veto -------------------
-    no_target = target < 0
-    advance = normal & no_target
-    new_phase = np.where(advance, (phase + 1) % 4, phase)
-    idle_target = clamp(
-        np.where(
-            new_phase == 0,
-            np.int64(ufs.active_idle_low_mhz),
-            np.int64(ufs.active_idle_high_mhz),
-        )
-    )
-    veto = (
-        advance
-        & (idle_target < freq)
-        & (max_stall > ufs.decrease_veto_stall_ratio)
-    )
-    idle_final = np.where(veto, freq, idle_target)
-    heavy = ~no_target & (
-        stall_rule | (target >= max_limit) | coupled_binding
-    )
-    effective = np.where(no_target, idle_final, target)
+    phase = dither_phase
+    veto = heavy = False
+    if target is None:
+        phase = (phase + 1) % 4
+        effective = clamp(ufs.active_idle_low_mhz if phase == 0
+                          else ufs.active_idle_high_mhz)
+        veto = effective < freq and max_stall > ufs.decrease_veto_stall_ratio
+        if veto:
+            effective = freq
+    else:
+        effective = target
+        heavy = stall_rule or target >= max_limit_mhz or coupled_binding
 
     # -- stepping (fast to the ceiling, slow otherwise) -----------------
-    step = np.int64(ufs.step_mhz)
-    increase = effective > freq
-    decrease = effective < freq
-    slow_gate = increase & ~heavy
-    blocked = slow_gate & (countdown > 0)
-    new_countdown = np.where(
-        blocked,
-        countdown - 1,
-        np.where(
-            slow_gate,
-            np.int64(ufs.slow_step_periods - 1),
-            np.where(increase, countdown, np.int64(0)),
-        ),
-    )
-    stepped = np.where(
-        increase & ~blocked,
-        np.minimum(freq + step, effective),
-        np.where(decrease, np.maximum(freq - step, effective), freq),
-    )
+    countdown = slow_countdown
+    if effective > freq:
+        if heavy:
+            freq = min(freq + ufs.step_mhz, effective)
+        elif countdown > 0:
+            countdown -= 1  # slow step still waiting out its periods
+        else:
+            countdown = ufs.slow_step_periods - 1
+            freq = min(freq + ufs.step_mhz, effective)
+    else:
+        countdown = 0
+        if effective < freq:
+            freq = max(freq - ufs.step_mhz, effective)
 
-    # -- overlay the turbo pin and the UFS-disabled fixed point ---------
-    turbo_pin = turbo & enabled
     return UfsStepResult(
-        freq_mhz=np.where(
-            normal, stepped, np.where(turbo_pin, max_limit, freq)
-        ),
-        dither_phase=np.where(advance, new_phase, phase),
-        slow_countdown=np.where(
-            normal, new_countdown, np.where(turbo_pin, 0, countdown)
-        ),
-        target_mhz=np.where(
-            normal, effective, np.where(turbo_pin, max_limit, freq)
-        ),
-        stall_rule=stall_rule & normal,
-        heavy=np.where(normal, heavy, turbo_pin),
-        turbo_pin=turbo_pin,
+        freq_mhz=freq,
+        dither_phase=phase,
+        slow_countdown=countdown,
+        target_mhz=effective,
+        stall_rule=stall_rule,
+        heavy=heavy,
+        turbo_pin=False,
         veto=veto,
     )
 
@@ -324,11 +249,12 @@ class UfsPmu:
         coupling_lag_mhz: int = 100,
     ) -> None:
         ufs_config.validate()
+        demand_config.validate()
         self.socket_id = socket_id
         self.engine = engine
         self.cores = cores
         self.config = ufs_config
-        self.demand_model = DemandModel(demand_config)
+        self.demand_config = demand_config
         self.remote_frequency = remote_frequency
         self.coupling_lag_mhz = coupling_lag_mhz
 
@@ -417,10 +343,9 @@ class UfsPmu:
     def _evaluate(self) -> None:
         """One PMU evaluation: observe, choose a target, step.
 
-        The decision itself is delegated to :func:`ufs_control_step`
-        with shape-``(1,)`` arrays — the same code path the batch
-        backend drives with one element per trial, which is what makes
-        the two backends bit-identical by construction.
+        The decision itself is delegated to :func:`ufs_control_step`,
+        the same law the batch backend steps once per trial — which is
+        what makes the two backends bit-identical by construction.
         """
         now = self.engine.now
         t0, t1 = self._last_eval_ns, now
@@ -430,39 +355,34 @@ class UfsPmu:
 
         (active, stalled, llc_rate, noc_score, max_stall,
          turbo_active) = self._observe(t0, t1)
-
-        remote = None
-        if self.remote_frequency is not None:
-            remote = np.array([self.remote_frequency()], dtype=np.int64)
+        remote = (None if self.remote_frequency is None
+                  else self.remote_frequency())
         result = ufs_control_step(
-            freq_mhz=np.array([self.current_mhz], dtype=np.int64),
-            dither_phase=np.array([self._dither_phase], dtype=np.int64),
-            slow_countdown=np.array(
-                [self._slow_step_countdown], dtype=np.int64
-            ),
-            min_limit_mhz=np.array([self.min_limit_mhz], dtype=np.int64),
-            max_limit_mhz=np.array([self.max_limit_mhz], dtype=np.int64),
-            active=np.array([active], dtype=np.int64),
-            stalled=np.array([stalled], dtype=np.int64),
-            llc_rate=np.array([llc_rate], dtype=np.float64),
-            noc_score=np.array([noc_score], dtype=np.float64),
-            max_stall=np.array([max_stall], dtype=np.float64),
-            turbo=np.array([turbo_active], dtype=bool),
+            freq_mhz=self.current_mhz,
+            dither_phase=self._dither_phase,
+            slow_countdown=self._slow_step_countdown,
+            min_limit_mhz=self.min_limit_mhz,
+            max_limit_mhz=self.max_limit_mhz,
+            active=active,
+            stalled=stalled,
+            llc_rate=llc_rate,
+            noc_score=noc_score,
+            max_stall=max_stall,
+            turbo=turbo_active,
             remote_mhz=remote,
             ufs=self.config,
-            demand=self.demand_model.config,
+            demand=self.demand_config,
             coupling_lag_mhz=self.coupling_lag_mhz,
         )
-        self._dither_phase = int(result.dither_phase[0])
-        self._slow_step_countdown = int(result.slow_countdown[0])
-        if result.turbo_pin[0]:
+        self._dither_phase = result.dither_phase
+        self._slow_step_countdown = result.slow_countdown
+        if result.turbo_pin:
             self.turbo_pins += 1
-        if result.veto[0]:
+        if result.veto:
             self.decrease_vetoes += 1
-        self.timeline.set_frequency(now, int(result.freq_mhz[0]))
+        self.timeline.set_frequency(now, result.freq_mhz)
         self._record(now, active, stalled, llc_rate, noc_score,
-                     bool(result.stall_rule[0]),
-                     int(result.target_mhz[0]), bool(result.heavy[0]))
+                     result.stall_rule, result.target_mhz, result.heavy)
 
     def _record(self, now: int, active: int, stalled: int, llc: float,
                 noc: float, stall_rule: bool, target: int,

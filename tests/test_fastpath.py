@@ -4,8 +4,11 @@ backends' equivalence contracts (small shapes — the exhaustive grids
 live in the differential suite, ``tests/test_differential.py``).
 """
 
+import dataclasses
+
 import pytest
 
+from repro.config import DemandModelConfig, default_platform_config
 from repro.core.context import ExperimentContext
 from repro.core.evaluation import capacity_sweep, measure_capacity
 from repro.engine.parallel import run_batches
@@ -15,7 +18,14 @@ from repro.fastpath.backend import (
     BACKENDS,
     BATCHABLE_EXPERIMENTS,
     CapacityRequest,
+    DefenseRequest,
     resolve_backend,
+)
+from repro.fastpath.batch import (
+    _capacity_plan,
+    _defense_plan,
+    _group_key,
+    _lattices_for,
 )
 from repro.resilience.checkpoint import Checkpoint, checkpoint_key
 from repro.telemetry import MetricsRegistry, using
@@ -188,6 +198,34 @@ class TestCapacityShape:
                            backend=backend)
 
 
+#: Platforms ``PlatformConfig.validate`` rejects, one per kind of defect.
+INVALID_PLATFORMS = {
+    "descending-llc-bands": dataclasses.replace(
+        default_platform_config(),
+        demand=DemandModelConfig(
+            llc_bands=tuple(reversed(DemandModelConfig().llc_bands))
+        ),
+    ),
+    "stall-trigger-above-one": default_platform_config().with_ufs(
+        stalled_fraction_trigger=1.5
+    ),
+    "off-grid-range": default_platform_config().with_ufs(
+        max_freq_mhz=2450
+    ),
+}
+
+
+class TestPlatformValidation:
+    """Every backend rejects the platforms ``System`` rejects."""
+
+    @pytest.mark.parametrize("backend", ["des", "batch", "analytical"])
+    @pytest.mark.parametrize("name", list(INVALID_PLATFORMS))
+    def test_invalid_platform_rejected(self, backend, name):
+        with pytest.raises(ConfigError):
+            measure_capacity(platform=INVALID_PLATFORMS[name],
+                             interval_ms=21, bits=6, backend=backend)
+
+
 class TestBatchBackend:
     def test_capacity_point_bit_identical_to_des(self):
         des = measure_capacity(interval_ms=21.0, bits=6, seed=5,
@@ -237,6 +275,32 @@ class TestBatchBackend:
             capacity_sweep(intervals_ms=(21.0,), bits=5, backend="des")
         counters = registry.snapshot()["counters"]
         assert "fastpath.batch.trials" not in counters
+
+    def test_shared_lattice_matches_solo_lattices(self):
+        # One group mixing horizons, a cross-socket trial and a
+        # restricted-window trial: each trial's history must not depend
+        # on who else shares the lattice (trials past their horizon
+        # stop stepping).
+        def plans():
+            return [
+                _capacity_plan(CapacityRequest(interval_ms=21.0, bits=6,
+                                               seed=3)),
+                _capacity_plan(CapacityRequest(interval_ms=28.0, bits=11,
+                                               seed=4)),
+                _defense_plan(DefenseRequest("restricted_1500_1700",
+                                             bits=4, seed=5)),
+                _capacity_plan(CapacityRequest(interval_ms=15.0, bits=3,
+                                               cross_processor=True)),
+            ]
+
+        together = plans()
+        assert len({_group_key(p.platform) for p in together}) == 1
+        assert len({p.duration_ns for p in together}) == len(together)
+        shared = _lattices_for(together)
+        solo = [_lattices_for([plan])[0] for plan in plans()]
+        assert shared == solo
+        restricted = {mhz for socket in shared[2] for _, mhz in socket}
+        assert restricted <= {1500, 1600, 1700}
 
 
 class TestAnalyticalBackend:

@@ -13,12 +13,12 @@ from repro.cpu import ActivityProfile, Core, IDLE
 from repro.engine import Engine
 from repro.errors import ConfigError, SimulationError
 from repro.power import (
-    DemandModel,
     EnergyMeter,
     FrequencyTimeline,
     PackageCStateManager,
     UfsPmu,
 )
+from repro.power.ufs import UfsStepResult, demand_target, ufs_control_step
 from repro.units import ms
 from repro.workloads.loops import stalling_profile, traffic_profile
 
@@ -83,33 +83,154 @@ class TestFrequencyTimeline:
 
 class TestDemandModel:
     @pytest.fixture
-    def model(self) -> DemandModel:
-        return DemandModel(DemandModelConfig())
+    def demand(self) -> DemandModelConfig:
+        return DemandModelConfig()
 
-    def test_no_demand_means_idle(self, model):
-        assert model.target(0.0, 0.0) is None
+    def test_no_demand_means_idle(self, demand):
+        assert demand_target(demand, 0.0, 0.0) is None
 
-    def test_one_traffic_thread_targets_2100(self, model):
-        assert model.target(160.0, 0.0) == 2100
+    def test_one_traffic_thread_targets_2100(self, demand):
+        assert demand_target(demand, 160.0, 0.0) == 2100
 
-    def test_llc_saturates_at_2300(self, model):
+    def test_llc_saturates_at_2300(self, demand):
         # "Without any traffic on the interconnect, the frequency can
         # only go up to 2.3 GHz" (Section 3.1).
-        assert model.target(16 * 160.0, 0.0) == 2300
+        assert demand_target(demand, 16 * 160.0, 0.0) == 2300
 
-    def test_one_3hop_thread_reaches_max(self, model):
-        assert model.target(160.0, 160.0 * 9) == 2400
+    def test_one_3hop_thread_reaches_max(self, demand):
+        assert demand_target(demand, 160.0, 160.0 * 9) == 2400
 
-    def test_one_1hop_thread_targets_2200(self, model):
-        assert model.target(160.0, 160.0) == 2200
+    def test_one_1hop_thread_targets_2200(self, demand):
+        assert demand_target(demand, 160.0, 160.0) == 2200
 
-    def test_light_measurement_loop_no_demand(self, model):
+    def test_light_measurement_loop_no_demand(self, demand):
         # The receiver's fenced loop must not raise the frequency
         # (Section 4.2).
-        assert model.target(18.0, 18.0) is None
+        assert demand_target(demand, 18.0, 18.0) is None
 
-    def test_stalled_pointer_chasers_hit_1800_band(self, model):
-        assert model.target(2 * 27.0, 0.0) == 1800
+    def test_stalled_pointer_chasers_hit_1800_band(self, demand):
+        assert demand_target(demand, 2 * 27.0, 0.0) == 1800
+
+
+def _law(**overrides) -> UfsStepResult:
+    """One control step from a quiet 1.5 GHz socket, with overrides."""
+    inputs = dict(
+        freq_mhz=1500, dither_phase=0, slow_countdown=0,
+        min_limit_mhz=1200, max_limit_mhz=2400,
+        active=1, stalled=0, llc_rate=0.0, noc_score=0.0,
+        max_stall=0.0, turbo=False, remote_mhz=None,
+    )
+    inputs.update(overrides)
+    return ufs_control_step(**inputs, ufs=UfsConfig(),
+                            demand=DemandModelConfig())
+
+
+#: ``(overrides, expected)`` per branch of the law, hand-derived from the
+#: default UfsConfig / DemandModelConfig.  Expected tuples follow
+#: UfsStepResult: freq, phase, countdown, target, stall_rule, heavy,
+#: turbo_pin, veto.
+LAW_CASES = {
+    # 2 of 3 active stalled > 1/3: target the ceiling, step fast.
+    "stall-rule-pins-max": (
+        dict(active=3, stalled=2),
+        (1600, 0, 0, 2400, True, True, False, False),
+    ),
+    # Exactly 1/3 stalled is no trigger: idle dither instead.
+    "stall-rule-boundary": (
+        dict(active=6, stalled=2),
+        (1500, 1, 0, 1500, False, False, False, False),
+    ),
+    # Three traffic threads ask for 2.3 GHz; the 1.5-1.7 GHz window
+    # clamps the target to its ceiling, which makes the step heavy.
+    "demand-clamped-into-window": (
+        dict(min_limit_mhz=1500, max_limit_mhz=1700, llc_rate=480.0),
+        (1600, 0, 0, 1700, False, True, False, False),
+    ),
+    # Leader at 2.4 GHz: the follower targets 100 MHz below, fast.
+    "coupling-binds": (
+        dict(remote_mhz=2400),
+        (1600, 0, 0, 2300, False, True, False, False),
+    ),
+    # A coupled target at 1.5 GHz does not bind: idle dither.
+    "coupling-at-1500-does-not-bind": (
+        dict(remote_mhz=1600),
+        (1500, 1, 0, 1500, False, False, False, False),
+    ),
+    # Dither wants 1.4 GHz but a core still shows stall residue.
+    "decrease-veto": (
+        dict(dither_phase=3, max_stall=0.5),
+        (1500, 0, 0, 1500, False, False, False, True),
+    ),
+    # Without residue the same dither step goes down.
+    "dither-decrease": (
+        dict(dither_phase=3),
+        (1400, 0, 0, 1400, False, False, False, False),
+    ),
+    # A decrease steps one operating point and clears the countdown.
+    "decrease-steps-once": (
+        dict(freq_mhz=2000, slow_countdown=3),
+        (1900, 1, 0, 1500, False, False, False, False),
+    ),
+    # One traffic thread (2.1 GHz) is light demand: the countdown holds
+    # the increase back and ticks down.
+    "slow-step-blocked": (
+        dict(llc_rate=160.0, slow_countdown=3),
+        (1500, 0, 2, 2100, False, False, False, False),
+    ),
+    # Countdown expired: step once and re-arm it.
+    "slow-step-taken": (
+        dict(llc_rate=160.0),
+        (1600, 0, 5, 2100, False, False, False, False),
+    ),
+    # One 3-hop thread reaches the ceiling: heavy, steps despite the
+    # countdown, which it leaves alone.
+    "heavy-steps-every-period": (
+        dict(noc_score=160.0 * 9, slow_countdown=3),
+        (1600, 0, 3, 2400, False, True, False, False),
+    ),
+    # A core above base frequency pins the uncore at the ceiling.
+    "turbo-pin": (
+        dict(turbo=True, dither_phase=2, slow_countdown=3, active=3,
+             stalled=2),
+        (2400, 2, 0, 2400, False, True, True, False),
+    ),
+    # min == max: the frequency is fixed whatever the demand.
+    "ufs-disabled": (
+        dict(freq_mhz=1800, min_limit_mhz=1800, max_limit_mhz=1800,
+             active=3, stalled=2, dither_phase=2, slow_countdown=3),
+        (1800, 2, 3, 1800, False, False, False, False),
+    ),
+    # Turbo cannot pin a disabled uncore either.
+    "ufs-disabled-ignores-turbo": (
+        dict(freq_mhz=1800, min_limit_mhz=1800, max_limit_mhz=1800,
+             turbo=True),
+        (1800, 0, 0, 1800, False, False, False, False),
+    ),
+}
+
+
+class TestUfsControlStep:
+    @pytest.mark.parametrize("case", list(LAW_CASES))
+    def test_branch(self, case):
+        overrides, expected = LAW_CASES[case]
+        assert _law(**overrides) == UfsStepResult(*expected)
+
+    def test_idle_dither_sequence(self):
+        # Four idle ticks: three at the dither's high point, the fourth
+        # at its low point (Section 3.1's 1.4/1.5 GHz dither).
+        freq, phase = 1500, 0
+        trace = []
+        for _ in range(4):
+            result = _law(freq_mhz=freq, dither_phase=phase)
+            freq, phase = result.freq_mhz, result.dither_phase
+            trace.append((freq, phase))
+        assert trace == [(1500, 1), (1500, 2), (1500, 3), (1400, 0)]
+
+    def test_takes_and_returns_python_scalars(self):
+        result = _law(active=3, stalled=2)
+        assert [type(value) for value in result] == [
+            int, int, int, int, bool, bool, bool, bool
+        ]
 
 
 def _stepper(engine: Engine, cores: list[Core], **kwargs) -> UfsPmu:
