@@ -1,4 +1,4 @@
-"""CPU cores, activity accounting, MSRs and perf counters.
+"""CPU cores, activity accounting and MSRs.
 
 The *activity profile* abstraction is the macroscopic half of the
 simulator: every running thread exposes its steady-state behaviour (LLC
@@ -22,7 +22,6 @@ from .msr import (
     decode_uncore_ratio_limit,
     encode_uncore_ratio_limit,
 )
-from .perf import PerfCounters
 
 __all__ = [
     "ActivityProfile",
@@ -31,7 +30,6 @@ __all__ = [
     "MSR_UCLK_FIXED_CTR",
     "MSR_UNCORE_RATIO_LIMIT",
     "MsrFile",
-    "PerfCounters",
     "ProfileTimeline",
     "WindowStats",
     "decode_uncore_ratio_limit",

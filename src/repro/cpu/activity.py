@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import SimulationError
 
@@ -57,8 +58,7 @@ class ActivityProfile:
 IDLE = ActivityProfile()
 
 
-@dataclass(frozen=True)
-class WindowStats:
+class WindowStats(NamedTuple):
     """Exact integrals of one timeline over a time window."""
 
     active_fraction: float
@@ -98,8 +98,17 @@ class ProfileTimeline:
         index = bisect.bisect_right(self._times, time_ns) - 1
         return self._profiles[max(index, 0)]
 
-    def __len__(self) -> int:
-        return len(self._times)
+    def silent_since(self, t0: int) -> bool:
+        """Whether the timeline contributes nothing to the PMU from ``t0``.
+
+        True when the last profile change is at or before ``t0`` and
+        that profile is inactive with no LLC traffic: any window
+        starting at ``t0`` then integrates to zero active time, LLC
+        rate, NoC score and stall ratio.
+        """
+        profile = self._profiles[-1]
+        return (self._times[-1] <= t0 and not profile.active
+                and profile.llc_rate_per_us == 0)
 
     def window_stats(self, t0: int, t1: int) -> WindowStats:
         """Exact time-weighted averages over ``[t0, t1)``."""
@@ -134,21 +143,5 @@ class ProfileTimeline:
             l2 += profile.l2_rate_per_us * weight
             index += 1
         stall_ratio = stall_weighted / active_time if active_time else 0.0
-        return WindowStats(
-            active_fraction=active_time / total,
-            llc_rate_per_us=llc / total,
-            noc_score=noc / total,
-            stall_ratio=stall_ratio,
-            l2_rate_per_us=l2 / total,
-        )
-
-    def trim_before(self, time_ns: int) -> None:
-        """Drop history strictly before ``time_ns`` (memory bound).
-
-        Keeps the profile in force at ``time_ns`` as the new epoch.
-        """
-        index = bisect.bisect_right(self._times, time_ns) - 1
-        if index <= 0:
-            return
-        self._times = [time_ns] + self._times[index + 1:]
-        self._profiles = self._profiles[index:]
+        return WindowStats(active_time / total, llc / total, noc / total,
+                           stall_ratio, l2 / total)

@@ -56,9 +56,14 @@ class Core:
     # -- activity -------------------------------------------------------------
 
     def set_profile(self, time_ns: int, profile: ActivityProfile) -> None:
-        """Record a behaviour change of the pinned workload."""
+        """Record a behaviour change of the pinned workload.
+
+        The idle clock restarts only when an active core goes idle; a
+        redundant idle write leaves an idle core's C-state descent alone.
+        """
+        was_active = self.timeline.profile_at(time_ns).active
         self.timeline.set_profile(time_ns, profile)
-        if not profile.active:
+        if was_active and not profile.active:
             self._idle_since = time_ns
 
     def set_p_state(self, freq_mhz: int) -> None:

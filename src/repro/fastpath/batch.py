@@ -345,6 +345,13 @@ def _run_lattice(plans: list[_TrialPlan],
         for plan in plans
     ]
 
+    # Per plan, per socket: the touched cores in core (fold) order.
+    touched = [
+        [[entry for _, entry in sorted(plan.cores[s].items())]
+         for s in range(num_sockets)]
+        for plan in plans
+    ]
+
     # Merged event stream.  Repicks share their instants with socket-0
     # ticks; the defense task was (re)scheduled earlier than the PMU's
     # reschedule, so it fires first — order key 0 vs 1 encodes that.
@@ -379,15 +386,15 @@ def _run_lattice(plans: list[_TrialPlan],
         for index, plan in enumerate(plans):
             if time_ns > durations[index]:
                 continue  # past this trial's horizon
-            touched = plan.cores[socket_id]
+            entries = touched[index][socket_id]
             observed = (0, 0, 0.0, 0.0, 0.0, False)  # the all-idle fold
-            if touched:
+            if entries:
                 observed = accumulate_observation(
                     (
                         (entry.timeline.window_stats(window_start,
                                                      time_ns),
                          entry.above_base)
-                        for _, entry in sorted(touched.items())
+                        for entry in entries
                     ),
                     ufs.stall_ratio_threshold,
                 )

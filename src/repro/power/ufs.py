@@ -61,10 +61,12 @@ def accumulate_observation(
 
     ``samples`` yields ``(stats, above_base)`` pairs — one
     :class:`~repro.cpu.activity.WindowStats` plus the core's turbo flag
-    per core, in core order.  The fold is the single definition of what
-    the PMU "sees" each period; both the event-driven PMU and the batch
-    backend call it, so their observations agree bit for bit (floating
-    point accumulation is order-sensitive).
+    per non-silent core, in core order.  The fold is the single
+    definition of what the PMU "sees" each period; both the event-driven
+    PMU and the batch backend call it, so their observations agree bit
+    for bit (floating point accumulation is order-sensitive).  A silent
+    core (:meth:`~repro.cpu.activity.ProfileTimeline.silent_since`) would
+    only add exact zeros, so callers may leave it out.
     """
     active = 0
     stalled = 0
@@ -324,10 +326,12 @@ class UfsPmu:
 
     def _observe(self, t0: int,
                  t1: int) -> tuple[int, int, float, float, float]:
-        """Integrate all core timelines over the observation window.
+        """Integrate the core timelines over the observation window.
 
         Only the trailing ``observation_ns`` of the evaluation period is
-        integrated — the PMU reacts to recent behaviour.  Also returns
+        integrated — the PMU reacts to recent behaviour.  Cores silent
+        since the window start are skipped; they would fold in exact
+        zeros.  Also returns
         the maximum per-core window stall ratio, used by the
         decrease-hysteresis veto.
         """
@@ -336,6 +340,7 @@ class UfsPmu:
             (
                 (core.timeline.window_stats(t0, t1), core.above_base)
                 for core in self.cores
+                if not core.timeline.silent_since(t0)
             ),
             self.config.stall_ratio_threshold,
         )

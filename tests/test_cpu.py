@@ -1,4 +1,4 @@
-"""CPU layer: activity timelines, cores, MSRs, perf counters."""
+"""CPU layer: activity timelines, cores, MSRs."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.cpu import (
     MSR_UCLK_FIXED_CTR,
     MSR_UNCORE_RATIO_LIMIT,
     MsrFile,
-    PerfCounters,
     ProfileTimeline,
     decode_uncore_ratio_limit,
     encode_uncore_ratio_limit,
@@ -111,15 +110,63 @@ class TestProfileTimeline:
         assert timeline.window_stats(0, 1000).is_active     # 60 %
         assert not timeline.window_stats(0, 790).is_active  # 49.4 %
 
-    def test_trim_preserves_current_profile(self):
+    def test_stalling_loop_stall_ratio(self):
+        # Section 3.2's stalls_mem_any / cycles for the stalling loop.
         timeline = ProfileTimeline()
-        busy = ActivityProfile(active=True)
-        timeline.set_profile(100, busy)
+        timeline.set_profile(0, stalling_profile())
+        stats = timeline.window_stats(0, 10**7)
+        assert stats.stall_ratio == pytest.approx(0.77)
+
+    def test_traffic_loop_stall_ratio(self):
+        timeline = ProfileTimeline()
+        timeline.set_profile(0, traffic_profile(hops=0))
+        stats = timeline.window_stats(0, 10**7)
+        assert stats.stall_ratio == pytest.approx(0.30)
+
+    def test_idle_window_is_all_zero(self):
+        stats = ProfileTimeline().window_stats(0, 10**6)
+        assert stats == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert not stats.is_active
+
+
+class TestSilentSince:
+    def test_fresh_timeline_is_silent(self):
+        assert ProfileTimeline().silent_since(0)
+
+    def test_idle_and_default_profile_are_silent(self):
+        for idle in (IDLE, ActivityProfile()):
+            timeline = ProfileTimeline()
+            timeline.set_profile(100, ActivityProfile(active=True))
+            timeline.set_profile(200, idle)
+            assert timeline.silent_since(200)
+            assert timeline.silent_since(10**9)
+
+    def test_change_after_window_start_is_not_silent(self):
+        timeline = ProfileTimeline()
+        timeline.set_profile(100, ActivityProfile(active=True))
         timeline.set_profile(200, IDLE)
-        timeline.trim_before(150)
-        assert timeline.profile_at(150) == busy
-        assert timeline.profile_at(250) == IDLE
-        assert len(timeline) == 2
+        assert not timeline.silent_since(199)
+
+    def test_change_exactly_at_window_start_counts(self):
+        timeline = ProfileTimeline()
+        timeline.set_profile(200, IDLE)
+        assert timeline.silent_since(200)
+        assert not timeline.silent_since(199)
+
+    def test_active_profile_is_not_silent(self):
+        timeline = ProfileTimeline(ActivityProfile(active=True))
+        assert not timeline.silent_since(10**9)
+
+    def test_inactive_llc_traffic_is_not_silent(self):
+        # Idle in C-state terms but still issuing LLC accesses.
+        timeline = ProfileTimeline(ActivityProfile(llc_rate_per_us=5.0))
+        assert not timeline.silent_since(10**9)
+        assert timeline.window_stats(0, 1000).llc_rate_per_us == 5.0
+
+    def test_l2_only_traffic_is_silent(self):
+        # Private-cache traffic never reaches the uncore.
+        timeline = ProfileTimeline(ActivityProfile(l2_rate_per_us=50.0))
+        assert timeline.silent_since(0)
 
 
 class TestCore:
@@ -149,6 +196,20 @@ class TestCore:
         assert core.c_state(1_000 + 25_000, latencies) == 1
         assert core.c_state(1_000 + 300_000, latencies) == 2
         assert core.c_state(1_000 + 2_000_000, latencies) == 3
+
+    def test_redundant_idle_write_keeps_idle_clock(self):
+        # Idle since t=0: a second IDLE write at 50 ms must not restart
+        # the C-state descent.
+        core = self._core()
+        core.set_profile(50_000_000, IDLE)
+        assert core.c_state(50_001_000, (0, 2_000, 20_000, 100_000)) == 3
+
+    def test_same_time_overwrite_to_idle_restarts_clock(self):
+        core = self._core()
+        latencies = (0, 2_000, 20_000, 100_000)
+        core.set_profile(50_000_000, ActivityProfile(active=True))
+        core.set_profile(50_000_000, IDLE)
+        assert core.c_state(50_001_000, latencies) == 0
 
     def test_active_core_in_c0(self):
         core = self._core()
@@ -201,32 +262,3 @@ class TestMsr:
     def test_unimplemented_msr_raises(self):
         with pytest.raises(SimulationError):
             MsrFile(0).read(0x999, privileged=True)
-
-
-class TestPerfCounters:
-    def test_stall_ratio_matches_profile(self):
-        core = Core(0, 0, (0, 1), base_freq_mhz=2600)
-        core.set_profile(0, stalling_profile())
-        counters = PerfCounters(core)
-        # The paper's measured ratio for the stalling loop: 0.77.
-        assert counters.stall_ratio(0, 10**7) == pytest.approx(0.77)
-
-    def test_traffic_loop_ratio(self):
-        core = Core(0, 0, (0, 1), base_freq_mhz=2600)
-        core.set_profile(0, traffic_profile(hops=0))
-        counters = PerfCounters(core)
-        assert counters.stall_ratio(0, 10**7) == pytest.approx(0.30)
-
-    def test_cycles_count_only_active_time(self):
-        core = Core(0, 0, (0, 1), base_freq_mhz=2600)
-        core.set_profile(0, ActivityProfile(active=True))
-        core.set_profile(500_000, IDLE)
-        sample = PerfCounters(core).sample(0, 1_000_000)
-        # 0.5 ms active at 2600 MHz = 1.3e6 cycles.
-        assert sample.cycles == pytest.approx(1.3e6)
-
-    def test_idle_core_has_no_cycles(self):
-        core = Core(0, 0, (0, 1), base_freq_mhz=2600)
-        sample = PerfCounters(core).sample(0, 10**6)
-        assert sample.cycles == 0.0
-        assert sample.stall_ratio == 0.0

@@ -2,6 +2,7 @@
 energy accounting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import (
     CStateConfig,
@@ -9,7 +10,7 @@ from repro.config import (
     EnergyModelConfig,
     UfsConfig,
 )
-from repro.cpu import ActivityProfile, Core, IDLE
+from repro.cpu import ActivityProfile, Core, IDLE, ProfileTimeline
 from repro.engine import Engine
 from repro.errors import ConfigError, SimulationError
 from repro.power import (
@@ -18,7 +19,12 @@ from repro.power import (
     PackageCStateManager,
     UfsPmu,
 )
-from repro.power.ufs import UfsStepResult, demand_target, ufs_control_step
+from repro.power.ufs import (
+    UfsStepResult,
+    accumulate_observation,
+    demand_target,
+    ufs_control_step,
+)
 from repro.units import ms
 from repro.workloads.loops import stalling_profile, traffic_profile
 
@@ -358,6 +364,80 @@ class TestUfsPmu:
         engine.run_for(ms(100))
         assert pmu.current_mhz == 1500
         assert pmu.next_evaluation_ns() is None
+
+
+_profiles = st.one_of(
+    st.just(IDLE),
+    st.just(ActivityProfile()),
+    # Inactive but still issuing LLC accesses: must not be skipped.
+    st.builds(ActivityProfile,
+              llc_rate_per_us=st.floats(0.5, 200.0),
+              mean_hops=st.floats(0.0, 8.0)),
+    st.builds(ActivityProfile,
+              active=st.booleans(),
+              llc_rate_per_us=st.floats(0.0, 200.0),
+              mean_hops=st.floats(0.0, 8.0),
+              stall_ratio=st.floats(0.0, 1.0),
+              l2_rate_per_us=st.floats(0.0, 50.0)),
+)
+
+_core_histories = st.tuples(
+    st.booleans(),  # turbo P-state: a silent turbo core must not count
+    st.lists(st.tuples(st.integers(0, 40_000), _profiles), max_size=5),
+)
+
+
+class TestSilentCoreSkip:
+    """The PMU skips silent cores; its fold must not notice."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(histories=st.lists(_core_histories, min_size=1, max_size=16),
+           start=st.integers(0, 40_000),
+           start_at_change=st.booleans(),
+           length=st.integers(1, 40_000))
+    def test_skip_equals_fold_over_all_cores(self, histories, start,
+                                             start_at_change, length):
+        cores = []
+        changes = []
+        for core_id, (turbo, history) in enumerate(histories):
+            core = Core(core_id, 0, (0, core_id % 5), base_freq_mhz=2600)
+            if turbo:
+                core.set_p_state(2700)
+            for time_ns, profile in sorted(history, key=lambda c: c[0]):
+                core.set_profile(time_ns, profile)
+                changes.append(time_ns)
+            cores.append(core)
+        t0 = changes[start % len(changes)] if (
+            start_at_change and changes) else start
+        t1 = t0 + length
+        pmu = _stepper(Engine(), cores)
+        window_start = max(t0, t1 - pmu.config.observation_ns)
+        expected = accumulate_observation(
+            ((core.timeline.window_stats(window_start, t1), core.above_base)
+             for core in cores),
+            pmu.config.stall_ratio_threshold,
+        )
+        assert pmu._observe(t0, t1) == expected
+
+    def test_idle_cores_are_not_integrated(self, monkeypatch):
+        calls = []
+        window_stats = ProfileTimeline.window_stats
+
+        def counting(timeline, t0, t1):
+            calls.append(timeline)
+            return window_stats(timeline, t0, t1)
+
+        monkeypatch.setattr(ProfileTimeline, "window_stats", counting)
+        engine = Engine()
+        cores = [Core(i, 0, (0, i % 5), base_freq_mhz=2600)
+                 for i in range(16)]
+        cores[3].set_profile(0, stalling_profile())
+        cores[9].set_profile(0, traffic_profile(hops=2))
+        pmu = _stepper(engine, cores)
+        engine.run_for(ms(50))
+        assert pmu.evaluations == 5
+        assert len(calls) == 2 * pmu.evaluations
+        assert set(calls) == {cores[3].timeline, cores[9].timeline}
 
 
 class TestCrossSocketCoupling:
