@@ -9,10 +9,13 @@ multi-round timing.
 
 import time
 
+import numpy as np
+import pytest
 from _harness import report
 
 from repro.engine import Engine, PeriodicTask
 from repro.platform import System
+from repro.sidechannel.rnn import RnnClassifier, RnnConfig
 from repro.units import ms, us
 
 
@@ -185,3 +188,19 @@ def test_perf_eviction_list_search(benchmark):
         return len(ev)
 
     assert benchmark.pedantic(build, rounds=3, iterations=1) == 20
+
+
+@pytest.mark.parametrize("cell", ["elman", "gru"])
+def test_perf_rnn_fit(benchmark, cell):
+    """RNN training at the fig12-fingerprint op shape: 8 traces of 96
+    steps, 64 hidden units, 4 classes (20 epochs instead of 100)."""
+    rng = np.random.default_rng(0)
+    features = rng.random((8, 96))
+    labels = np.arange(8) % 4
+
+    def fit():
+        model = RnnClassifier(RnnConfig(num_classes=4, hidden_dim=64,
+                                        epochs=20, seed=0, cell=cell))
+        return len(model.fit(features, labels).loss)
+
+    assert benchmark.pedantic(fit, rounds=10, iterations=1) == 20

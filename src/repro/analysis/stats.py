@@ -61,6 +61,10 @@ def top_k_accuracy(scores: np.ndarray, labels, k: int) -> float:
     labels = np.asarray(labels)
     if scores.ndim != 2 or len(labels) != scores.shape[0]:
         raise ValueError("scores/labels shape mismatch")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if len(labels) == 0:
+        raise ValueError("top-k accuracy of no samples is undefined")
     top_k = np.argsort(scores, axis=1)[:, -k:]
     hits = sum(
         1 for i, label in enumerate(labels) if label in top_k[i]

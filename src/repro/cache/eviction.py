@@ -107,6 +107,18 @@ class EvictionListBuilder:
                 "no allocation can ever map there"
             )
 
+    @staticmethod
+    def _check_count(count: int) -> None:
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
+
+    @staticmethod
+    def _check_set(kind: str, index: int, num_sets: int) -> None:
+        """Reject a set no line maps to up front: searching for it
+        would grow candidates until the memory budget runs out."""
+        if not 0 <= index < num_sets:
+            raise ValueError(f"{kind} {index} is outside [0, {num_sets})")
+
     def _collect(self, mask_fn, count: int) -> np.ndarray:
         """Indices of candidates satisfying ``mask_fn``; grows on demand."""
         while True:
@@ -124,8 +136,10 @@ class EvictionListBuilder:
         W_L2 + W_LLC`` addresses, cycling through the list in fixed order
         misses L2 every time while hitting the LLC slice.
         """
-        self._check_slice(slice_id)
         l2_sets = self.hierarchy.config.l2_config.num_sets
+        self._check_count(count)
+        self._check_set("L2 set", l2_set, l2_sets)
+        self._check_slice(slice_id)
 
         def mask() -> np.ndarray:
             sets = (self._lines % np.uint64(l2_sets)).astype(np.int64)
@@ -143,8 +157,10 @@ class EvictionListBuilder:
                            count: int) -> EvictionSet:
         """Addresses in slice ``slice_id`` whose *standard* LLC set index
         is ``llc_set`` (the Prime+Probe priming list)."""
-        self._check_slice(slice_id)
         llc_sets = self.hierarchy.config.llc_slice_config.num_sets
+        self._check_count(count)
+        self._check_set("LLC set", llc_set, llc_sets)
+        self._check_slice(slice_id)
 
         def mask() -> np.ndarray:
             sets = (self._lines % np.uint64(llc_sets)).astype(np.int64)
@@ -161,6 +177,7 @@ class EvictionListBuilder:
     def build_slice_working_set(self, slice_id: int,
                                 count: int) -> EvictionSet:
         """``count`` addresses anywhere in one slice (occupancy channels)."""
+        self._check_count(count)
         self._check_slice(slice_id)
 
         def mask() -> np.ndarray:
@@ -182,6 +199,8 @@ class EvictionListBuilder:
         even under randomized LLC indexing.  ``slice_id`` is -1 (mixed).
         """
         l2_sets = self.hierarchy.config.l2_config.num_sets
+        self._check_count(count)
+        self._check_set("L2 set", l2_set, l2_sets)
 
         def mask() -> np.ndarray:
             sets = (self._lines % np.uint64(l2_sets)).astype(np.int64)

@@ -21,10 +21,36 @@ here, so this module implements the same family from scratch:
 * full backpropagation through time with gradient clipping;
 * Adam optimisation with minibatches.
 
-A cell supplies only its parameter init, forward step and backward
-step; the forward loop, BPTT loop and training loop are shared.
-Everything is vectorised over the batch, so training on a few hundred
-traces of ~100 steps takes seconds.
+Only the recurrence runs step by step: ``h_prev @ W_h`` going forward
+and ``@ W_h.T`` going back.  Everything else runs once per minibatch
+over stacked time-major ``(steps, n, .)`` arrays.  A cell supplies
+
+* ``init``: its parameters;
+* ``project``: every step's input products, one ``np.matmul`` per
+  input weight, plus the stacked state (hidden states ``hs[0..steps]``,
+  and the GRU's r, z, c);
+* ``step``: one forward step, in the order ``(x W_x + h_prev W_h) + b``
+  (the bias is not folded into the projection: that would round
+  differently);
+* ``derivatives``: the activation derivatives of every step, hoisted
+  out of the BPTT loop;
+* ``backward``: one BPTT step, writing the step's pre-activation
+  gradient into a stacked buffer and returning d loss / d h_prev;
+* ``gradients``: after the loop, every weight as
+  ``sum_t left[t].T @ pre[t]`` and every bias as ``sum_t pre[t]``.
+
+The derivative and pre-activation buffers reuse the projection arrays
+the forward pass is done with, and every stacked array comes from a
+``_Workspace`` that one ``fit`` reuses for all its minibatches.
+
+The shared classifier runs both loops, the head and Adam.  The stacked
+gradients are bit-identical to accumulating one term per step: BPTT
+adds the terms from the last step down, and ``_sum_from_last`` adds
+the stacked terms in that same order (numpy reduces an outer axis one
+slice at a time, here over a reversed view).  Each term is the same
+product of the same operands, so the trained weights do not depend on
+the hoist.  Everything is vectorised over the batch, so training on a
+few hundred traces of ~100 steps takes seconds.
 """
 
 from __future__ import annotations
@@ -34,14 +60,72 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-clip(x, -30, 30)))`` into ``out`` (may be ``x``)."""
+    np.maximum(x, -30.0, out=out)
+    np.minimum(out, 30.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _sum_from_last(stacked: np.ndarray) -> np.ndarray:
+    """``stacked[-1] + stacked[-2] + ... + stacked[0]``, added in that
+    order, as BPTT adds one term per step from the last step down.
+
+    numpy reduces an outer axis one slice at a time, in the order of
+    the (here reversed) view.  A one-element slice would make that axis
+    the inner loop, which numpy sums pairwise, so that case adds step by
+    step instead.
+    """
+    if stacked[0].size > 1:
+        return stacked[::-1].sum(axis=0)
+    total = stacked[-1].copy()
+    for term in stacked[-2::-1]:
+        total += term
+    return total
+
+
+class _Workspace:
+    """Stacked arrays by name and shape, reused by every minibatch of
+    one ``fit``.
+
+    Every minibatch asks for the same arrays.  Allocated afresh, the
+    ~6 MB of a GRU minibatch of 8 traces x 96 steps made glibc return
+    the heap to the kernel after each minibatch and fault it back in on
+    the next, which cost more than the hoist saved.  Callers write
+    every element they read.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[tuple, np.ndarray] = {}
+
+    def get(self, name: str, *shape: int) -> np.ndarray:
+        key = (name, shape)
+        if key not in self._arrays:
+            self._arrays[key] = np.empty(shape)
+        return self._arrays[key]
+
+
+def _weight_grad(ws: _Workspace, left: np.ndarray,
+                 pre: np.ndarray) -> np.ndarray:
+    """``sum_t left[t].T @ pre[t]`` over stacked ``(steps, n, .)``."""
+    shape = (len(pre), left.shape[2], pre.shape[2])
+    terms = np.matmul(left.transpose(0, 2, 1), pre,
+                      out=ws.get("terms", *shape))
+    return _sum_from_last(terms)
+
+
+def _bias_grad(pre: np.ndarray) -> np.ndarray:
+    """``sum_t pre[t].sum(axis=0)`` over stacked ``(steps, n, h)``."""
+    return _sum_from_last(pre.sum(axis=1))
 
 
 class _Elman:
@@ -56,19 +140,45 @@ class _Elman:
         }
 
     @staticmethod
-    def step(p, x, h_prev):
-        h = np.tanh(x @ p["w_x"] + h_prev @ p["w_h"] + p["b_h"])
-        return h, (h_prev, h)
+    def project(p, xs, ws):
+        """Forward state: every step's ``x W_x`` and the hidden states
+        (``hs[0]`` is the zero initial state)."""
+        steps, n, _ = xs.shape
+        h = p["w_h"].shape[0]
+        hs = ws.get("hs", steps + 1, n, h)
+        hs[0] = 0.0
+        xw = np.matmul(xs, p["w_x"], out=ws.get("xw", steps, n, h))
+        return {"xw": xw, "hs": hs}
 
     @staticmethod
-    def backward(p, grads, x, grad_h, cache):
-        """Accumulate this step's gradients; return d loss / d h_prev."""
-        h_prev, h = cache
-        pre = grad_h * (1.0 - h ** 2)
-        grads["w_x"] += x.T @ pre
-        grads["b_h"] += pre.sum(axis=0)
-        grads["w_h"] += h_prev.T @ pre
-        return pre @ p["w_h"].T
+    def step(p, s, t):
+        h = s["hs"][t + 1]
+        np.dot(s["hs"][t], p["w_h"], out=h)
+        np.add(s["xw"][t], h, out=h)
+        np.add(h, p["b_h"], out=h)
+        np.tanh(h, out=h)
+
+    @staticmethod
+    def derivatives(s):
+        """``1 - h**2`` of every step, over the spent input products."""
+        pre = s.pop("xw")
+        np.square(s["hs"][1:], out=pre)
+        s["pre"] = np.subtract(1.0, pre, out=pre)
+
+    @staticmethod
+    def backward(p, s, t, grad_h):
+        """Turn slot ``t`` of ``pre`` into the step's pre-activation
+        gradient; return d loss / d h_prev."""
+        pre = s["pre"][t]
+        pre *= grad_h
+        return np.dot(pre, p["w_h"].T)
+
+    @staticmethod
+    def gradients(xs, s, ws):
+        pre = s["pre"]
+        return {"w_x": _weight_grad(ws, xs, pre),
+                "w_h": _weight_grad(ws, s["hs"][:-1], pre),
+                "b_h": _bias_grad(pre)}
 
 
 class _Gru:
@@ -84,41 +194,80 @@ class _Gru:
         return params
 
     @staticmethod
-    def step(p, x, h_prev):
-        r = _sigmoid(x @ p["w_xr"] + h_prev @ p["w_hr"] + p["b_r"])
-        z = _sigmoid(x @ p["w_xz"] + h_prev @ p["w_hz"] + p["b_z"])
-        c = np.tanh(x @ p["w_xc"] + (r * h_prev) @ p["w_hc"] + p["b_c"])
-        h = (1.0 - z) * h_prev + z * c
-        return h, (h_prev, r, z, c)
+    def project(p, xs, ws):
+        """Forward state: every step's input products, the hidden
+        states, the gates r, z, the candidate c and ``r * h_prev``."""
+        steps, n, _ = xs.shape
+        h = p["w_hr"].shape[0]
+        s = {f"x{gate}": np.matmul(xs, p[f"w_x{gate}"],
+                                   out=ws.get(f"x{gate}", steps, n, h))
+             for gate in ("r", "z", "c")}
+        s["hs"] = ws.get("hs", steps + 1, n, h)
+        s["hs"][0] = 0.0
+        for key in ("r", "z", "c", "rh"):
+            s[key] = ws.get(key, steps, n, h)
+        return s
 
     @staticmethod
-    def backward(p, grads, x, grad_h, cache):
-        """Accumulate this step's gradients; return d loss / d h_prev."""
-        h_prev, r, z, c = cache
-        # h = (1 - z) h_prev + z c
-        grad_z = grad_h * (c - h_prev)
-        grad_c = grad_h * z
-        grad_h_prev = grad_h * (1.0 - z)
+    def step(p, s, t):
+        h_prev = s["hs"][t]
+        r, z, c, rh = s["r"][t], s["z"][t], s["c"][t], s["rh"][t]
+        np.dot(h_prev, p["w_hr"], out=r)
+        np.add(s["xr"][t], r, out=r)
+        _sigmoid(np.add(r, p["b_r"], out=r), out=r)
+        np.dot(h_prev, p["w_hz"], out=z)
+        np.add(s["xz"][t], z, out=z)
+        _sigmoid(np.add(z, p["b_z"], out=z), out=z)
+        np.multiply(r, h_prev, out=rh)
+        np.dot(rh, p["w_hc"], out=c)
+        np.add(s["xc"][t], c, out=c)
+        np.tanh(np.add(c, p["b_c"], out=c), out=c)
+        h = np.multiply(1.0 - z, h_prev, out=s["hs"][t + 1])
+        h += z * c
+
+    @staticmethod
+    def derivatives(s):
+        """``1 - r``, ``1 - z``, ``1 - c**2`` and ``c - h_prev`` of every
+        step, over the spent input products and c."""
+        c = s.pop("c")
+        s["pre_r"] = np.subtract(1.0, s["r"], out=s.pop("xr"))
+        s["pre_z"] = np.subtract(1.0, s["z"], out=s.pop("xz"))
+        pre_c = np.square(c, out=s.pop("xc"))
+        s["pre_c"] = np.subtract(1.0, pre_c, out=pre_c)
+        s["c-h"] = np.subtract(c, s["hs"][:-1], out=c)
+
+    @staticmethod
+    def backward(p, s, t, grad_h):
+        """Turn slot ``t`` of ``pre_r``, ``pre_z`` and ``pre_c`` into
+        the step's pre-activation gradients; return d loss / d h_prev."""
+        h_prev, r, z = s["hs"][t], s["r"][t], s["z"][t]
+        pre_r, pre_z, pre_c = s["pre_r"][t], s["pre_z"][t], s["pre_c"][t]
+        # h = (1 - z) h_prev + z c; pre_z holds 1 - z until its turn.
+        grad_z = grad_h * s["c-h"][t]
+        grad_h_prev = grad_h * pre_z
         # candidate
-        pre_c = grad_c * (1.0 - c**2)
-        grads["w_xc"] += x.T @ pre_c
-        grads["w_hc"] += (r * h_prev).T @ pre_c
-        grads["b_c"] += pre_c.sum(axis=0)
-        grad_rh = pre_c @ p["w_hc"].T
+        pre_c *= grad_h * z
+        grad_rh = np.dot(pre_c, p["w_hc"].T)
         grad_r = grad_rh * h_prev
-        grad_h_prev += grad_rh * r
+        grad_rh *= r
+        grad_h_prev += grad_rh
         # gates
-        pre_r = grad_r * r * (1.0 - r)
-        grads["w_xr"] += x.T @ pre_r
-        grads["w_hr"] += h_prev.T @ pre_r
-        grads["b_r"] += pre_r.sum(axis=0)
-        grad_h_prev += pre_r @ p["w_hr"].T
-        pre_z = grad_z * z * (1.0 - z)
-        grads["w_xz"] += x.T @ pre_z
-        grads["w_hz"] += h_prev.T @ pre_z
-        grads["b_z"] += pre_z.sum(axis=0)
-        grad_h_prev += pre_z @ p["w_hz"].T
+        pre_r *= grad_r * r
+        grad_h_prev += np.dot(pre_r, p["w_hr"].T)
+        pre_z *= grad_z * z
+        grad_h_prev += np.dot(pre_z, p["w_hz"].T)
         return grad_h_prev
+
+    @staticmethod
+    def gradients(xs, s, ws):
+        grads = {}
+        for gate, left in (("r", s["hs"][:-1]), ("z", s["hs"][:-1]),
+                           ("c", s["rh"])):
+            pre = s[f"pre_{gate}"]
+            grads[f"w_x{gate}"] = _weight_grad(ws, xs, pre)
+            grads[f"w_h{gate}"] = _weight_grad(ws, left, pre)
+            grads[f"b_{gate}"] = _bias_grad(pre)
+        return grads
 
 
 _CELLS = {"elman": _Elman, "gru": _Gru}
@@ -201,24 +350,20 @@ class RnnClassifier:
 
     # -- forward -----------------------------------------------------------
 
-    def _forward(self, batch: np.ndarray):
+    def _forward(self, batch: np.ndarray, ws: _Workspace):
         """Run the recurrence over (n, steps, input_dim) ``batch``;
-        returns (per-step cell caches, mean hidden, logits)."""
-        n, steps, _ = batch.shape
-        h = np.zeros((n, self.config.hidden_dim))
-        hiddens = np.empty((steps, n, self.config.hidden_dim))
-        caches = []
-        for t in range(steps):
-            h, cache = self._cell.step(self.params, batch[:, t, :], h)
-            hiddens[t] = h
-            caches.append(cache)
-        pooled = hiddens.mean(axis=0)
+        returns (time-major inputs, cell state, mean hidden, logits)."""
+        xs = batch.transpose(1, 0, 2)
+        state = self._cell.project(self.params, xs, ws)
+        for t in range(xs.shape[0]):
+            self._cell.step(self.params, state, t)
+        pooled = state["hs"][1:].mean(axis=0)
         logits = pooled @ self.params["w_o"] + self.params["b_o"]
-        return caches, pooled, logits
+        return xs, state, pooled, logits
 
     def predict_scores(self, features: np.ndarray) -> np.ndarray:
         """Class scores for (n, steps) or (n, steps, input_dim) input."""
-        _, _, logits = self._forward(self._as_batch(features))
+        *_, logits = self._forward(self._as_batch(features), _Workspace())
         return _softmax(logits)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -238,29 +383,33 @@ class RnnClassifier:
 
     # -- training ------------------------------------------------------------
 
-    def _loss_and_grads(self, batch: np.ndarray, labels: np.ndarray):
+    def _loss_and_grads(self, batch: np.ndarray, labels: np.ndarray,
+                        ws: _Workspace | None = None):
         """Forward + BPTT on one minibatch: (summed cross-entropy,
-        correct top-1 count, gradient per parameter of the mean loss)."""
+        correct top-1 count, gradient per parameter of the mean loss).
+        ``ws`` carries the stacked arrays from one minibatch to the
+        next."""
+        if ws is None:
+            ws = _Workspace()
         n, steps, _ = batch.shape
-        caches, pooled, logits = self._forward(batch)
+        xs, state, pooled, logits = self._forward(batch, ws)
         probs = _softmax(logits)
         loss = float(-np.log(probs[np.arange(n), labels] + 1e-12).sum())
         correct = int((logits.argmax(axis=1) == labels).sum())
         grad_logits = probs.copy()
         grad_logits[np.arange(n), labels] -= 1.0
         grad_logits /= n
-        grads = {name: np.zeros_like(param)
-                 for name, param in self.params.items()}
-        grads["w_o"] = pooled.T @ grad_logits
-        grads["b_o"] = grad_logits.sum(axis=0)
         # Mean pooling distributes the head gradient over every step.
         grad_pooled = grad_logits @ self.params["w_o"].T / steps
+        self._cell.derivatives(state)
         grad_h = np.zeros((n, self.config.hidden_dim))
+        grad_step = np.empty_like(grad_h)
         for t in range(steps - 1, -1, -1):
-            grad_h = self._cell.backward(
-                self.params, grads, batch[:, t, :], grad_h + grad_pooled,
-                caches[t],
-            )
+            np.add(grad_h, grad_pooled, out=grad_step)
+            grad_h = self._cell.backward(self.params, state, t, grad_step)
+        grads = self._cell.gradients(xs, state, ws)
+        grads["w_o"] = pooled.T @ grad_logits
+        grads["b_o"] = grad_logits.sum(axis=0)
         return loss, correct, grads
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> _History:
@@ -276,6 +425,7 @@ class RnnClassifier:
         if labels.min() < 0 or labels.max() >= self.config.num_classes:
             raise ValueError("labels outside the configured class range")
         rng = np.random.default_rng(self.config.seed + 1)
+        ws = _Workspace()
         for _ in range(self.config.epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
@@ -283,7 +433,7 @@ class RnnClassifier:
             for start in range(0, n, self.config.batch_size):
                 index = order[start:start + self.config.batch_size]
                 loss, hits, grads = self._loss_and_grads(
-                    batch_all[index], labels[index]
+                    batch_all[index], labels[index], ws
                 )
                 epoch_loss += loss
                 correct += hits

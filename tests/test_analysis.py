@@ -95,6 +95,18 @@ class TestStats:
         with pytest.raises(ValueError):
             top_k_accuracy(np.zeros((2, 3)), [0], 1)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_top_k_nonpositive_k_rejected(self, k):
+        """``argsort(...)[:, -0:]`` keeps every column, so k = 0 would
+        count every row as a hit."""
+        scores = np.array([[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(ValueError, match="k must be"):
+            top_k_accuracy(scores, [1, 0], k)
+
+    def test_top_k_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="no samples"):
+            top_k_accuracy(np.zeros((0, 3)), [], 1)
+
 
 class TestTables:
     def test_alignment(self):

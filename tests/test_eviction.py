@@ -143,6 +143,51 @@ class TestPartitionAndBudget:
             builder.build_l2_list(slice_id=0, l2_set=0, count=5000)
 
 
+class TestRequestValidation:
+    """Requests no search can satisfy fail up front with ValueError
+    instead of growing candidates until the memory budget runs out."""
+
+    @pytest.fixture
+    def builder(self, setup):
+        hierarchy, _, space = setup
+        return EvictionListBuilder(space, hierarchy,
+                                   max_search_bytes=1 << 24)
+
+    @pytest.mark.parametrize("l2_set", [-1, 1024])
+    def test_l2_list_rejects_missing_set(self, builder, l2_set):
+        with pytest.raises(ValueError, match="L2 set"):
+            builder.build_l2_list(slice_id=3, l2_set=l2_set, count=20)
+        assert builder.candidate_count == 0
+
+    @pytest.mark.parametrize("llc_set", [-1, 2048])
+    def test_llc_set_list_rejects_missing_set(self, builder, llc_set):
+        with pytest.raises(ValueError, match="LLC set"):
+            builder.build_llc_set_list(slice_id=3, llc_set=llc_set,
+                                       count=20)
+
+    @pytest.mark.parametrize("l2_set", [-1, 1024])
+    def test_l2_set_group_rejects_missing_set(self, builder, l2_set):
+        with pytest.raises(ValueError, match="L2 set"):
+            builder.build_l2_set_group(l2_set=l2_set, count=20)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_every_builder_rejects_empty_request(self, builder, count):
+        for build in (
+            lambda: builder.build_l2_list(0, 0, count),
+            lambda: builder.build_llc_set_list(0, 0, count),
+            lambda: builder.build_slice_working_set(0, count),
+            lambda: builder.build_l2_set_group(0, count),
+        ):
+            with pytest.raises(ValueError, match="count"):
+                build()
+
+    def test_last_set_is_reachable(self, builder, setup):
+        hierarchy = setup[0]
+        last = hierarchy.config.l2_config.num_sets - 1
+        ev = builder.build_l2_list(slice_id=3, l2_set=last, count=4)
+        assert len(ev) == 4
+
+
 class TestCandidateGrowth:
     def test_grow_matches_per_page_walk(self, setup):
         """The vectorised chunk equals the per-page reference walk:

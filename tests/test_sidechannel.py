@@ -234,6 +234,161 @@ class TestClassifiers:
                 RnnConfig(**bad).validate()
 
 
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+
+class _ElmanOracle:
+    """The per-step Elman step/backward pair the stacked trainer
+    replaced: one cache tuple and three gradient updates per step."""
+
+    @staticmethod
+    def step(p, x, h_prev):
+        h = np.tanh(x @ p["w_x"] + h_prev @ p["w_h"] + p["b_h"])
+        return h, (h_prev, h)
+
+    @staticmethod
+    def backward(p, grads, x, grad_h, cache):
+        h_prev, h = cache
+        pre = grad_h * (1.0 - h ** 2)
+        grads["w_x"] += x.T @ pre
+        grads["b_h"] += pre.sum(axis=0)
+        grads["w_h"] += h_prev.T @ pre
+        return pre @ p["w_h"].T
+
+
+class _GruOracle:
+    """The per-step GRU step/backward pair (see ``_ElmanOracle``)."""
+
+    @staticmethod
+    def step(p, x, h_prev):
+        r = _sigmoid(x @ p["w_xr"] + h_prev @ p["w_hr"] + p["b_r"])
+        z = _sigmoid(x @ p["w_xz"] + h_prev @ p["w_hz"] + p["b_z"])
+        c = np.tanh(x @ p["w_xc"] + (r * h_prev) @ p["w_hc"] + p["b_c"])
+        h = (1.0 - z) * h_prev + z * c
+        return h, (h_prev, r, z, c)
+
+    @staticmethod
+    def backward(p, grads, x, grad_h, cache):
+        h_prev, r, z, c = cache
+        grad_z = grad_h * (c - h_prev)
+        grad_c = grad_h * z
+        grad_h_prev = grad_h * (1.0 - z)
+        pre_c = grad_c * (1.0 - c**2)
+        grads["w_xc"] += x.T @ pre_c
+        grads["w_hc"] += (r * h_prev).T @ pre_c
+        grads["b_c"] += pre_c.sum(axis=0)
+        grad_rh = pre_c @ p["w_hc"].T
+        grad_r = grad_rh * h_prev
+        grad_h_prev += grad_rh * r
+        pre_r = grad_r * r * (1.0 - r)
+        grads["w_xr"] += x.T @ pre_r
+        grads["w_hr"] += h_prev.T @ pre_r
+        grads["b_r"] += pre_r.sum(axis=0)
+        grad_h_prev += pre_r @ p["w_hr"].T
+        pre_z = grad_z * z * (1.0 - z)
+        grads["w_xz"] += x.T @ pre_z
+        grads["w_hz"] += h_prev.T @ pre_z
+        grads["b_z"] += pre_z.sum(axis=0)
+        grad_h_prev += pre_z @ p["w_hz"].T
+        return grad_h_prev
+
+
+class _PerStepRnn(RnnClassifier):
+    """``RnnClassifier`` trained through the per-step oracle cells:
+    a forward loop caching every step and a BPTT loop accumulating
+    each weight gradient one step at a time, last step first."""
+
+    _ORACLES = {"elman": _ElmanOracle, "gru": _GruOracle}
+
+    def _loss_and_grads(self, batch, labels, ws=None):
+        cell = self._ORACLES[self.config.cell]
+        n, steps, _ = batch.shape
+        h = np.zeros((n, self.config.hidden_dim))
+        hiddens = np.empty((steps, n, self.config.hidden_dim))
+        caches = []
+        for t in range(steps):
+            h, cache = cell.step(self.params, batch[:, t, :], h)
+            hiddens[t] = h
+            caches.append(cache)
+        pooled = hiddens.mean(axis=0)
+        logits = pooled @ self.params["w_o"] + self.params["b_o"]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=1, keepdims=True)
+        loss = float(-np.log(probs[np.arange(n), labels] + 1e-12).sum())
+        correct = int((logits.argmax(axis=1) == labels).sum())
+        grad_logits = probs.copy()
+        grad_logits[np.arange(n), labels] -= 1.0
+        grad_logits /= n
+        grads = {name: np.zeros_like(param)
+                 for name, param in self.params.items()}
+        grads["w_o"] = pooled.T @ grad_logits
+        grads["b_o"] = grad_logits.sum(axis=0)
+        grad_pooled = grad_logits @ self.params["w_o"].T / steps
+        grad_h = np.zeros((n, self.config.hidden_dim))
+        for t in range(steps - 1, -1, -1):
+            grad_h = cell.backward(self.params, grads, batch[:, t, :],
+                                   grad_h + grad_pooled, caches[t])
+        return loss, correct, grads
+
+
+class TestStackedBpttMatchesPerStepOracle:
+    """The stacked trainer (input products and weight gradients formed
+    once per minibatch) is bit-identical to the per-step loop."""
+
+    GRID = [
+        (cell, d, n, steps, h)
+        for cell in CELLS
+        for d in (1, 3)
+        for n in (1, 5, 64)
+        for steps in (1, 2, 37)
+        for h in (4, 64)
+    ]
+
+    @staticmethod
+    def _pair(cell, d, h, epochs=3):
+        config = RnnConfig(input_dim=d, hidden_dim=h, num_classes=3,
+                           epochs=epochs, seed=7, cell=cell)
+        return RnnClassifier(config), _PerStepRnn(config)
+
+    @staticmethod
+    def _data(d, n, steps):
+        rng = np.random.default_rng(d * 10_000 + n * 100 + steps)
+        return rng.normal(size=(n, steps, d)), rng.integers(0, 3, n)
+
+    @pytest.mark.parametrize("cell, d, n, steps, h", GRID)
+    def test_loss_and_grads_bit_identical(self, cell, d, n, steps, h):
+        model, oracle = self._pair(cell, d, h)
+        x, y = self._data(d, n, steps)
+        loss, correct, grads = model._loss_and_grads(x, y)
+        want_loss, want_correct, want = oracle._loss_and_grads(x, y)
+        assert loss == want_loss
+        assert correct == want_correct
+        assert list(grads) == list(want)
+        for name in want:
+            assert np.array_equal(grads[name], want[name]), name
+
+    @pytest.mark.parametrize("cell, d, n, steps, h", GRID)
+    def test_fit_bit_identical(self, cell, d, n, steps, h):
+        model, oracle = self._pair(cell, d, h)
+        x, y = self._data(d, n, steps)
+        assert model.fit(x, y) == oracle.fit(x, y)
+        for name, want in oracle.params.items():
+            assert np.array_equal(model.params[name], want), name
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_one_unit_hidden_state_bit_identical(self, cell):
+        """One hidden unit makes every gradient a one-element sum, the
+        shape numpy would otherwise reduce pairwise."""
+        model, oracle = self._pair(cell, 1, 1)
+        x, y = self._data(1, 5, 37)
+        model.fit(x, y)
+        oracle.fit(x, y)
+        for name, want in oracle.params.items():
+            assert np.array_equal(model.params[name], want), name
+
+
 class TestFileSizeAttack:
     def test_300kb_granularity_high_accuracy(self):
         """The headline Section 5 number: >99 % at 300 KB granularity
