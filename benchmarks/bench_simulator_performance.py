@@ -190,6 +190,22 @@ def test_perf_eviction_list_search(benchmark):
     assert benchmark.pedantic(build, rounds=3, iterations=1) == 20
 
 
+def test_perf_eviction_measurement_list(benchmark):
+    """The receiver's Listing 3 list alone: each round builds a fresh
+    System and actor untimed, then times the set-first search (frame
+    allocation, set filter, slice hash on the survivors)."""
+
+    def fresh_actor():
+        system = System(seed=0)
+        return (system.create_actor("perf", 0, 4),), {}
+
+    def search(actor):
+        return len(actor.build_measurement_list(hops=1))
+
+    assert benchmark.pedantic(search, setup=fresh_actor, rounds=10,
+                              iterations=1) == 20
+
+
 @pytest.mark.parametrize("cell", ["elman", "gru"])
 def test_perf_rnn_fit(benchmark, cell):
     """RNN training at the fig12-fingerprint op shape: 8 traces of 96

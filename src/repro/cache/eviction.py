@@ -44,10 +44,11 @@ class EvictionSet:
 class EvictionListBuilder:
     """Searches an address space for congruent addresses.
 
-    Allocates memory in chunks and classifies every line in each chunk
-    (vectorised) until the requested number of congruent addresses is
-    found.  All results are cached lines of *this* address space, so two
-    actors (sender/receiver) each build their own lists, as in the paper.
+    Allocates memory in chunks and filters each new chunk (vectorised:
+    set index first, slice hash only on the lines that pass) until the
+    requested number of congruent addresses is found.  All results are
+    cached lines of *this* address space, so two actors
+    (sender/receiver) each build their own lists, as in the paper.
     """
 
     _CHUNK_PAGES = 4096  # 16 MB of 4 KB pages per search round
@@ -66,15 +67,14 @@ class EvictionListBuilder:
         self._searched_bytes = 0
         self._virtual: np.ndarray = np.empty(0, dtype=np.int64)
         self._lines: np.ndarray = np.empty(0, dtype=np.uint64)
-        self._slices: np.ndarray = np.empty(0, dtype=np.int64)
 
     @property
     def candidate_count(self) -> int:
-        """Number of classified candidate lines so far."""
+        """Number of candidate lines allocated so far."""
         return len(self._lines)
 
     def _grow(self) -> None:
-        """Allocate and classify another chunk of candidate pages."""
+        """Allocate another chunk of candidate pages."""
         page = self.space.page_bytes
         chunk_bytes = self._CHUNK_PAGES * page
         if self._searched_bytes + chunk_bytes > self.max_search_bytes:
@@ -84,21 +84,23 @@ class EvictionListBuilder:
             )
         allocation = self.space.allocate(chunk_bytes)
         self._searched_bytes += chunk_bytes
-        # One translation per page, then a (page x line offset) broadcast;
-        # rows are pages in address order, so the flattened arrays list
-        # lines in the same order a per-page walk would.
-        bases = range(allocation.virtual_base, allocation.virtual_end, page)
-        virtual_pages = np.array(bases, dtype=np.int64)
-        physical_pages = np.fromiter(map(self.space.translate, bases),
-                                     dtype=np.int64, count=len(bases))
-        offsets = np.arange(page // 64, dtype=np.int64)
+        # The page table's frames, then a (page x line offset)
+        # broadcast; rows are pages in address order, so the flattened
+        # arrays list lines in the same order a per-page walk would.
+        lines_per_page = page // 64
+        virtual_pages = np.arange(allocation.virtual_base,
+                                  allocation.virtual_end, page,
+                                  dtype=np.int64)
+        frames = np.array(self.space.frames_of(allocation), dtype=np.uint64)
+        offsets = np.arange(lines_per_page, dtype=np.int64)
         new_virtual = (virtual_pages[:, None] + offsets * 64).ravel()
-        new_lines = ((physical_pages >> 6)[:, None]
-                     + offsets).astype(np.uint64).ravel()
-        new_slices = self.slice_hash.slice_of_array(new_lines)
-        self._virtual = np.concatenate([self._virtual, new_virtual])
-        self._lines = np.concatenate([self._lines, new_lines])
-        self._slices = np.concatenate([self._slices, new_slices])
+        new_lines = ((frames * np.uint64(lines_per_page))[:, None]
+                     + offsets.astype(np.uint64)).ravel()
+        if len(self._lines):
+            new_virtual = np.concatenate([self._virtual, new_virtual])
+            new_lines = np.concatenate([self._lines, new_lines])
+        self._virtual = new_virtual
+        self._lines = new_lines
 
     def _check_slice(self, slice_id: int) -> None:
         if slice_id not in self.slice_hash.allowed_slices:
@@ -119,14 +121,44 @@ class EvictionListBuilder:
         if not 0 <= index < num_sets:
             raise ValueError(f"{kind} {index} is outside [0, {num_sets})")
 
-    def _collect(self, mask_fn, count: int) -> np.ndarray:
-        """Indices of candidates satisfying ``mask_fn``; grows on demand."""
+    def _collect(self, count: int, *, num_sets: int | None = None,
+                 set_index: int = 0,
+                 slice_id: int | None = None) -> np.ndarray:
+        """The first ``count`` candidates, in allocation order, whose
+        line has set index ``set_index`` of ``num_sets`` and maps to
+        slice ``slice_id`` (``None`` skips that test); grows on demand.
+
+        The set test is one modulo and the slice test a full hash, so
+        the set filter runs first and only its survivors are hashed.
+        Each round scans only the chunk it just allocated.
+        """
+        found: list[np.ndarray] = []
+        matched = 0
+        scanned = 0
         while True:
-            mask = mask_fn()
-            indices = np.flatnonzero(mask)
-            if len(indices) >= count:
-                return indices[:count]
+            lines = self._lines[scanned:]
+            if num_sets is None:
+                hits = np.arange(len(lines))
+            else:
+                hits = np.flatnonzero(
+                    lines % np.uint64(num_sets) == np.uint64(set_index)
+                )
+            if slice_id is not None:
+                slices = self.slice_hash.slice_of_array(lines[hits])
+                hits = hits[slices == slice_id]
+            found.append(hits + scanned)
+            matched += len(hits)
+            if matched >= count:
+                return np.concatenate(found)[:count]
+            scanned = len(self._lines)
             self._grow()
+
+    def _eviction_set(self, chosen: np.ndarray, **fields) -> EvictionSet:
+        return EvictionSet(
+            virtual_addresses=tuple(self._virtual[chosen].tolist()),
+            lines=tuple(self._lines[chosen].tolist()),
+            **fields,
+        )
 
     def build_l2_list(self, slice_id: int, l2_set: int,
                       count: int) -> EvictionSet:
@@ -140,18 +172,9 @@ class EvictionListBuilder:
         self._check_count(count)
         self._check_set("L2 set", l2_set, l2_sets)
         self._check_slice(slice_id)
-
-        def mask() -> np.ndarray:
-            sets = (self._lines % np.uint64(l2_sets)).astype(np.int64)
-            return (sets == l2_set) & (self._slices == slice_id)
-
-        chosen = self._collect(mask, count)
-        return EvictionSet(
-            virtual_addresses=tuple(int(v) for v in self._virtual[chosen]),
-            lines=tuple(int(l) for l in self._lines[chosen]),
-            slice_id=slice_id,
-            l2_set=l2_set,
-        )
+        chosen = self._collect(count, num_sets=l2_sets, set_index=l2_set,
+                               slice_id=slice_id)
+        return self._eviction_set(chosen, slice_id=slice_id, l2_set=l2_set)
 
     def build_llc_set_list(self, slice_id: int, llc_set: int,
                            count: int) -> EvictionSet:
@@ -161,34 +184,20 @@ class EvictionListBuilder:
         self._check_count(count)
         self._check_set("LLC set", llc_set, llc_sets)
         self._check_slice(slice_id)
-
-        def mask() -> np.ndarray:
-            sets = (self._lines % np.uint64(llc_sets)).astype(np.int64)
-            return (sets == llc_set) & (self._slices == slice_id)
-
-        chosen = self._collect(mask, count)
-        return EvictionSet(
-            virtual_addresses=tuple(int(v) for v in self._virtual[chosen]),
-            lines=tuple(int(l) for l in self._lines[chosen]),
-            slice_id=slice_id,
-            llc_set=llc_set,
-        )
+        chosen = self._collect(count, num_sets=llc_sets,
+                               set_index=llc_set, slice_id=slice_id)
+        return self._eviction_set(chosen, slice_id=slice_id,
+                                  llc_set=llc_set)
 
     def build_slice_working_set(self, slice_id: int,
                                 count: int) -> EvictionSet:
-        """``count`` addresses anywhere in one slice (occupancy channels)."""
+        """``count`` addresses anywhere in one slice (occupancy channels).
+
+        With no set filter, every candidate line is slice-hashed."""
         self._check_count(count)
         self._check_slice(slice_id)
-
-        def mask() -> np.ndarray:
-            return self._slices == slice_id
-
-        chosen = self._collect(mask, count)
-        return EvictionSet(
-            virtual_addresses=tuple(int(v) for v in self._virtual[chosen]),
-            lines=tuple(int(l) for l in self._lines[chosen]),
-            slice_id=slice_id,
-        )
+        chosen = self._collect(count, slice_id=slice_id)
+        return self._eviction_set(chosen, slice_id=slice_id)
 
     def build_l2_set_group(self, l2_set: int, count: int) -> EvictionSet:
         """Addresses sharing one L2 set, with *no* slice constraint.
@@ -201,18 +210,8 @@ class EvictionListBuilder:
         l2_sets = self.hierarchy.config.l2_config.num_sets
         self._check_count(count)
         self._check_set("L2 set", l2_set, l2_sets)
-
-        def mask() -> np.ndarray:
-            sets = (self._lines % np.uint64(l2_sets)).astype(np.int64)
-            return sets == l2_set
-
-        chosen = self._collect(mask, count)
-        return EvictionSet(
-            virtual_addresses=tuple(int(v) for v in self._virtual[chosen]),
-            lines=tuple(int(l) for l in self._lines[chosen]),
-            slice_id=-1,
-            l2_set=l2_set,
-        )
+        chosen = self._collect(count, num_sets=l2_sets, set_index=l2_set)
+        return self._eviction_set(chosen, slice_id=-1, l2_set=l2_set)
 
     def build_measurement_list(self, slice_id: int, count: int = 20,
                                l2_set: int = 0) -> EvictionSet:

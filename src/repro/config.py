@@ -132,6 +132,8 @@ class UfsConfig:
             raise ConfigError("UFS min frequency exceeds max frequency")
         if self.step_mhz <= 0 or self.period_ns <= 0:
             raise ConfigError("UFS step and period must be positive")
+        if self.observation_ns <= 0:
+            raise ConfigError("UFS observation window must be positive")
         if (self.max_freq_mhz - self.min_freq_mhz) % self.step_mhz != 0:
             raise ConfigError("UFS range is not a multiple of the step")
         if not 0.0 < self.stalled_fraction_trigger < 1.0:

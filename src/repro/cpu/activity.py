@@ -16,8 +16,10 @@ the 10 ms PMU evaluations.
 
 from __future__ import annotations
 
-import bisect
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from ..errors import SimulationError
@@ -45,12 +47,13 @@ class ActivityProfile:
         if self.mean_hops < 0:
             raise SimulationError("hop distance must be non-negative")
 
-    @property
+    @cached_property
     def noc_score(self) -> float:
         """Hop-weighted traffic score ``rate * hops^2``.
 
         This is the quantity the calibrated demand model thresholds
-        against (see :class:`repro.config.DemandModelConfig`).
+        against (see :class:`repro.config.DemandModelConfig`).  The
+        profile is frozen, so it is computed once per profile.
         """
         return self.llc_rate_per_us * self.mean_hops**2
 
@@ -79,6 +82,8 @@ class ProfileTimeline:
     def __init__(self, initial: ActivityProfile = IDLE) -> None:
         self._times: list[int] = [0]
         self._profiles: list[ActivityProfile] = [initial]
+        #: per profile: does it fold to anything but zeros (not silent)?
+        self._loud: list[bool] = [_loud(initial)]
 
     def set_profile(self, time_ns: int, profile: ActivityProfile) -> None:
         """Switch to ``profile`` at ``time_ns`` (monotone non-decreasing)."""
@@ -89,59 +94,86 @@ class ProfileTimeline:
             )
         if time_ns == self._times[-1]:
             self._profiles[-1] = profile
+            self._loud[-1] = _loud(profile)
             return
         self._times.append(time_ns)
         self._profiles.append(profile)
+        self._loud.append(_loud(profile))
 
     def profile_at(self, time_ns: int) -> ActivityProfile:
         """The profile in force at ``time_ns``."""
-        index = bisect.bisect_right(self._times, time_ns) - 1
+        index = bisect_right(self._times, time_ns) - 1
         return self._profiles[max(index, 0)]
 
     def silent_since(self, t0: int) -> bool:
         """Whether the timeline contributes nothing to the PMU from ``t0``.
 
         True when the last profile change is at or before ``t0`` and
-        that profile is inactive with no LLC traffic: any window
-        starting at ``t0`` then integrates to zero active time, LLC
-        rate, NoC score and stall ratio.
+        that profile is silent (inactive with no LLC traffic): any
+        window starting at ``t0`` then integrates to zero active time,
+        LLC rate, NoC score and stall ratio.
         """
-        profile = self._profiles[-1]
-        return (self._times[-1] <= t0 and not profile.active
-                and profile.llc_rate_per_us == 0)
+        return self._times[-1] <= t0 and not self._loud[-1]
+
+    def loud_spans(self) -> list[tuple[int, float]]:
+        """The ``[start, end)`` spans over which a loud profile is in force.
+
+        The span-wise twin of :meth:`silent_since`, for histories written
+        ahead of time (the batch backend's replica timelines): a window
+        ``[t0, t1)`` that overlaps no span (``start < t1 and end > t0``)
+        integrates to exact zeros.  Adjacent loud profiles share one
+        span; a timeline that ends loud ends on an open span (``end`` is
+        infinite).
+        """
+        spans: list[tuple[int, float]] = []
+        start = None
+        for time_ns, loud in zip(self._times, self._loud):
+            if loud and start is None:
+                start = time_ns
+            elif not loud and start is not None:
+                spans.append((start, time_ns))
+                start = None
+        if start is not None:
+            spans.append((start, math.inf))
+        return spans
 
     def window_stats(self, t0: int, t1: int) -> WindowStats:
         """Exact time-weighted averages over ``[t0, t1)``."""
         if t1 <= t0:
             raise SimulationError(f"empty window [{t0}, {t1})")
-        start = max(bisect.bisect_right(self._times, t0) - 1, 0)
+        times = self._times
+        profiles = self._profiles
+        # ``lo=1`` clamps a window opening before the first change to
+        # the first profile.
+        start = bisect_right(times, t0, 1) - 1
+        stop = bisect_left(times, t1, start)
         total = t1 - t0
         active_time = 0.0
         llc = 0.0
         noc = 0.0
         stall_weighted = 0.0
         l2 = 0.0
-        index = start
-        while index < len(self._times) and self._times[index] < t1:
-            seg_start = max(self._times[index], t0)
-            seg_end = (
-                self._times[index + 1]
-                if index + 1 < len(self._times)
-                else t1
-            )
-            seg_end = min(seg_end, t1)
-            if seg_end <= seg_start:
-                index += 1
-                continue
+        # Segments ``start .. stop - 1`` overlap the window; times are
+        # strictly increasing, so each has positive width once clipped.
+        seg_start = times[start] if times[start] > t0 else t0
+        last = stop - 1
+        for index in range(start, stop):
+            seg_end = t1 if index == last else times[index + 1]
             weight = seg_end - seg_start
-            profile = self._profiles[index]
+            profile = profiles[index]
             if profile.active:
                 active_time += weight
                 stall_weighted += profile.stall_ratio * weight
             llc += profile.llc_rate_per_us * weight
             noc += profile.noc_score * weight
             l2 += profile.l2_rate_per_us * weight
-            index += 1
+            seg_start = seg_end
         stall_ratio = stall_weighted / active_time if active_time else 0.0
         return WindowStats(active_time / total, llc / total, noc / total,
                            stall_ratio, l2 / total)
+
+
+def _loud(profile: ActivityProfile) -> bool:
+    """Not silent: active, or issuing LLC traffic.  A silent profile
+    (inactive, no LLC traffic) folds to zeros in every window."""
+    return profile.active or profile.llc_rate_per_us != 0

@@ -52,9 +52,8 @@ from ..telemetry.context import active_registry
 from .backend import CapacityRequest, DefenseRequest
 from .batch import (
     _PMU_STAGGER_NS,
-    _capacity_plan,
-    _defense_plan,
     _lattices_for,
+    _plans,
     _TrialPlan,
 )
 from ..core.protocol import calibrate_endpoints
@@ -226,7 +225,7 @@ def analytical_capacity_points(
     requests: Sequence[CapacityRequest],
 ) -> list[CapacityPoint]:
     """Instant capacity estimates matching ``measure_capacity``'s shape."""
-    plans = [_capacity_plan(request) for request in requests]
+    plans = _plans(requests)
     estimates = analytical_estimates(plans)
     return [
         CapacityPoint(
@@ -244,7 +243,7 @@ def analytical_defense_reports(
     requests: Sequence[DefenseRequest],
 ) -> list[DefenseReport]:
     """Instant defense-outcome estimates matching the Table 3 shape."""
-    plans = [_defense_plan(request) for request in requests]
+    plans = _plans(requests)
     estimates = analytical_estimates(plans)
     return [
         DefenseReport(

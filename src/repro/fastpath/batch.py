@@ -11,12 +11,14 @@ decouples a trial into two phases this module exploits:
 **Phase A — the frequency lattice.**  All trials of a group advance
 together through the merged event stream of per-socket PMU grids (10 ms
 period, 0.5 ms socket stagger) and randomized-defense repicks (100 ms,
-ordered before colocated ticks exactly as the event queue does).  Per
-tick, every trial whose horizon has not passed folds its observation
-with the *same* :func:`~repro.power.ufs.accumulate_observation` the PMU
-uses, over replica :class:`~repro.cpu.activity.ProfileTimeline`
-histories of the touched cores only (untouched cores contribute exact
-zeros), and steps its socket state through one scalar
+ordered before colocated ticks exactly as the event queue does).  The
+replica :class:`~repro.cpu.activity.ProfileTimeline` histories are
+written before the lattice runs, so every tick's observation is folded
+up front with the *same* :func:`~repro.power.ufs.accumulate_observation`
+the PMU uses, over the touched cores loud in that window only
+(untouched cores, and touched cores silent over the whole window,
+contribute exact zeros).  Per tick, every trial whose horizon has not
+passed then steps its socket state through one scalar
 :func:`~repro.power.ufs.ufs_control_step` call — the same law, over the
 same Python ints and floats, the DES PMU evaluates.  That shared law is
 what makes the lattice bit-identical to the DES frequency timeline.
@@ -41,7 +43,7 @@ DES.  Equivalence is enforced by the differential suite.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,7 +54,7 @@ from ..core.channel import TransmissionResult
 from ..core.evaluation import CapacityPoint, random_bits
 from ..core.protocol import ChannelConfig, calibrate_endpoints, decode_bit
 from ..core.sender import SenderMode
-from ..cpu.activity import IDLE, ProfileTimeline
+from ..cpu.activity import IDLE, ActivityProfile, ProfileTimeline
 from ..defenses.evaluation import DEFENSE_KEYS, DefenseReport
 from ..errors import ChannelError
 from ..noc.contention import ContentionTracker
@@ -84,6 +86,8 @@ _BUSY_CORE = 15
 _BUSY_HOPS = 3
 _REPICK_PERIOD_NS = ms(100.0)
 _PROBE_WARM_ROUNDS = 3
+#: What :func:`accumulate_observation` folds an all-silent socket to.
+_IDLE_FOLD = (0, 0, 0.0, 0.0, 0.0, False)
 
 
 @dataclass
@@ -116,14 +120,14 @@ class _TrialPlan:
     space_flows: float
 
 
-def _group_key(platform: PlatformConfig) -> str:
+def _group_key(platform: PlatformConfig) -> PlatformConfig:
     """Trials sharing one lattice must agree on everything but the
     per-trial MSR limits (the restricted-range defense narrows min/max
     without leaving the group)."""
     ufs = dataclasses.replace(
         platform.ufs, min_freq_mhz=0, max_freq_mhz=0
     )
-    return repr(dataclasses.replace(platform, ufs=ufs))
+    return dataclasses.replace(platform, ufs=ufs)
 
 
 def _route_flows(tracker: ContentionTracker, route, demand_rate: float,
@@ -132,37 +136,20 @@ def _route_flows(tracker: ContentionTracker, route, demand_rate: float,
     return competing / demand_rate
 
 
-def _plan_trial(*, platform: PlatformConfig | None, seed: int,
-                interval_ms: float, payload: list[int],
-                cross_processor: bool = False,
-                sender_mode: SenderMode = SenderMode.STALL,
-                defense: str | None = None) -> _TrialPlan:
-    """Compile one channel deployment into a :class:`_TrialPlan`.
+def _geometry(effective: PlatformConfig, receiver_socket: int, hops: int,
+              sender_mode: SenderMode, defense: str | None,
+              ) -> tuple[ActivityProfile | None, ActivityProfile, float,
+                         float]:
+    """Placement of one deployment: the busy-uncore thread's profile
+    (``None`` without that defense), the sender's mark profile and the
+    receiver-visible contention flows during mark and space intervals.
 
-    Mirrors, in data, exactly what ``measure_capacity`` /
-    ``channel_under_defense`` build in objects: same defaults, same
-    slice selection, same profile-change times.
+    A pure function of its arguments, so the trials of one call that
+    share a deployment derive it once (see :func:`_plans`).
     """
-    base = platform if platform is not None else default_platform_config()
-    effective = base
-    if defense == "restricted_1500_1700":
-        effective = base.with_ufs(min_freq_mhz=1500, max_freq_mhz=1700)
-    effective.validate()  # what System's constructor checks on the DES
-    config = ChannelConfig(interval_ns=ms(interval_ms))
-    config.validate()
-    ufs = effective.ufs
-    num_sockets = effective.num_sockets
-    receiver_socket = 1 if cross_processor else 0
-    if receiver_socket >= num_sockets:
-        raise ChannelError(
-            "cross-processor deployment needs a second socket"
-        )
-    if not cross_processor and _RECEIVER_CORE == _SENDER_CORE:
-        raise ChannelError("sender and receiver share a core")
-
-    meshes = [MeshTopology(s) for s in effective.sockets]
-    mesh_s = meshes[_SENDER_SOCKET]
-    mesh_r = meshes[receiver_socket]
+    mesh_s = MeshTopology(effective.sockets[_SENDER_SOCKET])
+    mesh_r = (mesh_s if receiver_socket == _SENDER_SOCKET
+              else MeshTopology(effective.sockets[receiver_socket]))
 
     # Sender target slice (what _SenderThread.on_attach picks).
     sender_slices = mesh_s.slices_at_distance(_SENDER_CORE, _SENDER_HOPS)
@@ -175,10 +162,10 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
     sender_route = mesh_s.core_slice_route(_SENDER_CORE, sender_slices[0])
 
     # Receiver measurement slice (Actor.slice_at_distance, full hash).
-    meas_slices = mesh_r.slices_at_distance(_RECEIVER_CORE, config.hops)
+    meas_slices = mesh_r.slices_at_distance(_RECEIVER_CORE, hops)
     if not meas_slices:
         raise ChannelError(
-            f"no slice at distance {config.hops} from the receiver core"
+            f"no slice at distance {hops} from the receiver core"
         )
     meas_slice = meas_slices[0]
     receiver_route = mesh_r.core_slice_route(_RECEIVER_CORE, meas_slice)
@@ -187,7 +174,7 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
     busy_profile = None
     busy_route = None
     if defense == "busy_uncore":
-        mesh0 = meshes[0]
+        mesh0 = mesh_s  # socket 0 (``_SENDER_SOCKET``)
         busy_profile = traffic_profile(_BUSY_HOPS)
         candidates = mesh0.slices_at_distance(_BUSY_CORE, _BUSY_HOPS)
         if candidates:
@@ -223,6 +210,45 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
             tracker.add_flow(sender_route, mark_profile.llc_rate_per_us,
                              domain=0)
         return _route_flows(tracker, receiver_route, demand_rate)
+
+    return (busy_profile, mark_profile, receiver_flows(True),
+            receiver_flows(False))
+
+
+def _plan_trial(*, platform: PlatformConfig | None, seed: int,
+                interval_ms: float, payload: list[int],
+                cross_processor: bool = False,
+                sender_mode: SenderMode = SenderMode.STALL,
+                defense: str | None = None,
+                placements: dict) -> _TrialPlan:
+    """Compile one channel deployment into a :class:`_TrialPlan`.
+
+    Mirrors, in data, exactly what ``measure_capacity`` /
+    ``channel_under_defense`` build in objects: same defaults, same
+    slice selection, same profile-change times.  ``placements``
+    memoises :func:`_geometry` across the trials of one call.
+    """
+    base = platform if platform is not None else default_platform_config()
+    effective = base
+    if defense == "restricted_1500_1700":
+        effective = base.with_ufs(min_freq_mhz=1500, max_freq_mhz=1700)
+    effective.validate()  # what System's constructor checks on the DES
+    config = ChannelConfig(interval_ns=ms(interval_ms))
+    config.validate()
+    ufs = effective.ufs
+    num_sockets = effective.num_sockets
+    receiver_socket = 1 if cross_processor else 0
+    if receiver_socket >= num_sockets:
+        raise ChannelError(
+            "cross-processor deployment needs a second socket"
+        )
+    if not cross_processor and _RECEIVER_CORE == _SENDER_CORE:
+        raise ChannelError("sender and receiver share a core")
+
+    key = (effective, receiver_socket, config.hops, sender_mode, defense)
+    if key not in placements:
+        placements[key] = _geometry(*key)
+    busy_profile, mark_profile, mark_flows, space_flows = placements[key]
 
     # Profile schedules of every touched core, in DES call order.
     governor = defense == "performance_governor"
@@ -261,7 +287,7 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
                                 MEASUREMENT_PROFILE)
         receiver_tl.set_profile(start + interval, IDLE)
 
-    if busy_route is not None:
+    if busy_profile is not None:
         schedule(0, _BUSY_CORE).set_profile(0, busy_profile)
 
     # t=0 MSR state: base limits, idle clamp, then the defense's writes
@@ -309,12 +335,46 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
         init_freq=init_freq,
         init_history=init_history,
         repick_rng=repick_rng,
-        mark_flows=receiver_flows(True),
-        space_flows=receiver_flows(False),
+        mark_flows=mark_flows,
+        space_flows=space_flows,
     )
 
 
 # -- Phase A: the frequency lattice -------------------------------------------
+
+
+def _observations(entries: list[tuple[ProfileTimeline, bool]],
+                  ticks: list[int], starts: list[int], last: int,
+                  threshold: float) -> dict[int, tuple]:
+    """One trial's socket observations, by tick index.
+
+    Tick ``k`` observes the window ``[starts[k], ticks[k])`` for ``k <
+    last``.  A touched core joins a tick's fold only if the window
+    overlaps one of its loud spans; ticks no core is loud in are left
+    out and fold to :data:`_IDLE_FOLD` (the batch twin of the PMU's
+    ``silent_since`` skip).  ``entries`` are ``(timeline, turbo flag)``
+    pairs in core (fold) order, so every fold sees its cores in that
+    order too.
+    """
+    loud: dict[int, list[tuple[ProfileTimeline, bool]]] = {}
+    for entry in entries:
+        done = 0  # ticks below this already hold the entry
+        for span_start, span_end in entry[0].loud_spans():
+            # Windows closing after the span opens and opening before
+            # it closes; one window can meet two short spans.
+            first = max(bisect_right(ticks, span_start), done)
+            stop = min(bisect_left(starts, span_end), last)
+            for tick in range(first, stop):
+                loud.setdefault(tick, []).append(entry)
+            done = max(done, stop)
+    return {
+        tick: accumulate_observation(
+            [(timeline.window_stats(starts[tick], ticks[tick]), above_base)
+             for timeline, above_base in cores],
+            threshold,
+        )
+        for tick, cores in loud.items()
+    }
 
 
 def _run_lattice(plans: list[_TrialPlan],
@@ -345,30 +405,47 @@ def _run_lattice(plans: list[_TrialPlan],
         for plan in plans
     ]
 
-    # Per plan, per socket: the touched cores in core (fold) order.
-    touched = [
-        [[entry for _, entry in sorted(plan.cores[s].items())]
-         for s in range(num_sockets)]
-        for plan in plans
+    # Per socket: tick times and the window each tick observes.  A
+    # window starts at the socket's previous tick (0 before the first),
+    # or ``observation`` before its own tick if that is later — the
+    # PMU's own ``max(last_eval, t1 - observation_ns)``.  The histories
+    # are written ahead, so every observation is known before the first
+    # control step: per socket, per trial, tick index -> fold.
+    ticks = [
+        list(range(period + s * _PMU_STAGGER_NS, horizon + 1, period))
+        for s in range(num_sockets)
     ]
+    observed = []
+    for socket_id, times in enumerate(ticks):
+        starts = [max(previous, tick - observation)
+                  for previous, tick in zip([0] + times, times)]
+        observed.append([
+            _observations(
+                [(entry.timeline, entry.above_base)
+                 for _, entry in sorted(plan.cores[socket_id].items())],
+                times, starts, bisect_right(times, plan.duration_ns),
+                ufs.stall_ratio_threshold,
+            )
+            for plan in plans
+        ])
 
     # Merged event stream.  Repicks share their instants with socket-0
     # ticks; the defense task was (re)scheduled earlier than the PMU's
     # reschedule, so it fires first — order key 0 vs 1 encodes that.
-    events: list[tuple[int, int, int]] = []
-    for socket_id in range(num_sockets):
-        tick = period + socket_id * _PMU_STAGGER_NS
-        while tick <= horizon:
-            events.append((tick, 1, socket_id))
-            tick += period
+    events: list[tuple[int, int, int, int]] = [
+        (time_ns, 1, socket_id, tick)
+        for socket_id, times in enumerate(ticks)
+        for tick, time_ns in enumerate(times)
+    ]
     if any(plan.repick_rng is not None for plan in plans):
         repick = _REPICK_PERIOD_NS
         while repick <= horizon:
-            events.append((repick, 0, -1))
+            events.append((repick, 0, -1, -1))
             repick += _REPICK_PERIOD_NS
     events.sort()
 
-    for time_ns, order, socket_id in events:
+    lag = rep.coupling_lag_mhz
+    for time_ns, order, socket_id, tick in events:
         if order == 0:  # randomized-defense repick, all sockets
             for index, plan in enumerate(plans):
                 if plan.repick_rng is None or time_ns > durations[index]:
@@ -382,33 +459,27 @@ def _run_lattice(plans: list[_TrialPlan],
                         history[index][s].append((time_ns, pick))
             continue
 
-        window_start = time_ns - observation
-        for index, plan in enumerate(plans):
+        socket_freq = freq[socket_id]
+        socket_dither = dither[socket_id]
+        socket_countdown = countdown[socket_id]
+        socket_limits = limits[socket_id]
+        others = [freq[s] for s in range(num_sockets) if s != socket_id]
+        for index, folds in enumerate(observed[socket_id]):
             if time_ns > durations[index]:
                 continue  # past this trial's horizon
-            entries = touched[index][socket_id]
-            observed = (0, 0, 0.0, 0.0, 0.0, False)  # the all-idle fold
-            if entries:
-                observed = accumulate_observation(
-                    (
-                        (entry.timeline.window_stats(window_start,
-                                                     time_ns),
-                         entry.above_base)
-                        for entry in entries
-                    ),
-                    ufs.stall_ratio_threshold,
-                )
             (active, stalled, llc_rate, noc_score, max_stall,
-             turbo) = observed
+             turbo) = folds.get(tick, _IDLE_FOLD)
             remote = None
-            if coupled:
-                remote = max(freq[s][index] for s in range(num_sockets)
-                             if s != socket_id)
-            min_limit, max_limit = limits[socket_id][index]
+            if coupled:  # the fastest other socket
+                remote = 0
+                for other in others:
+                    if other[index] > remote:
+                        remote = other[index]
+            min_limit, max_limit = socket_limits[index]
             result = ufs_control_step(
-                freq_mhz=freq[socket_id][index],
-                dither_phase=dither[socket_id][index],
-                slow_countdown=countdown[socket_id][index],
+                freq_mhz=socket_freq[index],
+                dither_phase=socket_dither[index],
+                slow_countdown=socket_countdown[index],
                 min_limit_mhz=min_limit,
                 max_limit_mhz=max_limit,
                 active=active,
@@ -420,11 +491,11 @@ def _run_lattice(plans: list[_TrialPlan],
                 remote_mhz=remote,
                 ufs=ufs,
                 demand=demand,
-                coupling_lag_mhz=rep.coupling_lag_mhz,
+                coupling_lag_mhz=lag,
             )
-            freq[socket_id][index] = result.freq_mhz
-            dither[socket_id][index] = result.dither_phase
-            countdown[socket_id][index] = result.slow_countdown
+            socket_freq[index] = result.freq_mhz
+            socket_dither[index] = result.dither_phase
+            socket_countdown[index] = result.slow_countdown
             points = history[index][socket_id]
             if points[-1][1] != result.freq_mhz:
                 points.append((time_ns, result.freq_mhz))
@@ -437,13 +508,31 @@ def _run_lattice(plans: list[_TrialPlan],
 
 def _replay_trial(plan: _TrialPlan,
                   lattice: list[list[tuple[int, int]]],
+                  warmed: dict[tuple[int, int], dict],
                   ) -> TransmissionResult:
-    """Replay the receiver's RNG stream against one trial's lattice."""
-    model = LatencyModel(
-        plan.platform.latency, child_rng(plan.seed, "latency-noise")
-    )
-    for _ in range(_PROBE_WARM_ROUNDS * plan.config.list_size):
-        model._noise(1)  # probe warm-up timed loads
+    """Replay the receiver's RNG stream against one trial's lattice.
+
+    ``warmed`` memoises, across the trials of one call, the stream's
+    state after the probe warm-up: it depends only on the seed and the
+    number of warm-up loads.
+    """
+    rng = child_rng(plan.seed, "latency-noise")
+    loads = _PROBE_WARM_ROUNDS * plan.config.list_size
+    state = warmed.get((plan.seed, loads))
+    if state is None:
+        # Each warm-up timed load (``sample_cycles``) draws one jitter,
+        # one tail coin and one tail length (``_noise(1)``).  A scale
+        # never changes how much of the stream a draw consumes, so
+        # scalar standard draws leave the stream where the DES
+        # receiver's leave it.
+        for _ in range(loads):
+            rng.standard_normal()
+            rng.random()
+            rng.standard_exponential()
+        warmed[plan.seed, loads] = rng.bit_generator.state
+    else:
+        rng.bit_generator.state = state
+    model = LatencyModel(plan.platform.latency, rng)
     endpoints = calibrate_endpoints(
         plan.platform, model, hops=plan.config.hops,
         cross_processor=plan.cross,
@@ -457,6 +546,8 @@ def _replay_trial(plan: _TrialPlan,
     measure = plan.config.measure_ns
     hops = plan.config.hops
     core_mhz = plan.receiver_core_mhz
+    iteration_ns: dict[int, float] = {}
+    segment_llc_sum = model.segment_llc_sum
 
     def window(start: int, flows: float) -> float:
         deadline = start + measure
@@ -465,13 +556,17 @@ def _replay_trial(plan: _TrialPlan,
         count = 0
         while now < deadline:
             step = (now - offset) // period + 1
-            next_tick = offset + max(step, 1) * period
-            seg_end = min(deadline, next_tick)
+            next_tick = offset + (step if step > 1 else 1) * period
+            seg_end = next_tick if next_tick < deadline else deadline
             mhz = freqs[bisect_right(times, now) - 1]
-            mean_lat = model.mean_llc_cycles(hops, mhz)
-            iter_ns = model.loop_iteration_ns(mean_lat, core_mhz)
-            samples = max(int((seg_end - now) / iter_ns), 1)
-            total += model.segment_llc_sum(samples, hops, mhz, flows)
+            iter_ns = iteration_ns.get(mhz)
+            if iter_ns is None:  # a pure function of the frequency
+                iter_ns = iteration_ns[mhz] = model.loop_iteration_ns(
+                    model.mean_llc_cycles(hops, mhz), core_mhz)
+            samples = int((seg_end - now) / iter_ns)
+            if samples < 1:
+                samples = 1
+            total += segment_llc_sum(samples, hops, mhz, flows)
             count += samples
             now = seg_end
         return total / count + model.window_bias()
@@ -493,10 +588,23 @@ def _replay_trial(plan: _TrialPlan,
 # -- driver -------------------------------------------------------------------
 
 
+def _plans(requests: Sequence[CapacityRequest | DefenseRequest],
+           ) -> list[_TrialPlan]:
+    """Compile requests into plans, in submission order; trials that
+    share a deployment derive its geometry once."""
+    placements: dict = {}
+    return [
+        _defense_plan(request, placements)
+        if isinstance(request, DefenseRequest)
+        else _capacity_plan(request, placements)
+        for request in requests
+    ]
+
+
 def _lattices_for(plans: list[_TrialPlan],
                   ) -> list[list[list[tuple[int, int]]]]:
     """Group compatible plans onto shared lattices; submission order."""
-    groups: dict[str, list[int]] = {}
+    groups: dict[PlatformConfig, list[int]] = {}
     for index, plan in enumerate(plans):
         groups.setdefault(_group_key(plan.platform), []).append(index)
     lattices: list[list[list[tuple[int, int]]] | None] = (
@@ -514,13 +622,15 @@ def _run_transmissions(plans: list[_TrialPlan]) -> list[TransmissionResult]:
     registry = active_registry()
     if registry is not None:
         registry.inc("fastpath.batch.trials", len(plans))
+    warmed: dict[tuple[int, int], dict] = {}
     return [
-        _replay_trial(plan, lattice)
+        _replay_trial(plan, lattice, warmed)
         for plan, lattice in zip(plans, lattices)
     ]
 
 
-def _capacity_plan(request: CapacityRequest) -> _TrialPlan:
+def _capacity_plan(request: CapacityRequest,
+                   placements: dict | None = None) -> _TrialPlan:
     payload = random_bits(
         request.bits, request.seed, f"payload-{request.interval_ms}"
     )
@@ -531,10 +641,12 @@ def _capacity_plan(request: CapacityRequest) -> _TrialPlan:
         payload=payload,
         cross_processor=request.cross_processor,
         sender_mode=request.sender_mode,
+        placements={} if placements is None else placements,
     )
 
 
-def _defense_plan(request: DefenseRequest) -> _TrialPlan:
+def _defense_plan(request: DefenseRequest,
+                  placements: dict | None = None) -> _TrialPlan:
     if request.defense not in DEFENSE_KEYS:
         raise ValueError(f"unknown defense {request.defense!r}")
     payload = random_bits(
@@ -546,6 +658,7 @@ def _defense_plan(request: DefenseRequest) -> _TrialPlan:
         interval_ms=request.interval_ms,
         payload=payload,
         defense=request.defense,
+        placements={} if placements is None else placements,
     )
 
 
@@ -553,7 +666,7 @@ def batch_capacity_points(
     requests: Sequence[CapacityRequest],
 ) -> list[CapacityPoint]:
     """Batched ``measure_capacity`` over many requests at once."""
-    plans = [_capacity_plan(request) for request in requests]
+    plans = _plans(requests)
     results = _run_transmissions(plans)
     return [
         CapacityPoint(
@@ -571,7 +684,7 @@ def batch_defense_reports(
     requests: Sequence[DefenseRequest],
 ) -> list[DefenseReport]:
     """Batched ``channel_under_defense`` over many requests."""
-    plans = [_defense_plan(request) for request in requests]
+    plans = _plans(requests)
     results = _run_transmissions(plans)
     return [
         DefenseReport(
@@ -589,12 +702,7 @@ def batch_frequency_lattices(
     """Phase A only: per request, per socket, the ``(time_ns, mhz)``
     frequency points.  The validation oracles use this to assert every
     batch frequency stays on the trial's UFS operating-point grid."""
-    plans = [
-        _defense_plan(request) if isinstance(request, DefenseRequest)
-        else _capacity_plan(request)
-        for request in requests
-    ]
-    lattices = _lattices_for(plans)
+    lattices = _lattices_for(_plans(requests))
     return [
         [tuple(socket_points) for socket_points in lattice]
         for lattice in lattices

@@ -16,6 +16,9 @@ The model is deliberately OS-like:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
+
+import numpy as np
 
 from ..errors import MemoryError_
 
@@ -97,13 +100,25 @@ class PhysicalMemory:
                 f"({count} requested, "
                 f"{self._frames_per_node - len(allocated)} free)"
             )
+        # Walk in blocks: the next ``needed`` stops of the stride walk
+        # are distinct (the stride is coprime with the node size and
+        # ``needed`` never exceeds the free count), so keeping the free
+        # ones in walk order claims exactly what a frame-by-frame walk
+        # would.  A block that hits allocated stops leaves a shortfall
+        # for the next block; the last block claims its last stop, so
+        # the cursor ends where the frame-by-frame walk stops.
+        size = self._frames_per_node
+        base = self._node_base(numa_node)
         frames: list[int] = []
         cursor = self._cursor[numa_node]
         while len(frames) < count:
-            cursor = (cursor + self._stride) % self._frames_per_node
-            if cursor not in allocated:
-                allocated.add(cursor)
-                frames.append(self._node_base(numa_node) + cursor)
+            needed = count - len(frames)
+            stops = ((cursor + self._stride * np.arange(1, needed + 1))
+                     % size).tolist()
+            free = list(filterfalse(allocated.__contains__, stops))
+            allocated.update(free)
+            frames.extend(base + stop for stop in free)
+            cursor = stops[-1]
         self._cursor[numa_node] = cursor
         return frames
 
@@ -200,8 +215,8 @@ class AddressSpace:
         pages = -(-size_bytes // page)
         frames = self.memory.allocate_frames(pages, node)
         base = self._next_virtual
-        for i, frame in enumerate(frames):
-            self._page_table[(base // page) + i] = frame
+        first = base // page
+        self._page_table.update(zip(range(first, first + pages), frames))
         self._next_virtual = base + pages * page
         allocation = Allocation(base, pages * page, page, node)
         self._allocations.append(allocation)
@@ -277,6 +292,13 @@ class AddressSpace:
         frames = self.memory.allocate_frames(pages, node)
         segment = SharedSegment(frames=frames, page_bytes=self.page_bytes)
         return segment
+
+    def frames_of(self, allocation: Allocation) -> list[int]:
+        """The frames backing ``allocation``'s base pages, in order."""
+        page = self.page_bytes
+        first = allocation.virtual_base // page
+        return list(map(self._page_table.__getitem__,
+                        range(first, first + allocation.size_bytes // page)))
 
     def translate(self, virtual: int) -> int:
         """Virtual-to-physical translation; raises on an unmapped page."""

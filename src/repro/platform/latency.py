@@ -107,15 +107,18 @@ class LatencyModel:
         ~40 sigma below any LLC mean, so the clip probability is below
         1e-300 and the statistic is exact in practice.
         """
-        mean = self.mean_cycles(Level.LLC, hops, uncore_mhz,
-                                contention_flows)
-        sigma = self.config.noise_sigma_cycles * math.sqrt(count)
+        # :meth:`mean_cycles` for ``Level.LLC``, inline and in the same
+        # expression order (bit for bit): this runs once per segment.
+        config = self.config
+        f_ghz = uncore_mhz / 1_000.0
+        mean = config.core_cycles + (
+            config.slice_cycles + config.hop_cycles * hops) / f_ghz
+        mean += config.contention_cycles_per_flow * contention_flows / f_ghz
+        sigma = config.noise_sigma_cycles * math.sqrt(count)
         total = count * mean + float(self.rng.normal(0.0, sigma))
-        tails = int(self.rng.binomial(count, self.config.noise_tail_prob))
+        tails = int(self.rng.binomial(count, config.noise_tail_prob))
         if tails:
-            total += float(
-                self.rng.gamma(tails, self.config.noise_tail_cycles)
-            )
+            total += float(self.rng.gamma(tails, config.noise_tail_cycles))
         return total
 
     def window_bias(self) -> float:

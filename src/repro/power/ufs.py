@@ -103,14 +103,25 @@ def demand_target(demand: DemandModelConfig, llc_rate: float,
     :class:`repro.config.DemandModelConfig` for the calibration.
     """
     rate = demand.traffic_loop_rate_per_us
-    targets = []
-    for bands, value in ((demand.llc_bands, llc_rate),
-                         (demand.noc_bands, noc_score)):
-        units = value / rate
-        matched = [freq for threshold, freq in bands if units >= threshold]
-        if matched:
-            targets.append(matched[-1])  # the highest band reached
-    return max(targets) if targets else None
+    # Each component's target is the highest band it reaches: bands
+    # ascend (``DemandModelConfig.validate``), so the scan stops at the
+    # first threshold not reached.  The socket target is the higher of
+    # the two.
+    target = None
+    units = llc_rate / rate
+    for threshold, freq in demand.llc_bands:
+        if not units >= threshold:
+            break
+        target = freq
+    noc_target = None
+    units = noc_score / rate
+    for threshold, freq in demand.noc_bands:
+        if not units >= threshold:
+            break
+        noc_target = freq
+    if noc_target is not None and (target is None or noc_target > target):
+        target = noc_target
+    return target
 
 
 class UfsStepResult(NamedTuple):
@@ -160,20 +171,14 @@ def ufs_control_step(
         turbo_pin = turbo and enabled
         pinned = max_limit_mhz if turbo_pin else freq
         return UfsStepResult(
-            freq_mhz=pinned,
-            dither_phase=dither_phase,
-            slow_countdown=0 if turbo_pin else slow_countdown,
-            target_mhz=pinned,
-            stall_rule=False,
-            heavy=turbo_pin,
-            turbo_pin=turbo_pin,
-            veto=False,
+            pinned, dither_phase, 0 if turbo_pin else slow_countdown,
+            pinned, False, turbo_pin, turbo_pin, False,
         )
 
-    def clamp(value: int) -> int:
-        return max(min_limit_mhz, min(max_limit_mhz, value))
-
     # -- target selection (stall rule, demand bands, coupling) ----------
+    # Clamps, minima and maxima are spelled out inline and the result
+    # is built positionally: this runs once per socket per tick on both
+    # backends.
     stall_rule = (
         active > 0 and stalled > ufs.stalled_fraction_trigger * active
     )
@@ -182,11 +187,18 @@ def ufs_control_step(
     else:
         target = demand_target(demand, llc_rate, noc_score)
         if target is not None:
-            target = clamp(target)
+            if target > max_limit_mhz:
+                target = max_limit_mhz
+            elif target < min_limit_mhz:
+                target = min_limit_mhz
 
     coupled_binding = False
     if remote_mhz is not None:
-        coupled = clamp(remote_mhz - coupling_lag_mhz)
+        coupled = remote_mhz - coupling_lag_mhz
+        if coupled > max_limit_mhz:
+            coupled = max_limit_mhz
+        elif coupled < min_limit_mhz:
+            coupled = min_limit_mhz
         coupled_binding = (
             (target is None or coupled > target)
             and coupled > ufs.active_idle_high_mhz
@@ -199,8 +211,12 @@ def ufs_control_step(
     veto = heavy = False
     if target is None:
         phase = (phase + 1) % 4
-        effective = clamp(ufs.active_idle_low_mhz if phase == 0
-                          else ufs.active_idle_high_mhz)
+        effective = (ufs.active_idle_low_mhz if phase == 0
+                     else ufs.active_idle_high_mhz)
+        if effective > max_limit_mhz:
+            effective = max_limit_mhz
+        elif effective < min_limit_mhz:
+            effective = min_limit_mhz
         veto = effective < freq and max_stall > ufs.decrease_veto_stall_ratio
         if veto:
             effective = freq
@@ -212,27 +228,23 @@ def ufs_control_step(
     countdown = slow_countdown
     if effective > freq:
         if heavy:
-            freq = min(freq + ufs.step_mhz, effective)
+            freq += ufs.step_mhz
         elif countdown > 0:
             countdown -= 1  # slow step still waiting out its periods
         else:
             countdown = ufs.slow_step_periods - 1
-            freq = min(freq + ufs.step_mhz, effective)
+            freq += ufs.step_mhz
+        if freq > effective:
+            freq = effective
     else:
         countdown = 0
         if effective < freq:
-            freq = max(freq - ufs.step_mhz, effective)
+            freq -= ufs.step_mhz
+            if freq < effective:
+                freq = effective
 
-    return UfsStepResult(
-        freq_mhz=freq,
-        dither_phase=phase,
-        slow_countdown=countdown,
-        target_mhz=effective,
-        stall_rule=stall_rule,
-        heavy=heavy,
-        turbo_pin=False,
-        veto=veto,
-    )
+    return UfsStepResult(freq, phase, countdown, effective, stall_rule,
+                         heavy, False, veto)
 
 
 class UfsPmu:

@@ -72,6 +72,12 @@ class TestUfsConfig:
         with pytest.raises(ConfigError):
             UfsConfig(stalled_fraction_trigger=1.5).validate()
 
+    @pytest.mark.parametrize("observation_ns", [0, -5_000_000])
+    def test_rejects_empty_observation_window(self, observation_ns):
+        # Either backend would otherwise die mid-run on an empty window.
+        with pytest.raises(ConfigError, match="observation"):
+            UfsConfig(observation_ns=observation_ns).validate()
+
 
 class TestDemandModelConfig:
     def test_default_bands_are_monotone(self):

@@ -1,5 +1,9 @@
 """CPU layer: activity timelines, cores, MSRs."""
 
+import bisect
+import math
+import random
+
 import pytest
 
 from repro.cpu import (
@@ -167,6 +171,105 @@ class TestSilentSince:
         # Private-cache traffic never reaches the uncore.
         timeline = ProfileTimeline(ActivityProfile(l2_rate_per_us=50.0))
         assert timeline.silent_since(0)
+
+
+def _reference_window_stats(timeline, t0, t1):
+    """The segment walk ``window_stats`` must reproduce bit for bit."""
+    times, profiles = timeline._times, timeline._profiles
+    index = max(bisect.bisect_right(times, t0) - 1, 0)
+    total = t1 - t0
+    active_time = llc = noc = stall_weighted = l2 = 0.0
+    while index < len(times) and times[index] < t1:
+        seg_start = max(times[index], t0)
+        seg_end = min(times[index + 1] if index + 1 < len(times) else t1,
+                      t1)
+        if seg_end <= seg_start:
+            index += 1
+            continue
+        weight = seg_end - seg_start
+        profile = profiles[index]
+        if profile.active:
+            active_time += weight
+            stall_weighted += profile.stall_ratio * weight
+        llc += profile.llc_rate_per_us * weight
+        noc += profile.llc_rate_per_us * profile.mean_hops**2 * weight
+        l2 += profile.l2_rate_per_us * weight
+        index += 1
+    stall = stall_weighted / active_time if active_time else 0.0
+    return (active_time / total, llc / total, noc / total, stall,
+            l2 / total)
+
+
+def _random_timeline(rng):
+    profiles = [
+        IDLE,
+        ActivityProfile(l2_rate_per_us=7.0),
+        ActivityProfile(active=True, stall_ratio=0.4),
+        ActivityProfile(llc_rate_per_us=3.3, mean_hops=2.0),
+        ActivityProfile(active=True, llc_rate_per_us=0.7, mean_hops=1.5,
+                        stall_ratio=0.9, l2_rate_per_us=2.0),
+    ]
+    timeline = ProfileTimeline(rng.choice(profiles))
+    now = 0
+    for _ in range(rng.randint(0, 12)):
+        now += rng.choice((0, 1, 3, 700, 2500))
+        timeline.set_profile(now, rng.choice(profiles))
+    return timeline, now
+
+
+class TestWindowIntegrals:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_stats_matches_segment_walk(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            timeline, end = _random_timeline(rng)
+            t0 = rng.randint(-50, end + 50)
+            t1 = t0 + rng.randint(1, 4000)
+            assert timeline.window_stats(t0, t1) == \
+                _reference_window_stats(timeline, t0, t1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_silent_iff_no_loud_span_overlaps(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            timeline, end = _random_timeline(rng)
+            t0 = rng.randint(0, end + 50)
+            t1 = t0 + rng.randint(1, 4000)
+            in_force = {timeline.profile_at(t0)} | {
+                profile for time, profile in
+                zip(timeline._times, timeline._profiles) if t0 < time < t1
+            }
+            silent = all(not p.active and p.llc_rate_per_us == 0
+                         for p in in_force)
+            assert _overlaps_loud(timeline, t0, t1) == (not silent)
+            if silent:  # folds to exact zeros (L2 traffic is not read)
+                stats = timeline.window_stats(t0, t1)
+                assert stats[:4] == (0.0, 0.0, 0.0, 0.0)
+
+    def test_loud_spans_merge_adjacent_loud_profiles(self):
+        timeline = ProfileTimeline()
+        timeline.set_profile(500, ActivityProfile(active=True))
+        timeline.set_profile(550, ActivityProfile(llc_rate_per_us=2.0))
+        timeline.set_profile(600, IDLE)
+        timeline.set_profile(650, ActivityProfile(l2_rate_per_us=9.0))
+        timeline.set_profile(900, ActivityProfile(active=True))
+        assert timeline.loud_spans() == [(500, 600), (900, math.inf)]
+        assert not _overlaps_loud(timeline, 0, 500)
+        assert _overlaps_loud(timeline, 0, 501)
+        assert _overlaps_loud(timeline, 599, 700)
+        assert not _overlaps_loud(timeline, 600, 900)
+
+    def test_same_time_overwrite_updates_silence(self):
+        timeline = ProfileTimeline()
+        timeline.set_profile(100, ActivityProfile(active=True))
+        timeline.set_profile(100, IDLE)
+        assert timeline.loud_spans() == []
+        assert timeline.silent_since(100)
+
+
+def _overlaps_loud(timeline, t0, t1):
+    return any(start < t1 and end > t0
+               for start, end in timeline.loud_spans())
 
 
 class TestCore:

@@ -8,6 +8,8 @@ from repro.config import SOCKET0_ACTIVE_TILES, SocketConfig
 from repro.errors import MemoryError_
 from repro.mem import AddressSpace, PhysicalMemory
 
+from .test_mem import PerFrameMemory, allocator_state
+
 
 @pytest.fixture
 def setup():
@@ -209,7 +211,106 @@ class TestCandidateGrowth:
         assert builder._lines.dtype == np.uint64
         np.testing.assert_array_equal(builder._virtual, expected_virtual)
         np.testing.assert_array_equal(builder._lines, expected_lines)
-        np.testing.assert_array_equal(
-            builder._slices,
-            builder.slice_hash.slice_of_array(expected_lines),
-        )
+
+
+class FullHashReference(EvictionListBuilder):
+    """The full-hash search the set-first search must reproduce.
+
+    Every candidate line is translated page by page and slice-hashed as
+    its chunk arrives; each round masks *all* candidates at once and
+    takes the first ``count`` matches.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._slices = np.empty(0, dtype=np.int64)
+
+    def _grow(self):
+        page = self.space.page_bytes
+        chunk_bytes = self._CHUNK_PAGES * page
+        if self._searched_bytes + chunk_bytes > self.max_search_bytes:
+            raise MemoryError_("eviction-list search exceeded its budget")
+        allocation = self.space.allocate(chunk_bytes)
+        self._searched_bytes += chunk_bytes
+        bases = range(allocation.virtual_base, allocation.virtual_end, page)
+        virtual_pages = np.array(bases, dtype=np.int64)
+        physical_pages = np.fromiter(map(self.space.translate, bases),
+                                     dtype=np.int64, count=len(bases))
+        offsets = np.arange(page // 64, dtype=np.int64)
+        new_virtual = (virtual_pages[:, None] + offsets * 64).ravel()
+        new_lines = ((physical_pages >> 6)[:, None]
+                     + offsets).astype(np.uint64).ravel()
+        new_slices = self.slice_hash.slice_of_array(new_lines)
+        self._virtual = np.concatenate([self._virtual, new_virtual])
+        self._lines = np.concatenate([self._lines, new_lines])
+        self._slices = np.concatenate([self._slices, new_slices])
+
+    def _collect(self, count, *, num_sets=None, set_index=0, slice_id=None):
+        while True:
+            mask = np.ones(len(self._lines), dtype=bool)
+            if num_sets is not None:
+                sets = (self._lines % np.uint64(num_sets)).astype(np.int64)
+                mask &= sets == set_index
+            if slice_id is not None:
+                mask &= self._slices == slice_id
+            indices = np.flatnonzero(mask)
+            if len(indices) >= count:
+                return indices[:count]
+            self._grow()
+
+
+def _builder_pair(restrict=None):
+    """(set-first builder, full-hash reference) over twin memories."""
+    config = SocketConfig(socket_id=0, core_tiles=SOCKET0_ACTIVE_TILES)
+    hierarchy = CacheHierarchy(config)
+    slice_hash = (hierarchy.slice_hash if restrict is None
+                  else hierarchy.slice_hash.restricted(restrict))
+    pair = []
+    for memory_cls, builder_cls in ((PhysicalMemory, EvictionListBuilder),
+                                    (PerFrameMemory, FullHashReference)):
+        space = AddressSpace("attacker", memory_cls(8 << 30, 4096))
+        pair.append(builder_cls(space, hierarchy, slice_hash=slice_hash))
+    return pair
+
+
+_REQUESTS = [
+    ("build_l2_list", dict(slice_id=3, l2_set=17, count=20)),
+    ("build_l2_list", dict(slice_id=5, l2_set=1023, count=20)),
+    ("build_measurement_list", dict(slice_id=1)),
+    ("build_llc_set_list", dict(slice_id=5, llc_set=40, count=24)),
+    ("build_llc_set_list", dict(slice_id=3, llc_set=2047, count=12)),
+    ("build_slice_working_set", dict(slice_id=5, count=100)),
+    ("build_l2_set_group", dict(l2_set=7, count=40)),
+    ("build_l2_set_group", dict(l2_set=1023, count=40)),
+]
+
+
+class TestSetFirstSearchMatchesFullHash:
+    """The set-first search is exact: same lists, same candidate count,
+    same allocator state as hashing every candidate line."""
+
+    @staticmethod
+    def _assert_same(pair, requests):
+        for name, kwargs in requests:
+            new, ref = (getattr(builder, name)(**kwargs) for builder in pair)
+            assert new == ref, (name, kwargs)
+            assert pair[0].candidate_count == pair[1].candidate_count
+        memories = [builder.space.memory for builder in pair]
+        assert allocator_state(memories[0]) == allocator_state(memories[1])
+        assert memories[0].allocate_frames(64) == \
+            memories[1].allocate_frames(64)
+
+    @pytest.mark.parametrize("restrict", [None, (1, 3, 5)],
+                             ids=["full", "restricted"])
+    @pytest.mark.parametrize("name,kwargs", _REQUESTS,
+                             ids=[f"{n}-{i}" for i, (n, _) in
+                                  enumerate(_REQUESTS)])
+    def test_each_builder(self, name, kwargs, restrict):
+        self._assert_same(_builder_pair(restrict), [(name, kwargs)])
+
+    @pytest.mark.parametrize("restrict", [None, (1, 3, 5)],
+                             ids=["full", "restricted"])
+    def test_requests_share_candidates(self, restrict):
+        """Later requests search the chunks earlier ones allocated
+        before growing."""
+        self._assert_same(_builder_pair(restrict), _REQUESTS)

@@ -5,6 +5,7 @@ live in the differential suite, ``tests/test_differential.py``).
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -26,6 +27,8 @@ from repro.fastpath.batch import (
     _defense_plan,
     _group_key,
     _lattices_for,
+    _observations,
+    batch_frequency_lattices,
 )
 from repro.resilience.checkpoint import Checkpoint, checkpoint_key
 from repro.telemetry import MetricsRegistry, using
@@ -212,6 +215,9 @@ INVALID_PLATFORMS = {
     "off-grid-range": default_platform_config().with_ufs(
         max_freq_mhz=2450
     ),
+    "empty-observation-window": default_platform_config().with_ufs(
+        observation_ns=0
+    ),
 }
 
 
@@ -276,6 +282,20 @@ class TestBatchBackend:
         counters = registry.snapshot()["counters"]
         assert "fastpath.batch.trials" not in counters
 
+    @pytest.mark.parametrize("interval_ms", [21.0, 12.0])
+    def test_observation_longer_than_period(self, interval_ms):
+        # A 20 ms window over 10 ms ticks reaches back past the previous
+        # tick; the PMU clamps it there, and so must the lattice.
+        platform = default_platform_config().with_ufs(
+            observation_ns=20_000_000
+        )
+        des, batch = (
+            measure_capacity(platform=platform, interval_ms=interval_ms,
+                             bits=24, seed=0, backend=backend)
+            for backend in ("des", "batch")
+        )
+        assert equal_results(des, batch)
+
     def test_shared_lattice_matches_solo_lattices(self):
         # One group mixing horizons, a cross-socket trial and a
         # restricted-window trial: each trial's history must not depend
@@ -301,6 +321,95 @@ class TestBatchBackend:
         assert shared == solo
         restricted = {mhz for socket in shared[2] for _, mhz in socket}
         assert restricted <= {1500, 1600, 1700}
+
+
+    @pytest.mark.parametrize("interval_ms, cross", [
+        (12.0, False), (15.0, False), (21.0, True),
+    ])
+    def test_lattice_equals_des_frequency_timeline(self, interval_ms,
+                                                   cross):
+        # Every frequency change, to the nanosecond, up to the horizon.
+        # At 12 ms one 10 ms window meets two measurement windows.
+        from repro.core import ChannelConfig, UFVariationChannel
+        from repro.core.evaluation import random_bits
+        from repro.platform.system import System
+        from repro.units import ms
+
+        bits = 16
+        system = System(default_platform_config(), seed=0)
+        channel = UFVariationChannel(
+            system, config=ChannelConfig(interval_ns=ms(interval_ms)),
+            sender_socket=0, sender_cores=(0,),
+            receiver_socket=1 if cross else 0, receiver_core=8,
+        )
+        channel.transmit(random_bits(bits, 0, f"payload-{interval_ms}"))
+        horizon = bits * ms(interval_ms)
+        des = [
+            tuple(point for point in socket.pmu.timeline.points()
+                  if point[0] <= horizon)
+            for socket in system.sockets
+        ]
+        channel.shutdown()
+        system.stop()
+        [batch] = batch_frequency_lattices([CapacityRequest(
+            interval_ms=interval_ms, bits=bits, seed=0,
+            cross_processor=cross,
+        )])
+        assert batch == des
+
+
+def _loud_timeline(rng):
+    from repro.cpu.activity import IDLE, ActivityProfile, ProfileTimeline
+
+    profiles = [
+        IDLE,
+        ActivityProfile(l2_rate_per_us=4.0),
+        ActivityProfile(active=True, stall_ratio=0.8),
+        ActivityProfile(llc_rate_per_us=40.0, mean_hops=2.0),
+        ActivityProfile(active=True, llc_rate_per_us=9.0, mean_hops=1.0,
+                        stall_ratio=0.2),
+    ]
+    timeline = ProfileTimeline(rng.choice(profiles))
+    now = 0
+    for _ in range(rng.randint(0, 14)):
+        now += rng.choice((0, 1, 150, 400, 1300))
+        timeline.set_profile(now, rng.choice(profiles))
+    return timeline, now
+
+
+class TestLatticeObservations:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_skipping_silent_windows_changes_no_fold(self, seed):
+        # The reference folds every touched core in every window (a
+        # silent core adds exact zeros); short spans and gaps put two
+        # loud spans inside one window.
+        from repro.power.ufs import accumulate_observation
+
+        rng = random.Random(seed)
+        for _ in range(100):
+            built = [_loud_timeline(rng) for _ in range(rng.randint(1, 3))]
+            entries = [(timeline, rng.random() < 0.3)
+                       for timeline, _ in built]
+            horizon = max(end for _, end in built) + 1000
+            period = rng.choice((500, 1000))
+            observation = rng.choice((300, 1000, 2500))
+            ticks = list(range(period, horizon + 1, period))
+            starts = [max(previous, tick - observation)
+                      for previous, tick in zip([0] + ticks, ticks)]
+            last = rng.randint(0, len(ticks))
+            folds = _observations(entries, ticks, starts, last, 0.3)
+            loud = set()
+            for tick in range(last):
+                samples = [
+                    (timeline.window_stats(starts[tick], ticks[tick]),
+                     above_base) for timeline, above_base in entries
+                ]
+                if any(stats.active_fraction or stats.llc_rate_per_us
+                       for stats, _ in samples):
+                    loud.add(tick)
+                assert folds.get(tick, (0, 0, 0.0, 0.0, 0.0, False)) \
+                    == accumulate_observation(samples, 0.3)
+            assert set(folds) == loud  # no window_stats on silence
 
 
 class TestAnalyticalBackend:

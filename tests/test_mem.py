@@ -1,9 +1,38 @@
 """Memory substrate: addressing, allocation, sharing, NUMA policy."""
 
+import random
+
 import pytest
 
 from repro.errors import MemoryError_
 from repro.mem import AddressSpace, PhysicalMemory
+
+
+class PerFrameMemory(PhysicalMemory):
+    """Reference allocator: the frame-by-frame stride walk the block
+    walk in :meth:`PhysicalMemory.allocate_frames` must reproduce."""
+
+    def allocate_frames(self, count, numa_node=0):
+        if not 0 <= numa_node < self.num_numa_nodes:
+            raise MemoryError_(f"no such NUMA node {numa_node}")
+        allocated = self._allocated[numa_node]
+        if len(allocated) + count > self._frames_per_node:
+            raise MemoryError_(f"NUMA node {numa_node} out of frames")
+        frames = []
+        cursor = self._cursor[numa_node]
+        while len(frames) < count:
+            cursor = (cursor + self._stride) % self._frames_per_node
+            if cursor not in allocated:
+                allocated.add(cursor)
+                frames.append(self._node_base(numa_node) + cursor)
+        self._cursor[numa_node] = cursor
+        return frames
+
+
+def allocator_state(memory):
+    """Everything a later allocation depends on, per node."""
+    return ([sorted(node) for node in memory._allocated],
+            list(memory._cursor))
 
 
 class TestPhysicalMemory:
@@ -44,6 +73,47 @@ class TestPhysicalMemory:
         memory = PhysicalMemory(1 << 20, 4096, num_numa_nodes=2)
         with pytest.raises(MemoryError_):
             memory.allocate_frames(1, numa_node=2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_walk_matches_per_frame_walk(self, seed):
+        """Frees punch holes in the walk and contiguous runs claim
+        frames out of walk order; the block walk must still hand out
+        the same frames in the same order and leave the same cursor."""
+        rng = random.Random(seed)
+        pair = [cls(4096 * 997, 4096, num_numa_nodes=1)
+                for cls in (PhysicalMemory, PerFrameMemory)]
+        live = []
+        for _ in range(40):
+            action = rng.random()
+            if action < 0.3 and live:
+                holes = rng.sample(live, rng.randint(1, len(live)))
+                for memory in pair:
+                    memory.free_frames(holes)
+                live = [f for f in live if f not in set(holes)]
+            elif action < 0.45:
+                run = rng.choice((1, 2, 4, 8))
+                starts = []
+                for memory in pair:
+                    try:
+                        starts.append(memory.allocate_contiguous(run))
+                    except MemoryError_:
+                        starts.append(None)
+                assert starts[0] == starts[1]
+            else:
+                count = rng.randint(0, 120)
+                results = []
+                for memory in pair:
+                    try:
+                        results.append(memory.allocate_frames(count))
+                    except MemoryError_:
+                        results.append(None)
+                assert results[0] == results[1]
+                live.extend(results[0] or ())
+            assert allocator_state(pair[0]) == allocator_state(pair[1])
+        free = pair[0].frames_per_node - pair[0].frames_allocated()
+        assert pair[0].allocate_frames(free) == pair[1].allocate_frames(free)
+        with pytest.raises(MemoryError_):
+            pair[0].allocate_frames(1)
 
     def test_non_page_multiple_rejected(self):
         with pytest.raises(MemoryError_):
