@@ -19,59 +19,65 @@ from repro.sidechannel.rnn import RnnClassifier, RnnConfig
 from repro.units import ms, us
 
 
-def test_perf_engine_event_throughput(benchmark):
-    def spin():
+#: Events per throughput spin.
+SPIN_EVENTS = 10_000
+
+
+def event_spin() -> int:
+    """One event-throughput spin: a fresh engine fires ``SPIN_EVENTS``
+    self-rescheduling events."""
+    engine = Engine()
+    count = 0
+
+    def tick():
+        nonlocal count
+        count += 1
+        if count < SPIN_EVENTS:
+            engine.schedule(10, tick)
+
+    engine.schedule(10, tick)
+    engine.run()
+    return count
+
+
+def event_spin_telemetry() -> int:
+    """:func:`event_spin` with a telemetry registry active, harvested
+    and snapshotted at teardown."""
+    from repro.telemetry import MetricsRegistry, harvest_engine, using
+
+    registry = MetricsRegistry()
+    with using(registry):
         engine = Engine()
         count = 0
 
         def tick():
             nonlocal count
             count += 1
-            if count < 10_000:
+            if count < SPIN_EVENTS:
                 engine.schedule(10, tick)
 
         engine.schedule(10, tick)
         engine.run()
-        return count
+        harvest_engine(engine, registry)
+    snapshot = registry.snapshot()
+    assert snapshot["counters"]["engine.events_fired"] == SPIN_EVENTS
+    return count
 
-    assert benchmark(spin) == 10_000
+
+def test_perf_engine_event_throughput(benchmark):
+    assert benchmark(event_spin) == SPIN_EVENTS
 
 
 def test_perf_engine_event_throughput_telemetry(benchmark):
     """The event-throughput spin with telemetry active.
 
     Instrumentation is always-on plain-int counters harvested at
-    teardown, so this must land within 5 % of the plain
-    ``test_perf_engine_event_throughput`` median — the CI smoke step
-    (``benchmarks/check_regression.py``) enforces exactly that against
-    BENCH_baseline.json.
+    teardown, so this must cost within 5 % of the plain spin.  The CI
+    perf gate (``benchmarks/check_regression.py``) enforces that on
+    interleaved plain/telemetry pairs of :func:`event_spin` and
+    :func:`event_spin_telemetry` run in one process.
     """
-    from repro.telemetry import (
-        MetricsRegistry,
-        harvest_engine,
-        using,
-    )
-
-    def spin():
-        registry = MetricsRegistry()
-        with using(registry):
-            engine = Engine()
-            count = 0
-
-            def tick():
-                nonlocal count
-                count += 1
-                if count < 10_000:
-                    engine.schedule(10, tick)
-
-            engine.schedule(10, tick)
-            engine.run()
-            harvest_engine(engine, registry)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["engine.events_fired"] == 10_000
-        return count
-
-    assert benchmark(spin) == 10_000
+    assert benchmark(event_spin_telemetry) == SPIN_EVENTS
 
 
 def test_perf_engine_cancel_churn(benchmark):

@@ -3,10 +3,10 @@
 Tracks the three costs the trace store trades between: encoding a
 corpus (the cache-miss write tax), decoding one (the hit-path floor)
 and the end-to-end warm-versus-cold study gap the cache exists to win.
-``benchmarks/check_regression.py --trace-cache`` gates the last one in
-CI: a warm fingerprint smoke run must be at least 10x faster than the
-cold simulate-and-store run, or the cache has stopped paying for
-itself.
+``benchmarks/check_regression.py`` gates the last one in CI by default
+(``--skip-trace-cache`` turns the gate off): a warm fingerprint smoke
+run must be at least 10x faster than the cold simulate-and-store run,
+or the cache has stopped paying for itself.
 """
 
 import numpy as np

@@ -3,12 +3,10 @@
 
 Four paired measurements, each with a budget; exit 1 when any fails:
 
-* **Telemetry overhead** — the engine event-throughput micro-benchmark
-  plain versus with the telemetry registry active.  The telemetry
-  median must land within the tolerance (default 5 %) of the plain
-  median.  ``--against-baseline`` additionally gates the plain median
-  against ``BENCH_baseline.json`` (cross-machine medians are noisy, so
-  that check is opt-in).
+* **Telemetry overhead** — the engine event-throughput spin of
+  ``benchmarks/bench_simulator_performance.py`` plain versus with the
+  telemetry registry active, in interleaved pairs.  The median of the
+  pairs' time ratios must land within the tolerance (default 5 %).
 * **Trace-cache speedup** — the fingerprint smoke study cold (simulate
   + store) versus warm (served from the trace store).  The warm run
   must be at least ``--trace-speedup`` (default 10) times faster than
@@ -33,7 +31,6 @@ Four paired measurements, each with a budget; exit 1 when any fails:
 Usage::
 
     python benchmarks/check_regression.py [--tolerance 0.05]
-        [--against-baseline] [--baseline BENCH_baseline.json]
         [--trace-speedup 10] [--skip-trace-cache]
         [--skip-resilience] [--fastpath-speedup 10]
         [--skip-fastpath]
@@ -43,46 +40,86 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-PLAIN = "test_perf_engine_event_throughput"
-TELEMETRY = "test_perf_engine_event_throughput_telemetry"
+
+def interleaved_pairs(plain: Callable[[], tuple[float, object]],
+                      other: Callable[[], tuple[float, object]],
+                      rounds: int,
+                      ) -> tuple[float, float, float, list[tuple]]:
+    """Time ``rounds`` adjacent pairs of two runs.
+
+    Each run returns ``(seconds, result)`` and must start its clock
+    after a full collection, so neither side inherits the other's
+    garbage.  Pairs alternate which run goes first.  Returns the plain and other median
+    times, the overhead — the median of each pair's other/plain ratio,
+    minus one — and every pair's ``(plain result, other result)``.  A
+    pair's two runs are adjacent, so host load that drifts over seconds
+    cancels in its ratio, and the median drops pairs a burst hit on one
+    side only.
+    """
+    plain_times, other_times, results = [], [], []
+    for round_index in range(rounds):
+        if round_index % 2:
+            other_s, other_result = other()
+            plain_s, plain_result = plain()
+        else:
+            plain_s, plain_result = plain()
+            other_s, other_result = other()
+        plain_times.append(plain_s)
+        other_times.append(other_s)
+        results.append((plain_result, other_result))
+    overhead = statistics.median(
+        other_s / plain_s
+        for plain_s, other_s in zip(plain_times, other_times)
+    ) - 1.0
+    return (statistics.median(plain_times),
+            statistics.median(other_times), overhead, results)
 
 
-def run_benchmarks() -> dict[str, float]:
-    """Run both throughput benches; return name -> median seconds."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "bench.json"
-        command = [
-            sys.executable, "-m", "pytest",
-            str(REPO_ROOT / "benchmarks" / "bench_simulator_performance.py"),
-            "-k", "event_throughput",
-            "--benchmark-only",
-            f"--benchmark-json={out}",
-            "-q", "--no-header", "-p", "no:cacheprovider",
-        ]
-        proc = subprocess.run(command, cwd=REPO_ROOT)
-        if proc.returncode != 0:
-            raise SystemExit(
-                f"benchmark run failed (exit {proc.returncode})"
-            )
-        data = json.loads(out.read_text())
-    medians = {
-        bench["name"]: bench["stats"]["median"]
-        for bench in data["benchmarks"]
-    }
-    missing = {PLAIN, TELEMETRY} - medians.keys()
-    if missing:
-        raise SystemExit(f"benchmarks missing from run: {missing}")
-    return medians
+#: Interleaved plain/telemetry pairs in the telemetry gate, and spins
+#: per run.  One spin is ~5 ms on a shared 2-CPU x86-64 host.  Many
+#: short pairs beat a few long ones there: for the same gate time,
+#: eight readings on unchanged code spread -8.3..+1.0 % with 21 pairs
+#: of ten spins, and -0.8..+1.3 % with 101 pairs of two.
+TELEMETRY_ROUNDS = 101
+TELEMETRY_SPINS = 2
+
+
+def measure_telemetry_overhead() -> tuple[float, float, float]:
+    """Time the event-throughput spin plain versus with telemetry.
+
+    Returns the plain and telemetry median times per spin and the
+    overhead over :data:`TELEMETRY_ROUNDS` interleaved pairs (see
+    :func:`interleaved_pairs`).
+    """
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from bench_simulator_performance import (  # noqa: E402
+        event_spin,
+        event_spin_telemetry,
+    )
+
+    def timed(spin) -> Callable[[], tuple[float, object]]:
+        def run() -> tuple[float, object]:
+            gc.collect()
+            start = time.perf_counter()
+            for _ in range(TELEMETRY_SPINS):
+                spin()
+            return time.perf_counter() - start, None
+        return run
+
+    plain_s, telemetry_s, overhead, _ = interleaved_pairs(
+        timed(event_spin), timed(event_spin_telemetry), TELEMETRY_ROUNDS
+    )
+    return (plain_s / TELEMETRY_SPINS, telemetry_s / TELEMETRY_SPINS,
+            overhead)
 
 
 def measure_trace_cache() -> tuple[float, float]:
@@ -134,14 +171,9 @@ def measure_resilience_overhead() -> tuple[float, float, float]:
     checkpoint directory, so everything it does beyond the plain run —
     policy bookkeeping, per-point pickling, atomic flushes — is pure
     overhead.  Returns the plain and resilient median times and the
-    overhead: the median, over ``RESILIENCE_ROUNDS`` interleaved pairs,
-    of each pair's resilient/plain ratio, minus one.  A pair's two runs
-    are adjacent, so host load that drifts over seconds cancels in its
-    ratio, and the median drops pairs a burst hit on one side only.
-    Pairs alternate which run goes first, and every run starts from a
-    full collection so neither side inherits the other's garbage.  A
-    results mismatch is reported as its own failure: the machinery must
-    be invisible, not just cheap.
+    overhead over :data:`RESILIENCE_ROUNDS` interleaved pairs (see
+    :func:`interleaved_pairs`).  A results mismatch is reported as its
+    own failure: the machinery must be invisible, not just cheap.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.core.evaluation import capacity_sweep  # noqa: E402
@@ -163,27 +195,16 @@ def measure_resilience_overhead() -> tuple[float, float, float]:
                                    checkpoint_dir=ckpt, retry=policy)
             return time.perf_counter() - start, sweep
 
-    plain_times, resilient_times = [], []
-    for round_index in range(RESILIENCE_ROUNDS):
-        if round_index % 2:
-            resilient_s, resilient = resilient_run()
-            plain_s, plain = plain_run()
-        else:
-            plain_s, plain = plain_run()
-            resilient_s, resilient = resilient_run()
+    plain_s, resilient_s, overhead, results = interleaved_pairs(
+        plain_run, resilient_run, RESILIENCE_ROUNDS
+    )
+    for plain, resilient in results:
         if resilient.points != plain.points:
             raise SystemExit(
                 "retry+checkpoint sweep diverged from the plain run — "
                 "the determinism contract is broken, not just slow"
             )
-        plain_times.append(plain_s)
-        resilient_times.append(resilient_s)
-    overhead = statistics.median(
-        resilient_s / plain_s
-        for plain_s, resilient_s in zip(plain_times, resilient_times)
-    ) - 1.0
-    return (statistics.median(plain_times),
-            statistics.median(resilient_times), overhead)
+    return plain_s, resilient_s, overhead
 
 
 def measure_fastpath() -> tuple[float, float, float, float]:
@@ -257,24 +278,10 @@ def measure_fastpath() -> tuple[float, float, float, float]:
     return des_s, min(batch_times), worst_delta, worst_tolerance
 
 
-def baseline_median(path: Path) -> float:
-    data = json.loads(path.read_text())
-    for bench in data["benchmarks"]:
-        if bench["name"] == PLAIN:
-            return bench["stats"]["median"]
-    raise SystemExit(f"{PLAIN} not found in {path}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tolerance", type=float, default=0.05,
                         help="allowed fractional overhead (default 0.05)")
-    parser.add_argument("--baseline",
-                        default=str(REPO_ROOT / "BENCH_baseline.json"),
-                        help="recorded baseline JSON")
-    parser.add_argument("--against-baseline", action="store_true",
-                        help="also gate the plain median against the "
-                             "recorded baseline (cross-machine: noisy)")
     parser.add_argument("--trace-speedup", type=float, default=10.0,
                         help="minimum warm-over-cold trace-cache "
                              "speedup (default 10)")
@@ -291,28 +298,16 @@ def main(argv: list[str] | None = None) -> int:
                              "equivalence gate")
     args = parser.parse_args(argv)
 
-    medians = run_benchmarks()
-    plain = medians[PLAIN]
-    telemetry = medians[TELEMETRY]
-    overhead = telemetry / plain - 1.0
-    print(f"plain median:     {plain * 1e3:8.3f} ms")
-    print(f"telemetry median: {telemetry * 1e3:8.3f} ms")
-    print(f"overhead:         {100 * overhead:+8.2f} % "
+    plain, telemetry, overhead = measure_telemetry_overhead()
+    print(f"spin plain:        {plain * 1e3:8.3f} ms")
+    print(f"spin telemetry:    {telemetry * 1e3:8.3f} ms")
+    print(f"telemetry cost:    {100 * overhead:+8.2f} % "
           f"(tolerance {100 * args.tolerance:.0f} %)")
 
     failed = False
     if overhead > args.tolerance:
         print("FAIL: telemetry overhead exceeds tolerance")
         failed = True
-
-    if args.against_baseline:
-        recorded = baseline_median(Path(args.baseline))
-        drift = plain / recorded - 1.0
-        print(f"recorded baseline: {recorded * 1e3:8.3f} ms "
-              f"(drift {100 * drift:+.2f} %)")
-        if drift > args.tolerance:
-            print("FAIL: plain throughput regressed vs baseline")
-            failed = True
 
     if not args.skip_trace_cache:
         cold_s, warm_s = measure_trace_cache()

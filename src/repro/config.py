@@ -235,6 +235,9 @@ class LatencyModelConfig:
             raise ConfigError("latency coefficients must be non-negative")
         if not 0.0 <= self.noise_tail_prob < 1.0:
             raise ConfigError("noise tail probability must be in [0, 1)")
+        if min(self.noise_sigma_cycles, self.noise_tail_cycles,
+               self.window_jitter_cycles) < 0:
+            raise ConfigError("noise scales must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ the 10 ms PMU evaluations.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from ..errors import SimulationError
 
@@ -87,18 +87,35 @@ class ProfileTimeline:
 
     def set_profile(self, time_ns: int, profile: ActivityProfile) -> None:
         """Switch to ``profile`` at ``time_ns`` (monotone non-decreasing)."""
-        if time_ns < self._times[-1]:
-            raise SimulationError(
-                f"profile change at {time_ns} ns precedes the last change "
-                f"at {self._times[-1]} ns"
-            )
-        if time_ns == self._times[-1]:
-            self._profiles[-1] = profile
-            self._loud[-1] = _loud(profile)
-            return
-        self._times.append(time_ns)
-        self._profiles.append(profile)
-        self._loud.append(_loud(profile))
+        self.extend(((time_ns, profile),))
+
+    def extend(self, changes: Iterable[tuple[int, ActivityProfile]],
+               ) -> None:
+        """Apply each ``(time_ns, profile)`` switch in turn; histories
+        written ahead of time (the batch backend's replica timelines)
+        come in one call.
+
+        A switch at the time of the last change overwrites it; one
+        before it raises, leaving the switches before it applied.
+        """
+        times = self._times
+        profiles = self._profiles
+        loud = self._loud
+        last = times[-1]
+        for time_ns, profile in changes:
+            if time_ns < last:
+                raise SimulationError(
+                    f"profile change at {time_ns} ns precedes the last "
+                    f"change at {last} ns"
+                )
+            if time_ns == last:
+                profiles[-1] = profile
+                loud[-1] = _loud(profile)
+                continue
+            times.append(time_ns)
+            profiles.append(profile)
+            loud.append(_loud(profile))
+            last = time_ns
 
     def profile_at(self, time_ns: int) -> ActivityProfile:
         """The profile in force at ``time_ns``."""
@@ -139,38 +156,64 @@ class ProfileTimeline:
 
     def window_stats(self, t0: int, t1: int) -> WindowStats:
         """Exact time-weighted averages over ``[t0, t1)``."""
-        if t1 <= t0:
-            raise SimulationError(f"empty window [{t0}, {t1})")
+        return self.walk_windows(((t0, t1),))[0]
+
+    def walk_windows(self, windows: Iterable[tuple[int, int]],
+                     ) -> list[WindowStats]:
+        """Exact time-weighted averages over each ``[t0, t1)`` of
+        ``windows``, in order.
+
+        Windows that come in order of their starts (the batch lattice's
+        tick windows) are integrated in one forward walk: each seeks
+        its first segment from the previous window's.
+        """
         times = self._times
         profiles = self._profiles
-        # ``lo=1`` clamps a window opening before the first change to
-        # the first profile.
-        start = bisect_right(times, t0, 1) - 1
-        stop = bisect_left(times, t1, start)
-        total = t1 - t0
-        active_time = 0.0
-        llc = 0.0
-        noc = 0.0
-        stall_weighted = 0.0
-        l2 = 0.0
-        # Segments ``start .. stop - 1`` overlap the window; times are
-        # strictly increasing, so each has positive width once clipped.
-        seg_start = times[start] if times[start] > t0 else t0
-        last = stop - 1
-        for index in range(start, stop):
-            seg_end = t1 if index == last else times[index + 1]
-            weight = seg_end - seg_start
-            profile = profiles[index]
-            if profile.active:
-                active_time += weight
-                stall_weighted += profile.stall_ratio * weight
-            llc += profile.llc_rate_per_us * weight
-            noc += profile.noc_score * weight
-            l2 += profile.l2_rate_per_us * weight
-            seg_start = seg_end
-        stall_ratio = stall_weighted / active_time if active_time else 0.0
-        return WindowStats(active_time / total, llc / total, noc / total,
-                           stall_ratio, l2 / total)
+        count = len(times)
+        start = 0  # the segment in force at the previous window's start
+        previous = None
+        results: list[WindowStats] = []
+        for t0, t1 in windows:
+            if t1 <= t0:
+                raise SimulationError(f"empty window [{t0}, {t1})")
+            # ``lo=1`` clamps a window opening before the first change
+            # to the first profile.
+            lo = start + 1 if previous is not None and t0 >= previous else 1
+            start = bisect_right(times, t0, lo) - 1
+            previous = t0
+            total = t1 - t0
+            active_time = 0.0
+            llc = 0.0
+            noc = 0.0
+            stall_weighted = 0.0
+            l2 = 0.0
+            # Segments from ``start`` on overlap the window while they
+            # begin before ``t1``; times are strictly increasing, so
+            # each has positive width once clipped.
+            seg_start = times[start] if times[start] > t0 else t0
+            index = start
+            while index < count and times[index] < t1:
+                following = index + 1
+                if following < count and times[following] < t1:
+                    seg_end = times[following]
+                else:
+                    seg_end = t1
+                weight = seg_end - seg_start
+                profile = profiles[index]
+                if profile.active:
+                    active_time += weight
+                    stall_weighted += profile.stall_ratio * weight
+                llc += profile.llc_rate_per_us * weight
+                noc += profile.noc_score * weight
+                l2 += profile.l2_rate_per_us * weight
+                seg_start = seg_end
+                index = following
+            stall_ratio = (stall_weighted / active_time if active_time
+                           else 0.0)
+            results.append(WindowStats(active_time / total, llc / total,
+                                       noc / total, stall_ratio,
+                                       l2 / total))
+        return results
 
 
 def _loud(profile: ActivityProfile) -> bool:

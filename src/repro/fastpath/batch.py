@@ -8,20 +8,23 @@ the PMU evaluates every 10 ms, and the frequency never feeds back into
 *when* anything happens — only into what the receiver measures.  That
 decouples a trial into two phases this module exploits:
 
-**Phase A — the frequency lattice.**  All trials of a group advance
-together through the merged event stream of per-socket PMU grids (10 ms
-period, 0.5 ms socket stagger) and randomized-defense repicks (100 ms,
-ordered before colocated ticks exactly as the event queue does).  The
-replica :class:`~repro.cpu.activity.ProfileTimeline` histories are
-written before the lattice runs, so every tick's observation is folded
-up front with the *same* :func:`~repro.power.ufs.accumulate_observation`
-the PMU uses, over the touched cores loud in that window only
-(untouched cores, and touched cores silent over the whole window,
-contribute exact zeros).  Per tick, every trial whose horizon has not
-passed then steps its socket state through one scalar
-:func:`~repro.power.ufs.ufs_control_step` call — the same law, over the
-same Python ints and floats, the DES PMU evaluates.  That shared law is
-what makes the lattice bit-identical to the DES frequency timeline.
+**Phase A — the frequency lattice.**  The trials of a group share one
+event stream: the per-socket PMU grids (10 ms period, 0.5 ms socket
+stagger) and randomized-defense repicks (100 ms, ordered before
+colocated ticks exactly as the event queue does).  The replica
+:class:`~repro.cpu.activity.ProfileTimeline` histories are written
+before the lattice runs, so every tick's observation is folded up front
+with the *same* :func:`~repro.power.ufs.accumulate_observation` the PMU
+uses, over the touched cores loud in that window only (untouched cores,
+and touched cores silent over the whole window, contribute exact
+zeros); each core's loud windows are integrated in one forward walk.
+Each trial then walks the stream on its own up to its horizon, stepping
+its socket state through the scalar
+:func:`~repro.power.ufs.ufs_control_step` — the same law, over the same
+Python ints and floats, the DES PMU evaluates.  The law is pure, so a
+step already taken in the group is looked up, not recomputed.  That
+shared law is what makes the lattice bit-identical to the DES frequency
+timeline.
 
 **Phase B — the receiver replay.**  Per trial, a fresh
 :class:`~repro.platform.latency.LatencyModel` on the trial's
@@ -271,21 +274,26 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
     bits = len(payload)
     duration = bits * interval
 
-    sender_tl = schedule(_SENDER_SOCKET, _SENDER_CORE)
-    sender_tl.set_profile(0, IDLE)  # UFSender ctor space()
-    for index, bit in enumerate(payload):
-        sender_tl.set_profile(index * interval,
-                              mark_profile if bit else IDLE)
-    sender_tl.set_profile(duration, IDLE)  # trailing drive(0)
+    # Same-time writes overwrite: the trailing space of one interval
+    # gives way to the next interval's mark or measurement.
+    sender_changes = [(0, IDLE)]  # UFSender ctor space()
+    sender_changes.extend(
+        (index * interval, mark_profile if bit else IDLE)
+        for index, bit in enumerate(payload)
+    )
+    sender_changes.append((duration, IDLE))  # trailing drive(0)
+    schedule(_SENDER_SOCKET, _SENDER_CORE).extend(sender_changes)
 
-    receiver_tl = schedule(receiver_socket, _RECEIVER_CORE)
+    receiver_changes = []
     for index in range(bits):
         start = index * interval
-        receiver_tl.set_profile(start, MEASUREMENT_PROFILE)
-        receiver_tl.set_profile(start + measure, IDLE)
-        receiver_tl.set_profile(start + interval - measure,
-                                MEASUREMENT_PROFILE)
-        receiver_tl.set_profile(start + interval, IDLE)
+        receiver_changes += (
+            (start, MEASUREMENT_PROFILE),
+            (start + measure, IDLE),
+            (start + interval - measure, MEASUREMENT_PROFILE),
+            (start + interval, IDLE),
+        )
+    schedule(receiver_socket, _RECEIVER_CORE).extend(receiver_changes)
 
     if busy_profile is not None:
         schedule(0, _BUSY_CORE).set_profile(0, busy_profile)
@@ -352,28 +360,29 @@ def _observations(entries: list[tuple[ProfileTimeline, bool]],
     last``.  A touched core joins a tick's fold only if the window
     overlaps one of its loud spans; ticks no core is loud in are left
     out and fold to :data:`_IDLE_FOLD` (the batch twin of the PMU's
-    ``silent_since`` skip).  ``entries`` are ``(timeline, turbo flag)``
-    pairs in core (fold) order, so every fold sees its cores in that
-    order too.
+    ``silent_since`` skip).  Each core's loud windows are integrated in
+    one :meth:`~repro.cpu.activity.ProfileTimeline.walk_windows`.
+    ``entries`` are ``(timeline, turbo flag)`` pairs in core (fold)
+    order, so every fold sees its cores in that order too.
     """
-    loud: dict[int, list[tuple[ProfileTimeline, bool]]] = {}
-    for entry in entries:
+    loud: dict[int, list[tuple]] = {}
+    for timeline, above_base in entries:
         done = 0  # ticks below this already hold the entry
-        for span_start, span_end in entry[0].loud_spans():
+        wanted: list[int] = []
+        for span_start, span_end in timeline.loud_spans():
             # Windows closing after the span opens and opening before
             # it closes; one window can meet two short spans.
             first = max(bisect_right(ticks, span_start), done)
             stop = min(bisect_left(starts, span_end), last)
-            for tick in range(first, stop):
-                loud.setdefault(tick, []).append(entry)
+            wanted.extend(range(first, stop))
             done = max(done, stop)
+        windows = timeline.walk_windows(
+            [(starts[tick], ticks[tick]) for tick in wanted])
+        for tick, stats in zip(wanted, windows):
+            loud.setdefault(tick, []).append((stats, above_base))
     return {
-        tick: accumulate_observation(
-            [(timeline.window_stats(starts[tick], ticks[tick]), above_base)
-             for timeline, above_base in cores],
-            threshold,
-        )
-        for tick, cores in loud.items()
+        tick: accumulate_observation(samples, threshold)
+        for tick, samples in loud.items()
     }
 
 
@@ -390,20 +399,7 @@ def _run_lattice(plans: list[_TrialPlan],
     coupled = rep.cross_socket_coupling and num_sockets > 1
     period = ufs.period_ns
     observation = ufs.observation_ns
-    durations = [plan.duration_ns for plan in plans]
-    horizon = max(durations)
-
-    # Per socket, per trial: UFS state and the MSR window.
-    freq = [[plan.init_freq[s] for plan in plans]
-            for s in range(num_sockets)]
-    dither = [[0] * len(plans) for _ in range(num_sockets)]
-    countdown = [[0] * len(plans) for _ in range(num_sockets)]
-    limits = [[plan.init_limits[s] for plan in plans]
-              for s in range(num_sockets)]
-    history = [
-        [list(plan.init_history[s]) for s in range(num_sockets)]
-        for plan in plans
-    ]
+    horizon = max(plan.duration_ns for plan in plans)
 
     # Per socket: tick times and the window each tick observes.  A
     # window starts at the socket's previous tick (0 before the first),
@@ -429,9 +425,10 @@ def _run_lattice(plans: list[_TrialPlan],
             for plan in plans
         ])
 
-    # Merged event stream.  Repicks share their instants with socket-0
-    # ticks; the defense task was (re)scheduled earlier than the PMU's
-    # reschedule, so it fires first — order key 0 vs 1 encodes that.
+    # The event stream every trial walks.  Repicks share their instants
+    # with socket-0 ticks; the defense task was (re)scheduled earlier
+    # than the PMU's reschedule, so it fires first — order key 0 vs 1
+    # encodes that.
     events: list[tuple[int, int, int, int]] = [
         (time_ns, 1, socket_id, tick)
         for socket_id, times in enumerate(ticks)
@@ -443,64 +440,83 @@ def _run_lattice(plans: list[_TrialPlan],
             events.append((repick, 0, -1, -1))
             repick += _REPICK_PERIOD_NS
     events.sort()
+    others = [[other for other in range(num_sockets) if other != socket_id]
+              for socket_id in range(num_sockets)]
 
+    # The control law is pure and ``ufs``, ``demand`` and the lag are
+    # fixed for the group, so a step is a function of the socket state,
+    # its MSR window, its fold and the remote frequency alone.  Trials
+    # of one group revisit the same few states, so each distinct step
+    # is taken once: key -> (freq, dither phase, slow countdown).
     lag = rep.coupling_lag_mhz
-    for time_ns, order, socket_id, tick in events:
-        if order == 0:  # randomized-defense repick, all sockets
-            for index, plan in enumerate(plans):
-                if plan.repick_rng is None or time_ns > durations[index]:
+    memo: dict[tuple, tuple[int, int, int]] = {}
+    histories = []
+    for index, plan in enumerate(plans):
+        # Trials never read one another's state, so each walks the
+        # stream on its own up to its horizon.
+        duration = plan.duration_ns
+        folds = [observed[s][index] for s in range(num_sockets)]
+        freq = list(plan.init_freq)
+        dither = [0] * num_sockets
+        countdown = [0] * num_sockets
+        limits = list(plan.init_limits)
+        history = [list(points) for points in plan.init_history]
+        repick_rng = plan.repick_rng
+        for time_ns, order, socket_id, tick in events:
+            if time_ns > duration:
+                break  # past this trial's horizon
+            if order == 0:  # randomized-defense repick, all sockets
+                if repick_rng is None:
                     continue
                 points = plan.platform.ufs.frequency_points_mhz
-                pick = int(points[plan.repick_rng.integers(len(points))])
+                pick = int(points[repick_rng.integers(len(points))])
                 for s in range(num_sockets):
-                    limits[s][index] = (pick, pick)
-                    if freq[s][index] != pick:
-                        freq[s][index] = pick
-                        history[index][s].append((time_ns, pick))
-            continue
+                    limits[s] = (pick, pick)
+                    if freq[s] != pick:
+                        freq[s] = pick
+                        history[s].append((time_ns, pick))
+                continue
 
-        socket_freq = freq[socket_id]
-        socket_dither = dither[socket_id]
-        socket_countdown = countdown[socket_id]
-        socket_limits = limits[socket_id]
-        others = [freq[s] for s in range(num_sockets) if s != socket_id]
-        for index, folds in enumerate(observed[socket_id]):
-            if time_ns > durations[index]:
-                continue  # past this trial's horizon
-            (active, stalled, llc_rate, noc_score, max_stall,
-             turbo) = folds.get(tick, _IDLE_FOLD)
+            fold = folds[socket_id].get(tick, _IDLE_FOLD)
             remote = None
             if coupled:  # the fastest other socket
                 remote = 0
-                for other in others:
-                    if other[index] > remote:
-                        remote = other[index]
-            min_limit, max_limit = socket_limits[index]
-            result = ufs_control_step(
-                freq_mhz=socket_freq[index],
-                dither_phase=socket_dither[index],
-                slow_countdown=socket_countdown[index],
-                min_limit_mhz=min_limit,
-                max_limit_mhz=max_limit,
-                active=active,
-                stalled=stalled,
-                llc_rate=llc_rate,
-                noc_score=noc_score,
-                max_stall=max_stall,
-                turbo=turbo,
-                remote_mhz=remote,
-                ufs=ufs,
-                demand=demand,
-                coupling_lag_mhz=lag,
-            )
-            socket_freq[index] = result.freq_mhz
-            socket_dither[index] = result.dither_phase
-            socket_countdown[index] = result.slow_countdown
-            points = history[index][socket_id]
-            if points[-1][1] != result.freq_mhz:
-                points.append((time_ns, result.freq_mhz))
-
-    return history
+                for other in others[socket_id]:
+                    if freq[other] > remote:
+                        remote = freq[other]
+            min_limit, max_limit = limits[socket_id]
+            current = freq[socket_id]
+            key = (current, dither[socket_id], countdown[socket_id],
+                   min_limit, max_limit, fold, remote)
+            step = memo.get(key)
+            if step is None:
+                (active, stalled, llc_rate, noc_score, max_stall,
+                 turbo) = fold
+                result = ufs_control_step(
+                    freq_mhz=current,
+                    dither_phase=dither[socket_id],
+                    slow_countdown=countdown[socket_id],
+                    min_limit_mhz=min_limit,
+                    max_limit_mhz=max_limit,
+                    active=active,
+                    stalled=stalled,
+                    llc_rate=llc_rate,
+                    noc_score=noc_score,
+                    max_stall=max_stall,
+                    turbo=turbo,
+                    remote_mhz=remote,
+                    ufs=ufs,
+                    demand=demand,
+                    coupling_lag_mhz=lag,
+                )
+                step = memo[key] = (result.freq_mhz, result.dither_phase,
+                                    result.slow_countdown)
+            mhz, dither[socket_id], countdown[socket_id] = step
+            if mhz != current:  # the history ends at ``current``
+                freq[socket_id] = mhz
+                history[socket_id].append((time_ns, mhz))
+        histories.append(history)
+    return histories
 
 
 # -- Phase B: the receiver replay ---------------------------------------------

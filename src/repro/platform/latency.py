@@ -115,7 +115,10 @@ class LatencyModel:
             config.slice_cycles + config.hop_cycles * hops) / f_ghz
         mean += config.contention_cycles_per_flow * contention_flows / f_ghz
         sigma = config.noise_sigma_cycles * math.sqrt(count)
-        total = count * mean + float(self.rng.normal(0.0, sigma))
+        # ``sigma * standard_normal()`` is ``normal(0.0, sigma)`` bit for
+        # bit, from the same draw, without the argument checks; the sign
+        # of a zero product cannot reach ``total``.
+        total = count * mean + sigma * self.rng.standard_normal()
         tails = int(self.rng.binomial(count, config.noise_tail_prob))
         if tails:
             total += float(self.rng.gamma(tails, config.noise_tail_cycles))
@@ -129,9 +132,10 @@ class LatencyModel:
         shift entire windows by a fraction of a cycle.  Modelled as one
         Gaussian draw per window.
         """
-        return float(
-            self.rng.normal(0.0, self.config.window_jitter_cycles)
-        )
+        # ``normal(0.0, scale)`` computes ``0.0 + scale * z``; the
+        # ``0.0 +`` keeps its sign of zero when the jitter is zero.
+        return 0.0 + (self.config.window_jitter_cycles
+                      * self.rng.standard_normal())
 
     # -- inversion -------------------------------------------------------------
 

@@ -267,6 +267,113 @@ class TestWindowIntegrals:
         assert timeline.silent_since(100)
 
 
+class TestWalkWindows:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_walk_equals_segment_walk(self, seed):
+        # Ordered windows, as the lattice asks for them: some open
+        # before the first change (or before 0), some start on a change
+        # point, some meet two loud spans; they may also overlap.
+        rng = random.Random(seed)
+        seen = {"before first": 0, "on change": 0, "two spans": 0}
+        for _ in range(200):
+            timeline, _ = _random_timeline(rng)
+            changes = timeline._times
+            t0 = rng.randint(-50, 50)
+            windows = []
+            for _ in range(rng.randint(1, 12)):
+                t1 = t0 + rng.choice((1, 2, 300, 900, 2600, 6000))
+                windows.append((t0, t1))
+                seen["before first"] += len(changes) > 1 and t0 < changes[1]
+                seen["on change"] += t0 in changes[1:]
+                seen["two spans"] += sum(
+                    start < t1 and stop > t0
+                    for start, stop in timeline.loud_spans()) >= 2
+                change = rng.choice(changes)
+                if change < t0 or rng.random() < 0.5:
+                    t0 += rng.choice((0, 1, 300, 900, 2600))
+                else:
+                    t0 = change
+            assert timeline.walk_windows(windows) == [
+                _reference_window_stats(timeline, t0, t1)
+                for t0, t1 in windows
+            ]
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_unordered_windows_reseek(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            timeline, end = _random_timeline(rng)
+            windows = []
+            for _ in range(rng.randint(1, 8)):
+                t0 = rng.randint(-50, end + 50)
+                windows.append((t0, t0 + rng.randint(1, 4000)))
+            assert timeline.walk_windows(windows) == [
+                _reference_window_stats(timeline, t0, t1)
+                for t0, t1 in windows
+            ]
+
+
+def _state(timeline):
+    return timeline._times, timeline._profiles, timeline._loud
+
+
+def _reference_history(initial, changes):
+    """The history a run of profile writes must leave, and whether the
+    run raised: a write at the last change's time replaces it, and one
+    before it stops the run."""
+    times, profiles = [0], [initial]
+    raised = False
+    for time_ns, profile in changes:
+        if time_ns < times[-1]:
+            raised = True
+            break
+        if time_ns == times[-1]:
+            profiles[-1] = profile
+        else:
+            times.append(time_ns)
+            profiles.append(profile)
+    loud = [p.active or p.llc_rate_per_us != 0 for p in profiles]
+    return (times, profiles, loud), raised
+
+
+class TestExtend:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extend_equals_set_profile_loop(self, seed):
+        # Repeated times overwrite the last change; a change before the
+        # last one raises after the changes before it are applied.
+        profiles = [IDLE, ActivityProfile(active=True),
+                    ActivityProfile(llc_rate_per_us=2.0),
+                    ActivityProfile(l2_rate_per_us=4.0)]
+        rng = random.Random(seed)
+        overwrites = errors = 0
+        for _ in range(200):
+            initial = rng.choice(profiles)
+            now = rng.choice((0, 0, 40))
+            changes = []
+            for _ in range(rng.randint(0, 10)):
+                now += rng.choice((0, 0, 5, 60, -5 if rng.random() < 0.05
+                                   else 9))
+                changes.append((now, rng.choice(profiles)))
+            expected, raised = _reference_history(initial, changes)
+            looped = ProfileTimeline(initial)
+            extended = ProfileTimeline(initial)
+            if raised:
+                errors += 1
+                with pytest.raises(SimulationError):
+                    for time_ns, profile in changes:
+                        looped.set_profile(time_ns, profile)
+                with pytest.raises(SimulationError):
+                    extended.extend(changes)
+            else:
+                for time_ns, profile in changes:
+                    looped.set_profile(time_ns, profile)
+                extended.extend(iter(changes))
+            assert _state(extended) == _state(looped) == expected
+            overwrites += len(expected[0]) - 1 < len(changes)
+        assert overwrites and errors
+
+
 def _overlaps_loud(timeline, t0, t1):
     return any(start < t1 and end > t0
                for start, end in timeline.loud_spans())

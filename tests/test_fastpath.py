@@ -12,6 +12,7 @@ import pytest
 from repro.config import DemandModelConfig, default_platform_config
 from repro.core.context import ExperimentContext
 from repro.core.evaluation import capacity_sweep, measure_capacity
+from repro.defenses.evaluation import DEFENSE_KEYS
 from repro.engine.parallel import run_batches
 from repro.errors import ConfigError
 from repro.fastpath.backend import (
@@ -26,10 +27,13 @@ from repro.fastpath.batch import (
     _capacity_plan,
     _defense_plan,
     _group_key,
+    _PMU_STAGGER_NS,
+    _REPICK_PERIOD_NS,
     _lattices_for,
     _observations,
     batch_frequency_lattices,
 )
+from repro.power.ufs import accumulate_observation, ufs_control_step
 from repro.resilience.checkpoint import Checkpoint, checkpoint_key
 from repro.telemetry import MetricsRegistry, using
 from repro.telemetry.manifest import config_digest
@@ -218,6 +222,11 @@ INVALID_PLATFORMS = {
     "empty-observation-window": default_platform_config().with_ufs(
         observation_ns=0
     ),
+    "negative-noise-scale": dataclasses.replace(
+        default_platform_config(),
+        latency=dataclasses.replace(default_platform_config().latency,
+                                    window_jitter_cycles=-0.5),
+    ),
 }
 
 
@@ -358,6 +367,118 @@ class TestBatchBackend:
         assert batch == des
 
 
+def _reference_lattice(plan):
+    """One trial's frequency history, stepped without any shortcut:
+    every tick folds every touched core's ``window_stats`` and calls the
+    control law."""
+    platform = plan.platform
+    ufs = platform.ufs
+    sockets = platform.num_sockets
+    coupled = platform.cross_socket_coupling and sockets > 1
+    events = []
+    for socket_id in range(sockets):
+        previous = 0
+        tick = ufs.period_ns + socket_id * _PMU_STAGGER_NS
+        while tick <= plan.duration_ns:
+            start = max(previous, tick - ufs.observation_ns)
+            events.append((tick, 1, socket_id, start))
+            previous, tick = tick, tick + ufs.period_ns
+    if plan.repick_rng is not None:
+        events += [(time_ns, 0, -1, 0) for time_ns in range(
+            _REPICK_PERIOD_NS, plan.duration_ns + 1, _REPICK_PERIOD_NS)]
+    freq = list(plan.init_freq)
+    dither = [0] * sockets
+    countdown = [0] * sockets
+    limits = list(plan.init_limits)
+    history = [list(points) for points in plan.init_history]
+    steps = 0
+    for time_ns, order, socket_id, start in sorted(events):
+        if order == 0:
+            points = ufs.frequency_points_mhz
+            pick = int(points[plan.repick_rng.integers(len(points))])
+            for s in range(sockets):
+                limits[s] = (pick, pick)
+                if freq[s] != pick:
+                    freq[s] = pick
+                    history[s].append((time_ns, pick))
+            continue
+        fold = accumulate_observation(
+            [(entry.timeline.window_stats(start, time_ns), entry.above_base)
+             for _, entry in sorted(plan.cores[socket_id].items())],
+            ufs.stall_ratio_threshold,
+        )
+        remote = (max(freq[s] for s in range(sockets) if s != socket_id)
+                  if coupled else None)
+        result = ufs_control_step(
+            freq_mhz=freq[socket_id], dither_phase=dither[socket_id],
+            slow_countdown=countdown[socket_id],
+            min_limit_mhz=limits[socket_id][0],
+            max_limit_mhz=limits[socket_id][1],
+            active=fold[0], stalled=fold[1], llc_rate=fold[2],
+            noc_score=fold[3], max_stall=fold[4], turbo=fold[5],
+            remote_mhz=remote, ufs=ufs, demand=platform.demand,
+            coupling_lag_mhz=platform.coupling_lag_mhz,
+        )
+        steps += 1
+        if result.freq_mhz != freq[socket_id]:
+            history[socket_id].append((time_ns, result.freq_mhz))
+        freq[socket_id] = result.freq_mhz
+        dither[socket_id] = result.dither_phase
+        countdown[socket_id] = result.slow_countdown
+    return history, steps
+
+
+#: Request lists the memoised lattice must step exactly: both
+#: deployments at mixed horizons, every defense, and an observation
+#: window longer than the PMU period.
+_LONG_WINDOW = default_platform_config().with_ufs(observation_ns=20_000_000)
+REFERENCE_GROUPS = {
+    "deployments": [
+        CapacityRequest(interval_ms=interval, bits=bits, seed=seed,
+                        cross_processor=cross)
+        for seed, (interval, bits) in enumerate(
+            [(12.0, 30), (15.0, 9), (21.0, 24), (33.0, 17)])
+        for cross in (False, True)
+    ],
+    "defenses": [
+        DefenseRequest(defense, bits=bits, seed=seed)
+        for seed, defense in enumerate(DEFENSE_KEYS)
+        for bits in (7, 26)
+    ],
+    "long-window": [
+        CapacityRequest(interval_ms=interval, bits=bits, seed=1,
+                        cross_processor=cross, platform=_LONG_WINDOW)
+        for interval, bits in ((12.0, 25), (21.0, 14))
+        for cross in (False, True)
+    ],
+}
+
+
+class TestMemoisedLattice:
+    @pytest.mark.parametrize("name", list(REFERENCE_GROUPS))
+    def test_lattice_equals_stepping_every_tick(self, name, monkeypatch):
+        import repro.fastpath.batch as batch
+
+        calls = []
+
+        def counted(**kwargs):
+            calls.append(kwargs)
+            return ufs_control_step(**kwargs)
+
+        def plans():
+            return batch._plans(REFERENCE_GROUPS[name])
+
+        monkeypatch.setattr(batch, "ufs_control_step", counted)
+        lattices = _lattices_for(plans())
+        references = [_reference_lattice(plan) for plan in plans()]
+        assert lattices == [history for history, _ in references]
+        # Each distinct step is taken once per group, and trials do
+        # revisit steps.
+        assert len(calls) == len({tuple(sorted(call.items()))
+                                  for call in calls})
+        assert len(calls) < sum(steps for _, steps in references)
+
+
 def _loud_timeline(rng):
     from repro.cpu.activity import IDLE, ActivityProfile, ProfileTimeline
 
@@ -379,11 +500,21 @@ def _loud_timeline(rng):
 
 class TestLatticeObservations:
     @pytest.mark.parametrize("seed", range(4))
-    def test_skipping_silent_windows_changes_no_fold(self, seed):
+    def test_skipping_silent_windows_changes_no_fold(self, seed,
+                                                     monkeypatch):
         # The reference folds every touched core in every window (a
         # silent core adds exact zeros); short spans and gaps put two
-        # loud spans inside one window.
-        from repro.power.ufs import accumulate_observation
+        # loud spans inside one window.  The walk integrates exactly
+        # the (core, window) pairs that are loud, and nothing else.
+        from repro.cpu.activity import ProfileTimeline
+
+        walk = ProfileTimeline.walk_windows
+        integrated = []
+
+        def counted(timeline, windows):
+            windows = list(windows)
+            integrated.append(len(windows))
+            return walk(timeline, windows)
 
         rng = random.Random(seed)
         for _ in range(100):
@@ -397,19 +528,29 @@ class TestLatticeObservations:
             starts = [max(previous, tick - observation)
                       for previous, tick in zip([0] + ticks, ticks)]
             last = rng.randint(0, len(ticks))
-            folds = _observations(entries, ticks, starts, last, 0.3)
+            integrated.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ProfileTimeline, "walk_windows", counted)
+                patch.setattr(ProfileTimeline, "window_stats", None)
+                folds = _observations(entries, ticks, starts, last, 0.3)
             loud = set()
+            loud_windows = 0
             for tick in range(last):
                 samples = [
                     (timeline.window_stats(starts[tick], ticks[tick]),
                      above_base) for timeline, above_base in entries
                 ]
-                if any(stats.active_fraction or stats.llc_rate_per_us
-                       for stats, _ in samples):
+                heard = sum(bool(stats.active_fraction
+                                 or stats.llc_rate_per_us)
+                            for stats, _ in samples)
+                if heard:
                     loud.add(tick)
+                loud_windows += heard
                 assert folds.get(tick, (0, 0, 0.0, 0.0, 0.0, False)) \
                     == accumulate_observation(samples, 0.3)
-            assert set(folds) == loud  # no window_stats on silence
+            assert set(folds) == loud  # no fold on silence
+            assert sum(integrated) == loud_windows  # no silent window
+            assert len(integrated) == len(entries)  # one walk per core
 
 
 class TestAnalyticalBackend:

@@ -1,5 +1,7 @@
 """Platform assembly: latency model, system wiring, actor facade."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,49 @@ class TestLatencyModel:
     def test_loop_iteration_time_includes_fences(self, model):
         iteration = model.loop_iteration_ns(70.0, 2600)
         assert iteration > 70.0 * 1000 / 2600
+
+
+def _sign(value):
+    return math.copysign(1.0, value)
+
+
+class TestNoiseDraws:
+    """The scaled standard draw stands in for ``normal(0.0, sigma)``:
+    same values, signs of zero and stream position, so the DES and
+    batch receivers consume the stream exactly as before."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.8, 48.5])
+    def test_scaled_standard_draw_is_normal(self, sigma):
+        scaled = np.random.default_rng(11)
+        normal = np.random.default_rng(11)
+        for _ in range(100_000):
+            value = 0.0 + sigma * scaled.standard_normal()
+            expected = float(normal.normal(0.0, sigma))
+            assert value == expected and _sign(value) == _sign(expected)
+        assert scaled.bit_generator.state == normal.bit_generator.state
+
+    @pytest.mark.parametrize("noise", [0.0, 1.6])
+    def test_segment_llc_sum_and_window_bias_match_normal_draws(self,
+                                                                noise):
+        config = LatencyModelConfig(noise_sigma_cycles=noise,
+                                    window_jitter_cycles=noise / 2)
+        model = LatencyModel(config, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        for count in (1, 2, 57, 917, 4000) * 40:
+            f_ghz = 1.9
+            mean = config.core_cycles + (
+                config.slice_cycles + config.hop_cycles * 2) / f_ghz
+            mean += config.contention_cycles_per_flow * 0.5 / f_ghz
+            total = count * mean + float(rng.normal(
+                0.0, config.noise_sigma_cycles * math.sqrt(count)))
+            tails = int(rng.binomial(count, config.noise_tail_prob))
+            if tails:
+                total += float(rng.gamma(tails, config.noise_tail_cycles))
+            assert model.segment_llc_sum(count, 2, 1900, 0.5) == total
+            bias = model.window_bias()
+            expected = float(rng.normal(0.0, config.window_jitter_cycles))
+            assert bias == expected and _sign(bias) == _sign(expected)
+        assert model.rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestSystem:
