@@ -212,6 +212,26 @@ def test_perf_eviction_measurement_list(benchmark):
                               iterations=1) == 20
 
 
+def test_perf_trace_collection(benchmark):
+    """One 400 ms frequency trace at the paper's 3 ms cadence, the
+    fig12-fingerprint op's trace length.  Each round builds a System
+    and settles a UfsAttacker untimed, then times the collection: the
+    probe bursts, the latency draws and the PMU ticks between them."""
+    from repro.sidechannel.methodology import UfsAttacker
+    from repro.sidechannel.tracer import FrequencyTraceCollector
+
+    def settled_collector():
+        attacker = UfsAttacker(System(seed=0))
+        attacker.settle()
+        return (FrequencyTraceCollector(attacker),), {}
+
+    def collect(collector):
+        return len(collector.collect(400.0).freqs_mhz)
+
+    assert benchmark.pedantic(collect, setup=settled_collector, rounds=10,
+                              iterations=1) == 134
+
+
 @pytest.mark.parametrize("cell", ["elman", "gru"])
 def test_perf_rnn_fit(benchmark, cell):
     """RNN training at the fig12-fingerprint op shape: 8 traces of 96

@@ -20,12 +20,14 @@ Four paired measurements, each with a budget; exit 1 when any fails:
   results.  ``--skip-resilience`` omits the gate.
 * **Fastpath speedup** — the gate sweep of
   ``benchmarks/bench_fastpath.py`` through the DES backend versus the
-  vectorized batch backend.  Batch must be at least
-  ``--fastpath-speedup`` (default 10) times faster *and* bit-identical
-  (anything else is a correctness failure, not a perf one); the
-  analytical backend must land within its own documented tolerance of
-  the DES error rates; both must leave their telemetry fingerprints
-  (``fastpath.batch.trials`` / ``fastpath.analytical.evals``).
+  vectorized batch backend, in interleaved pairs.  The median of the
+  pairs' DES/batch time ratios must be at least ``--fastpath-speedup``
+  (default 10), and every pair's batch results must be bit-identical
+  to its DES results (anything else is a correctness failure, not a
+  perf one); the analytical backend must land within its own
+  documented tolerance of the DES error rates; both must leave their
+  telemetry fingerprints (``fastpath.batch.trials`` /
+  ``fastpath.analytical.evals``).
   ``--skip-fastpath`` omits the gate.
 
 Usage::
@@ -207,16 +209,24 @@ def measure_resilience_overhead() -> tuple[float, float, float]:
     return plain_s, resilient_s, overhead
 
 
-def measure_fastpath() -> tuple[float, float, float, float]:
+#: Interleaved DES/batch pairs in the fastpath gate.  One pair is a
+#: ~130 ms DES sweep and a ~6 ms batch sweep on a shared 2-CPU x86-64
+#: host.
+FASTPATH_ROUNDS = 20
+
+
+def measure_fastpath() -> tuple[float, float, float, float, float]:
     """Wall-time the gate sweep: DES versus the batch backend.
 
-    Returns ``(des_s, batch_s, worst_delta, worst_tolerance)`` where
-    the last two describe the analytical backend's worst interval:
-    the absolute DES-vs-analytical error-rate gap and the tolerance it
-    must stay inside.  Dies outright (not a budget failure) when the
-    batch results are not bit-identical to DES or a backend fails to
-    leave its telemetry counter — those are correctness regressions,
-    not slowness.
+    Returns ``(des_s, batch_s, speedup, worst_delta, worst_tolerance)``:
+    the median DES and batch times and the median of the pairs'
+    DES/batch ratios over :data:`FASTPATH_ROUNDS` interleaved pairs
+    (see :func:`interleaved_pairs`), then the analytical backend's
+    worst interval: the absolute DES-vs-analytical error-rate gap and
+    the tolerance it must stay inside.  Dies outright (not a budget
+    failure) when a pair's batch results are not bit-identical to its
+    DES results or a backend fails to leave its telemetry counter —
+    those are correctness regressions, not slowness.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from bench_fastpath import GATE_SHAPE  # noqa: E402
@@ -229,25 +239,34 @@ def measure_fastpath() -> tuple[float, float, float, float]:
     from repro.fastpath.batch import _capacity_plan  # noqa: E402
     from repro.telemetry import MetricsRegistry, using  # noqa: E402
 
-    start = time.perf_counter()
-    des = capacity_sweep(**GATE_SHAPE, backend="des")
-    des_s = time.perf_counter() - start
-
-    intervals = GATE_SHAPE["intervals_ms"]
-    batch_times = []
     registry = MetricsRegistry()
-    for _ in range(3):
+
+    def des_run() -> tuple[float, object]:
+        gc.collect()
+        start = time.perf_counter()
+        sweep = capacity_sweep(**GATE_SHAPE, backend="des")
+        return time.perf_counter() - start, sweep
+
+    def batch_run() -> tuple[float, object]:
+        gc.collect()
         start = time.perf_counter()
         with using(registry):
-            batch = capacity_sweep(**GATE_SHAPE, backend="batch")
-        batch_times.append(time.perf_counter() - start)
+            sweep = capacity_sweep(**GATE_SHAPE, backend="batch")
+        return time.perf_counter() - start, sweep
+
+    batch_s, des_s, ratio, results = interleaved_pairs(
+        batch_run, des_run, FASTPATH_ROUNDS
+    )
+    for batch, des in results:
         if batch.points != des.points:
             raise SystemExit(
                 "batch backend diverged from DES on the gate sweep — "
                 "the bit-identity contract is broken, not just slow"
             )
+    intervals = GATE_SHAPE["intervals_ms"]
     counters = registry.snapshot()["counters"]
-    if counters.get("fastpath.batch.trials") != 3 * len(intervals):
+    if counters.get("fastpath.batch.trials") != \
+            FASTPATH_ROUNDS * len(intervals):
         raise SystemExit(
             "fastpath.batch.trials counter missing or wrong — the "
             "batch backend is no longer telemetry-transparent"
@@ -269,13 +288,13 @@ def measure_fastpath() -> tuple[float, float, float, float]:
             "analytical backend is no longer telemetry-transparent"
         )
     worst_delta, worst_tolerance = 0.0, float("inf")
-    for point, estimate in zip(des.points, estimates):
+    for point, estimate in zip(results[0][1].points, estimates):
         delta = abs(point.error_rate - estimate.error_rate)
         if delta - estimate.error_tolerance > \
                 worst_delta - worst_tolerance:
             worst_delta = delta
             worst_tolerance = estimate.error_tolerance
-    return des_s, min(batch_times), worst_delta, worst_tolerance
+    return des_s, batch_s, 1.0 + ratio, worst_delta, worst_tolerance
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -333,8 +352,7 @@ def main(argv: list[str] | None = None) -> int:
             failed = True
 
     if not args.skip_fastpath:
-        des_s, batch_s, delta, tolerance = measure_fastpath()
-        speedup = des_s / batch_s if batch_s > 0 else float("inf")
+        des_s, batch_s, speedup, delta, tolerance = measure_fastpath()
         print(f"sweep des:         {des_s * 1e3:8.1f} ms")
         print(f"sweep batch:       {batch_s * 1e3:8.1f} ms")
         print(f"speedup:           {speedup:8.1f}x "

@@ -74,6 +74,9 @@ class Actor:
         )
         self._active_profile: ActivityProfile | None = None
         self._flow_id: int | None = None
+        #: slice id -> (hop count, route): pure functions of the mesh,
+        #: asked for on every probe and measurement-window segment.
+        self._paths: dict[int, tuple[int, tuple]] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -138,8 +141,7 @@ class Actor:
             self._flow_id = None
         if profile.llc_rate_per_us <= 0 or target_slice is None:
             return
-        route = self.socket.mesh.core_slice_route(self.core_id,
-                                                  target_slice)
+        _, route = self._path(target_slice)
         if route:
             self._flow_id = self.socket.contention.add_flow(
                 route, profile.llc_rate_per_us, domain=self.domain
@@ -228,8 +230,17 @@ class Actor:
 
     # -- timed accesses ----------------------------------------------------------
 
-    def _contention_flows(self, slice_id: int) -> float:
-        route = self.socket.mesh.core_slice_route(self.core_id, slice_id)
+    def _path(self, slice_id: int) -> tuple[int, tuple]:
+        """The hop count and route from this actor's core to a slice."""
+        path = self._paths.get(slice_id)
+        if path is None:
+            mesh = self.socket.mesh
+            path = (mesh.hops(self.core_id, slice_id),
+                    tuple(mesh.core_slice_route(self.core_id, slice_id)))
+            self._paths[slice_id] = path
+        return path
+
+    def _contention_flows(self, route: tuple) -> float:
         competing = self.socket.contention.route_contention(
             route, observer_domain=self.domain
         )
@@ -248,9 +259,9 @@ class Actor:
             if outcome.slice_id is not None
             else self.slice_hash.slice_of(physical >> 6)
         )
-        hops = self.socket.hops(self.core_id, slice_id)
+        hops, route = self._path(slice_id)
         flows = (
-            self._contention_flows(slice_id) if outcome.reached_uncore
+            self._contention_flows(route) if outcome.reached_uncore
             else 0.0
         )
         latency = self.system.latency_model.sample_cycles(
@@ -335,8 +346,7 @@ class Actor:
         deadline = engine.now + duration_ns
         previous = self._active_profile
         self.set_profile(MEASUREMENT_PROFILE)
-        slice_id = ev_set.slice_id
-        hops = self.socket.hops(self.core_id, slice_id)
+        hops, route = self._path(ev_set.slice_id)
         total = 0.0
         count = 0
         while engine.now < deadline:
@@ -345,7 +355,7 @@ class Actor:
                 next_tick = deadline
             seg_end = min(deadline, max(next_tick, engine.now + 1))
             mhz = self.socket.uncore_freq_mhz
-            flows = self._contention_flows(slice_id)
+            flows = self._contention_flows(route)
             mean_lat = model.mean_llc_cycles(hops, mhz)
             iter_ns = model.loop_iteration_ns(mean_lat, self.core.freq_mhz)
             n = max(int((seg_end - engine.now) / iter_ns), 1)
@@ -370,11 +380,12 @@ class Actor:
         the uncore.
         """
         model = self.system.latency_model
-        hops = self.socket.hops(self.core_id, ev_set.slice_id)
+        hops, route = self._path(ev_set.slice_id)
         mhz = self.socket.uncore_freq_mhz
-        flows = self._contention_flows(ev_set.slice_id)
+        flows = self._contention_flows(route)
         burst = model.sample_many(samples, Level.LLC, hops, mhz, flows)
-        mean_lat = float(burst.mean())
+        # ``burst.mean()``'s reduce and divide, without its dispatch.
+        mean_lat = float(burst.sum() / samples)
         iter_ns = model.loop_iteration_ns(mean_lat, self.core.freq_mhz)
         self.system.engine.run_for(max(int(iter_ns * samples), 1))
         return model.frequency_from_latency(mean_lat, hops)

@@ -72,7 +72,10 @@ class LatencyModel:
         noise = self.rng.normal(0.0, self.config.noise_sigma_cycles, count)
         tail_mask = self.rng.random(count) < self.config.noise_tail_prob
         tail = self.rng.exponential(self.config.noise_tail_cycles, count)
-        return noise + tail_mask * tail
+        # ``noise + tail_mask * tail``, in place.
+        tail *= tail_mask
+        noise += tail
+        return noise
 
     def sample_cycles(self, level: Level, hops: int, uncore_mhz: int,
                       contention_flows: float = 0.0) -> float:
@@ -86,8 +89,10 @@ class LatencyModel:
                     contention_flows: float = 0.0) -> np.ndarray:
         """A batch of noisy timed loads under identical conditions."""
         mean = self.mean_cycles(level, hops, uncore_mhz, contention_flows)
-        samples = mean + self._noise(count)
-        return np.maximum(samples, self.config.l1_hit_cycles)
+        # ``max(mean + noise, l1)``, in place.
+        samples = self._noise(count)
+        samples += mean
+        return np.maximum(samples, self.config.l1_hit_cycles, out=samples)
 
     def segment_llc_sum(self, count: int, hops: int, uncore_mhz: int,
                         contention_flows: float = 0.0) -> float:

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from .tracer import TraceRecord
 
 
 def bin_trace(freqs_mhz: np.ndarray, num_bins: int) -> np.ndarray:
     """Average-pool a frequency trace into ``num_bins`` values."""
+    if num_bins < 1:
+        raise ConfigError(f"need at least one bin, got {num_bins}")
     freqs = np.asarray(freqs_mhz, dtype=np.float64)
     if freqs.size == 0:
         return np.zeros(num_bins)

@@ -217,6 +217,10 @@ def collect_dataset(
     after its attempts raises
     :class:`~repro.errors.ResilienceError`.
     """
+    if not trace_ms > 0:
+        raise ConfigError(
+            f"trace length must be positive, got {trace_ms} ms"
+        )
     ctx = ExperimentContext.coalesce(
         context, platform=platform, seed=seed, workers=workers
     )

@@ -27,30 +27,36 @@ over stacked time-major ``(steps, n, .)`` arrays.  A cell supplies
 
 * ``init``: its parameters;
 * ``project``: every step's input products, one ``np.matmul`` per
-  input weight, plus the stacked state (hidden states ``hs[0..steps]``,
-  and the GRU's r, z, c);
-* ``step``: one forward step, in the order ``(x W_x + h_prev W_h) + b``
-  (the bias is not folded into the projection: that would round
-  differently);
-* ``derivatives``: the activation derivatives of every step, hoisted
-  out of the BPTT loop;
-* ``backward``: one BPTT step, writing the step's pre-activation
-  gradient into a stacked buffer and returning d loss / d h_prev;
+  input weight, the stacked state (hidden states ``hs[0..steps]``,
+  and the GRU's r, z, c) and each bias broadcast to an ``(n, h)``
+  block;
+* ``run``: the forward loop, each step in the order
+  ``(x W_x + h_prev W_h) + b`` (the bias is not folded into the
+  projection: that would round differently);
+* ``backprop``: the activation derivatives of every step, hoisted out
+  of the loop, then the BPTT loop from the last step down, which
+  overwrites each step's slot with its pre-activation gradient;
 * ``gradients``: after the loop, every weight as
   ``sum_t left[t].T @ pre[t]`` and every bias as ``sum_t pre[t]``.
 
-The derivative and pre-activation buffers reuse the projection arrays
-the forward pass is done with, and every stacked array comes from a
-``_Workspace`` that one ``fit`` reuses for all its minibatches.
+The cells own their time loops so that a step pays only for its numpy
+calls: the per-step views are listed once per minibatch, the ufuncs
+are bound to locals, and every product and elementwise result is
+written with ``out=`` into a buffer (adding a same-shape bias block
+costs about a third of a broadcast add).  The derivative and
+pre-activation buffers reuse the projection arrays the forward pass is
+done with, and every array comes from a ``_Workspace`` that one
+``fit`` reuses for all its minibatches.
 
-The shared classifier runs both loops, the head and Adam.  The stacked
-gradients are bit-identical to accumulating one term per step: BPTT
-adds the terms from the last step down, and ``_sum_from_last`` adds
-the stacked terms in that same order (numpy reduces an outer axis one
-slice at a time, here over a reversed view).  Each term is the same
-product of the same operands, so the trained weights do not depend on
-the hoist.  Everything is vectorised over the batch, so training on a
-few hundred traces of ~100 steps takes seconds.
+The shared classifier calls both loops and runs the head and Adam.
+The stacked gradients are bit-identical to accumulating one term per
+step: BPTT adds the terms from the last step down, and
+``_sum_from_last`` adds the stacked terms in that same order (numpy
+reduces an outer axis one slice at a time, here over a reversed view).
+Each term is the same product of the same operands, so the trained
+weights do not depend on the hoist.  Everything is vectorised over
+the batch, so training on a few hundred traces of ~100 steps takes
+seconds.
 """
 
 from __future__ import annotations
@@ -128,6 +134,15 @@ def _bias_grad(pre: np.ndarray) -> np.ndarray:
     return _sum_from_last(pre.sum(axis=1))
 
 
+def _bias_block(ws: _Workspace, name: str, bias: np.ndarray,
+                n: int) -> np.ndarray:
+    """``bias`` broadcast to ``(n, h)`` once per minibatch, so each step
+    adds a same-shape block (the same sums as the broadcast add)."""
+    block = ws.get(name, n, len(bias))
+    block[...] = bias
+    return block
+
+
 class _Elman:
     """``h = tanh(x W_x + h_prev W_h + b_h)``."""
 
@@ -141,37 +156,45 @@ class _Elman:
 
     @staticmethod
     def project(p, xs, ws):
-        """Forward state: every step's ``x W_x`` and the hidden states
-        (``hs[0]`` is the zero initial state)."""
+        """Forward state: every step's ``x W_x``, the hidden states
+        (``hs[0]`` is the zero initial state) and the bias block."""
         steps, n, _ = xs.shape
         h = p["w_h"].shape[0]
         hs = ws.get("hs", steps + 1, n, h)
         hs[0] = 0.0
         xw = np.matmul(xs, p["w_x"], out=ws.get("xw", steps, n, h))
-        return {"xw": xw, "hs": hs}
+        b_h = _bias_block(ws, "b_h", p["b_h"], n)
+        return {"xw": xw, "hs": hs, "b_h": b_h}
 
     @staticmethod
-    def step(p, s, t):
-        h = s["hs"][t + 1]
-        np.dot(s["hs"][t], p["w_h"], out=h)
-        np.add(s["xw"][t], h, out=h)
-        np.add(h, p["b_h"], out=h)
-        np.tanh(h, out=h)
+    def run(p, s):
+        """The forward loop over every step."""
+        add, tanh = np.add, np.tanh
+        w_h, b_h = p["w_h"], s["b_h"]
+        hs = list(s["hs"])
+        for h_prev, h, xw in zip(hs, hs[1:], list(s["xw"])):
+            h_prev.dot(w_h, h)
+            add(xw, h, out=h)
+            add(h, b_h, out=h)
+            tanh(h, out=h)
 
     @staticmethod
-    def derivatives(s):
-        """``1 - h**2`` of every step, over the spent input products."""
+    def backprop(p, s, grad_pooled, ws):
+        """BPTT from the last step down.  ``1 - h**2`` of every step
+        goes into the spent input products; each step then turns its
+        slot of ``pre`` into its pre-activation gradient."""
         pre = s.pop("xw")
         np.square(s["hs"][1:], out=pre)
         s["pre"] = np.subtract(1.0, pre, out=pre)
-
-    @staticmethod
-    def backward(p, s, t, grad_h):
-        """Turn slot ``t`` of ``pre`` into the step's pre-activation
-        gradient; return d loss / d h_prev."""
-        pre = s["pre"][t]
-        pre *= grad_h
-        return np.dot(pre, p["w_h"].T)
+        add, multiply = np.add, np.multiply
+        w_h_t = p["w_h"].T
+        grad_h = ws.get("grad_h", *grad_pooled.shape)
+        grad_h[...] = 0.0
+        grad_step = ws.get("grad_step", *grad_pooled.shape)
+        for pre_t in list(pre)[::-1]:
+            add(grad_h, grad_pooled, out=grad_step)
+            multiply(pre_t, grad_step, out=pre_t)
+            pre_t.dot(w_h_t, grad_h)
 
     @staticmethod
     def gradients(xs, s, ws):
@@ -196,67 +219,89 @@ class _Gru:
     @staticmethod
     def project(p, xs, ws):
         """Forward state: every step's input products, the hidden
-        states, the gates r, z, the candidate c and ``r * h_prev``."""
+        states, the gates r, z, the candidate c, ``r * h_prev`` and
+        the bias blocks."""
         steps, n, _ = xs.shape
         h = p["w_hr"].shape[0]
-        s = {f"x{gate}": np.matmul(xs, p[f"w_x{gate}"],
-                                   out=ws.get(f"x{gate}", steps, n, h))
-             for gate in ("r", "z", "c")}
+        s = {}
+        for gate in ("r", "z", "c"):
+            s[f"x{gate}"] = np.matmul(xs, p[f"w_x{gate}"],
+                                      out=ws.get(f"x{gate}", steps, n, h))
+            s[f"b_{gate}"] = _bias_block(ws, f"b_{gate}", p[f"b_{gate}"], n)
         s["hs"] = ws.get("hs", steps + 1, n, h)
         s["hs"][0] = 0.0
         for key in ("r", "z", "c", "rh"):
             s[key] = ws.get(key, steps, n, h)
+        s["tmp"] = ws.get("tmp", n, h)
         return s
 
     @staticmethod
-    def step(p, s, t):
-        h_prev = s["hs"][t]
-        r, z, c, rh = s["r"][t], s["z"][t], s["c"][t], s["rh"][t]
-        np.dot(h_prev, p["w_hr"], out=r)
-        np.add(s["xr"][t], r, out=r)
-        _sigmoid(np.add(r, p["b_r"], out=r), out=r)
-        np.dot(h_prev, p["w_hz"], out=z)
-        np.add(s["xz"][t], z, out=z)
-        _sigmoid(np.add(z, p["b_z"], out=z), out=z)
-        np.multiply(r, h_prev, out=rh)
-        np.dot(rh, p["w_hc"], out=c)
-        np.add(s["xc"][t], c, out=c)
-        np.tanh(np.add(c, p["b_c"], out=c), out=c)
-        h = np.multiply(1.0 - z, h_prev, out=s["hs"][t + 1])
-        h += z * c
+    def run(p, s):
+        """The forward loop over every step."""
+        add, multiply = np.add, np.multiply
+        subtract, tanh, sigmoid = np.subtract, np.tanh, _sigmoid
+        w_hr, w_hz, w_hc = p["w_hr"], p["w_hz"], p["w_hc"]
+        b_r, b_z, b_c, tmp = s["b_r"], s["b_z"], s["b_c"], s["tmp"]
+        hs = list(s["hs"])
+        for h_prev, h, xr, xz, xc, r, z, c, rh in zip(
+                hs, hs[1:], list(s["xr"]), list(s["xz"]), list(s["xc"]),
+                list(s["r"]), list(s["z"]), list(s["c"]), list(s["rh"])):
+            h_prev.dot(w_hr, r)
+            add(xr, r, out=r)
+            sigmoid(add(r, b_r, out=r), out=r)
+            h_prev.dot(w_hz, z)
+            add(xz, z, out=z)
+            sigmoid(add(z, b_z, out=z), out=z)
+            multiply(r, h_prev, out=rh)
+            rh.dot(w_hc, c)
+            add(xc, c, out=c)
+            tanh(add(c, b_c, out=c), out=c)
+            # h = (1 - z) h_prev + z c
+            multiply(subtract(1.0, z, out=tmp), h_prev, out=h)
+            add(h, multiply(z, c, out=tmp), out=h)
 
     @staticmethod
-    def derivatives(s):
-        """``1 - r``, ``1 - z``, ``1 - c**2`` and ``c - h_prev`` of every
-        step, over the spent input products and c."""
+    def backprop(p, s, grad_pooled, ws):
+        """BPTT from the last step down.  ``1 - r``, ``1 - z``,
+        ``1 - c**2`` and ``c - h_prev`` of every step go into the spent
+        input products and c; each step then turns its slots of
+        ``pre_r``, ``pre_z`` and ``pre_c`` into its pre-activation
+        gradients."""
         c = s.pop("c")
         s["pre_r"] = np.subtract(1.0, s["r"], out=s.pop("xr"))
         s["pre_z"] = np.subtract(1.0, s["z"], out=s.pop("xz"))
         pre_c = np.square(c, out=s.pop("xc"))
         s["pre_c"] = np.subtract(1.0, pre_c, out=pre_c)
         s["c-h"] = np.subtract(c, s["hs"][:-1], out=c)
-
-    @staticmethod
-    def backward(p, s, t, grad_h):
-        """Turn slot ``t`` of ``pre_r``, ``pre_z`` and ``pre_c`` into
-        the step's pre-activation gradients; return d loss / d h_prev."""
-        h_prev, r, z = s["hs"][t], s["r"][t], s["z"][t]
-        pre_r, pre_z, pre_c = s["pre_r"][t], s["pre_z"][t], s["pre_c"][t]
-        # h = (1 - z) h_prev + z c; pre_z holds 1 - z until its turn.
-        grad_z = grad_h * s["c-h"][t]
-        grad_h_prev = grad_h * pre_z
-        # candidate
-        pre_c *= grad_h * z
-        grad_rh = np.dot(pre_c, p["w_hc"].T)
-        grad_r = grad_rh * h_prev
-        grad_rh *= r
-        grad_h_prev += grad_rh
-        # gates
-        pre_r *= grad_r * r
-        grad_h_prev += np.dot(pre_r, p["w_hr"].T)
-        pre_z *= grad_z * z
-        grad_h_prev += np.dot(pre_z, p["w_hz"].T)
-        return grad_h_prev
+        add, multiply = np.add, np.multiply
+        w_hr_t, w_hz_t, w_hc_t = p["w_hr"].T, p["w_hz"].T, p["w_hc"].T
+        shape = grad_pooled.shape
+        grad_h = ws.get("grad_h", *shape)
+        grad_h[...] = 0.0
+        grad_step, grad_z, grad_r, grad_rh = (
+            ws.get(name, *shape)
+            for name in ("grad_step", "grad_z", "grad_r", "grad_rh"))
+        tmp = s["tmp"]
+        steps = zip(list(s["hs"][:-1]), list(s["r"]), list(s["z"]),
+                    list(s["c-h"]), list(s["pre_r"]), list(s["pre_z"]),
+                    list(s["pre_c"]))
+        for h_prev, r, z, c_h, pre_r, pre_z, pre_c in list(steps)[::-1]:
+            add(grad_h, grad_pooled, out=grad_step)
+            # h = (1 - z) h_prev + z c; pre_z holds 1 - z until its turn,
+            # and grad_h becomes d loss / d h_prev.
+            multiply(grad_step, c_h, out=grad_z)
+            multiply(grad_step, pre_z, out=grad_h)
+            # candidate
+            multiply(pre_c, multiply(grad_step, z, out=tmp), out=pre_c)
+            pre_c.dot(w_hc_t, grad_rh)
+            multiply(grad_rh, h_prev, out=grad_r)
+            multiply(grad_rh, r, out=grad_rh)
+            add(grad_h, grad_rh, out=grad_h)
+            # gates
+            multiply(pre_r, multiply(grad_r, r, out=tmp), out=pre_r)
+            add(grad_h, pre_r.dot(w_hr_t, tmp), out=grad_h)
+            multiply(pre_z, multiply(grad_z, z, out=tmp), out=pre_z)
+            add(grad_h, pre_z.dot(w_hz_t, tmp), out=grad_h)
 
     @staticmethod
     def gradients(xs, s, ws):
@@ -316,8 +361,12 @@ class _Adam:
              lr: float) -> None:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         self.t += 1
-        self.m = beta1 * self.m + (1 - beta1) * grad
-        self.v = beta2 * self.v + (1 - beta2) * grad * grad
+        # In place, in the same operations and order as
+        # ``m = beta1 * m + (1 - beta1) * grad`` (and v alike).
+        self.m *= beta1
+        self.m += (1 - beta1) * grad
+        self.v *= beta2
+        self.v += (1 - beta2) * grad * grad
         m_hat = self.m / (1 - beta1**self.t)
         v_hat = self.v / (1 - beta2**self.t)
         param -= lr * m_hat / (np.sqrt(v_hat) + eps)
@@ -355,8 +404,7 @@ class RnnClassifier:
         returns (time-major inputs, cell state, mean hidden, logits)."""
         xs = batch.transpose(1, 0, 2)
         state = self._cell.project(self.params, xs, ws)
-        for t in range(xs.shape[0]):
-            self._cell.step(self.params, state, t)
+        self._cell.run(self.params, state)
         pooled = state["hs"][1:].mean(axis=0)
         logits = pooled @ self.params["w_o"] + self.params["b_o"]
         return xs, state, pooled, logits
@@ -401,12 +449,7 @@ class RnnClassifier:
         grad_logits /= n
         # Mean pooling distributes the head gradient over every step.
         grad_pooled = grad_logits @ self.params["w_o"].T / steps
-        self._cell.derivatives(state)
-        grad_h = np.zeros((n, self.config.hidden_dim))
-        grad_step = np.empty_like(grad_h)
-        for t in range(steps - 1, -1, -1):
-            np.add(grad_h, grad_pooled, out=grad_step)
-            grad_h = self._cell.backward(self.params, state, t, grad_step)
+        self._cell.backprop(self.params, state, grad_pooled, ws)
         grads = self._cell.gradients(xs, state, ws)
         grads["w_o"] = pooled.T @ grad_logits
         grads["b_o"] = grad_logits.sum(axis=0)

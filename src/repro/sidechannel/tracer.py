@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..units import ms
 from .methodology import UfsAttacker
 
@@ -51,6 +52,11 @@ class FrequencyTraceCollector:
                  on_record=None) -> None:
         self.attacker = attacker
         self.sample_period_ns = ms(sample_period_ms)
+        if not self.sample_period_ns > 0:
+            raise ConfigError(
+                f"sample period must be at least 1 ns, got "
+                f"{sample_period_ms} ms"
+            )
         self.on_record = on_record
 
     def collect(self, duration_ms: float, label: int = -1) -> TraceRecord:

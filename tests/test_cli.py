@@ -74,6 +74,8 @@ class TestBadSizes:
         ["stress", "--threads", "0"],
         ["stress", "--threads", "-1"],
         ["fingerprint", "--sites", "0"],
+        ["fingerprint", "--sites", "2", "--trace-ms", "0"],
+        ["fingerprint", "--sites", "2", "--trace-ms", "-1"],
     ])
     def test_rejected_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2

@@ -4,6 +4,7 @@ file-size profiling and (small-scale) website fingerprinting."""
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.platform import System
 from repro.sidechannel import (
     FrequencyTraceCollector,
@@ -17,6 +18,7 @@ from repro.sidechannel import (
 )
 from repro.sidechannel.features import (
     bin_trace,
+    normalize_traces,
     to_activity,
     trace_features,
 )
@@ -67,6 +69,12 @@ class TestTracer:
         attacker.shutdown()
         system.stop()
 
+    @pytest.mark.parametrize("period_ms", [0.0, -3.0, 1e-7])
+    def test_collector_rejects_periods_under_one_ns(self, period_ms):
+        """A zero period sampled back to back: 7,053 samples in 5 ms."""
+        with pytest.raises(ConfigError):
+            FrequencyTraceCollector(None, sample_period_ms=period_ms)
+
     def test_active_duration_counts_low_samples(self):
         trace = self._trace([2400, 2400, 1500, 1500, 1600, 2400])
         assert active_duration_ms(trace, 2000) == pytest.approx(9.0)
@@ -86,6 +94,18 @@ class TestFeatures:
         values = np.random.default_rng(0).uniform(1400, 2400, 997)
         pooled = bin_trace(values, 16)
         assert pooled.mean() == pytest.approx(values.mean(), rel=0.02)
+
+    @pytest.mark.parametrize("num_bins", [0, -1])
+    def test_bin_trace_rejects_fewer_than_one_bin(self, num_bins):
+        with pytest.raises(ConfigError):
+            bin_trace(np.arange(10, dtype=float), num_bins)
+
+    @pytest.mark.parametrize("num_bins", [0, -1])
+    def test_normalize_rejects_fewer_than_one_bin(self, num_bins):
+        trace = TraceRecord(label=0, times_ms=np.arange(4) * 3.0,
+                            freqs_mhz=np.full(4, 2400.0))
+        with pytest.raises(ConfigError):
+            normalize_traces([trace], num_bins)
 
     def test_activity_mapping_inverts_frequency(self):
         activity = to_activity(np.array([2400.0, 1400.0, 1900.0]))
@@ -378,6 +398,27 @@ class TestStackedBpttMatchesPerStepOracle:
             assert np.array_equal(model.params[name], want), name
 
     @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_signed_zeros_and_zero_trace_bit_identical(self, cell, d):
+        """Inputs holding +0.0 and -0.0, and one all-zero trace.  Equal
+        arrays may still differ in the sign of a zero, so this compares
+        bytes: a zero product must keep the per-step loop's sign."""
+        model, oracle = self._pair(cell, d, 8)
+        x, y = self._data(d, 6, 12)
+        x[0] = 0.0
+        x[1, ::2] = -0.0
+        x[2, 1::3] = 0.0
+        x[3] = -0.0
+        loss, correct, grads = model._loss_and_grads(x, y)
+        want_loss, want_correct, want = oracle._loss_and_grads(x, y)
+        assert (loss, correct) == (want_loss, want_correct)
+        for name in want:
+            assert grads[name].tobytes() == want[name].tobytes(), name
+        assert model.fit(x, y) == oracle.fit(x, y)
+        for name, param in oracle.params.items():
+            assert model.params[name].tobytes() == param.tobytes(), name
+
+    @pytest.mark.parametrize("cell", CELLS)
     def test_one_unit_hidden_state_bit_identical(self, cell):
         """One hidden unit makes every gradient a one-element sum, the
         shape numpy would otherwise reduce pairwise."""
@@ -424,6 +465,14 @@ class TestFingerprinting:
         )
         assert result.top1 >= 0.5
         assert result.top5 >= result.top1
+
+    @pytest.mark.parametrize("trace_ms", [0.0, -5.0, float("nan")])
+    def test_collection_rejects_empty_traces(self, trace_ms):
+        """An empty trace bins to a constant waveform, which the
+        classifier would grade as if something had been measured."""
+        with pytest.raises(ConfigError):
+            collect_dataset(num_sites=2, train_visits=1, test_visits=1,
+                            trace_ms=trace_ms, seed=0)
 
     def test_dataset_split_sizes(self, dataset):
         assert len(dataset.train) == 24
