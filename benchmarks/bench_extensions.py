@@ -158,39 +158,3 @@ def test_ext_classifier_ablation(benchmark):
         ),
     )
     assert all(acc >= 0.5 for acc in results.values())
-
-
-def test_ext_open_world_fingerprinting(benchmark):
-    """Open-world extension: the attacker must also reject traces of
-    sites it never trained on (confidence-threshold rule)."""
-    from repro.sidechannel.openworld import (
-        collect_open_world,
-        evaluate_open_world,
-    )
-
-    def experiment():
-        train, test = collect_open_world(
-            monitored_sites=12, unmonitored_sites=12,
-            trace_ms=3_500.0, seed=6,
-        )
-        return evaluate_open_world(
-            train, test,
-            rnn_config=RnnConfig(num_classes=12, epochs=400, seed=6),
-        )
-
-    result = run_once(benchmark, experiment)
-    report(
-        "ext_open_world",
-        (
-            f"open-world fingerprinting, 12 monitored + 12 unmonitored "
-            f"sites\n"
-            f"  TPR (monitored recognised): "
-            f"{100 * result.true_positive_rate:.1f} %\n"
-            f"  FPR (unmonitored accepted): "
-            f"{100 * result.false_positive_rate:.1f} %\n"
-            f"  confidence threshold: "
-            f"{result.rejection_threshold:.2f}"
-        ),
-    )
-    assert result.true_positive_rate > 0.5
-    assert result.true_positive_rate > result.false_positive_rate

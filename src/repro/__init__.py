@@ -37,8 +37,7 @@ Layer map (bottom up):
 * :mod:`repro.validate` — the scenario fuzzer, invariant oracles and
   differential checks behind ``repro validate``;
 * :mod:`repro.resilience` — retry policies, checkpoint/resume, the
-  trace-store circuit breaker, adaptive ARQ and the ``repro chaos``
-  fault matrix.
+  trace-store circuit breaker and the ``repro chaos`` fault matrix.
 
 Import surface: this top-level package re-exports the working set —
 the system (:class:`System`, :class:`PlatformConfig`,

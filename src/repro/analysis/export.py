@@ -1,58 +1,16 @@
-"""Result export: CSV and JSON serialisation of experiment artefacts.
+"""Result export: JSON serialisation of experiment artefacts.
 
 The benchmark harness prints tables; downstream consumers (plotting
 scripts, regression dashboards) want machine-readable forms.  This
-module serialises the common artefacts — frequency traces, capacity
-sweeps, comparison matrices — without pulling in any dependency beyond
-the standard library.
+module serialises results and run manifests to JSON and appends
+manifests to JSONL logs, without pulling in any dependency beyond the
+standard library.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import asdict, is_dataclass
-from typing import Iterable
-
-
-def trace_to_csv(times_ms, freqs_mhz) -> str:
-    """A two-column frequency trace (the figures' raw series)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["time_ms", "freq_mhz"])
-    for time, freq in zip(times_ms, freqs_mhz):
-        writer.writerow([f"{float(time):.3f}", int(freq)])
-    return buffer.getvalue()
-
-
-def corpus_to_csv(records) -> str:
-    """A long-form ``label,time_ms,freq_mhz`` export of a trace corpus.
-
-    Accepts any iterable of :class:`~repro.sidechannel.tracer.
-    TraceRecord` — including a lazy :class:`~repro.trace.reader.
-    TraceReader` — so a stored corpus can stream straight to a plotting
-    script without materialising.
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["label", "time_ms", "freq_mhz"])
-    for record in records:
-        for time, freq in zip(record.times_ms, record.freqs_mhz):
-            writer.writerow(
-                [record.label, f"{float(time):.3f}", f"{float(freq):g}"]
-            )
-    return buffer.getvalue()
-
-
-def rows_to_csv(headers: list[str], rows: Iterable[Iterable]) -> str:
-    """Generic tabular export matching the printed benchmark tables."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(list(row))
-    return buffer.getvalue()
 
 
 def _jsonable(value):
@@ -71,18 +29,6 @@ def results_to_json(results, *, indent: int = 2) -> str:
     """Serialise dataclass results (CapacityPoint lists, Table 3 cells,
     fingerprint results, ...) to JSON."""
     return json.dumps(_jsonable(results), indent=indent)
-
-
-def capacity_sweep_to_csv(points) -> str:
-    """The Figure 10 series in CSV form."""
-    return rows_to_csv(
-        ["interval_ms", "raw_rate_bps", "error_rate", "capacity_bps"],
-        (
-            [p.interval_ms, p.raw_rate_bps, p.error_rate,
-             p.capacity_bps]
-            for p in points
-        ),
-    )
 
 
 def manifest_to_json(manifest, *, indent: int = 2) -> str:
@@ -109,15 +55,3 @@ def append_jsonl(path, record) -> None:
 def write_manifest(path, manifest) -> None:
     """Append one run manifest to the JSONL log at ``path``."""
     append_jsonl(path, manifest)
-
-
-def comparison_to_csv(cells) -> str:
-    """The Table 3 cells in CSV form."""
-    return rows_to_csv(
-        ["channel", "scenario", "functional", "error_rate", "note"],
-        (
-            [c.channel, c.scenario, c.functional,
-             "" if c.error_rate is None else c.error_rate, c.note]
-            for c in cells
-        ),
-    )

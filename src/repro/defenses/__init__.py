@@ -19,33 +19,21 @@ from .countermeasures import (
     RandomizedFrequencyDefense,
     apply_fixed_frequency,
     apply_restricted_range,
-    disable_current_throttling,
-    disable_turbo,
-    lock_duty_cycle,
 )
 from .evaluation import (
     DefenseReport,
-    ModulationDefenseCell,
     analytics_energy_overhead,
     channel_under_defense,
     evaluate_defenses,
-    modulation_channel_under_defense,
-    modulation_defense_matrix,
 )
 
 __all__ = [
     "BusyUncoreDefense",
     "DefenseReport",
-    "ModulationDefenseCell",
     "RandomizedFrequencyDefense",
     "analytics_energy_overhead",
     "apply_fixed_frequency",
     "apply_restricted_range",
     "channel_under_defense",
-    "disable_current_throttling",
-    "disable_turbo",
     "evaluate_defenses",
-    "lock_duty_cycle",
-    "modulation_channel_under_defense",
-    "modulation_defense_matrix",
 ]

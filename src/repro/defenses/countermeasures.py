@@ -81,52 +81,6 @@ class RandomizedFrequencyDefense:
         self._task.stop()
 
 
-def disable_turbo(system: System,
-                  socket_id: int | None = None) -> None:
-    """Disable Turbo Boost (BIOS / ``MSR_TURBO_ACTIVATION_RATIO``).
-
-    The core ceiling pins at the base frequency and stops following
-    the active-core count, which is the whole TurboCC signal (arxiv
-    2007.07046 proposes exactly this as the mitigation).
-    """
-    targets = (
-        range(system.num_sockets) if socket_id is None else [socket_id]
-    )
-    for sid in targets:
-        system.socket(sid).modulation.turbo.enabled = False
-
-
-def disable_current_throttling(system: System,
-                               socket_id: int | None = None) -> None:
-    """Provision the regulator so current excursions never throttle.
-
-    Models the per-core voltage-regulator fix the IChannels paper
-    (arxiv 2106.05050) recommends: the ladder's desired state is
-    forced to zero, so draw swings stop reaching the receiver's
-    instruction throughput.
-    """
-    targets = (
-        range(system.num_sockets) if socket_id is None else [socket_id]
-    )
-    for sid in targets:
-        system.socket(sid).modulation.current.enabled = False
-
-
-def lock_duty_cycle(system: System,
-                    socket_id: int | None = None) -> None:
-    """Revoke ``IA32_CLOCK_MODULATION`` from tenants.
-
-    The duty level is pinned at its current value; further requests
-    raise :class:`~repro.errors.PrerequisiteError`, so a duty-cycle
-    sender simply cannot deploy.
-    """
-    targets = (
-        range(system.num_sockets) if socket_id is None else [socket_id]
-    )
-    for sid in targets:
-        system.socket(sid).modulation.clockmod.lock()
-
-
 class BusyUncoreDefense:
     """Pin the uncore at freq_max with a background stressing thread.
 

@@ -228,112 +228,6 @@ def evaluate_defenses(*, bits: int = 80, seed: int = 0,
     return reports
 
 
-#: Defense keys of the modulation-channel study.  Deliberately NOT part
-#: of :data:`DEFENSE_KEYS` — that tuple is shared with the vectorized
-#: defense backends, which model only UF-variation.
-MODULATION_DEFENSE_KEYS = (
-    "none",
-    "disable_turbo",
-    "no_current_throttle",
-    "lock_duty_cycle",
-)
-
-#: The modulation channel each targeted defense is designed to stop.
-_DEFENSE_TARGETS = {
-    "disable_turbo": "TurboCC",
-    "no_current_throttle": "IChannels",
-    "lock_duty_cycle": "ClockModCovert",
-}
-
-
-@dataclass(frozen=True)
-class ModulationDefenseCell:
-    """One modulation channel against one countermeasure."""
-
-    channel: str
-    defense: str
-    error_rate: float | None
-    note: str = ""
-
-    @property
-    def channel_stopped(self) -> bool:
-        """Stopped = cannot deploy, or decoding at (or near) chance."""
-        return self.error_rate is None or self.error_rate >= 0.25
-
-    @property
-    def targeted(self) -> bool:
-        """Whether this defense specifically targets this channel."""
-        return _DEFENSE_TARGETS.get(self.defense) == self.channel
-
-
-def modulation_channel_under_defense(
-        channel: str, defense: str, *, bits: int = 24,
-        seed: int = 0) -> ModulationDefenseCell:
-    """Deploy one modulation channel against one countermeasure.
-
-    DES only: the modulation layer has no vectorized counterpart (the
-    channels are not UF-variation), so this runs the event-driven
-    simulator unconditionally.
-    """
-    from ..channels.comparison import CHANNELS_BY_NAME
-    from ..errors import ChannelError, PrerequisiteError
-    from .countermeasures import (
-        disable_current_throttling,
-        disable_turbo,
-        lock_duty_cycle,
-    )
-
-    channel_cls = CHANNELS_BY_NAME[channel]
-    system = System(seed=seed)
-    if defense == "disable_turbo":
-        disable_turbo(system)
-    elif defense == "no_current_throttle":
-        disable_current_throttling(system)
-    elif defense == "lock_duty_cycle":
-        lock_duty_cycle(system)
-    elif defense != "none":
-        raise ValueError(f"unknown modulation defense {defense!r}")
-    try:
-        live = channel_cls(system)
-    except (PrerequisiteError, ChannelError) as exc:
-        system.stop()
-        return ModulationDefenseCell(
-            channel=channel, defense=defense, error_rate=None,
-            note=f"cannot deploy: {exc}",
-        )
-    payload = random_bits(bits, seed, f"modulation-{channel}-{defense}")
-    result = live.transmit(payload)
-    live.shutdown()
-    system.stop()
-    return ModulationDefenseCell(
-        channel=channel, defense=defense,
-        error_rate=result.error_rate,
-    )
-
-
-def modulation_defense_matrix(*, bits: int = 24, seed: int = 0,
-                              workers: int | None = 1,
-                              ) -> list[ModulationDefenseCell]:
-    """Every modulation channel against every modulation defense.
-
-    The matrix demonstrates defense *specificity*: each targeted
-    countermeasure stops exactly its own channel and leaves the other
-    two functional, because the three mechanisms (turbo bins, the
-    regulator ladder, the duty grid) are independent control surfaces.
-    Cells are independent seeded trials in row-major order —
-    ``workers > 1`` is bit-identical to the serial run.
-    """
-    channels = tuple(_DEFENSE_TARGETS.values())
-    trials = [
-        Trial(modulation_channel_under_defense, dict(
-            channel=channel, defense=defense, bits=bits, seed=seed,
-        ))
-        for channel in channels
-        for defense in MODULATION_DEFENSE_KEYS
-    ]
-    return run_trials(trials, workers=workers)
-
-
 @dataclass(frozen=True)
 class EnergyOverheadResult:
     """Uncore energy of a fixed-max policy relative to UFS."""

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from ..config import ClockModulationConfig, CurrentLimitConfig, TurboConfig
 from ..cpu.core import Core
 from ..engine import Engine, PeriodicTask
-from ..errors import ConfigError, PrerequisiteError
+from ..errors import ConfigError
 
 __all__ = [
     "CurrentThrottleController",
@@ -87,10 +87,6 @@ class TurboController:
     timed arithmetic observes (TurboCC, arxiv 2007.07046): parking or
     waking helper cores on the *same package* modulates everyone's
     clock.
-
-    ``enabled = False`` models the "disable Turbo Boost" countermeasure:
-    the ceiling pins at the base frequency and stops following the
-    active-core count.
     """
 
     def __init__(
@@ -100,15 +96,12 @@ class TurboController:
         engine: Engine,
         cores: list[Core],
         config: TurboConfig,
-        base_freq_mhz: int,
     ) -> None:
         config.validate()
         self.socket_id = socket_id
         self.engine = engine
         self.cores = cores
         self.config = config
-        self.base_freq_mhz = base_freq_mhz
-        self.enabled = True
         self.evaluations = 0
         self.snapshots: list[TurboSnapshot] = []
         self._ceiling_mhz = config.bin_mhz(0)
@@ -122,8 +115,6 @@ class TurboController:
     @property
     def ceiling_mhz(self) -> int:
         """The turbo ceiling a timed loop runs against right now."""
-        if not self.enabled:
-            return self.base_freq_mhz
         return self._ceiling_mhz
 
     def stop(self) -> None:
@@ -135,14 +126,13 @@ class TurboController:
         active = sum(1 for core in self.cores if core.is_active(now))
         self._ceiling_mhz = self.config.bin_mhz(active)
         self.evaluations += 1
-        if self.enabled:
-            self.snapshots.append(
-                TurboSnapshot(
-                    time_ns=now,
-                    active_cores=active,
-                    turbo_mhz=self._ceiling_mhz,
-                )
+        self.snapshots.append(
+            TurboSnapshot(
+                time_ns=now,
+                active_cores=active,
+                turbo_mhz=self._ceiling_mhz,
             )
+        )
 
 
 class CurrentThrottleController:
@@ -156,11 +146,6 @@ class CurrentThrottleController:
     level: the hysteresis that keeps the regulator out of limit cycles
     is exactly what gives the channel its slow, reliable symbol clock
     (arxiv 2106.05050, Section 4).
-
-    ``enabled = False`` models a firmware that never throttles: the
-    desired state is forced to 0 and the ladder unwinds (still one
-    dwell-respecting step at a time — a real PCU cannot teleport
-    states).
     """
 
     def __init__(
@@ -176,7 +161,6 @@ class CurrentThrottleController:
         self.engine = engine
         self.cores = cores
         self.config = config
-        self.enabled = True
         self.evaluations = 0
         self.state = 0
         self._entered_ns = engine.now
@@ -209,9 +193,7 @@ class CurrentThrottleController:
     def _evaluate(self) -> None:
         now = self.engine.now
         draw = self._draw(now)
-        if not self.enabled:
-            desired = 0
-        elif draw >= self.config.hard_threshold:
+        if draw >= self.config.hard_threshold:
             desired = 2
         elif draw >= self.config.soft_threshold:
             desired = 1
@@ -239,10 +221,6 @@ class DutyCycleModulator:
     gating pattern is fixed for a whole window, which quantises the
     channel's symbol clock to the window period
     (arxiv 2404.05823).
-
-    ``lock()`` models the countermeasure of revoking the MSR from
-    tenants: the current level is pinned and further ``set_duty``
-    requests raise.
     """
 
     def __init__(
@@ -258,7 +236,6 @@ class DutyCycleModulator:
         self.engine = engine
         self.config = config
         self.base_freq_mhz = base_freq_mhz
-        self.locked = False
         self.windows = 0
         self._duty = config.duty_steps
         self._pending = config.duty_steps
@@ -287,11 +264,6 @@ class DutyCycleModulator:
 
     def set_duty(self, duty_steps: int) -> None:
         """Request a duty level; applied at the next window boundary."""
-        if self.locked:
-            raise PrerequisiteError(
-                f"clock modulation on socket {self.socket_id} is locked "
-                "(MSR revoked)"
-            )
         if not self.config.min_duty_steps <= duty_steps \
                 <= self.config.duty_steps:
             raise ConfigError(
@@ -300,11 +272,6 @@ class DutyCycleModulator:
                 f"{self.config.duty_steps}] grid"
             )
         self._pending = duty_steps
-
-    def lock(self) -> None:
-        """Pin the current duty level (MSR revoked from tenants)."""
-        self._pending = self._duty
-        self.locked = True
 
     def stop(self) -> None:
         """Halt window ticks (end of experiment)."""
@@ -351,7 +318,6 @@ class ModulationUnit:
             engine=engine,
             cores=cores,
             config=turbo_config,
-            base_freq_mhz=base_freq_mhz,
         )
         self.current = CurrentThrottleController(
             socket_id=socket_id,

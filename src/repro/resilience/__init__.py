@@ -1,6 +1,6 @@
 """Fault tolerance for every long-running path.
 
-Four mechanisms, each driven by the chaos matrix in
+Three mechanisms, each driven by the chaos matrix in
 :mod:`repro.resilience.chaos`:
 
 * :mod:`~repro.resilience.retry` — transient-vs-permanent error
@@ -11,16 +11,14 @@ Four mechanisms, each driven by the chaos matrix in
 * :mod:`~repro.resilience.breaker` — a call-counted circuit breaker
   that degrades the trace store to pass-through under repeated
   corruption.
-* :mod:`~repro.resilience.arq` — adaptive ARQ: bounded ``interval_ms``
-  escalation when frames keep failing CRC under stress.
 
-``arq`` and ``chaos`` pull in the channel stack and the experiment
-runners, so they are loaded lazily (PEP 562) — importing this package
-stays cheap and cycle-free for the modules (``engine.parallel``,
-``trace.store``) that depend on the light pieces.
+``chaos`` imports the experiment runners only inside its checks, so
+importing this package stays cheap and cycle-free for the modules
+(``engine.parallel``, ``trace.store``) that depend on the light pieces.
 """
 
 from .breaker import CircuitBreaker
+from .chaos import CHAOS_FAULTS, ChaosOutcome, run_chaos
 from .checkpoint import Checkpoint, checkpoint_key
 from .retry import PERMANENT_ERRORS, TRANSIENT_ERRORS, RetryPolicy
 
@@ -31,34 +29,7 @@ __all__ = [
     "RetryPolicy",
     "TRANSIENT_ERRORS",
     "PERMANENT_ERRORS",
-    # lazy (heavy imports):
-    "ArqPolicy",
-    "AdaptiveTransfer",
-    "transmit_adaptive",
-    "adaptive_under_stress",
     "ChaosOutcome",
     "run_chaos",
     "CHAOS_FAULTS",
 ]
-
-_LAZY = {
-    "ArqPolicy": "arq",
-    "AdaptiveTransfer": "arq",
-    "transmit_adaptive": "arq",
-    "adaptive_under_stress": "arq",
-    "ChaosOutcome": "chaos",
-    "run_chaos": "chaos",
-    "CHAOS_FAULTS": "chaos",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    from importlib import import_module
-
-    module = import_module(f".{module_name}", __name__)
-    return getattr(module, name)

@@ -14,7 +14,6 @@ flipped-crc            trace-store quarantine + rewarm
 torn-index             trace-store index healing
 half-written-temp      atomic publish (temp + ``os.replace``)
 breaker-storm          corruption circuit breaker, full state cycle
-arq-stress             adaptive interval escalation under stress
 ====================== ==============================================
 
 A check returns a :class:`ChaosOutcome`; ``contained=False`` means the
@@ -31,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import ResilienceError
 from ..rng import child_rng
 from ..telemetry.context import using
 from ..telemetry.registry import MetricsRegistry
-from .arq import ArqPolicy, adaptive_under_stress
 from .retry import RetryPolicy
 
 __all__ = ["ChaosOutcome", "run_chaos", "CHAOS_FAULTS"]
@@ -47,7 +46,6 @@ CHAOS_FAULTS: tuple[str, ...] = (
     "torn-index",
     "half-written-temp",
     "breaker-storm",
-    "arq-stress",
 )
 
 
@@ -317,30 +315,6 @@ def _check_breaker_storm(workdir: Path, *, seed: int,
     )
 
 
-def _check_arq_stress(workdir: Path, *, seed: int,
-                      workers: int) -> ChaosOutcome:
-    del workdir, workers
-    registry = MetricsRegistry()
-    with using(registry):
-        transfer = adaptive_under_stress(
-            2, payload=b"UF", interval_ms=10.0, seed=seed,
-            policy=ArqPolicy(attempts_per_level=2, max_escalations=6),
-        )
-    escalations = _counters(registry).get("channel.arq.escalations", 0)
-    contained = transfer.delivered and transfer.escalations >= 1
-    return ChaosOutcome(
-        fault="arq-stress",
-        mechanism="adaptive ARQ escalation",
-        contained=contained,
-        detail=(f"delivered at {transfer.final_interval_ms:g} ms after "
-                f"{escalations} escalations "
-                f"(path {'->'.join(f'{i:g}' for i in transfer.interval_path_ms)})"
-                if contained else
-                f"delivered={transfer.delivered} "
-                f"escalations={transfer.escalations}"),
-    )
-
-
 _CHECKS = {
     "crashing-trial": _check_crashing_trial,
     "worker-death": _check_worker_death,
@@ -349,7 +323,6 @@ _CHECKS = {
     "torn-index": _check_torn_index,
     "half-written-temp": _check_half_written_temp,
     "breaker-storm": _check_breaker_storm,
-    "arq-stress": _check_arq_stress,
 }
 
 
@@ -358,13 +331,19 @@ def run_chaos(workdir, *, seed: int = 0, workers: int | None = 1,
     """Run the fault matrix; each check gets its own subdirectory.
 
     Returns one :class:`ChaosOutcome` per requested fault, in
-    :data:`CHAOS_FAULTS` order.  A check that *itself* crashes counts
-    as uncontained — escaping the harness is the worst containment
-    failure of all.
+    :data:`CHAOS_FAULTS` order.  A name not in :data:`CHAOS_FAULTS`
+    raises :class:`~repro.errors.ResilienceError` before any check
+    runs.  A check that *itself* crashes counts as uncontained —
+    escaping the harness is the worst containment failure of all.
     """
+    selected = CHAOS_FAULTS if faults is None else tuple(faults)
+    unknown = sorted(set(selected) - set(CHAOS_FAULTS))
+    if unknown:
+        raise ResilienceError(
+            f"unknown faults {unknown}; known: {list(CHAOS_FAULTS)}"
+        )
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    selected = CHAOS_FAULTS if faults is None else tuple(faults)
     workers = 1 if workers is None else workers
     outcomes: list[ChaosOutcome] = []
     for name in CHAOS_FAULTS:

@@ -37,11 +37,6 @@ from .utilization import (
     detect_bursts,
     profile_victim,
 )
-from .openworld import (
-    OpenWorldResult,
-    collect_open_world,
-    evaluate_open_world,
-)
 from .fingerprint import (
     FingerprintDataset,
     FingerprintResult,
@@ -59,7 +54,6 @@ __all__ = [
     "FrequencyTraceCollector",
     "KnnClassifier",
     "MediaEncoderVictim",
-    "OpenWorldResult",
     "PhaseEstimate",
     "RnnClassifier",
     "RnnConfig",
@@ -68,8 +62,6 @@ __all__ = [
     "UtilizationAttacker",
     "bin_trace",
     "collect_dataset",
-    "collect_open_world",
-    "evaluate_open_world",
     "normalize_traces",
     "detect_bursts",
     "profile_victim",

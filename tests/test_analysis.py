@@ -1,4 +1,4 @@
-"""Analysis helpers: entropy, capacity, statistics, tables."""
+"""Analysis helpers: entropy, capacity, statistics, tables, sparklines."""
 
 import numpy as np
 import pytest
@@ -121,3 +121,45 @@ class TestTables:
     def test_rows_rendered(self):
         text = format_table(["n"], [[i] for i in range(5)])
         assert text.count("\n") == 6  # header + rule + 5 rows
+
+
+class TestSparklines:
+    def test_sparkline_range(self):
+        from repro.analysis.sparkline import sparkline
+
+        line = sparkline([0, 1, 2, 3])
+        assert line[0] == "▁"
+        assert line[-1] == "█"
+        assert len(line) == 4
+
+    def test_flat_series(self):
+        from repro.analysis.sparkline import sparkline
+
+        assert sparkline([5, 5, 5]) == "▁▁▁"
+
+    def test_empty_series(self):
+        from repro.analysis.sparkline import sparkline
+
+        assert sparkline([]) == ""
+
+    def test_pinned_scale(self):
+        from repro.analysis.sparkline import sparkline
+
+        line = sparkline([1800], lo=1200, hi=2400)
+        assert line in ("▄", "▅")  # mid-scale block
+
+    def test_frequency_sparkline_pools_long_traces(self):
+        from repro.analysis.sparkline import frequency_sparkline
+
+        trace = [1500] * 500 + [2400] * 500
+        line = frequency_sparkline(trace, max_width=10)
+        assert len(line) == 10
+        assert line[0] == "▃"  # 1500 on the 1200-2400 scale
+        assert line[-1] == "█"
+
+    def test_labelled_trace(self):
+        from repro.analysis.sparkline import labelled_trace
+
+        text = labelled_trace("socket 0", [1500, 2400])
+        assert text.startswith("socket 0")
+        assert "[1.5-2.4 GHz]" in text

@@ -3,8 +3,7 @@
 Locks down the three channels built on :mod:`repro.power.modulation` —
 TurboCC, IChannels, ClockModCovert — exactly where the Table 3 harness
 exercises them: per-scenario functionality against the expected
-:data:`~repro.channels.comparison.EXTENDED_TABLE3` rows and specificity
-of the targeted countermeasures.
+:data:`~repro.channels.comparison.EXTENDED_TABLE3` rows.
 """
 
 import pytest
@@ -16,10 +15,6 @@ from repro.channels import (
     evaluate_channel,
 )
 from repro.channels.scenarios import scenario_by_key
-from repro.defenses.evaluation import (
-    MODULATION_DEFENSE_KEYS,
-    modulation_defense_matrix,
-)
 
 MODULATION_CHANNELS = tuple(EXTENDED_TABLE3)
 
@@ -62,34 +57,4 @@ class TestTable3Rows:
         )
         assert cell.functional
         assert cell.error_rate == 0.0
-
-
-class TestDefenseSpecificity:
-    def test_each_defense_stops_exactly_its_target(self):
-        cells = modulation_defense_matrix(bits=BITS, seed=0)
-        assert len(cells) == (
-            len(MODULATION_CHANNELS) * len(MODULATION_DEFENSE_KEYS)
-        )
-        for cell in cells:
-            if cell.defense == "none":
-                assert not cell.channel_stopped, (
-                    f"{cell.channel} broken with no defense: "
-                    f"err={cell.error_rate}"
-                )
-            else:
-                assert cell.channel_stopped == cell.targeted, (
-                    f"{cell.defense} x {cell.channel}: "
-                    f"stopped={cell.channel_stopped}, "
-                    f"targeted={cell.targeted} (err={cell.error_rate})"
-                )
-
-    def test_locked_duty_cycle_cannot_deploy(self):
-        cells = modulation_defense_matrix(bits=BITS, seed=0)
-        locked = next(
-            c for c in cells
-            if c.defense == "lock_duty_cycle"
-            and c.channel == "ClockModCovert"
-        )
-        assert locked.error_rate is None
-        assert "cannot deploy" in locked.note
 

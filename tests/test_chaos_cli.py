@@ -3,6 +3,8 @@
 Drives :func:`repro.cli.main` exactly the way the CI chaos gate does:
 fault subsets, the JSON contract, unknown-fault errors, and the two
 interruption paths (^C → 130, a dead worker pool → actionable exit 2).
+The fault-name check itself lives in :func:`run_chaos`, so library
+callers get it too.
 """
 
 import json
@@ -11,7 +13,8 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
-from repro.resilience.chaos import CHAOS_FAULTS
+from repro.errors import ResilienceError
+from repro.resilience.chaos import CHAOS_FAULTS, run_chaos
 
 # A cheap, pool-free subset for CLI-level smoke runs.
 FAST = ["chaos", "--faults", "crashing-trial", "torn-index",
@@ -89,11 +92,11 @@ class TestChaosRuns:
         assert "escaped containment" in capsys.readouterr().err
 
     def test_fault_names_stay_in_sync_with_help(self, monkeypatch):
-        # The CLI validates against the module's canonical tuple, so a
-        # new fault only needs registering in one place.
+        # run_chaos validates against the module's canonical tuple, so
+        # a new fault only needs registering in one place.
         from repro.resilience import chaos as chaos_mod
 
-        assert len(CHAOS_FAULTS) == 8
+        assert len(CHAOS_FAULTS) == 7
         assert len(set(CHAOS_FAULTS)) == len(CHAOS_FAULTS)
         assert set(chaos_mod._CHECKS) == set(CHAOS_FAULTS)
         requested = []
@@ -107,6 +110,15 @@ class TestChaosRuns:
         monkeypatch.setattr(chaos_mod, "run_chaos", record)
         assert main(["chaos", "--faults", *CHAOS_FAULTS]) == 0
         assert requested == list(CHAOS_FAULTS)
+
+
+class TestRunChaosNames:
+    # A bare str iterates as characters, none of them a fault name.
+    @pytest.mark.parametrize("faults", [("no-such-fault",), "torn-index"])
+    def test_unknown_fault_raises(self, tmp_path, faults):
+        with pytest.raises(ResilienceError, match="unknown faults"):
+            run_chaos(tmp_path / "chaos", faults=faults)
+        assert not (tmp_path / "chaos").exists()
 
 
 class TestInterruptionPaths:

@@ -472,3 +472,37 @@ class TestMsr:
     def test_unimplemented_msr_raises(self):
         with pytest.raises(SimulationError):
             MsrFile(0).read(0x999, privileged=True)
+
+
+class TestTurboPStates:
+    def test_turbo_core_pins_uncore_at_max(self, solo_system):
+        core = solo_system.socket(0).core(0)
+        core.claim("turbo")
+        core.set_p_state(3200)
+        from repro.cpu.activity import ActivityProfile
+
+        core.set_profile(solo_system.now, ActivityProfile(active=True))
+        solo_system.run_ms(150)
+        # Section 2.2.1: any core above base -> UFS disabled, uncore
+        # at the window maximum.
+        assert solo_system.uncore_frequency_mhz(0) == 2400
+
+    def test_idle_turbo_core_does_not_pin(self, solo_system):
+        core = solo_system.socket(0).core(0)
+        core.claim("turbo")
+        core.set_p_state(3200)  # turbo P-state but never active
+        solo_system.run_ms(100)
+        assert solo_system.uncore_frequency_mhz(0) <= 1500
+
+    def test_p_state_validation(self, solo_system):
+        core = solo_system.socket(0).core(0)
+        with pytest.raises(PlacementError):
+            core.set_p_state(2650)
+        with pytest.raises(PlacementError):
+            core.set_p_state(0)
+
+    def test_above_base_flag(self, solo_system):
+        core = solo_system.socket(0).core(0)
+        assert not core.above_base
+        core.set_p_state(2700)
+        assert core.above_base

@@ -4,66 +4,8 @@ import json
 
 import numpy as np
 
-from repro.analysis.export import (
-    capacity_sweep_to_csv,
-    comparison_to_csv,
-    corpus_to_csv,
-    results_to_json,
-    rows_to_csv,
-    trace_to_csv,
-)
+from repro.analysis.export import results_to_json
 from repro.core.evaluation import CapacityPoint
-
-
-class TestCsv:
-    def test_trace_csv_shape(self):
-        text = trace_to_csv([0.0, 3.0, 6.0], [1500, 1600, 1700])
-        lines = text.strip().splitlines()
-        assert lines[0] == "time_ms,freq_mhz"
-        assert lines[1] == "0.000,1500"
-        assert len(lines) == 4
-
-    def test_trace_csv_accepts_numpy(self):
-        text = trace_to_csv(np.array([1.5]), np.array([2400]))
-        assert "1.500,2400" in text
-
-    def test_corpus_csv_is_long_form_and_streams(self):
-        from repro.sidechannel.tracer import TraceRecord
-
-        records = iter([
-            TraceRecord(label=4, times_ms=np.array([0.0, 3.0]),
-                        freqs_mhz=np.array([2400.0, 1500.0])),
-            TraceRecord(label=7, times_ms=np.array([0.0]),
-                        freqs_mhz=np.array([1700.0])),
-        ])
-        lines = corpus_to_csv(records).strip().splitlines()
-        assert lines[0] == "label,time_ms,freq_mhz"
-        assert lines[1] == "4,0.000,2400"
-        assert lines[3] == "7,0.000,1700"
-        assert len(lines) == 4
-
-    def test_rows_csv(self):
-        text = rows_to_csv(["a", "b"], [[1, "x"], [2, "y"]])
-        assert text.strip().splitlines() == ["a,b", "1,x", "2,y"]
-
-    def test_capacity_sweep_csv(self):
-        points = [
-            CapacityPoint(21.0, 47.6, 0.01, 44.0, 100),
-            CapacityPoint(38.0, 26.3, 0.0, 26.3, 100),
-        ]
-        text = capacity_sweep_to_csv(points)
-        assert "interval_ms" in text
-        assert "21.0,47.6,0.01,44.0" in text
-
-    def test_comparison_csv(self):
-        from repro.channels.comparison import ComparisonCell
-
-        cells = [
-            ComparisonCell("Prime+Probe", "random_llc", False, 0.5),
-            ComparisonCell("UF-variation", "random_llc", True, 0.0),
-        ]
-        text = comparison_to_csv(cells)
-        assert "Prime+Probe,random_llc,False,0.5," in text
 
 
 class TestJson:

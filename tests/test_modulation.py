@@ -18,7 +18,7 @@ from repro.config import (
     single_socket_config,
 )
 from repro.cpu.activity import ActivityProfile
-from repro.errors import ConfigError, PrerequisiteError
+from repro.errors import ConfigError
 from repro.platform import System
 from repro.units import ms
 
@@ -101,16 +101,6 @@ class TestTurboController:
         assert turbo.ceiling_mhz == 3300
         assert turbo.snapshots[-1].active_cores == 5
 
-    def test_disabled_turbo_pins_base_frequency(self, system):
-        socket = system.socket(0)
-        turbo = socket.modulation.turbo
-        turbo.enabled = False
-        _claim_active(socket, range(1, 6))
-        system.run_for(ms(2))
-        assert turbo.ceiling_mhz == socket.config.base_freq_mhz
-        # Disabled controllers stop recording (nothing to observe).
-        assert turbo.snapshots == []
-
 
 class TestCurrentThrottleController:
     def test_ladder_walks_one_dwell_step_at_a_time(self, system):
@@ -139,15 +129,6 @@ class TestCurrentThrottleController:
         assert throttle.state == 0
         assert [s for _, s in throttle.transitions] == [0, 1, 2, 1, 0]
 
-    def test_disabled_regulator_never_throttles(self, system):
-        socket = system.socket(0)
-        throttle = socket.modulation.current
-        throttle.enabled = False
-        _claim_active(socket, range(1, 5), VIRUS)
-        system.run_for(ms(2))
-        assert throttle.state == 0
-        assert throttle.factor == 1.0
-
 
 class TestDutyCycleModulator:
     def test_requests_land_on_window_boundaries(self, system):
@@ -168,31 +149,3 @@ class TestDutyCycleModulator:
             clockmod.set_duty(17)
         with pytest.raises(ConfigError):
             clockmod.set_duty(0)
-
-    def test_lock_pins_level_and_rejects_requests(self, system):
-        clockmod = system.socket(0).modulation.clockmod
-        clockmod.set_duty(4)
-        clockmod.lock()
-        # Locking cancels the pending request: the level is pinned at
-        # what is currently in force, not at what was asked for.
-        system.run_for(2 * clockmod.config.window_ns)
-        assert clockmod.duty_steps == 16
-        with pytest.raises(PrerequisiteError):
-            clockmod.set_duty(8)
-
-
-class TestDefenseHooks:
-    def test_countermeasures_reach_the_controllers(self, system):
-        from repro.defenses import (
-            disable_current_throttling,
-            disable_turbo,
-            lock_duty_cycle,
-        )
-
-        disable_turbo(system)
-        disable_current_throttling(system)
-        lock_duty_cycle(system)
-        unit = system.socket(0).modulation
-        assert not unit.turbo.enabled
-        assert not unit.current.enabled
-        assert unit.clockmod.locked

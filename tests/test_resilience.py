@@ -1,4 +1,4 @@
-"""The resilience layer: retry policies, checkpoints, breaker, ARQ.
+"""The resilience layer: retry policies, checkpoints, breaker.
 
 Unit coverage for :mod:`repro.resilience` plus the runner integration:
 the contract throughout is that fault handling never changes *results*
@@ -10,7 +10,6 @@ import os
 import sys
 import threading
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from repro.resilience import (
     TRANSIENT_ERRORS,
     checkpoint_key,
 )
-from repro.resilience.arq import ArqPolicy, transmit_adaptive
 from repro.rng import child_rng
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.context import using
@@ -422,85 +420,6 @@ class TestRunnerCheckpointing:
         counters = _counters(registry)
         assert counters["runner.checkpoint.invalid"] == 1
         assert "runner.checkpoint.skipped" not in counters
-
-
-def _stub_channel_factory(good_from_ms: float):
-    """Channels that corrupt every bit below ``good_from_ms``."""
-
-    def factory(interval_ms: float):
-        good = interval_ms >= good_from_ms
-
-        class _Stub:
-            def transmit(self, bits):
-                received = list(bits) if good else [0] * len(bits)
-                return SimpleNamespace(received=received)
-
-        return _Stub()
-
-    return factory
-
-
-class TestAdaptiveArq:
-    def test_escalates_along_the_grid_until_delivery(self):
-        registry = MetricsRegistry()
-        with using(registry):
-            transfer = transmit_adaptive(
-                b"hi", channel_factory=_stub_channel_factory(16.0),
-                interval_ms=10.0,
-                policy=ArqPolicy(attempts_per_level=1,
-                                 max_escalations=6),
-            )
-        assert transfer.delivered
-        assert transfer.payload == b"hi"
-        # 10 and 12 and 15 fail; 18 is the first grid entry >= 16.
-        assert transfer.interval_path_ms == (10.0, 12.0, 15.0, 18.0)
-        assert transfer.final_interval_ms == 18.0
-        assert transfer.escalations == 3
-        counters = _counters(registry)
-        assert counters["channel.arq.escalations"] == 3
-        assert counters["channel.arq.deliveries"] == 1
-
-    def test_escalation_is_bounded(self):
-        registry = MetricsRegistry()
-        with using(registry):
-            transfer = transmit_adaptive(
-                b"hi", channel_factory=_stub_channel_factory(1e9),
-                interval_ms=10.0,
-                policy=ArqPolicy(attempts_per_level=2,
-                                 max_escalations=2),
-            )
-        assert not transfer.delivered
-        assert transfer.escalations == 2
-        assert transfer.interval_path_ms == (10.0, 12.0, 15.0)
-        assert transfer.attempts == 6  # 2 per level, 3 levels
-        assert _counters(registry)["channel.arq.failures"] == 1
-
-    def test_healthy_channel_never_escalates(self):
-        transfer = transmit_adaptive(
-            b"hi", channel_factory=_stub_channel_factory(0.0),
-            interval_ms=21.0,
-        )
-        assert transfer.delivered
-        assert transfer.escalations == 0
-        assert transfer.interval_path_ms == (21.0,)
-
-    def test_grid_walk(self):
-        policy = ArqPolicy()
-        assert policy.next_interval_ms(10.0) == 12.0
-        assert policy.next_interval_ms(11.0) == 12.0
-        assert policy.next_interval_ms(60.0) is None
-
-    def test_policy_validation(self):
-        with pytest.raises(ConfigError):
-            ArqPolicy(attempts_per_level=0).validate()
-        with pytest.raises(ConfigError):
-            ArqPolicy(max_escalations=-1).validate()
-        with pytest.raises(ConfigError):
-            ArqPolicy(grid_ms=(20.0, 10.0)).validate()
-
-    def test_needs_a_system_or_factory(self):
-        with pytest.raises(ConfigError):
-            transmit_adaptive(b"hi")
 
 
 def _trace_records(seed: int, count: int = 3):
