@@ -16,11 +16,12 @@ the 10 ms PMU evaluations.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from ..errors import SimulationError
 
@@ -132,28 +133,6 @@ class ProfileTimeline:
         """
         return self._times[-1] <= t0 and not self._loud[-1]
 
-    def loud_spans(self) -> list[tuple[int, float]]:
-        """The ``[start, end)`` spans over which a loud profile is in force.
-
-        The span-wise twin of :meth:`silent_since`, for histories written
-        ahead of time (the batch backend's replica timelines): a window
-        ``[t0, t1)`` that overlaps no span (``start < t1 and end > t0``)
-        integrates to exact zeros.  Adjacent loud profiles share one
-        span; a timeline that ends loud ends on an open span (``end`` is
-        infinite).
-        """
-        spans: list[tuple[int, float]] = []
-        start = None
-        for time_ns, loud in zip(self._times, self._loud):
-            if loud and start is None:
-                start = time_ns
-            elif not loud and start is not None:
-                spans.append((start, time_ns))
-                start = None
-        if start is not None:
-            spans.append((start, math.inf))
-        return spans
-
     def window_stats(self, t0: int, t1: int) -> WindowStats:
         """Exact time-weighted averages over ``[t0, t1)``."""
         return self.walk_windows(((t0, t1),))[0]
@@ -214,6 +193,71 @@ class ProfileTimeline:
                                        noc / total, stall_ratio,
                                        l2 / total))
         return results
+
+    def window_classes(self, starts: Sequence[int], ends: Sequence[int],
+                       ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """Class each window ``[starts[k], ends[k])`` by what
+        :meth:`walk_windows` integrates in it.
+
+        Returns one class id per window, numbered in order of first
+        appearance, and each class's first window (its representative),
+        in that order.  Two windows share a class only if they are
+        equally long and meet the same sequence of profile objects over
+        the same clipped segment widths: the walk then does the same
+        float operations on the same operands for both, so the
+        representative's :class:`WindowStats` is every member's, bit for
+        bit.  A window whose every segment is silent gets ``-1`` and no
+        class (it folds to zeros; compare :meth:`silent_since`).
+        """
+        t0 = np.asarray(starts, dtype=np.int64)
+        t1 = np.asarray(ends, dtype=np.int64)
+        empty = np.flatnonzero(t1 <= t0)
+        if empty.size:
+            k = empty[0]
+            raise SimulationError(f"empty window [{t0[k]}, {t1[k]})")
+        times = np.array(self._times, dtype=np.int64)
+        # Segments ``first .. stop - 1`` meet each window; one opening
+        # before the first change starts on the first profile, as in
+        # the walk.
+        first = np.maximum(np.searchsorted(times, t0, "right") - 1, 0)
+        stop = np.searchsorted(times, t1, "left")
+        louder = np.zeros(len(times) + 1, dtype=np.int64)
+        np.cumsum(np.array(self._loud), out=louder[1:])
+        heard = np.flatnonzero(louder[stop] > louder[first])
+        classes = np.full(len(t0), -1, dtype=np.int64)
+        if not heard.size:
+            return classes, []
+        t0 = t0[heard]
+        t1 = t1[heard]
+        first = first[heard]
+        stop = stop[heard]
+        segment = first[:, None] + np.arange(int((stop - first).max()))
+        outside = segment >= stop[:, None]
+        np.minimum(segment, len(times) - 1, out=segment)
+        following = np.append(times[1:], np.iinfo(np.int64).max)
+        widths = (np.minimum(following[segment], t1[:, None])
+                  - np.maximum(times[segment], t0[:, None]))
+        widths[outside] = 0  # padding: a segment met is never empty
+        # Profiles by identity: the same object, the same operands.
+        profiles = np.fromiter(map(id, self._profiles), np.uint64,
+                               len(times)).view(np.int64)[segment]
+        profiles[outside] = 0
+        rows = np.concatenate(((t1 - t0)[:, None], profiles, widths),
+                              axis=1)
+        # One bytes key per row: equal bytes, equal integers.
+        keys = rows.view(np.dtype((np.void, rows.itemsize
+                                   * rows.shape[1]))).ravel().tolist()
+        known: dict[bytes, int] = {}
+        ids: list[int] = []
+        representatives: list[tuple[int, int]] = []
+        for key, window in zip(keys, zip(t0.tolist(), t1.tolist())):
+            cls = known.get(key)
+            if cls is None:
+                cls = known[key] = len(representatives)
+                representatives.append(window)
+            ids.append(cls)
+        classes[heard] = ids
+        return classes, representatives
 
 
 def _loud(profile: ActivityProfile) -> bool:

@@ -17,14 +17,19 @@ before the lattice runs, so every tick's observation is folded up front
 with the *same* :func:`~repro.power.ufs.accumulate_observation` the PMU
 uses, over the touched cores loud in that window only (untouched cores,
 and touched cores silent over the whole window, contribute exact
-zeros); each core's loud windows are integrated in one forward walk.
-Each trial then walks the stream on its own up to its horizon, stepping
-its socket state through the scalar
+zeros).  Windows repeat:
+:meth:`~repro.cpu.activity.ProfileTimeline.window_classes` classes each
+core's windows by the profile objects and clipped segment widths the
+walk meets in them, so only one window per class is integrated (all of
+a core's in one forward walk), and each distinct row of per-core
+classes is folded once, into a fold id shared by the group.  Each trial
+then walks the stream on its own up to its horizon, stepping its socket
+state through the scalar
 :func:`~repro.power.ufs.ufs_control_step` — the same law, over the same
 Python ints and floats, the DES PMU evaluates.  The law is pure, so a
-step already taken in the group is looked up, not recomputed.  That
-shared law is what makes the lattice bit-identical to the DES frequency
-timeline.
+step already taken in the group (same state, limits, fold id and
+remote frequency) is looked up, not recomputed.  That shared law is
+what makes the lattice bit-identical to the DES frequency timeline.
 
 **Phase B — the receiver replay.**  Per trial, a fresh
 :class:`~repro.platform.latency.LatencyModel` on the trial's
@@ -46,7 +51,7 @@ DES.  Equivalence is enforced by the differential suite.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -352,38 +357,50 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
 
 
 def _observations(entries: list[tuple[ProfileTimeline, bool]],
-                  ticks: list[int], starts: list[int], last: int,
-                  threshold: float) -> dict[int, tuple]:
-    """One trial's socket observations, by tick index.
+                  ticks: np.ndarray, starts: np.ndarray, last: int,
+                  threshold: float, interned: dict[tuple, int],
+                  ) -> tuple[list[int], int]:
+    """One trial's socket observations: per tick index ``k < last``,
+    the id in ``interned`` (fold -> id, shared by the group) of the
+    fold of the window ``[starts[k], ticks[k])``; and how many windows
+    were integrated.
 
-    Tick ``k`` observes the window ``[starts[k], ticks[k])`` for ``k <
-    last``.  A touched core joins a tick's fold only if the window
-    overlaps one of its loud spans; ticks no core is loud in are left
-    out and fold to :data:`_IDLE_FOLD` (the batch twin of the PMU's
-    ``silent_since`` skip).  Each core's loud windows are integrated in
-    one :meth:`~repro.cpu.activity.ProfileTimeline.walk_windows`.
     ``entries`` are ``(timeline, turbo flag)`` pairs in core (fold)
-    order, so every fold sees its cores in that order too.
+    order.  Each core's windows are classed by
+    :meth:`~repro.cpu.activity.ProfileTimeline.window_classes`, and
+    only the class representatives are integrated, in one
+    :meth:`~repro.cpu.activity.ProfileTimeline.walk_windows`.  A core
+    silent over a window (class ``-1``) leaves that window's fold (the
+    batch twin of the PMU's ``silent_since`` skip).  Ticks whose rows
+    of per-core classes agree fold the same samples in the same order,
+    so each distinct row is folded once; a row no core is loud in folds
+    to :data:`_IDLE_FOLD`.
     """
-    loud: dict[int, list[tuple]] = {}
+    starts = starts[:last]
+    ticks = ticks[:last]
+    # Per tick, its row's id; per row, its first tick.  With no touched
+    # core, every tick is on the one all-silent row.
+    rows = np.zeros(last, dtype=np.int64)
+    firsts = np.zeros(1 if last else 0, dtype=np.int64)
+    cores = []
+    integrated = 0
     for timeline, above_base in entries:
-        done = 0  # ticks below this already hold the entry
-        wanted: list[int] = []
-        for span_start, span_end in timeline.loud_spans():
-            # Windows closing after the span opens and opening before
-            # it closes; one window can meet two short spans.
-            first = max(bisect_right(ticks, span_start), done)
-            stop = min(bisect_left(starts, span_end), last)
-            wanted.extend(range(first, stop))
-            done = max(done, stop)
-        windows = timeline.walk_windows(
-            [(starts[tick], ticks[tick]) for tick in wanted])
-        for tick, stats in zip(wanted, windows):
-            loud.setdefault(tick, []).append((stats, above_base))
-    return {
-        tick: accumulate_observation(samples, threshold)
-        for tick, samples in loud.items()
-    }
+        classes, windows = timeline.window_classes(starts, ticks)
+        cores.append((classes, timeline.walk_windows(windows), above_base))
+        integrated += len(windows)
+        # Extend each row by this core's class (``-1`` shifted to 0)
+        # and renumber the rows densely.
+        _, firsts, rows = np.unique(rows * (len(windows) + 1) + classes + 1,
+                                    return_index=True, return_inverse=True)
+    fold_ids = []
+    for tick in firsts.tolist():
+        samples = [(stats[core_classes[tick]], above_base)
+                   for core_classes, stats, above_base in cores
+                   if core_classes[tick] >= 0]
+        fold = (accumulate_observation(samples, threshold) if samples
+                else _IDLE_FOLD)
+        fold_ids.append(interned.setdefault(fold, len(interned)))
+    return np.array(fold_ids, dtype=np.int64)[rows].tolist(), integrated
 
 
 def _run_lattice(plans: list[_TrialPlan],
@@ -406,24 +423,34 @@ def _run_lattice(plans: list[_TrialPlan],
     # or ``observation`` before its own tick if that is later — the
     # PMU's own ``max(last_eval, t1 - observation_ns)``.  The histories
     # are written ahead, so every observation is known before the first
-    # control step: per socket, per trial, tick index -> fold.
+    # control step: per socket, per trial, tick index -> fold id.
     ticks = [
         list(range(period + s * _PMU_STAGGER_NS, horizon + 1, period))
         for s in range(num_sockets)
     ]
+    interned: dict[tuple, int] = {}  # fold -> id
+    integrated = 0
     observed = []
     for socket_id, times in enumerate(ticks):
-        starts = [max(previous, tick - observation)
-                  for previous, tick in zip([0] + times, times)]
-        observed.append([
-            _observations(
+        starts = np.array([max(previous, tick - observation)
+                           for previous, tick in zip([0] + times, times)],
+                          dtype=np.int64)
+        ends = np.array(times, dtype=np.int64)
+        per_plan = []
+        for plan in plans:
+            fold_ids, walked = _observations(
                 [(entry.timeline, entry.above_base)
                  for _, entry in sorted(plan.cores[socket_id].items())],
-                times, starts, bisect_right(times, plan.duration_ns),
-                ufs.stall_ratio_threshold,
+                ends, starts, bisect_right(times, plan.duration_ns),
+                ufs.stall_ratio_threshold, interned,
             )
-            for plan in plans
-        ])
+            per_plan.append(fold_ids)
+            integrated += walked
+        observed.append(per_plan)
+    folds = list(interned)  # id -> fold
+    registry = active_registry()
+    if registry is not None:
+        registry.inc("fastpath.batch.windows_integrated", integrated)
 
     # The event stream every trial walks.  Repicks share their instants
     # with socket-0 ticks; the defense task was (re)scheduled earlier
@@ -445,9 +472,9 @@ def _run_lattice(plans: list[_TrialPlan],
 
     # The control law is pure and ``ufs``, ``demand`` and the lag are
     # fixed for the group, so a step is a function of the socket state,
-    # its MSR window, its fold and the remote frequency alone.  Trials
-    # of one group revisit the same few states, so each distinct step
-    # is taken once: key -> (freq, dither phase, slow countdown).
+    # its MSR window, its fold (by id) and the remote frequency alone.
+    # Trials of one group revisit the same few states, so each distinct
+    # step is taken once: key -> (freq, dither phase, slow countdown).
     lag = rep.coupling_lag_mhz
     memo: dict[tuple, tuple[int, int, int]] = {}
     histories = []
@@ -455,7 +482,7 @@ def _run_lattice(plans: list[_TrialPlan],
         # Trials never read one another's state, so each walks the
         # stream on its own up to its horizon.
         duration = plan.duration_ns
-        folds = [observed[s][index] for s in range(num_sockets)]
+        fold_ids = [observed[s][index] for s in range(num_sockets)]
         freq = list(plan.init_freq)
         dither = [0] * num_sockets
         countdown = [0] * num_sockets
@@ -477,7 +504,7 @@ def _run_lattice(plans: list[_TrialPlan],
                         history[s].append((time_ns, pick))
                 continue
 
-            fold = folds[socket_id].get(tick, _IDLE_FOLD)
+            fold_id = fold_ids[socket_id][tick]
             remote = None
             if coupled:  # the fastest other socket
                 remote = 0
@@ -487,11 +514,11 @@ def _run_lattice(plans: list[_TrialPlan],
             min_limit, max_limit = limits[socket_id]
             current = freq[socket_id]
             key = (current, dither[socket_id], countdown[socket_id],
-                   min_limit, max_limit, fold, remote)
+                   min_limit, max_limit, fold_id, remote)
             step = memo.get(key)
             if step is None:
                 (active, stalled, llc_rate, noc_score, max_stall,
-                 turbo) = fold
+                 turbo) = folds[fold_id]
                 result = ufs_control_step(
                     freq_mhz=current,
                     dither_phase=dither[socket_id],

@@ -327,15 +327,19 @@ _CHECKS = {
 
 
 def run_chaos(workdir, *, seed: int = 0, workers: int | None = 1,
-              faults: tuple[str, ...] | None = None) -> list[ChaosOutcome]:
+              faults: str | tuple[str, ...] | None = None,
+              ) -> list[ChaosOutcome]:
     """Run the fault matrix; each check gets its own subdirectory.
 
     Returns one :class:`ChaosOutcome` per requested fault, in
-    :data:`CHAOS_FAULTS` order.  A name not in :data:`CHAOS_FAULTS`
-    raises :class:`~repro.errors.ResilienceError` before any check
-    runs.  A check that *itself* crashes counts as uncontained —
-    escaping the harness is the worst containment failure of all.
+    :data:`CHAOS_FAULTS` order; a bare ``str`` names one fault.  A name
+    not in :data:`CHAOS_FAULTS` raises
+    :class:`~repro.errors.ResilienceError` before any check runs.  A
+    check that *itself* crashes counts as uncontained — escaping the
+    harness is the worst containment failure of all.
     """
+    if isinstance(faults, str):
+        faults = (faults,)
     selected = CHAOS_FAULTS if faults is None else tuple(faults)
     unknown = sorted(set(selected) - set(CHAOS_FAULTS))
     if unknown:

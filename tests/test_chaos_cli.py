@@ -113,12 +113,18 @@ class TestChaosRuns:
 
 
 class TestRunChaosNames:
-    # A bare str iterates as characters, none of them a fault name.
-    @pytest.mark.parametrize("faults", [("no-such-fault",), "torn-index"])
+    # A bare str is one name, not a sequence of characters.
+    @pytest.mark.parametrize("faults", [("no-such-fault",), "no-such-fault"])
     def test_unknown_fault_raises(self, tmp_path, faults):
-        with pytest.raises(ResilienceError, match="unknown faults"):
+        with pytest.raises(ResilienceError,
+                           match=r"unknown faults \['no-such-fault'\]"):
             run_chaos(tmp_path / "chaos", faults=faults)
         assert not (tmp_path / "chaos").exists()
+
+    def test_bare_name_is_one_fault(self, tmp_path):
+        outcomes = run_chaos(tmp_path / "chaos", faults="torn-index")
+        assert [outcome.fault for outcome in outcomes] == ["torn-index"]
+        assert outcomes[0].contained, outcomes[0].detail
 
 
 class TestInterruptionPaths:

@@ -200,6 +200,42 @@ def _reference_window_stats(timeline, t0, t1):
             l2 / total)
 
 
+def _reference_window_key(timeline, t0, t1):
+    """What the walk integrates over ``[t0, t1)``: the window length and,
+    per segment in walk order, its profile object and clipped width;
+    ``None`` when every segment is silent."""
+    times, profiles = timeline._times, timeline._profiles
+    index = max(bisect.bisect_right(times, t0) - 1, 0)
+    segments = []
+    while index < len(times) and times[index] < t1:
+        following = times[index + 1] if index + 1 < len(times) else t1
+        segments.append((profiles[index],
+                         min(following, t1) - max(times[index], t0)))
+        index += 1
+    if all(not p.active and p.llc_rate_per_us == 0 for p, _ in segments):
+        return None
+    return (t1 - t0,) + tuple((id(p), width) for p, width in segments)
+
+
+def _reference_loud_spans(timeline):
+    """``[start, end)`` spans over which a loud profile is in force."""
+    spans, start = [], None
+    for time_ns, loud in zip(timeline._times, timeline._loud):
+        if loud and start is None:
+            start = time_ns
+        elif not loud and start is not None:
+            spans.append((start, time_ns))
+            start = None
+    if start is not None:
+        spans.append((start, math.inf))
+    return spans
+
+
+def _bits(stats):
+    """Every float of a :class:`WindowStats`, bit for bit."""
+    return tuple(float(value).hex() for value in stats)
+
+
 def _random_timeline(rng):
     profiles = [
         IDLE,
@@ -241,29 +277,31 @@ class TestWindowIntegrals:
             }
             silent = all(not p.active and p.llc_rate_per_us == 0
                          for p in in_force)
-            assert _overlaps_loud(timeline, t0, t1) == (not silent)
+            assert _heard(timeline, t0, t1) == (not silent)
             if silent:  # folds to exact zeros (L2 traffic is not read)
                 stats = timeline.window_stats(t0, t1)
                 assert stats[:4] == (0.0, 0.0, 0.0, 0.0)
 
-    def test_loud_spans_merge_adjacent_loud_profiles(self):
+    def test_window_classes_hear_only_loud_profiles(self):
         timeline = ProfileTimeline()
         timeline.set_profile(500, ActivityProfile(active=True))
         timeline.set_profile(550, ActivityProfile(llc_rate_per_us=2.0))
         timeline.set_profile(600, IDLE)
         timeline.set_profile(650, ActivityProfile(l2_rate_per_us=9.0))
         timeline.set_profile(900, ActivityProfile(active=True))
-        assert timeline.loud_spans() == [(500, 600), (900, math.inf)]
-        assert not _overlaps_loud(timeline, 0, 500)
-        assert _overlaps_loud(timeline, 0, 501)
-        assert _overlaps_loud(timeline, 599, 700)
-        assert not _overlaps_loud(timeline, 600, 900)
+        assert not _heard(timeline, 0, 500)
+        assert _heard(timeline, 0, 501)
+        assert _heard(timeline, 599, 700)
+        assert not _heard(timeline, 600, 900)  # L2 traffic is silent
+        assert not _heard(timeline, 899, 900)
+        assert _heard(timeline, 899, 901)
+        assert _heard(timeline, 5000, 6000)  # the last profile holds
 
     def test_same_time_overwrite_updates_silence(self):
         timeline = ProfileTimeline()
         timeline.set_profile(100, ActivityProfile(active=True))
         timeline.set_profile(100, IDLE)
-        assert timeline.loud_spans() == []
+        assert not _heard(timeline, 0, 1000)
         assert timeline.silent_since(100)
 
 
@@ -287,7 +325,7 @@ class TestWalkWindows:
                 seen["on change"] += t0 in changes[1:]
                 seen["two spans"] += sum(
                     start < t1 and stop > t0
-                    for start, stop in timeline.loud_spans()) >= 2
+                    for start, stop in _reference_loud_spans(timeline)) >= 2
                 change = rng.choice(changes)
                 if change < t0 or rng.random() < 0.5:
                     t0 += rng.choice((0, 1, 300, 900, 2600))
@@ -312,6 +350,76 @@ class TestWalkWindows:
                 _reference_window_stats(timeline, t0, t1)
                 for t0, t1 in windows
             ]
+
+
+class TestWindowClasses:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_class_members_integrate_like_their_representative(self,
+                                                                seed):
+        # Windows on a coarse grid with few lengths, so classes repeat;
+        # some open before the first change (or before 0), some end
+        # before 0.  A class is exactly a set of windows the walk
+        # integrates over the same operands, and its representative's
+        # integral is each member's, bit for bit.
+        rng = random.Random(seed)
+        seen = {"shared": 0, "silent": 0, "before first": 0,
+                "before zero": 0, "same segments, other length": 0}
+        for _ in range(200):
+            timeline, end = _random_timeline(rng)
+            changes = timeline._times
+            grid = (-700, -3, 0, 1, 700, 1400, 2500, end - 700, end,
+                    end + 700)
+            starts = sorted(rng.choice(grid)
+                            for _ in range(rng.randint(0, 12)))
+            # Ends on the grid too, so windows opening at different
+            # times before 0 can meet the same segments.
+            ends = [t0 + rng.choice((1, 3, 700, 2500))
+                    if rng.random() < 0.5 or t0 >= max(grid)
+                    else rng.choice([t for t in grid if t > t0])
+                    for t0 in starts]
+            classes, representatives = timeline.window_classes(starts,
+                                                               ends)
+            assert classes.dtype.kind == "i" and len(classes) == len(starts)
+            keys = [_reference_window_key(timeline, t0, t1)
+                    for t0, t1 in zip(starts, ends)]
+            members = {}
+            for cls, key, window in zip(classes.tolist(), keys,
+                                        zip(starts, ends)):
+                assert (cls == -1) == (key is None)
+                if cls == -1:
+                    seen["silent"] += 1
+                    continue
+                members.setdefault(cls, []).append((key, window))
+            # Numbered by first appearance; the representative is the
+            # first member.
+            assert sorted(members) == list(range(len(representatives)))
+            assert [windows[0][1] for _, windows in
+                    sorted(members.items())] == representatives
+            assert len({key for key in keys if key is not None}) == \
+                len(representatives)
+            for cls, windows in members.items():
+                expected = _bits(timeline.window_stats(
+                    *representatives[cls]))
+                for key, (t0, t1) in windows:
+                    assert key == windows[0][0]
+                    assert _bits(timeline.window_stats(t0, t1)) == expected
+                seen["shared"] += len(windows) > 1
+            seen["before first"] += any(
+                len(changes) > 1 and t0 < changes[1] for t0 in starts)
+            seen["before zero"] += any(t1 <= 0 for t1 in ends)
+            seen["same segments, other length"] += any(
+                a[1:] == b[1:] and a[0] != b[0]
+                for a in keys if a for b in keys if b)
+        assert all(seen.values()), seen
+
+    def test_empty_window_raises(self):
+        timeline = ProfileTimeline(ActivityProfile(active=True))
+        with pytest.raises(SimulationError):
+            timeline.window_classes([0, 5], [10, 5])
+
+    def test_no_windows(self):
+        classes, representatives = ProfileTimeline().window_classes([], [])
+        assert classes.tolist() == [] and representatives == []
 
 
 def _state(timeline):
@@ -374,9 +482,10 @@ class TestExtend:
         assert overwrites and errors
 
 
-def _overlaps_loud(timeline, t0, t1):
-    return any(start < t1 and end > t0
-               for start, end in timeline.loud_spans())
+def _heard(timeline, t0, t1):
+    """Whether ``[t0, t1)`` meets a loud profile (has a window class)."""
+    classes, _ = timeline.window_classes([t0], [t1])
+    return bool(classes[0] >= 0)
 
 
 class TestCore:

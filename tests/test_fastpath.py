@@ -504,17 +504,27 @@ class TestLatticeObservations:
                                                      monkeypatch):
         # The reference folds every touched core in every window (a
         # silent core adds exact zeros); short spans and gaps put two
-        # loud spans inside one window.  The walk integrates exactly
-        # the (core, window) pairs that are loud, and nothing else.
+        # loud spans inside one window.  The walk integrates one window
+        # per distinct loud class of each core, and nothing else; each
+        # distinct row of per-core classes is folded once.
         from repro.cpu.activity import ProfileTimeline
+        from repro.fastpath import batch
+
+        from .test_cpu import _reference_window_key
 
         walk = ProfileTimeline.walk_windows
+        fold = batch.accumulate_observation
         integrated = []
+        folded = []
 
-        def counted(timeline, windows):
+        def counted_walk(timeline, windows):
             windows = list(windows)
             integrated.append(len(windows))
             return walk(timeline, windows)
+
+        def counted_fold(samples, threshold):
+            folded.append(len(samples))
+            return fold(samples, threshold)
 
         rng = random.Random(seed)
         for _ in range(100):
@@ -528,29 +538,63 @@ class TestLatticeObservations:
             starts = [max(previous, tick - observation)
                       for previous, tick in zip([0] + ticks, ticks)]
             last = rng.randint(0, len(ticks))
+            interned = {}
             integrated.clear()
+            folded.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(ProfileTimeline, "walk_windows", counted)
+                patch.setattr(ProfileTimeline, "walk_windows", counted_walk)
                 patch.setattr(ProfileTimeline, "window_stats", None)
-                folds = _observations(entries, ticks, starts, last, 0.3)
-            loud = set()
-            loud_windows = 0
+                patch.setattr(batch, "accumulate_observation", counted_fold)
+                fold_ids, walked = _observations(entries, ticks, starts,
+                                                 last, 0.3, interned)
+            table = list(interned)
+            assert len(fold_ids) == last
+            rows = []
             for tick in range(last):
                 samples = [
                     (timeline.window_stats(starts[tick], ticks[tick]),
                      above_base) for timeline, above_base in entries
                 ]
-                heard = sum(bool(stats.active_fraction
-                                 or stats.llc_rate_per_us)
-                            for stats, _ in samples)
-                if heard:
-                    loud.add(tick)
-                loud_windows += heard
-                assert folds.get(tick, (0, 0, 0.0, 0.0, 0.0, False)) \
-                    == accumulate_observation(samples, 0.3)
-            assert set(folds) == loud  # no fold on silence
-            assert sum(integrated) == loud_windows  # no silent window
+                assert _fold_bits(table[fold_ids[tick]]) == \
+                    _fold_bits(accumulate_observation(samples, 0.3))
+                rows.append(tuple(
+                    _reference_window_key(timeline, starts[tick],
+                                          ticks[tick])
+                    for timeline, _ in entries))
+            loud_classes = sum(
+                len({row[core] for row in rows} - {None})
+                for core in range(len(entries)))
+            assert sum(integrated) == walked == loud_classes
             assert len(integrated) == len(entries)  # one walk per core
+            loud_rows = {row for row in rows if row != (None,) * len(row)}
+            assert len(folded) == len(loud_rows)  # one fold per loud row
+            assert 0 not in folded  # silence is not folded
+            # The table is the group's: a second trial with the same
+            # histories interns no new fold.
+            again, _ = _observations(entries, ticks, starts, last, 0.3,
+                                     interned)
+            assert again == fold_ids and len(interned) == len(table)
+
+    def test_sweep_op_integrates_few_windows(self):
+        # Both Fig. 10 deployments and the §6.1 matrix at 100 bits: the
+        # lattice meets 8,739 loud (core, tick) windows, but they fall
+        # into a few hundred classes.
+        from repro.defenses import evaluate_defenses
+
+        registry = MetricsRegistry()
+        with using(registry):
+            for cross in (False, True):
+                capacity_sweep(bits=100, cross_processor=cross, seed=0,
+                               workers=1, backend="batch")
+            evaluate_defenses(bits=100, seed=0, workers=1, backend="batch")
+        windows = registry.snapshot()["counters"][
+            "fastpath.batch.windows_integrated"]
+        assert 0 < windows < 1000
+
+
+def _fold_bits(fold):
+    return tuple(value.hex() if isinstance(value, float) else value
+                 for value in fold)
 
 
 class TestAnalyticalBackend:
