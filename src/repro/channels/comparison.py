@@ -192,7 +192,6 @@ def comparison_matrix(*, bits: int = 24, seed: int = 0,
                       channels: tuple[type, ...] = ALL_CHANNELS,
                       scenarios: tuple[Scenario, ...] = SCENARIOS,
                       workers: int | None = 1,
-                      context: "ExperimentContext | None" = None,
                       backend: str | None = None,
                       ) -> list[ComparisonCell]:
     """The full Table 3: every channel in every scenario.
@@ -203,10 +202,10 @@ def comparison_matrix(*, bits: int = 24, seed: int = 0,
     (channel, scenario) order, bit-identical to the serial run.
 
     Scenarios define their own platforms (that is what Table 3
-    compares), so a ``context.platform`` override is rejected.  The
-    matrix mixes ten non-UFS channels with security scenarios the
-    vectorized fastpath does not model, so only the DES backend can run
-    it: ``backend="auto"`` resolves to ``"des"`` and an explicit
+    compares), so there is no ``platform`` keyword.  The matrix mixes
+    ten non-UFS channels with security scenarios the vectorized
+    fastpath does not model, so only the DES backend can run it:
+    ``backend="auto"`` resolves to ``"des"`` and an explicit
     ``"batch"``/``"analytical"`` request is rejected rather than
     silently answered by the wrong simulator.
     """
@@ -214,14 +213,7 @@ def comparison_matrix(*, bits: int = 24, seed: int = 0,
     from ..errors import ConfigError
     from ..fastpath.backend import resolve_backend
 
-    ctx = ExperimentContext.coalesce(
-        context, seed=seed, workers=workers, backend=backend
-    )
-    if ctx.platform is not None:
-        raise ConfigError(
-            "comparison_matrix scenarios define their own platforms; "
-            "a context platform override is not meaningful"
-        )
+    ctx = ExperimentContext(seed=seed, workers=workers, backend=backend)
     resolved = resolve_backend(ctx.backend, experiment="comparison_matrix")
     supported = ("des", "auto")
     if resolved != "des":

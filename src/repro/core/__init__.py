@@ -12,8 +12,8 @@ Public surface:
 * :class:`UncoreFrequencyProbe` — the unprivileged frequency sensor.
 * :class:`UFSender` / :class:`UFReceiver` — the two channel endpoints.
 * :class:`UFVariationChannel` — wiring + Algorithm 1 transmission.
-* :class:`ExperimentContext` — the shared platform/seed/workers bundle
-  every experiment runner accepts.
+* :class:`ExperimentContext` — the validated platform/seed/workers/
+  backend bundle every experiment runner builds from its keywords.
 * :func:`capacity_sweep` — the Figure 10 evaluation, returning a
   :class:`SweepResult`.
 * :func:`capacity_under_stress` — the Table 2 reliability study.

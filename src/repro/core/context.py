@@ -1,15 +1,10 @@
 """The shared experiment-context bundle.
 
 Every public experiment runner accepts the same keyword quartet —
-``platform=``, ``seed=``, ``workers=``, ``backend=`` — and,
-equivalently, a single ``context=ExperimentContext(...)`` bundling
-them.  The bundle exists so runner signatures stop drifting: a new
-runner takes ``context=`` plus the quartet and resolves them through
-:meth:`ExperimentContext.coalesce`.
-
-Resolution rule: an explicit ``context`` wins wholesale (its fields
-replace the loose keywords); otherwise the keywords build a fresh
-context.  Mixing both in one call is ambiguous and raises.
+``platform=``, ``seed=``, ``workers=``, ``backend=`` — and bundles it
+into one validated :class:`ExperimentContext` before doing any work, so
+runner signatures stop drifting and a bad worker count or backend name
+fails the same way everywhere.
 """
 
 from __future__ import annotations
@@ -20,12 +15,6 @@ from ..config import PlatformConfig
 from ..errors import ConfigError
 
 __all__ = ["ExperimentContext"]
-
-# Keyword defaults, used both here and to detect "caller left the
-# keywords untouched" when a context is passed alongside them.
-_DEFAULT_SEED = 0
-_DEFAULT_WORKERS: int | None = 1
-_DEFAULT_BACKEND: str | None = None
 
 
 @dataclass(frozen=True)
@@ -45,12 +34,16 @@ class ExperimentContext:
     """
 
     platform: PlatformConfig | None = None
-    seed: int = _DEFAULT_SEED
-    workers: int | None = _DEFAULT_WORKERS
-    backend: str | None = _DEFAULT_BACKEND
+    seed: int = 0
+    workers: int | None = 1
+    backend: str | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
-        """Raise :class:`ConfigError` on a nonsensical context."""
+        """Raise :class:`ConfigError` on a nonsensical context (runs on
+        construction)."""
         if self.workers is not None and self.workers < 0:
             raise ConfigError(
                 f"workers must be >= 0 (0 = all CPUs), got {self.workers}"
@@ -63,39 +56,3 @@ class ExperimentContext:
                     f"unknown backend {self.backend!r}: choose one of "
                     f"{', '.join(BACKENDS)}"
                 )
-
-    @classmethod
-    def coalesce(
-        cls,
-        context: "ExperimentContext | None",
-        *,
-        platform: PlatformConfig | None = None,
-        seed: int = _DEFAULT_SEED,
-        workers: int | None = _DEFAULT_WORKERS,
-        backend: str | None = _DEFAULT_BACKEND,
-    ) -> "ExperimentContext":
-        """Resolve ``context=`` against the loose keywords.
-
-        An explicit context replaces the keywords wholesale.  Passing a
-        context *and* non-default keyword values in one call is
-        rejected — silently preferring one over the other would hide a
-        bug at the call site.
-        """
-        if context is not None:
-            if (
-                platform is not None
-                or seed != _DEFAULT_SEED
-                or workers != _DEFAULT_WORKERS
-                or backend != _DEFAULT_BACKEND
-            ):
-                raise ConfigError(
-                    "pass either context= or the platform/seed/workers/"
-                    "backend keywords, not both"
-                )
-            context.validate()
-            return context
-        resolved = cls(
-            platform=platform, seed=seed, workers=workers, backend=backend
-        )
-        resolved.validate()
-        return resolved

@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..config import PlatformConfig, default_platform_config
-from ..engine.parallel import Trial, TrialFailure, run_trials
-from ..errors import ConfigError, ResilienceError
+from ..config import PlatformConfig
+from ..engine.parallel import Trial, require_complete, run_trials
+from ..errors import ConfigError
 from ..platform.system import System
 from ..rng import child_rng
 from ..units import ms
@@ -151,7 +151,6 @@ def measure_capacity(
     seed: int = 0,
     platform: PlatformConfig | None = None,
     workers: int | None = 1,
-    context: ExperimentContext | None = None,
     sender_mode: SenderMode = SenderMode.STALL,
     backend: str | None = None,
 ) -> CapacityPoint:
@@ -164,10 +163,8 @@ def measure_capacity(
     result; ``"analytical"`` returns the closed-form estimate.
     """
     _check_bits(bits)
-    ctx = ExperimentContext.coalesce(
-        context, platform=platform, seed=seed, workers=workers,
-        backend=backend,
-    )
+    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers,
+                            backend=backend)
     from ..fastpath.backend import CapacityRequest, resolve_backend
 
     resolved = resolve_backend(ctx.backend, experiment="measure_capacity")
@@ -214,7 +211,6 @@ def capacity_sweep(
     seed: int = 0,
     platform: PlatformConfig | None = None,
     workers: int | None = 1,
-    context: ExperimentContext | None = None,
     checkpoint_dir=None,
     retry=None,
     backend: str | None = None,
@@ -246,10 +242,8 @@ def capacity_sweep(
     the vectorized backends run each chunk once.
     """
     _check_bits(bits)
-    ctx = ExperimentContext.coalesce(
-        context, platform=platform, seed=seed, workers=workers,
-        backend=backend,
-    )
+    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers,
+                            backend=backend)
     from ..fastpath.backend import CapacityRequest, resolve_backend
 
     resolved = resolve_backend(ctx.backend, experiment="capacity_sweep")
@@ -258,11 +252,9 @@ def capacity_sweep(
     if checkpoint_dir is not None:
         from ..resilience.checkpoint import Checkpoint
 
-        effective = (ctx.platform if ctx.platform is not None
-                     else default_platform_config())
         checkpoint = Checkpoint.for_experiment(
             checkpoint_dir, "capacity_sweep",
-            platform=effective,
+            platform=ctx.platform,
             params=dict(
                 intervals_ms=[float(i) for i in intervals_ms],
                 bits=bits,
@@ -300,18 +292,9 @@ def capacity_sweep(
         ), label=label)
         for interval, label in zip(intervals_ms, labels)
     ]
-    points = run_trials(
-        trials, workers=ctx.workers,
-        on_error="retry" if retry is not None else "raise",
-        retry=retry, checkpoint=checkpoint,
-    )
-    failed = [point for point in points if isinstance(point, TrialFailure)]
-    if failed:
-        raise ResilienceError(
-            f"capacity sweep lost {len(failed)} of {len(points)} points "
-            "after retries: "
-            + ", ".join(f.label or str(f.index) for f in failed)
-        )
+    points = run_trials(trials, workers=ctx.workers, retry=retry,
+                        checkpoint=checkpoint)
+    require_complete(points, "capacity sweep")
     return SweepResult(points=tuple(points))
 
 
@@ -320,17 +303,14 @@ def mean_error_over_seeds(interval_ms: float, *, bits: int = 80,
                           cross_processor: bool = False,
                           platform: PlatformConfig | None = None,
                           workers: int | None = 1,
-                          context: ExperimentContext | None = None,
                           backend: str | None = None,
                           ) -> float:
     """Average BER across seeds (smooths single-run variance).
 
-    The per-trial seeds come from ``seeds``; a ``context.seed`` (or the
-    loose ``seed=`` keyword) is not meaningful here and is ignored.
+    The per-trial seeds come from ``seeds``.
     """
-    ctx = ExperimentContext.coalesce(
-        context, platform=platform, workers=workers, backend=backend
-    )
+    ctx = ExperimentContext(platform=platform, workers=workers,
+                            backend=backend)
     from ..fastpath.backend import CapacityRequest, resolve_backend
 
     resolved = resolve_backend(

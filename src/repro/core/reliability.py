@@ -40,7 +40,6 @@ def capacity_under_stress(
     seed: int = 0,
     platform: PlatformConfig | None = None,
     workers: int | None = 1,
-    context: ExperimentContext | None = None,
     sender_mode: SenderMode = SenderMode.STALL,
     sender_cores: tuple[int, ...] = (0, 1, 2, 3, 4, 5),
 ) -> StressCapacityResult:
@@ -56,9 +55,7 @@ def capacity_under_stress(
     signature uniformity but unused (see :func:`stress_table` for the
     fanned-out study).
     """
-    ctx = ExperimentContext.coalesce(
-        context, platform=platform, seed=seed, workers=workers
-    )
+    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers)
     seed = ctx.seed
     system = System(ctx.platform, seed=seed)
     config = ChannelConfig(interval_ns=ms(interval_ms))
@@ -98,7 +95,6 @@ def stress_table(
     seed: int = 0,
     platform: PlatformConfig | None = None,
     workers: int | None = 1,
-    context: ExperimentContext | None = None,
 ) -> list[StressCapacityResult]:
     """The full Table 2 row: N = 1 .. max_threads.
 
@@ -110,9 +106,7 @@ def stress_table(
         raise ConfigError(
             f"need at least one stress thread, got {max_threads}"
         )
-    ctx = ExperimentContext.coalesce(
-        context, platform=platform, seed=seed, workers=workers
-    )
+    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers)
     trials = [
         Trial(capacity_under_stress, dict(
             stress_threads=n,

@@ -20,8 +20,7 @@ from ..core.channel import UFVariationChannel
 from ..core.context import ExperimentContext
 from ..core.evaluation import random_bits
 from ..core.protocol import ChannelConfig
-from ..engine.parallel import Trial, TrialFailure, run_trials
-from ..errors import ResilienceError
+from ..engine.parallel import Trial, require_complete, run_trials
 from ..platform.system import System
 from ..units import ms, seconds
 from ..workloads.analytics import AnalyticsWorkload
@@ -145,7 +144,6 @@ def evaluate_defenses(*, bits: int = 80, seed: int = 0,
                       defenses: tuple[str, ...] = DEFENSE_KEYS,
                       platform: PlatformConfig | None = None,
                       workers: int | None = 1,
-                      context: ExperimentContext | None = None,
                       checkpoint_dir=None,
                       retry=None,
                       backend: str | None = None,
@@ -166,10 +164,8 @@ def evaluate_defenses(*, bits: int = 80, seed: int = 0,
     retried (DES path only), and a defense still failed after its
     attempts raises :class:`~repro.errors.ResilienceError`.
     """
-    ctx = ExperimentContext.coalesce(
-        context, platform=platform, seed=seed, workers=workers,
-        backend=backend,
-    )
+    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers,
+                            backend=backend)
     from ..fastpath.backend import DefenseRequest, resolve_backend
 
     resolved = resolve_backend(ctx.backend, experiment="evaluate_defenses")
@@ -178,11 +174,9 @@ def evaluate_defenses(*, bits: int = 80, seed: int = 0,
     if checkpoint_dir is not None:
         from ..resilience.checkpoint import Checkpoint
 
-        effective = (ctx.platform if ctx.platform is not None
-                     else default_platform_config())
         checkpoint = Checkpoint.for_experiment(
             checkpoint_dir, "evaluate_defenses",
-            platform=effective,
+            platform=ctx.platform,
             params=dict(bits=bits, defenses=list(defenses)),
             seed=ctx.seed,
             backend=resolved,
@@ -213,18 +207,9 @@ def evaluate_defenses(*, bits: int = 80, seed: int = 0,
         ), label=label)
         for defense, label in zip(defenses, labels)
     ]
-    reports = run_trials(
-        trials, workers=ctx.workers,
-        on_error="retry" if retry is not None else "raise",
-        retry=retry, checkpoint=checkpoint,
-    )
-    failed = [r for r in reports if isinstance(r, TrialFailure)]
-    if failed:
-        raise ResilienceError(
-            f"defense evaluation lost {len(failed)} of {len(reports)} "
-            "defenses after retries: "
-            + ", ".join(f.label or str(f.index) for f in failed)
-        )
+    reports = run_trials(trials, workers=ctx.workers, retry=retry,
+                         checkpoint=checkpoint)
+    require_complete(reports, "defense evaluation")
     return reports
 
 

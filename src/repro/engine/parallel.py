@@ -18,9 +18,10 @@ calling process — no executor, no pickling requirement — and produces
 the exact same list a parallel run does.
 
 Because a trial is a pure function of its inputs, fault tolerance is
-cheap: ``on_error="retry"`` re-runs crashed trials under a
-:class:`~repro.resilience.retry.RetryPolicy` (a retried trial returns
-the bit-identical result a never-crashed one would), and a
+cheap, and one rule sets it: ``retry=None`` lets the first crash
+propagate, while ``retry=RetryPolicy(...)`` contains crashes and re-runs
+transient ones (a retried trial returns the bit-identical result a
+never-crashed one would).  A
 :class:`~repro.resilience.checkpoint.Checkpoint` records completed
 results as they land so an interrupted sweep resumes where it stopped.
 """
@@ -29,12 +30,14 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable, Sequence
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ResilienceError
 from ..resilience.retry import RetryPolicy
 from ..telemetry.context import active_registry, using
 from ..telemetry.registry import MetricsRegistry
@@ -44,6 +47,7 @@ __all__ = [
     "TrialFailure",
     "run_trials",
     "run_batches",
+    "require_complete",
     "resolve_workers",
 ]
 
@@ -70,7 +74,7 @@ class Trial:
 
 @dataclass(frozen=True)
 class TrialFailure:
-    """What a crashed trial left behind (``collect``/``retry`` modes).
+    """What a crashed trial left behind under a ``retry=`` policy.
 
     Takes the crashed trial's slot in the results list so the survivors
     keep their submission-order positions.  Carries enough to diagnose
@@ -105,6 +109,21 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
+def require_complete(results: Sequence[Any], what: str) -> None:
+    """Raise :class:`~repro.errors.ResilienceError` if a trial was lost.
+
+    A sweep with holes is not a result: the error names every
+    :class:`TrialFailure` slot by label (or index) so the lost trials
+    can be re-run.
+    """
+    failed = [r for r in results if isinstance(r, TrialFailure)]
+    if failed:
+        raise ResilienceError(
+            f"{what} lost {len(failed)} of {len(results)} trials after "
+            "retries: " + ", ".join(f.label or str(f.index) for f in failed)
+        )
+
+
 def _trial_label(trial) -> str | None:
     return getattr(trial, "label", None)
 
@@ -118,105 +137,82 @@ def _trial_seed(trial) -> int | None:
     return None
 
 
-def _invoke(trial: Trial) -> Any:
-    return trial()
-
-
-def _invoke_instrumented(trial: Trial) -> tuple[Any, dict]:
-    """Run one trial under a fresh registry; return (result, snapshot).
-
-    Used whenever the *caller* has a registry active: every trial —
-    inline or pooled — collects into its own private registry, and the
-    caller merges the deterministic snapshots in submission order.
-    Serial and parallel runs therefore aggregate identically.
-    """
-    registry = MetricsRegistry()
-    with using(registry):
-        result = trial()
-    return result, registry.snapshot()
-
-
-def _failure(index: int, trial, exc: Exception,
-             attempts: int = 1) -> TrialFailure:
+def _failure(index: int, trial, error_type: str, message: str,
+             attempts: int) -> TrialFailure:
     return TrialFailure(
         index=index,
-        error_type=type(exc).__name__,
-        message=str(exc),
+        error_type=error_type,
+        message=message,
         label=_trial_label(trial),
         seed=_trial_seed(trial),
         attempts=attempts,
     )
 
 
-def _invoke_guarded(indexed: tuple[int, Trial]) -> tuple[Any, dict | None]:
-    """Worker shim for ``on_error="collect"``: never raises.
+def _attempt(index: int, trial, policy: RetryPolicy | None,
+             instrument: bool) -> tuple[Any, dict | None, int]:
+    """Run one trial; return ``(result, snapshot, attempts)``.
 
-    A crash inside the trial comes back as a :class:`TrialFailure`
-    instead of poisoning the whole pool.map, so one bad trial cannot
-    take down its siblings' results.
+    The one worker shim, inline and pooled alike.  With ``instrument``
+    every attempt runs under its own fresh registry and only a
+    successful attempt's snapshot comes back, so the caller's merged
+    aggregate is identical for every worker count and for a trial that
+    succeeded on attempt 3 or on attempt 1.  Without a ``policy`` the
+    first exception propagates.  With one, a crash becomes a
+    :class:`TrialFailure` once it is permanent or the attempts are
+    spent; a transient crash sleeps the policy's deterministic
+    backoff, derived from the trial's seed and label, and runs again.
     """
-    index, trial = indexed
-    try:
-        return trial(), None
-    except Exception as exc:  # noqa: BLE001 - the point is containment
-        return _failure(index, trial, exc), None
-
-
-def _invoke_guarded_instrumented(
-    indexed: tuple[int, Trial],
-) -> tuple[Any, dict | None]:
-    """Guarded + per-trial registry.  A crashed trial contributes *no*
-    metrics (its partial registry is discarded), so the caller's
-    aggregate stays identical to a serial run that failed the same way.
-    """
-    index, trial = indexed
-    registry = MetricsRegistry()
-    try:
-        with using(registry):
-            result = trial()
-    except Exception as exc:  # noqa: BLE001 - the point is containment
-        return _failure(index, trial, exc), None
-    return result, registry.snapshot()
-
-
-def _invoke_retrying(
-    packed: tuple[int, Trial, RetryPolicy, bool],
-) -> tuple[Any, dict | None, int]:
-    """Worker shim for ``on_error="retry"``: re-run transient crashes.
-
-    Each attempt runs under its own fresh registry; a failed attempt's
-    partial metrics are discarded, so the snapshot of a trial that
-    succeeded on attempt 3 is bit-identical to one that succeeded on
-    attempt 1.  Backoff between attempts is the policy's deterministic
-    jittered schedule, derived from the trial's seed and label.
-    """
-    index, trial, policy, instrument = packed
-    failure: TrialFailure | None = None
-    for attempt in range(1, policy.max_attempts + 1):
+    attempt = 0
+    while True:
+        attempt += 1
         registry = MetricsRegistry() if instrument else None
         try:
-            if registry is not None:
-                with using(registry):
-                    result = trial()
-            else:
+            with using(registry):
                 result = trial()
         except Exception as exc:  # noqa: BLE001 - classified below
-            failure = _failure(index, trial, exc, attempts=attempt)
-            if not policy.is_transient(exc) \
-                    or attempt == policy.max_attempts:
-                return failure, None, attempt
+            if policy is None:
+                raise
+            if (not policy.is_transient(exc)
+                    or attempt >= policy.max_attempts):
+                return (_failure(index, trial, type(exc).__name__,
+                                 str(exc), attempt), None, attempt)
             policy.sleep(attempt, seed=_trial_seed(trial),
                          label=_trial_label(trial) or f"trial-{index}")
             continue
-        snapshot = (registry.snapshot()
-                    if registry is not None else None)
-        return result, snapshot, attempt
-    return failure, None, policy.max_attempts
+        return (result, registry.snapshot() if instrument else None,
+                attempt)
+
+
+def _resume(labels: Sequence[str | None], checkpoint,
+            results: list[Any]) -> list[int]:
+    """Fill ``results`` from ``checkpoint``; return the indices to run.
+
+    Checkpointing needs a unique label per slot.  Each slot whose label
+    the checkpoint already holds takes the stored (pickled, hence
+    bit-identical) result and counts as ``runner.checkpoint.skipped``.
+    """
+    if checkpoint is None:
+        return list(range(len(labels)))
+    if any(label is None for label in labels):
+        raise ConfigError("checkpointing requires a label on every trial")
+    if len(set(labels)) != len(labels):
+        raise ConfigError("checkpointing requires unique trial labels")
+    completed = checkpoint.load()
+    parent = active_registry()
+    pending = []
+    for index, label in enumerate(labels):
+        if label in completed:
+            results[index] = completed[label]
+            if parent is not None:
+                parent.inc("runner.checkpoint.skipped")
+        else:
+            pending.append(index)
+    return pending
 
 
 def run_trials(trials: Sequence[Trial] | Iterable[Trial], *,
                workers: int | None = 1,
-               on_error: str = "raise",
                retry: RetryPolicy | None = None,
                checkpoint=None) -> list[Any]:
     """Run every trial and return the results in submission order.
@@ -234,21 +230,21 @@ def run_trials(trials: Sequence[Trial] | Iterable[Trial], *,
     order — so the aggregated metrics, like the results, are identical
     for every worker count.
 
-    ``on_error`` picks the failure policy:
+    ``retry`` sets the failure policy:
 
-    * ``"raise"`` (default) — the first trial exception propagates to
-      the caller; the pool shuts down cleanly and no partial metric
+    * ``None`` (default) — the first trial exception propagates to the
+      caller; the pool shuts down cleanly and no partial metric
       snapshots are merged.
-    * ``"collect"`` — a crashed trial yields a :class:`TrialFailure`
-      in its submission-order slot and the remaining trials still run;
-      the scenario fuzzer uses this so one broken scenario cannot mask
-      the other 499.
-    * ``"retry"`` — transient crashes are re-run under ``retry`` (a
-      :class:`~repro.resilience.retry.RetryPolicy`; defaulted if not
-      given).  Worker death (``BrokenProcessPool``) rebuilds the pool
-      and resubmits the unfinished tail.  A trial that exhausts its
-      attempts (or fails a *permanent* error) yields a
-      :class:`TrialFailure` like ``"collect"``.  Telemetry counts
+    * a :class:`~repro.resilience.retry.RetryPolicy` — crashes are
+      contained.  Transient ones are re-run up to ``max_attempts``
+      times; a trial that exhausts its attempts (or fails a *permanent*
+      error) yields a :class:`TrialFailure` in its slot, is not
+      checkpointed, contributes no metrics, and the remaining trials
+      still run.  ``RetryPolicy(max_attempts=1)`` contains without
+      re-running.  Worker death (``BrokenProcessPool``) rebuilds the
+      pool and resubmits the unfinished tail; a pool that dies
+      ``max_attempts`` times in a row with no progress convicts the
+      trial at the head of the queue.  Telemetry counts
       ``runner.retries``, ``runner.permanent_failures`` and
       ``runner.pool_rebuilds``.
 
@@ -260,132 +256,18 @@ def run_trials(trials: Sequence[Trial] | Iterable[Trial], *,
     resumed run returns bit-identical values; its telemetry reflects
     only the work actually (re)done.
     """
-    if on_error not in ("raise", "collect", "retry"):
-        raise ConfigError(
-            "on_error must be 'raise', 'collect' or 'retry', "
-            f"got {on_error!r}"
-        )
-    if retry is not None and on_error != "retry":
-        raise ConfigError("retry= is only meaningful with on_error='retry'")
-    policy: RetryPolicy | None = None
-    if on_error == "retry":
-        policy = retry if retry is not None else RetryPolicy()
-        policy.validate()
+    if retry is not None:
+        retry.validate()
     trials = list(trials)
     count = resolve_workers(workers)
     parent = active_registry()
-
-    completed: dict[str, Any] = {}
-    if checkpoint is not None:
-        labels = [_trial_label(trial) for trial in trials]
-        if any(label is None for label in labels):
-            raise ConfigError(
-                "checkpointing requires a label on every trial"
-            )
-        if len(set(labels)) != len(labels):
-            raise ConfigError(
-                "checkpointing requires unique trial labels"
-            )
-        completed = checkpoint.load()
-
+    labels = [_trial_label(trial) for trial in trials]
     results: list[Any] = [None] * len(trials)
-    pending: list[tuple[int, Trial]] = []
-    for index, trial in enumerate(trials):
-        label = _trial_label(trial)
-        if checkpoint is not None and label in completed:
-            results[index] = completed[label]
-            if parent is not None:
-                parent.inc("runner.checkpoint.skipped")
-        else:
-            pending.append((index, trial))
-
+    pending = _resume(labels, checkpoint, results)
     snapshots: list[tuple[int, dict]] = []
-    try:
-        if on_error == "collect":
-            _run_collect(pending, count, parent, results, snapshots,
-                         checkpoint)
-        elif on_error == "retry":
-            _run_retry(pending, count, parent, policy, results,
-                       snapshots, checkpoint)
-        else:
-            _run_raise(pending, count, parent, results, snapshots,
-                       checkpoint)
-    finally:
-        if checkpoint is not None:
-            checkpoint.flush()
-    if parent is not None:
-        for _, snapshot in sorted(snapshots, key=lambda item: item[0]):
-            parent.merge_snapshot(snapshot)
-    return results
 
-
-def _complete(index: int, trial, result: Any, checkpoint, results) -> None:
-    """File one finished result; checkpoint it unless it is a failure."""
-    results[index] = result
-    if checkpoint is not None and not isinstance(result, TrialFailure):
-        checkpoint.record(_trial_label(trial), result)
-
-
-def _run_raise(pending, count, parent, results, snapshots,
-               checkpoint) -> None:
-    instrument = parent is not None
-    if count <= 1 or len(pending) <= 1:
-        for index, trial in pending:
-            if instrument:
-                result, snapshot = _invoke_instrumented(trial)
-                snapshots.append((index, snapshot))
-            else:
-                result = _invoke(trial)
-            _complete(index, trial, result, checkpoint, results)
-        return
-    funcs = [trial for _, trial in pending]
-    with ProcessPoolExecutor(
-        max_workers=min(count, len(pending))
-    ) as pool:
-        stream = pool.map(
-            _invoke_instrumented if instrument else _invoke, funcs
-        )
-        for (index, trial), item in zip(pending, stream):
-            if instrument:
-                result, snapshot = item
-                snapshots.append((index, snapshot))
-            else:
-                result = item
-            _complete(index, trial, result, checkpoint, results)
-
-
-def _run_collect(pending, count, parent, results, snapshots,
-                 checkpoint) -> None:
-    invoke = (_invoke_guarded if parent is None
-              else _invoke_guarded_instrumented)
-    if count <= 1 or len(pending) <= 1:
-        pairs = [invoke(item) for item in pending]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(count, len(pending))
-        ) as pool:
-            pairs = list(pool.map(invoke, pending))
-    for (index, trial), (result, snapshot) in zip(pending, pairs):
-        if snapshot is not None:
-            snapshots.append((index, snapshot))
-        _complete(index, trial, result, checkpoint, results)
-
-
-def _run_retry(pending, count, parent, policy, results, snapshots,
-               checkpoint) -> None:
-    """Retry mode: in-worker re-runs plus pool-rebuild on worker death.
-
-    ``BrokenProcessPool`` poisons an entire ``pool.map``, so it cannot
-    be retried inside the worker: the driver rebuilds the pool and
-    resubmits the unfinished tail.  A trial whose pool dies
-    ``policy.max_attempts`` times in a row with no progress is
-    convicted (by position — the head of the tail is always in flight
-    when the pool breaks repeatedly), filled with a
-    :class:`TrialFailure`, and skipped so its siblings still complete.
-    """
-    instrument = parent is not None
-
-    def account(index, trial, result, snapshot, attempts):
+    def land(index: int, result: Any, snapshot: dict | None,
+             attempts: int) -> None:
         if parent is not None:
             if attempts > 1:
                 parent.inc("runner.retries", attempts - 1)
@@ -393,54 +275,68 @@ def _run_retry(pending, count, parent, policy, results, snapshots,
                 parent.inc("runner.permanent_failures")
         if snapshot is not None:
             snapshots.append((index, snapshot))
-        _complete(index, trial, result, checkpoint, results)
+        results[index] = result
+        if checkpoint is not None and not isinstance(result, TrialFailure):
+            checkpoint.record(labels[index], result)
 
-    packed = [(index, trial, policy, instrument)
-              for index, trial in pending]
-    if count <= 1 or len(packed) <= 1:
-        for item in packed:
-            result, snapshot, attempts = _invoke_retrying(item)
-            account(item[0], item[1], result, snapshot, attempts)
-        return
+    _drive(pending, trials, count, retry, parent, land)
+    if parent is not None:
+        for _, snapshot in sorted(snapshots, key=lambda item: item[0]):
+            parent.merge_snapshot(snapshot)
+    return results
 
+
+def _drive(pending: list[int], trials: list, count: int,
+           policy: RetryPolicy | None, parent, land) -> None:
+    """Map :func:`_attempt` over ``pending``; ``land`` each outcome in order.
+
+    With ``count`` <= 1 (or a single trial) the map runs inline,
+    otherwise over a process pool.  ``BrokenProcessPool`` poisons an
+    entire ``pool.map``, so worker death cannot be retried inside the
+    worker.  Without a ``policy`` it propagates.  With one, the driver
+    rebuilds the pool and resubmits the unfinished tail; a trial whose
+    pool dies ``max_attempts`` times in a row with no progress is
+    convicted (by position — the head of the tail is always in flight
+    when the pool breaks repeatedly), filled with a
+    :class:`TrialFailure`, and skipped so its siblings still complete.
+    """
+    instrument = parent is not None
+    pooled = count > 1 and len(pending) > 1
     position = 0
     stuck_rebuilds = 0
-    while position < len(packed):
-        remaining = packed[position:]
+    while position < len(pending):
+        remaining = pending[position:]
         progressed = False
         try:
-            with ProcessPoolExecutor(
-                max_workers=min(count, len(remaining))
-            ) as pool:
-                stream = pool.map(_invoke_retrying, remaining)
-                for item in remaining:
-                    result, snapshot, attempts = next(stream)
-                    account(item[0], item[1], result, snapshot, attempts)
+            with (ProcessPoolExecutor(max_workers=min(count, len(remaining)))
+                  if pooled else nullcontext()) as pool:
+                stream = (pool.map if pooled else map)(
+                    _attempt, remaining,
+                    [trials[index] for index in remaining],
+                    repeat(policy), repeat(instrument),
+                )
+                for index, outcome in zip(remaining, stream):
+                    land(index, *outcome)
                     position += 1
                     progressed = True
+            return
         except BrokenProcessPool:
+            if policy is None:
+                raise
             if parent is not None:
                 parent.inc("runner.pool_rebuilds")
             stuck_rebuilds = 0 if progressed else stuck_rebuilds + 1
             if stuck_rebuilds >= policy.max_attempts:
-                index, trial, _, _ = packed[position]
-                failure = TrialFailure(
-                    index=index,
-                    error_type="BrokenProcessPool",
-                    message=(
-                        "worker process died "
-                        f"{stuck_rebuilds} consecutive times while this "
-                        "trial led the queue; trial convicted and skipped"
-                    ),
-                    label=_trial_label(trial),
-                    seed=_trial_seed(trial),
-                    attempts=stuck_rebuilds,
-                )
-                account(index, trial, failure, None, 1)
+                index = pending[position]
+                land(index, _failure(
+                    index, trials[index], "BrokenProcessPool",
+                    "worker process died "
+                    f"{stuck_rebuilds} consecutive times while this "
+                    "trial led the queue; trial convicted and skipped",
+                    stuck_rebuilds,
+                ), None, 1)
                 position += 1
                 stuck_rebuilds = 0
-            continue
-        break
 
 
 def _invoke_batch(*, runner: Callable[[Sequence[Any]], list[Any]],
@@ -466,41 +362,19 @@ def run_batches(requests: Sequence[Any],
     submission-order results, per-chunk telemetry registries and
     deterministic snapshot merging.
 
-    ``checkpoint`` composes the same way it does for ``run_trials``:
-    ``labels`` must then name every request uniquely; completed labels
-    are resumed from the checkpoint (counted as
-    ``runner.checkpoint.skipped``), only the remainder is dispatched,
-    and each fresh result is recorded under its label.
+    ``checkpoint`` resumes exactly as it does for ``run_trials``, with
+    ``labels`` naming the requests: completed labels are skipped, only
+    the remainder is dispatched, and each fresh result is recorded
+    under its label.
     """
     requests = list(requests)
-    completed: dict[str, Any] = {}
-    if checkpoint is not None:
-        if labels is None:
-            raise ConfigError(
-                "checkpointing requires a label for every request"
-            )
-        labels = list(labels)
-        if len(labels) != len(requests):
-            raise ConfigError(
-                f"{len(labels)} labels for {len(requests)} requests"
-            )
-        if len(set(labels)) != len(labels):
-            raise ConfigError(
-                "checkpointing requires unique request labels"
-            )
-        completed = checkpoint.load()
-
-    parent = active_registry()
+    labels = [None] * len(requests) if labels is None else list(labels)
+    if len(labels) != len(requests):
+        raise ConfigError(
+            f"{len(labels)} labels for {len(requests)} requests"
+        )
     results: list[Any] = [None] * len(requests)
-    pending: list[int] = []
-    for index in range(len(requests)):
-        label = labels[index] if labels is not None else None
-        if checkpoint is not None and label in completed:
-            results[index] = completed[label]
-            if parent is not None:
-                parent.inc("runner.checkpoint.skipped")
-        else:
-            pending.append(index)
+    pending = _resume(labels, checkpoint, results)
     if not pending:
         return results
 
@@ -519,15 +393,11 @@ def run_batches(requests: Sequence[Any],
         ))
         for chunk in chunks
     ]
-    try:
-        for chunk, chunk_results in zip(
-            chunks, run_trials(trials, workers=workers)
-        ):
-            for index, result in zip(chunk, chunk_results):
-                results[index] = result
-                if checkpoint is not None:
-                    checkpoint.record(labels[index], result)
-    finally:
-        if checkpoint is not None:
-            checkpoint.flush()
+    for chunk, chunk_results in zip(
+        chunks, run_trials(trials, workers=workers)
+    ):
+        for index, result in zip(chunk, chunk_results):
+            results[index] = result
+            if checkpoint is not None:
+                checkpoint.record(labels[index], result)
     return results

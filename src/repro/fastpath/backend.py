@@ -15,8 +15,7 @@ deployed a channel and ran the engine.  The fastpath package splits
 * ``"auto"`` — resolve per experiment: vectorizable sweeps take the
   batch backend, everything else falls back to DES.
 
-Callers pass ``backend=`` (or bundle it in an
-:class:`~repro.core.context.ExperimentContext`); ``None`` defers to the
+Callers pass ``backend=``; ``None`` defers to the
 ``REPRO_BACKEND`` environment variable and then to ``"des"``, mirroring
 how ``REPRO_WORKERS`` feeds the parallel runner.
 """

@@ -4,8 +4,8 @@ Three mechanisms, each driven by the chaos matrix in
 :mod:`repro.resilience.chaos`:
 
 * :mod:`~repro.resilience.retry` — transient-vs-permanent error
-  classification and deterministic jittered backoff for the parallel
-  runner's ``on_error="retry"`` mode.
+  classification and deterministic jittered backoff; passing a policy
+  as the parallel runner's ``retry=`` is what makes it contain crashes.
 * :mod:`~repro.resilience.checkpoint` — atomic, content-keyed
   checkpoint files that let interrupted sweeps resume bit-identically.
 * :mod:`~repro.resilience.breaker` — a call-counted circuit breaker

@@ -7,7 +7,7 @@ the resilience mechanism built to contain it, end to end:
 ====================== ==============================================
 fault                  mechanism under test
 ====================== ==============================================
-crashing-trial         retrying runner (``on_error="retry"``)
+crashing-trial         retrying runner (``retry=RetryPolicy(...)``)
 worker-death           pool rebuild after ``BrokenProcessPool``
 interrupted-sweep      checkpoint/resume, bit-identical results
 flipped-crc            trace-store quarantine + rewarm
@@ -98,7 +98,7 @@ def _check_crashing_trial(workdir: Path, *, seed: int,
     registry = MetricsRegistry()
     with using(registry):
         results = run_trials(
-            trials, workers=1, on_error="retry",
+            trials, workers=1,
             retry=RetryPolicy(max_attempts=3, base_backoff_s=0.0),
         )
     counters = _counters(registry)
@@ -130,7 +130,7 @@ def _check_worker_death(workdir: Path, *, seed: int,
     registry = MetricsRegistry()
     with using(registry):
         results = run_trials(
-            trials, workers=pool_size, on_error="retry",
+            trials, workers=pool_size,
             retry=RetryPolicy(max_attempts=3, base_backoff_s=0.0),
         )
     counters = _counters(registry)

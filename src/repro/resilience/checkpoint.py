@@ -40,7 +40,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
-from ..errors import ConfigError
 from ..telemetry.context import active_registry
 
 __all__ = ["Checkpoint", "checkpoint_key", "CHECKPOINT_VERSION",
@@ -161,32 +160,25 @@ def checkpoint_key(experiment: str, *, platform=None,
 class Checkpoint:
     """Label-addressed completed-trial results, atomically persisted.
 
-    ``every`` controls flush cadence: 1 (the default) flushes after
-    every recorded result — an interrupt loses nothing; larger values
-    amortise the write for sweeps with many cheap trials.
+    Every recorded result is published at once, so an interrupt loses
+    nothing that finished.
     """
 
-    def __init__(self, path, *, key: str = "", every: int = 1) -> None:
-        if every < 1:
-            raise ConfigError(f"every must be >= 1, got {every}")
+    def __init__(self, path, *, key: str = "") -> None:
         self.path = Path(path)
         self.key = key
-        self.every = every
         self._completed: dict[str, Any] = {}
-        self._dirty = 0
 
     @classmethod
     def for_experiment(cls, directory, experiment: str, *, platform=None,
                        params: dict | None = None, seed: int | None = None,
-                       every: int = 1,
                        backend: str | None = None) -> "Checkpoint":
         """The canonical path: ``<dir>/<experiment>-<key>.ckpt.json``."""
         key = checkpoint_key(experiment, platform=platform, params=params,
                              seed=seed, backend=backend)
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        return cls(directory / f"{experiment}-{key}.ckpt.json", key=key,
-                   every=every)
+        return cls(directory / f"{experiment}-{key}.ckpt.json", key=key)
 
     # -- persistence --------------------------------------------------
 
@@ -222,17 +214,10 @@ class Checkpoint:
         return dict(self._completed)
 
     def record(self, label: str, result: Any) -> None:
-        """Store one completed result; flush if the cadence says so."""
+        """Store one completed result and publish the whole state
+        atomically (see :func:`publish`)."""
         self._completed[str(label)] = result
-        self._dirty += 1
         _count("records")
-        if self._dirty >= self.every:
-            self.flush()
-
-    def flush(self) -> None:
-        """Publish the current state atomically (see :func:`publish`)."""
-        if not self._dirty:
-            return
         completed = {
             label: {"data": seal(self._completed[label]).hex()}
             for label in sorted(self._completed)
@@ -244,14 +229,3 @@ class Checkpoint:
         )
         with publish(self.path) as temp:
             temp.write_text(payload, encoding="utf-8")
-        self._dirty = 0
-        _count("flushes")
-
-    def discard(self) -> None:
-        """Delete the file and forget everything (a completed run)."""
-        self.path.unlink(missing_ok=True)
-        self._completed.clear()
-        self._dirty = 0
-
-    def __len__(self) -> int:
-        return len(self._completed)

@@ -29,7 +29,14 @@ from ..rng import child_rng
 
 __all__ = ["RetryPolicy", "TRANSIENT_ERRORS", "PERMANENT_ERRORS"]
 
-#: Faults of the *environment*: a re-run can plausibly succeed.
+#: Each retry waits this many times longer than the one before ...
+BACKOFF_FACTOR = 2.0
+#: ... up to this cap (seconds), before jitter.
+MAX_BACKOFF_S = 1.0
+
+#: Faults of the *environment*: a re-run can plausibly succeed.  (Any
+#: exception outside :data:`PERMANENT_ERRORS` is retried; these are the
+#: ones retrying is for.)
 TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (
     OSError,
     EOFError,
@@ -58,47 +65,38 @@ PERMANENT_ERRORS: tuple[type[BaseException], ...] = (
 class RetryPolicy:
     """How many times to re-run a crashed trial, and how to wait.
 
-    ``backoff_s(attempt)`` grows geometrically from ``base_backoff_s``
-    and is capped at ``max_backoff_s``; the jitter factor (0.5x–1.5x)
-    comes from ``child_rng(seed, f"{label}/retry-{attempt}")`` so the
-    schedule is a pure function of the trial's identity.  Tests and
-    benchmarks pass ``base_backoff_s=0.0`` to retry without sleeping.
+    ``backoff_s(attempt)`` grows by :data:`BACKOFF_FACTOR` from
+    ``base_backoff_s`` and is capped at :data:`MAX_BACKOFF_S`; the
+    jitter factor (0.5x–1.5x) comes from
+    ``child_rng(seed, f"{label}/retry-{attempt}")`` so the schedule is a
+    pure function of the trial's identity.  Tests and benchmarks pass
+    ``base_backoff_s=0.0`` to retry without sleeping.
 
-    Classification: ``permanent`` wins over ``transient`` when both
-    match (``ReproError`` et al. are never retried even though some
-    subclass an ``OSError``-adjacent type); an exception matching
-    neither tuple is treated as transient — an unknown crash in a
-    worker is more often environmental than a latent determinism bug,
-    and a futile retry costs one attempt while a skipped rescue costs
-    the whole sweep.
+    Classification: :data:`PERMANENT_ERRORS` wins over
+    :data:`TRANSIENT_ERRORS` when both match (``ReproError`` et al. are
+    never retried even though some subclass an ``OSError``-adjacent
+    type); an exception matching neither tuple is treated as transient
+    — an unknown crash in a worker is more often environmental than a
+    latent determinism bug, and a futile retry costs one attempt while
+    a skipped rescue costs the whole sweep.
     """
 
     max_attempts: int = 3
     base_backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 1.0
-    transient: tuple[type[BaseException], ...] = TRANSIENT_ERRORS
-    permanent: tuple[type[BaseException], ...] = PERMANENT_ERRORS
 
     def validate(self) -> None:
         if self.max_attempts < 1:
             raise ConfigError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise ConfigError("backoff durations must be >= 0")
-        if self.backoff_factor < 1.0:
+        if self.base_backoff_s < 0:
             raise ConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
+                f"base_backoff_s must be >= 0, got {self.base_backoff_s}"
             )
 
     def is_transient(self, exc: BaseException) -> bool:
         """Whether ``exc`` is worth retrying (permanent classes win)."""
-        if isinstance(exc, self.permanent):
-            return False
-        if isinstance(exc, self.transient):
-            return True
-        return True
+        return not isinstance(exc, PERMANENT_ERRORS)
 
     def backoff_s(self, attempt: int, *, seed: int | None = None,
                   label: str | None = None) -> float:
@@ -110,10 +108,8 @@ class RetryPolicy:
         """
         if attempt < 1:
             raise ConfigError(f"attempt must be >= 1, got {attempt}")
-        base = min(
-            self.base_backoff_s * self.backoff_factor ** (attempt - 1),
-            self.max_backoff_s,
-        )
+        base = min(self.base_backoff_s * BACKOFF_FACTOR ** (attempt - 1),
+                   MAX_BACKOFF_S)
         if base <= 0.0:
             return 0.0
         rng = child_rng(seed if seed is not None else 0,

@@ -226,7 +226,6 @@ def run_filesize_study(
     seed: int = 0,
     platform: PlatformConfig | None = None,
     workers: int | None = 1,
-    context: ExperimentContext | None = None,
     cache_dir=None,
 ) -> FileSizeStudy:
     """The Figure 11 experiment.
@@ -248,9 +247,7 @@ def run_filesize_study(
     :func:`study_from_traces`, so results are bit-identical with the
     cache cold, warm or disabled.
     """
-    ctx = ExperimentContext.coalesce(
-        context, platform=platform, seed=seed, workers=workers
-    )
+    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers)
     seed = ctx.seed
     shape = dict(sizes_kb=sizes_kb, calibration_runs=calibration_runs,
                  trials=trials, granularity_kb=granularity_kb)
@@ -258,13 +255,10 @@ def run_filesize_study(
     store = None
     key = None
     if cache_dir is not None:
-        from ..config import default_platform_config
         from ..trace.store import TraceStore
 
         store = TraceStore(cache_dir)
-        effective = (ctx.platform if ctx.platform is not None
-                     else default_platform_config())
-        key = store.key("filesize", platform=effective,
+        key = store.key("filesize", platform=ctx.platform,
                         params=filesize_cache_params(**shape), seed=seed)
         cached = store.fetch(key)
         if cached is not None:

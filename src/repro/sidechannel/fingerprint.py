@@ -17,11 +17,11 @@ from ..analysis.stats import top_k_accuracy
 from ..core.context import ExperimentContext
 from ..engine.parallel import (
     Trial,
-    TrialFailure,
+    require_complete,
     resolve_workers,
     run_trials,
 )
-from ..errors import ConfigError, ResilienceError
+from ..errors import ConfigError
 from ..platform.system import System
 from ..rng import derive_seed
 from ..workloads.browser import BrowserVictim, WebsiteLibrary
@@ -82,13 +82,9 @@ def fingerprint_cache_params(
 def _shard_store_key(store, *, site: int, seed: int, platform,
                      **params) -> str:
     """Cache key for one site shard's corpus."""
-    from ..config import default_platform_config
-
-    effective = (platform if platform is not None
-                 else default_platform_config())
     return store.key(
         "fingerprint-shard",
-        platform=effective,
+        platform=platform,
         params={**fingerprint_cache_params(sharded=True, **params),
                 "site": site},
         seed=seed,
@@ -175,7 +171,6 @@ def collect_dataset(
     victim_core: int = 5,
     platform=None,
     workers: int | None = 1,
-    context: ExperimentContext | None = None,
     per_site_systems: bool | None = None,
     cache_dir=None,
     checkpoint_dir=None,
@@ -221,9 +216,7 @@ def collect_dataset(
         raise ConfigError(
             f"trace length must be positive, got {trace_ms} ms"
         )
-    ctx = ExperimentContext.coalesce(
-        context, platform=platform, seed=seed, workers=workers
-    )
+    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers)
     platform, seed, workers = ctx.platform, ctx.seed, ctx.workers
     if per_site_systems is None:
         per_site_systems = (resolve_workers(workers) > 1
@@ -250,14 +243,11 @@ def collect_dataset(
         ]
         checkpoint = None
         if checkpoint_dir is not None:
-            from ..config import default_platform_config
             from ..resilience.checkpoint import Checkpoint
 
-            effective = (platform if platform is not None
-                         else default_platform_config())
             checkpoint = Checkpoint.for_experiment(
                 checkpoint_dir, "collect_dataset",
-                platform=effective,
+                platform=platform,
                 params=fingerprint_cache_params(
                     num_sites=num_sites, train_visits=train_visits,
                     test_visits=test_visits, trace_ms=trace_ms,
@@ -265,18 +255,9 @@ def collect_dataset(
                 ),
                 seed=seed,
             )
-        shards = run_trials(
-            trials, workers=workers,
-            on_error="retry" if retry is not None else "raise",
-            retry=retry, checkpoint=checkpoint,
-        )
-        failed = [s for s in shards if isinstance(s, TrialFailure)]
-        if failed:
-            raise ResilienceError(
-                f"collection lost {len(failed)} of {len(shards)} site "
-                "shards after retries: "
-                + ", ".join(f.label or str(f.index) for f in failed)
-            )
+        shards = run_trials(trials, workers=workers, retry=retry,
+                            checkpoint=checkpoint)
+        require_complete(shards, "collection")
         train: list[TraceRecord] = []
         test: list[TraceRecord] = []
         for site_train, site_test in shards:
@@ -292,15 +273,12 @@ def collect_dataset(
     store = None
     dataset_key = None
     if cache_dir is not None:
-        from ..config import default_platform_config
         from ..trace.store import TraceStore
 
         store = TraceStore(cache_dir)
-        effective = (platform if platform is not None
-                     else default_platform_config())
         dataset_key = store.key(
             "fingerprint",
-            platform=effective,
+            platform=platform,
             params=fingerprint_cache_params(
                 num_sites=num_sites, train_visits=train_visits,
                 test_visits=test_visits, trace_ms=trace_ms,

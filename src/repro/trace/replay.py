@@ -85,14 +85,6 @@ def golden_compare(actual: TraceRecord, expected: TraceRecord, *,
     return GoldenDiff(True, None, time_err, freq_err)
 
 
-def _effective_platform(platform):
-    if platform is not None:
-        return platform
-    from ..config import default_platform_config
-
-    return default_platform_config()
-
-
 def fingerprint_dataset_from_store(
     store: TraceStore,
     *,
@@ -120,13 +112,12 @@ def fingerprint_dataset_from_store(
         fingerprint_cache_params,
     )
 
-    effective = _effective_platform(platform)
     train: list[TraceRecord] = []
     test: list[TraceRecord] = []
     if sharded:
         for site in range(num_sites):
             key = _shard_store_key(
-                store, site=site, seed=seed, platform=effective,
+                store, site=site, seed=seed, platform=platform,
                 num_sites=num_sites, train_visits=train_visits,
                 test_visits=test_visits, trace_ms=trace_ms,
                 victim_core=victim_core,
@@ -138,7 +129,7 @@ def fingerprint_dataset_from_store(
     else:
         key = store.key(
             "fingerprint",
-            platform=effective,
+            platform=platform,
             params=fingerprint_cache_params(
                 num_sites=num_sites, train_visits=train_visits,
                 test_visits=test_visits, trace_ms=trace_ms,
@@ -189,7 +180,7 @@ def filesize_study_from_store(
     )
     key = store.key(
         "filesize",
-        platform=_effective_platform(platform),
+        platform=platform,
         params=filesize_cache_params(**shape),
         seed=seed,
     )

@@ -57,6 +57,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..config import default_platform_config
 from ..errors import TraceError, TraceStoreError
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.checkpoint import publish, quarantine_file
@@ -108,12 +109,11 @@ class TraceStore:
     """A size-capped, content-addressed cache of trace corpora."""
 
     def __init__(self, root, *, max_bytes: int | None = None,
-                 breaker: CircuitBreaker | None = None,
                  breaker_threshold: int = 3,
                  breaker_cooldown: int = 8) -> None:
         self.root = Path(root)
         self.max_bytes = max_bytes
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
+        self.breaker = CircuitBreaker(
             failure_threshold=breaker_threshold,
             cooldown=breaker_cooldown,
             name="trace.store",
@@ -131,8 +131,8 @@ class TraceStore:
             seed: int | None = None, backend: str | None = None) -> str:
         """Digest ``(platform, experiment, params, seed)`` into a key.
 
-        ``platform`` should be the *effective* configuration (resolve
-        ``None`` to the default before calling) so that an explicit
+        ``platform=None`` means the default platform
+        (:func:`~repro.config.default_platform_config`), so an explicit
         default and an implied one share the cache line.  Params are
         canonicalised through sorted-key JSON; anything unserialisable
         falls back to ``repr``, which is stable for the frozen configs
@@ -146,7 +146,11 @@ class TraceStore:
         material = json.dumps(
             {
                 "experiment": experiment,
-                "platform": config_digest(platform, backend=backend),
+                "platform": config_digest(
+                    platform if platform is not None
+                    else default_platform_config(),
+                    backend=backend,
+                ),
                 "params": params or {},
                 "seed": seed,
             },

@@ -99,8 +99,8 @@ def inject_fault(name: str, system, scenario: FuzzScenario) -> None:
 def crashing_trial(message: str = "injected crash") -> None:
     """A module-level (hence picklable) trial body that always dies.
 
-    Used to prove ``run_trials(on_error="collect")`` contains a worker
-    crash instead of poisoning its siblings.
+    Used to prove ``run_trials(retry=RetryPolicy(...))`` contains a
+    worker crash instead of poisoning its siblings.
     """
     raise RuntimeError(message)
 

@@ -8,8 +8,9 @@ channel, and distils the run into the :class:`~.oracles.Observation`
 the invariant oracles consume.
 
 :func:`run_validation` fans scenarios out through
-:func:`repro.engine.parallel.run_trials` with ``on_error="collect"``
-(one crashing scenario cannot mask the other 499), gathers violations,
+:func:`repro.engine.parallel.run_trials` under a one-attempt
+``retry=RetryPolicy(max_attempts=1)`` (one crashing scenario cannot mask
+the other 499), gathers violations,
 and — when any scenario fails — shrinks the first failure to a minimal
 scenario and writes a self-contained repro file that
 :func:`replay_repro` (and ``repro validate --replay``) can re-run.
@@ -25,6 +26,7 @@ from pathlib import Path
 from ..core.evaluation import CapacityPoint, random_bits
 from ..engine.parallel import Trial, TrialFailure, run_trials
 from ..errors import ValidationError
+from ..resilience.retry import RetryPolicy
 from ..telemetry.context import using
 from ..telemetry.registry import MetricsRegistry
 from ..units import ms
@@ -407,8 +409,11 @@ def run_validation(*, seed: int = 0, count: int = 100,
                    checkpoint_dir=None) -> ValidationReport:
     """Fuzz ``count`` scenarios from ``seed`` and judge every one.
 
-    A crashing scenario is contained (``on_error="collect"``) and
-    reported as a failed outcome.  When anything fails and
+    A crashing scenario is contained (a one-attempt ``retry=`` policy:
+    contained, never re-run) and reported as a failed outcome.  A
+    worker death under ``workers > 1`` is contained the same way: the
+    runner rebuilds the pool and convicts the scenario at the head of
+    the queue.  When anything fails and
     ``repro_dir`` is given, the first failure is shrunk to a minimal
     scenario and written there as a self-contained repro file; a
     *crashed* scenario's repro is written directly from the collected
@@ -431,10 +436,9 @@ def run_validation(*, seed: int = 0, count: int = 100,
         from ..resilience.checkpoint import Checkpoint
 
         # Scenario platforms are themselves pure functions of
-        # (seed, count), so the run-level key needs no platform digest.
+        # (seed, count), so the run-level key takes the default one.
         checkpoint = Checkpoint.for_experiment(
             checkpoint_dir, "run_validation",
-            platform=None,
             params=dict(count=count, fault=fault),
             seed=seed,
         )
@@ -444,7 +448,8 @@ def run_validation(*, seed: int = 0, count: int = 100,
     # edges) cannot merge into one caller registry.  The telemetry-
     # transparency oracle builds its own private registries regardless.
     with using(None):
-        raw = run_trials(trials, workers=workers, on_error="collect",
+        raw = run_trials(trials, workers=workers,
+                         retry=RetryPolicy(max_attempts=1),
                          checkpoint=checkpoint)
         outcomes: list[ScenarioOutcome] = []
         for scenario, result in zip(scenarios, raw):

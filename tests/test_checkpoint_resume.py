@@ -168,3 +168,71 @@ class TestValidationResume:
         assert resumed.ok
         assert resumed.count == clean.count
         assert resumed.failures == clean.failures
+
+
+def _lost_trial_cases():
+    """(module, trial body, runner, kwargs, kwarg -> value that fails,
+    the label of that trial) for each checkpointed sweep runner."""
+    from repro.defenses import evaluation as defenses
+    from repro.sidechannel import fingerprint
+
+    return [
+        pytest.param(
+            evaluation, "measure_capacity", evaluation.capacity_sweep,
+            dict(SHAPE), ("interval_ms", 24.0), "interval-24",
+            id="capacity_sweep",
+        ),
+        pytest.param(
+            defenses, "channel_under_defense", defenses.evaluate_defenses,
+            dict(bits=8, seed=0, defenses=("none", "fixed_max")),
+            ("defense", "fixed_max"), "defense-fixed_max",
+            id="evaluate_defenses",
+        ),
+        pytest.param(
+            fingerprint, "_collect_site_traces", fingerprint.collect_dataset,
+            dict(TestFingerprintResume.KWARGS), ("site", 1), "site-1",
+            id="collect_dataset",
+        ),
+    ]
+
+
+class TestLostTrials:
+    """A trial that still fails after its retries is a lost trial: the
+    runner raises instead of returning a result with a hole, names the
+    lost label, and leaves the survivors checkpointed."""
+
+    @pytest.mark.parametrize(
+        "module, body, runner, kwargs, fault, label", _lost_trial_cases()
+    )
+    def test_permanent_failure_names_the_lost_label(
+            self, tmp_path, monkeypatch, module, body, runner, kwargs,
+            fault, label):
+        from repro.errors import ResilienceError
+        from repro.resilience import RetryPolicy
+
+        real = getattr(module, body)
+        key, value = fault
+
+        def fail_one(**trial_kwargs):
+            if trial_kwargs[key] == value:
+                raise ValueError("injected permanent fault")
+            return real(**trial_kwargs)
+
+        monkeypatch.setattr(module, body, fail_one)
+        registry = MetricsRegistry()
+        with using(registry):
+            with pytest.raises(ResilienceError,
+                               match=f"lost 1 of 2 .*: {label}$"):
+                runner(**kwargs, checkpoint_dir=tmp_path,
+                       retry=RetryPolicy(max_attempts=3,
+                                         base_backoff_s=0.0))
+        counters = _counters(registry)
+        assert counters["runner.permanent_failures"] == 1
+        assert "runner.retries" not in counters  # permanent: no re-run
+
+        # The survivor was checkpointed and the lost trial was not.
+        monkeypatch.setattr(module, body, real)
+        registry = MetricsRegistry()
+        with using(registry):
+            runner(**kwargs, checkpoint_dir=tmp_path)
+        assert _counters(registry)["runner.checkpoint.skipped"] == 1

@@ -130,14 +130,8 @@ class TestContextBackend:
         for name in BACKENDS:
             ExperimentContext(backend=name).validate()
 
-    def test_coalesce_rejects_context_plus_backend(self):
-        ctx = ExperimentContext(seed=1)
-        with pytest.raises(ConfigError, match="not both"):
-            ExperimentContext.coalesce(ctx, backend="batch")
-
     def test_coalesce_builds_the_quartet(self):
-        ctx = ExperimentContext.coalesce(None, seed=3, workers=2,
-                                         backend="batch")
+        ctx = ExperimentContext(seed=3, workers=2, backend="batch")
         assert (ctx.seed, ctx.workers, ctx.backend) == (3, 2, "batch")
 
 

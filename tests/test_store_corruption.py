@@ -231,10 +231,12 @@ class TestVerifyCli:
 class TestCrashContainment:
     def test_collect_gives_failures_their_slot(self):
         from repro.engine.parallel import TrialFailure, run_trials
+        from repro.resilience import RetryPolicy
 
         trials = [lambda: "a", lambda: crashing_trial("dead"),
                   lambda: "c"]
-        results = run_trials(trials, workers=1, on_error="collect")
+        results = run_trials(trials, workers=1,
+                             retry=RetryPolicy(max_attempts=1))
         assert results[0] == "a"
         assert isinstance(results[1], TrialFailure)
         assert results[1].message == "dead"
@@ -245,10 +247,11 @@ class TestCrashContainment:
         from repro.engine.parallel import run_trials
 
         with pytest.raises(RuntimeError, match="injected crash"):
-            run_trials([crashing_trial], workers=1, on_error="raise")
+            run_trials([crashing_trial], workers=1)
 
     def test_collect_does_not_corrupt_telemetry(self):
         from repro.engine.parallel import run_trials
+        from repro.resilience import RetryPolicy
         from repro.telemetry import MetricsRegistry
         from repro.telemetry.context import using
 
@@ -262,7 +265,7 @@ class TestCrashContainment:
         with using(registry):
             run_trials(
                 [counting_trial, crashing_trial, counting_trial],
-                workers=1, on_error="collect",
+                workers=1, retry=RetryPolicy(max_attempts=1),
             )
         snapshot = registry.snapshot()
         assert snapshot["counters"]["trial.ok"] == 2

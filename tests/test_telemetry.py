@@ -277,28 +277,12 @@ class TestSweepResult:
 
 class TestExperimentContext:
     def test_trio_builds_context(self):
-        ctx = ExperimentContext.coalesce(None, seed=5, workers=2)
+        ctx = ExperimentContext(seed=5, workers=2)
         assert (ctx.platform, ctx.seed, ctx.workers) == (None, 5, 2)
-
-    def test_explicit_context_wins(self):
-        supplied = ExperimentContext(seed=9)
-        assert ExperimentContext.coalesce(supplied) is supplied
-
-    def test_context_plus_trio_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentContext.coalesce(ExperimentContext(), seed=1)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentContext.coalesce(None, workers=-1)
-
-    def test_context_accepted_by_runner(self):
-        point = measure_capacity(
-            interval_ms=28.0, bits=8,
-            context=ExperimentContext(seed=3),
-        )
-        assert point == measure_capacity(interval_ms=28.0, bits=8,
-                                         seed=3)
+            ExperimentContext(workers=-1)
 
 
 class TestManifest:

@@ -250,6 +250,17 @@ class TestStore(StoreFixture):
         single = TraceStore.key("exp", platform=single_socket_config())
         assert dual != single
 
+    def test_key_resolves_no_platform_to_the_default(self):
+        from repro.config import default_platform_config
+
+        for backend in (None, "batch"):
+            assert TraceStore.key(
+                "exp", seed=0, backend=backend,
+            ) == TraceStore.key(
+                "exp", platform=default_platform_config(), seed=0,
+                backend=backend,
+            )
+
     def test_no_temp_files_left_behind(self, store):
         key = store.key("exp", seed=0)
         store.put(key, self.records())
