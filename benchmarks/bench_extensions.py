@@ -1,13 +1,9 @@
 """Extensions beyond the paper's evaluation.
 
-Four studies the paper motivates but does not run:
+Two studies the paper motivates but does not run:
 
-* **stacked defenses** — all three defenses at once; UF-variation must
-  still transmit ("one or more partitioning mechanisms", Section 4.4);
 * **reliable messaging** — Hamming-coded frames over the raw channel:
   net goodput after FEC at the noisy high-rate operating point;
-* **utilization side channel** — the "other factor" of Section 5:
-  victim memory-phase profiling with no helper threads at all;
 * **classifier ablation** — Elman RNN vs GRU vs kNN on the same
   fingerprinting traces.
 """
@@ -15,11 +11,6 @@ Four studies the paper motivates but does not run:
 from dataclasses import replace
 
 from repro.analysis import format_table
-from repro.channels.comparison import (
-    UFVariationAdapter,
-    evaluate_channel,
-)
-from repro.channels.scenarios import ALL_DEFENSES_SCENARIO
 from repro.core import ChannelConfig, UFVariationChannel
 from repro.core.framing import encode_frame, send_message_reliable
 from repro.platform import System
@@ -27,30 +18,10 @@ from repro.sidechannel import collect_dataset
 from repro.sidechannel.features import normalize_traces
 from repro.sidechannel.rnn import RnnClassifier, RnnConfig
 from repro.sidechannel.knn import KnnClassifier
-from repro.sidechannel.utilization import profile_victim
 from repro.analysis.stats import top_k_accuracy
 from repro.units import ms
 
 from _harness import report, run_once
-
-
-def test_ext_stacked_defenses(benchmark):
-    def experiment():
-        return evaluate_channel(
-            UFVariationAdapter, ALL_DEFENSES_SCENARIO, bits=32, seed=1
-        )
-
-    cell = run_once(benchmark, experiment)
-    report(
-        "ext_stacked_defenses",
-        (
-            "UF-variation with randomized LLC + fine partitioning + "
-            "coarse partitioning ALL enabled: "
-            f"BER {100 * (cell.error_rate or 0):.1f} % -> "
-            f"{'FUNCTIONAL' if cell.functional else 'stopped'}"
-        ),
-    )
-    assert cell.functional
 
 
 def test_ext_framed_messaging(benchmark):
@@ -90,34 +61,6 @@ def test_ext_framed_messaging(benchmark):
     )
     assert transfer.delivered
     assert decoded.payload == payload
-
-
-def test_ext_utilization_side_channel(benchmark):
-    def experiment():
-        return {
-            frames: profile_victim(frames=frames, seed=3)
-            for frames in (2, 4, 6, 9)
-        }
-
-    estimates = run_once(benchmark, experiment)
-    rows = [
-        [frames, est.burst_count, f"{est.mean_burst_ms:.0f}",
-         f"{est.mean_gap_ms:.0f}"]
-        for frames, est in estimates.items()
-    ]
-    report(
-        "ext_utilization_sidechannel",
-        format_table(
-            ["true frames", "detected", "burst (ms)", "gap (ms)"],
-            rows,
-            title="Utilization-based profiling (no helper threads): "
-                  "victim memory phases recovered from frequency rises",
-        ),
-    )
-    assert all(
-        est.burst_count == frames
-        for frames, est in estimates.items()
-    )
 
 
 def test_ext_classifier_ablation(benchmark):

@@ -7,8 +7,7 @@ must be bit-identical *and* an order of magnitude faster; the
 analytical backend answers from closed form and must land inside its
 own statistical tolerance.  ``benchmarks/check_regression.py`` gates
 both in CI (``--fastpath-speedup``, default 10x); this module keeps
-the three medians visible in the normal benchmark output and records
-the anchor in ``BENCH_fastpath.json``.
+the three medians visible in the normal benchmark output.
 """
 
 from repro.core.evaluation import capacity_sweep

@@ -14,7 +14,6 @@ from .stats import (
     quantile_summary,
     top_k_accuracy,
 )
-from .sparkline import frequency_sparkline, labelled_trace, sparkline
 from .tables import format_table
 
 __all__ = [
@@ -23,13 +22,10 @@ __all__ = [
     "bit_error_rate",
     "channel_capacity_bps",
     "format_table",
-    "frequency_sparkline",
-    "labelled_trace",
     "manifest_to_json",
     "median_mhz",
     "quantile_summary",
     "results_to_json",
-    "sparkline",
     "top_k_accuracy",
     "write_manifest",
 ]

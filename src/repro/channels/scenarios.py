@@ -82,29 +82,6 @@ SCENARIOS: tuple[Scenario, ...] = (
     ),
 )
 
-#: Beyond the paper's columns: every defense stacked at once.  The
-#: paper claims UF-variation "remains functional even with one or more
-#: uncore partitioning mechanisms in place"; this scenario takes "or
-#: more" literally — randomized LLC + fine partitioning + coarse
-#: (cross-socket, NUMA-strict) partitioning simultaneously.
-ALL_DEFENSES_SCENARIO = Scenario(
-    key="all_defenses",
-    label="All defenses stacked",
-    security=SecurityConfig(
-        randomize_llc=True,
-        fine_partition=True,
-        num_domains=2,
-        coarse_partition=True,
-    ),
-    placement=Placement(
-        sender_socket=0,
-        receiver_socket=1,
-        sender_domain=0,
-        receiver_domain=1,
-    ),
-)
-
-
 def scenario_by_key(key: str) -> Scenario:
     """Look up one scenario by its key."""
     for scenario in SCENARIOS:

@@ -53,8 +53,8 @@ trials are checkpointed there atomically, and re-running the same
 command resumes past them with bit-identical results.  ``capacity``
 and ``defenses`` also take ``--retries N`` to re-run transient worker
 crashes in place.  ``repro chaos`` injects the whole fault matrix
-(crashed trials, killed workers, interrupted sweeps, corrupt and torn
-trace stores, a breaker storm) and exits non-zero unless every fault
+(crashed trials, killed workers, interrupted sweeps, corrupt trace
+stores, stranded temp files, a breaker storm) and exits non-zero unless every fault
 is contained.
 """
 
@@ -401,7 +401,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> dict:
     from .trace import TraceStore
 
     store = TraceStore(args.cache_dir)
-    before = {entry.key for entry in store.entries()}
+    before = set(store.keys())
     if args.experiment == "fingerprint":
         dataset = collect_dataset(
             **_fingerprint_shape(args),
@@ -416,10 +416,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> dict:
             cache_dir=args.cache_dir,
         )
         traces = len(study.runs) + len(study.calibration) * 2
-    new_keys = sorted(
-        entry.key for entry in store.entries()
-        if entry.key not in before
-    )
+    new_keys = sorted(set(store.keys()) - before)
     verb = "recorded" if new_keys else "already cached"
     print(f"{verb}: {args.experiment} ({traces} traces) in "
           f"{args.cache_dir}")
@@ -471,18 +468,20 @@ def _cmd_trace_ls(args: argparse.Namespace) -> dict:
     store = TraceStore(args.cache_dir)
     entries = store.entries()
     if not args.json:
+        # Rank 1 is the least recently used corpus, the next to evict.
         rows = [
             [
                 entry.key,
                 entry.experiment or "-",
-                str(entry.records),
+                "-" if entry.records is None else str(entry.records),
                 f"{entry.size_bytes / 1024:.1f}",
-                str(entry.tick),
+                str(rank),
             ]
-            for entry in sorted(entries, key=lambda e: e.tick)
+            for rank, entry in enumerate(sorted(
+                entries, key=lambda e: (e.last_used_ns, e.key)), start=1)
         ]
         print(format_table(
-            ["key", "experiment", "records", "KiB", "tick"], rows,
+            ["key", "experiment", "records", "KiB", "lru"], rows,
             title=f"{len(entries)} corpora, "
                   f"{store.total_bytes() / 1024:.1f} KiB total "
                   f"in {args.cache_dir}",
@@ -523,33 +522,20 @@ def _cmd_trace_verify(args: argparse.Namespace) -> dict:
     store = TraceStore(args.cache_dir)
     report = store.verify()
     if not args.json:
-        print(f"{len(report.ok)} ok, {len(report.missing)} missing, "
-              f"{len(report.corrupt)} corrupt, "
-              f"{len(report.bad_entries)} bad index entries "
+        print(f"{len(report.ok)} ok, {len(report.corrupt)} corrupt "
               f"in {args.cache_dir}")
     if not report.clean:
-        for key in report.missing:
-            print(f"  missing blob: {key}", file=sys.stderr)
         for key in report.corrupt:
             print(f"  corrupt blob: {key}", file=sys.stderr)
-        for key in report.bad_entries:
-            print(f"  unreadable index entry: {key}", file=sys.stderr)
         if args.quarantine:
-            # Corrupt blobs and unreadable entries move aside; entries
-            # whose blob vanished are dropped too, so the next record
-            # re-warms everything.
-            for key in (*report.corrupt, *report.missing,
-                        *report.bad_entries):
+            # Corrupt blobs move aside, so the next record re-warms them.
+            for key in report.corrupt:
                 store.quarantine(key)
-            print(f"  quarantined {len(report.corrupt)} corpora, "
-                  f"{len(report.bad_entries)} damaged entries; "
-                  f"dropped {len(report.missing)} stale entries",
+            print(f"  quarantined {len(report.corrupt)} corpora",
                   file=sys.stderr)
         raise TraceStoreError(
             f"trace store {args.cache_dir} failed verification "
-            f"({len(report.missing)} missing, "
-            f"{len(report.corrupt)} corrupt, "
-            f"{len(report.bad_entries)} bad index entries)"
+            f"({len(report.corrupt)} corrupt)"
         )
     return {"experiment": "trace-verify", "results": report}
 
@@ -778,6 +764,7 @@ def _add_filesize_shape_flags(sub: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     from ._version import __version__
+    from .resilience.chaos import CHAOS_FAULTS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -998,8 +985,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject the fault matrix and prove every fault contained",
         description="Run every injected fault — crashed trials, killed "
                     "workers, an interrupted sweep, flipped CRCs, a "
-                    "torn store index, a half-written temp file and a "
-                    "breaker storm — through the matching resilience "
+                    "half-written temp file and a breaker storm — "
+                    "through the matching resilience "
                     "mechanism.  Exit 0 only if every fault is "
                     "contained with bit-identical results.",
     )
@@ -1016,7 +1003,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "temporary directory")
     chaos.add_argument("--faults", metavar="NAME", nargs="+",
                        default=None,
-                       help="run only these faults (default: all)")
+                       help="run only these faults (default: all of "
+                            f"{' '.join(CHAOS_FAULTS)})")
     _add_json_flag(chaos)
     chaos.set_defaults(handler=_cmd_chaos)
 

@@ -28,13 +28,14 @@ results as they land so an interrupted sweep resumes where it stopped.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Any
 
 from ..errors import ConfigError, ResilienceError
@@ -220,8 +221,8 @@ def run_trials(trials: Sequence[Trial] | Iterable[Trial], *,
     With ``workers`` <= 1 (or a single trial) everything runs inline in
     the calling process.  Otherwise the trials are distributed over a
     :class:`~concurrent.futures.ProcessPoolExecutor`; because every
-    trial carries its own derived seed and ``ProcessPoolExecutor.map``
-    preserves input order, the returned list is bit-identical for every
+    trial carries its own derived seed and each result lands in its
+    trial's slot, the returned list is bit-identical for every
     worker count.
 
     When a telemetry registry is active in the calling process, each
@@ -242,9 +243,9 @@ def run_trials(trials: Sequence[Trial] | Iterable[Trial], *,
       checkpointed, contributes no metrics, and the remaining trials
       still run.  ``RetryPolicy(max_attempts=1)`` contains without
       re-running.  Worker death (``BrokenProcessPool``) rebuilds the
-      pool and resubmits the unfinished tail; a pool that dies
-      ``max_attempts`` times in a row with no progress convicts the
-      trial at the head of the queue.  Telemetry counts
+      pool and resubmits the unfinished trials; the trial whose worker
+      died is charged one attempt and, once it has killed
+      ``max_attempts`` workers, convicted.  Telemetry counts
       ``runner.retries``, ``runner.permanent_failures`` and
       ``runner.pool_rebuilds``.
 
@@ -286,57 +287,105 @@ def run_trials(trials: Sequence[Trial] | Iterable[Trial], *,
     return results
 
 
+#: Per-trial marks a pooled worker leaves in shared memory: a trial
+#: still ``_RUNNING`` after its pool broke is the one whose worker died.
+_RUNNING, _SETTLED = 1, 2
+_marks = None
+_current: int | None = None
+
+
+def _init_worker(marks) -> None:
+    """Pool initializer: adopt the shared marks, trap the pool's SIGTERM.
+
+    A broken pool terminates its surviving workers; the handler marks
+    the trial such a worker was running as settled, so only the trial
+    whose worker died by itself stays ``_RUNNING``.
+    """
+    global _marks
+    _marks = marks
+    signal.signal(signal.SIGTERM, _on_terminate)
+
+
+def _on_terminate(signum, frame) -> None:
+    if _current is not None:
+        _marks[_current] = _SETTLED
+    os._exit(128 + signum)
+
+
+def _pooled_attempt(index: int, trial, policy: RetryPolicy | None,
+                    instrument: bool) -> tuple[Any, dict | None, int]:
+    """:func:`_attempt` in a pool worker, bracketed by the trial's mark."""
+    global _current
+    _current = index
+    _marks[index] = _RUNNING
+    try:
+        return _attempt(index, trial, policy, instrument)
+    finally:
+        _marks[index] = _SETTLED
+        _current = None
+
+
 def _drive(pending: list[int], trials: list, count: int,
            policy: RetryPolicy | None, parent, land) -> None:
-    """Map :func:`_attempt` over ``pending``; ``land`` each outcome in order.
+    """Run :func:`_attempt` over ``pending``; ``land`` each outcome.
 
-    With ``count`` <= 1 (or a single trial) the map runs inline,
-    otherwise over a process pool.  ``BrokenProcessPool`` poisons an
-    entire ``pool.map``, so worker death cannot be retried inside the
-    worker.  Without a ``policy`` it propagates.  With one, the driver
-    rebuilds the pool and resubmits the unfinished tail; a trial whose
-    pool dies ``max_attempts`` times in a row with no progress is
-    convicted (by position — the head of the tail is always in flight
-    when the pool breaks repeatedly), filled with a
-    :class:`TrialFailure`, and skipped so its siblings still complete.
+    With ``count`` <= 1 (or a single trial) the trials run inline, in
+    order.  Otherwise each trial is submitted to a process pool and
+    lands in submission order.  ``BrokenProcessPool`` breaks every
+    unfinished future at once, so worker death cannot be retried inside
+    the worker.  Without a ``policy`` it propagates.  With one, the
+    driver rebuilds the pool and resubmits the unfinished trials.  The
+    trials still marked running are the ones whose worker died (if none
+    is, the head of the unfinished queue stands in, so repeated deaths
+    still end); each is charged one attempt and, after ``max_attempts``
+    dead workers, convicted with a :class:`TrialFailure`.  Trials the
+    break merely interrupted are resubmitted uncharged.
     """
     instrument = parent is not None
-    pooled = count > 1 and len(pending) > 1
-    position = 0
-    stuck_rebuilds = 0
-    while position < len(pending):
-        remaining = pending[position:]
-        progressed = False
-        try:
-            with (ProcessPoolExecutor(max_workers=min(count, len(remaining)))
-                  if pooled else nullcontext()) as pool:
-                stream = (pool.map if pooled else map)(
-                    _attempt, remaining,
-                    [trials[index] for index in remaining],
-                    repeat(policy), repeat(instrument),
-                )
-                for index, outcome in zip(remaining, stream):
-                    land(index, *outcome)
-                    position += 1
-                    progressed = True
+    if count <= 1 or len(pending) <= 1:
+        for index in pending:
+            land(index, *_attempt(index, trials[index], policy, instrument))
+        return
+    context = multiprocessing.get_context()
+    deaths: Counter[int] = Counter()
+    while pending:
+        marks = context.RawArray("b", len(trials))
+        unfinished = []
+        with ProcessPoolExecutor(
+            max_workers=min(count, len(pending)), mp_context=context,
+            initializer=_init_worker, initargs=(marks,),
+        ) as pool:
+            futures = [
+                pool.submit(_pooled_attempt, index, trials[index], policy,
+                            instrument)
+                for index in pending
+            ]
+            for index, future in zip(pending, futures):
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    if policy is None:
+                        raise
+                    unfinished.append(index)
+                    continue
+                land(index, *outcome)
+        if not unfinished:
             return
-        except BrokenProcessPool:
-            if policy is None:
-                raise
-            if parent is not None:
-                parent.inc("runner.pool_rebuilds")
-            stuck_rebuilds = 0 if progressed else stuck_rebuilds + 1
-            if stuck_rebuilds >= policy.max_attempts:
-                index = pending[position]
+        if parent is not None:
+            parent.inc("runner.pool_rebuilds")
+        culprits = [index for index in unfinished
+                    if marks[index] == _RUNNING] or unfinished[:1]
+        for index in culprits:
+            deaths[index] += 1
+            if deaths[index] >= policy.max_attempts:
                 land(index, _failure(
                     index, trials[index], "BrokenProcessPool",
-                    "worker process died "
-                    f"{stuck_rebuilds} consecutive times while this "
-                    "trial led the queue; trial convicted and skipped",
-                    stuck_rebuilds,
+                    f"{deaths[index]} worker process(es) died running "
+                    "this trial; trial convicted and skipped",
+                    deaths[index],
                 ), None, 1)
-                position += 1
-                stuck_rebuilds = 0
+        pending = [index for index in unfinished
+                   if deaths[index] < policy.max_attempts]
 
 
 def _invoke_batch(*, runner: Callable[[Sequence[Any]], list[Any]],

@@ -76,11 +76,11 @@ class TraceCorruptionError(TraceFormatError):
 
 
 class TraceStoreError(TraceError):
-    """The content-addressed trace store is inconsistent.
+    """The content-addressed trace store has no usable corpus for a key.
 
-    Raised, for example, when an index entry points at a blob that no
-    longer exists on disk, or a replay asks for a key that was never
-    recorded.  The store stays usable after the error.
+    Raised, for example, when a replay asks for a key that was never
+    recorded (or whose blob was evicted).  The store stays usable after
+    the error.
     """
 
 

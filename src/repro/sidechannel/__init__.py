@@ -30,13 +30,6 @@ from .filesize import (
 from .features import bin_trace, normalize_traces
 from .rnn import RnnClassifier, RnnConfig
 from .knn import KnnClassifier
-from .utilization import (
-    MediaEncoderVictim,
-    PhaseEstimate,
-    UtilizationAttacker,
-    detect_bursts,
-    profile_victim,
-)
 from .fingerprint import (
     FingerprintDataset,
     FingerprintResult,
@@ -53,18 +46,13 @@ __all__ = [
     "FingerprintResult",
     "FrequencyTraceCollector",
     "KnnClassifier",
-    "MediaEncoderVictim",
-    "PhaseEstimate",
     "RnnClassifier",
     "RnnConfig",
     "TraceRecord",
     "UfsAttacker",
-    "UtilizationAttacker",
     "bin_trace",
     "collect_dataset",
     "normalize_traces",
-    "detect_bursts",
-    "profile_victim",
     "run_filesize_study",
     "run_fingerprinting_study",
 ]

@@ -10,9 +10,9 @@ artefacts instead of transient simulation output:
 * :mod:`repro.trace.writer` / :mod:`repro.trace.reader` — streaming
   corpus I/O, one record in memory at a time;
 * :mod:`repro.trace.store` — a content-addressed on-disk store keyed
-  by ``(platform digest, experiment, params, seed)`` with atomic
-  writes, corruption quarantine and size-capped LRU garbage
-  collection;
+  by ``(platform digest, experiment, params, seed)``: one
+  self-describing blob per key, atomic writes, corruption quarantine
+  and size-capped LRU garbage collection by blob mtime;
 * :mod:`repro.trace.replay` — stored corpora fed back through feature
   extraction and the kNN/RNN/GRU classifiers without the simulator,
   plus the :func:`~repro.trace.replay.golden_compare` checker behind

@@ -2,8 +2,7 @@
 
 Layout under the store root::
 
-    <root>/blobs/<key>.uftc        corpus blobs (the cached data)
-    <root>/index/<key>.json        one index entry per blob
+    <root>/blobs/<key>.uftc        corpus blobs, one file per key
     <root>/quarantine/<key>.uftc   corrupt blobs, moved aside
 
 A **key** is a digest of everything a corpus is a pure function of:
@@ -13,25 +12,22 @@ canonicalised experiment parameters and the seed.  Two runs share a key
 exactly when they would simulate identical traces, so a key hit means
 the simulation can be skipped outright.
 
-Index entries are *per-key files*, not one shared manifest: parallel
-shards (``workers > 1``) write their own corpora concurrently, and
-per-entry files make every write an atomic
-:func:`~repro.resilience.checkpoint.publish` with no cross-process
-read-modify-write window.  The entry records byte/record counts for
-``ls`` and an access ``tick`` — a store-wide logical counter bumped on
-every read — that orders entries for the size-capped LRU
-:meth:`TraceStore.gc`.
+The blob is the only record of a cached corpus.  It describes itself:
+the header meta names the experiment, and per-frame CRCs guard the
+records.  Every write is one atomic
+:func:`~repro.resilience.checkpoint.publish`, so parallel shards
+(``workers > 1``) write their own corpora with no cross-process
+read-modify-write window.  LRU order is the blob's mtime: ``put`` and
+``open`` stamp it explicitly with the current time in nanoseconds, and
+the size-capped :meth:`TraceStore.gc` evicts the oldest stamp first.
+``gc`` and :meth:`TraceStore.total_bytes` only ``stat`` blobs, so a
+damaged blob cannot wedge them.  Eviction order only decides what gets
+re-simulated; it never changes a result.
 
 Failure handling is conservative: a blob that fails to parse is moved
-to ``quarantine/`` (never deleted) and its entry dropped before the
-typed error propagates, so one damaged file cannot wedge the store; an
-index entry whose blob vanished raises
-:class:`~repro.errors.TraceStoreError` and is cleaned up the same way.
-A *torn index entry* over a healthy blob is the one fault the store
-heals in place: the blob carries its own header, meta and per-frame
-CRCs, so the entry is rebuilt from the surviving bytes
-(``trace.store.index_rebuilt``) instead of quarantined —
-:meth:`TraceStore.rebuild_index` runs the same repair store-wide.
+to ``quarantine/`` (never deleted) before the typed error propagates,
+so one damaged file cannot wedge the store.  A missing blob is a plain
+miss.
 
 Sustained corruption trips a
 :class:`~repro.resilience.breaker.CircuitBreaker`: after
@@ -54,6 +50,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,7 +63,7 @@ from ..sidechannel.tracer import TraceRecord
 from ..telemetry.context import active_registry
 from ..telemetry.manifest import config_digest
 from .reader import TraceReader
-from .writer import TraceWriter
+from .writer import write_corpus
 
 __all__ = ["StoreEntry", "TraceStore", "VerifyReport"]
 
@@ -76,15 +74,27 @@ def _count(name: str, amount: int | float = 1) -> None:
         registry.inc(f"trace.store.{name}", amount)
 
 
+def _stamp(blob: Path) -> None:
+    """Mark ``blob`` as just used: LRU order is the blob's mtime."""
+    now = time.time_ns()
+    os.utime(blob, ns=(now, now))
+
+
 @dataclass(frozen=True)
 class StoreEntry:
-    """One index entry: what a cached corpus is and how big it is."""
+    """One cached corpus, as its blob describes it.
+
+    ``experiment`` and ``meta`` come from the blob header and
+    ``records`` from walking its frames; a blob that does not parse
+    reads as ``experiment=""``, ``records=None``.  ``last_used_ns`` is
+    the blob's mtime, the LRU order :meth:`TraceStore.gc` evicts by.
+    """
 
     key: str
     experiment: str
-    records: int
+    records: int | None
     size_bytes: int
-    tick: int
+    last_used_ns: int
     meta: dict
 
 
@@ -93,16 +103,11 @@ class VerifyReport:
     """Outcome of a full-store integrity pass."""
 
     ok: tuple[str, ...]
-    missing: tuple[str, ...]
     corrupt: tuple[str, ...]
-    #: Index entries that do not parse (truncated or bit-flipped JSON).
-    #: The blob they pointed at may still be perfectly good; the entry
-    #: itself is untrustworthy and gets quarantined on request.
-    bad_entries: tuple[str, ...] = ()
 
     @property
     def clean(self) -> bool:
-        return not (self.missing or self.corrupt or self.bad_entries)
+        return not self.corrupt
 
 
 class TraceStore:
@@ -119,10 +124,8 @@ class TraceStore:
             name="trace.store",
         )
         self._blobs = self.root / "blobs"
-        self._index = self.root / "index"
         self._quarantine = self.root / "quarantine"
-        for directory in (self._blobs, self._index):
-            directory.mkdir(parents=True, exist_ok=True)
+        self._blobs.mkdir(parents=True, exist_ok=True)
 
     # -- keys ---------------------------------------------------------
 
@@ -165,77 +168,55 @@ class TraceStore:
     def blob_path(self, key: str) -> Path:
         return self._blobs / f"{key}.uftc"
 
-    def _entry_path(self, key: str) -> Path:
-        return self._index / f"{key}.json"
+    def keys(self) -> list[str]:
+        """Every stored key, sorted."""
+        return sorted(blob.stem for blob in self._blobs.glob("*.uftc"))
 
-    # -- index entries ------------------------------------------------
-
-    def _read_entry(self, key: str) -> StoreEntry | None:
-        path = self._entry_path(key)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise TraceStoreError(
-                f"index entry {path} is not valid JSON"
-            ) from exc
-        return StoreEntry(
-            key=payload["key"],
-            experiment=payload.get("experiment", ""),
-            records=int(payload.get("records", 0)),
-            size_bytes=int(payload.get("size_bytes", 0)),
-            tick=int(payload.get("tick", 0)),
-            meta=payload.get("meta", {}),
-        )
-
-    def _write_entry(self, entry: StoreEntry) -> None:
-        with publish(self._entry_path(entry.key)) as temp:
-            temp.write_text(
-                json.dumps(
-                    {
-                        "key": entry.key,
-                        "experiment": entry.experiment,
-                        "records": entry.records,
-                        "size_bytes": entry.size_bytes,
-                        "tick": entry.tick,
-                        "meta": entry.meta,
-                    },
-                    sort_keys=True,
-                ),
-                encoding="utf-8",
-            )
-
-    def _next_tick(self) -> int:
-        ticks = [entry.tick for entry in self.entries()]
-        return (max(ticks) + 1) if ticks else 1
+    def _stats(self) -> list[tuple[str, os.stat_result]]:
+        """``(key, stat)`` for every blob still on disk."""
+        stats = []
+        for key in self.keys():
+            try:
+                stats.append((key, self.blob_path(key).stat()))
+            except FileNotFoundError:
+                continue  # evicted or quarantined since the listing
+        return stats
 
     def entries(self) -> list[StoreEntry]:
-        """All *readable* index entries, sorted by key.
+        """Every stored corpus, sorted by key, described by its blob.
 
-        An entry file that no longer parses (truncated write, bit rot)
-        is skipped — never surfaced as wrong data and never allowed to
-        wedge ``ls``/``gc``/``put`` — and left in place on disk so
-        :meth:`verify` can report it as ``bad_entries``.
+        Reads each blob in full, so this is for ``ls``, not hot paths.
+        A blob that does not parse is still listed (experiment ``""``,
+        ``records=None``): listing never fails on damage.
         """
         result = []
-        for path in sorted(self._index.glob("*.json")):
+        for key, stat in self._stats():
             try:
-                entry = self._read_entry(path.stem)
-            except TraceStoreError:
-                continue
-            if entry is not None:
-                result.append(entry)
+                reader = TraceReader(self.blob_path(key))
+                meta, records = reader.meta, sum(1 for _ in reader)
+            except (TraceError, OSError):
+                meta, records = {}, None
+            result.append(StoreEntry(
+                key=key,
+                experiment=str(meta.get("experiment", "")),
+                records=records,
+                size_bytes=stat.st_size,
+                last_used_ns=stat.st_mtime_ns,
+                meta=meta,
+            ))
         return result
 
     def total_bytes(self) -> int:
-        return sum(entry.size_bytes for entry in self.entries())
+        return sum(stat.st_size for _, stat in self._stats())
 
     # -- write path ---------------------------------------------------
 
     def put(self, key: str, records, *, experiment: str = "",
             meta: dict | None = None) -> Path:
-        """Atomically write a corpus under ``key`` and index it.
+        """Atomically write a corpus under ``key``.
+
+        ``experiment`` is folded into the header meta, so the blob alone
+        says what it holds.
 
         The corpus is streamed to a *writer-unique* temp file in the
         blob directory (same filesystem) and published with an atomic
@@ -256,24 +237,16 @@ class TraceStore:
         if not self.breaker.allow_write():
             _count("breaker_dropped_writes")
             return blob
+        if experiment:
+            meta = {**(meta or {}), "experiment": experiment}
         with publish(blob) as temp:
-            with TraceWriter(temp, meta=meta) as writer:
-                for record in records:
-                    writer.write(record)
-                count = writer.count
+            write_corpus(temp, records, meta=meta)
         # An interrupted put (from before temp names were per-writer)
         # strands the deterministic name; fresh data is now published,
         # so the half-written leftover can go.
         blob.with_suffix(".uftc.tmp").unlink(missing_ok=True)
+        _stamp(blob)
         size = blob.stat().st_size
-        self._write_entry(StoreEntry(
-            key=key,
-            experiment=experiment,
-            records=count,
-            size_bytes=size,
-            tick=self._next_tick(),
-            meta=meta or {},
-        ))
         _count("writes")
         _count("bytes_written", size)
         if self.max_bytes is not None:
@@ -288,39 +261,29 @@ class TraceStore:
     def open(self, key: str) -> TraceReader:
         """A lazy reader over the corpus at ``key``; touches the LRU.
 
-        Raises :class:`~repro.errors.TraceStoreError` for an unknown
-        key, and — after dropping the stale entry — for an index entry
-        whose blob is missing from disk.
+        Raises :class:`~repro.errors.TraceStoreError` when no blob is
+        stored under ``key``.
         """
         blob = self.blob_path(key)
         try:
-            entry = self._read_entry(key)
-        except TraceStoreError:
-            # The index entry is damaged but the blob carries its own
-            # header and CRCs: rebuild the entry from the surviving
-            # bytes and keep serving.
-            entry = self._heal_entry(key)
-        if not blob.exists():
-            if entry is not None:
-                self._entry_path(key).unlink(missing_ok=True)
-                raise TraceStoreError(
-                    f"index entry {key} points at a missing blob "
-                    f"{blob}; entry dropped, store is consistent again"
-                )
-            raise TraceStoreError(f"no corpus stored under key {key}")
-        if entry is not None:
-            self._write_entry(StoreEntry(
-                key=entry.key, experiment=entry.experiment,
-                records=entry.records, size_bytes=entry.size_bytes,
-                tick=self._next_tick(), meta=entry.meta,
-            ))
+            _stamp(blob)
+        except FileNotFoundError:
+            raise TraceStoreError(
+                f"no corpus stored under key {key}"
+            ) from None
         return TraceReader(blob)
 
     def load(self, key: str) -> tuple[dict, list[TraceRecord]]:
-        """Eagerly load ``key``; quarantine the blob if it is corrupt."""
-        reader = self.open(key)
+        """Eagerly load ``key``; quarantine the blob if it is corrupt.
+
+        A damaged header counts as corrupt too; a missing blob raises
+        :class:`~repro.errors.TraceStoreError` and moves nothing.
+        """
         try:
+            reader = self.open(key)
             records = reader.read_all()
+        except TraceStoreError:
+            raise
         except TraceError:
             self.quarantine(key)
             raise
@@ -333,7 +296,7 @@ class TraceStore:
         This is what the cache-aware runners call: a damaged corpus is
         moved aside (with its typed error swallowed) and reported as a
         miss, so the caller transparently falls back to simulation and
-        overwrites the entry with a fresh corpus.
+        overwrites the blob with a fresh corpus.
 
         Every fetch feeds the corruption breaker: corrupt loads are
         failures, healthy hits and plain misses are successes.  While
@@ -362,124 +325,51 @@ class TraceStore:
 
     # -- maintenance --------------------------------------------------
 
-    def _heal_entry(self, key: str) -> StoreEntry | None:
-        """Rebuild a torn index entry from its surviving blob.
-
-        The blob is self-describing — header meta, per-frame CRCs — so
-        everything the entry records can be recovered by one full read.
-        If the blob is damaged too there is nothing to rebuild from:
-        the entry moves to quarantine (evidence, never deletion) and
-        the read path's blob-quarantine machinery handles the rest.
-        """
-        blob = self.blob_path(key)
-        if not blob.exists():
-            self._quarantine_entry(key)
-            return None
-        try:
-            reader = TraceReader(blob)
-            records = sum(1 for _ in reader)
-        except TraceError:
-            self._quarantine_entry(key)
-            return None
-        meta = dict(reader.meta)
-        entry = StoreEntry(
-            key=key,
-            experiment=str(meta.get("experiment", "")),
-            records=records,
-            size_bytes=blob.stat().st_size,
-            tick=self._next_tick(),
-            meta=meta,
-        )
-        self._write_entry(entry)
-        _count("index_rebuilt")
-        return entry
-
-    def rebuild_index(self) -> list[str]:
-        """Repair the whole index from surviving blobs; return the keys.
-
-        Every blob whose entry is missing or torn gets a rebuilt entry;
-        blobs that are themselves damaged are left for the read path to
-        quarantine.  Healthy entries are untouched.
-        """
-        rebuilt: list[str] = []
-        for blob in sorted(self._blobs.glob("*.uftc")):
-            key = blob.stem
-            try:
-                entry = self._read_entry(key)
-            except TraceStoreError:
-                entry = None
-            if entry is None and self._heal_entry(key) is not None:
-                rebuilt.append(key)
-        return rebuilt
-
-    def _quarantine_entry(self, key: str) -> None:
-        """Move an index-entry file aside (evidence, never deletion)."""
-        quarantine_file(self._entry_path(key), self._quarantine)
-
     def quarantine(self, key: str) -> Path:
-        """Move a blob out of the blob dir; move its entry aside too.
+        """Move a blob out of the blob dir (evidence, never deletion).
 
-        A blob or entry another reader already moved counts as
-        quarantined, so racing readers of one corrupt corpus all see a
-        typed error or a miss, never a crash.
+        A blob another reader already moved counts as quarantined, so
+        racing readers of one corrupt corpus all see a typed error or a
+        miss, never a crash.
         """
         target = quarantine_file(self.blob_path(key), self._quarantine)
-        self._quarantine_entry(key)
         _count("quarantined")
         return target
 
     def gc(self, max_bytes: int | None = None) -> list[str]:
         """Evict least-recently-used corpora until under ``max_bytes``.
 
-        Returns the evicted keys (oldest tick first).  With no cap
-        configured anywhere, this is a no-op.
+        Returns the evicted keys, oldest mtime first (ties by key).
+        With no cap configured anywhere, this is a no-op.
         """
         cap = self.max_bytes if max_bytes is None else max_bytes
         if cap is None:
             return []
-        entries = sorted(self.entries(), key=lambda e: (e.tick, e.key))
-        total = sum(entry.size_bytes for entry in entries)
+        stats = sorted(self._stats(),
+                       key=lambda item: (item[1].st_mtime_ns, item[0]))
+        total = sum(stat.st_size for _, stat in stats)
         evicted: list[str] = []
-        for entry in entries:
+        for key, stat in stats:
             if total <= cap:
                 break
-            self.blob_path(entry.key).unlink(missing_ok=True)
-            self._entry_path(entry.key).unlink(missing_ok=True)
-            total -= entry.size_bytes
-            evicted.append(entry.key)
+            self.blob_path(key).unlink(missing_ok=True)
+            total -= stat.st_size
+            evicted.append(key)
             _count("evictions")
         return evicted
 
     def verify(self) -> VerifyReport:
-        """Integrity-check every indexed corpus without mutating it.
-
-        Walks the raw index directory (not :meth:`entries`, which
-        skips unreadable files) so damaged index entries are *reported*
-        rather than silently ignored.
-        """
+        """Integrity-check every stored blob without mutating it."""
         ok: list[str] = []
-        missing: list[str] = []
         corrupt: list[str] = []
-        bad_entries: list[str] = []
-        for path in sorted(self._index.glob("*.json")):
-            key = path.stem
+        for key in self.keys():
             try:
-                self._read_entry(key)
-            except TraceStoreError:
-                bad_entries.append(key)
-                continue
-            blob = self.blob_path(key)
-            if not blob.exists():
-                missing.append(key)
-                continue
-            try:
-                for _ in TraceReader(blob):
+                for _ in TraceReader(self.blob_path(key)):
                     pass
+            except FileNotFoundError:
+                continue  # evicted or quarantined since the listing
             except TraceError:
                 corrupt.append(key)
             else:
                 ok.append(key)
-        return VerifyReport(
-            ok=tuple(ok), missing=tuple(missing),
-            corrupt=tuple(corrupt), bad_entries=tuple(bad_entries),
-        )
+        return VerifyReport(ok=tuple(ok), corrupt=tuple(corrupt))

@@ -33,7 +33,6 @@ __all__ = [
     "inject_fault",
     "leave_half_written_temp",
     "truncate_file",
-    "truncate_index_entry",
     "worker_killing_trial",
 ]
 
@@ -154,12 +153,6 @@ def flip_bit(path, offset: int, bit: int = 0) -> None:
     data = bytearray(path.read_bytes())
     data[offset] ^= 1 << bit
     path.write_bytes(bytes(data))
-
-
-def truncate_index_entry(store, key: str) -> None:
-    """Leave a store's index entry half-written (torn JSON)."""
-    entry = store._entry_path(key)
-    truncate_file(entry, entry.stat().st_size // 2)
 
 
 def flip_crc_bit(store, key: str) -> None:

@@ -412,8 +412,8 @@ def run_validation(*, seed: int = 0, count: int = 100,
     A crashing scenario is contained (a one-attempt ``retry=`` policy:
     contained, never re-run) and reported as a failed outcome.  A
     worker death under ``workers > 1`` is contained the same way: the
-    runner rebuilds the pool and convicts the scenario at the head of
-    the queue.  When anything fails and
+    runner rebuilds the pool and convicts the scenario whose worker
+    died.  When anything fails and
     ``repro_dir`` is given, the first failure is shrunk to a minimal
     scenario and written there as a self-contained repro file; a
     *crashed* scenario's repro is written directly from the collected

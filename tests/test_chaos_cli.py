@@ -17,7 +17,7 @@ from repro.errors import ResilienceError
 from repro.resilience.chaos import CHAOS_FAULTS, run_chaos
 
 # A cheap, pool-free subset for CLI-level smoke runs.
-FAST = ["chaos", "--faults", "crashing-trial", "torn-index",
+FAST = ["chaos", "--faults", "crashing-trial", "flipped-crc",
         "half-written-temp"]
 
 
@@ -62,7 +62,7 @@ class TestChaosRuns:
         results = payload["results"]
         assert results["contained"] == results["total"] == 3
         faults = [o["fault"] for o in results["outcomes"]]
-        assert faults == ["crashing-trial", "torn-index",
+        assert faults == ["crashing-trial", "flipped-crc",
                           "half-written-temp"]
         assert all(o["contained"] for o in results["outcomes"])
 
@@ -76,7 +76,7 @@ class TestChaosRuns:
         workdir = tmp_path / "chaos"
         assert main([*FAST, "--workdir", str(workdir)]) == 0
         capsys.readouterr()
-        assert (workdir / "torn_index").is_dir()
+        assert (workdir / "flipped_crc").is_dir()
 
     def test_escaped_fault_exits_two(self, capsys, monkeypatch):
         from repro.resilience import chaos as chaos_mod
@@ -96,9 +96,15 @@ class TestChaosRuns:
         # a new fault only needs registering in one place.
         from repro.resilience import chaos as chaos_mod
 
-        assert len(CHAOS_FAULTS) == 7
+        assert len(CHAOS_FAULTS) == 6
         assert len(set(CHAOS_FAULTS)) == len(CHAOS_FAULTS)
         assert set(chaos_mod._CHECKS) == set(CHAOS_FAULTS)
+        chaos_parser = build_parser()._subparsers._group_actions[
+            0].choices["chaos"]
+        faults_help = next(action.help for action in chaos_parser._actions
+                           if action.dest == "faults")
+        for name in CHAOS_FAULTS:
+            assert name in faults_help
         requested = []
 
         def record(workdir, *, seed=0, workers=1, faults=None):
@@ -122,8 +128,8 @@ class TestRunChaosNames:
         assert not (tmp_path / "chaos").exists()
 
     def test_bare_name_is_one_fault(self, tmp_path):
-        outcomes = run_chaos(tmp_path / "chaos", faults="torn-index")
-        assert [outcome.fault for outcome in outcomes] == ["torn-index"]
+        outcomes = run_chaos(tmp_path / "chaos", faults="flipped-crc")
+        assert [outcome.fault for outcome in outcomes] == ["flipped-crc"]
         assert outcomes[0].contained, outcomes[0].detail
 
 

@@ -9,6 +9,7 @@ would, or fails loudly.
 import os
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,11 @@ def _draw_flaky(sentinel, seed: int) -> float:
 
 def _always_value_error(seed: int) -> None:
     raise ValueError("deterministic bug")
+
+
+def _sleep_then_echo(value):
+    time.sleep(0.5)
+    return value
 
 
 def _echo(value=None):
@@ -153,9 +159,10 @@ class TestRetryMode:
         assert results == [0, "survived", 2]
         assert _counters(registry)["runner.pool_rebuilds"] >= 1
 
-    def test_one_attempt_convicts_the_head_of_a_dead_pool(self, tmp_path):
-        # One attempt: the first pool death with no progress convicts
-        # the trial leading the queue; the rebuilt pool runs the rest.
+    def test_one_attempt_convicts_the_trial_whose_worker_died(
+            self, tmp_path):
+        # One attempt: the first pool death convicts the trial that was
+        # running in the dead worker; the rebuilt pool runs the rest.
         trials = [
             Trial(worker_killing_trial,
                   dict(sentinel=str(tmp_path / "s")), label="t0"),
@@ -169,6 +176,30 @@ class TestRetryMode:
         assert results[0].error_type == "BrokenProcessPool"
         assert results[0].label == "t0"
         assert results[1] == 1
+        counters = _counters(registry)
+        assert counters["runner.pool_rebuilds"] == 1
+        assert counters["runner.permanent_failures"] == 1
+
+    def test_worker_death_convicts_the_killer_not_a_busy_sibling(
+            self, tmp_path):
+        # healthy-a is still sleeping in the other worker when killer's
+        # worker dies: the break interrupts it, but it is not convicted.
+        trials = [
+            Trial(_sleep_then_echo, dict(value="a"), label="healthy-a"),
+            Trial(worker_killing_trial,
+                  dict(sentinel=str(tmp_path / "s")), label="killer"),
+            Trial(_sleep_then_echo, dict(value="c"), label="healthy-c"),
+        ]
+        registry = MetricsRegistry()
+        with using(registry):
+            results = run_trials(trials, workers=2,
+                                 retry=RetryPolicy(max_attempts=1))
+        assert results[0] == "a"
+        assert results[2] == "c"
+        killer = results[1]
+        assert isinstance(killer, TrialFailure)
+        assert killer.label == "killer"
+        assert killer.error_type == "BrokenProcessPool"
         counters = _counters(registry)
         assert counters["runner.pool_rebuilds"] == 1
         assert counters["runner.permanent_failures"] == 1

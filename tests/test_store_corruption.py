@@ -1,8 +1,8 @@
 """Corruption paths: a damaged TraceStore quarantines, never crashes.
 
 Drives the byte-level fault injectors from ``repro.validate.faults``
-against real stores: torn index entries, bit-flipped CRC trailers and
-half-written temp files from an interrupted ``put``.  The contract in
+against real stores: blobs with truncated headers, bit-flipped CRC
+trailers and half-written temp files from an interrupted ``put``.  The contract in
 every case is the same — no unhandled exception, no wrong data served,
 damage moved aside as evidence, and ``repro trace verify`` reporting
 (not dying on) each fault class.
@@ -20,7 +20,7 @@ from repro.validate.faults import (
     crashing_trial,
     flip_crc_bit,
     leave_half_written_temp,
-    truncate_index_entry,
+    truncate_file,
 )
 
 
@@ -48,53 +48,53 @@ def _put(store, name, seed=0):
     return key
 
 
-class TestTruncatedIndexEntry:
-    def test_entries_skips_the_torn_file(self, store):
+def _truncate_header(store, key):
+    """Cut a blob inside its header, so even its meta is unreadable."""
+    truncate_file(store.blob_path(key), 4)
+
+
+class TestTruncatedHeader:
+    def test_entries_lists_it_without_failing(self, store):
         good = _put(store, "good")
         torn = _put(store, "torn", seed=1)
-        truncate_index_entry(store, torn)
-        keys = {entry.key for entry in store.entries()}
-        assert good in keys
-        assert torn not in keys
+        _truncate_header(store, torn)
+        entries = {entry.key: entry for entry in store.entries()}
+        assert entries[good].records == 3
+        assert entries[good].experiment == "good"
+        assert entries[torn].records is None
+        assert entries[torn].experiment == ""
+        assert entries[torn].size_bytes == 4
 
-    def test_verify_reports_it_as_bad_entry(self, store):
+    def test_ls_lists_it_with_dashes(self, store, capsys):
         torn = _put(store, "torn")
-        truncate_index_entry(store, torn)
+        _truncate_header(store, torn)
+        assert main(["trace", "ls", "--cache-dir", str(store.root)]) == 0
+        (row,) = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith(torn)]
+        assert row.split()[1:3] == ["-", "-"]
+
+    def test_verify_reports_it_as_corrupt(self, store):
+        torn = _put(store, "torn")
+        _truncate_header(store, torn)
         report = store.verify()
-        assert torn in report.bad_entries
+        assert report.corrupt == (torn,)
         assert not report.clean
 
-    def test_open_heals_the_entry_and_serves_the_blob(self, store):
+    def test_fetch_quarantines_it_as_a_miss(self, store):
         torn = _put(store, "torn")
-        truncate_index_entry(store, torn)
-        # The blob carries its own CRC: still perfectly readable.
-        records = store.open(torn).read_all()
-        assert len(records) == 3
-        # The entry was rebuilt in place from the surviving blob...
-        healed = store._read_entry(torn)
-        assert healed is not None
-        assert healed.records == 3
-        assert healed.size_bytes == store.blob_path(torn).stat().st_size
-        # ...so nothing needed quarantining.
-        assert not (store.root / "quarantine" / f"{torn}.json").exists()
+        _truncate_header(store, torn)
+        assert store.fetch(torn) is None
+        assert (store.root / "quarantine" / f"{torn}.uftc").exists()
 
-    def test_rebuild_index_repairs_store_wide(self, store):
+    def test_put_and_gc_still_work_around_it(self, store):
         torn = _put(store, "torn")
-        also_torn = _put(store, "also-torn", seed=1)
-        healthy = _put(store, "healthy", seed=2)
-        truncate_index_entry(store, torn)
-        truncate_index_entry(store, also_torn)
-        assert sorted(store.rebuild_index()) == sorted([torn, also_torn])
-        keys = {entry.key for entry in store.entries()}
-        assert keys == {torn, also_torn, healthy}
-        assert store.verify().clean
-
-    def test_put_gc_still_work_around_the_tear(self, store):
-        torn = _put(store, "torn")
-        truncate_index_entry(store, torn)
+        _truncate_header(store, torn)
         fresh = _put(store, "fresh", seed=2)
         assert store.fetch(fresh) is not None
         assert store.gc(10**9) == []
+        # gc only stats blobs: the damaged one is evicted by age.
+        assert store.gc(0) == [torn, fresh]
+        assert store.total_bytes() == 0
 
 
 class TestFlippedCrcTrailer:
@@ -156,33 +156,30 @@ class TestHalfWrittenTemp:
 class TestConcurrentQuarantine:
     """Two readers of one damaged corpus quarantine it at the same time.
 
-    The second reader is run *inside* the first one's quarantine move,
-    so the first finds its source already gone.  Both must report a
-    miss: a file another reader moved first is already quarantined.
+    The second reader is run *inside* one step of the first: its
+    quarantine move (the first finds its source already gone) or its
+    LRU stamp (the first finds no blob left to read).  Both must report
+    a miss: a blob another reader moved first is already quarantined.
     """
 
-    @pytest.mark.parametrize("moved", ["blobs", "index"])
+    @pytest.mark.parametrize("step", ["replace", "utime"])
     def test_racing_readers_both_report_a_miss(self, store, monkeypatch,
-                                               moved):
+                                               step):
         import os
 
         key = _put(store, "contested")
         flip_crc_bit(store, key)
-        if moved == "index":
-            # A torn entry over a corrupt blob: the heal path moves the
-            # entry aside before the blob is quarantined.
-            truncate_index_entry(store, key)
-        real_replace = os.replace
+        real_step = getattr(os, step)
         raced = []
 
-        def racing_replace(src, dst):
+        def racing_step(path, *args, **kwargs):
             if not raced and os.path.basename(
-                    os.path.dirname(src)) == moved:
-                raced.append(src)
+                    os.path.dirname(path)) == "blobs":
+                raced.append(path)
                 assert TraceStore(store.root).fetch(key) is None
-            real_replace(src, dst)
+            return real_step(path, *args, **kwargs)
 
-        monkeypatch.setattr(os, "replace", racing_replace)
+        monkeypatch.setattr(os, step, racing_step)
         assert store.fetch(key) is None
         monkeypatch.undo()
         assert raced, "the racing reader never ran"
@@ -198,7 +195,7 @@ class TestVerifyCli:
         rotten = _put(store, "rotten", seed=1)
         torn = _put(store, "torn", seed=2)
         flip_crc_bit(store, rotten)
-        truncate_index_entry(store, torn)
+        _truncate_header(store, torn)
         return store, rotten, torn
 
     def test_verify_reports_both_fault_classes(self, tmp_path, capsys):
@@ -206,8 +203,7 @@ class TestVerifyCli:
         code = main(["trace", "verify", "--cache-dir", str(store.root)])
         captured = capsys.readouterr()
         assert code == 2
-        assert "1 corrupt" in captured.out
-        assert "1 bad index entries" in captured.out
+        assert "1 ok, 2 corrupt" in captured.out
         assert rotten in captured.err
         assert torn in captured.err
 
@@ -219,7 +215,7 @@ class TestVerifyCli:
         # Second pass: only the healthy corpus remains, and it is clean.
         assert main(["trace", "verify",
                      "--cache-dir", str(store.root)]) == 0
-        assert "1 ok, 0 missing, 0 corrupt" in capsys.readouterr().out
+        assert "1 ok, 0 corrupt" in capsys.readouterr().out
 
     def test_verify_of_clean_store_exits_zero(self, tmp_path, capsys):
         store = TraceStore(tmp_path / "store")

@@ -267,16 +267,54 @@ class TestStore(StoreFixture):
         leftovers = [p for p in store.root.rglob("*.tmp")]
         assert leftovers == []
 
-    def test_missing_blob_raises_typed_error_and_heals(self, store):
+    def test_missing_blob_is_a_plain_miss(self, store):
         key = store.key("exp", seed=0)
         store.put(key, self.records())
         store.blob_path(key).unlink()
-        with pytest.raises(TraceStoreError, match="missing blob"):
+        with pytest.raises(TraceStoreError, match="no corpus stored"):
             store.open(key)
-        # The stale entry is gone and the store keeps working.
+        assert store.fetch(key) is None
         assert store.entries() == []
         store.put(key, self.records())
         assert store.fetch(key) is not None
+
+    def test_put_leaves_exactly_one_file_per_key(self, store):
+        keys = [store.key("exp", seed=i) for i in range(2)]
+        for key in keys:
+            store.put(key, self.records(), experiment="exp",
+                      meta={"train_count": 2})
+            assert store.fetch(key) is not None
+        on_disk = sorted(path.relative_to(store.root).as_posix()
+                         for path in store.root.rglob("*"))
+        assert on_disk == ["blobs", *sorted(
+            f"blobs/{key}.uftc" for key in keys)]
+        # The blob alone says what it holds.
+        meta, _ = store.fetch(keys[0])
+        assert meta == {"train_count": 2, "experiment": "exp"}
+        entry = store.entries()[0]
+        assert (entry.experiment, entry.records) == ("exp", 3)
+
+    def test_store_with_a_legacy_index_still_serves_its_blobs(self, store):
+        import json
+
+        # A store written before blobs carried their experiment: a bare
+        # blob plus an index/<key>.json entry beside it.
+        key = store.key("legacy", seed=0)
+        write_corpus(store.blob_path(key), self.records(),
+                     meta={"train_count": 2})
+        index = store.root / "index"
+        index.mkdir()
+        (index / f"{key}.json").write_text(json.dumps(
+            {"key": key, "experiment": "legacy", "tick": 7}))
+        meta, records = store.fetch(key)
+        assert meta == {"train_count": 2}
+        assert len(records) == 3
+        (entry,) = store.entries()
+        assert (entry.key, entry.experiment, entry.records) == (key, "", 3)
+        assert store.verify().ok == (key,)
+        assert store.total_bytes() == store.blob_path(key).stat().st_size
+        assert store.gc(max_bytes=0) == [key]
+        assert (index / f"{key}.json").exists()  # ignored, not touched
 
     def test_corrupt_blob_is_quarantined_and_reported_as_miss(
             self, store):
@@ -298,10 +336,18 @@ class TestStore(StoreFixture):
         for key in keys:
             store.put(key, self.records())
         store.open(keys[0])  # touch: key 0 becomes most recent
+
+        def stamp(key):
+            return store.blob_path(key).stat().st_mtime_ns
+
+        # Last use is the blob's mtime, re-stamped by open.
+        assert stamp(keys[1]) < stamp(keys[2]) < stamp(keys[0])
         size = store.blob_path(keys[0]).stat().st_size
-        evicted = store.gc(max_bytes=2 * size)
-        assert keys[1] in evicted
+        assert store.gc(max_bytes=2 * size) == [keys[1]]
         assert store.contains(keys[0])
+        store.fetch(keys[2])  # key 0 is now the least recently used
+        assert store.gc(max_bytes=size) == [keys[0]]
+        assert store.contains(keys[2])
 
     def test_gc_without_cap_is_a_noop(self, store):
         key = store.key("exp", seed=0)
@@ -319,21 +365,20 @@ class TestStore(StoreFixture):
         # transiently and the oldest is always evicted.
         assert not store.contains(first)
 
-    def test_verify_reports_ok_missing_and_corrupt(self, store):
+    def test_verify_reports_ok_and_corrupt(self, store):
         ok_key = store.key("exp", seed=0)
-        missing_key = store.key("exp", seed=1)
+        gone_key = store.key("exp", seed=1)
         corrupt_key = store.key("exp", seed=2)
-        for key in (ok_key, missing_key, corrupt_key):
+        for key in (ok_key, gone_key, corrupt_key):
             store.put(key, self.records())
-        store.blob_path(missing_key).unlink()
+        store.blob_path(gone_key).unlink()  # a deleted blob is a miss
         blob = store.blob_path(corrupt_key)
         data = bytearray(blob.read_bytes())
         data[-1] ^= 0xFF
         blob.write_bytes(bytes(data))
         report = store.verify()
-        assert report.ok == (ok_key,) or ok_key in report.ok
-        assert missing_key in report.missing
-        assert corrupt_key in report.corrupt
+        assert report.ok == (ok_key,)
+        assert report.corrupt == (corrupt_key,)
         assert not report.clean
 
     def test_telemetry_counts_hits_and_misses(self, store):

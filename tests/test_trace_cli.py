@@ -70,7 +70,7 @@ class TestRoundTrip:
 
         assert main(["trace", "verify", "--cache-dir", store]) == 0
         out = capsys.readouterr().out
-        assert "1 ok, 0 missing, 0 corrupt" in out
+        assert "1 ok, 0 corrupt" in out
 
     def test_second_record_is_a_cache_hit(self, tmp_path, capsys):
         store = str(tmp_path / "store")
