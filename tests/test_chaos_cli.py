@@ -132,6 +132,12 @@ class TestRunChaosNames:
         assert [outcome.fault for outcome in outcomes] == ["flipped-crc"]
         assert outcomes[0].contained, outcomes[0].detail
 
+    def test_worker_death_row_convicts_the_killer(self, tmp_path):
+        (outcome,) = run_chaos(tmp_path / "chaos", faults="worker-death",
+                               workers=2)
+        assert outcome.contained, outcome.detail
+        assert "convicted t1" in outcome.detail
+
 
 class TestInterruptionPaths:
     def test_keyboard_interrupt_exits_130(self, capsys, monkeypatch):

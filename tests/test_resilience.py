@@ -61,6 +61,11 @@ def _echo(value=None):
     return value
 
 
+def _always_kill_worker():
+    """Kill the hosting worker on every attempt (pool runs only)."""
+    os._exit(17)
+
+
 class TestRetryPolicy:
     def test_classification(self):
         policy = RetryPolicy()
@@ -203,6 +208,67 @@ class TestRetryMode:
         counters = _counters(registry)
         assert counters["runner.pool_rebuilds"] == 1
         assert counters["runner.permanent_failures"] == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_death_leaves_results_identical_to_inline(
+            self, tmp_path, workers):
+        def trials(sentinel):
+            return [
+                Trial(_draw, dict(seed=0), label="t0"),
+                Trial(worker_killing_trial, dict(sentinel=sentinel),
+                      label="t1"),
+                Trial(_draw, dict(seed=2), label="t2"),
+                Trial(_draw, dict(seed=3), label="t3"),
+            ]
+
+        # Inline, with the sentinel already tripped so nothing dies.
+        tripped = tmp_path / "tripped"
+        tripped.write_text("tripped", encoding="utf-8")
+        inline = run_trials(trials(str(tripped)))
+        pooled = run_trials(
+            trials(str(tmp_path / "s")), workers=workers,
+            retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
+        )
+        assert pooled == inline
+        assert pooled[1] == "survived"
+
+    def test_a_trial_that_always_kills_is_convicted_after_max_attempts(
+            self):
+        trials = [
+            Trial(_echo, dict(value=0), label="t0"),
+            Trial(_always_kill_worker, {}, label="serial-killer"),
+            Trial(_echo, dict(value=2), label="t2"),
+        ]
+        registry = MetricsRegistry()
+        with using(registry):
+            results = run_trials(
+                trials, workers=2,
+                retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
+            )
+        assert results[0::2] == [0, 2]
+        killer = results[1]
+        assert isinstance(killer, TrialFailure)
+        assert killer.label == "serial-killer"
+        assert killer.attempts == 2
+        assert "2 worker process(es) died" in killer.message
+        counters = _counters(registry)
+        assert counters["runner.pool_rebuilds"] == 2
+        assert counters["runner.permanent_failures"] == 1
+
+    def test_two_killers_are_each_convicted_and_siblings_survive(self):
+        trials = [
+            Trial(_always_kill_worker, {}, label="killer-a"),
+            Trial(_echo, dict(value=1), label="t1"),
+            Trial(_always_kill_worker, {}, label="killer-b"),
+            Trial(_echo, dict(value=3), label="t3"),
+        ]
+        results = run_trials(trials, workers=2,
+                             retry=RetryPolicy(max_attempts=1))
+        assert results[1::2] == [1, 3]
+        for index, label in ((0, "killer-a"), (2, "killer-b")):
+            assert isinstance(results[index], TrialFailure)
+            assert results[index].label == label
+            assert results[index].error_type == "BrokenProcessPool"
 
     def test_worker_death_propagates_without_a_policy(self, tmp_path):
         from concurrent.futures.process import BrokenProcessPool

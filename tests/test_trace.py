@@ -381,6 +381,139 @@ class TestStore(StoreFixture):
         assert report.corrupt == (corrupt_key,)
         assert not report.clean
 
+    def test_verify_of_an_empty_store_is_clean(self, store):
+        report = store.verify()
+        assert (report.ok, report.corrupt) == ((), ())
+        assert report.clean
+
+    def test_verify_neither_moves_nor_stamps_a_blob(self, store):
+        import os
+
+        good = store.key("exp", seed=0)
+        bad = store.key("exp", seed=1)
+        for key in (good, bad):
+            store.put(key, self.records())
+            os.utime(store.blob_path(key), ns=(1_000, 1_000))
+        blob = store.blob_path(bad)
+        data = bytearray(blob.read_bytes())
+        data[-1] ^= 0xFF
+        blob.write_bytes(bytes(data))
+        os.utime(blob, ns=(1_000, 1_000))
+        assert store.verify().corrupt == (bad,)
+        # Read-only: the corrupt blob stays put and no LRU stamp moves.
+        assert blob.exists()
+        assert not (store.root / "quarantine").exists()
+        for key in (good, bad):
+            assert store.blob_path(key).stat().st_mtime_ns == 1_000
+
+    def test_put_folds_experiment_without_touching_the_callers_meta(
+            self, store):
+        key = store.key("exp", seed=0)
+        meta = {"train_count": 2}
+        store.put(key, self.records(), experiment="exp", meta=meta)
+        assert meta == {"train_count": 2}
+        assert store.open(key).meta == {"train_count": 2,
+                                        "experiment": "exp"}
+
+    def test_put_without_experiment_writes_the_meta_as_given(self, store):
+        key = store.key("exp", seed=0)
+        store.put(key, self.records(), meta={"train_count": 2})
+        assert store.open(key).meta == {"train_count": 2}
+        (entry,) = store.entries()
+        assert (entry.experiment, entry.records) == ("", 3)
+
+    def test_entries_take_size_and_last_use_from_the_blob(self, store):
+        key = store.key("exp", seed=0)
+        store.put(key, self.records(), experiment="exp")
+        stat = store.blob_path(key).stat()
+        (entry,) = store.entries()
+        assert entry.key == key
+        assert entry.size_bytes == stat.st_size
+        assert entry.last_used_ns == stat.st_mtime_ns
+        assert entry.meta == {"experiment": "exp"}
+
+    # A whole second, so any filesystem keeps the stamp exactly.
+    NOW_NS = 1_700_000_000 * 10**9
+
+    def test_put_stamps_the_blob_with_the_current_time(self, store,
+                                                       monkeypatch):
+        import time
+
+        key = store.key("exp", seed=0)
+        monkeypatch.setattr(time, "time_ns", lambda: self.NOW_NS)
+        store.put(key, self.records())
+        assert store.blob_path(key).stat().st_mtime_ns == self.NOW_NS
+
+    def test_open_stamps_the_blob_as_just_used(self, store, monkeypatch):
+        import os
+        import time
+
+        key = store.key("exp", seed=0)
+        store.put(key, self.records())
+        os.utime(store.blob_path(key), ns=(1_000, 1_000))
+        monkeypatch.setattr(time, "time_ns", lambda: self.NOW_NS)
+        store.open(key)
+        assert store.blob_path(key).stat().st_mtime_ns == self.NOW_NS
+
+    def test_load_of_a_missing_blob_moves_nothing(self, store):
+        key = store.key("exp", seed=0)
+        with pytest.raises(TraceStoreError, match="no corpus stored"):
+            store.load(key)
+        assert not (store.root / "quarantine").exists()
+        assert store.keys() == []
+
+    def test_gc_breaks_last_use_ties_by_key(self, store):
+        import os
+
+        keys = [store.key("exp", seed=i) for i in range(3)]
+        for key in keys:
+            store.put(key, self.records())
+            os.utime(store.blob_path(key), ns=(1_000, 1_000))
+        size = store.blob_path(keys[0]).stat().st_size
+        assert store.gc(max_bytes=size) == sorted(keys)[:2]
+        assert store.keys() == sorted(keys)[2:]
+
+    def test_gc_and_total_bytes_never_parse_a_blob(self, store,
+                                                   monkeypatch):
+        import repro.trace.store as store_module
+
+        keys = [store.key("exp", seed=i) for i in range(2)]
+        for key in keys:
+            store.put(key, self.records())
+        size = store.blob_path(keys[0]).stat().st_size
+
+        def no_parsing(path):
+            raise AssertionError(f"parsed {path}")
+
+        monkeypatch.setattr(store_module, "TraceReader", no_parsing)
+        assert store.total_bytes() == 2 * size
+        assert store.gc(max_bytes=size) == [keys[0]]
+        assert store.total_bytes() == size
+
+    def test_total_bytes_counts_only_blobs(self, store):
+        key = store.key("exp", seed=0)
+        store.put(key, self.records())
+        size = store.blob_path(key).stat().st_size
+        (store.root / "index").mkdir()
+        (store.root / "index" / f"{key}.json").write_text("{}")
+        store.blob_path(key).with_suffix(".uftc.tmp").write_bytes(b"x" * 64)
+        (store.root / "quarantine").mkdir()
+        (store.root / "quarantine" / "old.uftc").write_bytes(b"x" * 64)
+        assert store.total_bytes() == size
+        assert store.keys() == [key]
+
+    def test_a_blob_vanishing_mid_listing_is_skipped(self, store,
+                                                    monkeypatch):
+        key = store.key("exp", seed=0)
+        store.put(key, self.records())
+        phantom = "f" * 32  # listed, then evicted by another process
+        listed = sorted([key, phantom])
+        monkeypatch.setattr(store, "keys", lambda: listed)
+        assert [entry.key for entry in store.entries()] == [key]
+        assert store.total_bytes() == store.blob_path(key).stat().st_size
+        assert store.verify().ok == (key,)
+        assert store.gc(max_bytes=0) == [key]
+
     def test_telemetry_counts_hits_and_misses(self, store):
         from repro.telemetry import MetricsRegistry, using
 

@@ -154,3 +154,92 @@ class TestRoundTrip:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err
+
+
+class TestStoreCommands:
+    """``ls``, ``gc`` and ``verify`` read the blobs and nothing else."""
+
+    @staticmethod
+    def _records():
+        import numpy as np
+
+        from repro.sidechannel.tracer import TraceRecord
+
+        return [TraceRecord(label=label,
+                            times_ms=np.array([0.0, 1.0, 2.0]),
+                            freqs_mhz=np.array([1200.0, 1500.0, 2400.0]))
+                for label in range(2)]
+
+    def _store(self, tmp_path, count):
+        import os
+
+        from repro.trace import TraceStore
+
+        store = TraceStore(tmp_path / "store")
+        keys = [TraceStore.key(f"exp{i}", seed=i) for i in range(count)]
+        # Distinct explicit stamps: put order is last-use order.
+        for i, key in enumerate(keys):
+            store.put(key, self._records(), experiment=f"exp{i}")
+            stamp = (i + 1) * 1_000
+            os.utime(store.blob_path(key), ns=(stamp, stamp))
+        return store, keys
+
+    @staticmethod
+    def _rows(out, keys):
+        return {line.split()[0]: line.split()[1:]
+                for line in out.splitlines()
+                if line.split() and line.split()[0] in keys}
+
+    def test_ls_ranks_the_least_recently_used_first(self, tmp_path,
+                                                    capsys):
+        store, keys = self._store(tmp_path, 3)
+        store.open(keys[0])  # now the most recently used
+        assert main(["trace", "ls", "--cache-dir", str(store.root)]) == 0
+        rows = self._rows(capsys.readouterr().out, keys)
+        assert {key: row[-1] for key, row in rows.items()} == {
+            keys[1]: "1", keys[2]: "2", keys[0]: "3"}
+        assert rows[keys[2]][:2] == ["exp2", "2"]
+
+    def test_ls_shows_a_dash_for_a_blob_without_experiment(
+            self, tmp_path, capsys):
+        from repro.trace import TraceStore, write_corpus
+
+        store = TraceStore(tmp_path / "store")
+        key = TraceStore.key("legacy", seed=0)
+        write_corpus(store.blob_path(key), self._records())
+        assert main(["trace", "ls", "--cache-dir", str(store.root)]) == 0
+        out = capsys.readouterr().out
+        assert self._rows(out, [key])[key][:2] == ["-", "2"]
+        assert "1 corpora" in out
+
+    def test_ls_json_lists_every_entry(self, tmp_path, capsys):
+        store, keys = self._store(tmp_path, 2)
+        assert main(["trace", "ls", "--cache-dir", str(store.root),
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        entries = payload["results"]["entries"]
+        assert [entry["key"] for entry in entries] == sorted(keys)
+        assert payload["results"]["total_bytes"] == store.total_bytes()
+
+    def test_gc_evicts_by_last_use(self, tmp_path, capsys):
+        store, keys = self._store(tmp_path, 2)
+        store.open(keys[0])
+        size = store.blob_path(keys[1]).stat().st_size
+        assert main(["trace", "gc", "--cache-dir", str(store.root),
+                     "--max-bytes", str(size)]) == 0
+        assert f"evicted {keys[1]}" in capsys.readouterr().out
+        assert store.keys() == [keys[0]]
+
+    def test_verify_ignores_a_stale_legacy_index(self, tmp_path, capsys):
+        store, keys = self._store(tmp_path, 1)
+        # Entries left by an older store, one of them for a blob that is
+        # long gone: neither is a fault any more.
+        index = store.root / "index"
+        index.mkdir()
+        (index / f"{keys[0]}.json").write_text("{\"tick\": 1}")
+        (index / f"{'0' * 32}.json").write_text("{\"tick\"")
+        assert main(["trace", "verify",
+                     "--cache-dir", str(store.root)]) == 0
+        captured = capsys.readouterr()
+        assert "1 ok, 0 corrupt" in captured.out
+        assert captured.err == ""
