@@ -462,10 +462,19 @@ def _cmd_trace_replay(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_trace_ls(args: argparse.Namespace) -> dict:
+def _existing_store(cache_dir):
+    """The store a read-only ``trace`` command inspects: it must exist,
+    and inspecting it creates nothing."""
+    from .errors import TraceStoreError
     from .trace import TraceStore
 
-    store = TraceStore(args.cache_dir)
+    if not os.path.isdir(cache_dir):
+        raise TraceStoreError(f"no trace store at {cache_dir}")
+    return TraceStore(cache_dir)
+
+
+def _cmd_trace_ls(args: argparse.Namespace) -> dict:
+    store = _existing_store(args.cache_dir)
     entries = store.entries()
     if not args.json:
         # Rank 1 is the least recently used corpus, the next to evict.
@@ -517,9 +526,8 @@ def _cmd_trace_gc(args: argparse.Namespace) -> dict:
 
 def _cmd_trace_verify(args: argparse.Namespace) -> dict:
     from .errors import TraceStoreError
-    from .trace import TraceStore
 
-    store = TraceStore(args.cache_dir)
+    store = _existing_store(args.cache_dir)
     report = store.verify()
     if not args.json:
         print(f"{len(report.ok)} ok, {len(report.corrupt)} corrupt "

@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -58,6 +59,14 @@ class ActivityProfile:
         """
         return self.llc_rate_per_us * self.mean_hops**2
 
+    @cached_property
+    def loud(self) -> bool:
+        """Not silent: active, or issuing LLC traffic.  A silent profile
+        (inactive, no LLC traffic) integrates to zero active time, LLC
+        rate, NoC score and stall ratio in every window, so the PMU fold
+        may leave it out."""
+        return self.active or self.llc_rate_per_us != 0
+
 
 IDLE = ActivityProfile()
 
@@ -83,8 +92,6 @@ class ProfileTimeline:
     def __init__(self, initial: ActivityProfile = IDLE) -> None:
         self._times: list[int] = [0]
         self._profiles: list[ActivityProfile] = [initial]
-        #: per profile: does it fold to anything but zeros (not silent)?
-        self._loud: list[bool] = [_loud(initial)]
 
     def set_profile(self, time_ns: int, profile: ActivityProfile) -> None:
         """Switch to ``profile`` at ``time_ns`` (monotone non-decreasing)."""
@@ -101,22 +108,19 @@ class ProfileTimeline:
         """
         times = self._times
         profiles = self._profiles
-        loud = self._loud
         last = times[-1]
         for time_ns, profile in changes:
-            if time_ns < last:
+            if time_ns > last:
+                times.append(time_ns)
+                profiles.append(profile)
+                last = time_ns
+            elif time_ns == last:
+                profiles[-1] = profile
+            else:
                 raise SimulationError(
                     f"profile change at {time_ns} ns precedes the last "
                     f"change at {last} ns"
                 )
-            if time_ns == last:
-                profiles[-1] = profile
-                loud[-1] = _loud(profile)
-                continue
-            times.append(time_ns)
-            profiles.append(profile)
-            loud.append(_loud(profile))
-            last = time_ns
 
     def profile_at(self, time_ns: int) -> ActivityProfile:
         """The profile in force at ``time_ns``."""
@@ -131,7 +135,7 @@ class ProfileTimeline:
         window starting at ``t0`` then integrates to zero active time,
         LLC rate, NoC score and stall ratio.
         """
-        return self._times[-1] <= t0 and not self._loud[-1]
+        return self._times[-1] <= t0 and not self._profiles[-1].loud
 
     def window_stats(self, t0: int, t1: int) -> WindowStats:
         """Exact time-weighted averages over ``[t0, t1)``."""
@@ -194,73 +198,142 @@ class ProfileTimeline:
                                        l2 / total))
         return results
 
-    def window_classes(self, starts: Sequence[int], ends: Sequence[int],
-                       ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """Class each window ``[starts[k], ends[k])`` by what
-        :meth:`walk_windows` integrates in it.
 
-        Returns one class id per window, numbered in order of first
-        appearance, and each class's first window (its representative),
-        in that order.  Two windows share a class only if they are
-        equally long and meet the same sequence of profile objects over
-        the same clipped segment widths: the walk then does the same
-        float operations on the same operands for both, so the
-        representative's :class:`WindowStats` is every member's, bit for
-        bit.  A window whose every segment is silent gets ``-1`` and no
-        class (it folds to zeros; compare :meth:`silent_since`).
-        """
-        t0 = np.asarray(starts, dtype=np.int64)
-        t1 = np.asarray(ends, dtype=np.int64)
-        empty = np.flatnonzero(t1 <= t0)
-        if empty.size:
-            k = empty[0]
-            raise SimulationError(f"empty window [{t0[k]}, {t1[k]})")
-        times = np.array(self._times, dtype=np.int64)
-        # Segments ``first .. stop - 1`` meet each window; one opening
-        # before the first change starts on the first profile, as in
-        # the walk.
-        first = np.maximum(np.searchsorted(times, t0, "right") - 1, 0)
-        stop = np.searchsorted(times, t1, "left")
-        louder = np.zeros(len(times) + 1, dtype=np.int64)
-        np.cumsum(np.array(self._loud), out=louder[1:])
-        heard = np.flatnonzero(louder[stop] > louder[first])
-        classes = np.full(len(t0), -1, dtype=np.int64)
-        if not heard.size:
-            return classes, []
-        t0 = t0[heard]
-        t1 = t1[heard]
-        first = first[heard]
-        stop = stop[heard]
-        segment = first[:, None] + np.arange(int((stop - first).max()))
-        outside = segment >= stop[:, None]
-        np.minimum(segment, len(times) - 1, out=segment)
-        following = np.append(times[1:], np.iinfo(np.int64).max)
-        widths = (np.minimum(following[segment], t1[:, None])
-                  - np.maximum(times[segment], t0[:, None]))
-        widths[outside] = 0  # padding: a segment met is never empty
-        # Profiles by identity: the same object, the same operands.
-        profiles = np.fromiter(map(id, self._profiles), np.uint64,
-                               len(times)).view(np.int64)[segment]
-        profiles[outside] = 0
-        rows = np.concatenate(((t1 - t0)[:, None], profiles, widths),
-                              axis=1)
-        # One bytes key per row: equal bytes, equal integers.
-        keys = rows.view(np.dtype((np.void, rows.itemsize
-                                   * rows.shape[1]))).ravel().tolist()
-        known: dict[bytes, int] = {}
-        ids: list[int] = []
-        representatives: list[tuple[int, int]] = []
-        for key, window in zip(keys, zip(t0.tolist(), t1.tolist())):
-            cls = known.get(key)
-            if cls is None:
-                cls = known[key] = len(representatives)
-                representatives.append(window)
-            ids.append(cls)
-        classes[heard] = ids
-        return classes, representatives
+def window_classes(timelines: Sequence[ProfileTimeline],
+                   lanes: Sequence[int], starts: Sequence[int],
+                   ends: Sequence[int],
+                   ) -> tuple[np.ndarray, list[WindowStats]]:
+    """Class each window ``[starts[k], ends[k])`` of
+    ``timelines[lanes[k]]`` by what :meth:`ProfileTimeline.walk_windows`
+    integrates in it, and integrate each class once.
+
+    Returns one class id per window, numbered in order of first
+    appearance, and each class's :class:`WindowStats`, in that order.
+    Two windows share a class only if they are equally long and meet
+    the same sequence of profile objects over the same clipped segment
+    widths, on the same timeline or not: the walk then does the same
+    float operations on the same operands for both, so the class's
+    first window (its representative), walked on its own timeline,
+    gives every member's stats bit for bit.  A window whose every
+    segment is silent gets ``-1`` and no class (it folds to zeros;
+    compare :meth:`ProfileTimeline.silent_since`).
+
+    All timelines are classed in one pass over their concatenated
+    histories; the representatives of each timeline are integrated in
+    one :meth:`~ProfileTimeline.walk_windows`.
+    """
+    lane = np.asarray(lanes, dtype=np.int64)
+    t0 = np.asarray(starts, dtype=np.int64)
+    t1 = np.asarray(ends, dtype=np.int64)
+    empty = np.flatnonzero(t1 <= t0)
+    if empty.size:
+        k = empty[0]
+        raise SimulationError(f"empty window [{t0[k]}, {t1[k]})")
+    classes = np.full(len(t0), -1, dtype=np.int64)
+    if not len(t0):
+        return classes, []
+    sizes = [len(timeline._times) for timeline in timelines]
+    offsets = np.zeros(len(timelines) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    count = int(offsets[-1])
+    times = np.fromiter(chain.from_iterable(
+        timeline._times for timeline in timelines), np.int64, count)
+    profiles = list(chain.from_iterable(
+        timeline._profiles for timeline in timelines))
+    # One sorted key per (timeline, time): each timeline's keys sit in
+    # their own span, so one search finds every window's segments.
+    # Segments ``first .. stop - 1`` meet each window; one opening
+    # before the first change starts on the first profile, as in the
+    # walk.
+    low = min(int(t0.min()), 0)
+    span = max(int(times.max()), int(t1.max())) - low + 1
+    if span * len(timelines) >= 2**62:
+        raise SimulationError("window times overflow the lane keys")
+    keys = np.repeat(np.arange(len(timelines), dtype=np.int64) * span,
+                     sizes) + (times - low)
+    base = lane * span - low
+    first = np.maximum(np.searchsorted(keys, base + t0, "right") - 1,
+                       offsets[lane])
+    stop = np.searchsorted(keys, base + t1, "left")
+    # Profiles by identity: the same object, the same operands.
+    ids = np.fromiter(map(id, profiles), np.uint64, count).view(np.int64)
+    _, seen, instance = np.unique(ids, return_index=True,
+                                  return_inverse=True)
+    louder = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.array([profiles[k].loud for k in seen.tolist()],
+                       dtype=bool)[instance], out=louder[1:])
+    heard = np.flatnonzero(louder[stop] > louder[first])
+    if not heard.size:
+        return classes, []
+    t0 = t0[heard]
+    t1 = t1[heard]
+    first = first[heard]
+    stop = stop[heard]
+    segment = first[:, None] + np.arange(int((stop - first).max()))
+    outside = segment >= stop[:, None]
+    np.minimum(segment, count - 1, out=segment)
+    following = np.empty(count, dtype=np.int64)
+    following[:-1] = times[1:]
+    following[offsets[1:] - 1] = np.iinfo(np.int64).max  # each last
+    widths = (np.minimum(following[segment], t1[:, None])
+              - np.maximum(times[segment], t0[:, None]))
+    widths[outside] = 0  # padding: a segment met is never empty
+    met = instance[segment]  # profiles by identity, numbered densely
+    met[outside] = 0
+    numbers, representatives = distinct_rows(
+        np.concatenate(((t1 - t0)[:, None], met, widths), axis=1))
+    classes[heard] = numbers
+    # Each timeline walks its representatives in one forward pass.
+    members: dict[int, list[int]] = {}
+    for cls, owner in enumerate(lane[heard[representatives]].tolist()):
+        members.setdefault(owner, []).append(cls)
+    stats: list[WindowStats | None] = [None] * len(representatives)
+    rep_t0 = t0[representatives].tolist()
+    rep_t1 = t1[representatives].tolist()
+    for owner, owned in members.items():
+        walked = timelines[owner].walk_windows(
+            [(rep_t0[cls], rep_t1[cls]) for cls in owned])
+        for cls, result in zip(owned, walked):
+            stats[cls] = result
+    return classes, stats
 
 
-def _loud(profile: ActivityProfile) -> bool:
-    """Not silent: active, or issuing LLC traffic.  A silent profile
-    (inactive, no LLC traffic) folds to zeros in every window."""
-    return profile.active or profile.llc_rate_per_us != 0
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of a 2-D integer array in order of first
+    appearance: returns each row's number and each number's first row.
+
+    Each column, less its minimum, is packed into as few 64-bit words as
+    its range needs, so equal rows and only equal rows get equal words.
+    One :func:`numpy.unique` then keys each row by its word, or by one
+    void of its words when it needs more than one.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    packed: list[np.ndarray] = []
+    used = 64
+    for column in rows.T:
+        # Offsets from the minimum, exact modulo 2**64.
+        column = (column.astype(np.uint64)
+                  - np.uint64(int(column.min()) % 2**64))
+        bits = int(column.max()).bit_length()
+        if not bits:
+            continue  # a constant column tells no rows apart
+        if used + bits > 64:
+            packed.append(column)
+            used = bits
+        else:
+            packed[-1] |= column << np.uint64(used)
+            used += bits
+    if len(packed) == 1:
+        keys = packed[0]
+    else:
+        words = np.stack(packed or [np.zeros(len(rows), np.uint64)],
+                         axis=1)
+        keys = words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
+    _, firsts, inverse = np.unique(keys, return_index=True,
+                                   return_inverse=True)
+    order = np.argsort(firsts)
+    numbers = np.empty_like(order)
+    numbers[order] = np.arange(len(order))
+    return numbers[inverse.ravel()], firsts[order]

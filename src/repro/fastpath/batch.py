@@ -17,14 +17,16 @@ before the lattice runs, so every tick's observation is folded up front
 with the *same* :func:`~repro.power.ufs.accumulate_observation` the PMU
 uses, over the touched cores loud in that window only (untouched cores,
 and touched cores silent over the whole window, contribute exact
-zeros).  Windows repeat:
-:meth:`~repro.cpu.activity.ProfileTimeline.window_classes` classes each
-core's windows by the profile objects and clipped segment widths the
-walk meets in them, so only one window per class is integrated (all of
-a core's in one forward walk), and each distinct row of per-core
-classes is folded once, into a fold id shared by the group.  Each trial
-then walks the stream on its own up to its horizon, stepping its socket
-state through the scalar
+zeros).  Windows repeat, within a trial and across the trials of a
+group, so each socket takes one
+:func:`~repro.cpu.activity.window_classes` pass over the touched-core
+timelines of every trial at once.  It classes every window by the
+profile objects and clipped segment widths the walk meets in it, and
+integrates one window per class, shared by the group (each timeline's
+representatives in one forward walk).  Each distinct row of loud
+(class, turbo flag) samples, of any trial, is then folded once, into a
+fold id shared by the group.  Each trial then walks the stream on its
+own up to its horizon, stepping its socket state through the scalar
 :func:`~repro.power.ufs.ufs_control_step` — the same law, over the same
 Python ints and floats, the DES PMU evaluates.  The law is pure, so a
 step already taken in the group (same state, limits, fold id and
@@ -53,6 +55,7 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, cycle
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +65,13 @@ from ..core.channel import TransmissionResult
 from ..core.evaluation import CapacityPoint, random_bits
 from ..core.protocol import ChannelConfig, calibrate_endpoints, decode_bit
 from ..core.sender import SenderMode
-from ..cpu.activity import IDLE, ActivityProfile, ProfileTimeline
+from ..cpu.activity import (
+    IDLE,
+    ActivityProfile,
+    ProfileTimeline,
+    distinct_rows,
+    window_classes,
+)
 from ..defenses.evaluation import DEFENSE_KEYS, DefenseReport
 from ..errors import ChannelError
 from ..noc.contention import ContentionTracker
@@ -128,6 +137,16 @@ class _TrialPlan:
     space_flows: float
 
 
+@dataclass
+class _CallMemo:
+    """What the trials of one call share, derived once: the default
+    platform and each deployment's :func:`_geometry` (whose platform
+    has passed ``validate()``)."""
+
+    default: PlatformConfig | None = None
+    placements: dict = dataclasses.field(default_factory=dict)
+
+
 def _group_key(platform: PlatformConfig) -> PlatformConfig:
     """Trials sharing one lattice must agree on everything but the
     per-trial MSR limits (the restricted-range defense narrows min/max
@@ -145,7 +164,7 @@ def _route_flows(tracker: ContentionTracker, route, demand_rate: float,
 
 
 def _geometry(effective: PlatformConfig, receiver_socket: int, hops: int,
-              sender_mode: SenderMode, defense: str | None,
+              sender_mode: SenderMode, busy_uncore: bool,
               ) -> tuple[ActivityProfile | None, ActivityProfile, float,
                          float]:
     """Placement of one deployment: the busy-uncore thread's profile
@@ -153,7 +172,7 @@ def _geometry(effective: PlatformConfig, receiver_socket: int, hops: int,
     receiver-visible contention flows during mark and space intervals.
 
     A pure function of its arguments, so the trials of one call that
-    share a deployment derive it once (see :func:`_plans`).
+    share a deployment derive it once (see :class:`_CallMemo`).
     """
     mesh_s = MeshTopology(effective.sockets[_SENDER_SOCKET])
     mesh_r = (mesh_s if receiver_socket == _SENDER_SOCKET
@@ -181,7 +200,7 @@ def _geometry(effective: PlatformConfig, receiver_socket: int, hops: int,
     # Busy-uncore defense thread placement (SteadyWorkload.on_attach).
     busy_profile = None
     busy_route = None
-    if defense == "busy_uncore":
+    if busy_uncore:
         mesh0 = mesh_s  # socket 0 (``_SENDER_SOCKET``)
         busy_profile = traffic_profile(_BUSY_HOPS)
         candidates = mesh0.slices_at_distance(_BUSY_CORE, _BUSY_HOPS)
@@ -228,35 +247,42 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
                 cross_processor: bool = False,
                 sender_mode: SenderMode = SenderMode.STALL,
                 defense: str | None = None,
-                placements: dict) -> _TrialPlan:
+                memo: _CallMemo) -> _TrialPlan:
     """Compile one channel deployment into a :class:`_TrialPlan`.
 
     Mirrors, in data, exactly what ``measure_capacity`` /
     ``channel_under_defense`` build in objects: same defaults, same
-    slice selection, same profile-change times.  ``placements``
-    memoises :func:`_geometry` across the trials of one call.
+    slice selection, same profile-change times.  ``memo`` holds what
+    the trials of one call share.
     """
-    base = platform if platform is not None else default_platform_config()
-    effective = base
+    if platform is None:
+        if memo.default is None:
+            memo.default = default_platform_config()
+        platform = memo.default
+    effective = platform
     if defense == "restricted_1500_1700":
-        effective = base.with_ufs(min_freq_mhz=1500, max_freq_mhz=1700)
-    effective.validate()  # what System's constructor checks on the DES
+        effective = platform.with_ufs(min_freq_mhz=1500, max_freq_mhz=1700)
     config = ChannelConfig(interval_ns=ms(interval_ms))
+    receiver_socket = 1 if cross_processor else 0
+    key = (effective, receiver_socket, config.hops, sender_mode,
+           defense == "busy_uncore")
+    placement = memo.placements.get(key)
+    if placement is None:
+        # What System's constructor checks on the DES; a memoised
+        # deployment's platform has passed.
+        effective.validate()
     config.validate()
     ufs = effective.ufs
     num_sockets = effective.num_sockets
-    receiver_socket = 1 if cross_processor else 0
     if receiver_socket >= num_sockets:
         raise ChannelError(
             "cross-processor deployment needs a second socket"
         )
     if not cross_processor and _RECEIVER_CORE == _SENDER_CORE:
         raise ChannelError("sender and receiver share a core")
-
-    key = (effective, receiver_socket, config.hops, sender_mode, defense)
-    if key not in placements:
-        placements[key] = _geometry(*key)
-    busy_profile, mark_profile, mark_flows, space_flows = placements[key]
+    if placement is None:
+        placement = memo.placements[key] = _geometry(*key)
+    busy_profile, mark_profile, mark_flows, space_flows = placement
 
     # Profile schedules of every touched core, in DES call order.
     governor = defense == "performance_governor"
@@ -281,24 +307,23 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
 
     # Same-time writes overwrite: the trailing space of one interval
     # gives way to the next interval's mark or measurement.
-    sender_changes = [(0, IDLE)]  # UFSender ctor space()
-    sender_changes.extend(
-        (index * interval, mark_profile if bit else IDLE)
-        for index, bit in enumerate(payload)
-    )
-    sender_changes.append((duration, IDLE))  # trailing drive(0)
-    schedule(_SENDER_SOCKET, _SENDER_CORE).extend(sender_changes)
-
-    receiver_changes = []
-    for index in range(bits):
-        start = index * interval
-        receiver_changes += (
-            (start, MEASUREMENT_PROFILE),
-            (start + measure, IDLE),
-            (start + interval - measure, MEASUREMENT_PROFILE),
-            (start + interval, IDLE),
-        )
-    schedule(receiver_socket, _RECEIVER_CORE).extend(receiver_changes)
+    starts = range(0, duration, interval)
+    schedule(_SENDER_SOCKET, _SENDER_CORE).extend(chain(
+        ((0, IDLE),),  # UFSender ctor space()
+        zip(starts, [mark_profile if bit else IDLE for bit in payload]),
+        ((duration, IDLE),),  # trailing drive(0)
+    ))
+    # Per interval: measure, idle, measure, idle.
+    schedule(receiver_socket, _RECEIVER_CORE).extend(zip(
+        chain.from_iterable(zip(
+            starts,
+            range(measure, duration + measure, interval),
+            range(interval - measure, duration + interval - measure,
+                  interval),
+            range(interval, duration + interval, interval),
+        )),
+        cycle((MEASUREMENT_PROFILE, IDLE)),
+    ))
 
     if busy_profile is not None:
         schedule(0, _BUSY_CORE).set_profile(0, busy_profile)
@@ -356,51 +381,70 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
 # -- Phase A: the frequency lattice -------------------------------------------
 
 
-def _observations(entries: list[tuple[ProfileTimeline, bool]],
-                  ticks: np.ndarray, starts: np.ndarray, last: int,
+def _observations(trials: list[tuple[list[tuple[ProfileTimeline, bool]],
+                                     int]],
+                  ticks: Sequence[int], starts: Sequence[int],
                   threshold: float, interned: dict[tuple, int],
-                  ) -> tuple[list[int], int]:
-    """One trial's socket observations: per tick index ``k < last``,
-    the id in ``interned`` (fold -> id, shared by the group) of the
-    fold of the window ``[starts[k], ticks[k])``; and how many windows
-    were integrated.
+                  ) -> tuple[list[list[int]], int]:
+    """One socket's observations for every trial of a group: per trial,
+    per tick index ``k < last``, the id in ``interned`` (fold -> id,
+    shared by the group) of the fold of the window
+    ``[starts[k], ticks[k])``; and how many windows were integrated.
 
-    ``entries`` are ``(timeline, turbo flag)`` pairs in core (fold)
-    order.  Each core's windows are classed by
-    :meth:`~repro.cpu.activity.ProfileTimeline.window_classes`, and
-    only the class representatives are integrated, in one
-    :meth:`~repro.cpu.activity.ProfileTimeline.walk_windows`.  A core
-    silent over a window (class ``-1``) leaves that window's fold (the
-    batch twin of the PMU's ``silent_since`` skip).  Ticks whose rows
-    of per-core classes agree fold the same samples in the same order,
-    so each distinct row is folded once; a row no core is loud in folds
-    to :data:`_IDLE_FOLD`.
+    ``trials`` holds, per trial, its touched cores' ``(timeline, turbo
+    flag)`` pairs in core (fold) order and its tick count ``last``.
+    Every core window of every trial is classed in one
+    :func:`~repro.cpu.activity.window_classes` pass, which integrates
+    one window per class, shared across trials.  A core silent over a
+    window (class ``-1``) leaves that window's fold (the batch twin of
+    the PMU's ``silent_since`` skip).  Ticks, of any trial, whose loud
+    cores carry the same classes and turbo flags in the same order fold
+    the same samples in the same order, so each distinct row is folded
+    once; a row no core is loud in folds to :data:`_IDLE_FOLD`.
     """
-    starts = starts[:last]
-    ticks = ticks[:last]
-    # Per tick, its row's id; per row, its first tick.  With no touched
-    # core, every tick is on the one all-silent row.
-    rows = np.zeros(last, dtype=np.int64)
-    firsts = np.zeros(1 if last else 0, dtype=np.int64)
-    cores = []
-    integrated = 0
-    for timeline, above_base in entries:
-        classes, windows = timeline.window_classes(starts, ticks)
-        cores.append((classes, timeline.walk_windows(windows), above_base))
-        integrated += len(windows)
-        # Extend each row by this core's class (``-1`` shifted to 0)
-        # and renumber the rows densely.
-        _, firsts, rows = np.unique(rows * (len(windows) + 1) + classes + 1,
-                                    return_index=True, return_inverse=True)
+    ticks = np.asarray(ticks, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    timelines = []
+    lanes = []  # per timeline: its trial's tick count, first row, turbo
+    bounds = [0]  # per trial: its first row; then the row count
+    for entries, last in trials:
+        for timeline, above_base in entries:
+            timelines.append(timeline)
+            lanes.append((last, bounds[-1], above_base))
+        bounds.append(bounds[-1] + last)
+    # Per trial tick (a row): its loud cores' ``2 * class + turbo + 1``
+    # codes, in core order, then zeros.
+    codes = np.zeros((bounds[-1], max([1] + [len(entries)
+                                            for entries, _ in trials])),
+                     dtype=np.int64)
+    stats = []
+    if timelines:
+        lasts, origins, turbo = (np.array(column, dtype=np.int64)
+                                 for column in zip(*lanes))
+        lane = np.repeat(np.arange(len(timelines)), lasts)
+        tick = np.arange(len(lane)) - (np.cumsum(lasts) - lasts)[lane]
+        classes, stats = window_classes(timelines, lane, starts[tick],
+                                        ticks[tick])
+        heard = np.flatnonzero(classes >= 0)
+        # A trial's timelines are in core order, so ordering its loud
+        # windows by row keeps each row's in core order.
+        row = origins[lane[heard]] + tick[heard]
+        order = np.argsort(row, kind="stable")
+        heard = heard[order]
+        row = row[order]
+        codes[row, np.arange(len(row)) - np.searchsorted(row, row)] = (
+            2 * classes[heard] + turbo[lane[heard]] + 1)
+    rows, representatives = distinct_rows(codes)
     fold_ids = []
-    for tick in firsts.tolist():
-        samples = [(stats[core_classes[tick]], above_base)
-                   for core_classes, stats, above_base in cores
-                   if core_classes[tick] >= 0]
+    for row in codes[representatives].tolist():
+        samples = [(stats[(code - 1) >> 1], (code - 1) & 1 == 1)
+                   for code in row if code]
         fold = (accumulate_observation(samples, threshold) if samples
                 else _IDLE_FOLD)
         fold_ids.append(interned.setdefault(fold, len(interned)))
-    return np.array(fold_ids, dtype=np.int64)[rows].tolist(), integrated
+    per_row = np.array(fold_ids, dtype=np.int64)[rows].tolist()
+    return ([per_row[begin:end] for begin, end in zip(bounds, bounds[1:])],
+            len(stats))
 
 
 def _run_lattice(plans: list[_TrialPlan],
@@ -432,21 +476,18 @@ def _run_lattice(plans: list[_TrialPlan],
     integrated = 0
     observed = []
     for socket_id, times in enumerate(ticks):
-        starts = np.array([max(previous, tick - observation)
-                           for previous, tick in zip([0] + times, times)],
-                          dtype=np.int64)
         ends = np.array(times, dtype=np.int64)
-        per_plan = []
-        for plan in plans:
-            fold_ids, walked = _observations(
-                [(entry.timeline, entry.above_base)
-                 for _, entry in sorted(plan.cores[socket_id].items())],
-                ends, starts, bisect_right(times, plan.duration_ns),
-                ufs.stall_ratio_threshold, interned,
-            )
-            per_plan.append(fold_ids)
-            integrated += walked
+        previous = np.zeros_like(ends)  # 0 before the first tick
+        previous[1:] = ends[:-1]
+        starts = np.maximum(previous, ends - observation)
+        per_plan, walked = _observations(
+            [([(entry.timeline, entry.above_base)
+               for _, entry in sorted(plan.cores[socket_id].items())],
+              bisect_right(times, plan.duration_ns)) for plan in plans],
+            ends, starts, ufs.stall_ratio_threshold, interned,
+        )
         observed.append(per_plan)
+        integrated += walked
     folds = list(interned)  # id -> fold
     registry = active_registry()
     if registry is not None:
@@ -633,13 +674,13 @@ def _replay_trial(plan: _TrialPlan,
 
 def _plans(requests: Sequence[CapacityRequest | DefenseRequest],
            ) -> list[_TrialPlan]:
-    """Compile requests into plans, in submission order; trials that
-    share a deployment derive its geometry once."""
-    placements: dict = {}
+    """Compile requests into plans, in submission order; the trials
+    share one :class:`_CallMemo`."""
+    memo = _CallMemo()
     return [
-        _defense_plan(request, placements)
+        _defense_plan(request, memo)
         if isinstance(request, DefenseRequest)
-        else _capacity_plan(request, placements)
+        else _capacity_plan(request, memo)
         for request in requests
     ]
 
@@ -673,7 +714,7 @@ def _run_transmissions(plans: list[_TrialPlan]) -> list[TransmissionResult]:
 
 
 def _capacity_plan(request: CapacityRequest,
-                   placements: dict | None = None) -> _TrialPlan:
+                   memo: _CallMemo | None = None) -> _TrialPlan:
     payload = random_bits(
         request.bits, request.seed, f"payload-{request.interval_ms}"
     )
@@ -684,12 +725,12 @@ def _capacity_plan(request: CapacityRequest,
         payload=payload,
         cross_processor=request.cross_processor,
         sender_mode=request.sender_mode,
-        placements={} if placements is None else placements,
+        memo=_CallMemo() if memo is None else memo,
     )
 
 
 def _defense_plan(request: DefenseRequest,
-                  placements: dict | None = None) -> _TrialPlan:
+                  memo: _CallMemo | None = None) -> _TrialPlan:
     if request.defense not in DEFENSE_KEYS:
         raise ValueError(f"unknown defense {request.defense!r}")
     payload = random_bits(
@@ -701,7 +742,7 @@ def _defense_plan(request: DefenseRequest,
         interval_ms=request.interval_ms,
         payload=payload,
         defense=request.defense,
-        placements={} if placements is None else placements,
+        memo=_CallMemo() if memo is None else memo,
     )
 
 

@@ -125,7 +125,6 @@ class TraceStore:
         )
         self._blobs = self.root / "blobs"
         self._quarantine = self.root / "quarantine"
-        self._blobs.mkdir(parents=True, exist_ok=True)
 
     # -- keys ---------------------------------------------------------
 
@@ -267,21 +266,26 @@ class TraceStore:
         blob = self.blob_path(key)
         try:
             _stamp(blob)
+            return TraceReader(blob)
         except FileNotFoundError:
             raise TraceStoreError(
                 f"no corpus stored under key {key}"
             ) from None
-        return TraceReader(blob)
 
     def load(self, key: str) -> tuple[dict, list[TraceRecord]]:
         """Eagerly load ``key``; quarantine the blob if it is corrupt.
 
-        A damaged header counts as corrupt too; a missing blob raises
+        A damaged header counts as corrupt too; a missing blob, or one
+        moved away while it is read, raises
         :class:`~repro.errors.TraceStoreError` and moves nothing.
         """
         try:
             reader = self.open(key)
             records = reader.read_all()
+        except FileNotFoundError:
+            raise TraceStoreError(
+                f"no corpus stored under key {key}"
+            ) from None
         except TraceStoreError:
             raise
         except TraceError:
@@ -299,7 +303,9 @@ class TraceStore:
         overwrites the blob with a fresh corpus.
 
         Every fetch feeds the corruption breaker: corrupt loads are
-        failures, healthy hits and plain misses are successes.  While
+        failures, healthy hits and plain misses are successes.  A blob
+        that vanishes between the lookup and the read (a racing
+        quarantine or ``gc``) is a plain miss.  While
         the breaker is open the lookup short-circuits to a miss without
         touching disk (``trace.store.breaker_short_circuits``) — under
         sustained bit rot the store stops thrashing
@@ -316,6 +322,10 @@ class TraceStore:
             return None
         try:
             loaded = self.load(key)
+        except TraceStoreError:
+            _count("misses")
+            self.breaker.record_success()
+            return None
         except TraceError:
             _count("misses")
             self.breaker.record_failure()

@@ -4,6 +4,7 @@ import bisect
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.cpu import (
@@ -17,6 +18,7 @@ from repro.cpu import (
     decode_uncore_ratio_limit,
     encode_uncore_ratio_limit,
 )
+from repro.cpu.activity import window_classes
 from repro.errors import (
     PlacementError,
     PrivilegeError,
@@ -42,6 +44,32 @@ class TestActivityProfile:
     def test_rejects_bad_stall_ratio(self):
         with pytest.raises(SimulationError):
             ActivityProfile(stall_ratio=1.5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loud_iff_active_or_llc_traffic(self, seed):
+        # Silent means inactive with no LLC traffic, whatever else the
+        # profile does (private-cache traffic, hops, stall, power).
+        rng = random.Random(seed)
+        silent = 0
+        for _ in range(200):
+            profile = ActivityProfile(
+                active=rng.random() < 0.5,
+                llc_rate_per_us=rng.choice((0.0, 0.0, 1e-9, 3.5)),
+                mean_hops=rng.choice((0.0, 2.0)),
+                stall_ratio=rng.choice((0.0, 0.77, 1.0)),
+                l2_rate_per_us=rng.choice((0.0, 50.0)),
+                power_weight=rng.choice((0.0, 1.0)),
+            )
+            reference = profile.active or profile.llc_rate_per_us != 0
+            assert profile.loud is reference
+            assert vars(profile)["loud"] is reference  # cached
+            silent += not reference
+        assert silent
+        assert not IDLE.loud and not ActivityProfile().loud
+        assert not ActivityProfile(l2_rate_per_us=9.0, mean_hops=3.0,
+                                   stall_ratio=0.5, power_weight=1.0).loud
+        assert ActivityProfile(llc_rate_per_us=5.0).loud
+        assert stalling_profile().loud and traffic_profile(hops=2).loud
 
 
 class TestProfileTimeline:
@@ -220,7 +248,8 @@ def _reference_window_key(timeline, t0, t1):
 def _reference_loud_spans(timeline):
     """``[start, end)`` spans over which a loud profile is in force."""
     spans, start = [], None
-    for time_ns, loud in zip(timeline._times, timeline._loud):
+    for time_ns, profile in zip(timeline._times, timeline._profiles):
+        loud = profile.active or profile.llc_rate_per_us != 0
         if loud and start is None:
             start = time_ns
         elif not loud and start is not None:
@@ -352,78 +381,153 @@ class TestWalkWindows:
             ]
 
 
+def _windows_on(rng, timeline, end):
+    """Windows on a coarse grid with few lengths, so classes repeat; some
+    open before the first change (or before 0), some end before 0."""
+    grid = (-700, -3, 0, 1, 700, 1400, 2500, end - 700, end, end + 700)
+    starts = sorted(rng.choice(grid) for _ in range(rng.randint(0, 12)))
+    # Ends on the grid too, so windows opening at different times before
+    # 0 can meet the same segments.
+    return [(t0, t0 + rng.choice((1, 3, 700, 2500))
+             if rng.random() < 0.5 or t0 >= max(grid)
+             else rng.choice([t for t in grid if t > t0]))
+            for t0 in starts]
+
+
 class TestWindowClasses:
     @pytest.mark.parametrize("seed", range(4))
-    def test_class_members_integrate_like_their_representative(self,
-                                                                seed):
-        # Windows on a coarse grid with few lengths, so classes repeat;
-        # some open before the first change (or before 0), some end
-        # before 0.  A class is exactly a set of windows the walk
-        # integrates over the same operands, and its representative's
-        # integral is each member's, bit for bit.
+    def test_class_members_integrate_like_their_class(self, seed,
+                                                      monkeypatch):
+        # Several timelines classed in one pass; some share profile
+        # objects and histories (so classes span timelines), some do
+        # not.  A class is exactly a set of windows the walk integrates
+        # over the same operands, on whichever timeline, and its stats
+        # are each member's, bit for bit; each class is walked once.
+        walk = ProfileTimeline.walk_windows
+        walked = []
+
+        def counted_walk(timeline, windows):
+            windows = list(windows)
+            walked.extend(windows)
+            return walk(timeline, windows)
+
         rng = random.Random(seed)
-        seen = {"shared": 0, "silent": 0, "before first": 0,
-                "before zero": 0, "same segments, other length": 0}
-        for _ in range(200):
-            timeline, end = _random_timeline(rng)
-            changes = timeline._times
-            grid = (-700, -3, 0, 1, 700, 1400, 2500, end - 700, end,
-                    end + 700)
-            starts = sorted(rng.choice(grid)
-                            for _ in range(rng.randint(0, 12)))
-            # Ends on the grid too, so windows opening at different
-            # times before 0 can meet the same segments.
-            ends = [t0 + rng.choice((1, 3, 700, 2500))
-                    if rng.random() < 0.5 or t0 >= max(grid)
-                    else rng.choice([t for t in grid if t > t0])
-                    for t0 in starts]
-            classes, representatives = timeline.window_classes(starts,
-                                                               ends)
-            assert classes.dtype.kind == "i" and len(classes) == len(starts)
-            keys = [_reference_window_key(timeline, t0, t1)
-                    for t0, t1 in zip(starts, ends)]
+        seen = {"shared": 0, "across timelines": 0, "silent": 0,
+                "before first": 0, "before zero": 0,
+                "same segments, other length": 0}
+        for _ in range(150):
+            built = [_random_timeline(rng) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.4:  # a replica: same objects, same times
+                timeline, end = built[0]
+                replica = ProfileTimeline(timeline._profiles[0])
+                replica.extend(zip(timeline._times[1:],
+                                   timeline._profiles[1:]))
+                built.append((replica, end))
+            timelines = [timeline for timeline, _ in built]
+            lanes, windows = [], []
+            for lane, (timeline, end) in enumerate(built):
+                for window in _windows_on(rng, timeline, end):
+                    lanes.append(lane)
+                    windows.append(window)
+            walked.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ProfileTimeline, "walk_windows", counted_walk)
+                patch.setattr(ProfileTimeline, "window_stats", None)
+                classes, stats = window_classes(
+                    timelines, lanes, [t0 for t0, _ in windows],
+                    [t1 for _, t1 in windows])
+            assert classes.dtype.kind == "i" and len(classes) == len(lanes)
+            keys = [_reference_window_key(timelines[lane], t0, t1)
+                    for lane, (t0, t1) in zip(lanes, windows)]
             members = {}
-            for cls, key, window in zip(classes.tolist(), keys,
-                                        zip(starts, ends)):
+            for cls, key, lane, window in zip(classes.tolist(), keys, lanes,
+                                              windows):
                 assert (cls == -1) == (key is None)
                 if cls == -1:
                     seen["silent"] += 1
                     continue
-                members.setdefault(cls, []).append((key, window))
-            # Numbered by first appearance; the representative is the
-            # first member.
-            assert sorted(members) == list(range(len(representatives)))
-            assert [windows[0][1] for _, windows in
-                    sorted(members.items())] == representatives
+                members.setdefault(cls, []).append((key, lane, window))
+            # Numbered by first appearance, one per distinct key, each
+            # walked once: its first window, on its own timeline.
+            assert list(members) == list(range(len(stats)))
             assert len({key for key in keys if key is not None}) == \
-                len(representatives)
-            for cls, windows in members.items():
-                expected = _bits(timeline.window_stats(
-                    *representatives[cls]))
-                for key, (t0, t1) in windows:
-                    assert key == windows[0][0]
-                    assert _bits(timeline.window_stats(t0, t1)) == expected
-                seen["shared"] += len(windows) > 1
+                len(stats)
+            assert sorted(walked) == sorted(
+                windows[0][2] for windows in members.values())
+            for cls, owned in members.items():
+                for key, lane, (t0, t1) in owned:
+                    assert key == owned[0][0]
+                    assert _bits(timelines[lane].window_stats(t0, t1)) == \
+                        _bits(stats[cls])
+                seen["shared"] += len(owned) > 1
+                seen["across timelines"] += len({m[1] for m in owned}) > 1
             seen["before first"] += any(
-                len(changes) > 1 and t0 < changes[1] for t0 in starts)
-            seen["before zero"] += any(t1 <= 0 for t1 in ends)
+                len(timelines[lane]._times) > 1
+                and t0 < timelines[lane]._times[1]
+                for lane, (t0, _) in zip(lanes, windows))
+            seen["before zero"] += any(t1 <= 0 for _, t1 in windows)
             seen["same segments, other length"] += any(
                 a[1:] == b[1:] and a[0] != b[0]
                 for a in keys if a for b in keys if b)
         assert all(seen.values()), seen
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_one_timeline_equals_its_lane_of_many(self, seed):
+        # Classing a timeline alone or beside others hears the same
+        # windows and gives the same stats.
+        rng = random.Random(seed)
+        for _ in range(100):
+            built = [_random_timeline(rng) for _ in range(3)]
+            per_lane = [_windows_on(rng, timeline, end)
+                        for timeline, end in built]
+            lanes = [lane for lane, windows in enumerate(per_lane)
+                     for _ in windows]
+            flat = [window for windows in per_lane for window in windows]
+            together, stats = window_classes(
+                [timeline for timeline, _ in built], lanes,
+                [t0 for t0, _ in flat], [t1 for _, t1 in flat])
+            offset = 0
+            for (timeline, _), windows in zip(built, per_lane):
+                alone, alone_stats = window_classes(
+                    [timeline], [0] * len(windows),
+                    [t0 for t0, _ in windows], [t1 for _, t1 in windows])
+                mine = together[offset:offset + len(windows)].tolist()
+                offset += len(windows)
+                assert [cls >= 0 for cls in alone.tolist()] == \
+                    [cls >= 0 for cls in mine]
+                assert [_bits(alone_stats[a]) for a in alone.tolist()
+                        if a >= 0] == \
+                    [_bits(stats[m]) for m in mine if m >= 0]
+
     def test_empty_window_raises(self):
         timeline = ProfileTimeline(ActivityProfile(active=True))
         with pytest.raises(SimulationError):
-            timeline.window_classes([0, 5], [10, 5])
+            window_classes([timeline], [0, 0], [0, 5], [10, 5])
 
     def test_no_windows(self):
-        classes, representatives = ProfileTimeline().window_classes([], [])
-        assert classes.tolist() == [] and representatives == []
+        classes, stats = window_classes([ProfileTimeline()], [], [], [])
+        assert classes.tolist() == [] and stats == []
+
+    def test_distinct_rows_by_first_appearance(self):
+        from repro.cpu.activity import distinct_rows
+
+        rows = np.array([[3, 1], [0, 0], [3, 1], [-2, 7], [0, 0], [3, 2]])
+        numbers, firsts = distinct_rows(rows)
+        assert numbers.tolist() == [0, 1, 0, 2, 1, 3]
+        assert firsts.tolist() == [0, 1, 3, 5]
+        # Full-range columns need a word each; constant ones none.
+        low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        rows = np.array([[low, 5, high], [high, 5, low], [low, 5, high],
+                         [low, 5, low]])
+        numbers, firsts = distinct_rows(rows)
+        assert numbers.tolist() == [0, 1, 0, 2]
+        assert firsts.tolist() == [0, 1, 3]
+        numbers, firsts = distinct_rows(np.zeros((3, 2), dtype=np.int64))
+        assert numbers.tolist() == [0, 0, 0] and firsts.tolist() == [0]
 
 
 def _state(timeline):
-    return timeline._times, timeline._profiles, timeline._loud
+    return timeline._times, timeline._profiles
 
 
 def _reference_history(initial, changes):
@@ -441,8 +545,7 @@ def _reference_history(initial, changes):
         else:
             times.append(time_ns)
             profiles.append(profile)
-    loud = [p.active or p.llc_rate_per_us != 0 for p in profiles]
-    return (times, profiles, loud), raised
+    return (times, profiles), raised
 
 
 class TestExtend:
@@ -484,7 +587,7 @@ class TestExtend:
 
 def _heard(timeline, t0, t1):
     """Whether ``[t0, t1)`` meets a loud profile (has a window class)."""
-    classes, _ = timeline.window_classes([t0], [t1])
+    classes, _ = window_classes([timeline], [0], [t0], [t1])
     return bool(classes[0] >= 0)
 
 

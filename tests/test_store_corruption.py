@@ -188,6 +188,40 @@ class TestConcurrentQuarantine:
         assert store.verify().clean
 
 
+class TestVanishingBlob:
+    """A blob moved away by another process (a racing quarantine or
+    ``gc``) after ``fetch`` found it, or after it was opened, is a plain
+    miss: no failure for the corruption breaker, nothing quarantined."""
+
+    @pytest.mark.parametrize("step", ["contains", "open"])
+    def test_is_a_plain_miss(self, tmp_path, monkeypatch, step):
+        from repro.resilience.breaker import CLOSED
+        from repro.telemetry import MetricsRegistry, using
+
+        store = TraceStore(tmp_path / "store", breaker_threshold=1)
+        key = _put(store, "vanishing")
+        real_step = getattr(TraceStore, step)
+
+        def racing_step(self, *args):
+            result = real_step(self, *args)
+            self.blob_path(key).unlink()  # another process evicts it
+            return result
+
+        monkeypatch.setattr(TraceStore, step, racing_step)
+        registry = MetricsRegistry()
+        with using(registry):
+            assert store.fetch(key) is None
+        monkeypatch.undo()
+        counters = registry.snapshot()["counters"]
+        assert counters["trace.store.misses"] == 1
+        assert "trace.store.quarantined" not in counters
+        assert store.breaker.state == CLOSED
+        assert not (store.root / "quarantine").exists()
+        # The store keeps serving: a fresh put is a hit.
+        _put(store, "vanishing")
+        assert store.fetch(key) is not None
+
+
 class TestVerifyCli:
     def _damaged_store(self, tmp_path):
         store = TraceStore(tmp_path / "store")

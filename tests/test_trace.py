@@ -300,6 +300,7 @@ class TestStore(StoreFixture):
         # A store written before blobs carried their experiment: a bare
         # blob plus an index/<key>.json entry beside it.
         key = store.key("legacy", seed=0)
+        store.blob_path(key).parent.mkdir(parents=True)
         write_corpus(store.blob_path(key), self.records(),
                      meta={"train_count": 2})
         index = store.root / "index"

@@ -206,6 +206,7 @@ class TestStoreCommands:
 
         store = TraceStore(tmp_path / "store")
         key = TraceStore.key("legacy", seed=0)
+        store.blob_path(key).parent.mkdir(parents=True)
         write_corpus(store.blob_path(key), self._records())
         assert main(["trace", "ls", "--cache-dir", str(store.root)]) == 0
         out = capsys.readouterr().out
@@ -243,3 +244,30 @@ class TestStoreCommands:
         captured = capsys.readouterr()
         assert "1 ok, 0 corrupt" in captured.out
         assert captured.err == ""
+
+    @pytest.mark.parametrize("command", ["verify", "ls"])
+    def test_read_only_command_on_a_missing_store(self, tmp_path, capsys,
+                                                  command):
+        missing = tmp_path / "missing"
+        assert main(["trace", command, "--cache-dir", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert str(missing) in captured.err
+        assert not missing.exists()
+
+    def test_only_a_write_creates_the_store(self, tmp_path, capsys):
+        from repro.trace import TraceStore
+
+        root = tmp_path / "store"
+        store = TraceStore(root)
+        key = TraceStore.key("exp", seed=0)
+        assert store.keys() == [] and store.fetch(key) is None
+        assert store.verify().ok == () and store.gc(0) == []
+        assert not root.exists()
+        store.put(key, self._records(), experiment="exp")
+        assert (root / "blobs").is_dir()
+        assert main(["trace", "verify", "--cache-dir", str(root)]) == 0
+        assert "1 ok, 0 corrupt" in capsys.readouterr().out
+
