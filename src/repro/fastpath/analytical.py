@@ -47,7 +47,6 @@ from ..cache.hierarchy import Level
 from ..core.evaluation import CapacityPoint
 from ..defenses.evaluation import DefenseReport
 from ..platform.latency import LatencyModel
-from ..rng import child_rng
 from ..telemetry.context import active_registry
 from .backend import CapacityRequest, DefenseRequest
 from .batch import (
@@ -178,10 +177,8 @@ def analytical_estimates(
         registry.inc("fastpath.analytical.evals", len(plans))
     estimates: list[AnalyticalEstimate] = []
     for plan, lattice in zip(plans, lattices):
-        model = LatencyModel(
-            plan.platform.latency,
-            child_rng(plan.seed, "latency-noise"),
-        )
+        # The estimate never draws, so the model derives no stream.
+        model = LatencyModel(plan.platform.latency, plan.seed)
         endpoints = calibrate_endpoints(
             plan.platform, model, hops=plan.config.hops,
             cross_processor=plan.cross,

@@ -34,13 +34,20 @@ remote frequency) is looked up, not recomputed.  That shared law is
 what makes the lattice bit-identical to the DES frequency timeline.
 
 **Phase B — the receiver replay.**  Per trial, a fresh
-:class:`~repro.platform.latency.LatencyModel` on the trial's
-``latency-noise`` stream replays the receiver's RNG consumption in DES
-order: the probe warm-up draws, then per measurement window the
-per-segment sufficient statistics
-(:meth:`~repro.platform.latency.LatencyModel.segment_llc_sum`) with
-segments split at the receiver socket's PMU grid and frequencies read
-from the Phase A lattice, then one window bias.  Decoding goes through
+:class:`~repro.platform.latency.LatencyModel` on the trial's seed
+replays the receiver's measurement windows.  A window's statistics draw
+from four streams of their own (segment jitter, tail count, tail mass,
+window bias; :data:`~repro.platform.latency.WINDOW_STREAMS`), which
+nothing else in the trial touches: the probe warm-up and every other
+timed load draw from ``latency-noise``.  So the replay first builds the
+trial's segment table from the Phase A lattice — each window split at
+the receiver socket's PMU ticks, each segment's sample count, frequency
+and flows — and then draws each quantity of the whole transmission as
+one array (:meth:`~repro.platform.latency.LatencyModel.segment_llc_sums`,
+:meth:`~repro.platform.latency.LatencyModel.window_biases`).  Each array
+draw equals the scalar draws the DES receiver makes one segment at a
+time, in time order, and leaves its stream where they leave it; each
+window adds its segment sums in the DES order.  Decoding goes through
 the real :func:`~repro.core.protocol.decode_bit` against the real
 :func:`~repro.core.protocol.calibrate_endpoints`.
 
@@ -102,7 +109,6 @@ _RECEIVER_CORE = 8
 _BUSY_CORE = 15
 _BUSY_HOPS = 3
 _REPICK_PERIOD_NS = ms(100.0)
-_PROBE_WARM_ROUNDS = 3
 #: What :func:`accumulate_observation` folds an all-silent socket to.
 _IDLE_FOLD = (0, 0, 0.0, 0.0, 0.0, False)
 
@@ -140,11 +146,15 @@ class _TrialPlan:
 @dataclass
 class _CallMemo:
     """What the trials of one call share, derived once: the default
-    platform and each deployment's :func:`_geometry` (whose platform
-    has passed ``validate()``)."""
+    platform, each deployment's :func:`_geometry` (whose platform has
+    passed ``validate()``) and each receiver timeline, keyed by
+    ``(receiver socket, interval, measure, duration)`` — all it depends
+    on.  Nothing writes a planned timeline, so trials share the
+    object."""
 
     default: PlatformConfig | None = None
     placements: dict = dataclasses.field(default_factory=dict)
+    receivers: dict = dataclasses.field(default_factory=dict)
 
 
 def _group_key(platform: PlatformConfig) -> PlatformConfig:
@@ -284,21 +294,17 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
         placement = memo.placements[key] = _geometry(*key)
     busy_profile, mark_profile, mark_flows, space_flows = placement
 
-    # Profile schedules of every touched core, in DES call order.
+    # Profile schedules of every touched core.
     governor = defense == "performance_governor"
     cores: list[dict[int, _CoreSchedule]] = [
         {} for _ in range(num_sockets)
     ]
 
-    def schedule(socket_id: int, core_id: int) -> ProfileTimeline:
-        entry = cores[socket_id].get(core_id)
-        if entry is None:
-            entry = _CoreSchedule(
-                timeline=ProfileTimeline(),
-                above_base=governor and socket_id == 0,
-            )
-            cores[socket_id][core_id] = entry
-        return entry.timeline
+    def place(socket_id: int, core_id: int,
+              timeline: ProfileTimeline) -> ProfileTimeline:
+        cores[socket_id][core_id] = _CoreSchedule(
+            timeline=timeline, above_base=governor and socket_id == 0)
+        return timeline
 
     interval = config.interval_ns
     measure = config.measure_ns
@@ -308,25 +314,30 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
     # Same-time writes overwrite: the trailing space of one interval
     # gives way to the next interval's mark or measurement.
     starts = range(0, duration, interval)
-    schedule(_SENDER_SOCKET, _SENDER_CORE).extend(chain(
+    place(_SENDER_SOCKET, _SENDER_CORE, ProfileTimeline()).extend(chain(
         ((0, IDLE),),  # UFSender ctor space()
         zip(starts, [mark_profile if bit else IDLE for bit in payload]),
         ((duration, IDLE),),  # trailing drive(0)
     ))
-    # Per interval: measure, idle, measure, idle.
-    schedule(receiver_socket, _RECEIVER_CORE).extend(zip(
-        chain.from_iterable(zip(
-            starts,
-            range(measure, duration + measure, interval),
-            range(interval - measure, duration + interval - measure,
-                  interval),
-            range(interval, duration + interval, interval),
-        )),
-        cycle((MEASUREMENT_PROFILE, IDLE)),
-    ))
+    receiver_key = (receiver_socket, interval, measure, duration)
+    receiver = memo.receivers.get(receiver_key)
+    if receiver is None:
+        # Per interval: measure, idle, measure, idle.
+        receiver = memo.receivers[receiver_key] = ProfileTimeline()
+        receiver.extend(zip(
+            chain.from_iterable(zip(
+                starts,
+                range(measure, duration + measure, interval),
+                range(interval - measure, duration + interval - measure,
+                      interval),
+                range(interval, duration + interval, interval),
+            )),
+            cycle((MEASUREMENT_PROFILE, IDLE)),
+        ))
+    place(receiver_socket, _RECEIVER_CORE, receiver)
 
     if busy_profile is not None:
-        schedule(0, _BUSY_CORE).set_profile(0, busy_profile)
+        place(0, _BUSY_CORE, ProfileTimeline(busy_profile))
 
     # t=0 MSR state: base limits, idle clamp, then the defense's writes
     # in System-construction order.
@@ -395,22 +406,29 @@ def _observations(trials: list[tuple[list[tuple[ProfileTimeline, bool]],
     flag)`` pairs in core (fold) order and its tick count ``last``.
     Every core window of every trial is classed in one
     :func:`~repro.cpu.activity.window_classes` pass, which integrates
-    one window per class, shared across trials.  A core silent over a
-    window (class ``-1``) leaves that window's fold (the batch twin of
-    the PMU's ``silent_since`` skip).  Ticks, of any trial, whose loud
-    cores carry the same classes and turbo flags in the same order fold
-    the same samples in the same order, so each distinct row is folded
-    once; a row no core is loud in folds to :data:`_IDLE_FOLD`.
+    one window per class, shared across trials; a timeline object that
+    several trials share (see :class:`_CallMemo`) is classed once over
+    the same ticks.  A core silent over a window (class ``-1``) leaves
+    that window's fold (the batch twin of the PMU's ``silent_since``
+    skip).  Ticks, of any trial, whose loud cores carry the same classes
+    and turbo flags in the same order fold the same samples in the same
+    order, so each distinct row is folded once; a row no core is loud in
+    folds to :data:`_IDLE_FOLD`.
     """
     ticks = np.asarray(ticks, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
-    timelines = []
-    lanes = []  # per timeline: its trial's tick count, first row, turbo
+    lanes: dict[tuple[int, int], int] = {}  # (timeline id, last) -> lane
+    timelines = []  # per lane
+    spans = []  # per lane: its tick count
+    entries_at = []  # per core entry: its lane, trial's first row, turbo
     bounds = [0]  # per trial: its first row; then the row count
     for entries, last in trials:
         for timeline, above_base in entries:
-            timelines.append(timeline)
-            lanes.append((last, bounds[-1], above_base))
+            lane = lanes.setdefault((id(timeline), last), len(lanes))
+            if lane == len(timelines):
+                timelines.append(timeline)
+                spans.append(last)
+            entries_at.append((lane, last, bounds[-1], above_base))
         bounds.append(bounds[-1] + last)
     # Per trial tick (a row): its loud cores' ``2 * class + turbo + 1``
     # codes, in core order, then zeros.
@@ -419,21 +437,27 @@ def _observations(trials: list[tuple[list[tuple[ProfileTimeline, bool]],
                      dtype=np.int64)
     stats = []
     if timelines:
-        lasts, origins, turbo = (np.array(column, dtype=np.int64)
-                                 for column in zip(*lanes))
-        lane = np.repeat(np.arange(len(timelines)), lasts)
-        tick = np.arange(len(lane)) - (np.cumsum(lasts) - lasts)[lane]
+        spans = np.array(spans, dtype=np.int64)
+        lane_first = np.cumsum(spans) - spans  # per lane: first window
+        lane = np.repeat(np.arange(len(timelines)), spans)
+        tick = np.arange(len(lane)) - lane_first[lane]
         classes, stats = window_classes(timelines, lane, starts[tick],
                                         ticks[tick])
-        heard = np.flatnonzero(classes >= 0)
-        # A trial's timelines are in core order, so ordering its loud
+        # The same windows, per core entry of every trial.
+        lanes_of, lasts, origins, turbo = (
+            np.array(column, dtype=np.int64) for column in zip(*entries_at))
+        entry = np.repeat(np.arange(len(entries_at)), lasts)
+        tick = np.arange(len(entry)) - (np.cumsum(lasts) - lasts)[entry]
+        met = classes[lane_first[lanes_of[entry]] + tick]
+        heard = np.flatnonzero(met >= 0)
+        # A trial's entries are in core order, so ordering its loud
         # windows by row keeps each row's in core order.
-        row = origins[lane[heard]] + tick[heard]
+        row = origins[entry[heard]] + tick[heard]
         order = np.argsort(row, kind="stable")
         heard = heard[order]
         row = row[order]
         codes[row, np.arange(len(row)) - np.searchsorted(row, row)] = (
-            2 * classes[heard] + turbo[lane[heard]] + 1)
+            2 * met[heard] + turbo[entry[heard]] + 1)
     rows, representatives = distinct_rows(codes)
     fold_ids = []
     for row in codes[representatives].tolist():
@@ -590,81 +614,100 @@ def _run_lattice(plans: list[_TrialPlan],
 # -- Phase B: the receiver replay ---------------------------------------------
 
 
-def _replay_trial(plan: _TrialPlan,
-                  lattice: list[list[tuple[int, int]]],
-                  warmed: dict[tuple[int, int], dict],
-                  ) -> TransmissionResult:
-    """Replay the receiver's RNG stream against one trial's lattice.
+def _segment_table(plan: _TrialPlan, lattice: list[list[tuple[int, int]]],
+                   model: LatencyModel,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every measurement segment of one trial, in DES order: its sample
+    count, uncore frequency (MHz) and contention flows; and per window,
+    its number of segments.
 
-    ``warmed`` memoises, across the trials of one call, the stream's
-    state after the probe warm-up: it depends only on the seed and the
-    number of warm-up loads.
+    Each bit takes two windows, T1 at its interval's start and T2 at its
+    end.  A window splits at every receiver-socket PMU tick strictly
+    inside it; each segment reads its frequency from the Phase A lattice
+    at its start and sizes its sample count by the fenced iteration
+    time, exactly as :meth:`~repro.platform.actor.Actor.measure_window`
+    does.
     """
-    rng = child_rng(plan.seed, "latency-noise")
-    loads = _PROBE_WARM_ROUNDS * plan.config.list_size
-    state = warmed.get((plan.seed, loads))
-    if state is None:
-        # Each warm-up timed load (``sample_cycles``) draws one jitter,
-        # one tail coin and one tail length (``_noise(1)``).  A scale
-        # never changes how much of the stream a draw consumes, so
-        # scalar standard draws leave the stream where the DES
-        # receiver's leave it.
-        for _ in range(loads):
-            rng.standard_normal()
-            rng.random()
-            rng.standard_exponential()
-        warmed[plan.seed, loads] = rng.bit_generator.state
-    else:
-        rng.bit_generator.state = state
-    model = LatencyModel(plan.platform.latency, rng)
-    endpoints = calibrate_endpoints(
-        plan.platform, model, hops=plan.config.hops,
-        cross_processor=plan.cross,
-    )
-
-    times = [point[0] for point in lattice[plan.receiver_socket]]
+    times = np.array([point[0] for point in lattice[plan.receiver_socket]],
+                     dtype=np.int64)
     freqs = [point[1] for point in lattice[plan.receiver_socket]]
     period = plan.platform.ufs.period_ns
     offset = plan.receiver_socket * _PMU_STAGGER_NS
     interval = plan.config.interval_ns
     measure = plan.config.measure_ns
     hops = plan.config.hops
-    core_mhz = plan.receiver_core_mhz
-    iteration_ns: dict[int, float] = {}
-    segment_llc_sum = model.segment_llc_sum
+    bits = len(plan.payload)
+    starts = (np.arange(bits, dtype=np.int64)[:, None] * interval
+              + np.array([0, interval - measure], dtype=np.int64)).ravel()
+    deadlines = starts + measure
+    # The socket's ticks, through the first at or after the horizon.
+    ticks = offset + period * np.arange(
+        1, (plan.duration_ns - offset) // period + 2, dtype=np.int64)
+    after = np.searchsorted(ticks, starts, "right")  # first tick > start
+    spans = np.searchsorted(ticks, deadlines, "left") - after + 1
+    window = np.repeat(np.arange(len(starts)), spans)
+    rank = np.arange(len(window)) - (np.cumsum(spans) - spans)[window]
+    tick = after[window] + rank  # the tick ending each segment but a last
+    seg_start = np.where(rank > 0, ticks[tick - 1], starts[window])
+    seg_end = np.minimum(ticks[tick], deadlines[window])
+    point = np.searchsorted(times, seg_start, "right") - 1
+    iteration = {mhz: model.loop_iteration_ns(
+        model.mean_llc_cycles(hops, mhz), plan.receiver_core_mhz)
+        for mhz in set(freqs)}
+    iter_ns = np.array([iteration[mhz] for mhz in freqs])[point]
+    counts = ((seg_end - seg_start) / iter_ns).astype(np.int64)
+    np.maximum(counts, 1, out=counts)
+    flows = np.where(np.repeat(np.array(plan.payload, dtype=bool), 2),
+                     plan.mark_flows, plan.space_flows)[window]
+    return counts, np.array(freqs, dtype=np.int64)[point], flows, spans
 
-    def window(start: int, flows: float) -> float:
-        deadline = start + measure
-        now = start
-        total = 0.0
-        count = 0
-        while now < deadline:
-            step = (now - offset) // period + 1
-            next_tick = offset + (step if step > 1 else 1) * period
-            seg_end = next_tick if next_tick < deadline else deadline
-            mhz = freqs[bisect_right(times, now) - 1]
-            iter_ns = iteration_ns.get(mhz)
-            if iter_ns is None:  # a pure function of the frequency
-                iter_ns = iteration_ns[mhz] = model.loop_iteration_ns(
-                    model.mean_llc_cycles(hops, mhz), core_mhz)
-            samples = int((seg_end - now) / iter_ns)
-            if samples < 1:
-                samples = 1
-            total += segment_llc_sum(samples, hops, mhz, flows)
-            count += samples
-            now = seg_end
-        return total / count + model.window_bias()
 
-    received: list[int] = []
-    for index, bit in enumerate(plan.payload):
-        flows = plan.mark_flows if bit else plan.space_flows
-        t1 = window(index * interval, flows)
-        t2 = window((index + 1) * interval - measure, flows)
-        received.append(decode_bit(t1, t2, endpoints, plan.config))
+def _window_means(model: LatencyModel, hops: int, counts: np.ndarray,
+                  mhzs: np.ndarray, flows: np.ndarray, spans: np.ndarray,
+                  ) -> list[float]:
+    """Each window's ``total / count + bias``, as
+    :meth:`~repro.platform.actor.Actor.measure_window` computes it, from
+    one array draw per window quantity.
+
+    A window adds its segment sums in segment order from ``0.0``, with
+    the same float operations as the DES, so every mean is bit for bit.
+    """
+    sums = model.segment_llc_sums(counts, hops, mhzs, flows)
+    first = np.cumsum(spans) - spans
+    totals = np.zeros(len(spans))
+    samples = np.zeros(len(spans), dtype=np.int64)
+    for rank in range(int(spans.max(initial=0))):
+        has = np.flatnonzero(spans > rank)
+        segment = first[has] + rank
+        totals[has] += sums[segment]
+        samples[has] += counts[segment]
+    totals /= samples
+    totals += model.window_biases(len(spans))
+    return totals.tolist()
+
+
+def _replay_trial(plan: _TrialPlan,
+                  lattice: list[list[tuple[int, int]]],
+                  ) -> TransmissionResult:
+    """Replay the receiver's windows against one trial's lattice.
+
+    The window streams are the trial's own and nothing else draws from
+    them (the probe warm-up draws from ``latency-noise``), so each
+    quantity of the whole transmission is one array draw.
+    """
+    model = LatencyModel(plan.platform.latency, plan.seed)
+    endpoints = calibrate_endpoints(
+        plan.platform, model, hops=plan.config.hops,
+        cross_processor=plan.cross,
+    )
+    means = _window_means(model, plan.config.hops,
+                          *_segment_table(plan, lattice, model))
+    received = [decode_bit(t1, t2, endpoints, plan.config)
+                for t1, t2 in zip(means[0::2], means[1::2])]
     return TransmissionResult(
         sent=tuple(plan.payload),
         received=tuple(received),
-        interval_ns=interval,
+        interval_ns=plan.config.interval_ns,
         duration_ns=plan.duration_ns,
     )
 
@@ -706,9 +749,8 @@ def _run_transmissions(plans: list[_TrialPlan]) -> list[TransmissionResult]:
     registry = active_registry()
     if registry is not None:
         registry.inc("fastpath.batch.trials", len(plans))
-    warmed: dict[tuple[int, int], dict] = {}
     return [
-        _replay_trial(plan, lattice, warmed)
+        _replay_trial(plan, lattice)
         for plan, lattice in zip(plans, lattices)
     ]
 

@@ -12,6 +12,13 @@ The model decomposes a timed load into:
 * measurement noise with a tight IQR and a right tail, matching the
   quantile whiskers of Figure 8.
 
+The noise comes from named child streams of the experiment seed
+(:func:`~repro.rng.child_rng`).  Every timed load draws from
+``latency-noise``.  A measurement window's statistics draw from four
+streams of their own, one per quantity (:data:`WINDOW_STREAMS`), so a
+window's draws never move the per-sample stream, and each quantity of a
+whole transmission can be drawn as one array.
+
 Anchor points from Figure 9 (1-hop: 79 cycles at 1.5 GHz, 71 at
 1.8 GHz, 63 at 2.2 GHz) fix the coefficients; see
 :class:`repro.config.LatencyModelConfig`.
@@ -20,11 +27,18 @@ Anchor points from Figure 9 (1-hop: 79 cycles at 1.5 GHz, 71 at
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from ..cache.hierarchy import Level
 from ..config import LatencyModelConfig
+from ..rng import child_rng
+
+#: The streams of one measurement window's statistics, one per
+#: quantity: segment jitter, tail count, tail mass and window bias.
+WINDOW_STREAMS = ("latency-jitter", "latency-tail-count",
+                  "latency-tail-mass", "latency-window-bias")
 
 
 class LatencyModel:
@@ -33,11 +47,37 @@ class LatencyModel:
     #: Extra uncore cycles for a directory-served cache-to-cache transfer.
     SNOOP_EXTRA_CYCLES = 35.0
 
-    def __init__(self, config: LatencyModelConfig,
-                 rng: np.random.Generator) -> None:
+    def __init__(self, config: LatencyModelConfig, seed: int) -> None:
         config.validate()
         self.config = config
-        self.rng = rng
+        self.seed = seed
+
+    # -- noise streams (derived on first use) ------------------------------
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The per-sample stream: every timed load's jitter and tail."""
+        return child_rng(self.seed, "latency-noise")
+
+    @cached_property
+    def jitter_rng(self) -> np.random.Generator:
+        """One standard normal per window segment."""
+        return child_rng(self.seed, WINDOW_STREAMS[0])
+
+    @cached_property
+    def tail_count_rng(self) -> np.random.Generator:
+        """One binomial per window segment."""
+        return child_rng(self.seed, WINDOW_STREAMS[1])
+
+    @cached_property
+    def tail_mass_rng(self) -> np.random.Generator:
+        """One gamma per window segment with a tail."""
+        return child_rng(self.seed, WINDOW_STREAMS[2])
+
+    @cached_property
+    def bias_rng(self) -> np.random.Generator:
+        """One standard normal per measurement window."""
+        return child_rng(self.seed, WINDOW_STREAMS[3])
 
     # -- deterministic components -----------------------------------------
 
@@ -103,10 +143,12 @@ class LatencyModel:
         their sufficient statistic: one Gaussian for the accumulated
         jitter (variance scales with ``count``), a binomial for how many
         samples landed in the right tail and a gamma for the total tail
-        mass (a sum of ``k`` exponentials is Gamma(``k``)).  Three RNG
-        draws instead of ``count``, from the same stream — the DES
-        receiver and the batch backend both call this, which is what
-        makes their windowed averages bit-identical.
+        mass (a sum of ``k`` exponentials is Gamma(``k``)).  Each of the
+        three comes from its own stream (:data:`WINDOW_STREAMS`), never
+        from ``latency-noise``.  The DES receiver calls this once per
+        segment, in time order; the batch backend draws a whole
+        transmission's segments at once through
+        :meth:`segment_llc_sums`, which makes the same draws.
 
         The per-sample floor at the L1 hit latency is dropped: it sits
         ~40 sigma below any LLC mean, so the clip probability is below
@@ -123,11 +165,40 @@ class LatencyModel:
         # ``sigma * standard_normal()`` is ``normal(0.0, sigma)`` bit for
         # bit, from the same draw, without the argument checks; the sign
         # of a zero product cannot reach ``total``.
-        total = count * mean + sigma * self.rng.standard_normal()
-        tails = int(self.rng.binomial(count, config.noise_tail_prob))
+        total = count * mean + sigma * self.jitter_rng.standard_normal()
+        tails = int(self.tail_count_rng.binomial(count,
+                                                 config.noise_tail_prob))
         if tails:
-            total += float(self.rng.gamma(tails, config.noise_tail_cycles))
+            total += float(self.tail_mass_rng.gamma(
+                tails, config.noise_tail_cycles))
         return total
+
+    def segment_llc_sums(self, counts: np.ndarray, hops: int,
+                         uncore_mhz: np.ndarray,
+                         contention_flows: np.ndarray) -> np.ndarray:
+        """:meth:`segment_llc_sum` of many segments, in order, bit for bit.
+
+        One array draw per stream: ``standard_normal(n)``,
+        ``binomial(counts, p)`` and ``gamma`` over the nonzero tail
+        counts.  Each equals the scalar draws the segments would make
+        one at a time and leaves its stream where they would, and every
+        float operation is the scalar one, elementwise.
+        """
+        config = self.config
+        counts = np.asarray(counts, dtype=np.int64)
+        f_ghz = np.asarray(uncore_mhz, dtype=np.int64) / 1_000.0
+        mean = config.core_cycles + (
+            config.slice_cycles + config.hop_cycles * hops) / f_ghz
+        mean += (config.contention_cycles_per_flow
+                 * np.asarray(contention_flows, dtype=np.float64) / f_ghz)
+        totals = counts * mean
+        totals += (config.noise_sigma_cycles * np.sqrt(counts)
+                   * self.jitter_rng.standard_normal(len(counts)))
+        tails = self.tail_count_rng.binomial(counts, config.noise_tail_prob)
+        heavy = np.flatnonzero(tails)
+        totals[heavy] += self.tail_mass_rng.gamma(tails[heavy],
+                                                  config.noise_tail_cycles)
+        return totals
 
     def window_bias(self) -> float:
         """Systemic bias affecting one whole measurement window.
@@ -135,12 +206,18 @@ class LatencyModel:
         Sample means over a window do not converge to the true mean on
         real hardware — interrupts, prefetcher state and TLB pressure
         shift entire windows by a fraction of a cycle.  Modelled as one
-        Gaussian draw per window.
+        Gaussian draw per window, from its own stream.
         """
         # ``normal(0.0, scale)`` computes ``0.0 + scale * z``; the
         # ``0.0 +`` keeps its sign of zero when the jitter is zero.
         return 0.0 + (self.config.window_jitter_cycles
-                      * self.rng.standard_normal())
+                      * self.bias_rng.standard_normal())
+
+    def window_biases(self, count: int) -> np.ndarray:
+        """:meth:`window_bias` of ``count`` windows, in order, bit for
+        bit: one array draw."""
+        return 0.0 + (self.config.window_jitter_cycles
+                      * self.bias_rng.standard_normal(count))
 
     # -- inversion -------------------------------------------------------------
 

@@ -79,9 +79,8 @@ class System:
             self.config.page_bytes,
             num_numa_nodes=self.config.num_sockets,
         )
-        self.latency_model = LatencyModel(
-            self.config.latency, self.namer.rng("latency-noise")
-        )
+        self.latency_model = LatencyModel(self.config.latency,
+                                          self.namer.seed)
         self.energy_meter = EnergyMeter(self.config.energy)
         self.sockets: list[Socket] = []
         for socket_config in self.config.sockets:

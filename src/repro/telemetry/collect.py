@@ -22,9 +22,11 @@ stay bit-identical with telemetry on or off.
 
 from __future__ import annotations
 
+from ..config import UfsConfig
 from .registry import MetricsRegistry
 
 __all__ = [
+    "FREQ_EDGES_MHZ",
     "LATENCY_EDGES",
     "harvest_channel",
     "harvest_engine",
@@ -37,6 +39,13 @@ __all__ = [
 LATENCY_EDGES: tuple[float, ...] = (
     45.0, 55.0, 65.0, 75.0, 85.0, 95.0, 110.0
 )
+
+#: The ``ufs.freq_mhz`` bucket edges: the default UFS operating points,
+#: for every platform.  A run over several platforms (the §6.1
+#: restricted range, fuzzed platforms) then folds into one histogram;
+#: a frequency between or beyond these points counts in the next bucket
+#: up.
+FREQ_EDGES_MHZ = tuple(float(f) for f in UfsConfig().frequency_points_mhz)
 
 
 def harvest_engine(engine, registry: MetricsRegistry) -> None:
@@ -57,12 +66,8 @@ def harvest_socket(socket, registry: MetricsRegistry) -> None:
     registry.inc("ufs.stall_pins", pmu.stall_pins)
     registry.inc("ufs.decrease_vetoes", pmu.decrease_vetoes)
     # One observation per piecewise-constant segment the frequency
-    # actually held — edges come from the configured operating points,
-    # so every socket of a platform shares one bucket layout.
-    hist = registry.histogram(
-        "ufs.freq_mhz",
-        tuple(float(f) for f in pmu.config.frequency_points_mhz),
-    )
+    # actually held.
+    hist = registry.histogram("ufs.freq_mhz", FREQ_EDGES_MHZ)
     for _start, _end, freq_mhz in pmu.timeline.segments(
         0, socket.engine.now
     ):

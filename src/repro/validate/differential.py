@@ -350,9 +350,8 @@ def check_des_vs_batch_fuzz_platforms(
     from .scenarios import build_platform, generate_scenarios
 
     pairs = []
-    # Mask any ambient registry, as the fuzz runner does: fuzzed
-    # platforms have heterogeneous ``ufs.freq_mhz`` bucket layouts
-    # that cannot merge into one caller registry.
+    # Mask any ambient registry, as the fuzz runner does: the fuzzed
+    # platforms' metrics stay out of the caller's.
     with using(None):
         for scenario in generate_scenarios(seed, count):
             platform = build_platform(scenario)

@@ -442,11 +442,10 @@ def run_validation(*, seed: int = 0, count: int = 100,
             params=dict(count=count, fault=fault),
             seed=seed,
         )
-    # Mask any ambient registry for the whole fuzz+shrink phase:
-    # scenarios deliberately span heterogeneous platforms, whose
-    # per-platform histogram layouts (e.g. ``ufs.freq_mhz`` bucket
-    # edges) cannot merge into one caller registry.  The telemetry-
-    # transparency oracle builds its own private registries regardless.
+    # Mask any ambient registry for the whole fuzz+shrink phase, so
+    # the fuzzed scenarios' metrics stay out of the caller's.  The
+    # telemetry-transparency oracle builds its own private registries
+    # regardless.
     with using(None):
         raw = run_trials(trials, workers=workers,
                          retry=RetryPolicy(max_attempts=1),

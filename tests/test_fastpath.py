@@ -12,6 +12,7 @@ import pytest
 from repro.config import DemandModelConfig, default_platform_config
 from repro.core.context import ExperimentContext
 from repro.core.evaluation import capacity_sweep, measure_capacity
+from repro.cpu.activity import window_classes
 from repro.defenses.evaluation import DEFENSE_KEYS
 from repro.engine.parallel import run_batches
 from repro.errors import ConfigError
@@ -628,6 +629,142 @@ class TestLatticeObservations:
         windows = registry.snapshot()["counters"][
             "fastpath.batch.windows_integrated"]
         assert 0 < windows < 361
+
+
+#: Replay edge cases.  ``randomized``: T1 windows open 10 ns per bit
+#: before a PMU tick, so each splits into a 1-sample (mostly tail-free)
+#: segment and the rest.  ``on-ticks``: windows open and close exactly
+#: on PMU ticks, which must not split them.  ``2 ms period``: every
+#: window splits into three or four segments.
+REPLAY_EDGES = {
+    "randomized": DefenseRequest("randomized", bits=4, seed=4,
+                                 interval_ms=19.99999),
+    "on-ticks": DefenseRequest("none", bits=6, seed=1, interval_ms=20.0),
+    "2 ms period": CapacityRequest(
+        interval_ms=21.0, bits=5, seed=2,
+        platform=default_platform_config().with_ufs(period_ns=2_000_000)),
+}
+
+
+def _edge_plan(request):
+    if isinstance(request, DefenseRequest):
+        return _defense_plan(request)
+    return _capacity_plan(request)
+
+
+class TestReceiverReplay:
+    """Phase B draws each window quantity as one array; the DES draws
+    the same values one segment at a time."""
+
+    @pytest.mark.parametrize("name", list(REPLAY_EDGES))
+    def test_array_replay_equals_scalar_des_order_draws(self, name):
+        from repro.fastpath.batch import _segment_table, _window_means
+        from repro.platform.latency import WINDOW_STREAMS, LatencyModel
+        from repro.rng import child_rng
+
+        plan = _edge_plan(REPLAY_EDGES[name])
+        [lattice] = _lattices_for([plan])
+        hops = plan.config.hops
+        array = LatencyModel(plan.platform.latency, plan.seed)
+        counts, mhzs, flows, spans = _segment_table(plan, lattice, array)
+        if name == "randomized":
+            assert (counts == 1).any() and spans.max() == 2
+            tails = child_rng(plan.seed, WINDOW_STREAMS[1]).binomial(
+                counts, plan.platform.latency.noise_tail_prob)
+            assert (tails == 0).any() and (tails > 0).any()
+        elif name == "on-ticks":
+            assert (spans == 1).all()
+        else:
+            assert spans.min() >= 3
+        means = _window_means(array, hops, counts, mhzs, flows, spans)
+        scalar = LatencyModel(plan.platform.latency, plan.seed)
+        segments = iter(zip(counts.tolist(), mhzs.tolist(), flows.tolist()))
+        expected = []
+        for span in spans.tolist():  # as measure_window, window by window
+            total = 0.0
+            count = 0
+            for n, mhz, flow in (next(segments) for _ in range(span)):
+                total += scalar.segment_llc_sum(n, hops, mhz, flow)
+                count += n
+            expected.append(total / count + scalar.window_bias())
+        assert means == expected
+        for stream in ("jitter_rng", "tail_count_rng", "tail_mass_rng",
+                       "bias_rng"):
+            assert (getattr(array, stream).bit_generator.state
+                    == getattr(scalar, stream).bit_generator.state), stream
+
+    @pytest.mark.parametrize("name", list(REPLAY_EDGES))
+    def test_des_receiver_draws_the_segment_table(self, name, monkeypatch):
+        from repro.core.evaluation import measure_capacity
+        from repro.defenses.evaluation import channel_under_defense
+        from repro.fastpath.batch import _segment_table
+        from repro.platform.latency import LatencyModel
+
+        request = REPLAY_EDGES[name]
+        if isinstance(request, DefenseRequest):
+            def run(backend):
+                return channel_under_defense(
+                    request.defense, bits=request.bits,
+                    interval_ms=request.interval_ms, seed=request.seed,
+                    backend=backend)
+        else:
+            def run(backend):
+                return measure_capacity(
+                    platform=request.platform,
+                    interval_ms=request.interval_ms, bits=request.bits,
+                    seed=request.seed, backend=backend)
+        drawn = []
+        scalar = LatencyModel.segment_llc_sum
+
+        def recorded(self, count, hops, uncore_mhz, contention_flows=0.0):
+            drawn.append((count, uncore_mhz, contention_flows))
+            return scalar(self, count, hops, uncore_mhz, contention_flows)
+
+        monkeypatch.setattr(LatencyModel, "segment_llc_sum", recorded)
+        des = run("des")
+        monkeypatch.undo()
+        assert equal_results(des, run("batch"))
+        plan = _edge_plan(request)
+        [lattice] = _lattices_for([plan])
+        counts, mhzs, flows, _ = _segment_table(
+            plan, lattice, LatencyModel(plan.platform.latency, plan.seed))
+        assert drawn == list(zip(counts.tolist(), mhzs.tolist(),
+                                 flows.tolist()))
+
+    def test_receiver_timelines_are_shared_by_key(self, monkeypatch):
+        import repro.fastpath.batch as batch
+
+        requests = [DefenseRequest(defense, bits=9, seed=2)
+                    for defense in DEFENSE_KEYS] + [
+            CapacityRequest(interval_ms=38.0, bits=9, seed=2),
+            DefenseRequest("none", bits=5, seed=2),
+            DefenseRequest("none", bits=9, seed=2, interval_ms=40.0),
+            CapacityRequest(interval_ms=38.0, bits=9, seed=2,
+                            cross_processor=True),
+        ]
+        plans = batch._plans(requests)
+        receivers = [plan.cores[plan.receiver_socket][8].timeline
+                     for plan in plans]
+        # One object per (socket, interval, measure, duration), and
+        # each the timeline the trial would plan on its own.
+        assert len({id(timeline) for timeline in receivers}) == 4
+        for request, timeline in zip(requests, receivers):
+            alone = _edge_plan(request)
+            own = alone.cores[alone.receiver_socket][8].timeline
+            assert (timeline._times, timeline._profiles) == (
+                own._times, own._profiles)
+        classed = []
+
+        def recorded(timelines, *args):
+            classed.append([id(timeline) for timeline in timelines])
+            return window_classes(timelines, *args)
+
+        monkeypatch.setattr(batch, "window_classes", recorded)
+        shared = _lattices_for(plans)
+        assert all(len(set(ids)) == len(ids) for ids in classed)
+        monkeypatch.undo()
+        assert shared == [_lattices_for([_edge_plan(request)])[0]
+                          for request in requests]
 
 
 def _fold_bits(fold):

@@ -10,14 +10,16 @@ from repro.config import LatencyModelConfig
 from repro.cpu.msr import MSR_UCLK_FIXED_CTR, MSR_UNCORE_RATIO_LIMIT
 from repro.errors import ConfigError, PrerequisiteError, PrivilegeError
 from repro.platform import LatencyModel, SecurityConfig, System
+from repro.platform.latency import WINDOW_STREAMS
 from repro.platform.tracing import frequency_trace, step_times_ms
+from repro.rng import SeedSequenceNamer, child_rng
 from repro.units import ms, us
 from repro.workloads import StallingLoop
 
 
 @pytest.fixture
 def model() -> LatencyModel:
-    return LatencyModel(LatencyModelConfig(), np.random.default_rng(0))
+    return LatencyModel(LatencyModelConfig(), seed=0)
 
 
 class TestLatencyModel:
@@ -90,8 +92,8 @@ def _sign(value):
 
 class TestNoiseDraws:
     """The scaled standard draw stands in for ``normal(0.0, sigma)``:
-    same values, signs of zero and stream position, so the DES and
-    batch receivers consume the stream exactly as before."""
+    same values, signs of zero and stream position, so each window
+    quantity matches ``normal`` draws on its own stream."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.8, 48.5])
     def test_scaled_standard_draw_is_normal(self, sigma):
@@ -104,27 +106,98 @@ class TestNoiseDraws:
         assert scaled.bit_generator.state == normal.bit_generator.state
 
     @pytest.mark.parametrize("noise", [0.0, 1.6])
-    def test_segment_llc_sum_and_window_bias_match_normal_draws(self,
-                                                                noise):
+    def test_each_window_quantity_matches_its_own_stream(self, noise):
         config = LatencyModelConfig(noise_sigma_cycles=noise,
                                     window_jitter_cycles=noise / 2)
-        model = LatencyModel(config, np.random.default_rng(3))
-        rng = np.random.default_rng(3)
+        model = LatencyModel(config, seed=3)
+        jitter, tail_count, tail_mass, bias_rng = (
+            child_rng(3, name) for name in WINDOW_STREAMS)
+        skipped = 0
         for count in (1, 2, 57, 917, 4000) * 40:
             f_ghz = 1.9
             mean = config.core_cycles + (
                 config.slice_cycles + config.hop_cycles * 2) / f_ghz
             mean += config.contention_cycles_per_flow * 0.5 / f_ghz
-            total = count * mean + float(rng.normal(
+            total = count * mean + float(jitter.normal(
                 0.0, config.noise_sigma_cycles * math.sqrt(count)))
-            tails = int(rng.binomial(count, config.noise_tail_prob))
+            tails = int(tail_count.binomial(count, config.noise_tail_prob))
             if tails:
-                total += float(rng.gamma(tails, config.noise_tail_cycles))
+                total += float(tail_mass.gamma(tails,
+                                               config.noise_tail_cycles))
+            else:
+                skipped += 1
             assert model.segment_llc_sum(count, 2, 1900, 0.5) == total
             bias = model.window_bias()
-            expected = float(rng.normal(0.0, config.window_jitter_cycles))
+            expected = float(bias_rng.normal(0.0,
+                                             config.window_jitter_cycles))
             assert bias == expected and _sign(bias) == _sign(expected)
-        assert model.rng.bit_generator.state == rng.bit_generator.state
+        assert skipped  # some segments drew no tail mass
+        assert _window_states(model) == [
+            oracle.bit_generator.state
+            for oracle in (jitter, tail_count, tail_mass, bias_rng)]
+
+
+def _window_states(model):
+    return [stream.bit_generator.state for stream in (
+        model.jitter_rng, model.tail_count_rng, model.tail_mass_rng,
+        model.bias_rng)]
+
+
+class TestNoiseStreams:
+    """Timed loads draw from ``latency-noise`` alone and measurement
+    windows from their four streams alone, so window draws never shift
+    a probe's samples (the golden corpora pin those)."""
+
+    def test_per_sample_stream_is_the_systems_latency_noise(self):
+        model = LatencyModel(LatencyModelConfig(), seed=11)
+        oracle = SeedSequenceNamer(11).rng("latency-noise")
+        assert (model.rng.standard_normal(5)
+                == oracle.standard_normal(5)).all()
+
+    def test_timed_loads_leave_the_window_streams_untouched(self):
+        model = LatencyModel(LatencyModelConfig(), seed=5)
+        before = _window_states(model)
+        model.sample_cycles(Level.LLC, 1, 2000)
+        model.sample_many(300, Level.LLC, 2, 1800, contention_flows=0.5)
+        assert _window_states(model) == before
+
+    def test_window_draws_leave_latency_noise_untouched(self):
+        plain = LatencyModel(LatencyModelConfig(), seed=5)
+        mixed = LatencyModel(LatencyModelConfig(), seed=5)
+        expected = [plain.sample_many(50, Level.LLC, 1, 2000)
+                    for _ in range(3)]
+        samples = []
+        for _ in range(3):
+            samples.append(mixed.sample_many(50, Level.LLC, 1, 2000))
+            state = mixed.rng.bit_generator.state
+            mixed.segment_llc_sum(40_000, 1, 2000, 0.25)
+            mixed.window_bias()
+            mixed.segment_llc_sums([1, 7, 40_000], 1, [2000, 2000, 1500],
+                                   [0.0, 0.0, 0.25])
+            mixed.window_biases(2)
+            assert mixed.rng.bit_generator.state == state
+        for got, want in zip(samples, expected):
+            assert (got == want).all()
+
+    def test_array_draws_equal_scalar_draws(self):
+        # 1-sample segments, tail-free segments (no gamma drawn) and
+        # large ones, mixed frequencies and flows.
+        counts = [1, 1, 2, 3, 1, 96_000, 5, 104_211, 1, 64] * 30
+        mhzs = [1500, 2400, 1800, 2200, 1500, 1600, 2000, 2300, 1900,
+                2100] * 30
+        flows = [0.0, 0.5, 1.25, 0.0, 2.0, 0.0, 0.75, 0.0, 0.0, 3.5] * 30
+        array = LatencyModel(LatencyModelConfig(), seed=8)
+        scalar = LatencyModel(LatencyModelConfig(), seed=8)
+        sums = array.segment_llc_sums(counts, 2, mhzs, flows)
+        assert sums.tolist() == [
+            scalar.segment_llc_sum(n, 2, mhz, flow)
+            for n, mhz, flow in zip(counts, mhzs, flows)]
+        assert array.window_biases(37).tolist() == [
+            scalar.window_bias() for _ in range(37)]
+        assert _window_states(array) == _window_states(scalar)
+        tails = child_rng(8, WINDOW_STREAMS[1]).binomial(
+            counts, LatencyModelConfig().noise_tail_prob)
+        assert (tails == 0).any() and (tails > 0).any()
 
 
 class TestSystem:

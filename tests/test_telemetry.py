@@ -13,6 +13,7 @@ from repro.core.evaluation import (
 )
 from repro.engine import Engine
 from repro.errors import ConfigError
+from repro.telemetry.collect import FREQ_EDGES_MHZ
 from repro.telemetry import (
     MetricsRegistry,
     activate,
@@ -217,6 +218,19 @@ class TestExperimentHarvest:
         histograms = registry.snapshot()["histograms"]
         assert histograms["ufs.freq_mhz"]["count"] > 0
         assert histograms["channel.latency_cycles"]["count"] > 0
+
+    def test_des_defenses_harvest_into_one_histogram(self):
+        # The restricted range has other operating points than the
+        # default platform; both fold into the same bucket layout.
+        from repro.defenses import evaluate_defenses
+
+        registry = MetricsRegistry()
+        with using(registry):
+            evaluate_defenses(bits=4, seed=0, backend="des", workers=1,
+                              defenses=("none", "restricted_1500_1700"))
+        histogram = registry.snapshot()["histograms"]["ufs.freq_mhz"]
+        assert histogram["edges"] == list(FREQ_EDGES_MHZ)
+        assert histogram["count"] > 0
 
     def test_results_bit_identical_with_telemetry_on_and_off(self):
         kwargs = dict(intervals_ms=(28.0, 24.0), bits=8, seed=3)

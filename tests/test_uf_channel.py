@@ -1,6 +1,5 @@
 """UF-variation: protocol, probe, end-to-end channel behaviour."""
 
-import numpy as np
 import pytest
 
 from repro.config import default_platform_config
@@ -36,7 +35,7 @@ class TestChannelConfig:
 class TestEndpoints:
     def test_calibration_matches_latency_model(self):
         platform = default_platform_config()
-        model = LatencyModel(platform.latency, np.random.default_rng(0))
+        model = LatencyModel(platform.latency, seed=0)
         endpoints = calibrate_endpoints(platform, model, hops=1)
         assert endpoints.t_freq_max_cycles == pytest.approx(
             model.mean_llc_cycles(1, 2400)
@@ -47,7 +46,7 @@ class TestEndpoints:
 
     def test_cross_processor_uses_coupled_maximum(self):
         platform = default_platform_config()
-        model = LatencyModel(platform.latency, np.random.default_rng(0))
+        model = LatencyModel(platform.latency, seed=0)
         local = calibrate_endpoints(platform, model, hops=1)
         remote = calibrate_endpoints(platform, model, hops=1,
                                      cross_processor=True)
@@ -58,7 +57,7 @@ class TestEndpoints:
         platform = default_platform_config().with_ufs(
             min_freq_mhz=1800, max_freq_mhz=1800
         )
-        model = LatencyModel(platform.latency, np.random.default_rng(0))
+        model = LatencyModel(platform.latency, seed=0)
         endpoints = calibrate_endpoints(platform, model, hops=1)
         assert endpoints.t_freq_max_cycles < endpoints.t_freq_min_cycles
 
