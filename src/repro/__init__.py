@@ -43,9 +43,8 @@ Import surface: this top-level package re-exports the working set —
 the system (:class:`System`, :class:`PlatformConfig`,
 :func:`default_platform_config`), the channel
 (:class:`UFVariationChannel`, :class:`ChannelConfig`), the uniform
-experiment API (:func:`capacity_sweep` → :class:`SweepResult`,
-:class:`ExperimentContext`), the telemetry registry
-(:class:`MetricsRegistry`) and the trace store
+experiment API (:func:`capacity_sweep` → :class:`SweepResult`), the
+telemetry registry (:class:`MetricsRegistry`) and the trace store
 (:class:`TraceStore`).  Everything else lives one level down in its
 layer module.
 """
@@ -60,7 +59,6 @@ from .config import (
 from .platform import Actor, SecurityConfig, System
 from .core import (
     ChannelConfig,
-    ExperimentContext,
     SenderMode,
     SweepResult,
     TransmissionResult,
@@ -92,7 +90,6 @@ __all__ = [
     "Checkpoint",
     "CircuitBreaker",
     "ConfigError",
-    "ExperimentContext",
     "MetricsRegistry",
     "PlatformConfig",
     "PrerequisiteError",

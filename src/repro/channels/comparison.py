@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ..core.channel import UFVariationChannel
 from ..core.evaluation import random_bits
 from ..core.protocol import ChannelConfig
-from ..engine.parallel import Trial, run_trials
+from ..engine.parallel import Trial, resolve_workers, run_trials
 from ..errors import ChannelError, MemoryError_, PrerequisiteError
 from ..units import ms
 from ..workloads.stressor import launch_stressor_threads
@@ -192,7 +192,6 @@ def comparison_matrix(*, bits: int = 24, seed: int = 0,
                       channels: tuple[type, ...] = ALL_CHANNELS,
                       scenarios: tuple[Scenario, ...] = SCENARIOS,
                       workers: int | None = 1,
-                      backend: str | None = None,
                       ) -> list[ComparisonCell]:
     """The full Table 3: every channel in every scenario.
 
@@ -202,35 +201,19 @@ def comparison_matrix(*, bits: int = 24, seed: int = 0,
     (channel, scenario) order, bit-identical to the serial run.
 
     Scenarios define their own platforms (that is what Table 3
-    compares), so there is no ``platform`` keyword.  The matrix mixes
-    ten non-UFS channels with security scenarios the vectorized
-    fastpath does not model, so only the DES backend can run it:
-    ``backend="auto"`` resolves to ``"des"`` and an explicit
-    ``"batch"``/``"analytical"`` request is rejected rather than
-    silently answered by the wrong simulator.
+    compares), so there is no ``platform`` keyword, and the matrix
+    mixes ten non-UFS channels with security scenarios the vectorized
+    fastpath does not model, so it always runs on the DES.
     """
-    from ..core.context import ExperimentContext
-    from ..errors import ConfigError
-    from ..fastpath.backend import resolve_backend
-
-    ctx = ExperimentContext(seed=seed, workers=workers, backend=backend)
-    resolved = resolve_backend(ctx.backend, experiment="comparison_matrix")
-    supported = ("des", "auto")
-    if resolved != "des":
-        raise ConfigError(
-            f"comparison_matrix cannot run on backend {resolved!r} "
-            f"(requested {ctx.backend!r}): the vectorized backends "
-            "model only the UF-variation experiments, not the full "
-            f"channel matrix — supported backends: {list(supported)}"
-        )
+    resolve_workers(workers)
     trials = [
         Trial(evaluate_channel, dict(channel_cls=channel_cls,
                                      scenario=scenario,
-                                     bits=bits, seed=ctx.seed))
+                                     bits=bits, seed=seed))
         for channel_cls in channels
         for scenario in scenarios
     ]
-    return run_trials(trials, workers=ctx.workers)
+    return run_trials(trials, workers=workers)
 
 
 #: The paper's Table 3, for verification: channel -> scenario -> works.

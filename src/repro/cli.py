@@ -7,7 +7,7 @@
     python -m repro capacity --cross-processor --bits 150
     python -m repro capacity --backend batch
     python -m repro stress --threads 4
-    python -m repro defenses --backend auto
+    python -m repro defenses --backend batch
     python -m repro compare --bits 24
     python -m repro fingerprint --sites 16 --cache-dir traces/
     python -m repro filesize
@@ -26,11 +26,12 @@ command supports it (``capacity``, ``stress``, ``defenses``,
 ``compare``, ``fingerprint``); worker count never changes the results,
 only the wall time.
 
-Backends: ``capacity``, ``defenses``, ``compare`` and ``validate`` take
-``--backend {des,batch,analytical,auto}`` (default ``$REPRO_BACKEND``,
-then ``des``) to pick the simulator — ``batch`` is the bit-identical
-vectorized fast path, ``analytical`` the closed-form estimator.  The
-resolved backend is recorded in the run manifest.
+Backends: ``capacity`` and ``defenses`` take
+``--backend {des,batch,analytical}`` (default ``des``) to pick the
+simulator — ``batch`` is the bit-identical vectorized fast path,
+``analytical`` the closed-form estimator — and record it in the run
+manifest.  ``validate --differential --backend NAME`` narrows the
+backend-equivalence checks to one backend.
 
 Trace caching: ``fingerprint`` and ``filesize`` accept ``--cache-dir``
 (or ``$REPRO_TRACE_CACHE``) to reuse recorded trace corpora — a cache
@@ -180,9 +181,7 @@ def _resolve_retry(args: argparse.Namespace):
 
 def _cmd_capacity(args: argparse.Namespace) -> dict:
     from .core.evaluation import DEFAULT_INTERVALS_MS, capacity_sweep
-    from .fastpath.backend import resolve_backend
 
-    backend = resolve_backend(args.backend, experiment="capacity_sweep")
     intervals = (
         tuple(args.intervals) if args.intervals else DEFAULT_INTERVALS_MS
     )
@@ -194,7 +193,7 @@ def _cmd_capacity(args: argparse.Namespace) -> dict:
         workers=args.workers,
         checkpoint_dir=args.resume,
         retry=_resolve_retry(args),
-        backend=backend,
+        backend=args.backend,
     )
     if not args.json:
         rows = [
@@ -214,7 +213,7 @@ def _cmd_capacity(args: argparse.Namespace) -> dict:
         ))
     return {
         "experiment": "capacity",
-        "backend": backend,
+        "backend": args.backend,
         "results": {
             "points": sweep.points,
             "summary": sweep.summarize(),
@@ -247,13 +246,11 @@ def _cmd_stress(args: argparse.Namespace) -> dict:
 
 def _cmd_defenses(args: argparse.Namespace) -> dict:
     from .defenses import analytics_energy_overhead, evaluate_defenses
-    from .fastpath.backend import resolve_backend
 
-    backend = resolve_backend(args.backend, experiment="evaluate_defenses")
     reports = evaluate_defenses(
         bits=args.bits, seed=args.seed, workers=args.workers,
         checkpoint_dir=args.resume, retry=_resolve_retry(args),
-        backend=backend,
+        backend=args.backend,
     )
     if not args.json:
         rows = [
@@ -276,7 +273,7 @@ def _cmd_defenses(args: argparse.Namespace) -> dict:
         if not args.json:
             print(f"\nfixed-at-max energy overhead on analytics: "
                   f"{energy.overhead_percent:.1f} % (paper: ~7 %)")
-    return {"experiment": "defenses", "backend": backend,
+    return {"experiment": "defenses", "backend": args.backend,
             "results": results}
 
 
@@ -287,13 +284,9 @@ def _cmd_compare(args: argparse.Namespace) -> dict:
         comparison_matrix,
     )
     from .channels.scenarios import SCENARIOS
-    from .fastpath.backend import resolve_backend
 
-    backend = resolve_backend(args.backend,
-                              experiment="comparison_matrix")
     cells = comparison_matrix(
         bits=args.bits, seed=args.seed, workers=args.workers,
-        backend=backend,
     )
     scenario_keys = [scenario.key for scenario in SCENARIOS]
     by_channel: dict[str, dict[str, object]] = {}
@@ -324,7 +317,7 @@ def _cmd_compare(args: argparse.Namespace) -> dict:
         ))
     return {
         "experiment": "compare",
-        "backend": backend,
+        "backend": "des",
         "results": {
             "cells": cells,
             "paper_agreement": {"matched": agree, "graded": total},
@@ -705,11 +698,10 @@ def _add_backend_flag(subparser: argparse.ArgumentParser) -> None:
     from .fastpath.backend import BACKENDS
 
     subparser.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="simulation backend: des (reference), batch "
+        "--backend", choices=BACKENDS, default="des",
+        help="simulation backend: des (reference, the default), batch "
              "(vectorized, bit-identical to des), analytical "
-             "(closed-form estimate), auto (batch where supported); "
-             "default $REPRO_BACKEND, then des",
+             "(closed-form estimate)",
     )
 
 
@@ -772,6 +764,7 @@ def _add_filesize_shape_flags(sub: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     from ._version import __version__
+    from .fastpath.backend import BACKENDS
     from .resilience.chaos import CHAOS_FAULTS
 
     parser = argparse.ArgumentParser(
@@ -854,7 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "model.",
     )
     compare.add_argument("--bits", type=int, default=24)
-    _add_backend_flag(compare)
     _add_json_flag(compare)
     compare.set_defaults(handler=_cmd_compare)
 
@@ -983,7 +975,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run the differential suite (serial vs "
                                "parallel, cold vs warm store, live vs "
                                "replay) instead of fuzzing")
-    _add_backend_flag(validate)
+    validate.add_argument("--backend", choices=BACKENDS, default=None,
+                          help="with --differential, narrow the "
+                               "backend-equivalence checks to one "
+                               "backend (default: all of them)")
     _add_resume_flag(validate)
     _add_json_flag(validate)
     validate.set_defaults(handler=_cmd_validate)

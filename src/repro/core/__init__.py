@@ -12,14 +12,11 @@ Public surface:
 * :class:`UncoreFrequencyProbe` — the unprivileged frequency sensor.
 * :class:`UFSender` / :class:`UFReceiver` — the two channel endpoints.
 * :class:`UFVariationChannel` — wiring + Algorithm 1 transmission.
-* :class:`ExperimentContext` — the validated platform/seed/workers/
-  backend bundle every experiment runner builds from its keywords.
 * :func:`capacity_sweep` — the Figure 10 evaluation, returning a
   :class:`SweepResult`.
 * :func:`capacity_under_stress` — the Table 2 reliability study.
 """
 
-from .context import ExperimentContext
 from .protocol import ChannelConfig, ChannelEndpoints, decode_bit
 from .probe import UncoreFrequencyProbe
 from .sender import SenderMode, UFSender
@@ -44,7 +41,6 @@ from .framing import (
 __all__ = [
     "CapacityPoint",
     "DecodedFrame",
-    "ExperimentContext",
     "ReliableTransfer",
     "ChannelConfig",
     "ChannelEndpoints",

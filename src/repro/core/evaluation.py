@@ -8,19 +8,23 @@ capacity.  Run in both the cross-core and cross-processor deployments.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from ..config import PlatformConfig
-from ..engine.parallel import Trial, require_complete, run_trials
+from ..engine.parallel import resolve_workers
 from ..errors import ConfigError
+from ..fastpath.backend import (
+    DEFAULT_BACKEND,
+    CapacityRequest,
+    check_backend,
+    run_requests,
+    runner_for,
+)
 from ..platform.system import System
 from ..rng import child_rng
 from ..units import ms
 from .channel import UFVariationChannel
-from .context import ExperimentContext
 from .protocol import ChannelConfig
 from .sender import SenderMode
 
@@ -126,21 +130,36 @@ def random_bits(count: int, seed: int, label: str = "payload") -> list[int]:
     return [int(b) for b in rng.integers(0, 2, count)]
 
 
-def _check_bits(bits: int) -> None:
-    """A capacity point needs at least one measured bit, on any backend."""
-    if bits < 1:
-        raise ConfigError(f"need at least one bit per point, got {bits}")
-
-
-def _capacity_runner(resolved: str):
-    """The module-level (hence picklable) batch runner for a backend."""
-    if resolved == "batch":
-        from ..fastpath.batch import batch_capacity_points
-
-        return batch_capacity_points
-    from ..fastpath.analytical import analytical_capacity_points
-
-    return analytical_capacity_points
+def des_capacity_points(
+    requests: Sequence[CapacityRequest],
+) -> list[CapacityPoint]:
+    """The reference DES runner: each request deploys a fresh channel
+    on its own seeded :class:`~repro.platform.system.System`."""
+    points = []
+    for request in requests:
+        system = System(request.platform, seed=request.seed)
+        channel = UFVariationChannel(
+            system,
+            config=ChannelConfig(interval_ns=ms(request.interval_ms)),
+            sender_socket=0,
+            sender_cores=(0,),
+            receiver_socket=1 if request.cross_processor else 0,
+            receiver_core=8,
+            sender_mode=request.sender_mode,
+        )
+        payload = random_bits(request.bits, request.seed,
+                              f"payload-{request.interval_ms}")
+        result = channel.transmit(payload)
+        channel.shutdown()
+        system.stop()
+        points.append(CapacityPoint(
+            interval_ms=request.interval_ms,
+            raw_rate_bps=result.raw_rate_bps,
+            error_rate=result.error_rate,
+            capacity_bps=result.capacity_bps,
+            bits=request.bits,
+        ))
+    return points
 
 
 def measure_capacity(
@@ -152,55 +171,26 @@ def measure_capacity(
     platform: PlatformConfig | None = None,
     workers: int | None = 1,
     sender_mode: SenderMode = SenderMode.STALL,
-    backend: str | None = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> CapacityPoint:
     """Deploy a fresh channel and measure one capacity point.
 
     A single deployment has nothing to fan out, so ``workers`` is
-    accepted for signature uniformity but unused.  ``backend`` picks
+    validated for signature uniformity but unused.  ``backend`` picks
     the simulator: ``"des"`` (default) runs the full event-driven
-    system below; ``"batch"`` produces the bit-identical vectorized
-    result; ``"analytical"`` returns the closed-form estimate.
+    system; ``"batch"`` produces the bit-identical vectorized result;
+    ``"analytical"`` returns the closed-form estimate.
     """
-    _check_bits(bits)
-    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers,
-                            backend=backend)
-    from ..fastpath.backend import CapacityRequest, resolve_backend
-
-    resolved = resolve_backend(ctx.backend, experiment="measure_capacity")
-    if resolved != "des":
-        return _capacity_runner(resolved)([CapacityRequest(
-            interval_ms=interval_ms,
-            bits=bits,
-            cross_processor=cross_processor,
-            seed=ctx.seed,
-            platform=ctx.platform,
-            sender_mode=sender_mode,
-        )])[0]
-    seed = ctx.seed
-    system = System(ctx.platform, seed=seed)
-    config = ChannelConfig(interval_ns=ms(interval_ms))
-    receiver_socket = 1 if cross_processor else 0
-    channel = UFVariationChannel(
-        system,
-        config=config,
-        sender_socket=0,
-        sender_cores=(0,),
-        receiver_socket=receiver_socket,
-        receiver_core=8,
+    resolve_workers(workers)
+    request = CapacityRequest(
+        interval_ms=interval_ms,
+        bits=bits,
+        cross_processor=cross_processor,
+        seed=seed,
+        platform=platform,
         sender_mode=sender_mode,
     )
-    payload = random_bits(bits, seed, f"payload-{interval_ms}")
-    result = channel.transmit(payload)
-    channel.shutdown()
-    system.stop()
-    return CapacityPoint(
-        interval_ms=interval_ms,
-        raw_rate_bps=result.raw_rate_bps,
-        error_rate=result.error_rate,
-        capacity_bps=result.capacity_bps,
-        bits=bits,
-    )
+    return runner_for(CapacityRequest, backend)([request])[0]
 
 
 def capacity_sweep(
@@ -213,21 +203,17 @@ def capacity_sweep(
     workers: int | None = 1,
     checkpoint_dir=None,
     retry=None,
-    backend: str | None = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> SweepResult:
     """The Figure 10 sweep for one deployment.
 
     Each sweep point deploys its own freshly-seeded system, so the
-    points are independent trials: ``workers > 1`` fans them out across
-    processes and returns the exact same :class:`SweepResult` a serial
-    run produces, in interval order.
-
-    ``backend`` picks the simulator per
-    :func:`~repro.fastpath.backend.resolve_backend`: ``"batch"``
-    vectorizes the whole sweep (bit-identical points, an order of
-    magnitude faster) and ``"auto"`` resolves to it; the vectorized
-    backends fan chunks out over ``workers`` through
-    :func:`~repro.engine.parallel.run_batches`.
+    points are independent requests, answered by
+    :func:`~repro.fastpath.backend.run_requests` on ``backend``:
+    ``workers > 1`` fans them out across processes and returns the
+    exact same :class:`SweepResult` a serial run produces, in interval
+    order.  ``"batch"`` vectorizes the whole sweep (bit-identical
+    points, an order of magnitude faster).
 
     ``checkpoint_dir`` makes the sweep resumable: each completed point
     is recorded to an atomic checkpoint file keyed by the sweep's
@@ -238,112 +224,39 @@ def capacity_sweep(
     :class:`~repro.resilience.retry.RetryPolicy`) re-runs transient
     worker crashes in place; a point still failed after its attempts
     raises :class:`~repro.errors.ResilienceError` rather than returning
-    a sweep with holes.  ``retry`` applies to the per-point DES path;
+    a sweep with holes.  ``retry`` applies to the per-point DES trials;
     the vectorized backends run each chunk once.
     """
-    _check_bits(bits)
-    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers,
-                            backend=backend)
-    from ..fastpath.backend import CapacityRequest, resolve_backend
-
-    resolved = resolve_backend(ctx.backend, experiment="capacity_sweep")
-    labels = [f"interval-{float(interval):g}" for interval in intervals_ms]
+    resolve_workers(workers)
+    check_backend(backend)
+    requests = [
+        CapacityRequest(
+            interval_ms=interval,
+            bits=bits,
+            cross_processor=cross_processor,
+            seed=seed,
+            platform=platform,
+        )
+        for interval in intervals_ms
+    ]
     checkpoint = None
     if checkpoint_dir is not None:
         from ..resilience.checkpoint import Checkpoint
 
         checkpoint = Checkpoint.for_experiment(
             checkpoint_dir, "capacity_sweep",
-            platform=ctx.platform,
+            platform=platform,
             params=dict(
                 intervals_ms=[float(i) for i in intervals_ms],
                 bits=bits,
                 cross_processor=cross_processor,
             ),
-            seed=ctx.seed,
-            backend=resolved,
-        )
-    if resolved != "des":
-        from ..engine.parallel import run_batches
-
-        requests = [
-            CapacityRequest(
-                interval_ms=interval,
-                bits=bits,
-                cross_processor=cross_processor,
-                seed=ctx.seed,
-                platform=ctx.platform,
-            )
-            for interval in intervals_ms
-        ]
-        points = run_batches(
-            requests, _capacity_runner(resolved),
-            workers=ctx.workers, labels=labels, checkpoint=checkpoint,
-        )
-        return SweepResult(points=tuple(points))
-    trials = [
-        Trial(measure_capacity, dict(
-            interval_ms=interval,
-            bits=bits,
-            cross_processor=cross_processor,
-            seed=ctx.seed,
-            platform=ctx.platform,
-            backend="des",
-        ), label=label)
-        for interval, label in zip(intervals_ms, labels)
-    ]
-    points = run_trials(trials, workers=ctx.workers, retry=retry,
-                        checkpoint=checkpoint)
-    require_complete(points, "capacity sweep")
-    return SweepResult(points=tuple(points))
-
-
-def mean_error_over_seeds(interval_ms: float, *, bits: int = 80,
-                          seeds: tuple[int, ...] = (0, 1, 2),
-                          cross_processor: bool = False,
-                          platform: PlatformConfig | None = None,
-                          workers: int | None = 1,
-                          backend: str | None = None,
-                          ) -> float:
-    """Average BER across seeds (smooths single-run variance).
-
-    The per-trial seeds come from ``seeds``.
-    """
-    ctx = ExperimentContext(platform=platform, workers=workers,
-                            backend=backend)
-    from ..fastpath.backend import CapacityRequest, resolve_backend
-
-    resolved = resolve_backend(
-        ctx.backend, experiment="mean_error_over_seeds"
-    )
-    if resolved != "des":
-        from ..engine.parallel import run_batches
-
-        requests = [
-            CapacityRequest(
-                interval_ms=interval_ms,
-                bits=bits,
-                cross_processor=cross_processor,
-                seed=seed,
-                platform=ctx.platform,
-            )
-            for seed in seeds
-        ]
-        points = run_batches(
-            requests, _capacity_runner(resolved), workers=ctx.workers
-        )
-        return float(np.mean([point.error_rate for point in points]))
-    trials = [
-        Trial(measure_capacity, dict(
-            interval_ms=interval_ms,
-            bits=bits,
-            cross_processor=cross_processor,
             seed=seed,
-            platform=ctx.platform,
-            backend="des",
-        ))
-        for seed in seeds
-    ]
-    errors = [point.error_rate
-              for point in run_trials(trials, workers=ctx.workers)]
-    return float(np.mean(errors))
+            backend=backend,
+        )
+    points = run_requests(
+        requests, backend, workers=workers,
+        labels=[f"interval-{float(interval):g}" for interval in intervals_ms],
+        checkpoint=checkpoint, retry=retry,
+    )
+    return SweepResult(points=tuple(points))

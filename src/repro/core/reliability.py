@@ -10,13 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import PlatformConfig
-from ..engine.parallel import Trial, run_trials
+from ..engine.parallel import Trial, resolve_workers, run_trials
 from ..errors import ConfigError
 from ..platform.system import System
 from ..units import ms
 from ..workloads.stressor import launch_stressor_threads
 from .channel import UFVariationChannel
-from .context import ExperimentContext
 from .evaluation import random_bits
 from .protocol import ChannelConfig
 from .sender import SenderMode
@@ -51,13 +50,12 @@ def capacity_under_stress(
     the stressor threads cannot mask a "1".  The remaining errors come
     from stressor phases that pin the uncore at freq_max during "0"s.
 
-    One cell is a single deployment, so ``workers`` is accepted for
+    One cell is a single deployment, so ``workers`` is validated for
     signature uniformity but unused (see :func:`stress_table` for the
     fanned-out study).
     """
-    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers)
-    seed = ctx.seed
-    system = System(ctx.platform, seed=seed)
+    resolve_workers(workers)
+    system = System(platform, seed=seed)
     config = ChannelConfig(interval_ns=ms(interval_ms))
     channel = UFVariationChannel(
         system,
@@ -106,15 +104,15 @@ def stress_table(
         raise ConfigError(
             f"need at least one stress thread, got {max_threads}"
         )
-    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers)
+    resolve_workers(workers)
     trials = [
         Trial(capacity_under_stress, dict(
             stress_threads=n,
             bits=bits,
             interval_ms=interval_ms,
-            seed=ctx.seed,
-            platform=ctx.platform,
+            seed=seed,
+            platform=platform,
         ))
         for n in range(1, max_threads + 1)
     ]
-    return run_trials(trials, workers=ctx.workers)
+    return run_trials(trials, workers=workers)

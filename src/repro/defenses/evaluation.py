@@ -13,14 +13,21 @@ Three questions, matching the paper's discussion:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..config import PlatformConfig, default_platform_config
 from ..core.channel import UFVariationChannel
-from ..core.context import ExperimentContext
 from ..core.evaluation import random_bits
 from ..core.protocol import ChannelConfig
-from ..engine.parallel import Trial, require_complete, run_trials
+from ..engine.parallel import resolve_workers
+from ..fastpath.backend import (
+    DEFAULT_BACKEND,
+    DefenseRequest,
+    check_backend,
+    run_requests,
+    runner_for,
+)
 from ..platform.system import System
 from ..units import ms, seconds
 from ..workloads.analytics import AnalyticsWorkload
@@ -56,41 +63,17 @@ class DefenseReport:
         return self.error_rate >= 0.25
 
 
-def _defense_runner(resolved: str):
-    """The module-level (hence picklable) batch runner for a backend."""
-    if resolved == "batch":
-        from ..fastpath.batch import batch_defense_reports
-
-        return batch_defense_reports
-    from ..fastpath.analytical import analytical_defense_reports
-
-    return analytical_defense_reports
+def des_defense_reports(
+    requests: Sequence[DefenseRequest],
+) -> list[DefenseReport]:
+    """The reference DES runner: each request deploys UF-variation on
+    its own seeded system under one active countermeasure."""
+    return [_des_defense_report(request) for request in requests]
 
 
-def channel_under_defense(defense: str, *, bits: int = 80,
-                          interval_ms: float = 38.0,
-                          seed: int = 0,
-                          platform: PlatformConfig | None = None,
-                          backend: str | None = None,
-                          ) -> DefenseReport:
-    """Deploy UF-variation against one active countermeasure.
-
-    ``platform`` overrides the base platform the defense modifies
-    (default: the paper's Table 1 system).  ``backend`` picks the
-    simulator (``"des"`` default; ``"batch"`` is bit-identical,
-    ``"analytical"`` closed-form).
-    """
-    from ..fastpath.backend import DefenseRequest, resolve_backend
-
-    resolved = resolve_backend(backend, experiment="channel_under_defense")
-    if resolved != "des":
-        return _defense_runner(resolved)([DefenseRequest(
-            defense=defense,
-            bits=bits,
-            interval_ms=interval_ms,
-            seed=seed,
-            platform=platform,
-        )])[0]
+def _des_defense_report(request: DefenseRequest) -> DefenseReport:
+    defense, seed = request.defense, request.seed
+    platform = request.platform
     if platform is None:
         platform = default_platform_config()
     if defense == "restricted_1500_1700":
@@ -125,9 +108,9 @@ def channel_under_defense(defense: str, *, bits: int = 80,
         raise ValueError(f"unknown defense {defense!r}")
 
     channel = UFVariationChannel(
-        system, config=ChannelConfig(interval_ns=ms(interval_ms))
+        system, config=ChannelConfig(interval_ns=ms(request.interval_ms))
     )
-    payload = random_bits(bits, seed, f"defense-{defense}")
+    payload = random_bits(request.bits, seed, f"defense-{defense}")
     result = channel.transmit(payload)
     channel.shutdown()
     if active is not None:
@@ -140,77 +123,71 @@ def channel_under_defense(defense: str, *, bits: int = 80,
     )
 
 
+def channel_under_defense(defense: str, *, bits: int = 80,
+                          interval_ms: float = 38.0,
+                          seed: int = 0,
+                          platform: PlatformConfig | None = None,
+                          backend: str = DEFAULT_BACKEND,
+                          ) -> DefenseReport:
+    """Deploy UF-variation against one active countermeasure.
+
+    ``platform`` overrides the base platform the defense modifies
+    (default: the paper's Table 1 system).  ``backend`` picks the
+    simulator (``"des"`` default; ``"batch"`` is bit-identical,
+    ``"analytical"`` closed-form).
+    """
+    request = DefenseRequest(defense=defense, bits=bits,
+                             interval_ms=interval_ms, seed=seed,
+                             platform=platform)
+    return runner_for(DefenseRequest, backend)([request])[0]
+
+
 def evaluate_defenses(*, bits: int = 80, seed: int = 0,
                       defenses: tuple[str, ...] = DEFENSE_KEYS,
                       platform: PlatformConfig | None = None,
                       workers: int | None = 1,
                       checkpoint_dir=None,
                       retry=None,
-                      backend: str | None = None,
+                      backend: str = DEFAULT_BACKEND,
                       ) -> list[DefenseReport]:
     """UF-variation under every countermeasure.
 
     Each defense deploys its own seeded system, so the reports are
-    independent trials: ``workers > 1`` evaluates them in parallel
-    processes and still returns them in ``defenses`` order,
-    bit-identical to the serial run.  ``backend`` picks the simulator
-    per :func:`~repro.fastpath.backend.resolve_backend`; the vectorized
-    backends fan chunks out over ``workers`` through
-    :func:`~repro.engine.parallel.run_batches`.
+    independent requests, answered by
+    :func:`~repro.fastpath.backend.run_requests` on ``backend``:
+    ``workers > 1`` evaluates them in parallel processes and still
+    returns them in ``defenses`` order, bit-identical to the serial
+    run.
 
     ``checkpoint_dir`` / ``retry`` behave exactly as in
     :func:`repro.core.evaluation.capacity_sweep`: completed defenses
     are checkpointed for bit-identical resume, transient crashes are
-    retried (DES path only), and a defense still failed after its
-    attempts raises :class:`~repro.errors.ResilienceError`.
+    retried (DES only), and a defense still failed after its attempts
+    raises :class:`~repro.errors.ResilienceError`.
     """
-    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers,
-                            backend=backend)
-    from ..fastpath.backend import DefenseRequest, resolve_backend
-
-    resolved = resolve_backend(ctx.backend, experiment="evaluate_defenses")
-    labels = [f"defense-{defense}" for defense in defenses]
+    resolve_workers(workers)
+    check_backend(backend)
+    requests = [
+        DefenseRequest(defense=defense, bits=bits, seed=seed,
+                       platform=platform)
+        for defense in defenses
+    ]
     checkpoint = None
     if checkpoint_dir is not None:
         from ..resilience.checkpoint import Checkpoint
 
         checkpoint = Checkpoint.for_experiment(
             checkpoint_dir, "evaluate_defenses",
-            platform=ctx.platform,
+            platform=platform,
             params=dict(bits=bits, defenses=list(defenses)),
-            seed=ctx.seed,
-            backend=resolved,
+            seed=seed,
+            backend=backend,
         )
-    if resolved != "des":
-        from ..engine.parallel import run_batches
-
-        requests = [
-            DefenseRequest(
-                defense=defense,
-                bits=bits,
-                seed=ctx.seed,
-                platform=ctx.platform,
-            )
-            for defense in defenses
-        ]
-        return run_batches(
-            requests, _defense_runner(resolved),
-            workers=ctx.workers, labels=labels, checkpoint=checkpoint,
-        )
-    trials = [
-        Trial(channel_under_defense, dict(
-            defense=defense,
-            bits=bits,
-            seed=ctx.seed,
-            platform=ctx.platform,
-            backend="des",
-        ), label=label)
-        for defense, label in zip(defenses, labels)
-    ]
-    reports = run_trials(trials, workers=ctx.workers, retry=retry,
-                         checkpoint=checkpoint)
-    require_complete(reports, "defense evaluation")
-    return reports
+    return run_requests(
+        requests, backend, workers=workers,
+        labels=[f"defense-{defense}" for defense in defenses],
+        checkpoint=checkpoint, retry=retry,
+    )
 
 
 @dataclass(frozen=True)

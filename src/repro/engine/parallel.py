@@ -114,14 +114,17 @@ def require_complete(results: Sequence[Any], what: str) -> None:
     """Raise :class:`~repro.errors.ResilienceError` if a trial was lost.
 
     A sweep with holes is not a result: the error names every
-    :class:`TrialFailure` slot by label (or index) so the lost trials
-    can be re-run.
+    :class:`TrialFailure` slot by label (or index), and the seeds they
+    ran under, so the lost trials can be re-run.
     """
     failed = [r for r in results if isinstance(r, TrialFailure)]
     if failed:
+        seeds = sorted({f.seed for f in failed if f.seed is not None})
+        seeded = f" (seed {', '.join(map(str, seeds))})" if seeds else ""
         raise ResilienceError(
             f"{what} lost {len(failed)} of {len(results)} trials after "
-            "retries: " + ", ".join(f.label or str(f.index) for f in failed)
+            f"retries{seeded}: "
+            + ", ".join(f.label or str(f.index) for f in failed)
         )
 
 
@@ -422,12 +425,13 @@ def run_batches(requests: Sequence[Any],
         raise ConfigError(
             f"{len(labels)} labels for {len(requests)} requests"
         )
+    workers = resolve_workers(workers)
     results: list[Any] = [None] * len(requests)
     pending = _resume(labels, checkpoint, results)
     if not pending:
         return results
 
-    count = min(resolve_workers(workers), len(pending))
+    count = min(workers, len(pending))
     base, extra = divmod(len(pending), count)
     chunks: list[list[int]] = []
     start = 0

@@ -1,26 +1,26 @@
 """Vectorized and analytical fast-path simulation backends.
 
-See :mod:`repro.fastpath.backend` for the selection API,
+See :mod:`repro.fastpath.backend` for the one backend switch,
 :mod:`repro.fastpath.batch` for the bit-identical lattice simulator and
 :mod:`repro.fastpath.analytical` for the closed-form estimator.
 """
 
 from .backend import (
-    BACKEND_ENV_VAR,
     BACKENDS,
-    BATCHABLE_EXPERIMENTS,
     DEFAULT_BACKEND,
     CapacityRequest,
     DefenseRequest,
-    resolve_backend,
+    check_backend,
+    run_requests,
+    runner_for,
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BACKENDS",
-    "BATCHABLE_EXPERIMENTS",
     "DEFAULT_BACKEND",
     "CapacityRequest",
     "DefenseRequest",
-    "resolve_backend",
+    "check_backend",
+    "run_requests",
+    "runner_for",
 ]

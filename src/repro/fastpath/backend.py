@@ -1,9 +1,6 @@
-"""Backend selection for the experiment runners.
+"""The one backend switch for the experiment runners.
 
-Every experiment runner historically *was* the discrete-event simulator:
-``measure_capacity`` built a :class:`~repro.platform.system.System`,
-deployed a channel and ran the engine.  The fastpath package splits
-"what experiment" from "which simulator":
+The capacity and defense experiments run on three simulators:
 
 * ``"des"`` — the event-driven reference simulator (the default; every
   other backend is validated against it);
@@ -11,55 +8,54 @@ deployed a channel and ran the engine.  The fastpath package splits
   (:mod:`repro.fastpath.batch`), bit-identical to DES on the supported
   experiment shapes at a fraction of the wall-clock;
 * ``"analytical"`` — the closed-form capacity/error estimator
-  (:mod:`repro.fastpath.analytical`), statistically matched to DES;
-* ``"auto"`` — resolve per experiment: vectorizable sweeps take the
-  batch backend, everything else falls back to DES.
+  (:mod:`repro.fastpath.analytical`), statistically matched to DES.
 
-Callers pass ``backend=``; ``None`` defers to the
-``REPRO_BACKEND`` environment variable and then to ``"des"``, mirroring
-how ``REPRO_WORKERS`` feeds the parallel runner.
+Every backend answers the same plain-data requests
+(:class:`CapacityRequest`, :class:`DefenseRequest`) through a runner
+``runner(requests) -> results``, one result per request, in order.
+:func:`runner_for` is the one place that maps a request kind and a
+backend name to a runner; :func:`run_requests` is the one way a sweep
+fans its requests out.
 """
 
 from __future__ import annotations
 
-import os
+import importlib
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from ..config import PlatformConfig
 from ..core.sender import SenderMode
+from ..engine.parallel import (
+    Trial,
+    require_complete,
+    resolve_workers,
+    run_batches,
+    run_trials,
+)
 from ..errors import ConfigError
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_ENV_VAR",
-    "BATCHABLE_EXPERIMENTS",
     "DEFAULT_BACKEND",
     "CapacityRequest",
     "DefenseRequest",
-    "resolve_backend",
+    "check_backend",
+    "run_requests",
+    "runner_for",
 ]
 
-#: Every accepted ``backend=`` spelling.  ``"auto"`` is resolved to one
-#: of the other three before any work happens.
-BACKENDS = ("des", "batch", "analytical", "auto")
+#: Every accepted ``backend=`` spelling.
+BACKENDS = ("des", "batch", "analytical")
 
 DEFAULT_BACKEND = "des"
 
-#: Environment override consulted when ``backend=None`` everywhere,
-#: mirroring the ``REPRO_WORKERS`` convention of the parallel runner.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: Experiment names the vectorized backends can run end to end.  The
-#: ``"auto"`` heuristic sends these to the batch backend; everything
-#: else (channel comparison matrix, fingerprinting, traces with custom
-#: workloads) keeps the full DES.
-BATCHABLE_EXPERIMENTS = frozenset({
-    "measure_capacity",
-    "capacity_sweep",
-    "mean_error_over_seeds",
-    "channel_under_defense",
-    "evaluate_defenses",
-})
+def _check_bits(bits: int) -> None:
+    """A point needs at least one measured bit, on any backend."""
+    if bits < 1:
+        raise ConfigError(f"need at least one bit per point, got {bits}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +77,9 @@ class CapacityRequest:
     platform: PlatformConfig | None = None
     sender_mode: SenderMode = SenderMode.STALL
 
+    def __post_init__(self) -> None:
+        _check_bits(self.bits)
+
 
 @dataclass(frozen=True)
 class DefenseRequest:
@@ -92,28 +91,97 @@ class DefenseRequest:
     seed: int = 0
     platform: PlatformConfig | None = None
 
+    def __post_init__(self) -> None:
+        _check_bits(self.bits)
 
-def resolve_backend(backend: str | None = None, *,
-                    experiment: str | None = None) -> str:
-    """Normalise a backend request to a concrete backend name.
 
-    ``None`` falls back to ``$REPRO_BACKEND`` and then to ``"des"``
-    (an empty/blank variable counts as unset).  ``"auto"`` resolves per
-    experiment: members of :data:`BATCHABLE_EXPERIMENTS` go to
-    ``"batch"``, everything else to ``"des"``.  Anything not in
-    :data:`BACKENDS` raises :class:`~repro.errors.ConfigError` — a typo
-    silently running the wrong simulator would be far worse.
-    """
-    if backend is None:
-        raw = os.environ.get(BACKEND_ENV_VAR, "").strip()
-        backend = raw if raw else DEFAULT_BACKEND
+#: ``(module, attribute)`` of the runner for each request kind on each
+#: backend.  Looked up by name on every call, so a runner rebound on its
+#: module (a profiler's wrapper, a test's fault injector) is the one
+#: that runs.
+_RUNNERS: dict[type, dict[str, tuple[str, str]]] = {
+    CapacityRequest: {
+        "des": ("repro.core.evaluation", "des_capacity_points"),
+        "batch": ("repro.fastpath.batch", "batch_capacity_points"),
+        "analytical": ("repro.fastpath.analytical",
+                       "analytical_capacity_points"),
+    },
+    DefenseRequest: {
+        "des": ("repro.defenses.evaluation", "des_defense_reports"),
+        "batch": ("repro.fastpath.batch", "batch_defense_reports"),
+        "analytical": ("repro.fastpath.analytical",
+                       "analytical_defense_reports"),
+    },
+}
+
+
+def check_backend(backend: str) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless ``backend`` is in
+    :data:`BACKENDS` — a typo silently running the wrong simulator
+    would be far worse."""
     if backend not in BACKENDS:
         raise ConfigError(
             f"unknown backend {backend!r}: choose one of "
-            f"{', '.join(BACKENDS)} (or set ${BACKEND_ENV_VAR})"
+            f"{', '.join(BACKENDS)}"
         )
-    if backend == "auto":
-        return (
-            "batch" if experiment in BATCHABLE_EXPERIMENTS else "des"
-        )
-    return backend
+
+
+def runner_for(kind: type, backend: str) -> Callable[[Sequence], list]:
+    """The runner answering requests of type ``kind`` on ``backend``."""
+    check_backend(backend)
+    module, name = _RUNNERS[kind][backend]
+    return getattr(importlib.import_module(module), name)
+
+
+def _answer(*, runner: Callable[[Sequence], list], request: Any,
+            seed: int) -> Any:
+    """One DES trial: ``runner`` on a single request.
+
+    ``seed`` repeats ``request.seed`` as a top-level kwarg, where
+    :class:`~repro.engine.parallel.TrialFailure` and the retry backoff
+    read a trial's seed.
+    """
+    del seed
+    return runner([request])[0]
+
+
+def run_requests(requests: Sequence[CapacityRequest | DefenseRequest],
+                 backend: str = DEFAULT_BACKEND, *,
+                 workers: int | None = 1,
+                 labels: Sequence[str] | None = None,
+                 checkpoint=None,
+                 retry=None) -> list[Any]:
+    """Answer every request on ``backend``, in request order.
+
+    ``"des"`` runs one :class:`~repro.engine.parallel.Trial` per request
+    through :func:`~repro.engine.parallel.run_trials`, so ``retry`` (a
+    :class:`~repro.resilience.retry.RetryPolicy`) re-runs each request
+    on its own, and a request still failed after its attempts raises
+    :class:`~repro.errors.ResilienceError` naming its label and seed.
+    The vectorized backends run their runner over contiguous chunks
+    through :func:`~repro.engine.parallel.run_batches`, each chunk once.
+    Either way ``labels`` name the requests for a ``checkpoint`` (a
+    :class:`~repro.resilience.checkpoint.Checkpoint`, which records
+    every completed request and skips the ones it already holds), and
+    the results are bit-identical for every ``workers``.
+    """
+    requests = list(requests)
+    check_backend(backend)
+    resolve_workers(workers)
+    if not requests:
+        return []
+    runner = runner_for(type(requests[0]), backend)
+    if backend != "des":
+        return run_batches(requests, runner, workers=workers,
+                           labels=labels, checkpoint=checkpoint)
+    if labels is None:
+        labels = [None] * len(requests)
+    trials = [
+        Trial(_answer, dict(runner=runner, request=request,
+                            seed=request.seed), label=label)
+        for request, label in zip(requests, labels, strict=True)
+    ]
+    results = run_trials(trials, workers=workers, retry=retry,
+                         checkpoint=checkpoint)
+    require_complete(results, "DES run")
+    return results

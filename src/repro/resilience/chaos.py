@@ -163,15 +163,15 @@ def _check_interrupted_sweep(workdir: Path, *, seed: int,
     shape = dict(intervals_ms=(28.0, 24.0), bits=8, seed=seed)
     clean = evaluation.capacity_sweep(**shape)
     sentinel = workdir / "crash-once"
-    original = evaluation.measure_capacity
+    original = evaluation.des_capacity_points
 
-    def crash_once(**kwargs):
-        if kwargs.get("interval_ms") == 24.0 and not sentinel.exists():
+    def crash_once(requests):
+        if requests[0].interval_ms == 24.0 and not sentinel.exists():
             sentinel.write_text("tripped", encoding="utf-8")
             raise RuntimeError("injected mid-sweep crash")
-        return original(**kwargs)
+        return original(requests)
 
-    evaluation.measure_capacity = crash_once
+    evaluation.des_capacity_points = crash_once
     interrupted = False
     try:
         try:
@@ -179,7 +179,7 @@ def _check_interrupted_sweep(workdir: Path, *, seed: int,
         except RuntimeError:
             interrupted = True
     finally:
-        evaluation.measure_capacity = original
+        evaluation.des_capacity_points = original
     registry = MetricsRegistry()
     with using(registry):
         resumed = evaluation.capacity_sweep(**shape,

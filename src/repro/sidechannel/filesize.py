@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import PlatformConfig
-from ..core.context import ExperimentContext
+from ..engine.parallel import resolve_workers
 from ..platform.system import System
 from ..workloads.compression import CompressionVictim
 from .methodology import UfsAttacker
@@ -236,7 +236,7 @@ def run_filesize_study(
 
     The calibration baselines and the attack runs share one long-lived
     system (the attacker's helpers stay resident), so there is nothing
-    to fan out: ``workers`` is accepted for signature uniformity but
+    to fan out: ``workers`` is validated for signature uniformity but
     unused.
 
     ``cache_dir`` names a :class:`~repro.trace.store.TraceStore` root.
@@ -247,8 +247,7 @@ def run_filesize_study(
     :func:`study_from_traces`, so results are bit-identical with the
     cache cold, warm or disabled.
     """
-    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers)
-    seed = ctx.seed
+    resolve_workers(workers)
     shape = dict(sizes_kb=sizes_kb, calibration_runs=calibration_runs,
                  trials=trials, granularity_kb=granularity_kb)
 
@@ -258,7 +257,7 @@ def run_filesize_study(
         from ..trace.store import TraceStore
 
         store = TraceStore(cache_dir)
-        key = store.key("filesize", platform=ctx.platform,
+        key = store.key("filesize", platform=platform,
                         params=filesize_cache_params(**shape), seed=seed)
         cached = store.fetch(key)
         if cached is not None:
@@ -267,7 +266,7 @@ def run_filesize_study(
 
     traces = _collect_study_traces(
         sizes_kb=sizes_kb, calibration_runs=calibration_runs,
-        trials=trials, seed=seed, platform=ctx.platform,
+        trials=trials, seed=seed, platform=platform,
     )
     if store is not None:
         store.put(key, traces, experiment="filesize",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.stats import top_k_accuracy
-from ..core.context import ExperimentContext
 from ..engine.parallel import (
     Trial,
     require_complete,
@@ -216,11 +215,9 @@ def collect_dataset(
         raise ConfigError(
             f"trace length must be positive, got {trace_ms} ms"
         )
-    ctx = ExperimentContext(platform=platform, seed=seed, workers=workers)
-    platform, seed, workers = ctx.platform, ctx.seed, ctx.workers
+    count = resolve_workers(workers)
     if per_site_systems is None:
-        per_site_systems = (resolve_workers(workers) > 1
-                            or checkpoint_dir is not None)
+        per_site_systems = count > 1 or checkpoint_dir is not None
     if checkpoint_dir is not None and not per_site_systems:
         raise ConfigError(
             "checkpointed collection requires per_site_systems=True: "

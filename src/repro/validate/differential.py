@@ -481,17 +481,12 @@ def run_differential_suite(workdir, seed: int = 0, *,
     ``backend`` narrows the backend-equivalence checks: ``"des"`` runs
     only the legacy execution-path pairs, ``"batch"`` adds the
     bit-identity and grid-oracle checks, ``"analytical"`` adds the
-    statistical check, and ``None``/``"auto"`` (the default) runs
-    everything.
+    statistical check, and ``None`` (the default) runs everything.
     """
-    from ..errors import ConfigError
-    from ..fastpath.backend import BACKENDS
+    from ..fastpath.backend import check_backend
 
-    if backend is not None and backend not in BACKENDS:
-        raise ConfigError(
-            f"unknown backend {backend!r}: choose one of "
-            f"{', '.join(BACKENDS)}"
-        )
+    if backend is not None:
+        check_backend(backend)
     reports = [
         check_serial_vs_parallel_capacity(seed),
         check_serial_vs_parallel_defenses(seed),
@@ -500,13 +495,13 @@ def run_differential_suite(workdir, seed: int = 0, *,
         check_cold_vs_warm_channel_trace(workdir, seed),
         check_live_vs_replay(workdir, seed),
     ]
-    if backend in (None, "auto", "batch"):
+    if backend in (None, "batch"):
         reports += [
             check_des_vs_batch_capacity(seed),
             check_des_vs_batch_defenses(seed),
             check_des_vs_batch_fuzz_platforms(seed),
             check_batch_frequency_grid(seed),
         ]
-    if backend in (None, "auto", "analytical"):
+    if backend in (None, "analytical"):
         reports.append(check_des_vs_analytical_capacity(seed))
     return reports

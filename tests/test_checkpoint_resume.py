@@ -24,11 +24,11 @@ SHAPE = dict(intervals_ms=(28.0, 24.0), bits=8, seed=0)
 # Captured at import time, before any monkeypatching, so the crashing
 # wrapper below can reach the real implementation even from a pool
 # worker that re-imports this module.
-_REAL_MEASURE = evaluation.measure_capacity
+_REAL_DES = evaluation.des_capacity_points
 
 
 class _CrashOnceAt:
-    """A measure_capacity that dies once at one sweep point.
+    """A DES capacity runner that dies once at one sweep point.
 
     Module-level (hence pool-picklable); the sentinel lives on disk so
     the fault fires exactly once even when the sweep fans out across
@@ -40,12 +40,12 @@ class _CrashOnceAt:
         self.sentinel = sentinel
         self.interval_ms = interval_ms
 
-    def __call__(self, **kwargs):
-        if (kwargs.get("interval_ms") == self.interval_ms
+    def __call__(self, requests):
+        if (requests[0].interval_ms == self.interval_ms
                 and not self.sentinel.exists()):
             self.sentinel.write_text("tripped", encoding="utf-8")
             raise RuntimeError("injected mid-sweep crash")
-        return _REAL_MEASURE(**kwargs)
+        return _REAL_DES(requests)
 
 
 class TestCapacitySweepResume:
@@ -53,7 +53,7 @@ class TestCapacitySweepResume:
             self, tmp_path, monkeypatch):
         clean = evaluation.capacity_sweep(**SHAPE)
         monkeypatch.setattr(
-            evaluation, "measure_capacity",
+            evaluation, "des_capacity_points",
             _CrashOnceAt(tmp_path / "crash", 24.0),
         )
         with pytest.raises(RuntimeError, match="mid-sweep"):
@@ -78,7 +78,7 @@ class TestCapacitySweepResume:
         """
         clean = evaluation.capacity_sweep(**SHAPE, workers=1)
         monkeypatch.setattr(
-            evaluation, "measure_capacity",
+            evaluation, "des_capacity_points",
             _CrashOnceAt(tmp_path / "crash", 24.0),
         )
         with pytest.raises(RuntimeError, match="mid-sweep"):
@@ -178,12 +178,12 @@ def _lost_trial_cases():
 
     return [
         pytest.param(
-            evaluation, "measure_capacity", evaluation.capacity_sweep,
+            evaluation, "des_capacity_points", evaluation.capacity_sweep,
             dict(SHAPE), ("interval_ms", 24.0), "interval-24",
             id="capacity_sweep",
         ),
         pytest.param(
-            defenses, "channel_under_defense", defenses.evaluate_defenses,
+            defenses, "des_defense_reports", defenses.evaluate_defenses,
             dict(bits=8, seed=0, defenses=("none", "fixed_max")),
             ("defense", "fixed_max"), "defense-fixed_max",
             id="evaluate_defenses",
@@ -213,10 +213,12 @@ class TestLostTrials:
         real = getattr(module, body)
         key, value = fault
 
-        def fail_one(**trial_kwargs):
-            if trial_kwargs[key] == value:
+        def fail_one(*requests, **trial_kwargs):
+            # A DES runner takes a one-request list; a site shard, kwargs.
+            fields = vars(requests[0][0]) if requests else trial_kwargs
+            if fields[key] == value:
                 raise ValueError("injected permanent fault")
-            return real(**trial_kwargs)
+            return real(*requests, **trial_kwargs)
 
         monkeypatch.setattr(module, body, fail_one)
         registry = MetricsRegistry()
@@ -236,3 +238,27 @@ class TestLostTrials:
         with using(registry):
             runner(**kwargs, checkpoint_dir=tmp_path)
         assert _counters(registry)["runner.checkpoint.skipped"] == 1
+
+    def test_single_attempt_des_sweep_names_label_and_seed(
+            self, monkeypatch):
+        """Each DES request is its own trial carrying its seed, so a
+        lost point is reported with what it takes to re-run it."""
+        from repro.errors import ResilienceError
+        from repro.resilience import RetryPolicy
+
+        def flaky(requests):
+            if requests[0].interval_ms == 24.0:
+                raise RuntimeError("injected transient fault")
+            return _REAL_DES(requests)
+
+        monkeypatch.setattr(evaluation, "des_capacity_points", flaky)
+        registry = MetricsRegistry()
+        with using(registry):
+            with pytest.raises(ResilienceError,
+                               match=r"lost 1 of 2 .*\(seed 7\): "
+                                     r"interval-24$"):
+                evaluation.capacity_sweep(
+                    **dict(SHAPE, seed=7),
+                    retry=RetryPolicy(max_attempts=1),
+                )
+        assert _counters(registry)["runner.permanent_failures"] == 1

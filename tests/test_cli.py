@@ -70,6 +70,9 @@ class TestBadSizes:
         ["capacity", "--bits", "-3", "--intervals", "20"],
         ["capacity", "--bits", "0", "--backend", "batch"],
         ["capacity", "--bits", "0", "--backend", "analytical"],
+        ["defenses", "--bits", "0"],
+        ["defenses", "--bits", "0", "--backend", "batch"],
+        ["defenses", "--bits", "0", "--backend", "analytical"],
         ["transmit", "--message", ""],
         ["stress", "--threads", "0"],
         ["stress", "--threads", "-1"],

@@ -1,4 +1,4 @@
-"""Unit tests for the fastpath package: backend selection, the
+"""Unit tests for the fastpath package: the backend switch, the
 request records, digest salting, ``run_batches`` and the vectorized
 backends' equivalence contracts (small shapes — the exhaustive grids
 live in the differential suite, ``tests/test_differential.py``).
@@ -10,19 +10,17 @@ import random
 import pytest
 
 from repro.config import DemandModelConfig, default_platform_config
-from repro.core.context import ExperimentContext
 from repro.core.evaluation import capacity_sweep, measure_capacity
 from repro.cpu.activity import window_classes
 from repro.defenses.evaluation import DEFENSE_KEYS
 from repro.engine.parallel import run_batches
 from repro.errors import ConfigError
 from repro.fastpath.backend import (
-    BACKEND_ENV_VAR,
     BACKENDS,
-    BATCHABLE_EXPERIMENTS,
     CapacityRequest,
     DefenseRequest,
-    resolve_backend,
+    check_backend,
+    run_requests,
 )
 from repro.fastpath.batch import (
     _capacity_plan,
@@ -42,45 +40,15 @@ from repro.trace.store import TraceStore
 from repro.validate import equal_results
 
 
-class TestResolveBackend:
-    def test_default_is_des(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None) == "des"
-
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "batch")
-        assert resolve_backend(None) == "batch"
-
-    def test_blank_env_var_counts_as_unset(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "  ")
-        assert resolve_backend(None) == "des"
-
-    def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "batch")
-        assert resolve_backend("analytical") == "analytical"
+class TestCheckBackend:
+    def test_three_backends(self):
+        assert BACKENDS == ("des", "batch", "analytical")
+        for name in BACKENDS:
+            check_backend(name)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="unknown backend"):
-            resolve_backend("bogus")
-
-    def test_bad_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-        with pytest.raises(ConfigError, match="REPRO_BACKEND"):
-            resolve_backend(None)
-
-    def test_auto_takes_batch_for_batchable_experiments(self):
-        for experiment in BATCHABLE_EXPERIMENTS:
-            assert resolve_backend("auto", experiment=experiment) == "batch"
-
-    def test_auto_falls_back_to_des_elsewhere(self):
-        assert resolve_backend("auto") == "des"
-        assert resolve_backend("auto",
-                               experiment="comparison_matrix") == "des"
-
-    def test_auto_never_survives_resolution(self):
-        for name in BACKENDS:
-            assert resolve_backend(name, experiment="capacity_sweep") != \
-                "auto"
+            check_backend("bogus")
 
 
 class TestDigestSalting:
@@ -120,20 +88,6 @@ class TestDigestSalting:
         assert batch != des
         assert checkpoint_key("capacity_sweep", params=params, seed=0,
                               backend="batch") == batch
-
-
-class TestContextBackend:
-    def test_backend_is_validated(self):
-        with pytest.raises(ConfigError, match="unknown backend"):
-            ExperimentContext(backend="bogus").validate()
-
-    def test_every_spelling_accepted(self):
-        for name in BACKENDS:
-            ExperimentContext(backend=name).validate()
-
-    def test_coalesce_builds_the_quartet(self):
-        ctx = ExperimentContext(seed=3, workers=2, backend="batch")
-        assert (ctx.seed, ctx.workers, ctx.backend) == (3, 2, "batch")
 
 
 def _double(requests):
@@ -181,9 +135,115 @@ class TestRunBatches:
                                labels=["a", "b", "c"],
                                checkpoint=rerun) == [2, 999, 6]
 
+    def test_negative_workers_rejected_when_all_resumed(self, tmp_path):
+        ckpt = Checkpoint(tmp_path / "x.ckpt.json", key="k")
+        ckpt.record("a", 2)
+        with pytest.raises(ConfigError, match="workers"):
+            run_batches([1], _double, workers=-1, labels=["a"],
+                        checkpoint=ckpt)
+
+
+class TestRunRequests:
+    def test_no_requests_still_validated(self):
+        assert run_requests([], "batch") == []
+        with pytest.raises(ConfigError, match="unknown backend"):
+            run_requests([], "bogus")
+        with pytest.raises(ConfigError, match="workers"):
+            run_requests([], workers=-1)
+
+    def test_runner_is_looked_up_when_called(self, monkeypatch):
+        # A wrapper rebound on the runner's module (a profiler's span, a
+        # fault injector) is the one every entry point runs.
+        import repro.fastpath.batch as batch
+
+        real = batch.batch_capacity_points
+        calls = []
+
+        def traced(requests):
+            calls.append(len(requests))
+            return real(requests)
+
+        monkeypatch.setattr(batch, "batch_capacity_points", traced)
+        measure_capacity(interval_ms=21.0, bits=5, backend="batch")
+        capacity_sweep(intervals_ms=(21.0, 15.0), bits=5, backend="batch")
+        assert calls == [1, 2]
+
+    def test_resumed_batch_sweep_still_validates_workers(self, tmp_path):
+        shape = dict(intervals_ms=(21.0, 15.0), bits=5, backend="batch",
+                     checkpoint_dir=tmp_path)
+        capacity_sweep(**shape)
+        registry = MetricsRegistry()
+        with using(registry):
+            capacity_sweep(**shape)
+        assert registry.snapshot()["counters"][
+            "runner.checkpoint.skipped"] == 2
+        with pytest.raises(ConfigError, match="workers"):
+            capacity_sweep(**shape, workers=-1)
+
+    def test_backend_env_var_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "batch")
+        registry = MetricsRegistry()
+        with using(registry):
+            measure_capacity(interval_ms=21.0, bits=5)
+        assert "fastpath.batch.trials" not in registry.snapshot()["counters"]
+
+    def test_comparison_matrix_runs_with_backend_env_var(self, monkeypatch):
+        from repro.channels.comparison import comparison_matrix
+        from repro.channels.scenarios import scenario_by_key
+        from repro.channels.turbo_boost import TurboBoostChannel
+
+        monkeypatch.setenv("REPRO_BACKEND", "batch")
+        [cell] = comparison_matrix(
+            bits=6, channels=(TurboBoostChannel,),
+            scenarios=(scenario_by_key("baseline"),),
+        )
+        assert cell.channel == TurboBoostChannel.name
+        assert cell.scenario == "baseline"
+
+
+def _runner_calls():
+    """Every public experiment runner, called cheaply with ``workers=-1``."""
+    from repro.channels.comparison import comparison_matrix
+    from repro.core.reliability import capacity_under_stress, stress_table
+    from repro.defenses.evaluation import evaluate_defenses
+    from repro.sidechannel.filesize import run_filesize_study
+    from repro.sidechannel.fingerprint import collect_dataset
+
+    return {
+        "measure_capacity": lambda: measure_capacity(
+            interval_ms=21.0, bits=5, workers=-1),
+        "capacity_sweep": lambda: capacity_sweep(
+            intervals_ms=(21.0,), bits=5, workers=-1),
+        "evaluate_defenses": lambda: evaluate_defenses(
+            bits=5, defenses=("none",), workers=-1),
+        "comparison_matrix": lambda: comparison_matrix(bits=4, workers=-1),
+        "capacity_under_stress": lambda: capacity_under_stress(
+            1, bits=5, workers=-1),
+        "stress_table": lambda: stress_table(1, bits=5, workers=-1),
+        "collect_dataset": lambda: collect_dataset(
+            num_sites=1, train_visits=1, test_visits=1, trace_ms=10.0,
+            per_site_systems=False, workers=-1),
+        "run_filesize_study": lambda: run_filesize_study(
+            sizes_kb=(300.0,), calibration_runs=1, trials=1, workers=-1),
+    }
+
+
+class TestValidationBeforeWork:
+    @pytest.mark.parametrize("name", list(_runner_calls()))
+    def test_negative_workers_rejected_before_any_system(
+            self, name, monkeypatch):
+        from repro.platform.system import System
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a System was built before validation")
+
+        monkeypatch.setattr(System, "__init__", no_work)
+        with pytest.raises(ConfigError, match="workers"):
+            _runner_calls()[name]()
+
 
 class TestCapacityShape:
-    """A capacity point needs a measured bit on every backend."""
+    """A point needs a measured bit on every backend."""
 
     @pytest.mark.parametrize("backend", ["des", "batch", "analytical"])
     @pytest.mark.parametrize("bits", [0, -3])
@@ -198,6 +258,14 @@ class TestCapacityShape:
         with pytest.raises(ConfigError, match="at least one bit"):
             capacity_sweep(intervals_ms=(28.0, 20.0), bits=bits,
                            backend=backend)
+
+    @pytest.mark.parametrize("backend", ["des", "batch", "analytical"])
+    @pytest.mark.parametrize("bits", [0, -3])
+    def test_evaluate_defenses_rejects_no_bits(self, backend, bits):
+        from repro.defenses.evaluation import evaluate_defenses
+
+        with pytest.raises(ConfigError, match="at least one bit"):
+            evaluate_defenses(bits=bits, backend=backend)
 
 
 #: Platforms ``PlatformConfig.validate`` rejects, one per kind of defect.
@@ -266,25 +334,6 @@ class TestBatchBackend:
             measure_capacity(interval_ms=21.0, bits=5, backend="batch")
         counters = registry.snapshot()["counters"]
         assert counters["fastpath.batch.trials"] == 1
-
-    def test_env_var_reaches_the_runner(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "batch")
-        registry = MetricsRegistry()
-        with using(registry):
-            measure_capacity(interval_ms=21.0, bits=5)
-        counters = registry.snapshot()["counters"]
-        assert counters["fastpath.batch.trials"] == 1
-
-    def test_explicit_des_is_immune_to_the_env_var(self, monkeypatch):
-        # A DES sweep pins backend="des" on its fan-out trials, so a
-        # REPRO_BACKEND set mid-flight cannot flip them after the
-        # sweep already resolved.
-        monkeypatch.setenv(BACKEND_ENV_VAR, "batch")
-        registry = MetricsRegistry()
-        with using(registry):
-            capacity_sweep(intervals_ms=(21.0,), bits=5, backend="des")
-        counters = registry.snapshot()["counters"]
-        assert "fastpath.batch.trials" not in counters
 
     @pytest.mark.parametrize("interval_ms", [21.0, 12.0])
     def test_observation_longer_than_period(self, interval_ms):
@@ -796,24 +845,7 @@ class TestAnalyticalBackend:
         assert counters["fastpath.analytical.evals"] == 1
 
 
-class TestComparisonMatrixGuard:
-    def test_explicit_vectorized_backend_rejected(self):
-        from repro.channels.comparison import comparison_matrix
-
-        # The error must name the offending backend and list the
-        # supported ones, so a typo'd CLI flag is self-explanatory.
-        with pytest.raises(ConfigError) as excinfo:
-            comparison_matrix(bits=4, backend="batch")
-        message = str(excinfo.value)
-        assert "'batch'" in message
-        assert "des" in message and "auto" in message
-
-    def test_analytical_backend_rejected_by_name(self):
-        from repro.channels.comparison import comparison_matrix
-
-        with pytest.raises(ConfigError, match="'analytical'"):
-            comparison_matrix(bits=4, backend="analytical")
-
+class TestUnknownDefense:
     def test_unknown_defense_is_a_clean_error(self):
         from repro.defenses.evaluation import channel_under_defense
 

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.context import ExperimentContext
 from repro.core.evaluation import (
     CapacityPoint,
     SweepResult,
@@ -287,16 +286,6 @@ class TestSweepResult:
         sweep = SweepResult(points=tuple(points))
         assert sweep.peak().capacity_bps == 40.9
         assert sweep.summarize()["peak_interval_ms"] == 21.0
-
-
-class TestExperimentContext:
-    def test_trio_builds_context(self):
-        ctx = ExperimentContext(seed=5, workers=2)
-        assert (ctx.platform, ctx.seed, ctx.workers) == (None, 5, 2)
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentContext(workers=-1)
 
 
 class TestManifest:
