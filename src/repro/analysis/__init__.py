@@ -4,7 +4,6 @@ machine-readable export."""
 from .entropy import binary_entropy, channel_capacity_bps
 from .export import (
     append_jsonl,
-    manifest_to_json,
     results_to_json,
     write_manifest,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "bit_error_rate",
     "channel_capacity_bps",
     "format_table",
-    "manifest_to_json",
     "median_mhz",
     "quantile_summary",
     "results_to_json",

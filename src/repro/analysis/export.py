@@ -31,15 +31,6 @@ def results_to_json(results, *, indent: int = 2) -> str:
     return json.dumps(_jsonable(results), indent=indent)
 
 
-def manifest_to_json(manifest, *, indent: int = 2) -> str:
-    """Serialise a :class:`~repro.telemetry.RunManifest` to JSON.
-
-    The manifest is a frozen dataclass, so this is ``results_to_json``
-    under a name that documents the artefact.
-    """
-    return results_to_json(manifest, indent=indent)
-
-
 def append_jsonl(path, record) -> None:
     """Append one record as a JSON line to ``path`` (created if absent).
 

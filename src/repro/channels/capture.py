@@ -27,7 +27,7 @@ from ..core.evaluation import random_bits
 from ..errors import ConfigError
 from ..platform.system import System
 from ..sidechannel.tracer import TraceRecord
-from ..trace.store import TraceStore
+from ..trace.store import TraceStore, cached_corpus
 from .comparison import CHANNELS_BY_NAME
 from .scenarios import scenario_by_key
 
@@ -92,27 +92,16 @@ def capture_channel_trace(name: str, *, bits: int = 12, seed: int = 0,
                           ) -> tuple[dict, list[TraceRecord]]:
     """A channel's raw stream, served from ``store`` when cached.
 
-    Returns ``(meta, records)`` exactly as :meth:`TraceStore.fetch`
-    would; the first call under a given store simulates and populates
-    the cache, later calls replay the blob — bit-identically, which the
-    differential suite asserts.
+    Returns ``(meta, records)`` from
+    :func:`~repro.trace.store.cached_corpus`: the first call under a
+    given store simulates and populates the cache, later calls replay
+    the blob — bit-identically, which the differential suite asserts.
     """
-    scenario = scenario_by_key("baseline")
-    meta = {"channel": name, "bits": bits, "seed": seed}
-    key = TraceStore.key(
-        f"channel/{name}",
-        platform=scenario.platform(),
-        params={"bits": bits},
-        seed=seed,
+    return cached_corpus(
+        store, f"channel/{name}", {"bits": bits},
+        seed=seed, platform=scenario_by_key("baseline").platform(),
+        meta={"channel": name, "seed": seed},
+        simulate=lambda: [
+            simulate_channel_trace(name, bits=bits, seed=seed)
+        ],
     )
-    if store is not None:
-        cached = store.fetch(key)
-        if cached is not None:
-            return cached
-    records = [simulate_channel_trace(name, bits=bits, seed=seed)]
-    if store is not None:
-        store.put(key, records, experiment=f"channel/{name}", meta=meta)
-        fetched = store.fetch(key)
-        if fetched is not None:
-            return fetched
-    return meta, records

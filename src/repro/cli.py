@@ -23,7 +23,7 @@ Every subcommand accepts ``--seed`` for reproducibility and prints the
 same row format the benchmark harness uses.  ``--workers N`` (or
 ``REPRO_WORKERS``) fans independent trials out across processes where a
 command supports it (``capacity``, ``stress``, ``defenses``,
-``compare``, ``fingerprint``); worker count never changes the results,
+``compare``, ``validate``); worker count never changes the results,
 only the wall time.
 
 Backends: ``capacity`` and ``defenses`` take
@@ -49,7 +49,7 @@ results) on stdout.  Telemetry is strictly observational: results are
 byte-identical with it on or off.
 
 Resilience: the long-running commands (``capacity``, ``defenses``,
-``fingerprint``, ``validate``) take ``--resume DIR`` — completed
+``validate``) take ``--resume DIR`` — completed
 trials are checkpointed there atomically, and re-running the same
 command resumes past them with bit-identical results.  ``capacity``
 and ``defenses`` also take ``--retries N`` to re-run transient worker
@@ -333,7 +333,6 @@ def _cmd_fingerprint(args: argparse.Namespace) -> dict:
         num_sites=args.sites, train_visits=3, test_visits=2,
         trace_ms=args.trace_ms, seed=args.seed, workers=args.workers,
         cache_dir=_resolve_cache_dir(args),
-        checkpoint_dir=args.resume,
     )
     result = run_fingerprinting_study(
         dataset,
@@ -434,7 +433,6 @@ def _cmd_trace_replay(args: argparse.Namespace) -> dict:
             store,
             **_fingerprint_shape(args),
             seed=args.seed,
-            sharded=args.sharded,
             classifier=args.classifier,
         )
         if not args.json:
@@ -766,6 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     from ._version import __version__
     from .fastpath.backend import BACKENDS
     from .resilience.chaos import CHAOS_FAULTS
+    from .trace.replay import REPLAY_CLASSIFIERS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -855,7 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fingerprint_shape_flags(fingerprint)
     _add_cache_flags(fingerprint)
-    _add_resume_flag(fingerprint)
     _add_json_flag(fingerprint)
     fingerprint.set_defaults(handler=_cmd_fingerprint)
 
@@ -899,11 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--cache-dir", metavar="DIR", required=True,
                         help="trace-store root to replay from")
     replay.add_argument("--classifier",
-                        choices=("rnn", "knn", "gru"), default="rnn",
+                        choices=REPLAY_CLASSIFIERS, default="rnn",
                         help="fingerprint model (default rnn)")
-    replay.add_argument("--sharded", action="store_true",
-                        help="the corpus was recorded in sharded "
-                             "(workers > 1) mode")
     _add_fingerprint_shape_flags(replay)
     _add_filesize_shape_flags(replay)
     _add_json_flag(replay)
@@ -1034,7 +1029,7 @@ def main(argv: list[str] | None = None) -> int:
             args.handler(args)
             return 0
 
-        from .analysis.export import manifest_to_json, write_manifest
+        from .analysis.export import results_to_json, write_manifest
         from .telemetry import MetricsRegistry, build_manifest, using
 
         registry = MetricsRegistry()
@@ -1055,7 +1050,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.telemetry:
             write_manifest(args.telemetry, manifest)
         if args.json:
-            print(manifest_to_json(manifest))
+            print(results_to_json(manifest))
         return 0
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,8 @@ capacity.  Run in both the cross-core and cross-processor deployments.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..config import PlatformConfig
 from ..engine.parallel import resolve_workers
@@ -112,16 +111,6 @@ class SweepResult:
             "peak_interval_ms": best.interval_ms,
             "peak_error_rate": best.error_rate,
         }
-
-    def to_json(self, *, indent: int = 2) -> str:
-        """Points plus summary as a JSON document."""
-        return json.dumps(
-            {
-                "points": [asdict(p) for p in self.points],
-                "summary": self.summarize(),
-            },
-            indent=indent,
-        )
 
 
 def random_bits(count: int, seed: int, label: str = "payload") -> list[int]:

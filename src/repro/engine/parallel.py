@@ -1,7 +1,7 @@
 """Deterministic parallel experiment runner.
 
-Every paper artefact repeats dozens to hundreds of *independent* seeded
-trials (capacity sweep points, Table 3 cells, fingerprint site visits).
+Most paper artefacts repeat dozens to hundreds of *independent* seeded
+trials (capacity sweep points, Table 3 cells, §6.1 defenses).
 This module fans those trials out across processes while keeping the
 results bit-identical to a serial run:
 

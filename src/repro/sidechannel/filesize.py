@@ -22,6 +22,7 @@ import numpy as np
 
 from ..config import PlatformConfig
 from ..engine.parallel import resolve_workers
+from ..errors import ConfigError
 from ..platform.system import System
 from ..workloads.compression import CompressionVictim
 from .methodology import UfsAttacker
@@ -122,8 +123,6 @@ def study_from_traces(
     them.  All arithmetic here is a pure function of the trace floats,
     so a replayed corpus reproduces the simulated study bit for bit.
     """
-    from ..errors import ConfigError
-
     traces = list(traces)
     expected = len(sizes_kb) * (calibration_runs + trials)
     if len(traces) != expected:
@@ -165,27 +164,34 @@ def study_from_traces(
     )
 
 
-def filesize_cache_params(
+def filesize_corpus(
     *,
     sizes_kb: tuple[float, ...],
     calibration_runs: int,
     trials: int,
     granularity_kb: float,
+    seed: int,
+    platform: PlatformConfig | None = None,
 ) -> dict:
-    """The canonical cache-key params for a file-size study.
+    """The identity of a file-size corpus in the trace store.
 
-    Shared by the runner and the ``repro trace`` CLI so both compute
-    the same :meth:`~repro.trace.store.TraceStore.key` for the same
-    study shape.  Deliberately excludes ``workers`` — fan-out never
-    changes results — and ``granularity_kb`` stays in because it is
-    part of the study's identity even though it does not steer the
-    simulation.
+    The keywords of :func:`~repro.trace.store.cached_corpus` and
+    :meth:`~repro.trace.store.TraceStore.key`, shared by
+    :func:`run_filesize_study` and the replay side so both address the
+    same blob.  ``workers`` is not part of it (it never changes
+    results); ``granularity_kb`` is, because it is part of the study's
+    identity even though it does not steer the simulation.
     """
     return {
-        "sizes_kb": list(sizes_kb),
-        "calibration_runs": calibration_runs,
-        "trials": trials,
-        "granularity_kb": granularity_kb,
+        "experiment": "filesize",
+        "params": {
+            "sizes_kb": list(sizes_kb),
+            "calibration_runs": calibration_runs,
+            "trials": trials,
+            "granularity_kb": granularity_kb,
+        },
+        "seed": seed,
+        "platform": platform,
     }
 
 
@@ -248,27 +254,23 @@ def run_filesize_study(
     cache cold, warm or disabled.
     """
     resolve_workers(workers)
+    if not sizes_kb:
+        raise ConfigError("a file-size study needs at least one size")
+    if calibration_runs < 1 or trials < 1:
+        raise ConfigError(
+            f"a file-size study needs at least one calibration run and "
+            f"one trial per size, got {calibration_runs} and {trials}"
+        )
+    from ..trace.store import TraceStore, cached_corpus
+
     shape = dict(sizes_kb=sizes_kb, calibration_runs=calibration_runs,
                  trials=trials, granularity_kb=granularity_kb)
-
-    store = None
-    key = None
-    if cache_dir is not None:
-        from ..trace.store import TraceStore
-
-        store = TraceStore(cache_dir)
-        key = store.key("filesize", platform=platform,
-                        params=filesize_cache_params(**shape), seed=seed)
-        cached = store.fetch(key)
-        if cached is not None:
-            _, records = cached
-            return study_from_traces(records, **shape)
-
-    traces = _collect_study_traces(
-        sizes_kb=sizes_kb, calibration_runs=calibration_runs,
-        trials=trials, seed=seed, platform=platform,
+    _, traces = cached_corpus(
+        None if cache_dir is None else TraceStore(cache_dir),
+        **filesize_corpus(**shape, seed=seed, platform=platform),
+        simulate=lambda: _collect_study_traces(
+            sizes_kb=sizes_kb, calibration_runs=calibration_runs,
+            trials=trials, seed=seed, platform=platform,
+        ),
     )
-    if store is not None:
-        store.put(key, traces, experiment="filesize",
-                  meta=filesize_cache_params(**shape))
     return study_from_traces(traces, **shape)

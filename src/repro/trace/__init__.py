@@ -12,7 +12,9 @@ artefacts instead of transient simulation output:
 * :mod:`repro.trace.store` — a content-addressed on-disk store keyed
   by ``(platform digest, experiment, params, seed)``: one
   self-describing blob per key, atomic writes, corruption quarantine
-  and size-capped LRU garbage collection by blob mtime;
+  and size-capped LRU garbage collection by blob mtime, plus
+  :func:`~repro.trace.store.cached_corpus`, the one cache step every
+  trace-backed study goes through;
 * :mod:`repro.trace.replay` — stored corpora fed back through feature
   extraction and the kNN/RNN/GRU classifiers without the simulator,
   plus the :func:`~repro.trace.replay.golden_compare` checker behind
@@ -23,14 +25,13 @@ The cache-aware runners
 :func:`repro.sidechannel.filesize.run_filesize_study`) use the store
 transparently via ``cache_dir``: a key hit skips the simulation, a
 miss records the fresh corpus on the way out, and results are
-bit-identical either way — including under ``workers > 1``, where each
-parallel shard owns its own cache line.
+bit-identical either way.  Each study is one cache line.
 """
 
 from .format import MAGIC, VERSION, decode_record, encode_record
 from .writer import CORPUS_MAGIC, CORPUS_VERSION, TraceWriter, write_corpus
 from .reader import TraceReader, read_corpus
-from .store import StoreEntry, TraceStore, VerifyReport
+from .store import StoreEntry, TraceStore, VerifyReport, cached_corpus
 from .replay import (
     GoldenDiff,
     filesize_study_from_store,
@@ -51,6 +52,7 @@ __all__ = [
     "TraceWriter",
     "VERSION",
     "VerifyReport",
+    "cached_corpus",
     "decode_record",
     "encode_record",
     "filesize_study_from_store",

@@ -7,9 +7,11 @@ params, seed)``, so feeding it back through
 produce results bit-identical to a live simulation — without ever
 touching the simulator.  The two study-shaped entry points
 (:func:`fingerprint_dataset_from_store`,
-:func:`filesize_study_from_store`) recompute the same cache keys the
-cache-aware runners use, load the corpora, and hand them to the exact
-scoring code the live path uses.
+:func:`filesize_study_from_store`) key their loads from the same
+corpus identity the runners record under
+(:func:`~repro.sidechannel.fingerprint.fingerprint_corpus`,
+:func:`~repro.sidechannel.filesize.filesize_corpus`), load the
+corpora, and hand them to the exact scoring code the live path uses.
 
 :func:`golden_compare` is the tolerance checker behind the golden-trace
 regression tests: it diffs a freshly simulated trace against a recorded
@@ -24,18 +26,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import TraceStoreError
+from ..errors import ConfigError
 from ..sidechannel.tracer import TraceRecord
 from .store import TraceStore
 
 __all__ = [
     "GoldenDiff",
+    "REPLAY_CLASSIFIERS",
     "golden_compare",
     "fingerprint_dataset_from_store",
     "filesize_study_from_store",
     "replay_fingerprint",
     "replay_filesize",
 ]
+
+#: The models :func:`replay_fingerprint` can score a corpus with.
+REPLAY_CLASSIFIERS = ("rnn", "knn", "gru")
 
 
 @dataclass(frozen=True)
@@ -95,58 +101,26 @@ def fingerprint_dataset_from_store(
     seed: int = 0,
     victim_core: int = 5,
     platform=None,
-    sharded: bool = False,
 ):
-    """Reassemble a fingerprint dataset from stored corpora only.
+    """Reassemble a fingerprint dataset from its stored corpus only.
 
-    Recomputes the same key(s) the cache-aware
-    :func:`~repro.sidechannel.fingerprint.collect_dataset` uses — one
-    dataset key in long-lived mode, one key per site shard in sharded
-    mode — and raises
-    :class:`~repro.errors.TraceStoreError` if any corpus is missing,
-    so a replay never silently falls back to simulation.
+    Loads the key :func:`~repro.sidechannel.fingerprint.collect_dataset`
+    records under and raises :class:`~repro.errors.TraceStoreError` if
+    it is missing, so a replay never silently falls back to simulation.
     """
     from ..sidechannel.fingerprint import (
-        FingerprintDataset,
-        _shard_store_key,
-        fingerprint_cache_params,
+        dataset_from_traces,
+        fingerprint_corpus,
     )
 
-    train: list[TraceRecord] = []
-    test: list[TraceRecord] = []
-    if sharded:
-        for site in range(num_sites):
-            key = _shard_store_key(
-                store, site=site, seed=seed, platform=platform,
-                num_sites=num_sites, train_visits=train_visits,
-                test_visits=test_visits, trace_ms=trace_ms,
-                victim_core=victim_core,
-            )
-            meta, records = store.load(key)
-            split = int(meta["train_count"])
-            train.extend(records[:split])
-            test.extend(records[split:])
-    else:
-        key = store.key(
-            "fingerprint",
-            platform=platform,
-            params=fingerprint_cache_params(
-                num_sites=num_sites, train_visits=train_visits,
-                test_visits=test_visits, trace_ms=trace_ms,
-                victim_core=victim_core, sharded=False,
-            ),
-            seed=seed,
-        )
-        meta, records = store.load(key)
-        split = int(meta["train_count"])
-        train.extend(records[:split])
-        test.extend(records[split:])
-    return FingerprintDataset(
-        train=tuple(train),
-        test=tuple(test),
-        num_sites=num_sites,
-        trace_ms=trace_ms,
-    )
+    _, records = store.load(store.key(**fingerprint_corpus(
+        num_sites=num_sites, train_visits=train_visits,
+        test_visits=test_visits, trace_ms=trace_ms,
+        victim_core=victim_core, seed=seed, platform=platform,
+    )))
+    return dataset_from_traces(records, num_sites=num_sites,
+                               train_visits=train_visits,
+                               trace_ms=trace_ms)
 
 
 def filesize_study_from_store(
@@ -167,10 +141,7 @@ def filesize_study_from_store(
     :class:`~repro.errors.TraceStoreError` when the key was never
     recorded.
     """
-    from ..sidechannel.filesize import (
-        filesize_cache_params,
-        study_from_traces,
-    )
+    from ..sidechannel.filesize import filesize_corpus, study_from_traces
 
     shape = dict(
         sizes_kb=tuple(sizes_kb),
@@ -178,13 +149,9 @@ def filesize_study_from_store(
         trials=trials,
         granularity_kb=granularity_kb,
     )
-    key = store.key(
-        "filesize",
-        platform=platform,
-        params=filesize_cache_params(**shape),
-        seed=seed,
-    )
-    _, records = store.load(key)
+    _, records = store.load(store.key(
+        **filesize_corpus(**shape, seed=seed, platform=platform)
+    ))
     return study_from_traces(records, **shape)
 
 
@@ -198,7 +165,6 @@ def replay_fingerprint(
     seed: int = 0,
     victim_core: int = 5,
     platform=None,
-    sharded: bool = False,
     classifier: str = "rnn",
     num_bins: int = 96,
     epochs: int = 400,
@@ -208,8 +174,15 @@ def replay_fingerprint(
     ``classifier`` picks the model: ``"rnn"`` (the paper's; also
     scores the kNN baseline via the standard study),
     ``"knn"`` or ``"gru"`` (the same RNN with ``cell="gru"``).  Returns a
-    :class:`~repro.sidechannel.fingerprint.FingerprintResult`.
+    :class:`~repro.sidechannel.fingerprint.FingerprintResult`.  An
+    unknown ``classifier`` raises :class:`~repro.errors.ConfigError`
+    before the store is read.
     """
+    if classifier not in REPLAY_CLASSIFIERS:
+        raise ConfigError(
+            f"unknown replay classifier {classifier!r} "
+            f"(expected one of {', '.join(REPLAY_CLASSIFIERS)})"
+        )
     from ..analysis.stats import top_k_accuracy
     from ..sidechannel.features import normalize_traces
     from ..sidechannel.fingerprint import (
@@ -221,7 +194,7 @@ def replay_fingerprint(
     dataset = fingerprint_dataset_from_store(
         store, num_sites=num_sites, train_visits=train_visits,
         test_visits=test_visits, trace_ms=trace_ms, seed=seed,
-        victim_core=victim_core, platform=platform, sharded=sharded,
+        victim_core=victim_core, platform=platform,
     )
     config = RnnConfig(num_classes=num_sites, epochs=epochs, seed=seed)
     if classifier == "rnn":
@@ -234,13 +207,8 @@ def replay_fingerprint(
         from ..sidechannel.knn import KnnClassifier
 
         model = KnnClassifier(k=3, num_classes=num_sites)
-    elif classifier == "gru":
-        model = RnnClassifier(replace(config, cell="gru"))
     else:
-        raise TraceStoreError(
-            f"unknown replay classifier {classifier!r} "
-            "(expected rnn, knn or gru)"
-        )
+        model = RnnClassifier(replace(config, cell="gru"))
     model.fit(train_x, train_y)
     scores = model.predict_scores(test_x)
     top5_k = min(5, num_sites)

@@ -15,8 +15,8 @@ the simulation can be skipped outright.
 The blob is the only record of a cached corpus.  It describes itself:
 the header meta names the experiment, and per-frame CRCs guard the
 records.  Every write is one atomic
-:func:`~repro.resilience.checkpoint.publish`, so parallel shards
-(``workers > 1``) write their own corpora with no cross-process
+:func:`~repro.resilience.checkpoint.publish`, so processes sharing
+one store never see a half-written blob and never share a
 read-modify-write window.  LRU order is the blob's mtime: ``put`` and
 ``open`` stamp it explicitly with the current time in nanoseconds, and
 the size-capped :meth:`TraceStore.gc` evicts the oldest stamp first.
@@ -54,6 +54,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from ..config import default_platform_config
 from ..errors import TraceError, TraceStoreError
@@ -65,7 +66,7 @@ from ..telemetry.manifest import config_digest
 from .reader import TraceReader
 from .writer import write_corpus
 
-__all__ = ["StoreEntry", "TraceStore", "VerifyReport"]
+__all__ = ["StoreEntry", "TraceStore", "VerifyReport", "cached_corpus"]
 
 
 def _count(name: str, amount: int | float = 1) -> None:
@@ -383,3 +384,37 @@ class TraceStore:
             else:
                 ok.append(key)
         return VerifyReport(ok=tuple(ok), corrupt=tuple(corrupt))
+
+
+def cached_corpus(
+    store: TraceStore | None,
+    experiment: str,
+    params: dict,
+    *,
+    seed: int,
+    platform=None,
+    meta: dict | None = None,
+    simulate: Callable[[], list[TraceRecord]],
+) -> tuple[dict, list[TraceRecord]]:
+    """A study's ``(meta, records)``, simulated only on a cache miss.
+
+    The one cache step of every trace-backed study (Fig. 11, Fig. 12,
+    the modulation-channel captures): key the corpus with
+    :meth:`TraceStore.key`, return the stored corpus on a hit, and on a
+    miss run ``simulate`` and store its records on the way out.
+    ``store=None`` always simulates.  The blob's header carries
+    ``params`` and ``meta``; the returned meta is that header on a hit
+    and the same dict on a miss.  The codec round-trips every float
+    exactly, so the records are bit-identical whichever way they came.
+    """
+    header = {**params, **(meta or {}), "experiment": experiment}
+    if store is None:
+        return header, simulate()
+    key = store.key(experiment, platform=platform, params=params,
+                    seed=seed)
+    cached = store.fetch(key)
+    if cached is not None:
+        return cached
+    records = simulate()
+    store.put(key, records, meta=header)
+    return header, records

@@ -248,8 +248,7 @@ def check_cold_vs_warm_store(workdir, seed: int = 0, *,
     root = Path(workdir) / "cold-warm-store"
     kwargs = dict(
         num_sites=num_sites, train_visits=1, test_visits=1,
-        trace_ms=trace_ms, seed=seed, workers=1,
-        per_site_systems=True, cache_dir=root,
+        trace_ms=trace_ms, seed=seed, cache_dir=root,
     )
     cold = collect_dataset(**kwargs)
     warm = collect_dataset(**kwargs)
@@ -262,7 +261,7 @@ def check_cold_vs_warm_store(workdir, seed: int = 0, *,
 def check_live_vs_replay(workdir, seed: int = 0, *,
                          num_sites: int = 2,
                          trace_ms: float = 300.0) -> DifferentialReport:
-    """Live sharded collection vs pure store replay.
+    """Live collection vs pure store replay.
 
     :func:`fingerprint_dataset_from_store` reassembles the dataset from
     blobs alone — no simulation — and must reproduce the live dataset
@@ -275,13 +274,12 @@ def check_live_vs_replay(workdir, seed: int = 0, *,
     root = Path(workdir) / "live-replay-store"
     live = collect_dataset(
         num_sites=num_sites, train_visits=1, test_visits=1,
-        trace_ms=trace_ms, seed=seed, workers=1,
-        per_site_systems=True, cache_dir=root,
+        trace_ms=trace_ms, seed=seed, cache_dir=root,
     )
     replayed = fingerprint_dataset_from_store(
         TraceStore(root),
         num_sites=num_sites, train_visits=1, test_visits=1,
-        trace_ms=trace_ms, seed=seed, sharded=True,
+        trace_ms=trace_ms, seed=seed,
     )
     return _report(
         "live-vs-replay:fingerprint", live, replayed,

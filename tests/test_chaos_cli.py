@@ -41,11 +41,16 @@ class TestParser:
         )
         assert args.resume == "ckpt/"
         assert args.retries == 2
-        for command in ("capacity", "defenses", "fingerprint",
-                        "validate"):
+        for command in ("capacity", "defenses", "validate"):
             assert build_parser().parse_args(
                 [command, "--resume", "d/"]
             ).resume == "d/"
+
+    def test_fingerprint_takes_no_resume(self):
+        # Collection is one long-lived campaign: nothing to resume.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fingerprint", "--resume", "d/"])
+        assert exit_info.value.code == 2
 
 
 class TestChaosRuns:

@@ -9,7 +9,6 @@ results bit-identical to a run that never failed.
 import pytest
 
 from repro.core import evaluation
-from repro.errors import ConfigError
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.context import using
 
@@ -118,36 +117,6 @@ class TestDefensesResume:
         assert _counters(registry)["runner.checkpoint.skipped"] == 2
 
 
-class TestFingerprintResume:
-    KWARGS = dict(num_sites=2, train_visits=1, test_visits=1,
-                  trace_ms=250.0, seed=5)
-
-    def test_rerun_skips_completed_sites(self, tmp_path):
-        import numpy as np
-
-        from repro.sidechannel.fingerprint import collect_dataset
-
-        clean = collect_dataset(**self.KWARGS, per_site_systems=True)
-        collect_dataset(**self.KWARGS, checkpoint_dir=tmp_path)
-        registry = MetricsRegistry()
-        with using(registry):
-            resumed = collect_dataset(**self.KWARGS,
-                                      checkpoint_dir=tmp_path)
-        assert _counters(registry)["runner.checkpoint.skipped"] == 2
-        for mine, theirs in zip(clean.train + clean.test,
-                                resumed.train + resumed.test):
-            assert mine.label == theirs.label
-            assert np.array_equal(mine.times_ms, theirs.times_ms)
-            assert np.array_equal(mine.freqs_mhz, theirs.freqs_mhz)
-
-    def test_checkpointing_requires_sharded_collection(self, tmp_path):
-        from repro.sidechannel.fingerprint import collect_dataset
-
-        with pytest.raises(ConfigError):
-            collect_dataset(**self.KWARGS, per_site_systems=False,
-                            checkpoint_dir=tmp_path)
-
-
 class TestValidationResume:
     def test_rerun_skips_completed_scenarios(self, tmp_path,
                                              monkeypatch):
@@ -174,7 +143,6 @@ def _lost_trial_cases():
     """(module, trial body, runner, kwargs, kwarg -> value that fails,
     the label of that trial) for each checkpointed sweep runner."""
     from repro.defenses import evaluation as defenses
-    from repro.sidechannel import fingerprint
 
     return [
         pytest.param(
@@ -187,11 +155,6 @@ def _lost_trial_cases():
             dict(bits=8, seed=0, defenses=("none", "fixed_max")),
             ("defense", "fixed_max"), "defense-fixed_max",
             id="evaluate_defenses",
-        ),
-        pytest.param(
-            fingerprint, "_collect_site_traces", fingerprint.collect_dataset,
-            dict(TestFingerprintResume.KWARGS), ("site", 1), "site-1",
-            id="collect_dataset",
         ),
     ]
 
@@ -213,12 +176,11 @@ class TestLostTrials:
         real = getattr(module, body)
         key, value = fault
 
-        def fail_one(*requests, **trial_kwargs):
-            # A DES runner takes a one-request list; a site shard, kwargs.
-            fields = vars(requests[0][0]) if requests else trial_kwargs
-            if fields[key] == value:
+        def fail_one(requests):
+            # Each DES trial runs a one-request list.
+            if getattr(requests[0], key) == value:
                 raise ValueError("injected permanent fault")
-            return real(*requests, **trial_kwargs)
+            return real(requests)
 
         monkeypatch.setattr(module, body, fail_one)
         registry = MetricsRegistry()

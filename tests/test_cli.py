@@ -79,6 +79,9 @@ class TestBadSizes:
         ["fingerprint", "--sites", "0"],
         ["fingerprint", "--sites", "2", "--trace-ms", "0"],
         ["fingerprint", "--sites", "2", "--trace-ms", "-1"],
+        ["filesize", "--steps", "0"],
+        ["filesize", "--steps", "-2"],
+        ["filesize", "--steps", "1", "--trials", "0"],
     ])
     def test_rejected_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -86,6 +89,32 @@ class TestBadSizes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_empty_filesize_study_records_nothing(self, tmp_path,
+                                                  capsys):
+        store = tmp_path / "store"
+        assert main(["trace", "record", "filesize", "--steps", "0",
+                     "--cache-dir", str(store)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not list(store.glob("blobs/*.uftc"))
+
+    @pytest.mark.parametrize("shape", [
+        dict(sizes_kb=()),
+        dict(calibration_runs=0),
+        dict(trials=-1),
+    ])
+    def test_empty_filesize_study_rejected_before_any_system(
+            self, shape, monkeypatch):
+        from repro.errors import ConfigError
+        from repro.platform.system import System
+        from repro.sidechannel import run_filesize_study
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a System was built before validation")
+
+        monkeypatch.setattr(System, "__init__", no_work)
+        with pytest.raises(ConfigError, match="file-size study"):
+            run_filesize_study(**shape)
 
 
 CAPACITY_FAST = ["capacity", "--bits", "8", "--intervals", "28", "24"]

@@ -222,7 +222,7 @@ def _runner_calls():
         "stress_table": lambda: stress_table(1, bits=5, workers=-1),
         "collect_dataset": lambda: collect_dataset(
             num_sites=1, train_visits=1, test_visits=1, trace_ms=10.0,
-            per_site_systems=False, workers=-1),
+            workers=-1),
         "run_filesize_study": lambda: run_filesize_study(
             sizes_kb=(300.0,), calibration_runs=1, trials=1, workers=-1),
     }

@@ -122,20 +122,12 @@ class TestExperimentBitIdentity:
         assert parallel == serial
         assert [p.interval_ms for p in parallel] == [60.0, 45.0]
 
-    def test_fingerprint_sharded_collection_worker_invariant(self):
-        import numpy as np
-
+    def test_fingerprint_collection_worker_invariant(self):
         from repro.sidechannel.fingerprint import collect_dataset
+        from repro.validate.differential import equal_results
 
         kwargs = dict(num_sites=2, train_visits=1, test_visits=1,
                       trace_ms=250.0, seed=5)
-        sharded_serial = collect_dataset(**kwargs, workers=1,
-                                         per_site_systems=True)
-        sharded_parallel = collect_dataset(**kwargs, workers=2)
-        for mine, theirs in zip(
-            sharded_serial.train + sharded_serial.test,
-            sharded_parallel.train + sharded_parallel.test,
-        ):
-            assert mine.label == theirs.label
-            assert np.array_equal(mine.times_ms, theirs.times_ms)
-            assert np.array_equal(mine.freqs_mhz, theirs.freqs_mhz)
+        serial = collect_dataset(**kwargs, workers=1)
+        parallel = collect_dataset(**kwargs, workers=2)
+        assert equal_results(serial, parallel)

@@ -276,11 +276,6 @@ class TestSweepResult:
         assert summary["peak_capacity_bps"] == 40.9
         assert summary["peak_interval_ms"] == 21.0
 
-    def test_to_json_round_trips(self):
-        data = json.loads(self._sweep().to_json())
-        assert len(data["points"]) == 3
-        assert data["summary"]["peak_capacity_bps"] == 40.9
-
     def test_built_from_a_plain_point_list(self):
         points = list(self._sweep().points)
         sweep = SweepResult(points=tuple(points))

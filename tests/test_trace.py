@@ -582,19 +582,6 @@ class TestReplay(StoreFixture):
                         replayed.train + replayed.test):
             assert_identical(a, b)
 
-    def test_sharded_fingerprint_replay_matches(self, store):
-        from repro.sidechannel import collect_dataset
-        from repro.trace import fingerprint_dataset_from_store
-
-        live = collect_dataset(**self.SHAPE, cache_dir=store.root,
-                               per_site_systems=True)
-        replayed = fingerprint_dataset_from_store(
-            store, **self.SHAPE, sharded=True
-        )
-        for a, b in zip(live.train + live.test,
-                        replayed.train + replayed.test):
-            assert_identical(a, b)
-
     @pytest.mark.parametrize("classifier", ["knn", "rnn", "gru"])
     def test_replay_classifier_scores_from_store_alone(self, store,
                                                        classifier):
@@ -606,6 +593,16 @@ class TestReplay(StoreFixture):
                                     classifier=classifier, epochs=40)
         assert result.test_traces == 2
         assert 0.0 <= result.top1 <= 1.0
+
+    def test_unknown_classifier_is_named_before_the_store_is_read(
+            self, store):
+        from repro.errors import ConfigError
+        from repro.trace import replay_fingerprint
+
+        # The store is empty: the bad name, not the missing corpus, is
+        # what the caller hears about.
+        with pytest.raises(ConfigError, match="svm"):
+            replay_fingerprint(store, **self.SHAPE, classifier="svm")
 
     def test_replay_unknown_key_is_a_store_error(self, store):
         from repro.trace import fingerprint_dataset_from_store
@@ -652,21 +649,20 @@ class TestCacheDeterminism(StoreFixture):
             assert_identical(a, b)
             assert_identical(b, c)
 
-    def test_parallel_warm_run_reuses_serial_shards(self, store):
+    def test_fingerprint_warm_run_skips_the_simulator(self, store):
         from repro.sidechannel import collect_dataset
         from repro.telemetry import MetricsRegistry, using
 
-        serial = collect_dataset(**self.SHAPE, cache_dir=store.root,
-                                 per_site_systems=True)
+        cold = collect_dataset(**self.SHAPE, cache_dir=store.root)
         registry = MetricsRegistry()
         with using(registry):
-            warm = collect_dataset(**self.SHAPE,
-                                   cache_dir=store.root,
-                                   per_site_systems=True)
+            warm = collect_dataset(**self.SHAPE, cache_dir=store.root,
+                                   workers=2)
         counters = registry.snapshot()["counters"]
-        assert counters.get("trace.store.hits", 0) == 2
+        assert counters.get("trace.store.hits", 0) == 1
         assert counters.get("engine.events_fired", 0) == 0
-        for a, b in zip(serial.train + serial.test,
+        assert len(store.keys()) == 1
+        for a, b in zip(cold.train + cold.test,
                         warm.train + warm.test):
             assert_identical(a, b)
 

@@ -29,6 +29,14 @@ class TestParser:
             )
             assert callable(args.handler)
 
+    def test_replay_takes_no_collection_mode(self):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["trace", "replay", "fingerprint", "--cache-dir", "x",
+                 "--sharded"]
+            )
+        assert exit_info.value.code == 2
+
     def test_cache_flags_on_studies(self):
         parser = build_parser()
         for command in ("fingerprint", "filesize"):
@@ -109,6 +117,21 @@ class TestRoundTrip:
                      *FINGERPRINT_FLAGS]) == 0
         out = capsys.readouterr().out
         assert "knn top-1" in out
+
+    def test_parallel_record_replays_without_flags(self, tmp_path,
+                                                   capsys):
+        # Worker count is not part of the corpus: a --workers 2 record
+        # writes the one blob a plain replay reads.
+        store = str(tmp_path / "store")
+        assert main(["--seed", "5", "--workers", "2", "trace", "record",
+                     "fingerprint", "--cache-dir", store,
+                     *FINGERPRINT_FLAGS]) == 0
+        out = capsys.readouterr().out
+        assert out.count("  + ") == 1
+        assert main(["--seed", "5", "trace", "replay", "fingerprint",
+                     "--cache-dir", store, "--classifier", "knn",
+                     *FINGERPRINT_FLAGS]) == 0
+        assert "knn top-1" in capsys.readouterr().out
 
     def test_gc_evicts_and_reports(self, tmp_path, capsys):
         store = str(tmp_path / "store")
