@@ -8,9 +8,7 @@ discusses in prose:
 * receiver probing distance: the latency-vs-frequency slope grows with
   hop count, but every distance decodes (Figure 8 shows all four);
 * interval vs the 10 ms PMU period: intervals well under one PMU
-  period cannot carry the modulation;
-* LLC replacement policy: UF-variation does not depend on it (it is
-  frequency-, not conflict-based).
+  period cannot carry the modulation.
 """
 
 from repro.analysis import format_table
@@ -95,43 +93,3 @@ def test_ablation_interval_below_pmu_period(benchmark):
     )
     assert point.error_rate > 0.3
 
-
-def test_ablation_llc_replacement_policy(benchmark):
-    """UF-variation is conflict-free: swapping the LLC replacement
-    policy does not affect it."""
-
-    def run_with_policy(policy: str) -> float:
-        system = System(seed=6)
-        # Rebuild socket hierarchies with the alternate policy.
-        for socket in system.sockets:
-            from repro.cache.hierarchy import CacheHierarchy
-
-            socket.hierarchy = CacheHierarchy(
-                socket.config, llc_policy=policy
-            )
-        channel = UFVariationChannel(
-            system, config=ChannelConfig(interval_ns=ms(24))
-        )
-        outcome = channel.transmit(random_bits(100, 6, policy))
-        channel.shutdown()
-        system.stop()
-        return outcome.error_rate
-
-    def experiment():
-        # Tree-PLRU needs power-of-two associativity; the 11-way LLC
-        # supports LRU and random.
-        return {
-            policy: run_with_policy(policy)
-            for policy in ("lru", "random")
-        }
-
-    errors = run_once(benchmark, experiment)
-    rows = [[p, f"{100 * e:.1f}"] for p, e in errors.items()]
-    report(
-        "ablation_llc_policy",
-        format_table(
-            ["LLC policy", "BER (%)"], rows,
-            title="Ablation: UF-variation vs LLC replacement policy",
-        ),
-    )
-    assert all(error < 0.15 for error in errors.values())

@@ -232,8 +232,7 @@ def test_perf_trace_collection(benchmark):
                               iterations=1) == 134
 
 
-@pytest.mark.parametrize("cell", ["elman", "gru"])
-def test_perf_rnn_fit(benchmark, cell):
+def test_perf_rnn_fit(benchmark):
     """RNN training at the fig12-fingerprint op shape: 8 traces of 96
     steps, 64 hidden units, 4 classes (20 epochs instead of 100)."""
     rng = np.random.default_rng(0)
@@ -242,7 +241,7 @@ def test_perf_rnn_fit(benchmark, cell):
 
     def fit():
         model = RnnClassifier(RnnConfig(num_classes=4, hidden_dim=64,
-                                        epochs=20, seed=0, cell=cell))
+                                        epochs=20, seed=0))
         return len(model.fit(features, labels).loss)
 
     assert benchmark.pedantic(fit, rounds=10, iterations=1) == 20

@@ -7,13 +7,7 @@ of Table 3 — while the macroscopic UFS path works from aggregate access
 rates and never touches individual lines.
 """
 
-from .replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
+from .replacement import LRUPolicy
 from .cache import CacheStats, SetAssociativeCache
 from .slice_hash import (
     RandomizedIndexer,
@@ -33,12 +27,8 @@ __all__ = [
     "EvictionSet",
     "LRUPolicy",
     "Level",
-    "RandomPolicy",
     "RandomizedIndexer",
-    "ReplacementPolicy",
     "SetAssociativeCache",
     "SliceHash",
     "StandardIndexer",
-    "TreePLRUPolicy",
-    "make_policy",
 ]

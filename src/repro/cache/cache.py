@@ -14,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..config import CacheConfig
-from .replacement import ReplacementPolicy, make_policy
+from .replacement import LRUPolicy
 from .slice_hash import Indexer, StandardIndexer
 
 
@@ -43,10 +43,10 @@ class CacheStats:
 
 @dataclass
 class _Set:
-    """One cache set: per-way line numbers and a replacement policy."""
+    """One cache set: per-way line numbers and their LRU order."""
 
     lines: list[int | None]
-    policy: ReplacementPolicy
+    policy: LRUPolicy
     way_of: dict[int, int] = field(default_factory=dict)
 
 
@@ -63,7 +63,6 @@ class SetAssociativeCache:
         self,
         config: CacheConfig,
         *,
-        policy: str = "lru",
         indexer: Indexer | None = None,
         name: str | None = None,
     ) -> None:
@@ -78,8 +77,6 @@ class SetAssociativeCache:
         # Sets are created on first fill: a socket has ~50k of them and
         # an experiment touches a few hundred.  An untouched set behaves
         # exactly like a fresh one, so deferring its policy is exact.
-        make_policy(policy, self.ways)  # reject an unknown name now
-        self._policy_kind = policy
         self._sets: dict[int, _Set] = {}
         self.stats = CacheStats()
         self._eviction_listeners: list[Callable[[int], None]] = []
@@ -128,7 +125,7 @@ class SetAssociativeCache:
         if cache_set is None:
             cache_set = self._sets[index] = _Set(
                 lines=[None] * self.ways,
-                policy=make_policy(self._policy_kind, self.ways),
+                policy=LRUPolicy(self.ways),
             )
         elif line in cache_set.way_of:
             cache_set.policy.touch(cache_set.way_of[line])
@@ -153,7 +150,6 @@ class SetAssociativeCache:
         if way is None:
             return False
         cache_set.lines[way] = None
-        cache_set.policy.invalidate(way)
         self.stats.invalidations += 1
         return True
 
@@ -175,8 +171,8 @@ class SetAssociativeCache:
     def flush_all(self) -> None:
         """Invalidate every line (used between experiment repetitions).
 
-        Replacement state survives, as in hardware: PLRU bits and the
-        random policy's RNG stream carry over into the next repetition.
+        Replacement state survives, as in hardware: each set's LRU order
+        carries over into the next repetition.
         """
         for cache_set in self._sets.values():
             cache_set.lines = [None] * self.ways

@@ -99,7 +99,6 @@ class CacheHierarchy:
         *,
         llc_indexer_factory=None,
         slice_hash: SliceHash | None = None,
-        llc_policy: str = "lru",
     ) -> None:
         self.config = config
         self.num_cores = config.num_cores
@@ -126,7 +125,6 @@ class CacheHierarchy:
         self._llc = [
             SetAssociativeCache(
                 config.llc_slice_config,
-                policy=llc_policy,
                 indexer=_make_indexer(i),
                 name=f"LLC-{i}",
             )

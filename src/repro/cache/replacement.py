@@ -1,64 +1,35 @@
-"""Replacement policies for set-associative caches.
+"""LRU replacement for set-associative caches.
 
-Each policy instance manages one set of ``ways`` slots.  Policies see
-only way indices — the cache supplies which way was touched or filled —
-so they are reusable across cache levels.
+A policy instance manages one set of ``ways`` slots.  It sees only way
+indices — the cache supplies which way was touched or filled — so it is
+reusable across cache levels.
 
 The paper's eviction-list construction (Section 3.1) assumes LRU
-ordering in the L2 ("assuming the LRU policy"), so :class:`LRUPolicy`
-is the default everywhere.  :class:`TreePLRUPolicy` and
-:class:`RandomPolicy` exist for sensitivity studies: the ablation bench
-shows UF-variation is indifferent to the LLC policy while Prime+Probe's
-priming efficiency is not.
+ordering in the L2 ("assuming the LRU policy"), so every level uses
+:class:`LRUPolicy`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 
-import numpy as np
-
-
-class ReplacementPolicy(ABC):
-    """Victim selection and usage tracking for one cache set."""
-
-    def __init__(self, ways: int) -> None:
-        if ways <= 0:
-            raise ValueError("a set needs at least one way")
-        self.ways = ways
-
-    @abstractmethod
-    def touch(self, way: int) -> None:
-        """Record a hit on ``way``."""
-
-    @abstractmethod
-    def fill(self, way: int) -> None:
-        """Record that ``way`` was (re)filled with a new line."""
-
-    @abstractmethod
-    def victim(self, occupied: list[bool]) -> int:
-        """Choose the way to evict.  Prefers an unoccupied way."""
-
-    def invalidate(self, way: int) -> None:
-        """Record that ``way`` was invalidated (default: no-op)."""
-
-
-class LRUPolicy(ReplacementPolicy):
+class LRUPolicy:
     """True least-recently-used ordering (a recency stack per set)."""
 
     def __init__(self, ways: int) -> None:
-        super().__init__(ways)
         # _stack[0] is most recent; contains each way exactly once.
         self._stack: list[int] = list(range(ways))
 
     def touch(self, way: int) -> None:
+        """Record a hit on ``way``."""
         self._stack.remove(way)
         self._stack.insert(0, way)
 
     def fill(self, way: int) -> None:
+        """Record that ``way`` was (re)filled with a new line."""
         self.touch(way)
 
     def victim(self, occupied: list[bool]) -> int:
+        """Choose the way to evict.  Prefers an unoccupied way."""
         for way in reversed(self._stack):
             if not occupied[way]:
                 return way
@@ -67,86 +38,3 @@ class LRUPolicy(ReplacementPolicy):
     def recency_order(self) -> list[int]:
         """Ways from most to least recently used (for tests)."""
         return list(self._stack)
-
-
-class TreePLRUPolicy(ReplacementPolicy):
-    """Tree pseudo-LRU, as used by many real L1/L2 designs.
-
-    Requires a power-of-two way count; maintains ``ways - 1`` internal
-    bits arranged as a binary tree.
-    """
-
-    def __init__(self, ways: int) -> None:
-        super().__init__(ways)
-        if ways & (ways - 1) != 0:
-            raise ValueError("tree PLRU needs a power-of-two way count")
-        self._bits = [0] * (ways - 1)
-
-    def _update(self, way: int) -> None:
-        node = 0
-        low, high = 0, self.ways
-        while high - low > 1:
-            mid = (low + high) // 2
-            if way < mid:
-                self._bits[node] = 1  # point away: right is older
-                node = 2 * node + 1
-                high = mid
-            else:
-                self._bits[node] = 0
-                node = 2 * node + 2
-                low = mid
-
-    def touch(self, way: int) -> None:
-        self._update(way)
-
-    def fill(self, way: int) -> None:
-        self._update(way)
-
-    def victim(self, occupied: list[bool]) -> int:
-        for way, used in enumerate(occupied):
-            if not used:
-                return way
-        node = 0
-        low, high = 0, self.ways
-        while high - low > 1:
-            mid = (low + high) // 2
-            if self._bits[node]:
-                node = 2 * node + 2
-                low = mid
-            else:
-                node = 2 * node + 1
-                high = mid
-        return low
-
-
-class RandomPolicy(ReplacementPolicy):
-    """Uniform random victim selection (seeded, deterministic)."""
-
-    def __init__(self, ways: int,
-                 rng: np.random.Generator | None = None) -> None:
-        super().__init__(ways)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-
-    def touch(self, way: int) -> None:
-        pass
-
-    def fill(self, way: int) -> None:
-        pass
-
-    def victim(self, occupied: list[bool]) -> int:
-        for way, used in enumerate(occupied):
-            if not used:
-                return way
-        return int(self._rng.integers(self.ways))
-
-
-def make_policy(kind: str, ways: int,
-                rng: np.random.Generator | None = None) -> ReplacementPolicy:
-    """Factory keyed by policy name: ``lru``, ``plru`` or ``random``."""
-    if kind == "lru":
-        return LRUPolicy(ways)
-    if kind == "plru":
-        return TreePLRUPolicy(ways)
-    if kind == "random":
-        return RandomPolicy(ways, rng)
-    raise ValueError(f"unknown replacement policy {kind!r}")

@@ -425,7 +425,11 @@ def _cmd_trace_record(args: argparse.Namespace) -> dict:
 
 
 def _cmd_trace_replay(args: argparse.Namespace) -> dict:
-    from .trace import TraceStore, replay_filesize, replay_fingerprint
+    from .trace import (
+        TraceStore,
+        filesize_study_from_store,
+        replay_fingerprint,
+    )
 
     store = TraceStore(args.cache_dir)
     if args.experiment == "fingerprint":
@@ -441,8 +445,8 @@ def _cmd_trace_replay(args: argparse.Namespace) -> dict:
             print(f"{args.classifier} top-1: {100 * result.top1:.1f} %  "
                   f"top-5: {100 * result.top5:.1f} %")
         return {"experiment": "trace-replay", "results": result}
-    study = replay_filesize(store, **_filesize_shape(args),
-                            seed=args.seed)
+    study = filesize_study_from_store(store, **_filesize_shape(args),
+                                      seed=args.seed)
     if not args.json:
         print(f"replayed {len(study.runs)} profiled runs from "
               f"{args.cache_dir} (no simulation)")

@@ -547,6 +547,8 @@ class PlatformConfig:
     coupling_lag_mhz: int = 100
     physical_memory_bytes: int = 64 * 1024**3
     page_bytes: int = 4096
+    # Read by nothing (UF-variation needs no huge pages, Section 4.1),
+    # but part of ``config_digest`` and so of every trace-store key.
     huge_page_bytes: int = 2 * 1024**2
     # Feature toggles exercised by the Table 3 prerequisite columns.
     shared_memory_available: bool = True

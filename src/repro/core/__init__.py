@@ -29,19 +29,9 @@ from .evaluation import (
     measure_capacity,
 )
 from .reliability import StressCapacityResult, capacity_under_stress
-from .framing import (
-    DecodedFrame,
-    ReliableTransfer,
-    decode_frame,
-    encode_frame,
-    send_message,
-    send_message_reliable,
-)
 
 __all__ = [
     "CapacityPoint",
-    "DecodedFrame",
-    "ReliableTransfer",
     "ChannelConfig",
     "ChannelEndpoints",
     "SenderMode",
@@ -55,9 +45,5 @@ __all__ = [
     "capacity_sweep",
     "capacity_under_stress",
     "decode_bit",
-    "decode_frame",
-    "encode_frame",
     "measure_capacity",
-    "send_message",
-    "send_message_reliable",
 ]

@@ -45,7 +45,6 @@ DEFENSE_KEYS = (
     "randomized",
     "restricted_1500_1700",
     "busy_uncore",
-    "performance_governor",
 )
 
 
@@ -91,19 +90,6 @@ def _des_defense_report(request: DefenseRequest) -> DefenseReport:
         active = RandomizedFrequencyDefense(system)
     elif defense == "busy_uncore":
         active = BusyUncoreDefense(system, core_id=15)
-    elif defense == "performance_governor":
-        # Not in the paper's list, but suggested by Section 2.2.1:
-        # an *active* core above base frequency pins the uncore at the
-        # maximum.  It turns out to be a leaky defense: UFS re-engages
-        # whenever every turbo core sleeps, and a duty-cycled receiver
-        # (ours probes ~10 ms per interval) leaves exactly such gaps —
-        # the measured BER lands near the functionality border instead
-        # of at chance.
-        from ..cpu.dvfs import DvfsGovernor, GovernorPolicy
-
-        active = DvfsGovernor(
-            system, policy=GovernorPolicy.PERFORMANCE
-        )
     elif defense not in ("none", "restricted_1500_1700"):
         raise ValueError(f"unknown defense {defense!r}")
 

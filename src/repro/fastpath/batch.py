@@ -24,9 +24,9 @@ timelines of every trial at once.  It classes every window by the
 profile objects and clipped segment widths the walk meets in it, and
 integrates one window per class, shared by the group (each timeline's
 representatives in one forward walk).  Each distinct row of loud
-(class, turbo flag) samples, of any trial, is then folded once, into a
-fold id shared by the group.  Each trial then walks the stream on its
-own up to its horizon, stepping its socket state through the scalar
+classes, of any trial, is then folded once, into a fold id shared by
+the group.  Each trial then walks the stream on its own up to its
+horizon, stepping its socket state through the scalar
 :func:`~repro.power.ufs.ufs_control_step` — the same law, over the same
 Python ints and floats, the DES PMU evaluates.  The law is pure, so a
 step already taken in the group (same state, limits, fold id and
@@ -115,10 +115,9 @@ _IDLE_FOLD = (0, 0, 0.0, 0.0, 0.0, False)
 
 @dataclass
 class _CoreSchedule:
-    """One touched core's full profile history plus its turbo flag."""
+    """One touched core's full profile history."""
 
     timeline: ProfileTimeline
-    above_base: bool
 
 
 @dataclass
@@ -295,15 +294,13 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
     busy_profile, mark_profile, mark_flows, space_flows = placement
 
     # Profile schedules of every touched core.
-    governor = defense == "performance_governor"
     cores: list[dict[int, _CoreSchedule]] = [
         {} for _ in range(num_sockets)
     ]
 
     def place(socket_id: int, core_id: int,
               timeline: ProfileTimeline) -> ProfileTimeline:
-        cores[socket_id][core_id] = _CoreSchedule(
-            timeline=timeline, above_base=governor and socket_id == 0)
+        cores[socket_id][core_id] = _CoreSchedule(timeline=timeline)
         return timeline
 
     interval = config.interval_ns
@@ -366,10 +363,6 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
                 init_freq[socket_id] = fixed
                 init_history[socket_id].append((0, fixed))
 
-    receiver_core_mhz = effective.sockets[receiver_socket].base_freq_mhz
-    if governor and receiver_socket == 0:
-        receiver_core_mhz = 3200  # DvfsGovernor PERFORMANCE turbo pin
-
     return _TrialPlan(
         platform=effective,
         seed=seed,
@@ -377,7 +370,7 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
         payload=list(payload),
         cross=cross_processor,
         receiver_socket=receiver_socket,
-        receiver_core_mhz=receiver_core_mhz,
+        receiver_core_mhz=effective.sockets[receiver_socket].base_freq_mhz,
         duration_ns=duration,
         cores=cores,
         init_limits=init_limits,
@@ -392,8 +385,7 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
 # -- Phase A: the frequency lattice -------------------------------------------
 
 
-def _observations(trials: list[tuple[list[tuple[ProfileTimeline, bool]],
-                                     int]],
+def _observations(trials: list[tuple[list[ProfileTimeline], int]],
                   ticks: Sequence[int], starts: Sequence[int],
                   threshold: float, interned: dict[tuple, int],
                   ) -> tuple[list[list[int]], int]:
@@ -402,8 +394,8 @@ def _observations(trials: list[tuple[list[tuple[ProfileTimeline, bool]],
     shared by the group) of the fold of the window
     ``[starts[k], ticks[k])``; and how many windows were integrated.
 
-    ``trials`` holds, per trial, its touched cores' ``(timeline, turbo
-    flag)`` pairs in core (fold) order and its tick count ``last``.
+    ``trials`` holds, per trial, its touched cores' timelines in core
+    (fold) order and its tick count ``last``.
     Every core window of every trial is classed in one
     :func:`~repro.cpu.activity.window_classes` pass, which integrates
     one window per class, shared across trials; a timeline object that
@@ -411,27 +403,28 @@ def _observations(trials: list[tuple[list[tuple[ProfileTimeline, bool]],
     the same ticks.  A core silent over a window (class ``-1``) leaves
     that window's fold (the batch twin of the PMU's ``silent_since``
     skip).  Ticks, of any trial, whose loud cores carry the same classes
-    and turbo flags in the same order fold the same samples in the same
-    order, so each distinct row is folded once; a row no core is loud in
-    folds to :data:`_IDLE_FOLD`.
+    in the same order fold the same samples in the same order, so each
+    distinct row is folded once; a row no core is loud in folds to
+    :data:`_IDLE_FOLD`.  No core of a planned trial runs above base
+    frequency, so every sample's turbo flag is false.
     """
     ticks = np.asarray(ticks, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     lanes: dict[tuple[int, int], int] = {}  # (timeline id, last) -> lane
     timelines = []  # per lane
     spans = []  # per lane: its tick count
-    entries_at = []  # per core entry: its lane, trial's first row, turbo
+    entries_at = []  # per core entry: its lane and trial's first row
     bounds = [0]  # per trial: its first row; then the row count
     for entries, last in trials:
-        for timeline, above_base in entries:
+        for timeline in entries:
             lane = lanes.setdefault((id(timeline), last), len(lanes))
             if lane == len(timelines):
                 timelines.append(timeline)
                 spans.append(last)
-            entries_at.append((lane, last, bounds[-1], above_base))
+            entries_at.append((lane, last, bounds[-1]))
         bounds.append(bounds[-1] + last)
-    # Per trial tick (a row): its loud cores' ``2 * class + turbo + 1``
-    # codes, in core order, then zeros.
+    # Per trial tick (a row): its loud cores' ``class + 1`` codes, in
+    # core order, then zeros.
     codes = np.zeros((bounds[-1], max([1] + [len(entries)
                                             for entries, _ in trials])),
                      dtype=np.int64)
@@ -444,7 +437,7 @@ def _observations(trials: list[tuple[list[tuple[ProfileTimeline, bool]],
         classes, stats = window_classes(timelines, lane, starts[tick],
                                         ticks[tick])
         # The same windows, per core entry of every trial.
-        lanes_of, lasts, origins, turbo = (
+        lanes_of, lasts, origins = (
             np.array(column, dtype=np.int64) for column in zip(*entries_at))
         entry = np.repeat(np.arange(len(entries_at)), lasts)
         tick = np.arange(len(entry)) - (np.cumsum(lasts) - lasts)[entry]
@@ -457,12 +450,11 @@ def _observations(trials: list[tuple[list[tuple[ProfileTimeline, bool]],
         heard = heard[order]
         row = row[order]
         codes[row, np.arange(len(row)) - np.searchsorted(row, row)] = (
-            2 * met[heard] + turbo[entry[heard]] + 1)
+            met[heard] + 1)
     rows, representatives = distinct_rows(codes)
     fold_ids = []
     for row in codes[representatives].tolist():
-        samples = [(stats[(code - 1) >> 1], (code - 1) & 1 == 1)
-                   for code in row if code]
+        samples = [(stats[code - 1], False) for code in row if code]
         fold = (accumulate_observation(samples, threshold) if samples
                 else _IDLE_FOLD)
         fold_ids.append(interned.setdefault(fold, len(interned)))
@@ -505,7 +497,7 @@ def _run_lattice(plans: list[_TrialPlan],
         previous[1:] = ends[:-1]
         starts = np.maximum(previous, ends - observation)
         per_plan, walked = _observations(
-            [([(entry.timeline, entry.above_base)
+            [([entry.timeline
                for _, entry in sorted(plan.cores[socket_id].items())],
               bisect_right(times, plan.duration_ns)) for plan in plans],
             ends, starts, ufs.stall_ratio_threshold, interned,

@@ -1,9 +1,9 @@
 """Simulated physical memory and per-process address spaces.
 
-Provides page-granular physical allocation, virtual-to-physical mapping,
-shared segments (the prerequisite of the data-reuse covert channels) and
-huge pages (which some prior channels require and our threat model does
-not, Section 4.1).
+Provides page-granular physical allocation, virtual-to-physical mapping
+and shared segments (the prerequisite of the data-reuse covert
+channels).  There are no huge pages: UF-variation's threat model drops
+that assumption of prior channels (Section 4.1).
 """
 
 from .allocator import (

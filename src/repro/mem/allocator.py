@@ -16,7 +16,6 @@ The model is deliberately OS-like:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import filterfalse
 
 import numpy as np
 
@@ -29,7 +28,6 @@ class Allocation:
 
     virtual_base: int
     size_bytes: int
-    page_bytes: int
     numa_node: int
 
     @property
@@ -48,7 +46,9 @@ class PhysicalMemory:
     Frames are dealt out with a deterministic but non-trivial placement
     (a linear-congruential walk over the frame space) so that physically
     indexed cache sets receive a realistic spread of allocations without
-    needing a random source.
+    needing a random source.  Frames are never freed, and every frame
+    is claimed in walk order, so a node's claimed frames are exactly the
+    first stops of its walk and a count stands in for the set of them.
     """
 
     def __init__(self, total_bytes: int, page_bytes: int,
@@ -60,8 +60,7 @@ class PhysicalMemory:
         self.page_bytes = page_bytes
         self.num_numa_nodes = num_numa_nodes
         self._frames_per_node = total_bytes // page_bytes // num_numa_nodes
-        self._allocated: list[set[int]] = [set() for _ in
-                                           range(num_numa_nodes)]
+        self._allocated: list[int] = [0] * num_numa_nodes
         # Per-node placement cursor; coprime stride walks all frames.
         self._cursor: list[int] = [0] * num_numa_nodes
         self._stride = self._coprime_stride(self._frames_per_node)
@@ -81,7 +80,7 @@ class PhysicalMemory:
 
     def frames_allocated(self, numa_node: int = 0) -> int:
         """Number of frames currently allocated on a node."""
-        return len(self._allocated[numa_node])
+        return self._allocated[numa_node]
 
     def _node_base(self, numa_node: int) -> int:
         return numa_node * self._frames_per_node
@@ -94,63 +93,25 @@ class PhysicalMemory:
         if not 0 <= numa_node < self.num_numa_nodes:
             raise MemoryError_(f"no such NUMA node {numa_node}")
         allocated = self._allocated[numa_node]
-        if len(allocated) + count > self._frames_per_node:
+        if allocated + count > self._frames_per_node:
             raise MemoryError_(
                 f"NUMA node {numa_node} out of frames "
                 f"({count} requested, "
-                f"{self._frames_per_node - len(allocated)} free)"
+                f"{self._frames_per_node - allocated} free)"
             )
-        # Walk in blocks: the next ``needed`` stops of the stride walk
-        # are distinct (the stride is coprime with the node size and
-        # ``needed`` never exceeds the free count), so keeping the free
-        # ones in walk order claims exactly what a frame-by-frame walk
-        # would.  A block that hits allocated stops leaves a shortfall
-        # for the next block; the last block claims its last stop, so
-        # the cursor ends where the frame-by-frame walk stops.
-        size = self._frames_per_node
+        # The walk from stop 0 visits every frame of the node once (the
+        # stride is coprime with the node size), and the claimed frames
+        # are its first ``allocated`` stops.  The next ``count`` stops
+        # follow them in the same orbit, so none is claimed yet: one
+        # block of stops is what a frame-by-frame walk would hand out.
+        stops = ((self._cursor[numa_node]
+                  + self._stride * np.arange(1, count + 1))
+                 % self._frames_per_node).tolist()
+        if stops:
+            self._cursor[numa_node] = stops[-1]
+        self._allocated[numa_node] += len(stops)
         base = self._node_base(numa_node)
-        frames: list[int] = []
-        cursor = self._cursor[numa_node]
-        while len(frames) < count:
-            needed = count - len(frames)
-            stops = ((cursor + self._stride * np.arange(1, needed + 1))
-                     % size).tolist()
-            free = list(filterfalse(allocated.__contains__, stops))
-            allocated.update(free)
-            frames.extend(base + stop for stop in free)
-            cursor = stops[-1]
-        self._cursor[numa_node] = cursor
-        return frames
-
-    def allocate_contiguous(self, count: int, numa_node: int = 0) -> int:
-        """Allocate ``count`` physically consecutive frames.
-
-        Scans aligned candidate runs, mirroring how the OS huge-page
-        pool hands out compound pages.  Returns the first (global)
-        frame number; raises :class:`MemoryError_` when fragmentation
-        leaves no run.
-        """
-        if not 0 <= numa_node < self.num_numa_nodes:
-            raise MemoryError_(f"no such NUMA node {numa_node}")
-        if count <= 0:
-            raise MemoryError_("need a positive frame count")
-        allocated = self._allocated[numa_node]
-        for start in range(0, self._frames_per_node - count + 1, count):
-            if all((start + i) not in allocated for i in range(count)):
-                for i in range(count):
-                    allocated.add(start + i)
-                return self._node_base(numa_node) + start
-        raise MemoryError_(
-            f"no contiguous run of {count} frames left on node "
-            f"{numa_node}"
-        )
-
-    def free_frames(self, frames: list[int]) -> None:
-        """Return frames to the allocator."""
-        for frame in frames:
-            node = frame // self._frames_per_node
-            local = frame % self._frames_per_node
-            self._allocated[node].discard(local)
+        return [base + stop for stop in stops]
 
     def frame_address(self, frame: int) -> int:
         """Physical base address of a frame."""
@@ -218,54 +179,9 @@ class AddressSpace:
         first = base // page
         self._page_table.update(zip(range(first, first + pages), frames))
         self._next_virtual = base + pages * page
-        allocation = Allocation(base, pages * page, page, node)
+        allocation = Allocation(base, pages * page, node)
         self._allocations.append(allocation)
         return allocation
-
-    def allocate_huge(self, size_bytes: int, huge_page_bytes: int,
-                      numa_node: int | None = None) -> Allocation:
-        """Allocate physically-contiguous huge pages.
-
-        Many prior covert channels rely on huge pages because the
-        2 MB-contiguous physical span exposes the full cache set index
-        under attacker control (cited channels [36, 42, 63, 65]).
-        UF-variation's threat model explicitly does *not* need them
-        (Section 4.1); this exists for the baselines and for ablations.
-
-        Each huge page is backed by a run of physically consecutive
-        base frames, so virtual offsets map to physical offsets across
-        the whole huge page.
-        """
-        node = self.numa_node if numa_node is None else numa_node
-        self._check_node(node)
-        if huge_page_bytes % self.page_bytes != 0:
-            raise MemoryError_(
-                "huge page size must be a multiple of the base page"
-            )
-        frames_per_huge = huge_page_bytes // self.page_bytes
-        huge_pages = -(-size_bytes // huge_page_bytes)
-        base = self._next_virtual
-        # Align the virtual base to the huge page size so virtual
-        # low-order bits equal physical low-order bits.
-        if base % huge_page_bytes:
-            base += huge_page_bytes - (base % huge_page_bytes)
-        page = self.page_bytes
-        for huge_index in range(huge_pages):
-            first = self._reserve_contiguous(frames_per_huge, node)
-            for i in range(frames_per_huge):
-                virtual_page = (
-                    (base + huge_index * huge_page_bytes) // page + i
-                )
-                self._page_table[virtual_page] = first + i
-        self._next_virtual = base + huge_pages * huge_page_bytes
-        allocation = Allocation(base, huge_pages * huge_page_bytes,
-                                huge_page_bytes, node)
-        self._allocations.append(allocation)
-        return allocation
-
-    def _reserve_contiguous(self, count: int, node: int) -> int:
-        """Claim ``count`` physically consecutive frames on a node."""
-        return self.memory.allocate_contiguous(count, node)
 
     def map_shared(self, segment: SharedSegment,
                    owner_node: int = 0) -> Allocation:
@@ -279,7 +195,7 @@ class AddressSpace:
             self._page_table[(base // page) + i] = frame
         self._next_virtual = base + len(segment.frames) * page
         segment.mappings[self.name] = base
-        allocation = Allocation(base, segment.size_bytes, page, owner_node)
+        allocation = Allocation(base, segment.size_bytes, owner_node)
         self._allocations.append(allocation)
         return allocation
 

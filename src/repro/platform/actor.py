@@ -153,17 +153,6 @@ class Actor:
         """Allocate private memory in this actor's address space."""
         return self.space.allocate(size_bytes)
 
-    def allocate_huge(self, size_bytes: int):
-        """Allocate huge pages (2 MB physically contiguous).
-
-        Not part of UF-variation's threat model (Section 4.1 explicitly
-        drops the HugePages assumption prior channels make); provided
-        for the baselines and for ablations.
-        """
-        return self.space.allocate_huge(
-            size_bytes, self.system.config.huge_page_bytes
-        )
-
     def share_segment(self, size_bytes: int) -> SharedSegment:
         """Create a segment other actors may map (needs shared memory)."""
         if not self.system.config.shared_memory_available:

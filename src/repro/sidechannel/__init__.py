@@ -15,8 +15,8 @@ Two attacks are built on this observable:
 * **website fingerprinting** — an RNN classifier recognises which of
   100 sites a browser victim is loading from a 5 s trace (Figure 12;
   82.18 % top-1 / 91.48 % top-5 in the paper).  ``RnnClassifier``
-  trains the paper's Elman cell or, with ``RnnConfig(cell="gru")``,
-  a GRU cell; ``KnnClassifier`` is the non-recurrent baseline.
+  trains the paper's Elman cell; ``KnnClassifier`` is the
+  non-recurrent baseline.
 """
 
 from .methodology import AttackHelpers, UfsAttacker

@@ -161,6 +161,13 @@ def collect_dataset(
         raise ConfigError(
             f"trace length must be positive, got {trace_ms} ms"
         )
+    if train_visits < 1 or test_visits < 1:
+        # An empty split has nothing to train on or nothing to score.
+        raise ConfigError(
+            f"need at least one training and one attack visit per "
+            f"site, got train_visits={train_visits}, "
+            f"test_visits={test_visits}"
+        )
     resolve_workers(workers)
     from ..trace.store import TraceStore, cached_corpus
 

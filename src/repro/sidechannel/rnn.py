@@ -4,32 +4,20 @@ The paper trains an RNN on uncore-frequency traces to fingerprint
 websites, reusing the model of MeshUp [57].  PyTorch is unavailable
 here, so this module implements the same family from scratch:
 
-* a recurrent cell, chosen by ``RnnConfig.cell``:
-
-  - ``"elman"`` (the default, the paper's model):
-    ``h_t = tanh(x_t W_x + h_{t-1} W_h + b_h)``;
-  - ``"gru"``, the gated ablation partner (reset gate r, update gate
-    z, candidate c)::
-
-        r_t = sigmoid(x_t W_xr + h_{t-1} W_hr + b_r)
-        z_t = sigmoid(x_t W_xz + h_{t-1} W_hz + b_z)
-        c_t = tanh   (x_t W_xc + (r_t * h_{t-1}) W_hc + b_c)
-        h_t = (1 - z_t) * h_{t-1} + z_t * c_t
-
-* mean-pooled hidden states feeding a softmax classification head,
-  shared by both cells so a comparison isolates the recurrence;
+* an Elman recurrent cell:
+  ``h_t = tanh(x_t W_x + h_{t-1} W_h + b_h)``;
+* mean-pooled hidden states feeding a softmax classification head;
 * full backpropagation through time with gradient clipping;
 * Adam optimisation with minibatches.
 
 Only the recurrence runs step by step: ``h_prev @ W_h`` going forward
 and ``@ W_h.T`` going back.  Everything else runs once per minibatch
-over stacked time-major ``(steps, n, .)`` arrays.  A cell supplies
+over stacked time-major ``(steps, n, .)`` arrays.  The cell supplies
 
 * ``init``: its parameters;
-* ``project``: every step's input products, one ``np.matmul`` per
-  input weight, the stacked state (hidden states ``hs[0..steps]``,
-  and the GRU's r, z, c) and each bias broadcast to an ``(n, h)``
-  block;
+* ``project``: every step's input products ``x W_x`` in one
+  ``np.matmul``, the stacked hidden states ``hs[0..steps]`` and the
+  bias broadcast to an ``(n, h)`` block;
 * ``run``: the forward loop, each step in the order
   ``(x W_x + h_prev W_h) + b`` (the bias is not folded into the
   projection: that would round differently);
@@ -39,7 +27,7 @@ over stacked time-major ``(steps, n, .)`` arrays.  A cell supplies
 * ``gradients``: after the loop, every weight as
   ``sum_t left[t].T @ pre[t]`` and every bias as ``sum_t pre[t]``.
 
-The cells own their time loops so that a step pays only for its numpy
+The cell owns its time loops so that a step pays only for its numpy
 calls: the per-step views are listed once per minibatch, the ufuncs
 are bound to locals, and every product and elementwise result is
 written with ``out=`` into a buffer (adding a same-shape bias block
@@ -48,7 +36,7 @@ pre-activation buffers reuse the projection arrays the forward pass is
 done with, and every array comes from a ``_Workspace`` that one
 ``fit`` reuses for all its minibatches.
 
-The shared classifier calls both loops and runs the head and Adam.
+The classifier calls both loops and runs the head and Adam.
 The stacked gradients are bit-identical to accumulating one term per
 step: BPTT adds the terms from the last step down, and
 ``_sum_from_last`` adds the stacked terms in that same order (numpy
@@ -64,16 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-clip(x, -30, 30)))`` into ``out`` (may be ``x``)."""
-    np.maximum(x, -30.0, out=out)
-    np.minimum(out, 30.0, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.add(1.0, out, out=out)
-    return np.divide(1.0, out, out=out)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -104,10 +82,10 @@ class _Workspace:
     one ``fit``.
 
     Every minibatch asks for the same arrays.  Allocated afresh, the
-    ~6 MB of a GRU minibatch of 8 traces x 96 steps made glibc return
-    the heap to the kernel after each minibatch and fault it back in on
-    the next, which cost more than the hoist saved.  Callers write
-    every element they read.
+    stacked arrays of each minibatch can make glibc return the heap to
+    the kernel after each minibatch and fault it back in on the next,
+    which costs more than the hoist saves.  Callers write every element
+    they read.
     """
 
     def __init__(self) -> None:
@@ -204,120 +182,6 @@ class _Elman:
                 "b_h": _bias_grad(pre)}
 
 
-class _Gru:
-    """Single-layer GRU (see the module docstring for the equations)."""
-
-    @staticmethod
-    def init(rng, d: int, h: int) -> dict[str, np.ndarray]:
-        params = {}
-        for gate in ("r", "z", "c"):
-            params[f"w_x{gate}"] = rng.normal(0, 1.0 / np.sqrt(d), (d, h))
-            params[f"w_h{gate}"] = rng.normal(0, 1.0 / np.sqrt(h), (h, h))
-            params[f"b_{gate}"] = np.zeros(h)
-        return params
-
-    @staticmethod
-    def project(p, xs, ws):
-        """Forward state: every step's input products, the hidden
-        states, the gates r, z, the candidate c, ``r * h_prev`` and
-        the bias blocks."""
-        steps, n, _ = xs.shape
-        h = p["w_hr"].shape[0]
-        s = {}
-        for gate in ("r", "z", "c"):
-            s[f"x{gate}"] = np.matmul(xs, p[f"w_x{gate}"],
-                                      out=ws.get(f"x{gate}", steps, n, h))
-            s[f"b_{gate}"] = _bias_block(ws, f"b_{gate}", p[f"b_{gate}"], n)
-        s["hs"] = ws.get("hs", steps + 1, n, h)
-        s["hs"][0] = 0.0
-        for key in ("r", "z", "c", "rh"):
-            s[key] = ws.get(key, steps, n, h)
-        s["tmp"] = ws.get("tmp", n, h)
-        return s
-
-    @staticmethod
-    def run(p, s):
-        """The forward loop over every step."""
-        add, multiply = np.add, np.multiply
-        subtract, tanh, sigmoid = np.subtract, np.tanh, _sigmoid
-        w_hr, w_hz, w_hc = p["w_hr"], p["w_hz"], p["w_hc"]
-        b_r, b_z, b_c, tmp = s["b_r"], s["b_z"], s["b_c"], s["tmp"]
-        hs = list(s["hs"])
-        for h_prev, h, xr, xz, xc, r, z, c, rh in zip(
-                hs, hs[1:], list(s["xr"]), list(s["xz"]), list(s["xc"]),
-                list(s["r"]), list(s["z"]), list(s["c"]), list(s["rh"])):
-            h_prev.dot(w_hr, r)
-            add(xr, r, out=r)
-            sigmoid(add(r, b_r, out=r), out=r)
-            h_prev.dot(w_hz, z)
-            add(xz, z, out=z)
-            sigmoid(add(z, b_z, out=z), out=z)
-            multiply(r, h_prev, out=rh)
-            rh.dot(w_hc, c)
-            add(xc, c, out=c)
-            tanh(add(c, b_c, out=c), out=c)
-            # h = (1 - z) h_prev + z c
-            multiply(subtract(1.0, z, out=tmp), h_prev, out=h)
-            add(h, multiply(z, c, out=tmp), out=h)
-
-    @staticmethod
-    def backprop(p, s, grad_pooled, ws):
-        """BPTT from the last step down.  ``1 - r``, ``1 - z``,
-        ``1 - c**2`` and ``c - h_prev`` of every step go into the spent
-        input products and c; each step then turns its slots of
-        ``pre_r``, ``pre_z`` and ``pre_c`` into its pre-activation
-        gradients."""
-        c = s.pop("c")
-        s["pre_r"] = np.subtract(1.0, s["r"], out=s.pop("xr"))
-        s["pre_z"] = np.subtract(1.0, s["z"], out=s.pop("xz"))
-        pre_c = np.square(c, out=s.pop("xc"))
-        s["pre_c"] = np.subtract(1.0, pre_c, out=pre_c)
-        s["c-h"] = np.subtract(c, s["hs"][:-1], out=c)
-        add, multiply = np.add, np.multiply
-        w_hr_t, w_hz_t, w_hc_t = p["w_hr"].T, p["w_hz"].T, p["w_hc"].T
-        shape = grad_pooled.shape
-        grad_h = ws.get("grad_h", *shape)
-        grad_h[...] = 0.0
-        grad_step, grad_z, grad_r, grad_rh = (
-            ws.get(name, *shape)
-            for name in ("grad_step", "grad_z", "grad_r", "grad_rh"))
-        tmp = s["tmp"]
-        steps = zip(list(s["hs"][:-1]), list(s["r"]), list(s["z"]),
-                    list(s["c-h"]), list(s["pre_r"]), list(s["pre_z"]),
-                    list(s["pre_c"]))
-        for h_prev, r, z, c_h, pre_r, pre_z, pre_c in list(steps)[::-1]:
-            add(grad_h, grad_pooled, out=grad_step)
-            # h = (1 - z) h_prev + z c; pre_z holds 1 - z until its turn,
-            # and grad_h becomes d loss / d h_prev.
-            multiply(grad_step, c_h, out=grad_z)
-            multiply(grad_step, pre_z, out=grad_h)
-            # candidate
-            multiply(pre_c, multiply(grad_step, z, out=tmp), out=pre_c)
-            pre_c.dot(w_hc_t, grad_rh)
-            multiply(grad_rh, h_prev, out=grad_r)
-            multiply(grad_rh, r, out=grad_rh)
-            add(grad_h, grad_rh, out=grad_h)
-            # gates
-            multiply(pre_r, multiply(grad_r, r, out=tmp), out=pre_r)
-            add(grad_h, pre_r.dot(w_hr_t, tmp), out=grad_h)
-            multiply(pre_z, multiply(grad_z, z, out=tmp), out=pre_z)
-            add(grad_h, pre_z.dot(w_hz_t, tmp), out=grad_h)
-
-    @staticmethod
-    def gradients(xs, s, ws):
-        grads = {}
-        for gate, left in (("r", s["hs"][:-1]), ("z", s["hs"][:-1]),
-                           ("c", s["rh"])):
-            pre = s[f"pre_{gate}"]
-            grads[f"w_x{gate}"] = _weight_grad(ws, xs, pre)
-            grads[f"w_h{gate}"] = _weight_grad(ws, left, pre)
-            grads[f"b_{gate}"] = _bias_grad(pre)
-        return grads
-
-
-_CELLS = {"elman": _Elman, "gru": _Gru}
-
-
 @dataclass(frozen=True)
 class RnnConfig:
     """Architecture and training hyperparameters."""
@@ -330,7 +194,6 @@ class RnnConfig:
     batch_size: int = 64
     grad_clip: float = 5.0
     seed: int = 0
-    cell: str = "elman"
 
     def validate(self) -> None:
         if min(self.input_dim, self.hidden_dim, self.num_classes) <= 0:
@@ -338,11 +201,6 @@ class RnnConfig:
         if min(self.learning_rate, self.epochs, self.batch_size,
                self.grad_clip) <= 0:
             raise ValueError("training hyperparameters must be positive")
-        if self.cell not in _CELLS:
-            raise ValueError(
-                f"unknown cell {self.cell!r} (expected one of "
-                f"{', '.join(_CELLS)})"
-            )
 
 
 @dataclass
@@ -381,16 +239,15 @@ class _History:
 
 
 class RnnClassifier:
-    """Recurrent cell + softmax head, trained with BPTT/Adam."""
+    """Elman cell + softmax head, trained with BPTT/Adam."""
 
     def __init__(self, config: RnnConfig) -> None:
         config.validate()
         self.config = config
-        self._cell = _CELLS[config.cell]
         rng = np.random.default_rng(config.seed)
         h, d, c = config.hidden_dim, config.input_dim, config.num_classes
         # Draw order (cell weights, then the head) fixes the init.
-        self.params = self._cell.init(rng, d, h)
+        self.params = _Elman.init(rng, d, h)
         self.params["w_o"] = rng.normal(0.0, 1.0 / np.sqrt(h), (h, c))
         self.params["b_o"] = np.zeros(c)
         self._opt = {name: _Adam.like(param)
@@ -403,8 +260,8 @@ class RnnClassifier:
         """Run the recurrence over (n, steps, input_dim) ``batch``;
         returns (time-major inputs, cell state, mean hidden, logits)."""
         xs = batch.transpose(1, 0, 2)
-        state = self._cell.project(self.params, xs, ws)
-        self._cell.run(self.params, state)
+        state = _Elman.project(self.params, xs, ws)
+        _Elman.run(self.params, state)
         pooled = state["hs"][1:].mean(axis=0)
         logits = pooled @ self.params["w_o"] + self.params["b_o"]
         return xs, state, pooled, logits
@@ -449,8 +306,8 @@ class RnnClassifier:
         grad_logits /= n
         # Mean pooling distributes the head gradient over every step.
         grad_pooled = grad_logits @ self.params["w_o"].T / steps
-        self._cell.backprop(self.params, state, grad_pooled, ws)
-        grads = self._cell.gradients(xs, state, ws)
+        _Elman.backprop(self.params, state, grad_pooled, ws)
+        grads = _Elman.gradients(xs, state, ws)
         grads["w_o"] = pooled.T @ grad_logits
         grads["b_o"] = grad_logits.sum(axis=0)
         return loss, correct, grads

@@ -16,7 +16,7 @@ artefacts instead of transient simulation output:
   :func:`~repro.trace.store.cached_corpus`, the one cache step every
   trace-backed study goes through;
 * :mod:`repro.trace.replay` — stored corpora fed back through feature
-  extraction and the kNN/RNN/GRU classifiers without the simulator,
+  extraction and the kNN/RNN classifiers without the simulator,
   plus the :func:`~repro.trace.replay.golden_compare` checker behind
   the golden-trace regression tests.
 
@@ -37,7 +37,6 @@ from .replay import (
     filesize_study_from_store,
     fingerprint_dataset_from_store,
     golden_compare,
-    replay_filesize,
     replay_fingerprint,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "fingerprint_dataset_from_store",
     "golden_compare",
     "read_corpus",
-    "replay_filesize",
     "replay_fingerprint",
     "write_corpus",
 ]

@@ -3,7 +3,7 @@
 Replay is the read half of the trace subsystem's contract: a corpus
 recorded under a key is a pure function of ``(platform, experiment
 params, seed)``, so feeding it back through
-:mod:`repro.sidechannel.features` and the kNN/RNN/GRU classifiers must
+:mod:`repro.sidechannel.features` and the kNN/RNN classifiers must
 produce results bit-identical to a live simulation — without ever
 touching the simulator.  The two study-shaped entry points
 (:func:`fingerprint_dataset_from_store`,
@@ -22,7 +22,7 @@ guarantee the rest of the subsystem is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +37,10 @@ __all__ = [
     "fingerprint_dataset_from_store",
     "filesize_study_from_store",
     "replay_fingerprint",
-    "replay_filesize",
 ]
 
 #: The models :func:`replay_fingerprint` can score a corpus with.
-REPLAY_CLASSIFIERS = ("rnn", "knn", "gru")
+REPLAY_CLASSIFIERS = ("rnn", "knn")
 
 
 @dataclass(frozen=True)
@@ -172,8 +171,8 @@ def replay_fingerprint(
     """Replay a stored fingerprint corpus through a classifier.
 
     ``classifier`` picks the model: ``"rnn"`` (the paper's; also
-    scores the kNN baseline via the standard study),
-    ``"knn"`` or ``"gru"`` (the same RNN with ``cell="gru"``).  Returns a
+    scores the kNN baseline via the standard study) or ``"knn"``
+    alone.  Returns a
     :class:`~repro.sidechannel.fingerprint.FingerprintResult`.  An
     unknown ``classifier`` raises :class:`~repro.errors.ConfigError`
     before the store is read.
@@ -189,7 +188,8 @@ def replay_fingerprint(
         FingerprintResult,
         run_fingerprinting_study,
     )
-    from ..sidechannel.rnn import RnnClassifier, RnnConfig
+    from ..sidechannel.knn import KnnClassifier
+    from ..sidechannel.rnn import RnnConfig
 
     dataset = fingerprint_dataset_from_store(
         store, num_sites=num_sites, train_visits=train_visits,
@@ -203,12 +203,7 @@ def replay_fingerprint(
         )
     train_x, train_y = normalize_traces(list(dataset.train), num_bins)
     test_x, test_y = normalize_traces(list(dataset.test), num_bins)
-    if classifier == "knn":
-        from ..sidechannel.knn import KnnClassifier
-
-        model = KnnClassifier(k=3, num_classes=num_sites)
-    else:
-        model = RnnClassifier(replace(config, cell="gru"))
+    model = KnnClassifier(k=3, num_classes=num_sites)
     model.fit(train_x, train_y)
     scores = model.predict_scores(test_x)
     top5_k = min(5, num_sites)
@@ -216,12 +211,8 @@ def replay_fingerprint(
     return FingerprintResult(
         top1=top1,
         top5=top_k_accuracy(scores, test_y, top5_k),
-        knn_top1=top1 if classifier == "knn" else float("nan"),
+        knn_top1=top1,
         num_sites=num_sites,
         test_traces=len(dataset.test),
     )
 
-
-def replay_filesize(store: TraceStore, **kwargs):
-    """Replay a stored file-size corpus into a scored study."""
-    return filesize_study_from_store(store, **kwargs)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache import RandomizedIndexer, SetAssociativeCache
-from repro.cache.replacement import make_policy
+from repro.cache.replacement import LRUPolicy
 from repro.config import CacheConfig
 
 
@@ -163,10 +163,6 @@ class TestRandomizedIndexing:
 class TestLazySets:
     """Sets are built on first fill; nothing else may observe that."""
 
-    def test_unknown_policy_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown replacement policy"):
-            tiny_cache(policy="fifo")
-
     def test_probes_of_untouched_sets_leave_cache_empty(self):
         cache = tiny_cache()
         assert not cache.lookup(7)
@@ -184,13 +180,12 @@ class TestLazySets:
         with pytest.raises(IndexError):
             cache.lines_in_set(-5)
 
-    @pytest.mark.parametrize("policy", ["plru", "random"])
-    def test_flush_all_keeps_replacement_state(self, policy):
-        """Victims after a flush match one policy instance that lived
-        through the whole history, flush included."""
+    def test_flush_all_keeps_replacement_state(self):
+        """Victims after a flush match one LRU order that lived through
+        the whole history, flush included."""
         ways = 4
-        cache = tiny_cache(sets=1, ways=ways, policy=policy)
-        reference = make_policy(policy, ways)
+        cache = tiny_cache(sets=1, ways=ways)
+        reference = LRUPolicy(ways)
         lines: list[int | None] = [None] * ways
 
         def ref_insert(line):

@@ -120,41 +120,3 @@ class TestEnergyStudy:
     def test_overhead_positive(self):
         result = analytics_energy_overhead(duration_s=4.0, seed=0)
         assert result.fixed_max_joules > result.ufs_joules
-
-
-class TestGovernorInteraction:
-    def test_performance_governor_degrades_but_leaks(self):
-        """An always-turbo governor pins the uncore only while a turbo
-        core is actually awake; a duty-cycled receiver finds the gaps,
-        so the 'defense' degrades the channel without killing it."""
-        clean = channel_under_defense("none", bits=40, seed=21)
-        governed = channel_under_defense("performance_governor",
-                                         bits=40, seed=21)
-        assert governed.error_rate > clean.error_rate + 0.05
-        assert governed.capacity_bps < 0.6 * clean.capacity_bps
-
-    def test_governor_policies(self, solo_system):
-        from repro.cpu.dvfs import DvfsGovernor, GovernorPolicy
-        from repro.workloads import NopLoop
-
-        governor = DvfsGovernor(
-            solo_system, policy=GovernorPolicy.ONDEMAND
-        )
-        loop = NopLoop("busy")
-        solo_system.launch(loop, 0, 3)
-        solo_system.run_ms(25)
-        assert solo_system.socket(0).core(3).above_base
-        assert not solo_system.socket(0).core(7).above_base
-        governor.set_policy(GovernorPolicy.POWERSAVE)
-        solo_system.run_ms(15)
-        assert not solo_system.socket(0).core(3).above_base
-        governor.stop()
-
-    def test_governor_rejects_bad_turbo(self, solo_system):
-        from repro.cpu.dvfs import DvfsGovernor
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            DvfsGovernor(solo_system, turbo_mhz=2000)
-        with pytest.raises(ConfigError):
-            DvfsGovernor(solo_system, turbo_mhz=3210)

@@ -1,9 +1,6 @@
-"""Replacement policies: LRU, tree-PLRU, random."""
+"""LRU replacement."""
 
-import numpy as np
-import pytest
-
-from repro.cache import LRUPolicy, RandomPolicy, TreePLRUPolicy, make_policy
+from repro.cache import LRUPolicy
 
 
 class TestLRU:
@@ -44,64 +41,3 @@ class TestLRU:
         policy.touch(0)
         assert policy.recency_order() == [0, 2, 1]
 
-
-class TestTreePLRU:
-    def test_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            TreePLRUPolicy(6)
-
-    def test_prefers_empty_way(self):
-        policy = TreePLRUPolicy(4)
-        assert policy.victim([True, True, False, True]) == 2
-
-    def test_victim_avoids_most_recent(self):
-        policy = TreePLRUPolicy(8)
-        for way in range(8):
-            policy.fill(way)
-        policy.touch(3)
-        assert policy.victim([True] * 8) != 3
-
-    def test_all_ways_eventually_chosen(self):
-        policy = TreePLRUPolicy(4)
-        seen = set()
-        for _ in range(32):
-            way = policy.victim([True] * 4)
-            seen.add(way)
-            policy.fill(way)
-        assert seen == {0, 1, 2, 3}
-
-
-class TestRandom:
-    def test_prefers_empty_way(self):
-        policy = RandomPolicy(4, np.random.default_rng(0))
-        assert policy.victim([True, False, True, True]) == 1
-
-    def test_deterministic_with_seed(self):
-        a = RandomPolicy(8, np.random.default_rng(5))
-        b = RandomPolicy(8, np.random.default_rng(5))
-        va = [a.victim([True] * 8) for _ in range(20)]
-        vb = [b.victim([True] * 8) for _ in range(20)]
-        assert va == vb
-
-    def test_covers_all_ways(self):
-        policy = RandomPolicy(4, np.random.default_rng(1))
-        seen = {policy.victim([True] * 4) for _ in range(200)}
-        assert seen == {0, 1, 2, 3}
-
-
-class TestFactory:
-    @pytest.mark.parametrize("kind,cls", [
-        ("lru", LRUPolicy),
-        ("plru", TreePLRUPolicy),
-        ("random", RandomPolicy),
-    ])
-    def test_make_policy(self, kind, cls):
-        assert isinstance(make_policy(kind, 8), cls)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("fifo", 8)
-
-    def test_zero_ways_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("lru", 0)

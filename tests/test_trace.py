@@ -582,7 +582,7 @@ class TestReplay(StoreFixture):
                         replayed.train + replayed.test):
             assert_identical(a, b)
 
-    @pytest.mark.parametrize("classifier", ["knn", "rnn", "gru"])
+    @pytest.mark.parametrize("classifier", ["knn", "rnn"])
     def test_replay_classifier_scores_from_store_alone(self, store,
                                                        classifier):
         from repro.sidechannel import collect_dataset
