@@ -31,6 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -298,20 +299,28 @@ _current: int | None = None
 
 
 def _init_worker(marks) -> None:
-    """Pool initializer: adopt the shared marks, trap the pool's SIGTERM.
+    """Pool initializer: adopt the shared marks, take the pool's SIGTERM.
 
-    A broken pool terminates its surviving workers; the handler marks
+    A broken pool terminates its surviving workers; the waiter marks
     the trial such a worker was running as settled, so only the trial
-    whose worker died by itself stays ``_RUNNING``.
+    whose worker died by itself stays ``_RUNNING``.  The signal is
+    blocked in the main thread and taken by :func:`signal.sigwait` on
+    a daemon thread: a Python-level handler runs only between
+    bytecodes, so a SIGTERM landing just before an idle worker blocks
+    on the call queue would trip it and never run it, and the pool's
+    shutdown would wait for that worker forever.
     """
     global _marks
     _marks = marks
-    signal.signal(signal.SIGTERM, _on_terminate)
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    threading.Thread(target=_await_terminate, daemon=True).start()
 
 
-def _on_terminate(signum, frame) -> None:
-    if _current is not None:
-        _marks[_current] = _SETTLED
+def _await_terminate() -> None:
+    signum = signal.sigwait({signal.SIGTERM})
+    current = _current
+    if current is not None:
+        _marks[current] = _SETTLED
     os._exit(128 + signum)
 
 
@@ -335,14 +344,15 @@ def _drive(pending: list[int], trials: list, count: int,
     With ``count`` <= 1 (or a single trial) the trials run inline, in
     order.  Otherwise each trial is submitted to a process pool and
     lands in submission order.  ``BrokenProcessPool`` breaks every
-    unfinished future at once, so worker death cannot be retried inside
-    the worker.  Without a ``policy`` it propagates.  With one, the
-    driver rebuilds the pool and resubmits the unfinished trials.  The
-    trials still marked running are the ones whose worker died (if none
-    is, the head of the unfinished queue stands in, so repeated deaths
-    still end); each is charged one attempt and, after ``max_attempts``
-    dead workers, convicted with a :class:`TrialFailure`.  Trials the
-    break merely interrupted are resubmitted uncharged.
+    unfinished future at once, and refuses the submissions still to
+    come, so worker death cannot be retried inside the worker.  Without
+    a ``policy`` it propagates.  With one, the driver rebuilds the pool
+    and resubmits the unfinished trials.  The trials still marked
+    running are the ones whose worker died (if none is, the head of the
+    unfinished queue stands in, so repeated deaths still end); each is
+    charged one attempt and, after ``max_attempts`` dead workers,
+    convicted with a :class:`TrialFailure`.  Trials the break merely
+    interrupted are resubmitted uncharged.
     """
     instrument = parent is not None
     if count <= 1 or len(pending) <= 1:
@@ -358,11 +368,19 @@ def _drive(pending: list[int], trials: list, count: int,
             max_workers=min(count, len(pending)), mp_context=context,
             initializer=_init_worker, initargs=(marks,),
         ) as pool:
-            futures = [
-                pool.submit(_pooled_attempt, index, trials[index], policy,
-                            instrument)
-                for index in pending
-            ]
+            futures = []
+            for index in pending:
+                try:
+                    futures.append(pool.submit(
+                        _pooled_attempt, index, trials[index], policy,
+                        instrument,
+                    ))
+                except BrokenProcessPool:
+                    # An early trial killed its worker before the rest
+                    # were queued; they count as interrupted.
+                    if policy is None:
+                        raise
+                    break
             for index, future in zip(pending, futures):
                 try:
                     outcome = future.result()
@@ -372,6 +390,7 @@ def _drive(pending: list[int], trials: list, count: int,
                     unfinished.append(index)
                     continue
                 land(index, *outcome)
+            unfinished.extend(pending[len(futures):])
         if not unfinished:
             return
         if parent is not None:

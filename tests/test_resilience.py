@@ -7,6 +7,8 @@ would, or fails loudly.
 """
 
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -232,6 +234,44 @@ class TestRetryMode:
         assert pooled == inline
         assert pooled[1] == "survived"
 
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("killer", range(4))
+    def test_worker_death_anywhere_leaves_results_identical_to_inline(
+            self, tmp_path, killer, workers):
+        # A killer at the head can break the pool before the trials
+        # behind it are even queued.
+        trials = [Trial(_draw, dict(seed=i), label=f"t{i}")
+                  for i in range(4)]
+        inline = run_trials(trials)
+        trials[killer] = Trial(worker_killing_trial,
+                               dict(sentinel=str(tmp_path / "s"),
+                                    value=inline[killer]), label="k")
+        registry = MetricsRegistry()
+        with using(registry):
+            pooled = run_trials(
+                trials, workers=workers,
+                retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
+            )
+        assert pooled == inline
+        assert _counters(registry)["runner.pool_rebuilds"] == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("killer", range(4))
+    def test_a_killer_anywhere_is_convicted_and_siblings_survive(
+            self, killer, workers):
+        trials = [Trial(_echo, dict(value=i), label=f"t{i}")
+                  for i in range(4)]
+        trials[killer] = Trial(_always_kill_worker, {}, label="killer")
+        results = run_trials(
+            trials, workers=workers,
+            retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
+        )
+        assert [r for i, r in enumerate(results) if i != killer] == [
+            i for i in range(4) if i != killer]
+        assert isinstance(results[killer], TrialFailure)
+        assert results[killer].label == "killer"
+        assert results[killer].attempts == 2
+
     def test_a_trial_that_always_kills_is_convicted_after_max_attempts(
             self):
         trials = [
@@ -280,6 +320,45 @@ class TestRetryMode:
         ]
         with pytest.raises(BrokenProcessPool):
             run_trials(trials, workers=2)
+
+    def test_repeated_worker_deaths_never_hang_the_pool(self, tmp_path):
+        # A broken pool SIGTERMs its surviving workers and joins them.
+        # A worker that catches the signal in a Python-level handler
+        # can take it just before it blocks on the call queue and then
+        # wait forever, and the join with it; with the old handler one
+        # run in a few dozen hung.  The loop runs in a child process so
+        # that a hang fails this test instead of stalling the suite.
+        script = (
+            "import sys\n"
+            "from repro.engine.parallel import Trial, run_trials\n"
+            "from repro.resilience import RetryPolicy\n"
+            "from repro.validate.faults import worker_killing_trial\n"
+            "root = sys.argv[1]\n"
+            "for i in range(40):\n"
+            "    trials = [Trial(worker_killing_trial,\n"
+            "                    dict(sentinel=f'{root}/s{i}'), label='k')]\n"
+            "    trials += [Trial(int, {}, label=f't{j}') for j in range(3)]\n"
+            "    out = run_trials(trials, workers=3, retry=RetryPolicy(\n"
+            "        max_attempts=2, base_backoff_s=0.0))\n"
+            "    assert out == ['survived', 0, 0, 0], out\n"
+            "print('ok')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("a pool with a dying worker hung on shutdown")
+        assert child.returncode == 0, err
+        assert out.strip() == "ok"
 
 
 def _always_os_error(seed):
