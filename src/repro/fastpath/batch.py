@@ -26,30 +26,37 @@ integrates one window per class, shared by the group (each timeline's
 representatives in one forward walk).  Each distinct row of loud
 classes, of any trial, is then folded once, into a fold id shared by
 the group.  Each trial then walks the stream on its own up to its
-horizon, stepping its socket state through the scalar
-:func:`~repro.power.ufs.ufs_control_step` — the same law, over the same
-Python ints and floats, the DES PMU evaluates.  The law is pure, so a
-step already taken in the group (same state, limits, fold id and
-remote frequency) is looked up, not recomputed.  That shared law is
-what makes the lattice bit-identical to the DES frequency timeline.
+horizon (one bisection finds where it stops), stepping its socket
+states through the scalar :func:`~repro.power.ufs.ufs_control_step` —
+the same law, over the same Python ints and floats, the DES PMU
+evaluates.  A socket state (frequency, dither phase, slow countdown and
+MSR limits) is interned as an int shared by the group, and the law is
+pure, so a step already taken in the group (same state id, fold id and
+remote frequency) is looked up, not recomputed.  That shared law is what
+makes the lattice bit-identical to the DES frequency timeline.
 
-**Phase B — the receiver replay.**  Per trial, a fresh
-:class:`~repro.platform.latency.LatencyModel` on the trial's seed
-replays the receiver's measurement windows.  A window's statistics draw
-from four streams of their own (segment jitter, tail count, tail mass,
-window bias; :data:`~repro.platform.latency.WINDOW_STREAMS`), which
-nothing else in the trial touches: the probe warm-up and every other
-timed load draw from ``latency-noise``.  So the replay first builds the
-trial's segment table from the Phase A lattice — each window split at
-the receiver socket's PMU ticks, each segment's sample count, frequency
-and flows — and then draws each quantity of the whole transmission as
-one array (:meth:`~repro.platform.latency.LatencyModel.segment_llc_sums`,
-:meth:`~repro.platform.latency.LatencyModel.window_biases`).  Each array
-draw equals the scalar draws the DES receiver makes one segment at a
-time, in time order, and leaves its stream where they leave it; each
-window adds its segment sums in the DES order.  Decoding goes through
-the real :func:`~repro.core.protocol.decode_bit` against the real
+**Phase B — the receiver replay.**  One pass over every trial of the
+call replays the receiver's measurement windows.  A window's statistics
+draw from four streams of their own (segment jitter, tail count, tail
+mass, window bias; :data:`~repro.platform.latency.WINDOW_STREAMS`),
+which nothing else in a trial touches: the probe warm-up and every
+other timed load draw from ``latency-noise``.  So the pass builds the
+segment table of every trial at once from the Phase A lattices — each
+window split at its receiver socket's PMU ticks, each segment's sample
+count, frequency and flows — and each segment's noise-free mean once per
+receiver.  Then each trial, on a fresh
+:class:`~repro.platform.latency.LatencyModel` on its seed, draws each
+quantity of its whole transmission as one array
+(:meth:`~repro.platform.latency.LatencyModel.segment_llc_sums`,
+:meth:`~repro.platform.latency.LatencyModel.window_biases`), and the
+window sums of every trial are added in one pass.  Each array draw
+equals the scalar draws the DES receiver makes one segment at a time,
+in time order, and leaves its stream where they leave it; each window
+adds its segment sums in the DES order.  Decoding goes through the real
+:func:`~repro.core.protocol.decode_bit` against the real
 :func:`~repro.core.protocol.calibrate_endpoints`.
+
+No memo outlives a call.
 
 Supported shapes are exactly the ``measure_capacity`` /
 ``channel_under_defense`` surfaces (including cross-processor
@@ -114,13 +121,6 @@ _IDLE_FOLD = (0, 0, 0.0, 0.0, 0.0, False)
 
 
 @dataclass
-class _CoreSchedule:
-    """One touched core's full profile history."""
-
-    timeline: ProfileTimeline
-
-
-@dataclass
 class _TrialPlan:
     """Everything Phase A/B need to know about one transmission."""
 
@@ -132,8 +132,9 @@ class _TrialPlan:
     receiver_socket: int
     receiver_core_mhz: int
     duration_ns: int
-    #: per socket: core id -> schedule (touched cores only)
-    cores: list[dict[int, _CoreSchedule]]
+    #: per socket: core id -> its full profile history (touched cores
+    #: only)
+    cores: list[dict[int, ProfileTimeline]]
     init_limits: list[tuple[int, int]]
     init_freq: list[int]
     init_history: list[list[tuple[int, int]]]
@@ -294,13 +295,13 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
     busy_profile, mark_profile, mark_flows, space_flows = placement
 
     # Profile schedules of every touched core.
-    cores: list[dict[int, _CoreSchedule]] = [
+    cores: list[dict[int, ProfileTimeline]] = [
         {} for _ in range(num_sockets)
     ]
 
     def place(socket_id: int, core_id: int,
               timeline: ProfileTimeline) -> ProfileTimeline:
-        cores[socket_id][core_id] = _CoreSchedule(timeline=timeline)
+        cores[socket_id][core_id] = timeline
         return timeline
 
     interval = config.interval_ns
@@ -497,8 +498,8 @@ def _run_lattice(plans: list[_TrialPlan],
         previous[1:] = ends[:-1]
         starts = np.maximum(previous, ends - observation)
         per_plan, walked = _observations(
-            [([entry.timeline
-               for _, entry in sorted(plan.cores[socket_id].items())],
+            [([timeline
+               for _, timeline in sorted(plan.cores[socket_id].items())],
               bisect_right(times, plan.duration_ns)) for plan in plans],
             ends, starts, ufs.stall_ratio_threshold, interned,
         )
@@ -509,77 +510,86 @@ def _run_lattice(plans: list[_TrialPlan],
     if registry is not None:
         registry.inc("fastpath.batch.windows_integrated", integrated)
 
-    # The event stream every trial walks.  Repicks share their instants
-    # with socket-0 ticks; the defense task was (re)scheduled earlier
-    # than the PMU's reschedule, so it fires first — order key 0 vs 1
-    # encodes that.
-    events: list[tuple[int, int, int, int]] = [
-        (time_ns, 1, socket_id, tick)
+    # The event stream every trial walks, as ``(time_ns, socket, tick)``.
+    # Repicks share their instants with socket-0 ticks; the defense task
+    # was (re)scheduled earlier than the PMU's reschedule, so it fires
+    # first, which its socket ``-1`` makes the sort encode.  Each trial
+    # walks the prefix up to its horizon.
+    events: list[tuple[int, int, int]] = [
+        (time_ns, socket_id, tick)
         for socket_id, times in enumerate(ticks)
         for tick, time_ns in enumerate(times)
     ]
     if any(plan.repick_rng is not None for plan in plans):
-        repick = _REPICK_PERIOD_NS
-        while repick <= horizon:
-            events.append((repick, 0, -1, -1))
-            repick += _REPICK_PERIOD_NS
+        events += [(time_ns, -1, -1) for time_ns in range(
+            _REPICK_PERIOD_NS, horizon + 1, _REPICK_PERIOD_NS)]
     events.sort()
+    event_times = [event[0] for event in events]
     others = [[other for other in range(num_sockets) if other != socket_id]
               for socket_id in range(num_sockets)]
+    pair = coupled and num_sockets == 2
 
-    # The control law is pure and ``ufs``, ``demand`` and the lag are
-    # fixed for the group, so a step is a function of the socket state,
-    # its MSR window, its fold (by id) and the remote frequency alone.
-    # Trials of one group revisit the same few states, so each distinct
-    # step is taken once: key -> (freq, dither phase, slow countdown).
+    # A socket state ``(freq, dither phase, slow countdown, min limit,
+    # max limit)`` is interned as an int, shared by the group.  The
+    # control law is pure and ``ufs``, ``demand`` and the lag are fixed
+    # for the group, so a step is a function of the state, the fold (by
+    # id) and the remote frequency alone.  Trials of one group revisit
+    # the same few states, so each distinct step is taken once:
+    # ``(state, fold id, remote MHz) -> next state``.
     lag = rep.coupling_lag_mhz
-    memo: dict[tuple, tuple[int, int, int]] = {}
+    state_ids: dict[tuple[int, int, int, int, int], int] = {}
+    states: list[tuple[int, int, int, int, int]] = []  # id -> state
+    memo: dict[tuple[int, int, int | None], int] = {}
+
+    def intern(state: tuple[int, int, int, int, int]) -> int:
+        state_id = state_ids.setdefault(state, len(states))
+        if state_id == len(states):
+            states.append(state)
+        return state_id
+
     histories = []
     for index, plan in enumerate(plans):
         # Trials never read one another's state, so each walks the
         # stream on its own up to its horizon.
-        duration = plan.duration_ns
         fold_ids = [observed[s][index] for s in range(num_sockets)]
         freq = list(plan.init_freq)
-        dither = [0] * num_sockets
-        countdown = [0] * num_sockets
-        limits = list(plan.init_limits)
+        state = [intern((mhz, 0, 0, *limits))
+                 for mhz, limits in zip(freq, plan.init_limits)]
         history = [list(points) for points in plan.init_history]
         repick_rng = plan.repick_rng
-        for time_ns, order, socket_id, tick in events:
-            if time_ns > duration:
-                break  # past this trial's horizon
-            if order == 0:  # randomized-defense repick, all sockets
+        for time_ns, socket_id, tick in events[:bisect_right(
+                event_times, plan.duration_ns)]:
+            if socket_id < 0:  # randomized-defense repick, all sockets
                 if repick_rng is None:
                     continue
                 points = plan.platform.ufs.frequency_points_mhz
                 pick = int(points[repick_rng.integers(len(points))])
-                for s in range(num_sockets):
-                    limits[s] = (pick, pick)
+                for s, current in enumerate(state):
+                    _, dither, countdown, _, _ = states[current]
+                    state[s] = intern((pick, dither, countdown, pick, pick))
                     if freq[s] != pick:
                         freq[s] = pick
                         history[s].append((time_ns, pick))
                 continue
 
-            fold_id = fold_ids[socket_id][tick]
-            remote = None
-            if coupled:  # the fastest other socket
-                remote = 0
-                for other in others[socket_id]:
-                    if freq[other] > remote:
-                        remote = freq[other]
-            min_limit, max_limit = limits[socket_id]
-            current = freq[socket_id]
-            key = (current, dither[socket_id], countdown[socket_id],
-                   min_limit, max_limit, fold_id, remote)
+            current = state[socket_id]
+            if pair:  # the other socket
+                remote = freq[1 - socket_id]
+            elif coupled:  # the fastest other socket
+                remote = max([freq[other] for other in others[socket_id]])
+            else:
+                remote = None
+            key = (current, fold_ids[socket_id][tick], remote)
             step = memo.get(key)
             if step is None:
                 (active, stalled, llc_rate, noc_score, max_stall,
-                 turbo) = folds[fold_id]
+                 turbo) = folds[key[1]]
+                mhz, dither, countdown, min_limit, max_limit = (
+                    states[current])
                 result = ufs_control_step(
-                    freq_mhz=current,
-                    dither_phase=dither[socket_id],
-                    slow_countdown=countdown[socket_id],
+                    freq_mhz=mhz,
+                    dither_phase=dither,
+                    slow_countdown=countdown,
                     min_limit_mhz=min_limit,
                     max_limit_mhz=max_limit,
                     active=active,
@@ -593,12 +603,15 @@ def _run_lattice(plans: list[_TrialPlan],
                     demand=demand,
                     coupling_lag_mhz=lag,
                 )
-                step = memo[key] = (result.freq_mhz, result.dither_phase,
-                                    result.slow_countdown)
-            mhz, dither[socket_id], countdown[socket_id] = step
-            if mhz != current:  # the history ends at ``current``
-                freq[socket_id] = mhz
-                history[socket_id].append((time_ns, mhz))
+                step = memo[key] = intern((
+                    result.freq_mhz, result.dither_phase,
+                    result.slow_countdown, min_limit, max_limit))
+            if step != current:
+                state[socket_id] = step
+                mhz = states[step][0]
+                if mhz != freq[socket_id]:  # the history ends there
+                    freq[socket_id] = mhz
+                    history[socket_id].append((time_ns, mhz))
         histories.append(history)
     return histories
 
@@ -606,65 +619,133 @@ def _run_lattice(plans: list[_TrialPlan],
 # -- Phase B: the receiver replay ---------------------------------------------
 
 
-def _segment_table(plan: _TrialPlan, lattice: list[list[tuple[int, int]]],
-                   model: LatencyModel,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every measurement segment of one trial, in DES order: its sample
-    count, uncore frequency (MHz) and contention flows; and per window,
-    its number of segments.
+def _segment_table(plans: list[_TrialPlan],
+                   lattices: list[list[list[tuple[int, int]]]],
+                   models: list[LatencyModel],
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray, dict[tuple, int], np.ndarray]:
+    """Every measurement segment of every trial, trial by trial in DES
+    order: its sample count, uncore frequency (MHz) and contention
+    flows; per window, its number of segments; and the receivers of the
+    call, ``(latency config, hops, core MHz) -> first trial``, with each
+    segment's receiver (by first trial).
 
     Each bit takes two windows, T1 at its interval's start and T2 at its
     end.  A window splits at every receiver-socket PMU tick strictly
-    inside it; each segment reads its frequency from the Phase A lattice
-    at its start and sizes its sample count by the fenced iteration
-    time, exactly as :meth:`~repro.platform.actor.Actor.measure_window`
-    does.
+    inside it; each segment reads its frequency from its trial's Phase A
+    lattice at its start and sizes its sample count by the fenced
+    iteration time, exactly as
+    :meth:`~repro.platform.actor.Actor.measure_window` does.  A socket
+    ticks at ``offset + period * k`` for ``k >= 1``, so the ticks around
+    a window are counted, not searched.
     """
-    times = np.array([point[0] for point in lattice[plan.receiver_socket]],
-                     dtype=np.int64)
-    freqs = [point[1] for point in lattice[plan.receiver_socket]]
-    period = plan.platform.ufs.period_ns
-    offset = plan.receiver_socket * _PMU_STAGGER_NS
-    interval = plan.config.interval_ns
-    measure = plan.config.measure_ns
-    hops = plan.config.hops
-    bits = len(plan.payload)
-    starts = (np.arange(bits, dtype=np.int64)[:, None] * interval
-              + np.array([0, interval - measure], dtype=np.int64)).ravel()
+    receivers: dict[tuple, int] = {}
+    columns = []
+    for index, plan in enumerate(plans):
+        config = plan.config
+        columns.append((
+            receivers.setdefault((plan.platform.latency, config.hops,
+                                  plan.receiver_core_mhz), index),
+            2 * len(plan.payload), config.interval_ns, config.measure_ns,
+            plan.receiver_socket * _PMU_STAGGER_NS,
+            plan.platform.ufs.period_ns,
+        ))
+    receiver, windows, interval, measure, offset, period = (
+        np.array(column, dtype=np.int64) for column in zip(*columns))
+
+    # Per window: its trial, start and deadline, how many ticks fall at
+    # or before its start (the index of the first tick after it) and how
+    # many segments the ticks strictly inside it cut it into.
+    trial = np.repeat(np.arange(len(plans)), windows)
+    rank = np.arange(len(trial)) - np.repeat(np.cumsum(windows) - windows,
+                                             windows)
+    interval = interval[trial]
+    measure = measure[trial]
+    offset = offset[trial]
+    period = period[trial]
+    starts = rank // 2 * interval + rank % 2 * (interval - measure)
     deadlines = starts + measure
-    # The socket's ticks, through the first at or after the horizon.
-    ticks = offset + period * np.arange(
-        1, (plan.duration_ns - offset) // period + 2, dtype=np.int64)
-    after = np.searchsorted(ticks, starts, "right")  # first tick > start
-    spans = np.searchsorted(ticks, deadlines, "left") - after + 1
-    window = np.repeat(np.arange(len(starts)), spans)
+    after = np.maximum((starts - offset) // period, 0)
+    spans = np.maximum((deadlines - offset - 1) // period, 0) - after + 1
+    marks = np.repeat(np.fromiter(
+        chain.from_iterable(plan.payload for plan in plans), dtype=bool,
+        count=len(trial) // 2), 2)
+    flows = np.where(
+        marks, np.array([plan.mark_flows for plan in plans])[trial],
+        np.array([plan.space_flows for plan in plans])[trial])
+
+    window = np.repeat(np.arange(len(spans)), spans)
     rank = np.arange(len(window)) - (np.cumsum(spans) - spans)[window]
-    tick = after[window] + rank  # the tick ending each segment but a last
-    seg_start = np.where(rank > 0, ticks[tick - 1], starts[window])
-    seg_end = np.minimum(ticks[tick], deadlines[window])
-    point = np.searchsorted(times, seg_start, "right") - 1
-    iteration = {mhz: model.loop_iteration_ns(
-        model.mean_llc_cycles(hops, mhz), plan.receiver_core_mhz)
-        for mhz in set(freqs)}
-    iter_ns = np.array([iteration[mhz] for mhz in freqs])[point]
+    trial = trial[window]
+    # The tick ending each segment but a last (tick index ``k`` falls at
+    # ``offset + period * (k + 1)``).
+    ends = offset[window] + period[window] * (after[window] + rank + 1)
+    seg_start = np.where(rank > 0, ends - period[window], starts[window])
+    seg_end = np.minimum(ends, deadlines[window])
+
+    # Each segment's frequency: its trial's last lattice point at or
+    # before its start, one search over every trial's points (trial
+    # ``i``'s times shifted by ``i * stride``).
+    points = [lattice[plan.receiver_socket]
+              for plan, lattice in zip(plans, lattices)]
+    table = np.fromiter(chain.from_iterable(chain.from_iterable(points)),
+                        dtype=np.int64).reshape(-1, 2)
+    stride = max(plan.duration_ns for plan in plans) + 1
+    shift = np.repeat(np.arange(len(plans), dtype=np.int64) * stride,
+                      [len(socket_points) for socket_points in points])
+    point = np.searchsorted(table[:, 0] + shift, trial * stride + seg_start,
+                            "right") - 1
+    mhzs = table[point, 1]
+
+    receiver = receiver[trial]
+    iter_ns = np.empty(len(window))
+    for (_, hops, core_mhz), first in receivers.items():
+        model = models[first]
+        at = np.flatnonzero(receiver == first)
+        iter_ns[at] = model.loop_iteration_ns(
+            model.mean_llc_cycles(hops, mhzs[at]), core_mhz)
     counts = ((seg_end - seg_start) / iter_ns).astype(np.int64)
     np.maximum(counts, 1, out=counts)
-    flows = np.where(np.repeat(np.array(plan.payload, dtype=bool), 2),
-                     plan.mark_flows, plan.space_flows)[window]
-    return counts, np.array(freqs, dtype=np.int64)[point], flows, spans
+    return counts, mhzs, flows[window], spans, receivers, receiver
 
 
-def _window_means(model: LatencyModel, hops: int, counts: np.ndarray,
-                  mhzs: np.ndarray, flows: np.ndarray, spans: np.ndarray,
-                  ) -> list[float]:
+def _window_means(plans: list[_TrialPlan],
+                  lattices: list[list[list[tuple[int, int]]]],
+                  models: list[LatencyModel]) -> list[float]:
     """Each window's ``total / count + bias``, as
-    :meth:`~repro.platform.actor.Actor.measure_window` computes it, from
-    one array draw per window quantity.
+    :meth:`~repro.platform.actor.Actor.measure_window` computes it, of
+    every trial in order, each trial drawing from its own ``models``
+    entry.
 
+    The window streams are each trial's own and nothing else draws from
+    them (the probe warm-up draws from ``latency-noise``), so each
+    quantity of a trial's transmission is one array draw.  Everything
+    around the draws is one pass over the call: the segment table, each
+    segment's noise-free mean (once per receiver) and the window sums.
     A window adds its segment sums in segment order from ``0.0``, with
     the same float operations as the DES, so every mean is bit for bit.
     """
-    sums = model.segment_llc_sums(counts, hops, mhzs, flows)
+    if not plans:
+        return []
+    counts, mhzs, flows, spans, receivers, receiver = _segment_table(
+        plans, lattices, models)
+    means = np.empty(len(counts))
+    for (_, hops, _), first in receivers.items():
+        at = np.flatnonzero(receiver == first)
+        means[at] = models[first].segment_llc_means(hops, mhzs[at],
+                                                    flows[at])
+    # Per trial: its first window and segment (then the totals).
+    window_at = np.cumsum([0] + [2 * len(plan.payload) for plan in plans])
+    segment_at = np.concatenate(([0], np.cumsum(spans)))[window_at]
+    sums = np.empty(len(counts))
+    biases = np.empty(len(spans))
+    for model, begin, end, low, high in zip(
+            models, segment_at.tolist(), segment_at[1:].tolist(),
+            window_at.tolist(), window_at[1:].tolist()):
+        sums[begin:end] = model.segment_llc_sums(counts[begin:end],
+                                                 means[begin:end])
+        biases[low:high] = model.window_biases(high - low)
+
     first = np.cumsum(spans) - spans
     totals = np.zeros(len(spans))
     samples = np.zeros(len(spans), dtype=np.int64)
@@ -674,34 +755,41 @@ def _window_means(model: LatencyModel, hops: int, counts: np.ndarray,
         totals[has] += sums[segment]
         samples[has] += counts[segment]
     totals /= samples
-    totals += model.window_biases(len(spans))
+    totals += biases
     return totals.tolist()
 
 
-def _replay_trial(plan: _TrialPlan,
-                  lattice: list[list[tuple[int, int]]],
-                  ) -> TransmissionResult:
-    """Replay the receiver's windows against one trial's lattice.
+def _replay_trial(plans: list[_TrialPlan],
+                  lattices: list[list[list[tuple[int, int]]]],
+                  ) -> list[TransmissionResult]:
+    """Phase B: replay the receiver windows of every trial of a call
+    against its lattice, in one pass (:func:`_window_means`), and decode
+    each trial's bits from its own model's endpoints.
 
-    The window streams are the trial's own and nothing else draws from
-    them (the probe warm-up draws from ``latency-noise``), so each
-    quantity of the whole transmission is one array draw.
-    """
-    model = LatencyModel(plan.platform.latency, plan.seed)
-    endpoints = calibrate_endpoints(
-        plan.platform, model, hops=plan.config.hops,
-        cross_processor=plan.cross,
-    )
-    means = _window_means(model, plan.config.hops,
-                          *_segment_table(plan, lattice, model))
-    received = [decode_bit(t1, t2, endpoints, plan.config)
-                for t1, t2 in zip(means[0::2], means[1::2])]
-    return TransmissionResult(
-        sent=tuple(plan.payload),
-        received=tuple(received),
-        interval_ns=plan.config.interval_ns,
-        duration_ns=plan.duration_ns,
-    )
+    Phase B's one entry point, as :func:`_lattices_for` is Phase A's:
+    ``benchmarks/e2e/tracer.py`` times the two by these names."""
+    models = [LatencyModel(plan.platform.latency, plan.seed)
+              for plan in plans]
+    means = _window_means(plans, lattices, models)
+    results = []
+    begin = 0
+    for plan, model in zip(plans, models):
+        end = begin + 2 * len(plan.payload)
+        endpoints = calibrate_endpoints(
+            plan.platform, model, hops=plan.config.hops,
+            cross_processor=plan.cross,
+        )
+        received = tuple(
+            decode_bit(t1, t2, endpoints, plan.config)
+            for t1, t2 in zip(means[begin:end:2], means[begin + 1:end:2]))
+        results.append(TransmissionResult(
+            sent=tuple(plan.payload),
+            received=received,
+            interval_ns=plan.config.interval_ns,
+            duration_ns=plan.duration_ns,
+        ))
+        begin = end
+    return results
 
 
 # -- driver -------------------------------------------------------------------
@@ -722,10 +810,18 @@ def _plans(requests: Sequence[CapacityRequest | DefenseRequest],
 
 def _lattices_for(plans: list[_TrialPlan],
                   ) -> list[list[list[tuple[int, int]]]]:
-    """Group compatible plans onto shared lattices; submission order."""
+    """Group compatible plans onto shared lattices; submission order.
+
+    Trials of a call mostly share platform objects, so each object's
+    group is looked up once."""
     groups: dict[PlatformConfig, list[int]] = {}
+    joined: dict[int, list[int]] = {}  # platform object id -> its group
     for index, plan in enumerate(plans):
-        groups.setdefault(_group_key(plan.platform), []).append(index)
+        members = joined.get(id(plan.platform))
+        if members is None:
+            members = joined[id(plan.platform)] = groups.setdefault(
+                _group_key(plan.platform), [])
+        members.append(index)
     lattices: list[list[list[tuple[int, int]]] | None] = (
         [None] * len(plans)
     )
@@ -741,10 +837,7 @@ def _run_transmissions(plans: list[_TrialPlan]) -> list[TransmissionResult]:
     registry = active_registry()
     if registry is not None:
         registry.inc("fastpath.batch.trials", len(plans))
-    return [
-        _replay_trial(plan, lattice)
-        for plan, lattice in zip(plans, lattices)
-    ]
+    return _replay_trial(plans, lattices)
 
 
 def _capacity_plan(request: CapacityRequest,

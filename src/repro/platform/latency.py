@@ -148,7 +148,8 @@ class LatencyModel:
         from ``latency-noise``.  The DES receiver calls this once per
         segment, in time order; the batch backend draws a whole
         transmission's segments at once through
-        :meth:`segment_llc_sums`, which makes the same draws.
+        :meth:`segment_llc_sums` (over :meth:`segment_llc_means`), which
+        makes the same draws.
 
         The per-sample floor at the L1 hit latency is dropped: it sits
         ~40 sigma below any LLC mean, so the clip probability is below
@@ -173,10 +174,24 @@ class LatencyModel:
                 tails, config.noise_tail_cycles))
         return total
 
-    def segment_llc_sums(self, counts: np.ndarray, hops: int,
-                         uncore_mhz: np.ndarray,
-                         contention_flows: np.ndarray) -> np.ndarray:
-        """:meth:`segment_llc_sum` of many segments, in order, bit for bit.
+    def segment_llc_means(self, hops: int, uncore_mhz: np.ndarray,
+                          contention_flows: np.ndarray) -> np.ndarray:
+        """The noise-free per-sample mean :meth:`segment_llc_sum` adds up,
+        of many segments, bit for bit: every float operation is the
+        scalar one, elementwise.  Draws nothing, so the segments of many
+        seeds sharing these constants take one call."""
+        config = self.config
+        f_ghz = np.asarray(uncore_mhz, dtype=np.int64) / 1_000.0
+        mean = config.core_cycles + (
+            config.slice_cycles + config.hop_cycles * hops) / f_ghz
+        mean += (config.contention_cycles_per_flow
+                 * np.asarray(contention_flows, dtype=np.float64) / f_ghz)
+        return mean
+
+    def segment_llc_sums(self, counts: np.ndarray,
+                         means: np.ndarray) -> np.ndarray:
+        """:meth:`segment_llc_sum` of many segments, in order, bit for bit,
+        given each segment's :meth:`segment_llc_means`.
 
         One array draw per stream: ``standard_normal(n)``,
         ``binomial(counts, p)`` and ``gamma`` over the nonzero tail
@@ -186,12 +201,7 @@ class LatencyModel:
         """
         config = self.config
         counts = np.asarray(counts, dtype=np.int64)
-        f_ghz = np.asarray(uncore_mhz, dtype=np.int64) / 1_000.0
-        mean = config.core_cycles + (
-            config.slice_cycles + config.hop_cycles * hops) / f_ghz
-        mean += (config.contention_cycles_per_flow
-                 * np.asarray(contention_flows, dtype=np.float64) / f_ghz)
-        totals = counts * mean
+        totals = counts * means
         totals += (config.noise_sigma_cycles * np.sqrt(counts)
                    * self.jitter_rng.standard_normal(len(counts)))
         tails = self.tail_count_rng.binomial(counts, config.noise_tail_prob)

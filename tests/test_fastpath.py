@@ -7,10 +7,17 @@ live in the differential suite, ``tests/test_differential.py``).
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
-from repro.config import DemandModelConfig, default_platform_config
+from repro.config import (
+    DemandModelConfig,
+    default_platform_config,
+    single_socket_config,
+)
+from repro.core.channel import TransmissionResult
 from repro.core.evaluation import capacity_sweep, measure_capacity
+from repro.core.protocol import calibrate_endpoints, decode_bit
 from repro.cpu.activity import window_classes
 from repro.defenses.evaluation import DEFENSE_KEYS
 from repro.engine.parallel import run_batches
@@ -32,6 +39,7 @@ from repro.fastpath.batch import (
     _observations,
     batch_frequency_lattices,
 )
+from repro.platform.latency import LatencyModel
 from repro.power.ufs import accumulate_observation, ufs_control_step
 from repro.resilience.checkpoint import Checkpoint, checkpoint_key
 from repro.telemetry import MetricsRegistry, using
@@ -353,6 +361,16 @@ class TestBatchBackend:
                                 seed=1, backend="batch", workers=2)
         assert equal_results(serial, pooled)
 
+    def test_empty_calls(self):
+        from repro.fastpath.batch import (
+            batch_capacity_points,
+            batch_defense_reports,
+        )
+
+        assert batch_capacity_points([]) == []
+        assert batch_defense_reports([]) == []
+        assert batch_frequency_lattices([]) == []
+
     def test_trial_counter(self):
         registry = MetricsRegistry()
         with using(registry):
@@ -472,8 +490,8 @@ def _reference_lattice(plan):
                     history[s].append((time_ns, pick))
             continue
         fold = accumulate_observation(
-            [(entry.timeline.window_stats(start, time_ns), False)
-             for _, entry in sorted(plan.cores[socket_id].items())],
+            [(timeline.window_stats(start, time_ns), False)
+             for _, timeline in sorted(plan.cores[socket_id].items())],
             ufs.stall_ratio_threshold,
         )
         remote = (max(freq[s] for s in range(sockets) if s != socket_id)
@@ -498,9 +516,15 @@ def _reference_lattice(plan):
 
 
 #: Request lists the memoised lattice must step exactly: both
-#: deployments at mixed horizons, every defense, and an observation
-#: window longer than the PMU period.
+#: deployments at mixed horizons, every defense, an observation window
+#: longer than the PMU period, and coupled sockets other than a pair
+#: (three, and one alone).
 _LONG_WINDOW = default_platform_config().with_ufs(observation_ns=20_000_000)
+_THREE_SOCKETS = dataclasses.replace(
+    default_platform_config(),
+    sockets=default_platform_config().sockets + (dataclasses.replace(
+        default_platform_config().sockets[1], socket_id=2),),
+)
 REFERENCE_GROUPS = {
     "deployments": [
         CapacityRequest(interval_ms=interval, bits=bits, seed=seed,
@@ -519,6 +543,17 @@ REFERENCE_GROUPS = {
                         cross_processor=cross, platform=_LONG_WINDOW)
         for interval, bits in ((12.0, 25), (21.0, 14))
         for cross in (False, True)
+    ],
+    "three sockets": [
+        CapacityRequest(interval_ms=interval, bits=bits, seed=seed,
+                        cross_processor=cross, platform=_THREE_SOCKETS)
+        for seed, (interval, bits) in enumerate(((15.0, 20), (28.0, 12)))
+        for cross in (False, True)
+    ],
+    "one socket": [
+        CapacityRequest(interval_ms=interval, bits=bits, seed=seed,
+                        platform=single_socket_config())
+        for seed, (interval, bits) in enumerate(((15.0, 20), (28.0, 12)))
     ],
 }
 
@@ -546,6 +581,10 @@ class TestMemoisedLattice:
         assert len(calls) == len({tuple(sorted(call.items()))
                                   for call in calls})
         assert len(calls) < sum(steps for _, steps in references)
+        # A lone socket steps uncoupled; every other group reads a
+        # remote frequency (for three sockets, the fastest of two).
+        assert {call["remote_mhz"] is None for call in calls} == {
+            name == "one socket"}
 
 
 def _profiles():
@@ -726,6 +765,136 @@ def _edge_plan(request):
     return _capacity_plan(request)
 
 
+# -- the per-trial replay oracle ----------------------------------------------
+#
+# Phase B as it ran before it became one pass per call: every trial
+# builds its own segment table, draws its own sums and adds its own
+# windows.  Kept verbatim (with the array draws of
+# ``LatencyModel.segment_llc_sums`` as they stood inlined) as the
+# oracle the one-pass replay must equal.
+
+
+def _reference_segment_table(plan, lattice, model):
+    times = np.array([point[0] for point in lattice[plan.receiver_socket]],
+                     dtype=np.int64)
+    freqs = [point[1] for point in lattice[plan.receiver_socket]]
+    period = plan.platform.ufs.period_ns
+    offset = plan.receiver_socket * _PMU_STAGGER_NS
+    interval = plan.config.interval_ns
+    measure = plan.config.measure_ns
+    hops = plan.config.hops
+    bits = len(plan.payload)
+    starts = (np.arange(bits, dtype=np.int64)[:, None] * interval
+              + np.array([0, interval - measure], dtype=np.int64)).ravel()
+    deadlines = starts + measure
+    # The socket's ticks, through the first at or after the horizon.
+    ticks = offset + period * np.arange(
+        1, (plan.duration_ns - offset) // period + 2, dtype=np.int64)
+    after = np.searchsorted(ticks, starts, "right")  # first tick > start
+    spans = np.searchsorted(ticks, deadlines, "left") - after + 1
+    window = np.repeat(np.arange(len(starts)), spans)
+    rank = np.arange(len(window)) - (np.cumsum(spans) - spans)[window]
+    tick = after[window] + rank  # the tick ending each segment but a last
+    seg_start = np.where(rank > 0, ticks[tick - 1], starts[window])
+    seg_end = np.minimum(ticks[tick], deadlines[window])
+    point = np.searchsorted(times, seg_start, "right") - 1
+    iteration = {mhz: model.loop_iteration_ns(
+        model.mean_llc_cycles(hops, mhz), plan.receiver_core_mhz)
+        for mhz in set(freqs)}
+    iter_ns = np.array([iteration[mhz] for mhz in freqs])[point]
+    counts = ((seg_end - seg_start) / iter_ns).astype(np.int64)
+    np.maximum(counts, 1, out=counts)
+    flows = np.where(np.repeat(np.array(plan.payload, dtype=bool), 2),
+                     plan.mark_flows, plan.space_flows)[window]
+    return counts, np.array(freqs, dtype=np.int64)[point], flows, spans
+
+
+def _reference_segment_llc_sums(model, counts, hops, uncore_mhz,
+                                contention_flows):
+    config = model.config
+    counts = np.asarray(counts, dtype=np.int64)
+    f_ghz = np.asarray(uncore_mhz, dtype=np.int64) / 1_000.0
+    mean = config.core_cycles + (
+        config.slice_cycles + config.hop_cycles * hops) / f_ghz
+    mean += (config.contention_cycles_per_flow
+             * np.asarray(contention_flows, dtype=np.float64) / f_ghz)
+    totals = counts * mean
+    totals += (config.noise_sigma_cycles * np.sqrt(counts)
+               * model.jitter_rng.standard_normal(len(counts)))
+    tails = model.tail_count_rng.binomial(counts, config.noise_tail_prob)
+    heavy = np.flatnonzero(tails)
+    totals[heavy] += model.tail_mass_rng.gamma(tails[heavy],
+                                               config.noise_tail_cycles)
+    return totals
+
+
+def _reference_window_means(model, hops, counts, mhzs, flows, spans):
+    sums = _reference_segment_llc_sums(model, counts, hops, mhzs, flows)
+    first = np.cumsum(spans) - spans
+    totals = np.zeros(len(spans))
+    samples = np.zeros(len(spans), dtype=np.int64)
+    for rank in range(int(spans.max(initial=0))):
+        has = np.flatnonzero(spans > rank)
+        segment = first[has] + rank
+        totals[has] += sums[segment]
+        samples[has] += counts[segment]
+    totals /= samples
+    totals += model.window_biases(len(spans))
+    return totals.tolist()
+
+
+def _reference_replay(plan, lattice):
+    """One trial's receiver replay, on its own."""
+    model = LatencyModel(plan.platform.latency, plan.seed)
+    endpoints = calibrate_endpoints(
+        plan.platform, model, hops=plan.config.hops,
+        cross_processor=plan.cross,
+    )
+    means = _reference_window_means(
+        model, plan.config.hops,
+        *_reference_segment_table(plan, lattice, model))
+    received = [decode_bit(t1, t2, endpoints, plan.config)
+                for t1, t2 in zip(means[0::2], means[1::2])]
+    return TransmissionResult(
+        sent=tuple(plan.payload),
+        received=tuple(received),
+        interval_ns=plan.config.interval_ns,
+        duration_ns=plan.duration_ns,
+    )
+
+
+#: A call mixing every defense, both deployments, several intervals and
+#: bit counts, seeds 0, 2 and 3, the replay edge cases (the 2 ms period
+#: is a lattice group of its own) and a receiver with its own latency
+#: constants (another).
+_OTHER_LATENCY = dataclasses.replace(
+    default_platform_config(),
+    latency=dataclasses.replace(default_platform_config().latency,
+                                hop_cycles=12.5, noise_sigma_cycles=2.0,
+                                window_jitter_cycles=0.6),
+)
+MIXED_CALL = [
+    DefenseRequest(defense, bits=bits, seed=seed)
+    for seed, bits in ((0, 9), (2, 26), (3, 14))
+    for defense in DEFENSE_KEYS
+] + [
+    CapacityRequest(interval_ms=interval, bits=bits, seed=seed,
+                    cross_processor=cross)
+    for seed, (interval, bits) in zip((0, 2, 3),
+                                      ((12.0, 30), (21.0, 11), (33.0, 7)))
+    for cross in (False, True)
+] + list(REPLAY_EDGES.values()) + [
+    CapacityRequest(interval_ms=18.0, bits=12, seed=2, cross_processor=cross,
+                    platform=_OTHER_LATENCY)
+    for cross in (False, True)
+]
+
+
+def _stream_states(model):
+    return [getattr(model, stream).bit_generator.state for stream in (
+        "jitter_rng", "tail_count_rng", "tail_mass_rng", "bias_rng")]
+
+
 class TestReceiverReplay:
     """Phase B draws each window quantity as one array; the DES draws
     the same values one segment at a time."""
@@ -733,14 +902,15 @@ class TestReceiverReplay:
     @pytest.mark.parametrize("name", list(REPLAY_EDGES))
     def test_array_replay_equals_scalar_des_order_draws(self, name):
         from repro.fastpath.batch import _segment_table, _window_means
-        from repro.platform.latency import WINDOW_STREAMS, LatencyModel
+        from repro.platform.latency import WINDOW_STREAMS
         from repro.rng import child_rng
 
         plan = _edge_plan(REPLAY_EDGES[name])
         [lattice] = _lattices_for([plan])
         hops = plan.config.hops
         array = LatencyModel(plan.platform.latency, plan.seed)
-        counts, mhzs, flows, spans = _segment_table(plan, lattice, array)
+        counts, mhzs, flows, spans, _, _ = _segment_table(
+            [plan], [lattice], [array])
         if name == "randomized":
             assert (counts == 1).any() and spans.max() == 2
             tails = child_rng(plan.seed, WINDOW_STREAMS[1]).binomial(
@@ -750,7 +920,7 @@ class TestReceiverReplay:
             assert (spans == 1).all()
         else:
             assert spans.min() >= 3
-        means = _window_means(array, hops, counts, mhzs, flows, spans)
+        means = _window_means([plan], [lattice], [array])
         scalar = LatencyModel(plan.platform.latency, plan.seed)
         segments = iter(zip(counts.tolist(), mhzs.tolist(), flows.tolist()))
         expected = []
@@ -762,17 +932,43 @@ class TestReceiverReplay:
                 count += n
             expected.append(total / count + scalar.window_bias())
         assert means == expected
-        for stream in ("jitter_rng", "tail_count_rng", "tail_mass_rng",
-                       "bias_rng"):
-            assert (getattr(array, stream).bit_generator.state
-                    == getattr(scalar, stream).bit_generator.state), stream
+        assert _stream_states(array) == _stream_states(scalar)
+
+    def test_one_pass_replay_equals_the_per_trial_oracle(self):
+        # One call: every defense, both deployments, several intervals
+        # and bit counts, seeds 0, 2 and 3, three lattice groups and two
+        # receivers.  Each trial's windows, stream positions and result
+        # equal its replay on its own.
+        from repro.fastpath.batch import _plans, _replay_trial, _window_means
+
+        plans = _plans(MIXED_CALL)
+        lattices = _lattices_for(plans)
+        assert len({_group_key(plan.platform) for plan in plans}) == 3
+        assert len({plan.platform.latency for plan in plans}) == 2
+        assert {plan.seed for plan in plans} >= {0, 2, 3}
+        assert {plan.cross for plan in plans} == {False, True}
+        models = [LatencyModel(plan.platform.latency, plan.seed)
+                  for plan in plans]
+        means = _window_means(plans, lattices, models)
+        begin = 0
+        for plan, lattice, model in zip(plans, lattices, models):
+            end = begin + 2 * len(plan.payload)
+            alone = LatencyModel(plan.platform.latency, plan.seed)
+            assert means[begin:end] == _reference_window_means(
+                alone, plan.config.hops,
+                *_reference_segment_table(plan, lattice, alone))
+            assert _stream_states(model) == _stream_states(alone)
+            begin = end
+        assert begin == len(means)
+        assert _replay_trial(plans, lattices) == [
+            _reference_replay(plan, lattice)
+            for plan, lattice in zip(plans, lattices)]
 
     @pytest.mark.parametrize("name", list(REPLAY_EDGES))
     def test_des_receiver_draws_the_segment_table(self, name, monkeypatch):
         from repro.core.evaluation import measure_capacity
         from repro.defenses.evaluation import channel_under_defense
         from repro.fastpath.batch import _segment_table
-        from repro.platform.latency import LatencyModel
 
         request = REPLAY_EDGES[name]
         if isinstance(request, DefenseRequest):
@@ -800,8 +996,9 @@ class TestReceiverReplay:
         assert equal_results(des, run("batch"))
         plan = _edge_plan(request)
         [lattice] = _lattices_for([plan])
-        counts, mhzs, flows, _ = _segment_table(
-            plan, lattice, LatencyModel(plan.platform.latency, plan.seed))
+        counts, mhzs, flows = _segment_table(
+            [plan], [lattice],
+            [LatencyModel(plan.platform.latency, plan.seed)])[:3]
         assert drawn == list(zip(counts.tolist(), mhzs.tolist(),
                                  flows.tolist()))
 
@@ -817,14 +1014,14 @@ class TestReceiverReplay:
                             cross_processor=True),
         ]
         plans = batch._plans(requests)
-        receivers = [plan.cores[plan.receiver_socket][8].timeline
+        receivers = [plan.cores[plan.receiver_socket][8]
                      for plan in plans]
         # One object per (socket, interval, measure, duration), and
         # each the timeline the trial would plan on its own.
         assert len({id(timeline) for timeline in receivers}) == 4
         for request, timeline in zip(requests, receivers):
             alone = _edge_plan(request)
-            own = alone.cores[alone.receiver_socket][8].timeline
+            own = alone.cores[alone.receiver_socket][8]
             assert (timeline._times, timeline._profiles) == (
                 own._times, own._profiles)
         classed = []

@@ -172,8 +172,8 @@ class TestNoiseStreams:
             state = mixed.rng.bit_generator.state
             mixed.segment_llc_sum(40_000, 1, 2000, 0.25)
             mixed.window_bias()
-            mixed.segment_llc_sums([1, 7, 40_000], 1, [2000, 2000, 1500],
-                                   [0.0, 0.0, 0.25])
+            mixed.segment_llc_sums([1, 7, 40_000], mixed.segment_llc_means(
+                1, [2000, 2000, 1500], [0.0, 0.0, 0.25]))
             mixed.window_biases(2)
             assert mixed.rng.bit_generator.state == state
         for got, want in zip(samples, expected):
@@ -181,23 +181,27 @@ class TestNoiseStreams:
 
     def test_array_draws_equal_scalar_draws(self):
         # 1-sample segments, tail-free segments (no gamma drawn) and
-        # large ones, mixed frequencies and flows.
+        # large ones, mixed frequencies and flows.  The means draw
+        # nothing, so one array serves the models of every seed.
         counts = [1, 1, 2, 3, 1, 96_000, 5, 104_211, 1, 64] * 30
         mhzs = [1500, 2400, 1800, 2200, 1500, 1600, 2000, 2300, 1900,
                 2100] * 30
         flows = [0.0, 0.5, 1.25, 0.0, 2.0, 0.0, 0.75, 0.0, 0.0, 3.5] * 30
-        array = LatencyModel(LatencyModelConfig(), seed=8)
-        scalar = LatencyModel(LatencyModelConfig(), seed=8)
-        sums = array.segment_llc_sums(counts, 2, mhzs, flows)
-        assert sums.tolist() == [
-            scalar.segment_llc_sum(n, 2, mhz, flow)
-            for n, mhz, flow in zip(counts, mhzs, flows)]
-        assert array.window_biases(37).tolist() == [
-            scalar.window_bias() for _ in range(37)]
-        assert _window_states(array) == _window_states(scalar)
-        tails = child_rng(8, WINDOW_STREAMS[1]).binomial(
-            counts, LatencyModelConfig().noise_tail_prob)
-        assert (tails == 0).any() and (tails > 0).any()
+        means = LatencyModel(LatencyModelConfig(), seed=0).segment_llc_means(
+            2, mhzs, flows)
+        for seed in (8, 9):
+            array = LatencyModel(LatencyModelConfig(), seed=seed)
+            scalar = LatencyModel(LatencyModelConfig(), seed=seed)
+            sums = array.segment_llc_sums(counts, means)
+            assert sums.tolist() == [
+                scalar.segment_llc_sum(n, 2, mhz, flow)
+                for n, mhz, flow in zip(counts, mhzs, flows)]
+            assert array.window_biases(37).tolist() == [
+                scalar.window_bias() for _ in range(37)]
+            assert _window_states(array) == _window_states(scalar)
+            tails = child_rng(seed, WINDOW_STREAMS[1]).binomial(
+                counts, LatencyModelConfig().noise_tail_prob)
+            assert (tails == 0).any() and (tails > 0).any()
 
 
 class TestSystem:

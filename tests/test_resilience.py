@@ -6,9 +6,9 @@ the contract throughout is that fault handling never changes *results*
 would, or fails loudly.
 """
 
+import multiprocessing
 import os
 import signal
-import subprocess
 import sys
 import threading
 import time
@@ -66,6 +66,71 @@ def _echo(value=None):
 def _always_kill_worker():
     """Kill the hosting worker on every attempt (pool runs only)."""
     os._exit(17)
+
+
+#: Seconds one pool with dying workers may take before its test fails;
+#: a healthy one takes well under a second.
+POOL_LIMIT_S = 60.0
+
+
+def _bounded(body, *args, **kwargs):
+    """``body(*args, **kwargs)``, run in a forked child, within
+    :data:`POOL_LIMIT_S`.
+
+    A pool whose workers die can hang on shutdown if the runner
+    regresses.  In a child, in a session of its own, a hang fails the
+    calling test instead of stalling the suite: the whole session, pool
+    workers included, is killed.  The child is forked, as the pools it
+    runs fork their workers.  What ``body`` returns or raises comes back
+    pickled.
+    """
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+
+    def child():
+        os.setsid()
+        try:
+            outcome = (True, body(*args, **kwargs))
+        except BaseException as error:  # re-raised in the parent
+            outcome = (False, error)
+        writer.send(outcome)
+        os._exit(0)
+
+    process = context.Process(target=child)
+    process.start()
+    writer.close()
+    answered = reader.poll(POOL_LIMIT_S)
+    try:
+        outcome = reader.recv() if answered else None
+    except EOFError:  # the child died without an answer
+        outcome = None
+    reader.close()
+    process.join(POOL_LIMIT_S if answered else 0)
+    if process.is_alive():
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.join(POOL_LIMIT_S)
+    assert not process.is_alive()
+    if not answered:
+        pytest.fail(f"a pool with a dying worker hung for "
+                    f"{POOL_LIMIT_S:g} s")
+    if outcome is None:
+        pytest.fail("the bounded child died without an answer")
+    returned, value = outcome
+    if not returned:
+        raise value
+    return value
+
+
+def _pooled(trials, **options):
+    """``run_trials`` under a fresh registry: the results and the
+    counters it left."""
+    registry = MetricsRegistry()
+    with using(registry):
+        results = run_trials(trials, **options)
+    return results, _counters(registry)
 
 
 class TestRetryPolicy:
@@ -157,14 +222,12 @@ class TestRetryMode:
                   dict(sentinel=str(tmp_path / "s")), label="t1"),
             Trial(_echo, dict(value=2), label="t2"),
         ]
-        registry = MetricsRegistry()
-        with using(registry):
-            results = run_trials(
-                trials, workers=2,
-                retry=RetryPolicy(max_attempts=3, base_backoff_s=0.0),
-            )
+        results, counters = _bounded(
+            _pooled, trials, workers=2,
+            retry=RetryPolicy(max_attempts=3, base_backoff_s=0.0),
+        )
         assert results == [0, "survived", 2]
-        assert _counters(registry)["runner.pool_rebuilds"] >= 1
+        assert counters["runner.pool_rebuilds"] >= 1
 
     def test_one_attempt_convicts_the_trial_whose_worker_died(
             self, tmp_path):
@@ -175,15 +238,12 @@ class TestRetryMode:
                   dict(sentinel=str(tmp_path / "s")), label="t0"),
             Trial(_echo, dict(value=1), label="t1"),
         ]
-        registry = MetricsRegistry()
-        with using(registry):
-            results = run_trials(trials, workers=2,
-                                 retry=RetryPolicy(max_attempts=1))
+        results, counters = _bounded(_pooled, trials, workers=2,
+                                     retry=RetryPolicy(max_attempts=1))
         assert isinstance(results[0], TrialFailure)
         assert results[0].error_type == "BrokenProcessPool"
         assert results[0].label == "t0"
         assert results[1] == 1
-        counters = _counters(registry)
         assert counters["runner.pool_rebuilds"] == 1
         assert counters["runner.permanent_failures"] == 1
 
@@ -197,17 +257,14 @@ class TestRetryMode:
                   dict(sentinel=str(tmp_path / "s")), label="killer"),
             Trial(_sleep_then_echo, dict(value="c"), label="healthy-c"),
         ]
-        registry = MetricsRegistry()
-        with using(registry):
-            results = run_trials(trials, workers=2,
-                                 retry=RetryPolicy(max_attempts=1))
+        results, counters = _bounded(_pooled, trials, workers=2,
+                                     retry=RetryPolicy(max_attempts=1))
         assert results[0] == "a"
         assert results[2] == "c"
         killer = results[1]
         assert isinstance(killer, TrialFailure)
         assert killer.label == "killer"
         assert killer.error_type == "BrokenProcessPool"
-        counters = _counters(registry)
         assert counters["runner.pool_rebuilds"] == 1
         assert counters["runner.permanent_failures"] == 1
 
@@ -227,8 +284,8 @@ class TestRetryMode:
         tripped = tmp_path / "tripped"
         tripped.write_text("tripped", encoding="utf-8")
         inline = run_trials(trials(str(tripped)))
-        pooled = run_trials(
-            trials(str(tmp_path / "s")), workers=workers,
+        pooled = _bounded(
+            run_trials, trials(str(tmp_path / "s")), workers=workers,
             retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
         )
         assert pooled == inline
@@ -246,14 +303,12 @@ class TestRetryMode:
         trials[killer] = Trial(worker_killing_trial,
                                dict(sentinel=str(tmp_path / "s"),
                                     value=inline[killer]), label="k")
-        registry = MetricsRegistry()
-        with using(registry):
-            pooled = run_trials(
-                trials, workers=workers,
-                retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
-            )
+        pooled, counters = _bounded(
+            _pooled, trials, workers=workers,
+            retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
+        )
         assert pooled == inline
-        assert _counters(registry)["runner.pool_rebuilds"] == 1
+        assert counters["runner.pool_rebuilds"] == 1
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("killer", range(4))
@@ -262,8 +317,8 @@ class TestRetryMode:
         trials = [Trial(_echo, dict(value=i), label=f"t{i}")
                   for i in range(4)]
         trials[killer] = Trial(_always_kill_worker, {}, label="killer")
-        results = run_trials(
-            trials, workers=workers,
+        results = _bounded(
+            run_trials, trials, workers=workers,
             retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
         )
         assert [r for i, r in enumerate(results) if i != killer] == [
@@ -279,19 +334,16 @@ class TestRetryMode:
             Trial(_always_kill_worker, {}, label="serial-killer"),
             Trial(_echo, dict(value=2), label="t2"),
         ]
-        registry = MetricsRegistry()
-        with using(registry):
-            results = run_trials(
-                trials, workers=2,
-                retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
-            )
+        results, counters = _bounded(
+            _pooled, trials, workers=2,
+            retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0),
+        )
         assert results[0::2] == [0, 2]
         killer = results[1]
         assert isinstance(killer, TrialFailure)
         assert killer.label == "serial-killer"
         assert killer.attempts == 2
         assert "2 worker process(es) died" in killer.message
-        counters = _counters(registry)
         assert counters["runner.pool_rebuilds"] == 2
         assert counters["runner.permanent_failures"] == 1
 
@@ -302,8 +354,8 @@ class TestRetryMode:
             Trial(_always_kill_worker, {}, label="killer-b"),
             Trial(_echo, dict(value=3), label="t3"),
         ]
-        results = run_trials(trials, workers=2,
-                             retry=RetryPolicy(max_attempts=1))
+        results = _bounded(run_trials, trials, workers=2,
+                           retry=RetryPolicy(max_attempts=1))
         assert results[1::2] == [1, 3]
         for index, label in ((0, "killer-a"), (2, "killer-b")):
             assert isinstance(results[index], TrialFailure)
@@ -319,46 +371,25 @@ class TestRetryMode:
             Trial(_echo, dict(value=1), label="t1"),
         ]
         with pytest.raises(BrokenProcessPool):
-            run_trials(trials, workers=2)
+            _bounded(run_trials, trials, workers=2)
 
     def test_repeated_worker_deaths_never_hang_the_pool(self, tmp_path):
         # A broken pool SIGTERMs its surviving workers and joins them.
         # A worker that catches the signal in a Python-level handler
         # can take it just before it blocks on the call queue and then
         # wait forever, and the join with it; with the old handler one
-        # run in a few dozen hung.  The loop runs in a child process so
-        # that a hang fails this test instead of stalling the suite.
-        script = (
-            "import sys\n"
-            "from repro.engine.parallel import Trial, run_trials\n"
-            "from repro.resilience import RetryPolicy\n"
-            "from repro.validate.faults import worker_killing_trial\n"
-            "root = sys.argv[1]\n"
-            "for i in range(40):\n"
-            "    trials = [Trial(worker_killing_trial,\n"
-            "                    dict(sentinel=f'{root}/s{i}'), label='k')]\n"
-            "    trials += [Trial(int, {}, label=f't{j}') for j in range(3)]\n"
-            "    out = run_trials(trials, workers=3, retry=RetryPolicy(\n"
-            "        max_attempts=2, base_backoff_s=0.0))\n"
-            "    assert out == ['survived', 0, 0, 0], out\n"
-            "print('ok')\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        child = subprocess.Popen(
-            [sys.executable, "-c", script, str(tmp_path)], env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            start_new_session=True,
-        )
-        try:
-            out, err = child.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            os.killpg(child.pid, signal.SIGKILL)
-            child.communicate()
-            pytest.fail("a pool with a dying worker hung on shutdown")
-        assert child.returncode == 0, err
-        assert out.strip() == "ok"
+        # run in a few dozen hung.
+        def deaths():
+            for i in range(40):
+                trials = [Trial(worker_killing_trial,
+                                dict(sentinel=str(tmp_path / f"s{i}")),
+                                label="k")]
+                trials += [Trial(int, {}, label=f"t{j}") for j in range(3)]
+                out = run_trials(trials, workers=3, retry=RetryPolicy(
+                    max_attempts=2, base_backoff_s=0.0))
+                assert out == ["survived", 0, 0, 0], out
+
+        _bounded(deaths)
 
 
 def _always_os_error(seed):
