@@ -69,13 +69,6 @@ def main() -> None:
         print(f"  t={time_ms:6.1f} ms  {frm / 1000:.1f} -> "
               f"{to / 1000:.1f} GHz")
 
-    from repro.analysis import labelled_trace
-
-    _, trace0 = frequency_trace(
-        system.socket(0).pmu.timeline, start, system.now, ms(2)
-    )
-    print("\n  " + labelled_trace("socket 0 ramp", trace0))
-
     print("\n== Figure 7: cross-socket coupling ==")
     print(f"  socket 0: {system.uncore_frequency_mhz(0) / 1000:.1f} "
           f"GHz, socket 1: "

@@ -36,8 +36,8 @@ Layer map (bottom up):
   store and deterministic replay;
 * :mod:`repro.validate` — the scenario fuzzer, invariant oracles and
   differential checks behind ``repro validate``;
-* :mod:`repro.resilience` — retry policies, checkpoint/resume, the
-  trace-store circuit breaker and the ``repro chaos`` fault matrix.
+* :mod:`repro.resilience` — retry policies, checkpoint/resume and the
+  ``repro chaos`` fault matrix.
 
 Import surface: this top-level package re-exports the working set —
 the system (:class:`System`, :class:`PlatformConfig`,
@@ -71,7 +71,7 @@ from .core import (
 )
 from .telemetry import MetricsRegistry
 from .trace import TraceStore
-from .resilience import Checkpoint, CircuitBreaker, RetryPolicy
+from .resilience import Checkpoint, RetryPolicy
 from .errors import (
     ChannelError,
     ConfigError,
@@ -88,7 +88,6 @@ __all__ = [
     "ChannelConfig",
     "ChannelError",
     "Checkpoint",
-    "CircuitBreaker",
     "ConfigError",
     "MetricsRegistry",
     "PlatformConfig",

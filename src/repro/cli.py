@@ -55,8 +55,8 @@ command resumes past them with bit-identical results.  ``capacity``
 and ``defenses`` also take ``--retries N`` to re-run transient worker
 crashes in place.  ``repro chaos`` injects the whole fault matrix
 (crashed trials, killed workers, interrupted sweeps, corrupt trace
-stores, stranded temp files, a breaker storm) and exits non-zero unless every fault
-is contained.
+stores, stranded temp files) and exits non-zero unless every fault is
+contained.
 """
 
 from __future__ import annotations
@@ -986,11 +986,10 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="inject the fault matrix and prove every fault contained",
         description="Run every injected fault — crashed trials, killed "
-                    "workers, an interrupted sweep, flipped CRCs, a "
-                    "half-written temp file and a breaker storm — "
-                    "through the matching resilience "
-                    "mechanism.  Exit 0 only if every fault is "
-                    "contained with bit-identical results.",
+                    "workers, an interrupted sweep, a flipped CRC and a "
+                    "half-written temp file — through the matching "
+                    "resilience mechanism.  Exit 0 only if every fault "
+                    "is contained with bit-identical results.",
     )
     chaos.add_argument("--seed", type=int,
                        default=argparse.SUPPRESS,

@@ -12,7 +12,6 @@ worker-death           pool rebuild after ``BrokenProcessPool``
 interrupted-sweep      checkpoint/resume, bit-identical results
 flipped-crc            trace-store quarantine + rewarm
 half-written-temp      atomic publish (temp + ``os.replace``)
-breaker-storm          corruption circuit breaker, full state cycle
 ====================== ==============================================
 
 A check returns a :class:`ChaosOutcome`; ``contained=False`` means the
@@ -43,7 +42,6 @@ CHAOS_FAULTS: tuple[str, ...] = (
     "interrupted-sweep",
     "flipped-crc",
     "half-written-temp",
-    "breaker-storm",
 )
 
 
@@ -239,61 +237,19 @@ def _check_half_written_temp(workdir: Path, *, seed: int,
     store.put(key, _records(seed), experiment="chaos-temp")
     temp = leave_half_written_temp(store, key)
     served = store.fetch(key)
-    store.put(key, _records(seed), experiment="chaos-temp")
-    contained = (served is not None and not temp.exists()
-                 and store.verify().clean)
+    listed = store.keys()
+    entries = [entry.key for entry in store.entries()]
+    contained = (temp.exists() and served is not None
+                 and store.verify().clean
+                 and listed == entries == [key])
     return ChaosOutcome(
         fault="half-written-temp",
         mechanism="atomic publish (temp + os.replace)",
         contained=contained,
-        detail=("stranded temp invisible to reads, replaced by next put"
-                if contained else f"served={served is not None} "
-                f"temp_gone={not temp.exists()}"),
-    )
-
-
-def _check_breaker_storm(workdir: Path, *, seed: int,
-                         workers: int) -> ChaosOutcome:
-    from ..trace.store import TraceStore
-    from ..validate.faults import flip_crc_bit
-
-    del workers
-    store = TraceStore(workdir / "store", breaker_threshold=3,
-                       breaker_cooldown=2)
-    key = TraceStore.key("chaos-storm", seed=seed)
-    registry = MetricsRegistry()
-    with using(registry):
-        # Three corrupt fetches in a row trip the breaker open.
-        for _ in range(3):
-            store.put(key, _records(seed), experiment="chaos-storm")
-            flip_crc_bit(store, key)
-            store.fetch(key)
-        dropped_put = not store.contains(key)
-        store.put(key, _records(seed), experiment="chaos-storm")
-        dropped_put = dropped_put and not store.contains(key)
-        # Cooldown: one refused fetch, then the probe (a clean miss —
-        # the corrupt blob is quarantined) closes the breaker again.
-        probe_results = [store.fetch(key), store.fetch(key)]
-        store.put(key, _records(seed), experiment="chaos-storm")
-        recovered = store.fetch(key)
-    counters = _counters(registry)
-    contained = (
-        counters.get("trace.store.breaker_open", 0) >= 1
-        and counters.get("trace.store.breaker_short_circuits", 0) >= 1
-        and counters.get("trace.store.breaker_closed", 0) >= 1
-        and dropped_put
-        and probe_results == [None, None]
-        and recovered is not None
-        and store.breaker.state == "closed"
-    )
-    return ChaosOutcome(
-        fault="breaker-storm",
-        mechanism="corruption circuit breaker",
-        contained=contained,
-        detail=("opened under sustained corruption, degraded to "
-                "pass-through, half-open probe closed it again"
-                if contained else f"state={store.breaker.state} "
-                f"counters={ {k: v for k, v in counters.items() if 'breaker' in k} }"),
+        detail=("stranded temp invisible to fetch, verify, keys and "
+                "entries" if contained else
+                f"planted={temp.exists()} served={served is not None} "
+                f"keys={listed} entries={entries}"),
     )
 
 
@@ -303,7 +259,6 @@ _CHECKS = {
     "interrupted-sweep": _check_interrupted_sweep,
     "flipped-crc": _check_flipped_crc,
     "half-written-temp": _check_half_written_temp,
-    "breaker-storm": _check_breaker_storm,
 }
 
 

@@ -148,9 +148,9 @@ def checkpoint_key(experiment: str, *, platform=None,
     ``backend`` keeps checkpoints written by different simulators
     apart; ``None``/``"des"`` preserve every pre-backend key.
     """
-    # Imported lazily: the trace store imports the resilience package
-    # (for its circuit breaker), so a module-level import here would
-    # be a cycle.
+    # Imported lazily: the trace store imports this module (for
+    # ``publish`` and ``quarantine_file``), so a module-level import
+    # here would be a cycle.
     from ..trace.store import TraceStore
 
     return TraceStore.key(experiment, platform=platform, params=params,

@@ -62,23 +62,16 @@ class FileSizeStudy:
 
 
 class FileSizeProfiler:
-    """Collects the busy metric for one victim compression run.
-
-    ``on_record`` is forwarded to the underlying
-    :class:`FrequencyTraceCollector` capture hook, so every profiled
-    run's raw trace can be persisted as it is collected.
-    """
+    """Collects the busy metric for one victim compression run."""
 
     def __init__(self, system: System, attacker: UfsAttacker, *,
                  victim_core: int = 5,
-                 sample_period_ms: float = 3.0,
-                 on_record=None) -> None:
+                 sample_period_ms: float = 3.0) -> None:
         self.system = system
         self.attacker = attacker
         self.victim_core = victim_core
         self.collector = FrequencyTraceCollector(
-            attacker, sample_period_ms=sample_period_ms,
-            on_record=on_record,
+            attacker, sample_period_ms=sample_period_ms
         )
 
     def profile(self, file_size_kb: float, *, tag: str = "run"):
@@ -202,13 +195,12 @@ def _collect_study_traces(
     trials: int,
     seed: int,
     platform: PlatformConfig | None,
-    on_record=None,
 ) -> list:
     """Simulate the study's victim runs; return traces in study order."""
     system = System(platform, seed=seed)
     attacker = UfsAttacker(system)
     attacker.settle()
-    profiler = FileSizeProfiler(system, attacker, on_record=on_record)
+    profiler = FileSizeProfiler(system, attacker)
     traces = []
     for size in sizes_kb:
         for i in range(calibration_runs):

@@ -38,18 +38,10 @@ class TraceRecord:
 
 
 class FrequencyTraceCollector:
-    """Samples the attacker's probe at a fixed cadence.
-
-    ``on_record`` is the capture hook: when set, every completed trace
-    is passed to it before being returned.  The trace-store capture
-    paths (``repro trace record``, the cache-aware studies) hang a
-    corpus writer here; the hook is observational and must not mutate
-    the record.
-    """
+    """Samples the attacker's probe at a fixed cadence."""
 
     def __init__(self, attacker: UfsAttacker,
-                 sample_period_ms: float = 3.0,
-                 on_record=None) -> None:
+                 sample_period_ms: float = 3.0) -> None:
         self.attacker = attacker
         self.sample_period_ns = ms(sample_period_ms)
         if not self.sample_period_ns > 0:
@@ -57,7 +49,6 @@ class FrequencyTraceCollector:
                 f"sample period must be at least 1 ns, got "
                 f"{sample_period_ms} ms"
             )
-        self.on_record = on_record
 
     def collect(self, duration_ms: float, label: int = -1) -> TraceRecord:
         """Record a trace of ``duration_ms`` starting now."""
@@ -67,10 +58,7 @@ class FrequencyTraceCollector:
         start = points[0][0] if points else 0
         times = np.array([(t - start) / 1e6 for t, _ in points])
         freqs = np.array([f for _, f in points])
-        record = TraceRecord(label=label, times_ms=times, freqs_mhz=freqs)
-        if self.on_record is not None:
-            self.on_record(record)
-        return record
+        return TraceRecord(label=label, times_ms=times, freqs_mhz=freqs)
 
 
 def active_duration_ms(trace: TraceRecord,

@@ -6,19 +6,17 @@ artefacts instead of transient simulation output:
 
 * :mod:`repro.trace.format` — the versioned binary record format
   (struct-packed header, delta/varint streams, CRC32 trailer), with
-  bit-exact round-trips;
-* :mod:`repro.trace.writer` / :mod:`repro.trace.reader` — streaming
-  corpus I/O, one record in memory at a time;
+  bit-exact round-trips, and the corpus file that frames records
+  behind a JSON meta block (:func:`~repro.trace.format.write_corpus`,
+  :func:`~repro.trace.format.read_corpus`);
 * :mod:`repro.trace.store` — a content-addressed on-disk store keyed
   by ``(platform digest, experiment, params, seed)``: one
   self-describing blob per key, atomic writes, corruption quarantine
-  and size-capped LRU garbage collection by blob mtime, plus
+  and LRU garbage collection by blob mtime to a given cap, plus
   :func:`~repro.trace.store.cached_corpus`, the one cache step every
   trace-backed study goes through;
 * :mod:`repro.trace.replay` — stored corpora fed back through feature
-  extraction and the kNN/RNN classifiers without the simulator,
-  plus the :func:`~repro.trace.replay.golden_compare` checker behind
-  the golden-trace regression tests.
+  extraction and the kNN/RNN classifiers without the simulator.
 
 The cache-aware runners
 (:func:`repro.sidechannel.fingerprint.collect_dataset`,
@@ -28,27 +26,29 @@ miss records the fresh corpus on the way out, and results are
 bit-identical either way.  Each study is one cache line.
 """
 
-from .format import MAGIC, VERSION, decode_record, encode_record
-from .writer import CORPUS_MAGIC, CORPUS_VERSION, TraceWriter, write_corpus
-from .reader import TraceReader, read_corpus
+from .format import (
+    CORPUS_MAGIC,
+    CORPUS_VERSION,
+    MAGIC,
+    VERSION,
+    decode_record,
+    encode_record,
+    read_corpus,
+    write_corpus,
+)
 from .store import StoreEntry, TraceStore, VerifyReport, cached_corpus
 from .replay import (
-    GoldenDiff,
     filesize_study_from_store,
     fingerprint_dataset_from_store,
-    golden_compare,
     replay_fingerprint,
 )
 
 __all__ = [
     "CORPUS_MAGIC",
     "CORPUS_VERSION",
-    "GoldenDiff",
     "MAGIC",
     "StoreEntry",
-    "TraceReader",
     "TraceStore",
-    "TraceWriter",
     "VERSION",
     "VerifyReport",
     "cached_corpus",
@@ -56,7 +56,6 @@ __all__ = [
     "encode_record",
     "filesize_study_from_store",
     "fingerprint_dataset_from_store",
-    "golden_compare",
     "read_corpus",
     "replay_fingerprint",
     "write_corpus",

@@ -1,6 +1,7 @@
-"""The versioned binary trace format (one ``TraceRecord`` per blob).
+"""The versioned binary trace formats: one record, and a corpus of them.
 
-Layout (all integers little-endian)::
+A **record** blob holds one ``TraceRecord``.  Layout (all integers
+little-endian)::
 
     offset  size  field
     ------  ----  -----------------------------------------------
@@ -25,6 +26,20 @@ and the decoder repeats the exact same division.  Decoding therefore
 reproduces the source arrays **bit for bit** (values and dtype), which
 is what makes replayed datasets indistinguishable from simulated ones.
 
+A **corpus** file holds a JSON meta block followed by any number of
+length-prefixed record blobs::
+
+    offset  size  field
+    ------  ----  -----------------------------------
+    0       4     magic  b"UFTC"
+    4       2     corpus version (currently 1)
+    6       4     meta length in bytes
+    10      ...   meta (UTF-8 JSON object, sorted keys)
+    ...           records, each: u32 length + record blob
+
+There is no record count in the header: end-of-file terminates the
+corpus, and a partial frame reads as corruption.
+
 Integrity is layered: the magic and version reject foreign bytes with
 :class:`~repro.errors.TraceFormatError`; truncation and CRC mismatches
 raise :class:`~repro.errors.TraceCorruptionError`.
@@ -32,8 +47,10 @@ raise :class:`~repro.errors.TraceCorruptionError`.
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -41,17 +58,25 @@ from ..errors import TraceCorruptionError, TraceFormatError
 from ..sidechannel.tracer import TraceRecord
 
 __all__ = [
+    "CORPUS_MAGIC",
+    "CORPUS_VERSION",
     "MAGIC",
     "VERSION",
     "encode_record",
     "decode_record",
+    "read_corpus",
+    "write_corpus",
 ]
 
 MAGIC = b"UFTR"
 VERSION = 1
 
+CORPUS_MAGIC = b"UFTC"
+CORPUS_VERSION = 1
+
 _HEADER = struct.Struct("<4sHHqI")
 _U32 = struct.Struct("<I")
+_CORPUS_HEADER = struct.Struct("<4sHI")
 
 # Flag bits: how each stream was encoded and what dtype it came from.
 _TIMES_RAW_F64 = 0x1    # times stored as raw float64 (no exact ns form)
@@ -274,3 +299,73 @@ def decode_record(data: bytes) -> TraceRecord:
         ns_scaled=False,
     )
     return TraceRecord(label=label, times_ms=times, freqs_mhz=freqs)
+
+
+def write_corpus(path, records, *, meta: dict | None = None) -> int:
+    """Write an iterable of records as a corpus; return the count."""
+    meta_bytes = json.dumps(
+        meta or {}, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    count = 0
+    with open(path, "wb") as handle:
+        handle.write(_CORPUS_HEADER.pack(CORPUS_MAGIC, CORPUS_VERSION,
+                                         len(meta_bytes)))
+        handle.write(meta_bytes)
+        for record in records:
+            blob = encode_record(record)
+            handle.write(_U32.pack(len(blob)))
+            handle.write(blob)
+            count += 1
+    return count
+
+
+def read_corpus(path) -> tuple[dict, list[TraceRecord]]:
+    """Load a corpus; return ``(meta, records)``.
+
+    A foreign or future file raises
+    :class:`~repro.errors.TraceFormatError`; a truncated header, meta
+    block or frame, or a damaged record, raises
+    :class:`~repro.errors.TraceCorruptionError`.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    if len(data) < _CORPUS_HEADER.size:
+        raise TraceCorruptionError(f"{path}: truncated corpus header")
+    magic, version, meta_length = _CORPUS_HEADER.unpack_from(data, 0)
+    if magic != CORPUS_MAGIC:
+        raise TraceFormatError(
+            f"{path}: bad corpus magic {magic!r} "
+            f"(expected {CORPUS_MAGIC!r})"
+        )
+    if version != CORPUS_VERSION:
+        raise TraceFormatError(
+            f"{path}: unsupported corpus version {version}"
+        )
+    position = _CORPUS_HEADER.size + meta_length
+    if position > len(data):
+        raise TraceCorruptionError(f"{path}: truncated corpus meta block")
+    try:
+        meta = json.loads(data[_CORPUS_HEADER.size:position]
+                          .decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TraceCorruptionError(
+            f"{path}: corpus meta is not valid JSON"
+        ) from exc
+    records: list[TraceRecord] = []
+    while position < len(data):
+        index = len(records)
+        if position + _U32.size > len(data):
+            raise TraceCorruptionError(
+                f"{path}: record {index} frame truncated"
+            )
+        (length,) = _U32.unpack_from(data, position)
+        position += _U32.size
+        blob = data[position:position + length]
+        if len(blob) < length:
+            raise TraceCorruptionError(
+                f"{path}: record {index} body truncated "
+                f"({len(blob)} of {length} bytes)"
+            )
+        records.append(decode_record(blob))
+        position += length
+    return meta, records

@@ -12,28 +12,15 @@ corpus identity the runners record under
 (:func:`~repro.sidechannel.fingerprint.fingerprint_corpus`,
 :func:`~repro.sidechannel.filesize.filesize_corpus`), load the
 corpora, and hand them to the exact scoring code the live path uses.
-
-:func:`golden_compare` is the tolerance checker behind the golden-trace
-regression tests: it diffs a freshly simulated trace against a recorded
-one and reports the first way in which they disagree.  With the default
-zero tolerances it demands bit-identity, which is the determinism
-guarantee the rest of the subsystem is built on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..errors import ConfigError
-from ..sidechannel.tracer import TraceRecord
 from .store import TraceStore
 
 __all__ = [
-    "GoldenDiff",
     "REPLAY_CLASSIFIERS",
-    "golden_compare",
     "fingerprint_dataset_from_store",
     "filesize_study_from_store",
     "replay_fingerprint",
@@ -41,53 +28,6 @@ __all__ = [
 
 #: The models :func:`replay_fingerprint` can score a corpus with.
 REPLAY_CLASSIFIERS = ("rnn", "knn")
-
-
-@dataclass(frozen=True)
-class GoldenDiff:
-    """Outcome of comparing one trace against its golden recording."""
-
-    ok: bool
-    reason: str | None = None
-    max_time_error_ms: float = 0.0
-    max_freq_error_mhz: float = 0.0
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def golden_compare(actual: TraceRecord, expected: TraceRecord, *,
-                   rtol: float = 0.0, atol: float = 0.0) -> GoldenDiff:
-    """Diff a trace against a golden recording within tolerances.
-
-    The default ``rtol=atol=0.0`` demands bit-identical streams — the
-    simulator is deterministic, so golden tests should not need slack.
-    Non-zero tolerances exist for cross-platform golden sets where
-    libm differences could perturb the last ulp.
-    """
-    if actual.label != expected.label:
-        return GoldenDiff(False, f"label {actual.label} != "
-                                 f"{expected.label}")
-    a_times = np.asarray(actual.times_ms, dtype=np.float64)
-    e_times = np.asarray(expected.times_ms, dtype=np.float64)
-    a_freqs = np.asarray(actual.freqs_mhz, dtype=np.float64)
-    e_freqs = np.asarray(expected.freqs_mhz, dtype=np.float64)
-    if a_times.shape != e_times.shape:
-        return GoldenDiff(False, f"{len(a_times)} samples, golden has "
-                                 f"{len(e_times)}")
-    time_err = (float(np.max(np.abs(a_times - e_times)))
-                if len(a_times) else 0.0)
-    freq_err = (float(np.max(np.abs(a_freqs - e_freqs)))
-                if len(a_freqs) else 0.0)
-    if not np.allclose(a_times, e_times, rtol=rtol, atol=atol):
-        return GoldenDiff(False, f"times diverge (max abs error "
-                                 f"{time_err:g} ms)",
-                          time_err, freq_err)
-    if not np.allclose(a_freqs, e_freqs, rtol=rtol, atol=atol):
-        return GoldenDiff(False, f"freqs diverge (max abs error "
-                                 f"{freq_err:g} MHz)",
-                          time_err, freq_err)
-    return GoldenDiff(True, None, time_err, freq_err)
 
 
 def fingerprint_dataset_from_store(

@@ -18,27 +18,17 @@ records.  Every write is one atomic
 :func:`~repro.resilience.checkpoint.publish`, so processes sharing
 one store never see a half-written blob and never share a
 read-modify-write window.  LRU order is the blob's mtime: ``put`` and
-``open`` stamp it explicitly with the current time in nanoseconds, and
-the size-capped :meth:`TraceStore.gc` evicts the oldest stamp first.
-``gc`` and :meth:`TraceStore.total_bytes` only ``stat`` blobs, so a
-damaged blob cannot wedge them.  Eviction order only decides what gets
-re-simulated; it never changes a result.
+``load`` stamp it explicitly with the current time in nanoseconds, and
+:meth:`TraceStore.gc` evicts the oldest stamp first down to a given
+cap.  ``gc`` and :meth:`TraceStore.total_bytes` only ``stat`` blobs,
+so a damaged blob cannot wedge them.  Eviction order only decides what
+gets re-simulated; it never changes a result.
 
 Failure handling is conservative: a blob that fails to parse is moved
 to ``quarantine/`` (never deleted) before the typed error propagates,
-so one damaged file cannot wedge the store.  A missing blob is a plain
-miss.
-
-Sustained corruption trips a
-:class:`~repro.resilience.breaker.CircuitBreaker`: after
-``breaker_threshold`` consecutive corrupt fetches the store degrades
-to pass-through — fetches short-circuit to misses (the caller
-simulates; ``trace.store.breaker_short_circuits``) and puts are
-dropped (``trace.store.breaker_dropped_writes``) — then half-opens
-after ``breaker_cooldown`` refused fetches and closes again on the
-first healthy probe.  State changes emit
-``trace.store.breaker_open`` / ``breaker_half_open`` /
-``breaker_closed``.
+so one damaged file cannot wedge the store; :meth:`TraceStore.fetch`
+reports it as a miss, and the caller re-simulates and re-puts.  A
+missing blob is a plain miss.
 
 When a :mod:`repro.telemetry` registry is active the store counts
 ``trace.store.hits`` / ``misses`` / ``writes`` / ``bytes_written`` /
@@ -58,13 +48,11 @@ from typing import Callable
 
 from ..config import default_platform_config
 from ..errors import TraceError, TraceStoreError
-from ..resilience.breaker import CircuitBreaker
 from ..resilience.checkpoint import publish, quarantine_file
 from ..sidechannel.tracer import TraceRecord
 from ..telemetry.context import active_registry
 from ..telemetry.manifest import config_digest
-from .reader import TraceReader
-from .writer import write_corpus
+from .format import read_corpus, write_corpus
 
 __all__ = ["StoreEntry", "TraceStore", "VerifyReport", "cached_corpus"]
 
@@ -112,18 +100,10 @@ class VerifyReport:
 
 
 class TraceStore:
-    """A size-capped, content-addressed cache of trace corpora."""
+    """A content-addressed cache of trace corpora."""
 
-    def __init__(self, root, *, max_bytes: int | None = None,
-                 breaker_threshold: int = 3,
-                 breaker_cooldown: int = 8) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
-        self.max_bytes = max_bytes
-        self.breaker = CircuitBreaker(
-            failure_threshold=breaker_threshold,
-            cooldown=breaker_cooldown,
-            name="trace.store",
-        )
         self._blobs = self.root / "blobs"
         self._quarantine = self.root / "quarantine"
 
@@ -192,8 +172,8 @@ class TraceStore:
         result = []
         for key, stat in self._stats():
             try:
-                reader = TraceReader(self.blob_path(key))
-                meta, records = reader.meta, sum(1 for _ in reader)
+                meta, corpus = read_corpus(self.blob_path(key))
+                records = len(corpus)
             except (TraceError, OSError):
                 meta, records = {}, None
             result.append(StoreEntry(
@@ -218,39 +198,22 @@ class TraceStore:
         ``experiment`` is folded into the header meta, so the blob alone
         says what it holds.
 
-        The corpus is streamed to a *writer-unique* temp file in the
+        The corpus is written to a *writer-unique* temp file in the
         blob directory (same filesystem) and published with an atomic
         rename, so readers never observe a half-written blob
         and concurrent writers never share a temp file — same-key
         writers are writing identical content by construction, each
         publishes its own complete copy, and the last rename wins
-        harmlessly.  A successful publish also sweeps the legacy
-        ``<key>.uftc.tmp`` name a crashed older writer may have
-        stranded.
-
-        While the corruption breaker is open the write is *dropped*
-        (pass-through mode: the caller keeps its simulated data, the
-        sick store is left alone) and the would-be blob path returned
-        unwritten; ``trace.store.breaker_dropped_writes`` counts them.
+        harmlessly.
         """
         blob = self.blob_path(key)
-        if not self.breaker.allow_write():
-            _count("breaker_dropped_writes")
-            return blob
         if experiment:
             meta = {**(meta or {}), "experiment": experiment}
         with publish(blob) as temp:
             write_corpus(temp, records, meta=meta)
-        # An interrupted put (from before temp names were per-writer)
-        # strands the deterministic name; fresh data is now published,
-        # so the half-written leftover can go.
-        blob.with_suffix(".uftc.tmp").unlink(missing_ok=True)
         _stamp(blob)
-        size = blob.stat().st_size
         _count("writes")
-        _count("bytes_written", size)
-        if self.max_bytes is not None:
-            self.gc(self.max_bytes)
+        _count("bytes_written", blob.stat().st_size)
         return blob
 
     # -- read path ----------------------------------------------------
@@ -258,42 +221,26 @@ class TraceStore:
     def contains(self, key: str) -> bool:
         return self.blob_path(key).exists()
 
-    def open(self, key: str) -> TraceReader:
-        """A lazy reader over the corpus at ``key``; touches the LRU.
-
-        Raises :class:`~repro.errors.TraceStoreError` when no blob is
-        stored under ``key``.
-        """
-        blob = self.blob_path(key)
-        try:
-            _stamp(blob)
-            return TraceReader(blob)
-        except FileNotFoundError:
-            raise TraceStoreError(
-                f"no corpus stored under key {key}"
-            ) from None
-
     def load(self, key: str) -> tuple[dict, list[TraceRecord]]:
-        """Eagerly load ``key``; quarantine the blob if it is corrupt.
+        """Load ``key`` and touch its LRU stamp; quarantine it if corrupt.
 
         A damaged header counts as corrupt too; a missing blob, or one
         moved away while it is read, raises
         :class:`~repro.errors.TraceStoreError` and moves nothing.
         """
+        blob = self.blob_path(key)
         try:
-            reader = self.open(key)
-            records = reader.read_all()
+            _stamp(blob)
+            loaded = read_corpus(blob)
         except FileNotFoundError:
             raise TraceStoreError(
                 f"no corpus stored under key {key}"
             ) from None
-        except TraceStoreError:
-            raise
         except TraceError:
             self.quarantine(key)
             raise
         _count("hits")
-        return reader.meta, records
+        return loaded
 
     def fetch(self, key: str) -> tuple[dict, list[TraceRecord]] | None:
         """Cache-style lookup: ``None`` on miss *or* quarantined blob.
@@ -301,38 +248,18 @@ class TraceStore:
         This is what the cache-aware runners call: a damaged corpus is
         moved aside (with its typed error swallowed) and reported as a
         miss, so the caller transparently falls back to simulation and
-        overwrites the blob with a fresh corpus.
-
-        Every fetch feeds the corruption breaker: corrupt loads are
-        failures, healthy hits and plain misses are successes.  A blob
-        that vanishes between the lookup and the read (a racing
-        quarantine or ``gc``) is a plain miss.  While
-        the breaker is open the lookup short-circuits to a miss without
-        touching disk (``trace.store.breaker_short_circuits``) — under
-        sustained bit rot the store stops thrashing
-        quarantine/re-simulate cycles and degrades to pure simulation
-        until a cooled-down probe finds the store healthy again.
+        overwrites the blob with a fresh corpus.  A blob that vanishes
+        between the lookup and the read (a racing quarantine or ``gc``)
+        is a plain miss.
         """
-        if not self.breaker.allow():
-            _count("breaker_short_circuits")
-            _count("misses")
-            return None
         if not self.contains(key):
             _count("misses")
-            self.breaker.record_success()
             return None
         try:
-            loaded = self.load(key)
-        except TraceStoreError:
-            _count("misses")
-            self.breaker.record_success()
-            return None
+            return self.load(key)
         except TraceError:
             _count("misses")
-            self.breaker.record_failure()
             return None
-        self.breaker.record_success()
-        return loaded
 
     # -- maintenance --------------------------------------------------
 
@@ -347,21 +274,17 @@ class TraceStore:
         _count("quarantined")
         return target
 
-    def gc(self, max_bytes: int | None = None) -> list[str]:
+    def gc(self, max_bytes: int) -> list[str]:
         """Evict least-recently-used corpora until under ``max_bytes``.
 
         Returns the evicted keys, oldest mtime first (ties by key).
-        With no cap configured anywhere, this is a no-op.
         """
-        cap = self.max_bytes if max_bytes is None else max_bytes
-        if cap is None:
-            return []
         stats = sorted(self._stats(),
                        key=lambda item: (item[1].st_mtime_ns, item[0]))
         total = sum(stat.st_size for _, stat in stats)
         evicted: list[str] = []
         for key, stat in stats:
-            if total <= cap:
+            if total <= max_bytes:
                 break
             self.blob_path(key).unlink(missing_ok=True)
             total -= stat.st_size
@@ -375,8 +298,7 @@ class TraceStore:
         corrupt: list[str] = []
         for key in self.keys():
             try:
-                for _ in TraceReader(self.blob_path(key)):
-                    pass
+                read_corpus(self.blob_path(key))
             except FileNotFoundError:
                 continue  # evicted or quarantined since the listing
             except TraceError:

@@ -58,7 +58,6 @@ from .scenarios import (
     generate_scenarios,
     is_valid,
     non_default_params,
-    random_trace_record,
 )
 from .shrink import shrink
 
@@ -87,7 +86,6 @@ __all__ = [
     "is_valid",
     "load_repro",
     "non_default_params",
-    "random_trace_record",
     "replay_repro",
     "run_differential_suite",
     "run_validation",

@@ -22,6 +22,7 @@ import os
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..resilience.checkpoint import unique_temp
 from .scenarios import FuzzScenario
 
 __all__ = [
@@ -162,9 +163,8 @@ def flip_crc_bit(store, key: str) -> None:
 
 
 def leave_half_written_temp(store, key: str) -> Path:
-    """Plant the temp file an interrupted ``put`` would strand."""
-    blob = store.blob_path(key)
-    temp = blob.with_suffix(".uftc.tmp")
+    """Plant the writer-unique temp a ``put`` killed mid-write strands."""
+    temp = unique_temp(store.blob_path(key))
     os.makedirs(temp.parent, exist_ok=True)
-    temp.write_bytes(b"UFTR\x01\x00half-written garbage")
+    temp.write_bytes(b"UFTC\x01\x00half-written garbage")
     return temp

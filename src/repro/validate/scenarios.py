@@ -23,11 +23,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
 from ..config import PlatformConfig, default_platform_config, single_socket_config
 from ..rng import child_rng
-from ..sidechannel.tracer import TraceRecord
 
 __all__ = [
     "BASELINE",
@@ -42,7 +39,6 @@ __all__ = [
     "generate_scenarios",
     "is_valid",
     "non_default_params",
-    "random_trace_record",
     "scenario_from_dict",
     "scenario_to_dict",
 ]
@@ -383,59 +379,3 @@ def scenario_from_dict(payload: dict) -> FuzzScenario:
     )
     return FuzzScenario(**data)
 
-
-# -- trace-record generation (codec property tests) ----------------------
-
-#: Stream shapes the codec must round-trip bit-exactly.
-TRACE_REGIMES: tuple[str, ...] = (
-    "engine", "int64", "float", "denormal", "huge", "empty",
-)
-
-
-def random_trace_record(rng: np.random.Generator,
-                        regime: str = "engine") -> TraceRecord:
-    """A randomised :class:`~repro.sidechannel.tracer.TraceRecord`.
-
-    ``regime`` selects the stream shape:
-
-    * ``engine`` — what the collector emits: integer-nanosecond
-      timestamps divided by 1e6, integer-valued float frequencies;
-    * ``int64`` — both streams with integer dtype, huge magnitudes;
-    * ``float`` — arbitrary float64 samples (raw-stream path);
-    * ``denormal`` — subnormal and signed-zero frequencies;
-    * ``huge`` — nanosecond timestamps near 2**62 (multi-month runs);
-    * ``empty`` — zero samples.
-    """
-    label = int(rng.integers(-(2**31), 2**31))
-    if regime == "empty":
-        return TraceRecord(
-            label=label,
-            times_ms=np.array([], dtype=np.float64),
-            freqs_mhz=np.array([], dtype=np.float64),
-        )
-    count = int(rng.integers(1, 200))
-    if regime == "engine":
-        start = int(rng.integers(0, 10**12))
-        steps = rng.integers(1, 5_000_000, size=count)
-        times_ns = start + np.cumsum(steps)
-        times = np.array([t / 1e6 for t in times_ns.tolist()])
-        freqs = rng.integers(1000, 2700, size=count).astype(np.float64)
-    elif regime == "int64":
-        times = np.sort(rng.integers(0, 2**62, size=count)).astype(np.int64)
-        freqs = rng.integers(-(2**62), 2**62, size=count).astype(np.int64)
-    elif regime == "denormal":
-        times = np.cumsum(rng.random(size=count))
-        choices = np.array([5e-324, -5e-324, 0.0, -0.0, 2.5e-310, 1.0])
-        freqs = rng.choice(choices, size=count)
-    elif regime == "huge":
-        start = int(rng.integers(2**61, 2**62))
-        steps = rng.integers(1, 10**9, size=count)
-        times_ns = start + np.cumsum(steps)
-        times = np.array([t / 1e6 for t in times_ns.tolist()])
-        freqs = rng.random(size=count) * 1e18
-    elif regime == "float":
-        times = np.cumsum(rng.random(size=count)) * 1e3
-        freqs = rng.standard_normal(size=count) * 2400.0
-    else:
-        raise ValueError(f"unknown trace regime {regime!r}")
-    return TraceRecord(label=label, times_ms=times, freqs_mhz=freqs)

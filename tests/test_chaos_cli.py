@@ -101,7 +101,7 @@ class TestChaosRuns:
         # a new fault only needs registering in one place.
         from repro.resilience import chaos as chaos_mod
 
-        assert len(CHAOS_FAULTS) == 6
+        assert len(CHAOS_FAULTS) == 5
         assert len(set(CHAOS_FAULTS)) == len(CHAOS_FAULTS)
         assert set(chaos_mod._CHECKS) == set(CHAOS_FAULTS)
         chaos_parser = build_parser()._subparsers._group_actions[
@@ -142,6 +142,18 @@ class TestRunChaosNames:
                                workers=2)
         assert outcome.contained, outcome.detail
         assert "convicted t1" in outcome.detail
+
+    def test_half_written_temp_row_catches_a_listing_that_sees_temps(
+            self, tmp_path, monkeypatch):
+        from repro.trace.store import TraceStore
+
+        def leaky_keys(self):
+            return sorted(blob.stem for blob in self._blobs.glob("*.uftc*"))
+
+        monkeypatch.setattr(TraceStore, "keys", leaky_keys)
+        (outcome,) = run_chaos(tmp_path / "chaos",
+                               faults="half-written-temp")
+        assert not outcome.contained, outcome.detail
 
 
 class TestInterruptionPaths:

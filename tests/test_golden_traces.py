@@ -11,13 +11,15 @@ silently moved every experiment's numbers.
 
 import pytest
 
-from repro.trace import golden_compare, read_corpus
+from repro.trace import read_corpus, write_corpus
 
 from .golden import (
     CHANNEL_BITS,
+    GOLDEN_DIR,
     GOLDEN_SEED,
     channel_golden_path,
     golden_channels,
+    golden_compare,
     golden_path,
     golden_presets,
     simulate_channel_golden_trace,
@@ -26,6 +28,18 @@ from .golden import (
 
 PRESETS = sorted(golden_presets())
 CHANNELS = sorted(golden_channels())
+CORPORA = sorted(path.name for path in GOLDEN_DIR.glob("*.uftc"))
+
+
+@pytest.mark.parametrize("name", CORPORA)
+def test_corpus_round_trips_byte_for_byte(name, tmp_path):
+    """Reading a golden corpus and writing it back reproduces the file:
+    the corpus framing and the record codec are both lossless."""
+    golden = GOLDEN_DIR / name
+    meta, records = read_corpus(golden)
+    copy = tmp_path / name
+    write_corpus(copy, records, meta=meta)
+    assert copy.read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("preset", PRESETS)

@@ -1,8 +1,8 @@
-"""The resilience layer: retry policies, checkpoints, breaker.
+"""The resilience layer: retry policies and checkpoints.
 
 Unit coverage for :mod:`repro.resilience` plus the runner integration:
 the contract throughout is that fault handling never changes *results*
-— a retried, resumed or degraded run returns exactly what a clean run
+— a retried or resumed run returns exactly what a clean run
 would, or fails loudly.
 """
 
@@ -21,7 +21,6 @@ from repro.engine.parallel import Trial, TrialFailure, run_trials
 from repro.errors import ConfigError, TraceError
 from repro.resilience import (
     Checkpoint,
-    CircuitBreaker,
     PERMANENT_ERRORS,
     RetryPolicy,
     TRANSIENT_ERRORS,
@@ -396,68 +395,6 @@ def _always_os_error(seed):
     raise OSError("always down")
 
 
-class TestCircuitBreaker:
-    def test_trips_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=2)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_success()  # resets the streak
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-
-    def test_cooldown_counted_in_denied_calls(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=3)
-        breaker.record_failure()
-        assert not breaker.allow()
-        assert not breaker.allow()
-        # The cooldown-th refusal becomes the half-open probe.
-        assert breaker.allow()
-        assert breaker.state == "half_open"
-        # Only one probe outstanding.
-        assert not breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_failed_probe_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=1)
-        breaker.record_failure()
-        assert breaker.allow()  # immediate probe (cooldown=1)
-        breaker.record_failure()
-        assert breaker.state == "open"
-
-    def test_writes_blocked_only_while_fully_open(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=1)
-        assert breaker.allow_write()
-        breaker.record_failure()
-        assert not breaker.allow_write()
-        breaker.allow()  # half-opens
-        assert breaker.allow_write()
-
-    def test_transitions_emit_counters(self):
-        registry = MetricsRegistry()
-        with using(registry):
-            breaker = CircuitBreaker(failure_threshold=1, cooldown=1,
-                                     name="unit")
-            breaker.record_failure()
-            breaker.allow()
-            breaker.record_success()
-        counters = _counters(registry)
-        assert counters["unit.breaker_open"] == 1
-        assert counters["unit.breaker_half_open"] == 1
-        assert counters["unit.breaker_closed"] == 1
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ConfigError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigError):
-            CircuitBreaker(cooldown=0)
-
-
 class TestCheckpoint:
     def test_round_trip_is_bit_identical(self, tmp_path):
         path = tmp_path / "sweep.ckpt.json"
@@ -634,49 +571,3 @@ class TestRunnerCheckpointing:
         counters = _counters(registry)
         assert counters["runner.checkpoint.invalid"] == 1
         assert "runner.checkpoint.skipped" not in counters
-
-
-def _trace_records(seed: int, count: int = 3):
-    from repro.sidechannel.tracer import TraceRecord
-
-    rng = child_rng(seed, "resilience-corpus")
-    return [
-        TraceRecord(
-            label=label,
-            times_ms=np.cumsum(rng.uniform(0.1, 2.0, size=4)),
-            freqs_mhz=rng.choice([1200.0, 1500.0, 2400.0], size=4),
-        )
-        for label in range(count)
-    ]
-
-
-class TestStoreBreaker:
-    def test_sustained_corruption_degrades_to_pass_through(self, tmp_path):
-        from repro.trace import TraceStore
-        from repro.validate.faults import flip_crc_bit
-
-        store = TraceStore(tmp_path / "store", breaker_threshold=2,
-                           breaker_cooldown=2)
-        key = TraceStore.key("breaker-unit", seed=0)
-        registry = MetricsRegistry()
-        with using(registry):
-            for _ in range(2):
-                store.put(key, _trace_records(0),
-                          experiment="breaker-unit")
-                flip_crc_bit(store, key)
-                assert store.fetch(key) is None
-            assert store.breaker.state == "open"
-            # Open: writes are dropped, reads short-circuit.
-            store.put(key, _trace_records(0), experiment="breaker-unit")
-            assert not store.contains(key)
-            assert store.fetch(key) is None  # denied (cooldown 1/2)
-            assert store.fetch(key) is None  # the probe: clean miss
-            assert store.breaker.state == "closed"
-            # Recovered: the store caches again.
-            store.put(key, _trace_records(0), experiment="breaker-unit")
-            assert store.fetch(key) is not None
-        counters = _counters(registry)
-        assert counters["trace.store.breaker_open"] >= 1
-        assert counters["trace.store.breaker_short_circuits"] >= 1
-        assert counters["trace.store.breaker_closed"] >= 1
-        assert counters["trace.store.breaker_dropped_writes"] >= 1

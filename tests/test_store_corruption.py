@@ -124,21 +124,47 @@ class TestFlippedCrcTrailer:
         assert key in report.corrupt
         assert not report.clean
 
+    def test_consecutive_corrupt_fetches_never_stop_the_cache(self, store):
+        from repro.telemetry import MetricsRegistry, using
+
+        registry = MetricsRegistry()
+        with using(registry):
+            keys = [_put(store, "bitrot", seed=seed) for seed in range(3)]
+            for key in keys:
+                flip_crc_bit(store, key)
+                assert store.fetch(key) is None
+                assert (store.root / "quarantine" / f"{key}.uftc").exists()
+            # However many corrupt blobs came before, the next corpus
+            # is written to disk and served from it.
+            fresh = _put(store, "fresh", seed=3)
+            meta, records = store.fetch(fresh)
+        assert meta["experiment"] == "fresh" and len(records) == 3
+        counters = registry.snapshot()["counters"]
+        assert counters["trace.store.quarantined"] == 3
+        assert counters["trace.store.misses"] == 3
+        assert counters["trace.store.writes"] == 4
+        assert counters["trace.store.hits"] == 1
+
 
 class TestHalfWrittenTemp:
     def test_temp_is_invisible_to_every_read_path(self, store):
         key = _put(store, "interrupted")
-        leave_half_written_temp(store, key)
+        temp = leave_half_written_temp(store, key)
+        assert temp.exists()
         assert store.fetch(key) is not None
         assert store.verify().clean
-        assert len(store.entries()) == 1
+        assert store.keys() == [key]
+        assert [entry.key for entry in store.entries()] == [key]
 
-    def test_next_put_replaces_the_stranded_temp(self, store):
+    def test_plants_the_name_a_killed_put_leaves(self, store):
+        import os
+        import re
+
         key = _put(store, "interrupted")
         temp = leave_half_written_temp(store, key)
-        store.put(key, _records(0), experiment="interrupted")
-        assert not temp.exists()
-        assert store.fetch(key) is not None
+        assert temp.parent == store.blob_path(key).parent
+        assert re.fullmatch(rf"{key}\.uftc\.{os.getpid()}-\d+\.tmp",
+                            temp.name)
 
     def test_crash_mid_put_leaves_no_temp_behind(self, store):
         key = TraceStore.key("crash", seed=9)
@@ -190,24 +216,36 @@ class TestConcurrentQuarantine:
 
 class TestVanishingBlob:
     """A blob moved away by another process (a racing quarantine or
-    ``gc``) after ``fetch`` found it, or after it was opened, is a plain
-    miss: no failure for the corruption breaker, nothing quarantined."""
+    ``gc``) after ``fetch`` found it, or after ``load`` stamped it and
+    before it is read, is a plain miss: nothing quarantined."""
 
-    @pytest.mark.parametrize("step", ["contains", "open"])
-    def test_is_a_plain_miss(self, tmp_path, monkeypatch, step):
-        from repro.resilience.breaker import CLOSED
+    @pytest.mark.parametrize("step", ["contains", "read"])
+    def test_is_a_plain_miss(self, store, monkeypatch, step):
+        import repro.trace.store as store_module
         from repro.telemetry import MetricsRegistry, using
 
-        store = TraceStore(tmp_path / "store", breaker_threshold=1)
         key = _put(store, "vanishing")
-        real_step = getattr(TraceStore, step)
 
-        def racing_step(self, *args):
-            result = real_step(self, *args)
-            self.blob_path(key).unlink()  # another process evicts it
-            return result
+        def evict():
+            store.blob_path(key).unlink()  # another process evicts it
 
-        monkeypatch.setattr(TraceStore, step, racing_step)
+        if step == "contains":
+            real_contains = TraceStore.contains
+
+            def racing_contains(self, *args):
+                result = real_contains(self, *args)
+                evict()
+                return result
+
+            monkeypatch.setattr(TraceStore, "contains", racing_contains)
+        else:
+            real_read = store_module.read_corpus
+
+            def racing_read(path):
+                evict()
+                return real_read(path)
+
+            monkeypatch.setattr(store_module, "read_corpus", racing_read)
         registry = MetricsRegistry()
         with using(registry):
             assert store.fetch(key) is None
@@ -215,7 +253,6 @@ class TestVanishingBlob:
         counters = registry.snapshot()["counters"]
         assert counters["trace.store.misses"] == 1
         assert "trace.store.quarantined" not in counters
-        assert store.breaker.state == CLOSED
         assert not (store.root / "quarantine").exists()
         # The store keeps serving: a fresh put is a hit.
         _put(store, "vanishing")
@@ -350,7 +387,7 @@ class TestConcurrentWriters:
         store = TraceStore(root)
         key = TraceStore.key("race", seed=7)
         # Whoever won the last rename, the published corpus is whole:
-        records = store.open(key).read_all()
+        _, records = store.load(key)
         assert len(records) == 3
         expected = _records(7)
         for got, want in zip(records, expected):
@@ -370,8 +407,8 @@ class TestConcurrentWriters:
         store = TraceStore(root)
         left = TraceStore.key("left", seed=1)
         right = TraceStore.key("right", seed=2)
-        assert len(store.open(left).read_all()) == 3
-        assert len(store.open(right).read_all()) == 3
+        assert len(store.load(left)[1]) == 3
+        assert len(store.load(right)[1]) == 3
         report = store.verify()
         assert report.clean
         assert set(report.ok) == {left, right}

@@ -216,7 +216,7 @@ class TestStoreCommands:
     def test_ls_ranks_the_least_recently_used_first(self, tmp_path,
                                                     capsys):
         store, keys = self._store(tmp_path, 3)
-        store.open(keys[0])  # now the most recently used
+        store.load(keys[0])  # now the most recently used
         assert main(["trace", "ls", "--cache-dir", str(store.root)]) == 0
         rows = self._rows(capsys.readouterr().out, keys)
         assert {key: row[-1] for key, row in rows.items()} == {
@@ -247,7 +247,7 @@ class TestStoreCommands:
 
     def test_gc_evicts_by_last_use(self, tmp_path, capsys):
         store, keys = self._store(tmp_path, 2)
-        store.open(keys[0])
+        store.load(keys[0])
         size = store.blob_path(keys[1]).stat().st_size
         assert main(["trace", "gc", "--cache-dir", str(store.root),
                      "--max-bytes", str(size)]) == 0

@@ -14,11 +14,64 @@ import numpy as np
 import pytest
 
 from repro.rng import child_rng
+from repro.sidechannel.tracer import TraceRecord
 from repro.trace.format import decode_record, encode_record
-from repro.validate import random_trace_record
-from repro.validate.scenarios import TRACE_REGIMES
 
 ROUNDS_PER_REGIME = 25
+
+#: Stream shapes the codec must round-trip bit-exactly.
+TRACE_REGIMES: tuple[str, ...] = (
+    "engine", "int64", "float", "denormal", "huge", "empty",
+)
+
+
+def random_trace_record(rng: np.random.Generator,
+                        regime: str = "engine") -> TraceRecord:
+    """A randomised :class:`~repro.sidechannel.tracer.TraceRecord`.
+
+    ``regime`` selects the stream shape:
+
+    * ``engine`` — what the collector emits: integer-nanosecond
+      timestamps divided by 1e6, integer-valued float frequencies;
+    * ``int64`` — both streams with integer dtype, huge magnitudes;
+    * ``float`` — arbitrary float64 samples (raw-stream path);
+    * ``denormal`` — subnormal and signed-zero frequencies;
+    * ``huge`` — nanosecond timestamps near 2**62 (multi-month runs);
+    * ``empty`` — zero samples.
+    """
+    label = int(rng.integers(-(2**31), 2**31))
+    if regime == "empty":
+        return TraceRecord(
+            label=label,
+            times_ms=np.array([], dtype=np.float64),
+            freqs_mhz=np.array([], dtype=np.float64),
+        )
+    count = int(rng.integers(1, 200))
+    if regime == "engine":
+        start = int(rng.integers(0, 10**12))
+        steps = rng.integers(1, 5_000_000, size=count)
+        times_ns = start + np.cumsum(steps)
+        times = np.array([t / 1e6 for t in times_ns.tolist()])
+        freqs = rng.integers(1000, 2700, size=count).astype(np.float64)
+    elif regime == "int64":
+        times = np.sort(rng.integers(0, 2**62, size=count)).astype(np.int64)
+        freqs = rng.integers(-(2**62), 2**62, size=count).astype(np.int64)
+    elif regime == "denormal":
+        times = np.cumsum(rng.random(size=count))
+        choices = np.array([5e-324, -5e-324, 0.0, -0.0, 2.5e-310, 1.0])
+        freqs = rng.choice(choices, size=count)
+    elif regime == "huge":
+        start = int(rng.integers(2**61, 2**62))
+        steps = rng.integers(1, 10**9, size=count)
+        times_ns = start + np.cumsum(steps)
+        times = np.array([t / 1e6 for t in times_ns.tolist()])
+        freqs = rng.random(size=count) * 1e18
+    elif regime == "float":
+        times = np.cumsum(rng.random(size=count)) * 1e3
+        freqs = rng.standard_normal(size=count) * 2400.0
+    else:
+        raise ValueError(f"unknown trace regime {regime!r}")
+    return TraceRecord(label=label, times_ms=times, freqs_mhz=freqs)
 
 
 def _assert_bit_identical(original, decoded):
@@ -61,8 +114,6 @@ def test_encoding_is_deterministic(regime):
 
 
 def test_denormal_frequencies_survive():
-    from repro.sidechannel.tracer import TraceRecord
-
     freqs = np.array([5e-324, -5e-324, 0.0, -0.0, 2.5e-310])
     record = TraceRecord(
         label=1,
@@ -79,8 +130,6 @@ def test_denormal_frequencies_survive():
 
 
 def test_huge_nanosecond_timestamps_survive():
-    from repro.sidechannel.tracer import TraceRecord
-
     start = 2**62
     times_ns = [start, start + 1, start + 10**9]
     times = np.array([t / 1e6 for t in times_ns])
@@ -96,8 +145,6 @@ def test_huge_nanosecond_timestamps_survive():
 
 
 def test_empty_streams_survive():
-    from repro.sidechannel.tracer import TraceRecord
-
     record = TraceRecord(
         label=0,
         times_ms=np.array([], dtype=np.float64),
@@ -110,8 +157,6 @@ def test_empty_streams_survive():
 
 
 def test_every_supported_dtype_round_trips():
-    from repro.sidechannel.tracer import TraceRecord
-
     cases = [
         (np.arange(4, dtype=np.int64), np.arange(4, dtype=np.int64)),
         (
