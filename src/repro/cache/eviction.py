@@ -49,6 +49,14 @@ class EvictionListBuilder:
     requested number of congruent addresses is found.  All results are
     cached lines of *this* address space, so two actors
     (sender/receiver) each build their own lists, as in the paper.
+
+    A chunk is kept as its virtual base and the frames backing its
+    pages; a candidate is named by its index in allocation order (page
+    by page, line offset within the page).  A set-filtered search reads
+    the survivors straight from the frames when the set count is a
+    multiple of the lines per page (see :meth:`_collect`); only a
+    search with no set filter, or an odd set count, expands a chunk
+    into its lines.
     """
 
     _CHUNK_PAGES = 4096  # 16 MB of 4 KB pages per search round
@@ -65,18 +73,19 @@ class EvictionListBuilder:
         )
         self.max_search_bytes = max_search_bytes
         self._searched_bytes = 0
-        self._virtual: np.ndarray = np.empty(0, dtype=np.int64)
-        self._lines: np.ndarray = np.empty(0, dtype=np.uint64)
+        self._lines_per_page = space.page_bytes // 64
+        #: Per allocated chunk: ``(virtual base, frames)``, the frames
+        #: as uint64 in page order.
+        self._chunks: list[tuple[int, np.ndarray]] = []
 
     @property
     def candidate_count(self) -> int:
         """Number of candidate lines allocated so far."""
-        return len(self._lines)
+        return len(self._chunks) * self._CHUNK_PAGES * self._lines_per_page
 
     def _grow(self) -> None:
         """Allocate another chunk of candidate pages."""
-        page = self.space.page_bytes
-        chunk_bytes = self._CHUNK_PAGES * page
+        chunk_bytes = self._CHUNK_PAGES * self.space.page_bytes
         if self._searched_bytes + chunk_bytes > self.max_search_bytes:
             raise MemoryError_(
                 "eviction-list search exceeded its memory budget "
@@ -84,23 +93,18 @@ class EvictionListBuilder:
             )
         allocation = self.space.allocate(chunk_bytes)
         self._searched_bytes += chunk_bytes
-        # The page table's frames, then a (page x line offset)
-        # broadcast; rows are pages in address order, so the flattened
-        # arrays list lines in the same order a per-page walk would.
-        lines_per_page = page // 64
-        virtual_pages = np.arange(allocation.virtual_base,
-                                  allocation.virtual_end, page,
-                                  dtype=np.int64)
-        frames = np.array(self.space.frames_of(allocation), dtype=np.uint64)
-        offsets = np.arange(lines_per_page, dtype=np.int64)
-        new_virtual = (virtual_pages[:, None] + offsets * 64).ravel()
-        new_lines = ((frames * np.uint64(lines_per_page))[:, None]
-                     + offsets.astype(np.uint64)).ravel()
-        if len(self._lines):
-            new_virtual = np.concatenate([self._virtual, new_virtual])
-            new_lines = np.concatenate([self._lines, new_lines])
-        self._virtual = new_virtual
-        self._lines = new_lines
+        self._chunks.append((
+            allocation.virtual_base,
+            np.array(self.space.frames_of(allocation), dtype=np.uint64),
+        ))
+
+    def _chunk_lines(self, frames: np.ndarray) -> np.ndarray:
+        """Every line of a chunk, in allocation order: a (page x line
+        offset) broadcast over its frames, flattened row by row, so the
+        lines come in the order a per-page walk lists them."""
+        offsets = np.arange(self._lines_per_page, dtype=np.uint64)
+        return ((frames * np.uint64(self._lines_per_page))[:, None]
+                + offsets).ravel()
 
     def _check_slice(self, slice_id: int) -> None:
         if slice_id not in self.slice_hash.allowed_slices:
@@ -128,35 +132,67 @@ class EvictionListBuilder:
         line has set index ``set_index`` of ``num_sets`` and maps to
         slice ``slice_id`` (``None`` skips that test); grows on demand.
 
-        The set test is one modulo and the slice test a full hash, so
-        the set filter runs first and only its survivors are hashed.
-        Each round scans only the chunk it just allocated.
+        The set test runs first and only its survivors are hashed.
+        Each round scans one chunk, growing a new one only once every
+        chunk already allocated has been scanned.  When ``num_sets`` is
+        a multiple of the lines per page ``L``, a line ``frame * L +
+        offset`` is in set ``set_index`` exactly when ``offset ==
+        set_index % L`` and ``frame % (num_sets // L) == set_index //
+        L``, so one modulo over the chunk's frames finds its survivors,
+        page by page in allocation order, without listing its lines.
         """
+        per_page = self._lines_per_page
+        chunk_lines = self._CHUNK_PAGES * per_page
+        frame_first = num_sets is not None and num_sets % per_page == 0
+        if frame_first:
+            residues = np.uint64(num_sets // per_page)
+            residue = np.uint64(set_index // per_page)
+            offset = set_index % per_page
         found: list[np.ndarray] = []
         matched = 0
-        scanned = 0
+        chunk = 0
         while True:
-            lines = self._lines[scanned:]
-            if num_sets is None:
-                hits = np.arange(len(lines))
+            if chunk == len(self._chunks):
+                self._grow()
+            frames = self._chunks[chunk][1]
+            if frame_first:
+                pages = np.flatnonzero(frames % residues == residue)
+                hits = pages * per_page + offset
+                lines = frames[pages] * np.uint64(per_page) + np.uint64(
+                    offset)
             else:
-                hits = np.flatnonzero(
-                    lines % np.uint64(num_sets) == np.uint64(set_index)
-                )
+                lines = self._chunk_lines(frames)
+                if num_sets is None:
+                    hits = np.arange(len(lines))
+                else:
+                    hits = np.flatnonzero(
+                        lines % np.uint64(num_sets) == np.uint64(set_index)
+                    )
+                    lines = lines[hits]
             if slice_id is not None:
-                slices = self.slice_hash.slice_of_array(lines[hits])
-                hits = hits[slices == slice_id]
-            found.append(hits + scanned)
+                hits = hits[self.slice_hash.slice_of_array(lines)
+                            == slice_id]
+            found.append(hits + chunk * chunk_lines)
             matched += len(hits)
             if matched >= count:
                 return np.concatenate(found)[:count]
-            scanned = len(self._lines)
-            self._grow()
+            chunk += 1
 
     def _eviction_set(self, chosen: np.ndarray, **fields) -> EvictionSet:
+        """The candidates at indices ``chosen``: a candidate ``j`` lines
+        into its chunk sits ``64 * j`` bytes past the chunk's base, on
+        line ``j % L`` of page ``j // L``."""
+        per_page = self._lines_per_page
+        virtual, lines = [], []
+        for index in chosen.tolist():
+            chunk, within = divmod(index, self._CHUNK_PAGES * per_page)
+            base, frames = self._chunks[chunk]
+            page, offset = divmod(within, per_page)
+            virtual.append(base + 64 * within)
+            lines.append(int(frames[page]) * per_page + offset)
         return EvictionSet(
-            virtual_addresses=tuple(self._virtual[chosen].tolist()),
-            lines=tuple(self._lines[chosen].tolist()),
+            virtual_addresses=tuple(virtual),
+            lines=tuple(lines),
             **fields,
         )
 

@@ -25,15 +25,18 @@ profile objects and clipped segment widths the walk meets in it, and
 integrates one window per class, shared by the group (each timeline's
 representatives in one forward walk).  Each distinct row of loud
 classes, of any trial, is then folded once, into a fold id shared by
-the group.  Each trial then walks the stream on its own up to its
+the group; a socket no trial touches folds idle throughout, unclassed.
+The law reads a fold only through its
+:func:`~repro.power.ufs.law_signal`, so folds with equal signals share a
+signal id.  Each trial then walks the stream on its own up to its
 horizon (one bisection finds where it stops), stepping its socket
 states through the scalar :func:`~repro.power.ufs.ufs_control_step` —
 the same law, over the same Python ints and floats, the DES PMU
 evaluates.  A socket state (frequency, dither phase, slow countdown and
 MSR limits) is interned as an int shared by the group, and the law is
-pure, so a step already taken in the group (same state id, fold id and
-remote frequency) is looked up, not recomputed.  That shared law is what
-makes the lattice bit-identical to the DES frequency timeline.
+pure, so a step already taken in the group (same state id, signal id
+and remote frequency) is looked up, not recomputed.  That shared law is
+what makes the lattice bit-identical to the DES frequency timeline.
 
 **Phase B — the receiver replay.**  One pass over every trial of the
 call replays the receiver's measurement windows.  A window's statistics
@@ -44,9 +47,11 @@ other timed load draw from ``latency-noise``.  So the pass builds the
 segment table of every trial at once from the Phase A lattices — each
 window split at its receiver socket's PMU ticks, each segment's sample
 count, frequency and flows — and each segment's noise-free mean once per
-receiver.  Then each trial, on a fresh
-:class:`~repro.platform.latency.LatencyModel` on its seed, draws each
-quantity of its whole transmission as one array
+receiver.  Then each trial, on a
+:class:`~repro.platform.latency.LatencyModel` on its seed (trials of one
+seed share one, restarting its window streams in turn, which costs
+about a quarter of deriving them), draws each quantity of its whole
+transmission from the start of its stream as one array
 (:meth:`~repro.platform.latency.LatencyModel.segment_llc_sums`,
 :meth:`~repro.platform.latency.LatencyModel.window_biases`), and the
 window sums of every trial are added in one pass.  Each array draw
@@ -93,7 +98,7 @@ from ..noc.topology import MeshTopology
 from ..platform.actor import MEASUREMENT_PROFILE
 from ..platform.latency import LatencyModel
 from ..platform.system import _PMU_STAGGER_NS
-from ..power.ufs import accumulate_observation, ufs_control_step
+from ..power.ufs import accumulate_observation, law_signal, ufs_control_step
 from ..rng import child_rng
 from ..telemetry.context import active_registry
 from ..units import ms
@@ -493,6 +498,12 @@ def _run_lattice(plans: list[_TrialPlan],
     integrated = 0
     observed = []
     for socket_id, times in enumerate(ticks):
+        lasts = [bisect_right(times, plan.duration_ns) for plan in plans]
+        if not any(plan.cores[socket_id] for plan in plans):
+            # No trial touches the socket: every window folds idle.
+            idle = interned.setdefault(_IDLE_FOLD, len(interned))
+            observed.append([[idle] * last for last in lasts])
+            continue
         ends = np.array(times, dtype=np.int64)
         previous = np.zeros_like(ends)  # 0 before the first tick
         previous[1:] = ends[:-1]
@@ -500,12 +511,22 @@ def _run_lattice(plans: list[_TrialPlan],
         per_plan, walked = _observations(
             [([timeline
                for _, timeline in sorted(plan.cores[socket_id].items())],
-              bisect_right(times, plan.duration_ns)) for plan in plans],
+              last) for plan, last in zip(plans, lasts)],
             ends, starts, ufs.stall_ratio_threshold, interned,
         )
         observed.append(per_plan)
         integrated += walked
-    folds = list(interned)  # id -> fold
+    # The law reads a fold only through its signal, so folds with equal
+    # signals share a signal id, and the steps they take.
+    signal_ids: dict[tuple, int] = {}  # signal -> id
+    signal_of = [
+        signal_ids.setdefault(law_signal(fold, ufs=ufs, demand=demand),
+                              len(signal_ids))
+        for fold in interned
+    ]
+    signals = list(signal_ids)  # id -> signal
+    observed = [[list(map(signal_of.__getitem__, ids)) for ids in per_plan]
+                for per_plan in observed]
     registry = active_registry()
     if registry is not None:
         registry.inc("fastpath.batch.windows_integrated", integrated)
@@ -531,11 +552,11 @@ def _run_lattice(plans: list[_TrialPlan],
 
     # A socket state ``(freq, dither phase, slow countdown, min limit,
     # max limit)`` is interned as an int, shared by the group.  The
-    # control law is pure and ``ufs``, ``demand`` and the lag are fixed
-    # for the group, so a step is a function of the state, the fold (by
-    # id) and the remote frequency alone.  Trials of one group revisit
-    # the same few states, so each distinct step is taken once:
-    # ``(state, fold id, remote MHz) -> next state``.
+    # control law is pure and ``ufs`` and the lag are fixed for the
+    # group, so a step is a function of the state, the signal (by id)
+    # and the remote frequency alone.  Trials of one group revisit the
+    # same few states, so each distinct step is taken once:
+    # ``(state, signal id, remote MHz) -> next state``.
     lag = rep.coupling_lag_mhz
     state_ids: dict[tuple[int, int, int, int, int], int] = {}
     states: list[tuple[int, int, int, int, int]] = []  # id -> state
@@ -551,7 +572,7 @@ def _run_lattice(plans: list[_TrialPlan],
     for index, plan in enumerate(plans):
         # Trials never read one another's state, so each walks the
         # stream on its own up to its horizon.
-        fold_ids = [observed[s][index] for s in range(num_sockets)]
+        signal_at = [observed[s][index] for s in range(num_sockets)]
         freq = list(plan.init_freq)
         state = [intern((mhz, 0, 0, *limits))
                  for mhz, limits in zip(freq, plan.init_limits)]
@@ -579,11 +600,9 @@ def _run_lattice(plans: list[_TrialPlan],
                 remote = max([freq[other] for other in others[socket_id]])
             else:
                 remote = None
-            key = (current, fold_ids[socket_id][tick], remote)
+            key = (current, signal_at[socket_id][tick], remote)
             step = memo.get(key)
             if step is None:
-                (active, stalled, llc_rate, noc_score, max_stall,
-                 turbo) = folds[key[1]]
                 mhz, dither, countdown, min_limit, max_limit = (
                     states[current])
                 result = ufs_control_step(
@@ -592,15 +611,9 @@ def _run_lattice(plans: list[_TrialPlan],
                     slow_countdown=countdown,
                     min_limit_mhz=min_limit,
                     max_limit_mhz=max_limit,
-                    active=active,
-                    stalled=stalled,
-                    llc_rate=llc_rate,
-                    noc_score=noc_score,
-                    max_stall=max_stall,
-                    turbo=turbo,
+                    signal=signals[key[1]],
                     remote_mhz=remote,
                     ufs=ufs,
-                    demand=demand,
                     coupling_lag_mhz=lag,
                 )
                 step = memo[key] = intern((
@@ -714,12 +727,14 @@ def _window_means(plans: list[_TrialPlan],
                   models: list[LatencyModel]) -> list[float]:
     """Each window's ``total / count + bias``, as
     :meth:`~repro.platform.actor.Actor.measure_window` computes it, of
-    every trial in order, each trial drawing from its own ``models``
-    entry.
+    every trial in order, each trial drawing from its ``models`` entry,
+    whose window streams it first restarts (trials that share a seed
+    may share a model).
 
     The window streams are each trial's own and nothing else draws from
     them (the probe warm-up draws from ``latency-noise``), so each
-    quantity of a trial's transmission is one array draw.  Everything
+    quantity of a trial's transmission is one array draw from the
+    stream's start.  Everything
     around the draws is one pass over the call: the segment table, each
     segment's noise-free mean (once per receiver) and the window sums.
     A window adds its segment sums in segment order from ``0.0``, with
@@ -742,6 +757,7 @@ def _window_means(plans: list[_TrialPlan],
     for model, begin, end, low, high in zip(
             models, segment_at.tolist(), segment_at[1:].tolist(),
             window_at.tolist(), window_at[1:].tolist()):
+        model.restart_window_streams()
         sums[begin:end] = model.segment_llc_sums(counts[begin:end],
                                                  means[begin:end])
         biases[low:high] = model.window_biases(high - low)
@@ -768,8 +784,16 @@ def _replay_trial(plans: list[_TrialPlan],
 
     Phase B's one entry point, as :func:`_lattices_for` is Phase A's:
     ``benchmarks/e2e/tracer.py`` times the two by these names."""
-    models = [LatencyModel(plan.platform.latency, plan.seed)
-              for plan in plans]
+    # Trials that share a seed and latency constants share a model,
+    # whose window streams each restarts (see :func:`_window_means`).
+    shared: dict[tuple, LatencyModel] = {}
+    models = []
+    for plan in plans:
+        key = (plan.platform.latency, plan.seed)
+        model = shared.get(key)
+        if model is None:
+            model = shared[key] = LatencyModel(*key)
+        models.append(model)
     means = _window_means(plans, lattices, models)
     results = []
     begin = 0

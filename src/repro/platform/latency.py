@@ -51,6 +51,8 @@ class LatencyModel:
         config.validate()
         self.config = config
         self.seed = seed
+        #: Each window stream derived so far, with its starting state.
+        self._window_starts: list[tuple[np.random.Generator, dict]] = []
 
     # -- noise streams (derived on first use) ------------------------------
 
@@ -59,25 +61,38 @@ class LatencyModel:
         """The per-sample stream: every timed load's jitter and tail."""
         return child_rng(self.seed, "latency-noise")
 
+    def _window_stream(self, name: str) -> np.random.Generator:
+        rng = child_rng(self.seed, name)
+        self._window_starts.append((rng, rng.bit_generator.state))
+        return rng
+
     @cached_property
     def jitter_rng(self) -> np.random.Generator:
         """One standard normal per window segment."""
-        return child_rng(self.seed, WINDOW_STREAMS[0])
+        return self._window_stream(WINDOW_STREAMS[0])
 
     @cached_property
     def tail_count_rng(self) -> np.random.Generator:
         """One binomial per window segment."""
-        return child_rng(self.seed, WINDOW_STREAMS[1])
+        return self._window_stream(WINDOW_STREAMS[1])
 
     @cached_property
     def tail_mass_rng(self) -> np.random.Generator:
         """One gamma per window segment with a tail."""
-        return child_rng(self.seed, WINDOW_STREAMS[2])
+        return self._window_stream(WINDOW_STREAMS[2])
 
     @cached_property
     def bias_rng(self) -> np.random.Generator:
         """One standard normal per measurement window."""
-        return child_rng(self.seed, WINDOW_STREAMS[3])
+        return self._window_stream(WINDOW_STREAMS[3])
+
+    def restart_window_streams(self) -> None:
+        """Put every window stream back at its first draw, as on a fresh
+        model of the same seed.  Restoring a stream's state costs about
+        a quarter of deriving it, so the batch replay draws the
+        transmissions of trials that share a seed from one model."""
+        for rng, start in self._window_starts:
+            rng.bit_generator.state = start
 
     # -- deterministic components -----------------------------------------
 

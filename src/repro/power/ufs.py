@@ -124,6 +124,47 @@ def demand_target(demand: DemandModelConfig, llc_rate: float,
     return target
 
 
+class LawSignal(NamedTuple):
+    """All the control law reads of a socket observation.
+
+    ``demand_mhz`` is the unclamped :func:`demand_target` (``None``
+    without demand) and ``veto_stall`` whether the observation's largest
+    stall residue exceeds ``decrease_veto_stall_ratio``.  A field the
+    law cannot read under the signal's own branch is normalised away: a
+    turbo core masks every other field, the stall rule masks the demand
+    target and the veto, and a demand target masks the veto.  So two
+    observations the law cannot tell apart have equal signals.
+    """
+
+    turbo: bool
+    stall_rule: bool
+    demand_mhz: int | None
+    veto_stall: bool
+
+
+def law_signal(fold: tuple[int, int, float, float, float, bool], *,
+               ufs: UfsConfig, demand: DemandModelConfig) -> LawSignal:
+    """What :func:`ufs_control_step` needs of one socket observation.
+
+    ``fold`` is an :func:`accumulate_observation` result.  The first
+    half of the control law of Section 3.5: the stalled-core rule
+    (strictly more than ``stalled_fraction_trigger`` of the active cores
+    stalled), the Fig. 3 demand band, and the decrease-veto test.  Both
+    the PMU and the batch backend step through it, so they share one
+    law.
+    """
+    active, stalled, llc_rate, noc_score, max_stall, turbo = fold
+    if turbo:
+        return LawSignal(True, False, None, False)
+    if active > 0 and stalled > ufs.stalled_fraction_trigger * active:
+        return LawSignal(False, True, None, False)
+    target = demand_target(demand, llc_rate, noc_score)
+    if target is not None:
+        return LawSignal(False, False, target, False)
+    return LawSignal(False, False, None,
+                     max_stall > ufs.decrease_veto_stall_ratio)
+
+
 class UfsStepResult(NamedTuple):
     """Next state plus the decision flags of one control step.
 
@@ -148,16 +189,17 @@ def ufs_control_step(
     *,
     freq_mhz: int, dither_phase: int, slow_countdown: int,
     min_limit_mhz: int, max_limit_mhz: int,
-    active: int, stalled: int, llc_rate: float, noc_score: float,
-    max_stall: float, turbo: bool,
+    signal: LawSignal,
     remote_mhz: int | None = None,
-    ufs: UfsConfig, demand: DemandModelConfig, coupling_lag_mhz: int = 100,
+    ufs: UfsConfig, coupling_lag_mhz: int = 100,
 ) -> UfsStepResult:
     """One PMU evaluation of one socket: the control law of Section 3.5.
 
-    The event-driven :class:`UfsPmu` calls it once per tick and the
-    batch backend once per trial and tick, so both backends take their
-    decisions from this one definition.
+    The second half of the law, after :func:`law_signal`: it reads the
+    observation only through ``signal``.  The event-driven
+    :class:`UfsPmu` calls it once per tick and the batch backend once
+    per distinct ``(state, signal, remote)`` of a trial group, so both
+    backends take their decisions from this one definition.
 
     ``remote_mhz`` is the fastest *other* socket's frequency (coupling),
     or ``None`` on single-socket platforms.  The limits are the socket's
@@ -165,6 +207,7 @@ def ufs_control_step(
     """
     freq = freq_mhz
     enabled = min_limit_mhz != max_limit_mhz
+    turbo = signal.turbo
     if turbo or not enabled:
         # Turbo pins the uncore at the ceiling; a collapsed window
         # (UFS disabled) holds it where it is.
@@ -177,15 +220,13 @@ def ufs_control_step(
 
     # -- target selection (stall rule, demand bands, coupling) ----------
     # Clamps, minima and maxima are spelled out inline and the result
-    # is built positionally: this runs once per socket per tick on both
-    # backends.
-    stall_rule = (
-        active > 0 and stalled > ufs.stalled_fraction_trigger * active
-    )
+    # is built positionally: this runs once per socket per tick on the
+    # DES.
+    stall_rule = signal.stall_rule
     if stall_rule:
         target = max_limit_mhz
     else:
-        target = demand_target(demand, llc_rate, noc_score)
+        target = signal.demand_mhz
         if target is not None:
             if target > max_limit_mhz:
                 target = max_limit_mhz
@@ -217,7 +258,7 @@ def ufs_control_step(
             effective = max_limit_mhz
         elif effective < min_limit_mhz:
             effective = min_limit_mhz
-        veto = effective < freq and max_stall > ufs.decrease_veto_stall_ratio
+        veto = effective < freq and signal.veto_stall
         if veto:
             effective = freq
     else:
@@ -337,7 +378,7 @@ class UfsPmu:
         return max(self.min_limit_mhz, min(self.max_limit_mhz, freq_mhz))
 
     def _observe(self, t0: int,
-                 t1: int) -> tuple[int, int, float, float, float]:
+                 t1: int) -> tuple[int, int, float, float, float, bool]:
         """Integrate the core timelines over the observation window.
 
         Only the trailing ``observation_ns`` of the evaluation period is
@@ -360,9 +401,10 @@ class UfsPmu:
     def _evaluate(self) -> None:
         """One PMU evaluation: observe, choose a target, step.
 
-        The decision itself is delegated to :func:`ufs_control_step`,
-        the same law the batch backend steps once per trial — which is
-        what makes the two backends bit-identical by construction.
+        The decision itself is delegated to :func:`law_signal` and
+        :func:`ufs_control_step`, the same law the batch backend steps
+        its trials through — which is what makes the two backends
+        bit-identical by construction.
         """
         now = self.engine.now
         t0, t1 = self._last_eval_ns, now
@@ -370,8 +412,8 @@ class UfsPmu:
         if t1 <= t0:
             return
 
-        (active, stalled, llc_rate, noc_score, max_stall,
-         turbo_active) = self._observe(t0, t1)
+        fold = self._observe(t0, t1)
+        active, stalled, llc_rate, noc_score = fold[:4]
         remote = (None if self.remote_frequency is None
                   else self.remote_frequency())
         result = ufs_control_step(
@@ -380,15 +422,10 @@ class UfsPmu:
             slow_countdown=self._slow_step_countdown,
             min_limit_mhz=self.min_limit_mhz,
             max_limit_mhz=self.max_limit_mhz,
-            active=active,
-            stalled=stalled,
-            llc_rate=llc_rate,
-            noc_score=noc_score,
-            max_stall=max_stall,
-            turbo=turbo_active,
+            signal=law_signal(fold, ufs=self.config,
+                              demand=self.demand_config),
             remote_mhz=remote,
             ufs=self.config,
-            demand=self.demand_config,
             coupling_lag_mhz=self.coupling_lag_mhz,
         )
         self._dither_phase = result.dither_phase

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.cache import CacheHierarchy, EvictionListBuilder, Level
-from repro.config import SOCKET0_ACTIVE_TILES, SocketConfig
+from repro.cache import (
+    CacheHierarchy,
+    EvictionListBuilder,
+    EvictionSet,
+    Level,
+)
+from repro.config import SOCKET0_ACTIVE_TILES, CacheConfig, SocketConfig
 from repro.errors import MemoryError_
 from repro.mem import AddressSpace, PhysicalMemory
 
@@ -192,25 +197,41 @@ class TestRequestValidation:
 
 class TestCandidateGrowth:
     def test_grow_matches_per_page_walk(self, setup):
-        """The vectorised chunk equals the per-page reference walk:
-        same values, same order, same dtypes, across two chunks."""
+        """Each chunk, read back through its ``(virtual base, frames)``
+        entry, equals the per-page reference walk: same values, same
+        order, same dtypes, across two chunks."""
         _, builder, space = setup
         builder._grow()
         builder._grow()
         offsets = np.arange(space.page_bytes // 64, dtype=np.int64)
         virt, lines = [], []
-        for allocation in space.allocations[-2:]:
-            for base in range(allocation.virtual_base,
-                              allocation.virtual_end, space.page_bytes):
-                virt.append(base + offsets * 64)
-                lines.append(((space.translate(base) >> 6)
-                              + offsets).astype(np.uint64))
+        for allocation, (base, frames) in zip(space.allocations[-2:],
+                                              builder._chunks):
+            assert base == allocation.virtual_base
+            assert frames.dtype == np.uint64
+            chunk_virt, chunk_lines = [], []
+            for page_base in range(allocation.virtual_base,
+                                   allocation.virtual_end,
+                                   space.page_bytes):
+                chunk_virt.append(page_base + offsets * 64)
+                chunk_lines.append(((space.translate(page_base) >> 6)
+                                    + offsets).astype(np.uint64))
+            chunk_lines = np.concatenate(chunk_lines)
+            expanded = builder._chunk_lines(frames)
+            assert expanded.dtype == np.uint64
+            np.testing.assert_array_equal(expanded, chunk_lines)
+            virt.append(np.concatenate(chunk_virt))
+            lines.append(chunk_lines)
         expected_virtual = np.concatenate(virt)
         expected_lines = np.concatenate(lines)
-        assert builder._virtual.dtype == np.int64
-        assert builder._lines.dtype == np.uint64
-        np.testing.assert_array_equal(builder._virtual, expected_virtual)
-        np.testing.assert_array_equal(builder._lines, expected_lines)
+        assert builder.candidate_count == len(expected_lines)
+        every = builder._eviction_set(np.arange(builder.candidate_count),
+                                      slice_id=-1)
+        np.testing.assert_array_equal(
+            np.array(every.virtual_addresses, dtype=np.int64),
+            expected_virtual)
+        np.testing.assert_array_equal(
+            np.array(every.lines, dtype=np.uint64), expected_lines)
 
 
 class FullHashReference(EvictionListBuilder):
@@ -223,7 +244,20 @@ class FullHashReference(EvictionListBuilder):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self._virtual = np.empty(0, dtype=np.int64)
+        self._lines = np.empty(0, dtype=np.uint64)
         self._slices = np.empty(0, dtype=np.int64)
+
+    @property
+    def candidate_count(self):
+        return len(self._lines)
+
+    def _eviction_set(self, chosen, **fields):
+        return EvictionSet(
+            virtual_addresses=tuple(self._virtual[chosen].tolist()),
+            lines=tuple(self._lines[chosen].tolist()),
+            **fields,
+        )
 
     def _grow(self):
         page = self.space.page_bytes
@@ -259,9 +293,10 @@ class FullHashReference(EvictionListBuilder):
             self._grow()
 
 
-def _builder_pair(restrict=None):
+def _builder_pair(restrict=None, config=None):
     """(set-first builder, full-hash reference) over twin memories."""
-    config = SocketConfig(socket_id=0, core_tiles=SOCKET0_ACTIVE_TILES)
+    if config is None:
+        config = SocketConfig(socket_id=0, core_tiles=SOCKET0_ACTIVE_TILES)
     hierarchy = CacheHierarchy(config)
     slice_hash = (hierarchy.slice_hash if restrict is None
                   else hierarchy.slice_hash.restricted(restrict))
@@ -314,3 +349,79 @@ class TestSetFirstSearchMatchesFullHash:
         """Later requests search the chunks earlier ones allocated
         before growing."""
         self._assert_same(_builder_pair(restrict), _REQUESTS)
+
+
+#: A 32-set L2: its set count is not a multiple of the 64 lines per
+#: page, so its set-filtered searches expand chunks into lines.
+_SMALL_L2 = SocketConfig(
+    socket_id=0, core_tiles=SOCKET0_ACTIVE_TILES,
+    l2_config=CacheConfig("L2", 32 * 16 * 64, 16, inclusive=True),
+)
+
+
+def _random_requests(rng, config, restrict):
+    """Five requests drawn over every builder, any set, an allowed
+    slice and a small count."""
+    l2_sets = config.l2_config.num_sets
+    llc_sets = config.llc_slice_config.num_sets
+    slices = restrict or tuple(range(config.num_cores))
+    requests = []
+    for _ in range(5):
+        slice_id = int(rng.choice(slices))
+        count = int(rng.integers(1, 25))
+        kind = int(rng.integers(5))
+        if kind == 0:
+            requests.append(("build_l2_list", dict(
+                slice_id=slice_id, l2_set=int(rng.integers(l2_sets)),
+                count=count)))
+        elif kind == 1:
+            requests.append(("build_measurement_list", dict(
+                slice_id=slice_id, l2_set=int(rng.integers(l2_sets)))))
+        elif kind == 2:
+            requests.append(("build_llc_set_list", dict(
+                slice_id=slice_id, llc_set=int(rng.integers(llc_sets)),
+                count=count)))
+        elif kind == 3:
+            requests.append(("build_l2_set_group", dict(
+                l2_set=int(rng.integers(l2_sets)), count=count)))
+        else:
+            requests.append(("build_slice_working_set", dict(
+                slice_id=slice_id, count=count)))
+    return requests
+
+
+class TestFrameFirstSearchProperty:
+    """Random request sequences give the full-hash reference's lists,
+    candidate counts and allocator state."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("restrict", [None, (1, 3, 5)],
+                             ids=["full", "restricted"])
+    def test_random_requests(self, seed, restrict):
+        config = SocketConfig(socket_id=0, core_tiles=SOCKET0_ACTIVE_TILES)
+        rng = np.random.default_rng(seed)
+        TestSetFirstSearchMatchesFullHash._assert_same(
+            _builder_pair(restrict), _random_requests(rng, config, restrict))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_odd_set_count_takes_the_line_path(self, seed, monkeypatch):
+        """With 32 L2 sets an L2 search lists each chunk's lines (and
+        still matches); the 2,048 LLC sets keep the frame path."""
+        pair = _builder_pair(config=_SMALL_L2)
+        expanded = []
+        chunk_lines = EvictionListBuilder._chunk_lines
+        monkeypatch.setattr(
+            pair[0], "_chunk_lines",
+            lambda frames: expanded.append(len(frames))
+            or chunk_lines(pair[0], frames))
+        rng = np.random.default_rng(seed)
+        l2_set = int(rng.integers(32))
+        requests = [("build_l2_list", dict(slice_id=int(rng.integers(16)),
+                                           l2_set=l2_set, count=20)),
+                    ("build_l2_set_group", dict(l2_set=l2_set, count=30))]
+        TestSetFirstSearchMatchesFullHash._assert_same(pair, requests)
+        assert expanded
+        expanded.clear()
+        TestSetFirstSearchMatchesFullHash._assert_same(pair, [
+            ("build_llc_set_list", dict(slice_id=2, llc_set=99, count=12))])
+        assert not expanded

@@ -40,7 +40,11 @@ from repro.fastpath.batch import (
     batch_frequency_lattices,
 )
 from repro.platform.latency import LatencyModel
-from repro.power.ufs import accumulate_observation, ufs_control_step
+from repro.power.ufs import (
+    accumulate_observation,
+    law_signal,
+    ufs_control_step,
+)
 from repro.resilience.checkpoint import Checkpoint, checkpoint_key
 from repro.telemetry import MetricsRegistry, using
 from repro.telemetry.manifest import config_digest
@@ -501,9 +505,8 @@ def _reference_lattice(plan):
             slow_countdown=countdown[socket_id],
             min_limit_mhz=limits[socket_id][0],
             max_limit_mhz=limits[socket_id][1],
-            active=fold[0], stalled=fold[1], llc_rate=fold[2],
-            noc_score=fold[3], max_stall=fold[4], turbo=fold[5],
-            remote_mhz=remote, ufs=ufs, demand=platform.demand,
+            signal=law_signal(fold, ufs=ufs, demand=platform.demand),
+            remote_mhz=remote, ufs=ufs,
             coupling_lag_mhz=platform.coupling_lag_mhz,
         )
         steps += 1
@@ -585,6 +588,30 @@ class TestMemoisedLattice:
         # remote frequency (for three sockets, the fastest of two).
         assert {call["remote_mhz"] is None for call in calls} == {
             name == "one socket"}
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_a_socket_no_trial_touches_is_not_classed(self, cross,
+                                                      monkeypatch):
+        """Cross-core trials leave socket 1 untouched: its windows fold
+        idle without a classing pass, and the lattice is unchanged."""
+        import repro.fastpath.batch as batch
+
+        requests = [CapacityRequest(interval_ms=interval, bits=12, seed=3,
+                                    cross_processor=cross)
+                    for interval in (15.0, 28.0)]
+        passes = []
+        observe = batch._observations
+
+        def counted(trials, *args):
+            passes.append(sum(len(entries) for entries, _ in trials))
+            return observe(trials, *args)
+
+        monkeypatch.setattr(batch, "_observations", counted)
+        plans = batch._plans(requests)
+        assert _lattices_for(plans) == [_reference_lattice(plan)[0]
+                                        for plan in plans]
+        # Socket 0 holds the sender, and the receiver unless cross.
+        assert passes == ([2, 2] if cross else [4])
 
 
 def _profiles():

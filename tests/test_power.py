@@ -23,6 +23,7 @@ from repro.power.ufs import (
     UfsStepResult,
     accumulate_observation,
     demand_target,
+    law_signal,
     ufs_control_step,
 )
 from repro.units import ms
@@ -118,6 +119,11 @@ class TestDemandModel:
         assert demand_target(demand, 2 * 27.0, 0.0) == 1800
 
 
+#: An :func:`accumulate_observation` fold's fields, in order.
+_FOLD_FIELDS = ("active", "stalled", "llc_rate", "noc_score", "max_stall",
+                "turbo")
+
+
 def _law(**overrides) -> UfsStepResult:
     """One control step from a quiet 1.5 GHz socket, with overrides."""
     inputs = dict(
@@ -127,8 +133,9 @@ def _law(**overrides) -> UfsStepResult:
         max_stall=0.0, turbo=False, remote_mhz=None,
     )
     inputs.update(overrides)
-    return ufs_control_step(**inputs, ufs=UfsConfig(),
-                            demand=DemandModelConfig())
+    fold = tuple(inputs.pop(name) for name in _FOLD_FIELDS)
+    return ufs_control_step(**inputs, signal=law_signal(
+        fold, ufs=UfsConfig(), demand=DemandModelConfig()), ufs=UfsConfig())
 
 
 #: ``(overrides, expected)`` per branch of the law, hand-derived from the
@@ -237,6 +244,144 @@ class TestUfsControlStep:
         assert [type(value) for value in result] == [
             int, int, int, int, bool, bool, bool, bool
         ]
+
+
+def _fused_law(fold, *, freq_mhz, dither_phase, slow_countdown,
+               min_limit_mhz, max_limit_mhz, remote_mhz, ufs, demand,
+               coupling_lag_mhz=100):
+    """The control law in one piece, reading the raw fold: the
+    reference the :func:`law_signal` / :func:`ufs_control_step` split
+    must reproduce."""
+    active, stalled, llc_rate, noc_score, max_stall, turbo = fold
+    freq = freq_mhz
+    enabled = min_limit_mhz != max_limit_mhz
+    if turbo or not enabled:
+        turbo_pin = turbo and enabled
+        pinned = max_limit_mhz if turbo_pin else freq
+        return UfsStepResult(
+            pinned, dither_phase, 0 if turbo_pin else slow_countdown,
+            pinned, False, turbo_pin, turbo_pin, False,
+        )
+    stall_rule = (
+        active > 0 and stalled > ufs.stalled_fraction_trigger * active
+    )
+    if stall_rule:
+        target = max_limit_mhz
+    else:
+        target = demand_target(demand, llc_rate, noc_score)
+        if target is not None:
+            target = max(min_limit_mhz, min(max_limit_mhz, target))
+    coupled_binding = False
+    if remote_mhz is not None:
+        coupled = max(min_limit_mhz,
+                      min(max_limit_mhz, remote_mhz - coupling_lag_mhz))
+        coupled_binding = (
+            (target is None or coupled > target)
+            and coupled > ufs.active_idle_high_mhz
+        )
+        if coupled_binding:
+            target = coupled
+    phase = dither_phase
+    veto = heavy = False
+    if target is None:
+        phase = (phase + 1) % 4
+        effective = (ufs.active_idle_low_mhz if phase == 0
+                     else ufs.active_idle_high_mhz)
+        effective = max(min_limit_mhz, min(max_limit_mhz, effective))
+        veto = effective < freq and max_stall > ufs.decrease_veto_stall_ratio
+        if veto:
+            effective = freq
+    else:
+        effective = target
+        heavy = stall_rule or target >= max_limit_mhz or coupled_binding
+    countdown = slow_countdown
+    if effective > freq:
+        if heavy:
+            freq += ufs.step_mhz
+        elif countdown > 0:
+            countdown -= 1
+        else:
+            countdown = ufs.slow_step_periods - 1
+            freq += ufs.step_mhz
+        freq = min(freq, effective)
+    else:
+        countdown = 0
+        if effective < freq:
+            freq = max(freq - ufs.step_mhz, effective)
+    return UfsStepResult(freq, phase, countdown, effective, stall_rule,
+                         heavy, False, veto)
+
+
+def _random_folds(rng, count):
+    """Folds around every threshold the law reads: the stall rule, the
+    LLC and NoC demand bands (in traffic-loop units) and the veto."""
+    units = (0.0, 0.05, 0.2, 0.5, 1.0, 2.0, 3.0, 9.0, 16.0)
+    folds = []
+    for _ in range(count):
+        active = rng.randint(0, 4)
+        folds.append((
+            active, rng.randint(0, active),
+            160.0 * rng.choice(units) * rng.choice((1.0, 1.01)),
+            160.0 * rng.choice(units) * rng.choice((1.0, 1.01)),
+            rng.choice((0.0, 0.1, 0.3, 0.31, 0.9)),
+            rng.random() < 0.15,
+        ))
+    return folds
+
+
+#: Socket states ``(freq, dither, countdown, min, max)`` and remote
+#: frequencies every pair of folds is stepped from.
+_STATES = [
+    (freq, dither, countdown, low, high)
+    for freq in (1200, 1400, 1500, 1600, 2100, 2400)
+    for dither in range(4)
+    for countdown in (0, 2)
+    for low, high in ((1200, 2400), (1500, 1700), (1800, 1800))
+]
+_REMOTES = (None, 1300, 1700, 2400)
+
+
+class TestLawSignal:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_signals_step_every_state_alike(self, seed):
+        """Folds with one signal take the same step from every state
+        under the fused law, and the split law takes it too: that is
+        what lets the batch memo key its steps on the signal."""
+        import random
+
+        ufs, demand = UfsConfig(), DemandModelConfig()
+        by_signal = {}
+        for fold in _random_folds(random.Random(seed), 150):
+            by_signal.setdefault(
+                law_signal(fold, ufs=ufs, demand=demand), []).append(fold)
+        assert any(len(set(folds)) > 1 for folds in by_signal.values())
+        for signal, folds in by_signal.items():
+            for mhz, dither, countdown, low, high in _STATES:
+                for remote in _REMOTES:
+                    state = dict(freq_mhz=mhz, dither_phase=dither,
+                                 slow_countdown=countdown,
+                                 min_limit_mhz=low, max_limit_mhz=high,
+                                 remote_mhz=remote, ufs=ufs)
+                    step = ufs_control_step(**state, signal=signal)
+                    for fold in set(folds):
+                        assert _fused_law(fold, **state,
+                                          demand=demand) == step, (
+                            fold, state)
+
+    def test_signal_masks_what_the_law_cannot_read(self):
+        ufs, demand = UfsConfig(), DemandModelConfig()
+        def signal(*fold):
+            return tuple(law_signal(fold, ufs=ufs, demand=demand))
+        # Turbo masks the stall rule and demand; the stall rule masks
+        # demand and residue; a demand target masks the residue.
+        assert signal(3, 2, 480.0, 0.0, 0.9, True) == (
+            True, False, None, False)
+        assert signal(3, 2, 480.0, 0.0, 0.9, False) == (
+            False, True, None, False)
+        assert signal(1, 0, 480.0, 0.0, 0.9, False) == (
+            False, False, 2300, False)
+        assert signal(1, 0, 0.0, 0.0, 0.9, False) == (
+            False, False, None, True)
 
 
 def _stepper(engine: Engine, cores: list[Core], **kwargs) -> UfsPmu:

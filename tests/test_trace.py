@@ -474,7 +474,7 @@ class TestStore(StoreFixture):
         assert store.gc(max_bytes=size) == [keys[0]]
         assert store.total_bytes() == size
 
-    def test_total_bytes_counts_only_blobs(self, store):
+    def test_total_bytes_counts_blobs_and_writer_temps(self, store):
         from repro.resilience.checkpoint import unique_temp
 
         key = store.key("exp", seed=0)
@@ -485,7 +485,7 @@ class TestStore(StoreFixture):
         unique_temp(store.blob_path(key)).write_bytes(b"x" * 64)
         (store.root / "quarantine").mkdir()
         (store.root / "quarantine" / "old.uftc").write_bytes(b"x" * 64)
-        assert store.total_bytes() == size
+        assert store.total_bytes() == size + 64
         assert store.keys() == [key]
 
     def test_a_blob_vanishing_mid_listing_is_skipped(self, store,
