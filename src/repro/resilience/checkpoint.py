@@ -1,9 +1,15 @@
-"""Atomic checkpoint files, and the record discipline every store shares.
+"""Checkpoint journals, and the record discipline every store shares.
 
 A :class:`Checkpoint` records each completed trial's result under its
-trial *label* as it lands, flushing to disk through :func:`publish` —
-an interrupted flush can never tear the file, only strand a temp that
-the next flush replaces.
+trial *label* as it lands, as one line appended to a journal file: a
+JSON header line (version and key), then one hex :func:`seal` line per
+record.  Appending one line is a single ``write`` to a file that
+already exists, far cheaper than republishing the whole state; a
+record torn by an interrupt is just a damaged line.  The whole file is
+rewritten through :func:`publish` only when this writer has not yet
+seen it intact: the first record of a fresh run, or the first after a
+load that found damage (which drops the damage, so no later line is
+appended onto a torn one).
 
 The file is keyed by :func:`checkpoint_key`, which is literally
 :meth:`repro.trace.store.TraceStore.key` — a digest of (effective
@@ -12,16 +18,17 @@ run therefore only reuses results when it would have produced the exact
 same ones, and a checkpoint written under a different shape (other
 intervals, other bits, other platform) is ignored rather than merged.
 
-Each result is a :func:`seal`-ed record (sha256 digest + pickle), so
-resumed values round-trip bit-identically (pickle preserves float64
-payloads exactly) and a damaged record is skipped — worst case the
-trial is re-run, never resumed wrong.
+Each line seals the ``(label, result)`` pair (sha256 digest + pickle),
+so resumed values round-trip bit-identically (pickle preserves float64
+payloads exactly) and a damaged line is skipped — worst case the trial
+is re-run, never resumed wrong.
 
 The on-disk discipline lives here once, for the trace store and
 checkpoints alike:
 
-* :func:`publish` — write a writer-unique temp, rename it over the
-  target; readers never observe a torn file;
+* :func:`publish` — write a writer-unique temp (:func:`unique_temp`,
+  parsed back by :func:`temp_writer`), rename it over the target;
+  readers never observe a torn file;
 * :func:`quarantine_file` — move a damaged file aside as evidence,
   never delete it, and tolerate a racing reader that moved it first;
 * :func:`seal` / :func:`unseal` — a digest-checked pickle record that
@@ -35,6 +42,7 @@ import itertools
 import json
 import os
 import pickle
+import re
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -43,14 +51,19 @@ from typing import Any
 from ..telemetry.context import active_registry
 
 __all__ = ["Checkpoint", "checkpoint_key", "CHECKPOINT_VERSION",
-           "publish", "quarantine_file", "seal", "unique_temp", "unseal"]
+           "publish", "quarantine_file", "seal", "temp_writer",
+           "unique_temp", "unseal"]
 
-#: Version 2 stores each record as one hex :func:`seal` blob; a
-#: version-1 file (separate ``sha256`` / ``data`` fields) is ignored,
-#: so its trials re-run once.
-CHECKPOINT_VERSION = 2
+#: Version 3 is a journal: a JSON header line, then one hex
+#: :func:`seal` of ``(label, result)`` per line.  A file of an earlier
+#: version (one JSON object per file) is ignored, so its trials re-run
+#: once.
+CHECKPOINT_VERSION = 3
 
 _TEMP_SEQ = itertools.count()
+
+#: ``<target name>.<writer pid>-<n>.tmp``, as :func:`unique_temp` names.
+_TEMP_NAME = re.compile(r"(.+)\.(\d+)-\d+\.tmp")
 
 _DIGEST_BYTES = hashlib.sha256().digest_size
 
@@ -71,6 +84,15 @@ def unique_temp(path: Path) -> Path:
     )
 
 
+def temp_writer(path: Path) -> tuple[str, int] | None:
+    """``(target name, writer pid)`` of a :func:`unique_temp` path, or
+    ``None`` when ``path`` is not named like one."""
+    match = _TEMP_NAME.fullmatch(path.name)
+    if match is None:
+        return None
+    return match.group(1), int(match.group(2))
+
+
 @contextmanager
 def publish(path: Path) -> Iterator[Path]:
     """Yield a writer-unique temp path; rename it onto ``path`` on success.
@@ -79,15 +101,18 @@ def publish(path: Path) -> Iterator[Path]:
     returns, the temp is ``os.replace``-d onto ``path`` (same directory,
     so the rename is atomic): readers see the old file or the new one,
     never a torn one.  If it raises, ``path`` is untouched.  Either way
-    the temp is gone afterwards.
+    the temp is gone afterwards: the rename consumes it, a failure
+    deletes it.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if not path.parent.is_dir():  # a stat: cheaper than a failed mkdir
+        path.parent.mkdir(parents=True, exist_ok=True)
     temp = unique_temp(path)
     try:
         yield temp
         os.replace(temp, path)
-    finally:
+    except BaseException:
         temp.unlink(missing_ok=True)
+        raise
 
 
 def quarantine_file(path: Path, directory: Path) -> Path:
@@ -158,74 +183,123 @@ def checkpoint_key(experiment: str, *, platform=None,
 
 
 class Checkpoint:
-    """Label-addressed completed-trial results, atomically persisted.
+    """Label-addressed completed-trial results, journalled as they land.
 
-    Every recorded result is published at once, so an interrupt loses
-    nothing that finished.
+    Every recorded result is in the file when :meth:`record` returns, so an
+    interrupt loses nothing that finished.
     """
 
     def __init__(self, path, *, key: str = "") -> None:
         self.path = Path(path)
         self.key = key
         self._completed: dict[str, Any] = {}
+        #: Each completed label's journal line, sealed once.
+        self._lines: dict[str, bytes] = {}
+        #: Whether the file on disk is undamaged and holds every record
+        #: this writer has, so the next record may be appended to it.
+        self._appendable = False
 
     @classmethod
     def for_experiment(cls, directory, experiment: str, *, platform=None,
                        params: dict | None = None, seed: int | None = None,
                        backend: str | None = None) -> "Checkpoint":
-        """The canonical path: ``<dir>/<experiment>-<key>.ckpt.json``."""
+        """The canonical path: ``<dir>/<experiment>-<key>.ckpt.json``.
+
+        The directory is made by the first record, not here.
+        """
         key = checkpoint_key(experiment, platform=platform, params=params,
                              seed=seed, backend=backend)
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        return cls(directory / f"{experiment}-{key}.ckpt.json", key=key)
+        return cls(Path(directory) / f"{experiment}-{key}.ckpt.json",
+                   key=key)
 
     # -- persistence --------------------------------------------------
 
     def load(self) -> dict[str, Any]:
-        """Read the file, salvage every intact record, return them.
+        """Read the journal, salvage every intact record, return them.
 
-        Tolerates a missing file (fresh start), a torn file (fresh
-        start, counted as ``runner.checkpoint.invalid``) and individual
-        damaged records (skipped, counted) — resuming from a damaged
-        checkpoint can cost re-runs but never correctness.
+        Tolerates a missing file (fresh start), a damaged header or one
+        of another version or key (fresh start, counted as
+        ``runner.checkpoint.invalid``) and individual damaged lines,
+        such as one torn by an interrupted append (skipped, counted as
+        ``runner.checkpoint.corrupt_records``) — resuming from a
+        damaged checkpoint can cost re-runs but never correctness.  A
+        label recorded twice resumes its later result.
         """
         try:
-            payload = json.loads(self.path.read_text(encoding="utf-8"))
+            raw = self.path.read_bytes()
         except FileNotFoundError:
             return dict(self._completed)
+        header, _, body = raw.partition(b"\n")
+        try:
+            payload = json.loads(header)
         except (json.JSONDecodeError, UnicodeDecodeError):
-            _count("invalid")
-            return dict(self._completed)
+            payload = None
         if (not isinstance(payload, dict)
                 or payload.get("version") != CHECKPOINT_VERSION
                 or payload.get("key") != self.key):
             _count("invalid")
             return dict(self._completed)
-        for label, record in payload.get("completed", {}).items():
-            try:
-                result = unseal(bytes.fromhex(record["data"]))
-            except (KeyError, TypeError, ValueError):
-                result = None
-            if result is None:
+        intact = raw.endswith(b"\n")
+        on_disk = set()
+        for line in body.splitlines():
+            entry = _unseal_line(line)
+            if entry is None:
                 _count("corrupt_records")
+                intact = False
                 continue
+            label, result = entry
             self._completed[label] = result
+            self._lines[label] = line + b"\n"
+            on_disk.add(label)
+        self._appendable = intact and on_disk >= self._completed.keys()
         return dict(self._completed)
 
     def record(self, label: str, result: Any) -> None:
-        """Store one completed result and publish the whole state
-        atomically (see :func:`publish`)."""
-        self._completed[str(label)] = result
+        """Store one completed result and put it on disk: appended as
+        one line when the journal is intact, else the whole state
+        republished atomically (see :func:`publish`)."""
+        label = str(label)
+        line = seal((label, result)).hex().encode("ascii") + b"\n"
+        self._completed[label] = result
+        self._lines[label] = line
         _count("records")
-        completed = {
-            label: {"data": seal(self._completed[label]).hex()}
-            for label in sorted(self._completed)
-        }
-        payload = json.dumps(
-            {"version": CHECKPOINT_VERSION, "key": self.key,
-             "completed": completed},
+        if not (self._appendable and self._append(line)):
+            self._publish()
+
+    def _append(self, line: bytes) -> bool:
+        """Append ``line``; ``False`` when the journal is gone."""
+        try:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        except FileNotFoundError:
+            return False
+        try:
+            view = memoryview(line)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        return True
+
+    def _publish(self) -> None:
+        header = json.dumps(
+            {"version": CHECKPOINT_VERSION, "key": self.key},
             sort_keys=True,
-        )
+        ).encode("utf-8")
         with publish(self.path) as temp:
-            temp.write_text(payload, encoding="utf-8")
+            temp.write_bytes(b"".join(
+                [header, b"\n", *(self._lines[label]
+                                  for label in self._completed)]
+            ))
+        self._appendable = True
+
+
+def _unseal_line(line: bytes) -> tuple[str, Any] | None:
+    """The ``(label, result)`` a journal line seals, or ``None``."""
+    try:
+        entry = unseal(bytes.fromhex(line.decode("ascii")))
+    except (UnicodeDecodeError, ValueError):
+        return None
+    if (not isinstance(entry, tuple) or len(entry) != 2
+            or not isinstance(entry[0], str)):
+        return None
+    return entry

@@ -418,29 +418,99 @@ class TestCheckpoint:
     def test_torn_file_is_a_fresh_start(self, tmp_path):
         path = tmp_path / "c.ckpt.json"
         Checkpoint(path, key="k").record("a", 1)
-        raw = path.read_text(encoding="utf-8")
-        path.write_text(raw[: len(raw) // 2], encoding="utf-8")
+        header = path.read_bytes().split(b"\n")[0]
+        path.write_bytes(header[: len(header) // 2])
         registry = MetricsRegistry()
         with using(registry):
             assert Checkpoint(path, key="k").load() == {}
         assert _counters(registry)["runner.checkpoint.invalid"] == 1
 
     def test_damaged_record_salvages_the_rest(self, tmp_path):
-        import json
-
         path = tmp_path / "c.ckpt.json"
         ckpt = Checkpoint(path, key="k")
         ckpt.record("good", 41)
         ckpt.record("bad", 42)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["completed"]["bad"]["data"] = "00" * 8  # sha mismatch
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        ckpt.record("after", 43)
+        lines = path.read_bytes().split(b"\n")
+        assert len(lines) == 5  # header, three records, final newline
+        lines[2] = b"00" * 40  # the "bad" record: sha mismatch
+        path.write_bytes(b"\n".join(lines))
         registry = MetricsRegistry()
         with using(registry):
             resumed = Checkpoint(path, key="k").load()
-        assert resumed == {"good": 41}
+        assert resumed == {"good": 41, "after": 43}
         assert _counters(registry)[
             "runner.checkpoint.corrupt_records"] == 1
+
+    def test_records_append_to_an_intact_journal(self, tmp_path):
+        path = tmp_path / "c.ckpt.json"
+        ckpt = Checkpoint(path, key="k")
+        ckpt.record("a", 1)  # a fresh journal is published whole
+        inode = path.stat().st_ino
+        ckpt.record("b", 2)
+        assert path.stat().st_ino == inode  # appended, not republished
+        resumed = Checkpoint(path, key="k")
+        assert resumed.load() == {"a": 1, "b": 2}
+        resumed.record("c", 3)
+        assert path.stat().st_ino == inode
+        assert Checkpoint(path, key="k").load() == {"a": 1, "b": 2,
+                                                    "c": 3}
+
+    def test_record_after_a_torn_tail_rewrites_the_journal(self,
+                                                           tmp_path):
+        # An append interrupted mid-line leaves a torn last line; the
+        # next writer must not append onto it, or the torn bytes would
+        # swallow its first record too.
+        path = tmp_path / "c.ckpt.json"
+        ckpt = Checkpoint(path, key="k")
+        ckpt.record("a", 1)
+        ckpt.record("b", 2)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-10])
+        registry = MetricsRegistry()
+        with using(registry):
+            resumed = Checkpoint(path, key="k")
+            assert resumed.load() == {"a": 1}
+        assert _counters(registry)[
+            "runner.checkpoint.corrupt_records"] == 1
+        resumed.record("b", 2)
+        registry = MetricsRegistry()
+        with using(registry):
+            assert Checkpoint(path, key="k").load() == {"a": 1, "b": 2}
+        assert "runner.checkpoint.corrupt_records" not in \
+            _counters(registry)
+
+    def test_temp_writer_reads_back_unique_temp(self, tmp_path):
+        from repro.resilience.checkpoint import temp_writer, unique_temp
+
+        target = tmp_path / "abc.uftc"
+        assert temp_writer(unique_temp(target)) == ("abc.uftc",
+                                                    os.getpid())
+        assert temp_writer(target) is None
+        assert temp_writer(tmp_path / "abc.uftc.tmp") is None
+
+    def test_later_record_of_a_label_wins(self, tmp_path):
+        path = tmp_path / "c.ckpt.json"
+        ckpt = Checkpoint(path, key="k")
+        ckpt.record("a", 1)
+        ckpt.record("a", 2)
+        assert Checkpoint(path, key="k").load() == {"a": 2}
+
+    def test_version_2_checkpoint_is_a_fresh_start(self, tmp_path):
+        # Version 2 kept every record in one JSON object.
+        import json
+
+        from repro.resilience.checkpoint import seal
+
+        path = tmp_path / "c.ckpt.json"
+        path.write_text(json.dumps(
+            {"version": 2, "key": "k",
+             "completed": {"a": {"data": seal(1).hex()}}}
+        ), encoding="utf-8")
+        registry = MetricsRegistry()
+        with using(registry):
+            assert Checkpoint(path, key="k").load() == {}
+        assert _counters(registry)["runner.checkpoint.invalid"] == 1
 
     def test_flush_cadence_and_atomicity(self, tmp_path):
         path = tmp_path / "c.ckpt.json"
@@ -503,7 +573,18 @@ class TestCheckpoint:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(Checkpoint(path, key="k").load()) == 40
+        # Each writer republishes its own state once, then appends, so
+        # the journal holds some writers' records; every one must be
+        # whole and hold the value its writer recorded.
+        registry = MetricsRegistry()
+        with using(registry):
+            resumed = Checkpoint(path, key="k").load()
+        assert resumed
+        assert all(value == int(label[1:])
+                   for label, value in resumed.items())
+        counters = _counters(registry)
+        assert "runner.checkpoint.corrupt_records" not in counters
+        assert "runner.checkpoint.invalid" not in counters
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_for_experiment_paths_are_keyed(self, tmp_path):
