@@ -31,13 +31,7 @@ _DEFAULT_MASKS = (
 
 def _parity(value: int) -> int:
     """Parity of the set bits in ``value``."""
-    value ^= value >> 32
-    value ^= value >> 16
-    value ^= value >> 8
-    value ^= value >> 4
-    value ^= value >> 2
-    value ^= value >> 1
-    return value & 1
+    return value.bit_count() & 1
 
 
 def _splitmix64(value: int) -> int:

@@ -115,8 +115,7 @@ class SweepResult:
 
 def random_bits(count: int, seed: int, label: str = "payload") -> list[int]:
     """A reproducible random payload."""
-    rng = child_rng(seed, label)
-    return [int(b) for b in rng.integers(0, 2, count)]
+    return child_rng(seed, label).integers(0, 2, count).tolist()
 
 
 def des_capacity_points(

@@ -304,8 +304,9 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each column, less its minimum, is packed into as few 64-bit words as
     its range needs, so equal rows and only equal rows get equal words.
-    One :func:`numpy.unique` then keys each row by its word, or by one
-    void of its words when it needs more than one.
+    One :func:`numpy.unique` then keys each row by its word, or one
+    stable :func:`numpy.lexsort` orders the rows by their words when
+    they need more than one.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if not len(rows):
@@ -325,14 +326,22 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         else:
             packed[-1] |= column << np.uint64(used)
             used += bits
-    if len(packed) == 1:
-        keys = packed[0]
+    if len(packed) <= 1:
+        _, firsts, inverse = np.unique(
+            packed[0] if packed else np.zeros(len(rows), np.uint64),
+            return_index=True, return_inverse=True)
     else:
-        words = np.stack(packed or [np.zeros(len(rows), np.uint64)],
-                         axis=1)
-        keys = words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
-    _, firsts, inverse = np.unique(keys, return_index=True,
-                                   return_inverse=True)
+        # A stable sort on every word keeps equal rows in row order, so
+        # each run of equal rows starts at its first appearance.
+        order = np.lexsort(packed[::-1])
+        starts = np.zeros(len(rows), dtype=bool)
+        starts[0] = True
+        for word in packed:
+            word = word[order]
+            starts[1:] |= word[1:] != word[:-1]
+        firsts = order[starts]
+        inverse = np.empty(len(rows), dtype=np.int64)
+        inverse[order] = np.cumsum(starts) - 1
     order = np.argsort(firsts)
     numbers = np.empty_like(order)
     numbers[order] = np.arange(len(order))

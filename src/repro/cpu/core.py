@@ -31,6 +31,11 @@ class Core:
         self.timeline = ProfileTimeline()
         self._owner: str | None = None
         self._idle_since: int = 0
+        #: The socket's UFS PMU, set when it is built.  It folds only
+        #: its awake cores and puts a silent one to sleep;
+        #: :meth:`set_profile` wakes it again.
+        self.pmu = None
+        self.awake = True
 
     # -- thread placement ---------------------------------------------------
 
@@ -60,9 +65,14 @@ class Core:
 
         The idle clock restarts only when an active core goes idle; a
         redundant idle write leaves an idle core's C-state descent alone.
+        A sleeping core is woken in its PMU.
         """
         was_active = self.timeline.profile_at(time_ns).active
         self.timeline.set_profile(time_ns, profile)
+        if not self.awake:
+            self.awake = True
+            if self.pmu is not None:
+                self.pmu.wake(self)
         if was_active and not profile.active:
             self._idle_since = time_ns
 

@@ -75,7 +75,7 @@ import dataclasses
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, cycle
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -98,7 +98,12 @@ from ..noc.topology import MeshTopology
 from ..platform.actor import MEASUREMENT_PROFILE
 from ..platform.latency import LatencyModel
 from ..platform.system import _PMU_STAGGER_NS
-from ..power.ufs import accumulate_observation, law_signal, ufs_control_step
+from ..power.ufs import (
+    LawSignal,
+    accumulate_observation,
+    law_signal,
+    ufs_control_step,
+)
 from ..rng import child_rng
 from ..telemetry.context import active_registry
 from ..units import ms
@@ -393,12 +398,12 @@ def _plan_trial(*, platform: PlatformConfig | None, seed: int,
 
 def _observations(trials: list[tuple[list[ProfileTimeline], int]],
                   ticks: Sequence[int], starts: Sequence[int],
-                  threshold: float, interned: dict[tuple, int],
+                  threshold: float, signal_id: Callable[[tuple], int],
                   ) -> tuple[list[list[int]], int]:
     """One socket's observations for every trial of a group: per trial,
-    per tick index ``k < last``, the id in ``interned`` (fold -> id,
-    shared by the group) of the fold of the window
-    ``[starts[k], ticks[k])``; and how many windows were integrated.
+    per tick index ``k < last``, the id ``signal_id`` gives the fold of
+    the window ``[starts[k], ticks[k])``; and how many windows were
+    integrated.
 
     ``trials`` holds, per trial, its touched cores' timelines in core
     (fold) order and its tick count ``last``.
@@ -458,13 +463,12 @@ def _observations(trials: list[tuple[list[ProfileTimeline], int]],
         codes[row, np.arange(len(row)) - np.searchsorted(row, row)] = (
             met[heard] + 1)
     rows, representatives = distinct_rows(codes)
-    fold_ids = []
+    ids = []
     for row in codes[representatives].tolist():
         samples = [(stats[code - 1], False) for code in row if code]
-        fold = (accumulate_observation(samples, threshold) if samples
-                else _IDLE_FOLD)
-        fold_ids.append(interned.setdefault(fold, len(interned)))
-    per_row = np.array(fold_ids, dtype=np.int64)[rows].tolist()
+        ids.append(signal_id(accumulate_observation(samples, threshold)
+                             if samples else _IDLE_FOLD))
+    per_row = np.array(ids, dtype=np.int64)[rows].tolist()
     return ([per_row[begin:end] for begin, end in zip(bounds, bounds[1:])],
             len(stats))
 
@@ -489,19 +493,30 @@ def _run_lattice(plans: list[_TrialPlan],
     # or ``observation`` before its own tick if that is later — the
     # PMU's own ``max(last_eval, t1 - observation_ns)``.  The histories
     # are written ahead, so every observation is known before the first
-    # control step: per socket, per trial, tick index -> fold id.
+    # control step: per socket, per trial, tick index -> signal id.
+    # The law reads a fold only through its signal, so folds with equal
+    # signals share a signal id, and the steps they take.
     ticks = [
         list(range(period + s * _PMU_STAGGER_NS, horizon + 1, period))
         for s in range(num_sockets)
     ]
-    interned: dict[tuple, int] = {}  # fold -> id
+    signal_ids: dict[LawSignal, int] = {}  # signal -> id
+    folds: dict[tuple, int] = {}  # fold -> its signal's id
+
+    def signal_id(fold: tuple) -> int:
+        found = folds.get(fold)
+        if found is None:
+            found = folds[fold] = signal_ids.setdefault(
+                law_signal(fold, ufs=ufs, demand=demand), len(signal_ids))
+        return found
+
     integrated = 0
     observed = []
     for socket_id, times in enumerate(ticks):
         lasts = [bisect_right(times, plan.duration_ns) for plan in plans]
         if not any(plan.cores[socket_id] for plan in plans):
             # No trial touches the socket: every window folds idle.
-            idle = interned.setdefault(_IDLE_FOLD, len(interned))
+            idle = signal_id(_IDLE_FOLD)
             observed.append([[idle] * last for last in lasts])
             continue
         ends = np.array(times, dtype=np.int64)
@@ -512,43 +527,40 @@ def _run_lattice(plans: list[_TrialPlan],
             [([timeline
                for _, timeline in sorted(plan.cores[socket_id].items())],
               last) for plan, last in zip(plans, lasts)],
-            ends, starts, ufs.stall_ratio_threshold, interned,
+            ends, starts, ufs.stall_ratio_threshold, signal_id,
         )
         observed.append(per_plan)
         integrated += walked
-    # The law reads a fold only through its signal, so folds with equal
-    # signals share a signal id, and the steps they take.
-    signal_ids: dict[tuple, int] = {}  # signal -> id
-    signal_of = [
-        signal_ids.setdefault(law_signal(fold, ufs=ufs, demand=demand),
-                              len(signal_ids))
-        for fold in interned
-    ]
     signals = list(signal_ids)  # id -> signal
-    observed = [[list(map(signal_of.__getitem__, ids)) for ids in per_plan]
-                for per_plan in observed]
     registry = active_registry()
     if registry is not None:
         registry.inc("fastpath.batch.windows_integrated", integrated)
 
-    # The event stream every trial walks, as ``(time_ns, socket, tick)``.
-    # Repicks share their instants with socket-0 ticks; the defense task
-    # was (re)scheduled earlier than the PMU's reschedule, so it fires
-    # first, which its socket ``-1`` makes the sort encode.  Each trial
-    # walks the prefix up to its horizon.
-    events: list[tuple[int, int, int]] = [
-        (time_ns, socket_id, tick)
-        for socket_id, times in enumerate(ticks)
-        for tick, time_ns in enumerate(times)
-    ]
-    if any(plan.repick_rng is not None for plan in plans):
-        events += [(time_ns, -1, -1) for time_ns in range(
-            _REPICK_PERIOD_NS, horizon + 1, _REPICK_PERIOD_NS)]
-    events.sort()
-    event_times = [event[0] for event in events]
-    others = [[other for other in range(num_sockets) if other != socket_id]
-              for socket_id in range(num_sockets)]
     pair = coupled and num_sockets == 2
+    # Two coupled sockets tick alternately, socket 0 first (the stagger
+    # is under one period): a trial without repicks walks tick pairs.
+    alternating = pair and _PMU_STAGGER_NS < period
+    repicks = any(plan.repick_rng is not None for plan in plans)
+    if repicks or not alternating:
+        # The event stream the other trials walk, as ``(time_ns,
+        # socket, tick)``.  Repicks share their instants with socket-0
+        # ticks; the defense task was (re)scheduled earlier than the
+        # PMU's reschedule, so it fires first, which its socket ``-1``
+        # makes the sort encode.  Each trial walks the prefix up to its
+        # horizon.
+        events: list[tuple[int, int, int]] = [
+            (time_ns, socket_id, tick)
+            for socket_id, times in enumerate(ticks)
+            for tick, time_ns in enumerate(times)
+        ]
+        if repicks:
+            events += [(time_ns, -1, -1) for time_ns in range(
+                _REPICK_PERIOD_NS, horizon + 1, _REPICK_PERIOD_NS)]
+        events.sort()
+        event_times = [event[0] for event in events]
+        others = [[other for other in range(num_sockets)
+                   if other != socket_id]
+                  for socket_id in range(num_sockets)]
 
     # A socket state ``(freq, dither phase, slow countdown, min limit,
     # max limit)`` is interned as an int, shared by the group.  The
@@ -560,13 +572,34 @@ def _run_lattice(plans: list[_TrialPlan],
     lag = rep.coupling_lag_mhz
     state_ids: dict[tuple[int, int, int, int, int], int] = {}
     states: list[tuple[int, int, int, int, int]] = []  # id -> state
+    freq_of: list[int] = []  # id -> the state's frequency
     memo: dict[tuple[int, int, int | None], int] = {}
 
     def intern(state: tuple[int, int, int, int, int]) -> int:
         state_id = state_ids.setdefault(state, len(states))
         if state_id == len(states):
             states.append(state)
+            freq_of.append(state[0])
         return state_id
+
+    def take(current: int, signal: int, remote: int | None) -> int:
+        """A memo miss: step ``current`` and intern where it lands."""
+        mhz, dither, countdown, min_limit, max_limit = states[current]
+        result = ufs_control_step(
+            freq_mhz=mhz,
+            dither_phase=dither,
+            slow_countdown=countdown,
+            min_limit_mhz=min_limit,
+            max_limit_mhz=max_limit,
+            signal=signals[signal],
+            remote_mhz=remote,
+            ufs=ufs,
+            coupling_lag_mhz=lag,
+        )
+        step = memo[current, signal, remote] = intern((
+            result.freq_mhz, result.dither_phase, result.slow_countdown,
+            min_limit, max_limit))
+        return step
 
     histories = []
     for index, plan in enumerate(plans):
@@ -578,6 +611,31 @@ def _run_lattice(plans: list[_TrialPlan],
                  for mhz, limits in zip(freq, plan.init_limits)]
         history = [list(points) for points in plan.init_history]
         repick_rng = plan.repick_rng
+        if alternating and repick_rng is None:
+            (s0, s1), (f0, f1), (h0, h1) = state, freq, history
+            (sig0, sig1), (times0, times1) = signal_at, ticks
+            last1 = bisect_right(times1, plan.duration_ns)
+            for k in range(bisect_right(times0, plan.duration_ns)):
+                step = memo.get((s0, sig0[k], f1))
+                if step is None:
+                    step = take(s0, sig0[k], f1)
+                if step != s0:
+                    s0 = step
+                    if freq_of[step] != f0:  # the history ends there
+                        f0 = freq_of[step]
+                        h0.append((times0[k], f0))
+                if k == last1:
+                    break
+                step = memo.get((s1, sig1[k], f0))
+                if step is None:
+                    step = take(s1, sig1[k], f0)
+                if step != s1:
+                    s1 = step
+                    if freq_of[step] != f1:
+                        f1 = freq_of[step]
+                        h1.append((times1[k], f1))
+            histories.append(history)
+            continue
         for time_ns, socket_id, tick in events[:bisect_right(
                 event_times, plan.duration_ns)]:
             if socket_id < 0:  # randomized-defense repick, all sockets
@@ -600,28 +658,13 @@ def _run_lattice(plans: list[_TrialPlan],
                 remote = max([freq[other] for other in others[socket_id]])
             else:
                 remote = None
-            key = (current, signal_at[socket_id][tick], remote)
-            step = memo.get(key)
+            signal = signal_at[socket_id][tick]
+            step = memo.get((current, signal, remote))
             if step is None:
-                mhz, dither, countdown, min_limit, max_limit = (
-                    states[current])
-                result = ufs_control_step(
-                    freq_mhz=mhz,
-                    dither_phase=dither,
-                    slow_countdown=countdown,
-                    min_limit_mhz=min_limit,
-                    max_limit_mhz=max_limit,
-                    signal=signals[key[1]],
-                    remote_mhz=remote,
-                    ufs=ufs,
-                    coupling_lag_mhz=lag,
-                )
-                step = memo[key] = intern((
-                    result.freq_mhz, result.dither_phase,
-                    result.slow_countdown, min_limit, max_limit))
+                step = take(current, signal, remote)
             if step != current:
                 state[socket_id] = step
-                mhz = states[step][0]
+                mhz = freq_of[step]
                 if mhz != freq[socket_id]:  # the history ends there
                     freq[socket_id] = mhz
                     history[socket_id].append((time_ns, mhz))

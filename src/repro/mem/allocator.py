@@ -148,7 +148,11 @@ class AddressSpace:
         self.memory = memory
         self.numa_node = numa_node
         self.numa_strict = numa_strict
-        self._page_table: dict[int, int] = {}  # virtual page -> frame
+        # The page table: virtual pages are handed out contiguously
+        # from ``_VIRTUAL_BASE``, so it is a dense list of frames indexed
+        # by virtual page minus ``_first_page``.
+        self._first_page = self._VIRTUAL_BASE // memory.page_bytes
+        self._frames: list[int] = []
         self._next_virtual = self._VIRTUAL_BASE
         self._allocations: list[Allocation] = []
 
@@ -176,8 +180,7 @@ class AddressSpace:
         pages = -(-size_bytes // page)
         frames = self.memory.allocate_frames(pages, node)
         base = self._next_virtual
-        first = base // page
-        self._page_table.update(zip(range(first, first + pages), frames))
+        self._frames.extend(frames)
         self._next_virtual = base + pages * page
         allocation = Allocation(base, pages * page, node)
         self._allocations.append(allocation)
@@ -191,8 +194,7 @@ class AddressSpace:
         if segment.page_bytes != page:
             raise MemoryError_("shared segment page size mismatch")
         base = self._next_virtual
-        for i, frame in enumerate(segment.frames):
-            self._page_table[(base // page) + i] = frame
+        self._frames.extend(segment.frames)
         self._next_virtual = base + len(segment.frames) * page
         segment.mappings[self.name] = base
         allocation = Allocation(base, segment.size_bytes, owner_node)
@@ -212,20 +214,20 @@ class AddressSpace:
     def frames_of(self, allocation: Allocation) -> list[int]:
         """The frames backing ``allocation``'s base pages, in order."""
         page = self.page_bytes
-        first = allocation.virtual_base // page
-        return list(map(self._page_table.__getitem__,
-                        range(first, first + allocation.size_bytes // page)))
+        first = allocation.virtual_base // page - self._first_page
+        return self._frames[first:first + allocation.size_bytes // page]
 
     def translate(self, virtual: int) -> int:
         """Virtual-to-physical translation; raises on an unmapped page."""
         page = self.page_bytes
-        frame = self._page_table.get(virtual // page)
-        if frame is None:
+        index = virtual // page - self._first_page
+        if not 0 <= index < len(self._frames):
             raise MemoryError_(
                 f"{self.name}: page fault at virtual 0x{virtual:x}"
             )
-        return frame * page + (virtual % page)
+        return self._frames[index] * page + (virtual % page)
 
     def is_mapped(self, virtual: int) -> bool:
         """Whether the page containing ``virtual`` is mapped."""
-        return (virtual // self.page_bytes) in self._page_table
+        index = virtual // self.page_bytes - self._first_page
+        return 0 <= index < len(self._frames)

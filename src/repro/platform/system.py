@@ -117,14 +117,18 @@ class System:
         self._telemetry_collected = False
 
     def _remote_frequency_fn(self, socket_id: int):
-        def remote_frequency() -> int:
-            return max(
-                socket.pmu.current_mhz
-                for socket in self.sockets
-                if socket.socket_id != socket_id
-            )
-
-        return remote_frequency
+        """The fastest other socket's uncore frequency, read on every
+        PMU tick.  Socket ids are list indices
+        (:meth:`PlatformConfig.validate`); the sockets are built after
+        this closure."""
+        sockets = self.sockets
+        if self.config.num_sockets == 2:
+            other = 1 - socket_id
+            return lambda: sockets[other].pmu.timeline.current_mhz
+        others = [index for index in range(self.config.num_sockets)
+                  if index != socket_id]
+        return lambda: max(sockets[index].pmu.timeline.current_mhz
+                           for index in others)
 
     # -- time ------------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from ..config import DemandModelConfig, UfsConfig
@@ -61,12 +62,13 @@ def accumulate_observation(
 
     ``samples`` yields ``(stats, above_base)`` pairs — one
     :class:`~repro.cpu.activity.WindowStats` plus the core's turbo flag
-    per non-silent core, in core order.  The fold is the single
+    per core that is not silent, in core order.  The fold is the single
     definition of what the PMU "sees" each period; both the event-driven
     PMU and the batch backend call it, so their observations agree bit
     for bit (floating point accumulation is order-sensitive).  A silent
     core (:meth:`~repro.cpu.activity.ProfileTimeline.silent_since`) would
-    only add exact zeros, so callers may leave it out.
+    only add exact zeros, so callers may leave it out: the PMU folds only
+    its awake cores, the batch backend skips silent windows.
     """
     active = 0
     stalled = 0
@@ -185,6 +187,11 @@ class UfsStepResult(NamedTuple):
     veto: bool
 
 
+#: Builds a :class:`UfsStepResult` from one tuple of its fields, without
+#: the generated ``__new__`` frame, which costs about half a law step.
+_step_result = partial(tuple.__new__, UfsStepResult)
+
+
 def ufs_control_step(
     *,
     freq_mhz: int, dither_phase: int, slow_countdown: int,
@@ -213,10 +220,10 @@ def ufs_control_step(
         # (UFS disabled) holds it where it is.
         turbo_pin = turbo and enabled
         pinned = max_limit_mhz if turbo_pin else freq
-        return UfsStepResult(
+        return _step_result((
             pinned, dither_phase, 0 if turbo_pin else slow_countdown,
             pinned, False, turbo_pin, turbo_pin, False,
-        )
+        ))
 
     # -- target selection (stall rule, demand bands, coupling) ----------
     # Clamps, minima and maxima are spelled out inline and the result
@@ -284,8 +291,8 @@ def ufs_control_step(
             if freq < effective:
                 freq = effective
 
-    return UfsStepResult(freq, phase, countdown, effective, stall_rule,
-                         heavy, False, veto)
+    return _step_result((freq, phase, countdown, effective, stall_rule,
+                         heavy, False, veto))
 
 
 class UfsPmu:
@@ -308,6 +315,16 @@ class UfsPmu:
         self.socket_id = socket_id
         self.engine = engine
         self.cores = cores
+        # Every core starts awake; ``_observe`` puts a silent one to
+        # sleep and ``Core.set_profile`` wakes it (see :meth:`wake`).
+        for core in cores:
+            core.awake = True
+            core.pmu = self
+        self._awake: list[Core] | None = list(cores)
+        # The law is pure, so each PMU memoises its answers: fold ->
+        # signal, and step inputs -> step result.
+        self._signals: dict[tuple, LawSignal] = {}
+        self._steps: dict[tuple, UfsStepResult] = {}
         self.config = ufs_config
         self.demand_config = demand_config
         self.remote_frequency = remote_frequency
@@ -377,26 +394,45 @@ class UfsPmu:
     def _clamp(self, freq_mhz: int) -> int:
         return max(self.min_limit_mhz, min(self.max_limit_mhz, freq_mhz))
 
+    def wake(self, core: Core) -> None:
+        """Fold ``core`` again from the next tick on.
+
+        :meth:`Core.set_profile` calls this when it changes a core this
+        PMU had put to sleep.  The awake list is rebuilt in core order
+        at the next tick: the fold's floating point sums are
+        order-sensitive.
+        """
+        self._awake = None
+
     def _observe(self, t0: int,
                  t1: int) -> tuple[int, int, float, float, float, bool]:
-        """Integrate the core timelines over the observation window.
+        """Integrate the awake cores' timelines over the observation
+        window.
 
         Only the trailing ``observation_ns`` of the evaluation period is
-        integrated — the PMU reacts to recent behaviour.  Cores silent
-        since the window start are skipped; they would fold in exact
-        zeros.  Also returns
-        the maximum per-core window stall ratio, used by the
-        decrease-hysteresis veto.
+        integrated — the PMU reacts to recent behaviour.  An awake core
+        silent since the window start is put to sleep instead: it would
+        fold in exact zeros, and it stays silent from every later window
+        start until its profile changes, which wakes it.  So the fold
+        equals one over every core, in core order.
         """
         t0 = max(t0, t1 - self.config.observation_ns)
-        return accumulate_observation(
-            (
-                (core.timeline.window_stats(t0, t1), core.above_base)
-                for core in self.cores
-                if not core.timeline.silent_since(t0)
-            ),
-            self.config.stall_ratio_threshold,
-        )
+        awake = self._awake
+        if awake is None:
+            awake = [core for core in self.cores if core.awake]
+        samples = []
+        for core in awake:
+            timeline = core.timeline
+            if timeline.silent_since(t0):
+                core.awake = False
+            else:
+                samples.append((timeline.window_stats(t0, t1),
+                                core.above_base))
+        if len(samples) != len(awake):
+            awake = [core for core in awake if core.awake]
+        self._awake = awake
+        return accumulate_observation(samples,
+                                      self.config.stall_ratio_threshold)
 
     def _evaluate(self) -> None:
         """One PMU evaluation: observe, choose a target, step.
@@ -404,7 +440,9 @@ class UfsPmu:
         The decision itself is delegated to :func:`law_signal` and
         :func:`ufs_control_step`, the same law the batch backend steps
         its trials through — which is what makes the two backends
-        bit-identical by construction.
+        bit-identical by construction.  Both are pure, so their answers
+        are memoised per PMU; the counters, the frequency timeline and
+        the snapshots still move on every tick.
         """
         now = self.engine.now
         t0, t1 = self._last_eval_ns, now
@@ -413,21 +451,28 @@ class UfsPmu:
             return
 
         fold = self._observe(t0, t1)
-        active, stalled, llc_rate, noc_score = fold[:4]
+        signal = self._signals.get(fold)
+        if signal is None:
+            signal = self._signals[fold] = law_signal(
+                fold, ufs=self.config, demand=self.demand_config)
         remote = (None if self.remote_frequency is None
                   else self.remote_frequency())
-        result = ufs_control_step(
-            freq_mhz=self.current_mhz,
-            dither_phase=self._dither_phase,
-            slow_countdown=self._slow_step_countdown,
-            min_limit_mhz=self.min_limit_mhz,
-            max_limit_mhz=self.max_limit_mhz,
-            signal=law_signal(fold, ufs=self.config,
-                              demand=self.demand_config),
-            remote_mhz=remote,
-            ufs=self.config,
-            coupling_lag_mhz=self.coupling_lag_mhz,
-        )
+        freq = self.timeline.current_mhz
+        key = (freq, self._dither_phase, self._slow_step_countdown,
+               self.min_limit_mhz, self.max_limit_mhz, signal, remote)
+        result = self._steps.get(key)
+        if result is None:
+            result = self._steps[key] = ufs_control_step(
+                freq_mhz=freq,
+                dither_phase=self._dither_phase,
+                slow_countdown=self._slow_step_countdown,
+                min_limit_mhz=self.min_limit_mhz,
+                max_limit_mhz=self.max_limit_mhz,
+                signal=signal,
+                remote_mhz=remote,
+                ufs=self.config,
+                coupling_lag_mhz=self.coupling_lag_mhz,
+            )
         self._dither_phase = result.dither_phase
         self._slow_step_countdown = result.slow_countdown
         if result.turbo_pin:
@@ -435,6 +480,7 @@ class UfsPmu:
         if result.veto:
             self.decrease_vetoes += 1
         self.timeline.set_frequency(now, result.freq_mhz)
+        active, stalled, llc_rate, noc_score = fold[:4]
         self._record(now, active, stalled, llc_rate, noc_score,
                      result.stall_rule, result.target_mhz, result.heavy)
 

@@ -20,15 +20,23 @@ def bin_trace(freqs_mhz: np.ndarray, num_bins: int) -> np.ndarray:
     if num_bins < 1:
         raise ConfigError(f"need at least one bin, got {num_bins}")
     freqs = np.asarray(freqs_mhz, dtype=np.float64)
-    if freqs.size == 0:
+    size = freqs.size
+    if size == 0:
         return np.zeros(num_bins)
-    edges = np.linspace(0, freqs.size, num_bins + 1).astype(int)
-    pooled = np.empty(num_bins)
-    for i in range(num_bins):
-        lo, hi = edges[i], max(edges[i + 1], edges[i] + 1)
-        pooled[i] = freqs[lo:min(hi, freqs.size)].mean() if lo < (
-            freqs.size
-        ) else freqs[-1]
+    edges = np.linspace(0, size, num_bins + 1).astype(int)
+    lo = edges[:-1]
+    lengths = np.minimum(np.maximum(edges[1:], lo + 1), size) - lo
+    # A bin that starts past the end repeats the last sample.
+    pooled = np.full(num_bins, freqs[-1])
+    inside = lo < size
+    # Bins of one length are gathered as rows.  NumPy sums each
+    # contiguous row pairwise, as ``mean`` sums a slice, so this is the
+    # per-bin mean bit for bit (``np.add.reduceat`` sums sequentially
+    # and is not).
+    for length in set(lengths[inside].tolist()):
+        index = np.flatnonzero(inside & (lengths == length))
+        rows = freqs[lo[index, None] + np.arange(length)]
+        pooled[index] = rows.sum(axis=1) / length
     return pooled
 
 

@@ -525,6 +525,36 @@ class TestWindowClasses:
         numbers, firsts = distinct_rows(np.zeros((3, 2), dtype=np.int64))
         assert numbers.tolist() == [0, 0, 0] and firsts.tolist() == [0]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_distinct_rows_match_a_dict_of_tuples(self, seed):
+        from repro.cpu.activity import distinct_rows
+
+        rng = np.random.default_rng(seed)
+        low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        # Narrow, wide and constant columns, so rows pack into one
+        # word or several.
+        columns = []
+        for _ in range(int(rng.integers(1, 12))):
+            kind = rng.integers(4)
+            if kind == 0:
+                column = np.full(40, int(rng.integers(-5, 5)))
+            elif kind == 1:
+                column = rng.integers(0, 3, 40)
+            elif kind == 2:
+                column = rng.integers(-1000, 1000, 40)
+            else:
+                column = rng.choice([low, high, 0], 40)
+            columns.append(column)
+        rows = np.stack(columns, axis=1).astype(np.int64)
+        rows = rows[rng.integers(0, len(rows), 60)]  # repeat some rows
+        seen = {}
+        expected = [seen.setdefault(tuple(row), len(seen))
+                    for row in rows.tolist()]
+        numbers, firsts = distinct_rows(rows)
+        assert numbers.tolist() == expected
+        assert firsts.tolist() == [expected.index(number)
+                                   for number in range(len(seen))]
+
 
 def _state(timeline):
     return timeline._times, timeline._profiles

@@ -704,7 +704,11 @@ class TestLatticeObservations:
                       for previous, tick in zip([0] + ticks, ticks)]
             trials = [(entries, rng.randint(0, len(ticks)))
                       for entries in built]
-            interned = {}
+            interned = {}  # fold -> id, as the lattice's signal ids
+
+            def intern(fold):
+                return interned.setdefault(fold, len(interned))
+
             integrated.clear()
             folded.clear()
             with monkeypatch.context() as patch:
@@ -712,7 +716,7 @@ class TestLatticeObservations:
                 patch.setattr(ProfileTimeline, "window_stats", None)
                 patch.setattr(batch, "accumulate_observation", counted_fold)
                 fold_ids, walked = _observations(trials, ticks, starts, 0.3,
-                                                 interned)
+                                                 intern)
             table = list(interned)
             assert len(fold_ids) == len(trials)
             keys = {}  # loud window key -> the trials it occurs in
@@ -749,7 +753,7 @@ class TestLatticeObservations:
                 len(owners) > 1 for owners in rows.values())
             # The table is the group's: a second pass over the same
             # histories interns no new fold.
-            again, _ = _observations(trials, ticks, starts, 0.3, interned)
+            again, _ = _observations(trials, ticks, starts, 0.3, intern)
             assert again == fold_ids and len(interned) == len(table)
         assert all(seen.values()), seen
 

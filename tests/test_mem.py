@@ -244,3 +244,95 @@ class TestSharedSegments:
         segment = owner.create_shared(4096)
         with pytest.raises(MemoryError_):
             remote.map_shared(segment, owner_node=0)
+
+
+class DictPageTableSpace(AddressSpace):
+    """Reference address space: the page table as a dict from virtual
+    page to frame, which the dense list in :class:`AddressSpace` must
+    reproduce."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._table = {}
+
+    def _map(self, base, frames):
+        first = base // self.page_bytes
+        self._table.update(zip(range(first, first + len(frames)), frames))
+
+    def allocate(self, size_bytes, numa_node=None):
+        allocation = super().allocate(size_bytes, numa_node)
+        self._map(allocation.virtual_base, super().frames_of(allocation))
+        return allocation
+
+    def map_shared(self, segment, owner_node=0):
+        allocation = super().map_shared(segment, owner_node)
+        self._map(allocation.virtual_base, segment.frames)
+        return allocation
+
+    def frames_of(self, allocation):
+        first = allocation.virtual_base // self.page_bytes
+        count = allocation.size_bytes // self.page_bytes
+        return [self._table[page] for page in range(first, first + count)]
+
+    def translate(self, virtual):
+        frame = self._table.get(virtual // self.page_bytes)
+        if frame is None:
+            raise MemoryError_(f"page fault at 0x{virtual:x}")
+        return frame * self.page_bytes + virtual % self.page_bytes
+
+    def is_mapped(self, virtual):
+        return virtual // self.page_bytes in self._table
+
+
+class TestDensePageTable:
+    """The dense page table agrees with a dict page table."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("page", [4096, 65536])
+    def test_agrees_with_a_dict_page_table(self, seed, page):
+        rng = random.Random(seed)
+        # Twin memories see the same calls, so they deal the same frames.
+        memory, twin = (PhysicalMemory(1 << 26, page) for _ in range(2))
+        space = AddressSpace("proc", memory)
+        reference = DictPageTableSpace("ref", twin)
+        owners = (AddressSpace("owner", memory), AddressSpace("owner", twin))
+        allocations = []
+        for _ in range(rng.randint(1, 12)):
+            size = rng.randint(1, 6 * page)
+            if rng.random() < 0.3:
+                segments = [owner.create_shared(size) for owner in owners]
+                pair = (space.map_shared(segments[0]),
+                        reference.map_shared(segments[1]))
+            else:
+                pair = (space.allocate(size), reference.allocate(size))
+            assert pair[0] == pair[1]
+            allocations.append(pair[0])
+        for allocation in allocations:
+            assert space.frames_of(allocation) == reference.frames_of(
+                allocation)
+        base = AddressSpace._VIRTUAL_BASE
+        end = allocations[-1].virtual_end
+        probes = [0, 0x1000, base - 1, base - page, base, end - 1, end,
+                  end + page, end + 64 * page]
+        probes += [rng.randrange(base - 4 * page, end + 4 * page)
+                   for _ in range(200)]
+        for virtual in probes:
+            assert space.is_mapped(virtual) == reference.is_mapped(virtual)
+            if reference.is_mapped(virtual):
+                assert space.translate(virtual) == reference.translate(
+                    virtual)
+            else:
+                with pytest.raises(MemoryError_):
+                    space.translate(virtual)
+
+    def test_unmapped_pages_fault_on_both_sides(self):
+        space = AddressSpace("proc", PhysicalMemory(1 << 24, 4096))
+        assert not space.is_mapped(AddressSpace._VIRTUAL_BASE)
+        with pytest.raises(MemoryError_):
+            space.translate(AddressSpace._VIRTUAL_BASE)
+        allocation = space.allocate(3 * 4096)
+        for virtual in (allocation.virtual_base - 1, allocation.virtual_end,
+                        0):
+            assert not space.is_mapped(virtual)
+            with pytest.raises(MemoryError_):
+                space.translate(virtual)

@@ -82,7 +82,34 @@ class TestTracer:
         assert active_duration_ms(trace) == 0.0
 
 
+def _bin_trace_oracle(freqs_mhz, num_bins):
+    """The per-bin loop ``bin_trace`` replaced: each bin's slice mean."""
+    freqs = np.asarray(freqs_mhz, dtype=np.float64)
+    if freqs.size == 0:
+        return np.zeros(num_bins)
+    edges = np.linspace(0, freqs.size, num_bins + 1).astype(int)
+    pooled = np.empty(num_bins)
+    for i in range(num_bins):
+        lo, hi = edges[i], max(edges[i + 1], edges[i] + 1)
+        pooled[i] = freqs[lo:min(hi, freqs.size)].mean() if lo < (
+            freqs.size
+        ) else freqs[-1]
+    return pooled
+
+
+_BIN_TRACE_SIZES = (*range(300), 1667, 1700, 5000, 20000)
+
+
 class TestFeatures:
+    @pytest.mark.parametrize("num_bins", [1, 7, 96, 128])
+    def test_bin_trace_matches_the_per_bin_loop_bit_for_bit(self, num_bins):
+        rng = np.random.default_rng(num_bins)
+        for size in _BIN_TRACE_SIZES:
+            freqs = rng.uniform(1400.0, 2400.0, size)
+            pooled = bin_trace(freqs, num_bins)
+            expected = _bin_trace_oracle(freqs, num_bins)
+            assert pooled.tobytes() == expected.tobytes(), size
+
     def test_bin_trace_pools_to_requested_length(self):
         pooled = bin_trace(np.arange(1000, dtype=float), 10)
         assert pooled.shape == (10,)
