@@ -1,17 +1,15 @@
 """Table 3 — the full uncore-covert-channel comparison matrix.
 
-Fourteen channels x eight scenarios (baseline, three withheld
-prerequisites, three defenses, background stress).  Every cell is
-measured by actually deploying the channel on the configured platform;
-the check/cross matrix must match the paper's Table 3 exactly, plus
-the repo's expected rows for the three modulation-layer channels.
+The paper's eleven channels x eight scenarios (baseline, three
+withheld prerequisites, three defenses, background stress).  Every cell
+is measured by actually deploying the channel on the configured
+platform; the check/cross matrix must match the paper's Table 3
+exactly.
 """
 
 from repro.analysis import format_table
 from repro.channels import ALL_CHANNELS, SCENARIOS, evaluate_channel
-from repro.channels.comparison import EXTENDED_TABLE3, PAPER_TABLE3
-
-EXPECTED_TABLE = {**PAPER_TABLE3, **EXTENDED_TABLE3}
+from repro.channels.comparison import PAPER_TABLE3
 
 from _harness import report, run_once
 
@@ -44,7 +42,7 @@ def test_table3_full_matrix(benchmark):
         for scenario in SCENARIOS:
             cell = matrix[name][scenario.key]
             mark = "yes" if cell.functional else "no"
-            expected = EXPECTED_TABLE[name].get(scenario.key)
+            expected = PAPER_TABLE3[name].get(scenario.key)
             if expected is not None and expected != cell.functional:
                 mark += "!"
                 mismatches.append((name, scenario.key))

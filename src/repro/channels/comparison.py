@@ -25,8 +25,6 @@ from ..errors import ChannelError, MemoryError_, PrerequisiteError
 from ..units import ms
 from ..workloads.stressor import launch_stressor_threads
 from .base import FUNCTIONAL_BER_THRESHOLD, BaselineChannel
-from .current_throttle import CurrentThrottleChannel
-from .duty_cycle import DutyCycleChannel
 from .flush_flush import FlushFlushChannel
 from .flush_reload import FlushReloadChannel
 from .icc_cores import IccCoresChannel
@@ -38,7 +36,6 @@ from .ring_contention import RingContentionChannel
 from ..platform.system import System
 from .scenarios import SCENARIOS, Scenario
 from .spp import SppChannel
-from .turbo_boost import TurboBoostChannel
 from .uncore_idle import UncoreIdleChannel
 
 
@@ -82,9 +79,7 @@ class UFVariationAdapter:
         self._channel.shutdown()
 
 
-#: The Table 3 rows, top to bottom: the paper's eleven, then the three
-#: PAPERS.md sibling frequency/power channels built on the modulation
-#: layer (TurboCC, IChannels, clock modulation).
+#: The paper's Table 3 rows, top to bottom.
 ALL_CHANNELS: tuple[type, ...] = (
     FlushReloadChannel,
     FlushFlushChannel,
@@ -97,16 +92,7 @@ ALL_CHANNELS: tuple[type, ...] = (
     IccCoresChannel,
     UncoreIdleChannel,
     UFVariationAdapter,
-    TurboBoostChannel,
-    CurrentThrottleChannel,
-    DutyCycleChannel,
 )
-
-#: Row label -> implementing class, for name-keyed callers (trace
-#: capture, the defense evaluation).
-CHANNELS_BY_NAME: dict[str, type] = {
-    channel_cls.name: channel_cls for channel_cls in ALL_CHANNELS
-}
 
 
 @dataclass(frozen=True)
@@ -272,32 +258,5 @@ PAPER_TABLE3: dict[str, dict[str, bool]] = {
         "no_shared_mem": True, "no_clflush": True, "no_tsx": True,
         "random_llc": True, "fine_partition": True,
         "coarse_partition": True, "stress4": True,
-    },
-}
-
-#: Expected behaviour of the three modulation-layer channels — rows the
-#: repo *adds* to Table 3, kept separate from :data:`PAPER_TABLE3` so
-#: the paper's own ground truth stays untouched.  All three live in the
-#: per-package core clock domain: no cache/memory prerequisites, immune
-#: to LLC randomization and uncore partitioning, broken only by coarse
-#: (per-socket) partitioning.  TurboCC survives stress4 because the bin
-#: table still has a boundary above four extra active cores; IChannels
-#: and clock modulation survive because stress-ng's cache loops draw no
-#: regulator-scale current and never touch the duty MSR.
-EXTENDED_TABLE3: dict[str, dict[str, bool]] = {
-    "TurboCC": {
-        "no_shared_mem": True, "no_clflush": True, "no_tsx": True,
-        "random_llc": True, "fine_partition": True,
-        "coarse_partition": False, "stress4": True,
-    },
-    "IChannels": {
-        "no_shared_mem": True, "no_clflush": True, "no_tsx": True,
-        "random_llc": True, "fine_partition": True,
-        "coarse_partition": False, "stress4": True,
-    },
-    "ClockModCovert": {
-        "no_shared_mem": True, "no_clflush": True, "no_tsx": True,
-        "random_llc": True, "fine_partition": True,
-        "coarse_partition": False, "stress4": True,
     },
 }

@@ -278,11 +278,7 @@ def _cmd_defenses(args: argparse.Namespace) -> dict:
 
 
 def _cmd_compare(args: argparse.Namespace) -> dict:
-    from .channels.comparison import (
-        EXTENDED_TABLE3,
-        PAPER_TABLE3,
-        comparison_matrix,
-    )
+    from .channels.comparison import PAPER_TABLE3, comparison_matrix
     from .channels.scenarios import SCENARIOS
 
     cells = comparison_matrix(
@@ -302,9 +298,7 @@ def _cmd_compare(args: argparse.Namespace) -> dict:
                 row.append("-")
                 continue
             row.append(cell.mark)
-            expected = {**PAPER_TABLE3, **EXTENDED_TABLE3}.get(
-                channel, {}
-            ).get(key)
+            expected = PAPER_TABLE3[channel].get(key)
             if expected is not None:
                 total += 1
                 agree += int(cell.functional is expected)
@@ -623,14 +617,10 @@ def _cmd_validate(args: argparse.Namespace) -> dict:
         repro_dir=args.repro_dir,
         checkpoint_dir=args.resume,
     )
-    kinds = report.scenario_kinds
     if not args.json:
         print(f"{report.count - len(report.failures)}/{report.count} "
               f"scenarios clean (seed {report.seed}, "
               f"{len(report.violations)} violations)")
-        print("modulation regimes: " + ", ".join(
-            f"{kind}={count}" for kind, count in sorted(kinds.items())
-        ))
         if report.repro_path:
             print(f"repro file: {report.repro_path}")
     report.raise_on_failure()
@@ -640,7 +630,6 @@ def _cmd_validate(args: argparse.Namespace) -> dict:
             "scenarios": report.count,
             "violations": 0,
             "fault": report.fault,
-            "scenario_kinds": kinds,
         },
     }
 

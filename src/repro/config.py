@@ -303,144 +303,6 @@ class EnergyModelConfig:
 
 
 @dataclass(frozen=True)
-class TurboConfig:
-    """Per-core Turbo Boost bins by active-core count (TurboCC).
-
-    Intel publishes a table of maximum turbo frequencies indexed by how
-    many cores of the package are simultaneously active; the hardware
-    moves the shared ceiling between those bins as cores wake and
-    sleep.  That ceiling is globally observable by timing one's own
-    arithmetic, which is the covert channel of Gross et al.,
-    "TurboCC: A Practical Frequency-Based Covert Channel Using Intel
-    Turbo Boost" (https://arxiv.org/pdf/2007.07046, see PAPERS.md).
-
-    ``bins`` maps ``(max_active_cores, turbo_mhz)`` with thresholds
-    ascending and frequencies descending — the Xeon Gold 6142 defaults
-    below follow its published 3.7 GHz single-core / 3.3 GHz all-core
-    shape.  The evaluation period models the PCU's millisecond-scale
-    reaction to active-core-count changes.
-    """
-
-    period_ns: int = 1_000_000
-    bins: tuple[tuple[int, int], ...] = (
-        (2, 3700), (4, 3500), (8, 3300), (16, 3100),
-    )
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` on a malformed bin table."""
-        if self.period_ns <= 0:
-            raise ConfigError("turbo evaluation period must be positive")
-        if not self.bins:
-            raise ConfigError("turbo bin table must not be empty")
-        counts = [c for c, _ in self.bins]
-        freqs = [f for _, f in self.bins]
-        if counts != sorted(counts) or len(set(counts)) != len(counts):
-            raise ConfigError("turbo bin core counts must strictly ascend")
-        if freqs != sorted(freqs, reverse=True):
-            raise ConfigError("turbo bin frequencies must descend")
-        if min(freqs) <= 0:
-            raise ConfigError("turbo frequencies must be positive")
-
-    def bin_mhz(self, active_cores: int) -> int:
-        """The turbo ceiling for a given number of active cores."""
-        for max_active, freq_mhz in self.bins:
-            if active_cores <= max_active:
-                return freq_mhz
-        return self.bins[-1][1]
-
-    @property
-    def bin_frequencies_mhz(self) -> tuple[int, ...]:
-        """Every frequency the turbo ceiling may take."""
-        return tuple(f for _, f in self.bins)
-
-
-@dataclass(frozen=True)
-class CurrentLimitConfig:
-    """The current-excursion throttle state machine (IChannels).
-
-    All cores of a package share one voltage regulator; the power
-    management unit reacts to current excursions by entering
-    progressively harsher throttle levels and, crucially, *holds* each
-    level for a minimum dwell before moving again (hysteresis keeps
-    the regulator out of limit cycles).  Both the multi-level
-    throttling and its observability through timed loops follow
-    Haj-Yahya et al., "IChannels: Exploiting Current Management
-    Mechanisms to Create Covert Channels in Modern Processors"
-    (https://arxiv.org/pdf/2106.05050, see PAPERS.md).
-
-    Draw is measured in :class:`~repro.cpu.activity.ActivityProfile`
-    ``power_weight`` units (a power-virus thread contributes 1.0).
-    ``throttle_factors[state]`` is the instruction-throughput
-    multiplier in that state.
-    """
-
-    period_ns: int = 100_000
-    soft_threshold: float = 1.5
-    hard_threshold: float = 3.0
-    dwell_ns: int = 500_000
-    throttle_factors: tuple[float, ...] = (1.0, 0.85, 0.60)
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` on an inconsistent state machine."""
-        if self.period_ns <= 0 or self.dwell_ns <= 0:
-            raise ConfigError("current-limit periods must be positive")
-        if not 0.0 < self.soft_threshold < self.hard_threshold:
-            raise ConfigError(
-                "current thresholds must satisfy 0 < soft < hard"
-            )
-        if len(self.throttle_factors) != self.num_states:
-            raise ConfigError("need one throttle factor per state")
-        if list(self.throttle_factors) != sorted(
-            self.throttle_factors, reverse=True
-        ):
-            raise ConfigError("throttle factors must descend with state")
-        if self.throttle_factors[0] != 1.0:
-            raise ConfigError("the unthrottled state must have factor 1.0")
-        if min(self.throttle_factors) <= 0.0:
-            raise ConfigError("throttle factors must be positive")
-
-    @property
-    def num_states(self) -> int:
-        """Throttle states: 0 = none, 1 = soft, 2 = hard."""
-        return 3
-
-
-@dataclass(frozen=True)
-class ClockModulationConfig:
-    """IA32_CLOCK_MODULATION-style T-state duty cycling.
-
-    Software-controlled clock modulation gates the core clock for a
-    programmable fraction of a fixed window: the duty level is a
-    ``k / duty_steps`` grid (6.25 % granularity on real parts) and the
-    effective frequency is the base clock scaled by that fraction.
-    Modulating and timing it forms the duty-cycle covert channel
-    studied in the frequency/power side-channel literature
-    (https://arxiv.org/pdf/2404.05823, see PAPERS.md).
-    """
-
-    window_ns: int = 1_000_000
-    duty_steps: int = 16
-    min_duty_steps: int = 1
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` on an impossible duty grid."""
-        if self.window_ns <= 0:
-            raise ConfigError("duty window must be positive")
-        if self.duty_steps <= 0:
-            raise ConfigError("duty grid needs at least one step")
-        if not 1 <= self.min_duty_steps <= self.duty_steps:
-            raise ConfigError(
-                "minimum duty must lie within the duty grid"
-            )
-
-    def effective_mhz(self, base_mhz: int, duty_steps: int) -> float:
-        """Base frequency scaled by a duty level (exact in float64:
-        integer-valued numerator over a small power-of-two-friendly
-        denominator)."""
-        return base_mhz * duty_steps / self.duty_steps
-
-
-@dataclass(frozen=True)
 class RunnerConfig:
     """How experiments *execute* — distinct from what they model.
 
@@ -533,23 +395,12 @@ class PlatformConfig:
     latency: LatencyModelConfig = field(default_factory=LatencyModelConfig)
     cstates: CStateConfig = field(default_factory=CStateConfig)
     energy: EnergyModelConfig = field(default_factory=EnergyModelConfig)
-    # Core-side modulation mechanisms layered on the UFS control loop:
-    # turbo bins (TurboCC), current-excursion throttling (IChannels)
-    # and T-state duty cycling — see PAPERS.md for the three papers.
-    turbo: TurboConfig = field(default_factory=TurboConfig)
-    current: CurrentLimitConfig = field(default_factory=CurrentLimitConfig)
-    clockmod: ClockModulationConfig = field(
-        default_factory=ClockModulationConfig
-    )
     # Cross-socket UFS coupling (Section 3.4): a follower socket trails
     # the fastest other socket by one step.
     cross_socket_coupling: bool = True
     coupling_lag_mhz: int = 100
     physical_memory_bytes: int = 64 * 1024**3
     page_bytes: int = 4096
-    # Read by nothing (UF-variation needs no huge pages, Section 4.1),
-    # but part of ``config_digest`` and so of every trace-store key.
-    huge_page_bytes: int = 2 * 1024**2
     # Feature toggles exercised by the Table 3 prerequisite columns.
     shared_memory_available: bool = True
     clflush_available: bool = True
@@ -569,9 +420,6 @@ class PlatformConfig:
         self.latency.validate()
         self.cstates.validate()
         self.energy.validate()
-        self.turbo.validate()
-        self.current.validate()
-        self.clockmod.validate()
         if self.physical_memory_bytes % self.page_bytes != 0:
             raise ConfigError("physical memory must be whole pages")
 

@@ -70,10 +70,6 @@ class ChannelEndpoints:
                 "latency at freq_max must be below latency at freq_min"
             )
 
-    @property
-    def midpoint(self) -> float:
-        return (self.t_freq_max_cycles + self.t_freq_min_cycles) / 2.0
-
 
 def calibrate_endpoints(
     platform: PlatformConfig,

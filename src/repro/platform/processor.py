@@ -13,15 +13,7 @@ from collections.abc import Callable
 
 from ..cache.hierarchy import CacheHierarchy
 from ..cache.slice_hash import RandomizedIndexer, SliceHash
-from ..config import (
-    ClockModulationConfig,
-    CStateConfig,
-    CurrentLimitConfig,
-    DemandModelConfig,
-    SocketConfig,
-    TurboConfig,
-    UfsConfig,
-)
+from ..config import CStateConfig, DemandModelConfig, SocketConfig, UfsConfig
 from ..cpu.core import Core
 from ..cpu.msr import (
     MSR_UCLK_FIXED_CTR,
@@ -34,7 +26,6 @@ from ..engine import Engine
 from ..noc.contention import ContentionTracker
 from ..noc.topology import MeshTopology
 from ..power.cstates import PackageCStateManager
-from ..power.modulation import ModulationUnit
 from ..power.ufs import UfsPmu
 
 
@@ -49,9 +40,6 @@ class Socket:
         ufs_config: UfsConfig,
         demand_config: DemandModelConfig,
         cstate_config: CStateConfig,
-        turbo_config: TurboConfig | None = None,
-        current_config: CurrentLimitConfig | None = None,
-        clockmod_config: ClockModulationConfig | None = None,
         pmu_phase_ns: int = 0,
         remote_frequency: Callable[[], int] | None = None,
         coupling_lag_mhz: int = 100,
@@ -80,10 +68,6 @@ class Socket:
         )
         self.contention = ContentionTracker()
         self.pc_states = PackageCStateManager(self.cores, cstate_config)
-        self._turbo_config = turbo_config or TurboConfig()
-        self._current_config = current_config or CurrentLimitConfig()
-        self._clockmod_config = clockmod_config or ClockModulationConfig()
-        self._modulation: ModulationUnit | None = None
         self.pmu = UfsPmu(
             socket_id=config.socket_id,
             engine=engine,
@@ -125,32 +109,6 @@ class Socket:
         """Current uncore frequency (privileged observer's view)."""
         return self.pmu.current_mhz
 
-    @property
-    def modulation(self) -> ModulationUnit:
-        """The socket's turbo/current/duty modulation bundle.
-
-        Created on first access: a run that never touches the turbo,
-        current-limit or clock-modulation channels schedules no
-        modulation ticks, keeping default event streams (and the UFS
-        golden traces) unchanged.
-        """
-        if self._modulation is None:
-            self._modulation = ModulationUnit(
-                socket_id=self.socket_id,
-                engine=self.engine,
-                cores=self.cores,
-                turbo_config=self._turbo_config,
-                current_config=self._current_config,
-                clockmod_config=self._clockmod_config,
-                base_freq_mhz=self.config.base_freq_mhz,
-            )
-        return self._modulation
-
-    @property
-    def modulation_active(self) -> bool:
-        """Whether the lazy modulation bundle has been created."""
-        return self._modulation is not None
-
     def core(self, core_id: int) -> Core:
         return self.cores[core_id]
 
@@ -160,11 +118,3 @@ class Socket:
     def hops(self, core_id: int, slice_id: int) -> int:
         """Mesh distance between a core and an LLC slice."""
         return self.mesh.hops(core_id, slice_id)
-
-    def idle_cores(self, time_ns: int) -> list[int]:
-        """Core ids currently unowned and idle."""
-        return [
-            core.core_id
-            for core in self.cores
-            if core.owner is None and not core.is_active(time_ns)
-        ]

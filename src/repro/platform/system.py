@@ -99,9 +99,6 @@ class System:
                 ufs_config=self.config.ufs,
                 demand_config=self.config.demand,
                 cstate_config=self.config.cstates,
-                turbo_config=self.config.turbo,
-                current_config=self.config.current,
-                clockmod_config=self.config.clockmod,
                 pmu_phase_ns=(
                     self.config.ufs.period_ns
                     + socket_id * _PMU_STAGGER_NS
@@ -255,8 +252,6 @@ class System:
             self.terminate(workload)
         for socket in self.sockets:
             socket.pmu.stop()
-            if socket.modulation_active:
-                socket.modulation.stop()
         registry = active_registry()
         if registry is not None and not self._telemetry_collected:
             self._telemetry_collected = True

@@ -18,27 +18,11 @@ from .timeline import FrequencyTimeline
 from .ufs import SocketSnapshot, UfsPmu
 from .cstates import PackageCStateManager
 from .energy import EnergyMeter
-from .modulation import (
-    CurrentThrottleController,
-    DutyCycleModulator,
-    DutySnapshot,
-    ModulationUnit,
-    ThrottleSnapshot,
-    TurboController,
-    TurboSnapshot,
-)
 
 __all__ = [
-    "CurrentThrottleController",
-    "DutyCycleModulator",
-    "DutySnapshot",
     "EnergyMeter",
     "FrequencyTimeline",
-    "ModulationUnit",
     "PackageCStateManager",
     "SocketSnapshot",
-    "ThrottleSnapshot",
-    "TurboController",
-    "TurboSnapshot",
     "UfsPmu",
 ]

@@ -382,10 +382,10 @@ def cached_corpus(
 ) -> tuple[dict, list[TraceRecord]]:
     """A study's ``(meta, records)``, simulated only on a cache miss.
 
-    The one cache step of every trace-backed study (Fig. 11, Fig. 12,
-    the modulation-channel captures): key the corpus with
-    :meth:`TraceStore.key`, return the stored corpus on a hit, and on a
-    miss run ``simulate`` and store its records on the way out.
+    The one cache step of every trace-backed study (Fig. 11, Fig. 12):
+    key the corpus with :meth:`TraceStore.key`, return the stored
+    corpus on a hit, and on a miss run ``simulate`` and store its
+    records on the way out.
     ``store=None`` always simulates.  The blob's header carries
     ``params`` and ``meta``; the returned meta is that header on a hit
     and the same dict on a miss.  The codec round-trips every float

@@ -30,13 +30,7 @@ from .differential import (
     run_differential_suite,
 )
 from .faults import FAULTS, inject_fault
-from .oracles import (
-    ORACLES,
-    ModulationObservation,
-    Observation,
-    Violation,
-    check_all,
-)
+from .oracles import ORACLES, Observation, Violation, check_all
 from .runner import (
     ScenarioOutcome,
     ValidationReport,
@@ -51,7 +45,6 @@ from .scenarios import (
     ChannelParams,
     DefenseSpec,
     FuzzScenario,
-    ModulationSpec,
     WorkloadSpec,
     build_platform,
     generate_scenario,
@@ -68,8 +61,6 @@ __all__ = [
     "DifferentialReport",
     "FAULTS",
     "FuzzScenario",
-    "ModulationObservation",
-    "ModulationSpec",
     "ORACLES",
     "Observation",
     "ScenarioOutcome",

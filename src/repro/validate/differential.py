@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "DifferentialReport",
     "check_batch_frequency_grid",
-    "check_cold_vs_warm_channel_trace",
     "check_cold_vs_warm_store",
     "check_des_vs_analytical_capacity",
     "check_des_vs_batch_capacity",
@@ -41,7 +40,6 @@ __all__ = [
     "check_des_vs_batch_fuzz_platforms",
     "check_live_vs_replay",
     "check_serial_vs_parallel_capacity",
-    "check_serial_vs_parallel_channel_matrix",
     "check_serial_vs_parallel_defenses",
     "check_serial_vs_parallel_matrix",
     "equal_results",
@@ -163,73 +161,6 @@ def check_serial_vs_parallel_matrix(seed: int = 0, *,
     return _report(
         "serial-vs-parallel:comparison-matrix", serial, parallel,
         "2 channels x 2 scenarios",
-    )
-
-
-def check_serial_vs_parallel_channel_matrix(
-    seed: int = 0, *, bits: int = 8,
-) -> DifferentialReport:
-    """The three modulation-channel Table 3 rows, serial vs pooled.
-
-    Two scenarios bracket the interesting behaviour: ``baseline``
-    (every channel functional) and ``coarse_partition`` (every channel
-    broken — the receiver's package is unmodulated, so the decode is
-    noise-driven), proving both code paths agree on working *and*
-    broken cells.
-    """
-    from ..channels.comparison import comparison_matrix
-    from ..channels.current_throttle import CurrentThrottleChannel
-    from ..channels.duty_cycle import DutyCycleChannel
-    from ..channels.scenarios import scenario_by_key
-    from ..channels.turbo_boost import TurboBoostChannel
-
-    channels = (
-        TurboBoostChannel, CurrentThrottleChannel, DutyCycleChannel,
-    )
-    scenarios = (
-        scenario_by_key("baseline"), scenario_by_key("coarse_partition"),
-    )
-    serial = comparison_matrix(
-        channels=channels, scenarios=scenarios, bits=bits,
-        seed=seed, workers=1,
-    )
-    parallel = comparison_matrix(
-        channels=channels, scenarios=scenarios, bits=bits,
-        seed=seed, workers=2,
-    )
-    return _report(
-        "serial-vs-parallel:channel-matrix", serial, parallel,
-        "3 modulation channels x 2 scenarios",
-    )
-
-
-def check_cold_vs_warm_channel_trace(workdir, seed: int = 0, *,
-                                     bits: int = 6) -> DifferentialReport:
-    """Channel trace capture simulating vs replaying its own cache.
-
-    The first :func:`~repro.channels.capture.capture_channel_trace`
-    per channel populates a fresh :class:`TraceStore`; the second must
-    be served entirely from it and return the identical
-    ``(meta, records)`` pair for every modulation channel.
-    """
-    from ..channels.capture import (
-        OBSERVING_CHANNELS,
-        capture_channel_trace,
-    )
-    from ..trace.store import TraceStore
-
-    store = TraceStore(Path(workdir) / "channel-trace-store")
-    cold = [
-        capture_channel_trace(name, bits=bits, seed=seed, store=store)
-        for name in OBSERVING_CHANNELS
-    ]
-    warm = [
-        capture_channel_trace(name, bits=bits, seed=seed, store=store)
-        for name in OBSERVING_CHANNELS
-    ]
-    return _report(
-        "cold-vs-warm:channel-trace", cold, warm,
-        f"{len(OBSERVING_CHANNELS)} channels, {bits} bits",
     )
 
 
@@ -488,9 +419,8 @@ def run_differential_suite(workdir, seed: int = 0, *,
     reports = [
         check_serial_vs_parallel_capacity(seed),
         check_serial_vs_parallel_defenses(seed),
-        check_serial_vs_parallel_channel_matrix(seed),
+        check_serial_vs_parallel_matrix(seed),
         check_cold_vs_warm_store(workdir, seed),
-        check_cold_vs_warm_channel_trace(workdir, seed),
         check_live_vs_replay(workdir, seed),
     ]
     if backend in (None, "batch"):

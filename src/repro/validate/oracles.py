@@ -14,14 +14,7 @@ The registered oracles encode the simulator's load-bearing contracts:
 * **capacity-bound** — a measured channel point is information-
   theoretically possible (BER is a probability, capacity ≤ raw rate);
 * **telemetry-transparent** — running with a metrics registry active
-  yields the bit-identical observation digest;
-* **turbo-bins** — the turbo ceiling is always the published bin for
-  the recorded active-core count;
-* **throttle-dwell** — the current-limit ladder moves one level at a
-  time, within its state range, never faster than the dwell time;
-* **duty-grid** — duty levels stay on the ``k/16`` grid, the effective
-  clock is exactly the scaled base clock, and changes land only on
-  window boundaries.
+  yields the bit-identical observation digest.
 
 Oracles never mutate anything and never raise on a violation — they
 *describe* it, so one broken invariant cannot hide the others.
@@ -36,7 +29,6 @@ from .scenarios import FuzzScenario
 
 __all__ = [
     "ORACLES",
-    "ModulationObservation",
     "Observation",
     "Violation",
     "check_all",
@@ -46,17 +38,6 @@ __all__ = [
 #: ``repro.platform.system._PMU_STAGGER_NS``; asserting the documented
 #: constant is the point, so it is restated here, not imported).
 PMU_STAGGER_NS = 500_000
-
-#: Default modulation-layer contract (mirrors ``repro.config``'s
-#: ``TurboConfig`` / ``CurrentLimitConfig`` / ``ClockModulationConfig``
-#: and the core base frequency; restated rather than imported for the
-#: same reason as ``PMU_STAGGER_NS``).
-TURBO_BINS = ((2, 3700), (4, 3500), (8, 3300), (16, 3100))
-THROTTLE_STATES = 3
-THROTTLE_DWELL_NS = 500_000
-DUTY_WINDOW_NS = 1_000_000
-DUTY_STEPS = 16
-BASE_CORE_MHZ = 2600
 
 
 @dataclass(frozen=True)
@@ -70,29 +51,12 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class ModulationObservation:
-    """What socket 0's modulation controllers recorded during a run.
-
-    ``turbo`` entries are ``(time_ns, active_cores, turbo_mhz)``
-    evaluations, ``throttle`` entries are ``(time_ns, state)``
-    transitions (seeded with the state at attach), ``duty`` entries are
-    ``(time_ns, duty_steps, effective_mhz)`` level changes (seeded with
-    the level at attach).
-    """
-
-    turbo: tuple[tuple[int, int, int], ...] = ()
-    throttle: tuple[tuple[int, int], ...] = ()
-    duty: tuple[tuple[int, int, float], ...] = ()
-
-
-@dataclass(frozen=True)
 class Observation:
     """Everything an executed scenario exposes to the oracles.
 
     ``timelines`` and ``snapshots`` are per-socket tuples;
     ``snapshots`` entries are ``(time_ns, freq_mhz, target_mhz)``
-    triples.  ``modulation`` is populated only when the scenario drove
-    a modulation regime.  ``digest`` fingerprints the whole
+    triples.  ``digest`` fingerprints the whole
     observation; ``telemetry_digest`` is the digest of the
     telemetry-on re-run when the scenario asked for one (``None``
     otherwise).
@@ -103,7 +67,6 @@ class Observation:
     timelines: tuple[tuple[tuple[int, int], ...], ...]
     snapshots: tuple[tuple[tuple[int, int, int], ...], ...]
     capacity: object = None
-    modulation: ModulationObservation | None = None
     digest: str = ""
     telemetry_digest: str | None = None
 
@@ -226,94 +189,6 @@ def oracle_telemetry_transparent(scenario: FuzzScenario,
     return []
 
 
-def oracle_turbo_bins(scenario: FuzzScenario,
-                      obs: Observation) -> list[Violation]:
-    """The turbo ceiling is always the bin published for the count."""
-    if obs.modulation is None:
-        return []
-    problems: list[Violation] = []
-    for time_ns, active, mhz in obs.modulation.turbo:
-        for max_active, bin_mhz in TURBO_BINS:
-            if active <= max_active:
-                expected = bin_mhz
-                break
-        else:
-            expected = TURBO_BINS[-1][1]
-        if mhz != expected:
-            problems.append(_violation(
-                scenario, "turbo-bins",
-                f"turbo ceiling {mhz} MHz at {time_ns} ns with "
-                f"{active} active cores; the published bin is "
-                f"{expected} MHz",
-            ))
-    return problems
-
-
-def oracle_throttle_dwell(scenario: FuzzScenario,
-                          obs: Observation) -> list[Violation]:
-    """The current-limit ladder respects its range, step and dwell."""
-    if obs.modulation is None:
-        return []
-    problems: list[Violation] = []
-    transitions = obs.modulation.throttle
-    bad_states = sorted(
-        {s for _, s in transitions if not 0 <= s < THROTTLE_STATES}
-    )
-    if bad_states:
-        problems.append(_violation(
-            scenario, "throttle-dwell",
-            f"throttle states {bad_states} outside the "
-            f"0..{THROTTLE_STATES - 1} ladder",
-        ))
-    for (t_prev, s_prev), (t_next, s_next) in zip(
-        transitions, transitions[1:]
-    ):
-        if abs(s_next - s_prev) != 1:
-            problems.append(_violation(
-                scenario, "throttle-dwell",
-                f"throttle jumped {s_prev} -> {s_next} at {t_next} ns; "
-                f"the ladder moves one level at a time",
-            ))
-        if t_next - t_prev < THROTTLE_DWELL_NS:
-            problems.append(_violation(
-                scenario, "throttle-dwell",
-                f"throttle transitions {t_prev} ns and {t_next} ns are "
-                f"{t_next - t_prev} ns apart, inside the "
-                f"{THROTTLE_DWELL_NS} ns dwell",
-            ))
-    return problems
-
-
-def oracle_duty_grid(scenario: FuzzScenario,
-                     obs: Observation) -> list[Violation]:
-    """Duty levels stay on-grid and change only at window boundaries."""
-    if obs.modulation is None or not obs.modulation.duty:
-        return []
-    problems: list[Violation] = []
-    attach_ns = obs.modulation.duty[0][0]
-    for time_ns, duty, effective in obs.modulation.duty:
-        if not 1 <= duty <= DUTY_STEPS:
-            problems.append(_violation(
-                scenario, "duty-grid",
-                f"duty level {duty} at {time_ns} ns outside the "
-                f"1..{DUTY_STEPS} grid",
-            ))
-        elif effective != BASE_CORE_MHZ * duty / DUTY_STEPS:
-            problems.append(_violation(
-                scenario, "duty-grid",
-                f"effective clock {effective} MHz at {time_ns} ns is "
-                f"not {BASE_CORE_MHZ} * {duty}/{DUTY_STEPS}",
-            ))
-        if (time_ns - attach_ns) % DUTY_WINDOW_NS:
-            problems.append(_violation(
-                scenario, "duty-grid",
-                f"duty change at {time_ns} ns is not on a "
-                f"{DUTY_WINDOW_NS} ns window boundary (attach "
-                f"{attach_ns} ns)",
-            ))
-    return problems
-
-
 def _violation(scenario: FuzzScenario, oracle: str,
                message: str) -> Violation:
     return Violation(
@@ -332,9 +207,6 @@ ORACLES = (
     oracle_evaluation_spacing,
     oracle_capacity_bound,
     oracle_telemetry_transparent,
-    oracle_turbo_bins,
-    oracle_throttle_dwell,
-    oracle_duty_grid,
 )
 
 

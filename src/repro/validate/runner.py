@@ -30,15 +30,9 @@ from ..resilience.retry import RetryPolicy
 from ..telemetry.context import using
 from ..telemetry.registry import MetricsRegistry
 from ..units import ms
-from .oracles import (
-    ModulationObservation,
-    Observation,
-    Violation,
-    check_all,
-)
+from .oracles import Observation, Violation, check_all
 from .scenarios import (
     BUSY_DEFENSE_CORE,
-    MODULATION_CORES,
     FuzzScenario,
     build_platform,
     generate_scenarios,
@@ -57,7 +51,7 @@ __all__ = [
     "write_repro",
 ]
 
-REPRO_VERSION = 1
+REPRO_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -96,20 +90,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    @property
-    def scenario_kinds(self) -> dict[str, int]:
-        """How many scenarios drove each modulation regime.
-
-        The CI smoke asserts every kind appeared, so a generation
-        change that silently stops producing (say) duty regimes fails
-        loudly instead of hollowing out oracle coverage.
-        """
-        counts = {"none": 0, "turbo": 0, "current": 0, "duty": 0}
-        for outcome in self.outcomes:
-            spec = outcome.scenario.modulation
-            counts["none" if spec is None else spec.kind] += 1
-        return counts
 
     def raise_on_failure(self) -> None:
         """Raise :class:`~repro.errors.ValidationError` if anything
@@ -210,7 +190,7 @@ def _measure_channel(system, scenario: FuzzScenario) -> CapacityPoint:
 
 
 def _observation_digest(end_time_ns: int, run_ns: int, timelines,
-                        snapshots, capacity, modulation) -> str:
+                        snapshots, capacity) -> str:
     material = json.dumps(
         {
             "end_time_ns": end_time_ns,
@@ -224,84 +204,11 @@ def _observation_digest(end_time_ns: int, run_ns: int, timelines,
                 "capacity_bps": capacity.capacity_bps,
                 "bits": capacity.bits,
             },
-            "modulation": None if modulation is None else {
-                "turbo": modulation.turbo,
-                "throttle": modulation.throttle,
-                "duty": modulation.duty,
-            },
         },
         sort_keys=True,
         separators=(",", ":"),
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
-
-
-def _drive_modulation(system, scenario: FuzzScenario,
-                      run_ns: int) -> None:
-    """Run the scenario's modulation regime over the whole run window.
-
-    The run is cut into ``toggles + 1`` equal segments, alternating an
-    on-phase (helper cores busy, or a reduced duty level) with an
-    off-phase, starting on.  Helpers live on :data:`MODULATION_CORES`,
-    so the regime composes with any workload mix, channel and defense
-    stack the scenario also drew.
-    """
-    from ..channels.icc_cores import POWER_VIRUS_PROFILE
-    from ..channels.turbo_boost import ACTIVE_COMPUTE_PROFILE
-    from ..cpu.activity import ActivityProfile
-
-    spec = scenario.modulation
-    socket = system.socket(0)
-    unit = socket.modulation  # attach the controllers at t=0
-    cores = []
-    if spec.kind != "duty":
-        cores = [socket.core(cid) for cid in MODULATION_CORES[:spec.cores]]
-        for core in cores:
-            core.claim(f"fuzz-modulation-{core.core_id}")
-    on_profile = (
-        POWER_VIRUS_PROFILE if spec.kind == "current"
-        else ACTIVE_COMPUTE_PROFILE
-    )
-    segments = spec.toggles + 1
-    segment_ns = run_ns // segments
-    for index in range(segments):
-        on = index % 2 == 0
-        now = system.now
-        if spec.kind == "duty":
-            unit.clockmod.set_duty(
-                spec.duty_step if on
-                else unit.clockmod.config.duty_steps
-            )
-        else:
-            for core in cores:
-                core.set_profile(
-                    now, on_profile if on else ActivityProfile()
-                )
-        system.run_for(segment_ns)
-    now = system.now
-    for core in cores:
-        core.release(now)
-    remainder = run_ns - segments * segment_ns
-    if remainder:
-        system.run_for(remainder)
-
-
-def _collect_modulation(system,
-                        scenario: FuzzScenario) -> ModulationObservation | None:
-    if scenario.modulation is None:
-        return None
-    unit = system.socket(0).modulation
-    return ModulationObservation(
-        turbo=tuple(
-            (s.time_ns, s.active_cores, s.turbo_mhz)
-            for s in unit.turbo.snapshots
-        ),
-        throttle=tuple(unit.current.transitions),
-        duty=tuple(
-            (r.time_ns, r.duty_steps, r.effective_mhz)
-            for r in unit.clockmod.records
-        ),
-    )
 
 
 def _execute_once(scenario: FuzzScenario,
@@ -320,10 +227,7 @@ def _execute_once(scenario: FuzzScenario,
     for spec, workload in zip(scenario.workloads, workloads):
         system.launch(workload, spec.socket, spec.core)
     run_ns = ms(scenario.run_ms)
-    if scenario.modulation is not None:
-        _drive_modulation(system, scenario, run_ns)
-    else:
-        system.run_for(run_ns)
+    system.run_for(run_ns)
     capacity = None
     if scenario.channel is not None:
         capacity = _measure_channel(system, scenario)
@@ -340,10 +244,9 @@ def _execute_once(scenario: FuzzScenario,
         )
         for socket in system.sockets
     )
-    modulation = _collect_modulation(system, scenario)
     system.stop()
     digest = _observation_digest(
-        end_time_ns, run_ns, timelines, snapshots, capacity, modulation
+        end_time_ns, run_ns, timelines, snapshots, capacity
     )
     return Observation(
         end_time_ns=end_time_ns,
@@ -351,7 +254,6 @@ def _execute_once(scenario: FuzzScenario,
         timelines=timelines,
         snapshots=snapshots,
         capacity=capacity,
-        modulation=modulation,
         digest=digest,
     )
 
@@ -376,7 +278,6 @@ def execute_scenario(scenario: FuzzScenario,
         timelines=obs.timelines,
         snapshots=obs.snapshots,
         capacity=obs.capacity,
-        modulation=obs.modulation,
         digest=obs.digest,
         telemetry_digest=telemetry_obs.digest,
     )

@@ -31,8 +31,6 @@ __all__ = [
     "ChannelParams",
     "DefenseSpec",
     "FuzzScenario",
-    "MODULATION_CORES",
-    "ModulationSpec",
     "WorkloadSpec",
     "build_platform",
     "generate_scenario",
@@ -52,14 +50,8 @@ WORKLOAD_CORES: tuple[int, ...] = (9, 10, 11, 12, 13, 14)
 #: The core the busy-uncore defense pins its traffic thread to.
 BUSY_DEFENSE_CORE = 15
 
-#: Cores a fuzzed modulation regime may wake/claim.  Disjoint from the
-#: channel sender core (0), the receiver core (8), the workload cores
-#: (9..14) and the busy-defense core (15).
-MODULATION_CORES: tuple[int, ...] = (1, 2, 3, 4)
-
 _WORKLOAD_KINDS: tuple[str, ...] = ("traffic", "stalling", "l2chase", "nop")
 _DEFENSE_KINDS: tuple[str, ...] = ("fixed", "restrict", "randomize", "busy")
-_MODULATION_KINDS: tuple[str, ...] = ("turbo", "current", "duty")
 
 
 @dataclass(frozen=True)
@@ -99,24 +91,6 @@ class DefenseSpec:
 
 
 @dataclass(frozen=True)
-class ModulationSpec:
-    """One turbo/current/duty modulation regime driven during the run.
-
-    ``kind`` picks the mechanism exercised on socket 0's
-    :class:`~repro.power.modulation.ModulationUnit`: ``turbo`` wakes
-    and parks ``cores`` plain-compute cores, ``current`` toggles the
-    same group as a power virus, ``duty`` alternates the clock between
-    ``duty_step``/16 and full duty.  ``toggles`` is how many times the
-    regime flips over the run.
-    """
-
-    kind: str = "turbo"
-    toggles: int = 4
-    cores: int = 2
-    duty_step: int = 8
-
-
-@dataclass(frozen=True)
 class FuzzScenario:
     """One complete randomised simulator run, ready to execute."""
 
@@ -133,7 +107,6 @@ class FuzzScenario:
     channel: ChannelParams | None = None
     defenses: tuple[DefenseSpec, ...] = ()
     check_telemetry: bool = False
-    modulation: ModulationSpec | None = None
 
     @property
     def period_ns(self) -> int:
@@ -225,15 +198,6 @@ def generate_scenario(seed: int, index: int) -> FuzzScenario:
 
     check_telemetry = bool(rng.random() < 0.25)
 
-    modulation = None
-    if rng.random() < 0.40:
-        modulation = ModulationSpec(
-            kind=str(rng.choice(_MODULATION_KINDS)),
-            toggles=int(rng.integers(2, 6)),
-            cores=int(rng.integers(1, len(MODULATION_CORES) + 1)),
-            duty_step=int(rng.integers(2, 16)),
-        )
-
     return FuzzScenario(
         index=index,
         seed=seed,
@@ -248,7 +212,6 @@ def generate_scenario(seed: int, index: int) -> FuzzScenario:
         channel=channel,
         defenses=defenses,
         check_telemetry=check_telemetry,
-        modulation=modulation,
     )
 
 
@@ -311,16 +274,6 @@ def is_valid(scenario: FuzzScenario) -> bool:
             s.ufs_step_mhz != 100 or d.period_ms <= 0
         ):
             return False
-    if s.modulation is not None:
-        m = s.modulation
-        if m.kind not in _MODULATION_KINDS:
-            return False
-        if not 1 <= m.toggles <= 8:
-            return False
-        if not 1 <= m.cores <= len(MODULATION_CORES):
-            return False
-        if not 1 <= m.duty_step <= 16:
-            return False
     return True
 
 
@@ -372,10 +325,6 @@ def scenario_from_dict(payload: dict) -> FuzzScenario:
     data["channel"] = None if channel is None else ChannelParams(**channel)
     data["defenses"] = tuple(
         DefenseSpec(**d) for d in data.get("defenses", ())
-    )
-    modulation = data.get("modulation")
-    data["modulation"] = (
-        None if modulation is None else ModulationSpec(**modulation)
     )
     return FuzzScenario(**data)
 

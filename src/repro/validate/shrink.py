@@ -34,7 +34,6 @@ __all__ = ["shrink"]
 _FIELD_ORDER = (
     "channel",
     "defenses",
-    "modulation",
     "workloads",
     "check_telemetry",
     "sockets",

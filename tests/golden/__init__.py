@@ -39,25 +39,8 @@ def golden_presets() -> dict[str, object]:
     }
 
 
-#: Payload size of the golden channel captures: long enough that the
-#: calibration plus every per-bit observation window appears in the
-#: stream, short enough to simulate in well under a second.
-CHANNEL_BITS = 8
-
-
-def golden_channels() -> tuple[str, ...]:
-    """The modulation channels with a pinned golden receiver stream."""
-    from repro.channels.capture import OBSERVING_CHANNELS
-
-    return OBSERVING_CHANNELS
-
-
 def golden_path(preset: str) -> Path:
     return GOLDEN_DIR / f"{preset}.uftc"
-
-
-def channel_golden_path(name: str) -> Path:
-    return GOLDEN_DIR / f"channel-{name.lower()}.uftc"
 
 
 def simulate_golden_traces(preset: str) -> list:
@@ -88,22 +71,6 @@ def simulate_golden_traces(preset: str) -> list:
     attacker.shutdown()
     system.stop()
     return traces
-
-
-def simulate_channel_golden_trace(name: str) -> list:
-    """The canonical golden capture for one modulation channel.
-
-    One full transmission of :data:`CHANNEL_BITS` payload bits on the
-    Table 3 baseline scenario; the recorded stream is the receiver's
-    every timed reference loop, calibration included, so drift in the
-    modulation controllers, the channel protocol or the RNG plumbing
-    all surface here.
-    """
-    from repro.channels.capture import simulate_channel_trace
-
-    return [simulate_channel_trace(
-        name, bits=CHANNEL_BITS, seed=GOLDEN_SEED,
-    )]
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,9 @@ def main() -> None:
     from repro.trace import write_corpus
 
     from . import (
-        CHANNEL_BITS,
         GOLDEN_SEED,
-        channel_golden_path,
-        golden_channels,
         golden_path,
         golden_presets,
-        simulate_channel_golden_trace,
         simulate_golden_traces,
     )
 
@@ -31,15 +27,6 @@ def main() -> None:
         count = write_corpus(
             path, traces,
             meta={"preset": preset, "seed": GOLDEN_SEED},
-        )
-        print(f"{path}: {count} traces, {path.stat().st_size} bytes")
-    for name in golden_channels():
-        traces = simulate_channel_golden_trace(name)
-        path = channel_golden_path(name)
-        count = write_corpus(
-            path, traces,
-            meta={"channel": name, "bits": CHANNEL_BITS,
-                  "seed": GOLDEN_SEED},
         )
         print(f"{path}: {count} traces, {path.stat().st_size} bytes")
 

@@ -53,6 +53,31 @@ class TestExecution:
         assert code == 0
         assert "%" in out
 
+    def test_compare_grades_the_papers_77_cells(self, capsys,
+                                                monkeypatch):
+        # The matrix itself is the Table 3 bench's job; a stub that
+        # answers every cell as the paper does leaves only the grading.
+        from repro.channels import comparison
+        from repro.channels.scenarios import SCENARIOS
+
+        def paper_matrix(**_):
+            return [
+                comparison.ComparisonCell(
+                    channel=channel_cls.name, scenario=scenario.key,
+                    functional=comparison.PAPER_TABLE3[
+                        channel_cls.name].get(scenario.key, True),
+                    error_rate=0.0,
+                )
+                for channel_cls in comparison.ALL_CHANNELS
+                for scenario in SCENARIOS
+            ]
+
+        monkeypatch.setattr(comparison, "comparison_matrix", paper_matrix)
+        assert main(["compare", "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["paper_agreement"] == {"matched": 77, "graded": 77}
+        assert len(results["cells"]) == 11 * len(SCENARIOS)
+
     def test_defenses_runs(self, capsys):
         code = main(["--seed", "21", "defenses", "--bits", "24"])
         out = capsys.readouterr().out

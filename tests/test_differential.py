@@ -20,7 +20,6 @@ from repro.errors import ConfigError
 from repro.validate import differential, equal_results
 from repro.validate.differential import (
     check_batch_frequency_grid,
-    check_cold_vs_warm_channel_trace,
     check_cold_vs_warm_store,
     check_des_vs_analytical_capacity,
     check_des_vs_batch_capacity,
@@ -28,7 +27,6 @@ from repro.validate.differential import (
     check_des_vs_batch_fuzz_platforms,
     check_live_vs_replay,
     check_serial_vs_parallel_capacity,
-    check_serial_vs_parallel_channel_matrix,
     check_serial_vs_parallel_defenses,
     check_serial_vs_parallel_matrix,
     run_differential_suite,
@@ -96,10 +94,6 @@ class TestSerialVsParallel:
         report = check_serial_vs_parallel_matrix(seed=2, bits=6)
         assert report.matched, report.detail
 
-    def test_channel_matrix(self):
-        report = check_serial_vs_parallel_channel_matrix(seed=2, bits=6)
-        assert report.matched, report.detail
-
 
 class TestTraceStorePaths:
     def test_cold_vs_warm_collect_dataset(self, tmp_path):
@@ -108,10 +102,6 @@ class TestTraceStorePaths:
 
     def test_live_vs_replay(self, tmp_path):
         report = check_live_vs_replay(tmp_path, seed=5)
-        assert report.matched, report.detail
-
-    def test_cold_vs_warm_channel_trace(self, tmp_path):
-        report = check_cold_vs_warm_channel_trace(tmp_path, seed=5)
         assert report.matched, report.detail
 
 
@@ -146,9 +136,8 @@ class TestBackendEquivalence:
 SUITE_ORDER = (
     "check_serial_vs_parallel_capacity",
     "check_serial_vs_parallel_defenses",
-    "check_serial_vs_parallel_channel_matrix",
+    "check_serial_vs_parallel_matrix",
     "check_cold_vs_warm_store",
-    "check_cold_vs_warm_channel_trace",
     "check_live_vs_replay",
     "check_des_vs_batch_capacity",
     "check_des_vs_batch_defenses",
@@ -161,7 +150,7 @@ SUITE_ORDER = (
 class TestSuite:
     def test_suite_is_all_green(self, differential_reports):
         reports = differential_reports
-        assert len(reports) == 11
+        assert len(reports) == 10
         bad = [r for r in reports if not r.matched]
         assert not bad, bad
 
@@ -181,7 +170,7 @@ class TestSuite:
         ]
         assert "des-vs-analytical:capacity" in names
         assert not any(n.startswith("des-vs-batch") for n in names)
-        assert len(names) == 7
+        assert len(names) == 6
 
     def test_suite_rejects_unknown_backend(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -14,20 +14,15 @@ import pytest
 from repro.trace import read_corpus, write_corpus
 
 from .golden import (
-    CHANNEL_BITS,
     GOLDEN_DIR,
     GOLDEN_SEED,
-    channel_golden_path,
-    golden_channels,
     golden_compare,
     golden_path,
     golden_presets,
-    simulate_channel_golden_trace,
     simulate_golden_traces,
 )
 
 PRESETS = sorted(golden_presets())
-CHANNELS = sorted(golden_channels())
 CORPORA = sorted(path.name for path in GOLDEN_DIR.glob("*.uftc"))
 
 
@@ -61,35 +56,6 @@ class TestGoldenTraces:
                 f"{preset} trace {index}: {diff.reason} — simulator "
                 "behaviour drifted from the golden recording (see "
                 "tests/test_golden_traces.py docstring)"
-            )
-
-
-@pytest.mark.parametrize("channel", CHANNELS)
-class TestGoldenChannelTraces:
-    """Same contract as :class:`TestGoldenTraces`, for the modulation
-    channels' receiver streams (TurboCC, IChannels, ClockModCovert)."""
-
-    def test_fixture_is_present_and_well_formed(self, channel):
-        meta, records = read_corpus(channel_golden_path(channel))
-        assert meta["channel"] == channel
-        assert meta["bits"] == CHANNEL_BITS
-        assert meta["seed"] == GOLDEN_SEED
-        assert len(records) == 1
-        assert records[0].label == CHANNEL_BITS
-        # Calibration (2 states) + CHANNEL_BITS symbols, each averaging
-        # several timed loops: the stream must be non-trivial.
-        assert len(records[0].times_ms) >= 4 * (CHANNEL_BITS + 2)
-
-    def test_resimulation_matches_bit_for_bit(self, channel):
-        _, golden = read_corpus(channel_golden_path(channel))
-        fresh = simulate_channel_golden_trace(channel)
-        assert len(fresh) == len(golden)
-        for index, (actual, expected) in enumerate(zip(fresh, golden)):
-            diff = golden_compare(actual, expected)
-            assert diff.ok, (
-                f"{channel} capture {index}: {diff.reason} — channel "
-                "or modulation-layer behaviour drifted from the "
-                "golden recording (see this module's docstring)"
             )
 
 

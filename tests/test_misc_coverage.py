@@ -53,15 +53,6 @@ class TestPackageSurface:
 
 
 class TestSocketHelpers:
-    def test_idle_cores_excludes_claimed(self, solo_system):
-        socket = solo_system.socket(0)
-        before = socket.idle_cores(solo_system.now)
-        assert len(before) == 16
-        socket.core(3).claim("x")
-        after = socket.idle_cores(solo_system.now)
-        assert 3 not in after
-        assert len(after) == 15
-
     def test_slice_hash_accessor(self, solo_system):
         socket = solo_system.socket(0)
         assert socket.slice_hash() is socket.hierarchy.slice_hash
