@@ -41,14 +41,6 @@ class PeriodicTask:
                                              self._fire)
 
     @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def period_ns(self) -> int:
-        return self._period_ns
-
-    @property
     def fire_count(self) -> int:
         """How many times the callback has run."""
         return self._fire_count

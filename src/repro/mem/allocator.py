@@ -113,10 +113,6 @@ class PhysicalMemory:
         base = self._node_base(numa_node)
         return [base + stop for stop in stops]
 
-    def frame_address(self, frame: int) -> int:
-        """Physical base address of a frame."""
-        return frame * self.page_bytes
-
 
 @dataclass
 class SharedSegment:

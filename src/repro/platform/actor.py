@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..cache.eviction import EvictionListBuilder, EvictionSet
 from ..cache.hierarchy import Level
 from ..cpu.activity import ActivityProfile, IDLE
@@ -286,38 +284,12 @@ class Actor:
             for virtual in ev_set.virtual_addresses:
                 self.timed_load(virtual, advance_time=False)
 
-    def measure_avg_llc_latency(self, ev_set: EvictionSet,
-                                duration_ns: int) -> float:
-        """The paper's ``measure_avg_LLC_latency`` (Algorithm 1).
-
-        Cycles through the measurement list for ``duration_ns``,
-        returning the mean latency of the accesses that were served by
-        the LLC.  The core carries the measurement profile while the
-        loop runs.
-        """
-        engine = self.system.engine
-        deadline = engine.now + duration_ns
-        previous = self._active_profile
-        self.set_profile(MEASUREMENT_PROFILE)
-        latencies: list[float] = []
-        index = 0
-        addresses = ev_set.virtual_addresses
-        while engine.now < deadline:
-            record = self.timed_load(addresses[index % len(addresses)])
-            if record.level is Level.LLC:
-                latencies.append(record.latency_cycles)
-            index += 1
-        if previous is not None:
-            self.set_profile(previous)
-        else:
-            self.go_idle()
-        if not latencies:
-            return float("nan")
-        return float(np.mean(latencies))
-
     def measure_window(self, ev_set: EvictionSet,
                        duration_ns: int) -> float:
-        """Fast-path equivalent of :meth:`measure_avg_llc_latency`.
+        """The paper's ``measure_avg_LLC_latency`` (Algorithm 1): the
+        mean latency of cycling through the measurement list for
+        ``duration_ns``, with the core carrying the measurement profile
+        meanwhile.
 
         The measurement list cycles in steady state (every access an LLC
         hit), so per-access simulation is redundant: between PMU
@@ -325,7 +297,7 @@ class Actor:
         distribution — is constant.  The window is split at PMU tick
         boundaries; each segment contributes the sufficient statistic of
         its sample batch (:meth:`LatencyModel.segment_llc_sum`), sized
-        by the fenced iteration time.  Statistically identical to the
+        by the fenced iteration time.  Statistically identical to a
         per-access loop at a tiny fraction of the cost — and the batch
         backend replays the exact same per-segment draws, which is what
         makes the two backends bit-identical.

@@ -92,13 +92,6 @@ class FileSizeProfiler:
         self.system.run_ms(150.0)
         return trace
 
-    def busy_metric_ms(self, file_size_kb: float, *,
-                       tag: str = "run") -> float:
-        """Run the victim once; return the attacker's busy metric."""
-        return active_duration_ms(
-            self.profile(file_size_kb, tag=tag), BUSY_THRESHOLD_MHZ
-        )
-
 
 def study_from_traces(
     traces,

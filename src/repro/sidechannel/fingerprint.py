@@ -215,15 +215,6 @@ def run_fingerprinting_study(
     )
 
 
-def summarize(result: FingerprintResult) -> dict[str, float]:
-    """Headline numbers in percent, as the paper reports them."""
-    return {
-        "top1_percent": 100.0 * result.top1,
-        "top5_percent": 100.0 * result.top5,
-        "knn_top1_percent": 100.0 * result.knn_top1,
-    }
-
-
 def activity_separability(dataset: FingerprintDataset,
                           num_bins: int = 96) -> float:
     """Mean inter-site L2 distance over mean intra-site distance.

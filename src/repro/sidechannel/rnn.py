@@ -28,27 +28,40 @@ over stacked time-major ``(steps, n, .)`` arrays.  The cell supplies
   ``sum_t left[t].T @ pre[t]`` and every bias as ``sum_t pre[t]``.
 
 The cell owns its time loops so that a step pays only for its numpy
-calls: the per-step views are listed once per minibatch, the ufuncs
-are bound to locals, and every product and elementwise result is
-written with ``out=`` into a buffer (adding a same-shape bias block
-costs about a third of a broadcast add).  The derivative and
-pre-activation buffers reuse the projection arrays the forward pass is
-done with, and every array comes from a ``_Workspace`` that one
-``fit`` reuses for all its minibatches.
+calls: the ufuncs are bound to locals, and every product and
+elementwise result is written with ``out=`` into a buffer (adding a
+same-shape bias block costs about a third of a broadcast add).  The
+derivative and pre-activation buffers reuse the projection arrays the
+forward pass is done with.  Every array comes from a ``_Workspace``
+that one ``fit`` reuses for all its minibatches, and the workspace
+also keeps each stacked array's per-step views, so the loops list them
+once per ``fit`` and not once per minibatch.
 
 The classifier calls both loops and runs the head and Adam.
 The stacked gradients are bit-identical to accumulating one term per
 step: BPTT adds the terms from the last step down, and
 ``_sum_from_last`` adds the stacked terms in that same order (numpy
 reduces an outer axis one slice at a time, here over a reversed view).
-Each term is the same product of the same operands, so the trained
-weights do not depend on the hoist.  Everything is vectorised over
-the batch, so training on a few hundred traces of ~100 steps takes
-seconds.
+A weight's terms are formed a cache-sized chunk of steps at a time,
+the last chunk first, and each chunk's reversed sum starts from the
+running total of the chunks after it: the same additions in the same
+order as one reversed sum over every step.  Each term is the same
+product of the same operands, so the trained weights do not depend on
+the hoist.
+
+Every parameter tensor is a view into one flat vector, and each
+gradient, clipped on its own norm, is written into the matching view
+of one flat gradient vector.  One ``_Adam`` step then updates every
+weight per minibatch.  Adam is elementwise, so that step makes, on
+every element, the operations in the order that one step per tensor
+made.  Everything is vectorised over the batch, so training on a few
+hundred traces of ~100 steps takes seconds.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +90,13 @@ def _sum_from_last(stacked: np.ndarray) -> np.ndarray:
     return total
 
 
+#: Elements of the weight-gradient terms ``_weight_grad`` forms per
+#: ``np.matmul``.  At h=64 that is 16 steps of ``W_h`` terms, 512 KB,
+#: which stay in L2 between the matmul and the sum; the terms of all
+#: 96 steps of a Fig. 12 trace (3 MB) would not.
+_GRAD_CHUNK_ELEMENTS = 1 << 16
+
+
 class _Workspace:
     """Stacked arrays by name and shape, reused by every minibatch of
     one ``fit``.
@@ -90,6 +110,7 @@ class _Workspace:
 
     def __init__(self) -> None:
         self._arrays: dict[tuple, np.ndarray] = {}
+        self._rows: dict[tuple, list[np.ndarray]] = {}
 
     def get(self, name: str, *shape: int) -> np.ndarray:
         key = (name, shape)
@@ -97,14 +118,46 @@ class _Workspace:
             self._arrays[key] = np.empty(shape)
         return self._arrays[key]
 
+    def rows(self, name: str, *shape: int) -> list[np.ndarray]:
+        """The per-step views of ``get(name, *shape)``, listed once."""
+        key = (name, shape)
+        if key not in self._rows:
+            self._rows[key] = list(self.get(name, *shape))
+        return self._rows[key]
+
 
 def _weight_grad(ws: _Workspace, left: np.ndarray,
                  pre: np.ndarray) -> np.ndarray:
-    """``sum_t left[t].T @ pre[t]`` over stacked ``(steps, n, .)``."""
-    shape = (len(pre), left.shape[2], pre.shape[2])
-    terms = np.matmul(left.transpose(0, 2, 1), pre,
-                      out=ws.get("terms", *shape))
-    return _sum_from_last(terms)
+    """``sum_t left[t].T @ pre[t]`` over stacked ``(steps, n, .)``,
+    added as ``_sum_from_last`` adds.
+
+    The terms are formed a chunk of steps at a time, the last chunk
+    first, into one workspace buffer.  Each chunk's reversed sum writes
+    the running total; the next chunk copies it into the slot after its
+    own terms, so its reversed sum starts from that total and goes on
+    from the chunk's last step down: the additions of one reversed sum
+    over every step, in the same order.  (numpy starts every sum from
+    +0.0, which leaves such a total as it is: a sum that started from
+    +0.0 is never -0.0.)
+    """
+    left_t = left.transpose(0, 2, 1)
+    steps = len(pre)
+    shape = (left.shape[2], pre.shape[2])
+    size = shape[0] * shape[1]
+    if size == 1:
+        return _sum_from_last(np.matmul(left_t, pre))
+    chunk = min(steps, max(1, _GRAD_CHUNK_ELEMENTS // size))
+    terms = ws.get("terms", chunk + 1, *shape)
+    total = None
+    for stop in range(steps, 0, -chunk):
+        begin = max(stop - chunk, 0)
+        count = stop - begin
+        np.matmul(left_t[begin:stop], pre[begin:stop], out=terms[:count])
+        if total is not None:
+            terms[count] = total
+            count += 1
+        total = np.add.reduce(terms[:count][::-1], axis=0, out=total)
+    return total
 
 
 def _bias_grad(pre: np.ndarray) -> np.ndarray:
@@ -121,6 +174,18 @@ def _bias_block(ws: _Workspace, name: str, bias: np.ndarray,
     return block
 
 
+def _views(flat: np.ndarray,
+           like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Consecutive views into ``flat``, one per tensor of ``like``, of
+    its shape and in its order."""
+    views = {}
+    start = 0
+    for name, tensor in like.items():
+        views[name] = flat[start:start + tensor.size].reshape(tensor.shape)
+        start += tensor.size
+    return views
+
+
 class _Elman:
     """``h = tanh(x W_x + h_prev W_h + b_h)``."""
 
@@ -135,22 +200,25 @@ class _Elman:
     @staticmethod
     def project(p, xs, ws):
         """Forward state: every step's ``x W_x``, the hidden states
-        (``hs[0]`` is the zero initial state) and the bias block."""
+        (``hs[0]`` is the zero initial state), the per-step views of
+        both and the bias block."""
         steps, n, _ = xs.shape
         h = p["w_h"].shape[0]
         hs = ws.get("hs", steps + 1, n, h)
         hs[0] = 0.0
         xw = np.matmul(xs, p["w_x"], out=ws.get("xw", steps, n, h))
-        b_h = _bias_block(ws, "b_h", p["b_h"], n)
-        return {"xw": xw, "hs": hs, "b_h": b_h}
+        return {"xw": xw, "hs": hs,
+                "xw_rows": ws.rows("xw", steps, n, h),
+                "hs_rows": ws.rows("hs", steps + 1, n, h),
+                "b_h": _bias_block(ws, "b_h", p["b_h"], n)}
 
     @staticmethod
     def run(p, s):
         """The forward loop over every step."""
         add, tanh = np.add, np.tanh
         w_h, b_h = p["w_h"], s["b_h"]
-        hs = list(s["hs"])
-        for h_prev, h, xw in zip(hs, hs[1:], list(s["xw"])):
+        hs = s["hs_rows"]
+        for h_prev, h, xw in zip(hs, hs[1:], s["xw_rows"]):
             h_prev.dot(w_h, h)
             add(xw, h, out=h)
             add(h, b_h, out=h)
@@ -169,7 +237,7 @@ class _Elman:
         grad_h = ws.get("grad_h", *grad_pooled.shape)
         grad_h[...] = 0.0
         grad_step = ws.get("grad_step", *grad_pooled.shape)
-        for pre_t in list(pre)[::-1]:
+        for pre_t in reversed(s.pop("xw_rows")):
             add(grad_h, grad_pooled, out=grad_step)
             multiply(pre_t, grad_step, out=pre_t)
             pre_t.dot(w_h_t, grad_h)
@@ -196,6 +264,18 @@ class RnnConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        counts = (self.input_dim, self.hidden_dim, self.num_classes,
+                  self.epochs, self.batch_size)
+        if not all(isinstance(count, numbers.Integral)
+                   and not isinstance(count, bool) for count in counts):
+            raise ValueError("model dimensions, epochs and batch size "
+                             "must be integers")
+        rates = (self.learning_rate, self.grad_clip)
+        if not all(isinstance(rate, numbers.Real)
+                   and not isinstance(rate, bool) and math.isfinite(rate)
+                   for rate in rates):
+            raise ValueError("learning rate and gradient clip must be "
+                             "finite numbers")
         if min(self.input_dim, self.hidden_dim, self.num_classes) <= 0:
             raise ValueError("model dimensions must be positive")
         if min(self.learning_rate, self.epochs, self.batch_size,
@@ -205,7 +285,7 @@ class RnnConfig:
 
 @dataclass
 class _Adam:
-    """Adam state for one parameter tensor."""
+    """Adam state for one parameter vector."""
 
     m: np.ndarray
     v: np.ndarray
@@ -247,11 +327,14 @@ class RnnClassifier:
         rng = np.random.default_rng(config.seed)
         h, d, c = config.hidden_dim, config.input_dim, config.num_classes
         # Draw order (cell weights, then the head) fixes the init.
-        self.params = _Elman.init(rng, d, h)
-        self.params["w_o"] = rng.normal(0.0, 1.0 / np.sqrt(h), (h, c))
-        self.params["b_o"] = np.zeros(c)
-        self._opt = {name: _Adam.like(param)
-                     for name, param in self.params.items()}
+        params = _Elman.init(rng, d, h)
+        params["w_o"] = rng.normal(0.0, 1.0 / np.sqrt(h), (h, c))
+        params["b_o"] = np.zeros(c)
+        # Every tensor is a view into one flat vector, which one Adam
+        # step updates per minibatch.
+        self._flat = np.concatenate([p.ravel() for p in params.values()])
+        self.params = _views(self._flat, params)
+        self._opt = _Adam.like(self._flat)
         self.history = _History()
 
     # -- forward -----------------------------------------------------------
@@ -326,6 +409,9 @@ class RnnClassifier:
             raise ValueError("labels outside the configured class range")
         rng = np.random.default_rng(self.config.seed + 1)
         ws = _Workspace()
+        clip, lr = self.config.grad_clip, self.config.learning_rate
+        grad_flat = np.empty_like(self._flat)
+        grad_views = _views(grad_flat, self.params)
         for _ in range(self.config.epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
@@ -339,10 +425,11 @@ class RnnClassifier:
                 correct += hits
                 for name, grad in grads.items():
                     norm = np.linalg.norm(grad)
-                    if norm > self.config.grad_clip:
-                        grad = grad * (self.config.grad_clip / norm)
-                    self._opt[name].step(self.params[name], grad,
-                                         self.config.learning_rate)
+                    if norm > clip:
+                        np.multiply(grad, clip / norm, out=grad_views[name])
+                    else:
+                        grad_views[name][...] = grad
+                self._opt.step(self._flat, grad_flat, lr)
             self.history.loss.append(epoch_loss / n)
             self.history.accuracy.append(correct / n)
         return self.history

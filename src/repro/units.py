@@ -20,11 +20,6 @@ MS = 1_000 * US
 SECOND = 1_000 * MS
 
 
-def ns(value: float) -> int:
-    """Convert a nanosecond quantity to integer simulation time."""
-    return round(value)
-
-
 def us(value: float) -> int:
     """Convert microseconds to integer nanoseconds."""
     return round(value * US)

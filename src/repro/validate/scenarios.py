@@ -236,8 +236,6 @@ def is_valid(scenario: FuzzScenario) -> bool:
         return False
     if not s.ufs_min_mhz < s.ufs_max_mhz:
         return False
-    if (s.ufs_max_mhz - s.ufs_min_mhz) % s.ufs_step_mhz:
-        return False
     if s.period_ms <= 0 or s.run_ms <= 0:
         return False
     seen: set[tuple[int, int]] = set()

@@ -266,6 +266,24 @@ class TestClassifiers:
             with pytest.raises(ValueError):
                 RnnConfig(**bad).validate()
 
+    @pytest.mark.parametrize("bad", [
+        dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+        dict(grad_clip=float("nan")), dict(grad_clip=float("inf")),
+        dict(learning_rate=True), dict(epochs=2.5), dict(hidden_dim=2.0),
+        dict(num_classes=3.0), dict(batch_size=True), dict(input_dim=False),
+    ], ids=repr)
+    def test_rnn_config_rejects_non_finite_and_non_integer(self, bad):
+        """Each of these once reached ``fit``: NaN weights, clipping
+        silently off, or a ``TypeError`` deep in training."""
+        with pytest.raises(ValueError):
+            RnnConfig(**bad).validate()
+        with pytest.raises(ValueError):
+            RnnClassifier(RnnConfig(**bad))
+
+    def test_rnn_config_accepts_numpy_scalars(self):
+        RnnConfig(hidden_dim=np.int64(8), epochs=np.int32(2),
+                  learning_rate=np.float32(0.01), grad_clip=1).validate()
+
 
 class _ElmanOracle:
     """The per-step Elman step/backward pair the stacked trainer
@@ -323,6 +341,58 @@ class _PerStepRnn(RnnClassifier):
         return loss, correct, grads
 
 
+class _AdamOracle:
+    """Adam state for one tensor, as the trainer kept one per tensor
+    before its parameters became views into one flat vector."""
+
+    def __init__(self, param):
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
+        self.t = 0
+
+    def step(self, param, grad, lr):
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        self.t += 1
+        self.m *= beta1
+        self.m += (1 - beta1) * grad
+        self.v *= beta2
+        self.v += (1 - beta2) * grad * grad
+        m_hat = self.m / (1 - beta1**self.t)
+        v_hat = self.v / (1 - beta2**self.t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _per_tensor_adam_fit(model, x, y):
+    """``fit``'s epochs with each tensor's gradient clipped on its own
+    norm and stepped by its own Adam; returns the per-epoch mean loss
+    and how many gradients were clipped and how many left alone."""
+    config = model.config
+    batch_all = model._as_batch(x)
+    n = len(y)
+    opt = {name: _AdamOracle(param) for name, param in model.params.items()}
+    rng = np.random.default_rng(config.seed + 1)
+    losses, clipped, kept = [], 0, 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            index = order[start:start + config.batch_size]
+            loss, _, grads = model._loss_and_grads(batch_all[index],
+                                                   y[index])
+            epoch_loss += loss
+            for name, grad in grads.items():
+                norm = np.linalg.norm(grad)
+                if norm > config.grad_clip:
+                    grad = grad * (config.grad_clip / norm)
+                    clipped += 1
+                else:
+                    kept += 1
+                opt[name].step(model.params[name], grad,
+                               config.learning_rate)
+        losses.append(epoch_loss / n)
+    return losses, clipped, kept
+
+
 class TestStackedBpttMatchesPerStepOracle:
     """The stacked trainer (input products and weight gradients formed
     once per minibatch) is bit-identical to the per-step loop."""
@@ -330,8 +400,8 @@ class TestStackedBpttMatchesPerStepOracle:
     GRID = [
         (d, n, steps, h)
         for d in (1, 3)
-        for n in (1, 5, 64)
-        for steps in (1, 2, 37)
+        for n in (1, 5, 64, 70)
+        for steps in (1, 2, 37, 96)
         for h in (4, 64)
     ]
 
@@ -422,6 +492,24 @@ class TestStackedBpttMatchesPerStepOracle:
         assert model.fit(x, y) == oracle.fit(x, y)
         for name, param in oracle.params.items():
             assert model.params[name].tobytes() == param.tobytes(), name
+
+    @pytest.mark.parametrize("d, num_classes", [(1, 4), (3, 100)])
+    def test_flat_adam_matches_per_tensor_clip_and_adam(self, d,
+                                                         num_classes):
+        """One Adam step over the flat parameter vector, after each
+        tensor is clipped on its own norm, is the per-tensor loop bit
+        for bit, over ragged minibatches where some gradients exceed
+        the clip bound and others do not."""
+        model, _ = self._pair(d, 8, epochs=6, num_classes=num_classes,
+                              batch_size=4, grad_clip=0.2)
+        reference = RnnClassifier(model.config)
+        x, y = self._data(d, 10, 12, num_classes=num_classes)
+        history = model.fit(x, y)
+        losses, clipped, kept = _per_tensor_adam_fit(reference, x, y)
+        assert clipped and kept
+        assert np.array_equal(history.loss, losses)
+        for name, want in reference.params.items():
+            assert np.array_equal(model.params[name], want), name
 
     def test_one_unit_hidden_state_bit_identical(self):
         """One hidden unit makes every gradient a one-element sum, the
